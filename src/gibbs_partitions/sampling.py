@@ -11,8 +11,12 @@ Two routes with identical laws (their agreement is itself a test):
 Reproducibility contract: streams use the counter-based Philox generator
 keyed by (seed, stream); identical (scheme, n, seed, method) yields
 byte-identical samples.  Coordinate draws invert the conditional cdf by
-cumulative search in fixed-size chunks; the chunk size is part of the
-stream semantics.
+cumulative search in fixed-size chunks of ``_CHUNK`` sizes, and the chunk
+size is part of the stream semantics.  The first chunk is summed by scalar
+partial sums in ``np.cumsum``'s order (the same products, added left to
+right), which stops at the same index as a cumsum followed by a left
+``searchsorted``; later chunks are summed by numpy on top of the first
+chunk's total.
 """
 
 from __future__ import annotations
@@ -106,6 +110,14 @@ class ExactSampler:
     are read-only afterwards.  The sampler itself is single-threaded;
     parallelism belongs at the level of independent (scheme, n) jobs, each
     owning its sampler and its replicate streams.
+
+    A draw takes its count from the exact law of N_n, then one uniform per
+    coordinate but the last, all in one ``rng.random`` call (on Philox the
+    same bits as one call per coordinate).  Each coordinate inverts its
+    conditional cdf: the first ``_CHUNK`` sizes by scalar partial sums in
+    ``np.cumsum``'s order, the rest by numpy chunks of ``_CHUNK``.  When the
+    cumulative falls short of its target by round-off the draw takes the
+    whole remainder; ``roundoff_fallbacks`` counts those coordinates.
     """
 
     def __init__(
@@ -128,16 +140,19 @@ class ExactSampler:
         self.count_law = law_Nn(scheme, n, rho=self.rho, method=method)
         self.count_cdf = np.cumsum(self.count_law.pmf)
         self.pmf_x = law_X(scheme, self.rho, n).pmf
+        self._px = self.pmf_x.tolist()
         self._kernel = _trim(self.pmf_x)
-        self._rows: list[np.ndarray] = []
+        self.roundoff_fallbacks = 0
         row0 = np.zeros(n + 1)
         row0[0] = 1.0
-        self._rows.append(row0)
+        self._rows: list[np.ndarray] = [row0]
+        self._views: list[memoryview] = [memoryview(row0)]  # scalar reads of _rows
 
     def _ensure_rows(self, ell: int) -> None:
         direct = _use_direct(self.n, self._kernel.size, self.method)
         while len(self._rows) <= ell:
             self._rows.append(_conv_row(self._rows[-1], self._kernel, self.n, direct))
+            self._views.append(memoryview(self._rows[-1]))
 
     def draw_count(self, rng: np.random.Generator) -> int:
         return int(np.searchsorted(self.count_cdf, rng.random() * self.count_cdf[-1], side="left"))
@@ -145,33 +160,41 @@ class ExactSampler:
     def sample(self, rng: np.random.Generator) -> PartitionSample:
         ell = self.draw_count(rng)
         self._ensure_rows(ell)
-        sizes = np.empty(ell, dtype=np.int64)
+        px, views = self._px, self._views
+        sizes = []
         rem = self.n
-        for i in range(ell):
-            j = ell - 1 - i  # remaining coordinates after this draw
-            if j == 0:
-                sizes[i] = rem
-                break
-            row = self._rows[j]
-            total = self._rows[j + 1][rem]
-            target = rng.random() * total
+        # j = coordinates left after this draw
+        for j, u in zip(range(ell - 1, 0, -1), rng.random(max(ell - 1, 0)).tolist()):
+            row = views[j]
+            target = u * views[j + 1][rem]
             # P(K = k | rem) = P(X=k) P(S_j = rem-k) / P(S_{j+1} = rem):
-            # walk the cumulative in chunks; the mass sits at small k.
-            acc = 0.0
-            k = -1
-            for lo in range(0, rem + 1, _CHUNK):
-                hi = min(lo + _CHUNK, rem + 1)
-                seg = self.pmf_x[lo:hi] * row[rem - hi + 1 : rem - lo + 1][::-1]
-                cs = np.cumsum(seg)
-                if acc + cs[-1] >= target:
-                    k = lo + int(np.searchsorted(cs, target - acc, side="left"))
+            # the mass sits at small k, so the first chunk is walked in Python
+            c = 0.0
+            for k in range(min(_CHUNK, rem + 1)):
+                c += px[k] * row[rem - k]
+                if c >= target:
                     break
-                acc += cs[-1]
-            if k < 0:
-                k = rem  # cumulative fell short of target by roundoff
-            sizes[i] = k
+            else:
+                k = self._walk_chunks(self._rows[j], rem, target, c)
+            sizes.append(k)
             rem -= k
-        return PartitionSample(self.n, sizes)
+        if ell:
+            sizes.append(rem)
+        return PartitionSample(self.n, np.array(sizes, dtype=np.int64))
+
+    def _walk_chunks(self, row: np.ndarray, rem: int, target: float, acc: float) -> int:
+        """Continue the inverse-cdf walk past the first chunk, whose total is
+        ``acc``.  Stays in numpy: with ``acc > 0`` an element-wise early exit
+        on ``fl(target - acc)`` need not agree with ``acc + cs[-1] >= target``."""
+        for lo in range(_CHUNK, rem + 1, _CHUNK):
+            hi = min(lo + _CHUNK, rem + 1)
+            seg = self.pmf_x[lo:hi] * row[rem - hi + 1 : rem - lo + 1][::-1]
+            cs = np.cumsum(seg)
+            if acc + cs[-1] >= target:
+                return lo + int(np.searchsorted(cs, target - acc, side="left"))
+            acc += cs[-1]
+        self.roundoff_fallbacks += 1  # cumulative fell short of target
+        return rem
 
 
 def sample_exact(

@@ -9,6 +9,7 @@ from scipy.stats import chi2_contingency, kstest
 
 from gibbs_partitions import bundled_scheme, classify, stopped_sum_law
 from gibbs_partitions.sampling import (
+    _CHUNK,
     ExactSampler,
     ProductSampler,
     RejectionSampler,
@@ -50,6 +51,107 @@ def test_single_component_degenerate(single_component):
     s = sample_exact(ones, 40, seed=2)
     assert s.n_components == 40
     assert np.all(s.sizes == 1)
+
+
+def _chunked_walk_sample(smp, rng):
+    """The exact sampler's draw as a numpy walk over every chunk, with one
+    scalar uniform per coordinate: the reference for its stream bytes."""
+    ell = smp.draw_count(rng)
+    smp._ensure_rows(ell)
+    sizes = np.empty(ell, dtype=np.int64)
+    rem = smp.n
+    for i in range(ell):
+        j = ell - 1 - i
+        if j == 0:
+            sizes[i] = rem
+            break
+        row = smp._rows[j]
+        target = rng.random() * smp._rows[j + 1][rem]
+        acc = 0.0
+        k = -1
+        for lo in range(0, rem + 1, _CHUNK):
+            hi = min(lo + _CHUNK, rem + 1)
+            seg = smp.pmf_x[lo:hi] * row[rem - hi + 1 : rem - lo + 1][::-1]
+            cs = np.cumsum(seg)
+            if acc + cs[-1] >= target:
+                k = lo + int(np.searchsorted(cs, target - acc, side="left"))
+                break
+            acc += cs[-1]
+        if k < 0:
+            k = rem
+        sizes[i] = k
+        rem -= k
+    return sizes
+
+
+class _ScriptedRng:
+    """Serves a fixed list of uniforms, to scalar and array calls alike."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.pos = 0
+
+    def random(self, size=None):
+        if size is None:
+            self.pos += 1
+            return self.values[self.pos - 1]
+        self.pos += size
+        return np.array(self.values[self.pos - size : self.pos])
+
+
+@pytest.mark.parametrize(
+    "name, n, rho, streams",
+    [
+        ("dense-stable", 600, None, 200),
+        ("dense-gauss", 600, None, 200),
+        ("convergent", 2000, None, 300),  # the giant crosses many chunks
+        ("dilute", 1000, None, 300),
+        ("bell", 3, 1.0, 300),
+        ("single-component", 77, None, 200),
+        ("dense-gauss", 100, None, 300),  # every remainder below _CHUNK
+    ],
+)
+def test_exact_sampler_matches_chunked_walk(name, n, rho, streams):
+    scheme = bundled_scheme(name)
+    smp = ExactSampler(scheme, n, rho=rho)
+    ref = ExactSampler(scheme, n, rho=rho)
+    spilled = 0
+    for i in range(streams):
+        got = smp.sample(make_rng(17, i)).sizes
+        want = _chunked_walk_sample(ref, make_rng(17, i))
+        assert got.tobytes() == want.tobytes(), (name, i)
+        spilled += int(np.any(want[:-1] >= _CHUNK))
+    if name == "convergent":
+        assert spilled > 0
+    assert smp.roundoff_fallbacks == 0
+    # coordinate uniforms on the cdf's edges: 0 ties the first partial sum
+    # when P(X = 0) = 0, values just below 1 reach the last chunk
+    for i in range(20):
+        values = make_rng(18, i).random(n + 1)
+        values[1::3] = 0.0
+        values[2::7] = np.nextafter(1.0, 0.0)
+        got = smp.sample(_ScriptedRng(values.tolist())).sizes
+        want = _chunked_walk_sample(ref, _ScriptedRng(values.tolist()))
+        assert got.tobytes() == want.tobytes(), (name, i)
+
+
+def test_roundoff_fallback_is_counted(dense_gauss):
+    n = 60
+    smp = ExactSampler(dense_gauss, n)
+    for i in range(20):
+        smp.sample(make_rng(19, i))
+    assert smp.roundoff_fallbacks == 0
+    # inflate every total P(S_j = n) so the first coordinate's cumulative
+    # falls short of its target: the draw takes the whole remainder
+    smp._ensure_rows(n)
+    for row in smp._rows[1:]:
+        row[n] *= 1e6
+    hits = 0
+    for i in range(20):
+        s = smp.sample(make_rng(19, i))
+        hits += s.n_components > 1 and s.sizes[0] == n
+    assert hits > 0
+    assert smp.roundoff_fallbacks == hits
 
 
 def test_exact_sampler_matches_enumeration(bell):
