@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .series import convolve, dot, fsum
 from .weights import SchemeSpec, WeightSequence
@@ -54,7 +54,9 @@ __all__ = [
 # FFT.  Direct convolution keeps exact zero patterns and ~1e-16 relative
 # accuracy, which the 1e-12 invariance contracts rely on at n <= 1500, and
 # gives the same bits on every x86-64 SIMD level and BLAS kernel; the FFT
-# branch promises neither.
+# branch promises neither.  It computes the kernel's spectrum once per sweep
+# and takes ``fftconvolve``'s transforms and size for each row, so on a given
+# machine its bits are those of a per-row ``fftconvolve``.
 _DIRECT_CONV_LIMIT = 4_000_000
 
 _DEFICIT_N_CAP = 4000
@@ -129,27 +131,27 @@ def tv_distance(a: DiscreteLaw, b: DiscreteLaw) -> float:
 # building blocks
 
 
-def _conv_row(row: np.ndarray, kernel: np.ndarray, n: int, direct: bool) -> np.ndarray:
-    if direct:
-        return convolve(row, kernel, n + 1)
-    out = fftconvolve(row, kernel)[: n + 1]
-    np.clip(out, 0.0, None, out=out)
-    if out.size < n + 1:
-        out = np.pad(out, (0, n + 1 - out.size))
-    return out
+def _row_step(kernel: np.ndarray, n: int, method: str):
+    """The sweep step ``row -> (row * kernel)[0..n]``, direct or FFT (see
+    ``_DIRECT_CONV_LIMIT``).  The kernel is cut after its last nonzero
+    entry, and the choice is made once per sweep."""
+    nz = np.flatnonzero(kernel)
+    kernel = kernel[: nz[-1] + 1] if nz.size else kernel[:1]
+    if method == "direct" or (
+        method != "fft" and (n + 1) * kernel.size <= _DIRECT_CONV_LIMIT
+    ):
+        return lambda row: convolve(row, kernel, n + 1)
+    if kernel.size == 1 or n == 0:  # fftconvolve does not transform a length-1 axis
+        return lambda row: np.clip((row * kernel)[: n + 1], 0.0, None)
+    size = next_fast_len(n + kernel.size, True)
+    spec = rfft(kernel, size)
 
+    def fft_step(row: np.ndarray) -> np.ndarray:
+        out = irfft(rfft(row, size) * spec, size)[: n + 1]
+        np.clip(out, 0.0, None, out=out)
+        return out
 
-def _trim(kernel: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(kernel)[0]
-    return kernel[: nz[-1] + 1] if nz.size else kernel[:1]
-
-
-def _use_direct(n: int, kernel_len: int, method: str) -> bool:
-    if method == "direct":
-        return True
-    if method == "fft":
-        return False
-    return (n + 1) * kernel_len <= _DIRECT_CONV_LIMIT
+    return fft_step
 
 
 def _saddle_rho(scheme: SchemeSpec, n: int) -> float:
@@ -284,12 +286,11 @@ def convolution_table(
     """Iterated convolution table of a component-size law."""
     if (ell_max + 1) * (n + 1) > 400_000_000:
         raise BudgetExceededError("convolution table too large")
-    kernel = _trim(law_x.pmf[: n + 1])
-    direct = _use_direct(n, kernel.size, method)
+    step = _row_step(law_x.pmf[: n + 1], n, method)
     rows = np.zeros((ell_max + 1, n + 1))
     rows[0, 0] = 1.0
     for ell in range(1, ell_max + 1):
-        rows[ell] = _conv_row(rows[ell - 1], kernel, n, direct)
+        rows[ell] = step(rows[ell - 1])
     return ConvolutionTable(rows)
 
 
@@ -333,8 +334,7 @@ def _sweep(
     lx = law_X(scheme, rho, n)
     cap = _ell_cap(scheme, rho, n, lx)
     ln = law_N(scheme, rho, cap)
-    kernel = _trim(lx.pmf)
-    direct = _use_direct(n, kernel.size, method)
+    step = _row_step(lx.pmf, n, method)
 
     column = np.zeros(cap + 1)
     green = None
@@ -348,7 +348,7 @@ def _sweep(
         if green is not None and ell < cw.size and cw[ell] != 0.0:
             green += cw[ell] * row
         if ell < cap:
-            row = _conv_row(row, kernel, n, direct)
+            row = step(row)
     out = {
         "column": column,
         "pmf_n": ln.pmf,
@@ -379,8 +379,7 @@ def stopped_sum_law(
     lx = law_X(scheme, rho, n)
     cap = _ell_cap(scheme, rho, n, lx)
     ln = law_N(scheme, rho, cap)
-    kernel = _trim(lx.pmf)
-    direct = _use_direct(n, kernel.size, method)
+    step = _row_step(lx.pmf, n, method)
     acc = np.zeros(n + 1)
     row = np.zeros(n + 1)
     row[0] = 1.0
@@ -388,7 +387,7 @@ def stopped_sum_law(
         if ln.pmf[ell] != 0.0:
             acc += ln.pmf[ell] * row
         if ell < cap:
-            row = _conv_row(row, kernel, n, direct)
+            row = step(row)
     W = scheme.w.series_value(rho)
     vw = scheme.v.series_value(W)
     m = np.arange(n + 1, dtype=float)
@@ -428,8 +427,7 @@ def extended_law_Nn(
     lx = law_X(scheme, rho, n)
     cap = _ell_cap(scheme, rho, n, lx)
     ln = law_N(scheme, rho, cap)
-    kernel = _trim(lx.pmf)
-    direct = _use_direct(n, kernel.size, method)
+    step = _row_step(lx.pmf, n, method)
     h_rev = h_terms[::-1]  # h_rev[m] = h_{n-m} rho^{n-m}
     num = np.zeros(cap + 1)
     row = np.zeros(n + 1)
@@ -438,7 +436,7 @@ def extended_law_Nn(
         if ln.pmf[ell] != 0.0:
             num[ell] = ln.pmf[ell] * dot(row, h_rev)
         if ell < cap:
-            row = _conv_row(row, kernel, n, direct)
+            row = step(row)
     z = fsum(num)
     if z <= 0.0:
         raise ValueError(f"extended partition function vanishes at n={n}")
@@ -670,8 +668,7 @@ def giant_deficit_law(
     if math.isfinite(EN):
         nhat = np.arange(pmf_n.size) * pmf_n / EN
     lx_small = law_X(scheme, rho, d_max)
-    kernel = _trim(lx_small.pmf)
-    direct = _use_direct(d_max, kernel.size, method)
+    step = _row_step(lx_small.pmf, d_max, method)
     g_exact = np.zeros(d_max + 1)
     g_limit = np.zeros(d_max + 1)
     row = np.zeros(d_max + 1)
@@ -688,7 +685,7 @@ def giant_deficit_law(
         if nhat is not None and j + 1 < nhat.size and nhat[j + 1] != 0.0:
             g_limit += nhat[j + 1] * row
         if j < cap:
-            row = _conv_row(row, kernel, d_max, direct)
+            row = step(row)
 
     px_full = full["law_x"].pmf
     big = px_full[n - d_max : n + 1][::-1]  # P(X = n - d), d = 0..d_max

@@ -28,9 +28,7 @@ import numpy as np
 
 from .exact import (
     BudgetExceededError,
-    _conv_row,
-    _trim,
-    _use_direct,
+    _row_step,
     default_rho,
     law_N,
     law_Nn,
@@ -139,9 +137,11 @@ class ExactSampler:
         self.method = method
         self.count_law = law_Nn(scheme, n, rho=self.rho, method=method)
         self.count_cdf = np.cumsum(self.count_law.pmf)
+        # a uniform of exactly 0 must not pick a count of probability 0
+        self._min_count = int(np.flatnonzero(self.count_law.pmf)[0])
         self.pmf_x = law_X(scheme, self.rho, n).pmf
         self._px = self.pmf_x.tolist()
-        self._kernel = _trim(self.pmf_x)
+        self._step = _row_step(self.pmf_x, n, method)
         self.roundoff_fallbacks = 0
         row0 = np.zeros(n + 1)
         row0[0] = 1.0
@@ -149,13 +149,13 @@ class ExactSampler:
         self._views: list[memoryview] = [memoryview(row0)]  # scalar reads of _rows
 
     def _ensure_rows(self, ell: int) -> None:
-        direct = _use_direct(self.n, self._kernel.size, self.method)
         while len(self._rows) <= ell:
-            self._rows.append(_conv_row(self._rows[-1], self._kernel, self.n, direct))
+            self._rows.append(self._step(self._rows[-1]))
             self._views.append(memoryview(self._rows[-1]))
 
     def draw_count(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(self.count_cdf, rng.random() * self.count_cdf[-1], side="left"))
+        ell = int(np.searchsorted(self.count_cdf, rng.random() * self.count_cdf[-1], side="left"))
+        return max(ell, self._min_count)
 
     def sample(self, rng: np.random.Generator) -> PartitionSample:
         ell = self.draw_count(rng)

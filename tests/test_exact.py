@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 from scipy.special import zeta
 
 from gibbs_partitions import (
@@ -25,8 +26,14 @@ from gibbs_partitions import (
     stopped_sum_law,
     tv_distance,
 )
-from gibbs_partitions.exact import ConvolutionTable, convolution_table, default_rho
-from gibbs_partitions.series import compose
+from gibbs_partitions.exact import (
+    _DIRECT_CONV_LIMIT,
+    ConvolutionTable,
+    _row_step,
+    convolution_table,
+    default_rho,
+)
+from gibbs_partitions.series import compose, convolve, fsum
 
 from test_series import bell_u_n, enumerate_set_partitions
 
@@ -111,6 +118,68 @@ def test_convolution_table_basics():
     assert table.rows[2, 3] == pytest.approx(0.5)
     # probability conservation per row
     assert np.allclose(table.rows.sum(axis=1)[:3], 1.0, atol=1e-12)
+
+
+def _decaying(rng, size, lead=0):
+    """Positive entries decaying over many orders of magnitude, so FFT
+    round-off turns some tail entries negative and the clip matters."""
+    out = rng.random(size) * np.exp(-np.arange(size) / 8.0)
+    out[:lead] = 0.0
+    return out / out.sum()
+
+
+@pytest.mark.parametrize(
+    "n, k_len, lead",
+    [
+        (300, 50, 0),  # kernel shorter than the row
+        (300, 301, 0),  # kernel as long as the row
+        (300, 1, 0),  # kernel of length 1
+        (300, 50, 17),  # row with leading zeros
+        (0, 5, 0),  # row of length 1
+    ],
+)
+def test_row_step_fft_matches_fftconvolve(n, k_len, lead):
+    rng = np.random.default_rng(n + k_len + lead)
+    row = _decaying(rng, n + 1, lead)
+    kernel = _decaying(rng, k_len)
+    got = _row_step(kernel, n, "fft")(row)
+    want = np.clip(fftconvolve(row, kernel)[: n + 1], 0.0, None)
+    assert got.shape == (n + 1,)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, k_len", [(300, 50), (300, 301), (300, 1)])
+def test_row_step_direct_matches_convolve(n, k_len):
+    rng = np.random.default_rng(k_len)
+    row = _decaying(rng, n + 1, 3)
+    kernel = _decaying(rng, k_len)
+    want = convolve(row, kernel, n + 1)
+    for method in ("direct", "auto"):  # auto is direct at this size
+        assert _row_step(kernel, n, method)(row).tobytes() == want.tobytes()
+
+
+def _law_nn_fftconvolve_sweep(scheme, n):
+    """law_Nn's sweep with one fftconvolve per row (w_0 = 0: l runs to n)."""
+    rho = default_rho(scheme, n)
+    lx = law_X(scheme, rho, n)
+    ln = law_N(scheme, rho, n)
+    kernel = lx.pmf[: np.flatnonzero(lx.pmf)[-1] + 1]
+    assert lx.pmf[0] == 0.0 and (n + 1) * kernel.size > _DIRECT_CONV_LIMIT
+    column = np.zeros(n + 1)
+    row = np.zeros(n + 1)
+    row[0] = 1.0
+    for ell in range(n + 1):
+        column[ell] = row[n]
+        if ell < n:
+            row = np.clip(fftconvolve(row, kernel)[: n + 1], 0.0, None)
+    num = ln.pmf * column
+    return num / fsum(num)
+
+
+def test_law_nn_fft_sweep_matches_per_row_fftconvolve(convergent):
+    n = 2100
+    got = law_Nn(convergent, n, method="auto").pmf
+    assert got.tobytes() == _law_nn_fftconvolve_sweep(convergent, n).tobytes()
 
 
 def test_stopped_sum_identity_outer(dense_gauss):

@@ -154,6 +154,20 @@ def test_roundoff_fallback_is_counted(dense_gauss):
     assert smp.roundoff_fallbacks == hits
 
 
+def test_draw_count_uniform_zero(dense_gauss):
+    # P(N_n = 0) = 0, so count_cdf[0] == 0 and a left search for a target of
+    # 0 stops there; the count must be the first one with positive mass
+    n = 100
+    smp = ExactSampler(dense_gauss, n)
+    assert smp.count_law.pmf[0] == 0.0 and smp.count_law.pmf[1] > 0.0
+    s = smp.sample(_ScriptedRng([0.0] + [0.5] * n))
+    assert s.sizes.tolist() == [n]
+    # any other uniform picks the count a plain left search picks
+    us = make_rng(3).random(2000)
+    want = np.searchsorted(smp.count_cdf, us * smp.count_cdf[-1], side="left")
+    assert [smp.draw_count(_ScriptedRng([u])) for u in us] == want.tolist()
+
+
 def test_exact_sampler_matches_enumeration(bell):
     # Bell n = 3: P(N_3) = (1/5, 3/5, 1/5)
     smp = ExactSampler(bell, 3, rho=1.0)
