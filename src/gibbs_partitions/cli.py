@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: classify | exact | laws | sample | verify.
-Global flags: --config, --out-dir, --seed, --threads.
+Global flags: --config, --out-dir, --seed.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def _cmd_verify(args) -> int:
             sys.exit(f"error: no builtin suite named {name!r}")
         config = str(path)
     try:
-        return run_suite(config, args.out_dir, seed=args.seed, threads=args.threads)
+        return run_suite(config, args.out_dir, seed=args.seed)
     except (SuiteConfigError, PhaseMismatchError) as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}), file=sys.stderr)
         return 2
@@ -192,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", default="out", help="output directory for verify")
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed (default: config value or 1)")
-    common.add_argument("--threads", type=int, default=1)
     top = argparse.ArgumentParser(
         prog="gibbs-partitions",
         description="Phase diagram, exact laws, samplers and verifiers for "

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
+from .phases import _bisect
 from .series import convolve, dot, fsum
 from .weights import SchemeSpec, WeightSequence
 
@@ -154,6 +155,19 @@ def _row_step(kernel: np.ndarray, n: int, method: str):
     return fft_step
 
 
+def _row_source(kernel: np.ndarray, n: int, method: str):
+    """Yield the rows P(S_l = .)[0..n], l = 0, 1, 2, ..., of sums of l draws
+    from ``kernel``.  Each row is stepped from the previous one by
+    ``_row_step`` only when asked for, so ``zip(range(cap + 1), rows)``
+    steps exactly ``cap`` times."""
+    step = _row_step(kernel, n, method)
+    row = np.zeros(n + 1)
+    row[0] = 1.0
+    while True:
+        yield row
+        row = step(row)
+
+
 def _saddle_rho(scheme: SchemeSpec, n: int) -> float:
     """Tilt radius putting the mean of S_N near n (Boltzmann calibration).
 
@@ -179,14 +193,7 @@ def _saddle_rho(scheme: SchemeSpec, n: int) -> float:
         hi *= 2.0
     if mean_sn(hi) < n:
         return hi  # bounded support: the closest reachable calibration
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mean_sn(mid) < n:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
+    lo, hi = _bisect(lambda r: mean_sn(r) < n, lo, hi, 1e-12)
     return 0.5 * (lo + hi)
 
 
@@ -218,17 +225,7 @@ def default_rho(scheme: SchemeSpec, n: int | None = None) -> float:
         hi *= 2.0
     if math.isfinite(rho_w):
         hi = rho_w
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = w.series_value(mid)
-        if val < rho_v:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(hi, 1e-300):
-            break
-    return lo
+    return _bisect(lambda t: w.series_value(t) < rho_v, 0.0, hi, 1e-14)[0]
 
 
 def law_X(scheme: SchemeSpec, rho: float, n_max: int) -> DiscreteLaw:
@@ -286,15 +283,13 @@ def convolution_table(
     """Iterated convolution table of a component-size law."""
     if (ell_max + 1) * (n + 1) > 400_000_000:
         raise BudgetExceededError("convolution table too large")
-    step = _row_step(law_x.pmf[: n + 1], n, method)
     rows = np.zeros((ell_max + 1, n + 1))
-    rows[0, 0] = 1.0
-    for ell in range(1, ell_max + 1):
-        rows[ell] = step(rows[ell - 1])
+    for ell, row in zip(range(ell_max + 1), _row_source(law_x.pmf[: n + 1], n, method)):
+        rows[ell] = row
     return ConvolutionTable(rows)
 
 
-def _ell_cap(scheme: SchemeSpec, rho: float, n: int, law_x: DiscreteLaw) -> int:
+def _ell_cap(n: int, law_x: DiscreteLaw) -> int:
     """Truncation point for sums over l with certified neglected mass.
 
     With P(X=0) = 0 the cap l = n is exact.  Otherwise the number of nonzero
@@ -315,50 +310,60 @@ def _ell_cap(scheme: SchemeSpec, rho: float, n: int, law_x: DiscreteLaw) -> int:
     return cap
 
 
+def _harvest(rows, n: int, cap: int, weights=(), h_rev: np.ndarray | None = None):
+    """Walk the rows l = 0..cap of ``rows`` (each of length n + 1) once.
+
+    Returns (column, dots, sums): column[l] = row_l[n]; dots[l] =
+    dot(row_l, h_rev) when ``h_rev`` is given, else None; and for each
+    vector w in ``weights`` the sum of w[l] * row_l over l < w.size with
+    w[l] != 0, added in increasing l.
+    """
+    column = np.zeros(cap + 1)
+    dots = None if h_rev is None else np.zeros(cap + 1)
+    sums = [np.zeros(n + 1) for _ in weights]
+    for ell, row in zip(range(cap + 1), rows):
+        column[ell] = row[n]
+        if dots is not None:
+            dots[ell] = dot(row, h_rev)
+        for acc, w in zip(sums, weights):
+            if ell < w.size and w[ell] != 0.0:
+                acc += w[ell] * row
+    return column, dots, sums
+
+
 def _sweep(
     scheme: SchemeSpec,
     n: int,
     rho: float | None = None,
     method: str = "auto",
-    green_shift: int | None = None,
+    shifts=(),
+    h_rev: np.ndarray | None = None,
 ):
-    """One pass over convolution rows, harvesting several quantities at once.
+    """One pass over the rows P(S_l = .)[0..n], l = 0..cap, harvesting
+    several quantities at once.
 
     Returns a dict with:
       column  -- P(S_l = n) for l = 0..cap
       pmf_n   -- P(N = l) for l = 0..cap
-      green   -- when green_shift = s is given, the vector
+      dots    -- when h_rev is given, dot(P(S_l = .), h_rev) for l = 0..cap
+      sums    -- for each shift s in ``shifts``, the vector
                  G[m] = sum_l P(N = l + s) P(S_l = m), m = 0..n
     """
     rho = default_rho(scheme, n) if rho is None else rho
     lx = law_X(scheme, rho, n)
-    cap = _ell_cap(scheme, rho, n, lx)
+    cap = _ell_cap(n, lx)
     ln = law_N(scheme, rho, cap)
-    step = _row_step(lx.pmf, n, method)
-
-    column = np.zeros(cap + 1)
-    green = None
-    if green_shift is not None:
-        green = np.zeros(n + 1)
-        cw = ln.pmf[green_shift:]
-    row = np.zeros(n + 1)
-    row[0] = 1.0
-    for ell in range(cap + 1):
-        column[ell] = row[n]
-        if green is not None and ell < cw.size and cw[ell] != 0.0:
-            green += cw[ell] * row
-        if ell < cap:
-            row = step(row)
-    out = {
+    rows = _row_source(lx.pmf, n, method)
+    column, dots, sums = _harvest(rows, n, cap, [ln.pmf[s:] for s in shifts], h_rev)
+    return {
         "column": column,
         "pmf_n": ln.pmf,
+        "dots": dots,
+        "sums": sums,
         "law_x": lx,
         "rho": rho,
         "W": scheme.w.series_value(rho),
     }
-    if green is not None:
-        out["green"] = green
-    return out
 
 
 @dataclass
@@ -375,21 +380,9 @@ def stopped_sum_law(
     scheme: SchemeSpec, rho: float | None = None, n: int = 0, method: str = "auto"
 ) -> StoppedSumLaw:
     """Law of the randomly stopped sum plus u_m = V(W(rho)) rho^-m P(S_N=m)."""
-    rho = default_rho(scheme, n) if rho is None else rho
-    lx = law_X(scheme, rho, n)
-    cap = _ell_cap(scheme, rho, n, lx)
-    ln = law_N(scheme, rho, cap)
-    step = _row_step(lx.pmf, n, method)
-    acc = np.zeros(n + 1)
-    row = np.zeros(n + 1)
-    row[0] = 1.0
-    for ell in range(cap + 1):
-        if ln.pmf[ell] != 0.0:
-            acc += ln.pmf[ell] * row
-        if ell < cap:
-            row = step(row)
-    W = scheme.w.series_value(rho)
-    vw = scheme.v.series_value(W)
+    res = _sweep(scheme, n, rho=rho, method=method, shifts=(0,))
+    acc, rho = res["sums"][0], res["rho"]
+    vw = scheme.v.series_value(res["W"])
     m = np.arange(n + 1, dtype=float)
     with np.errstate(divide="ignore"):
         log_s = np.where(acc > 0, np.log(np.where(acc > 0, acc, 1.0)), -np.inf)
@@ -423,20 +416,9 @@ def extended_law_Nn(
     if scheme.h is None:
         raise ValueError("scheme has no extended prefactor h")
     rho = default_rho(scheme, n) if rho is None else rho
-    h_terms = scheme.h.weighted_terms(rho, n)
-    lx = law_X(scheme, rho, n)
-    cap = _ell_cap(scheme, rho, n, lx)
-    ln = law_N(scheme, rho, cap)
-    step = _row_step(lx.pmf, n, method)
-    h_rev = h_terms[::-1]  # h_rev[m] = h_{n-m} rho^{n-m}
-    num = np.zeros(cap + 1)
-    row = np.zeros(n + 1)
-    row[0] = 1.0
-    for ell in range(cap + 1):
-        if ln.pmf[ell] != 0.0:
-            num[ell] = ln.pmf[ell] * dot(row, h_rev)
-        if ell < cap:
-            row = step(row)
+    h_rev = scheme.h.weighted_terms(rho, n)[::-1]  # h_rev[m] = h_{n-m} rho^{n-m}
+    res = _sweep(scheme, n, rho=rho, method=method, h_rev=h_rev)
+    num = res["pmf_n"] * res["dots"]
     z = fsum(num)
     if z <= 0.0:
         raise ValueError(f"extended partition function vanishes at n={n}")
@@ -592,8 +574,8 @@ def prefix_law(
     if m == 2 and n > 3000:
         raise BudgetExceededError("m=2 joint table limited to n <= 3000")
     # G[x] = sum_{l >= m} P(N=l) P(S_{l-m} = x): weight row j by P(N = j+m).
-    res = _sweep(scheme, n, rho=rho, method=method, green_shift=m)
-    green = res["green"]
+    res = _sweep(scheme, n, rho=rho, method=method, shifts=(m,))
+    green = res["sums"][0]
     denom = dot(res["pmf_n"], res["column"])
     if denom <= 0:
         raise ValueError(f"partition function vanishes at n={n}")
@@ -642,7 +624,6 @@ def giant_deficit_law(
     """
     if n > _DEFICIT_N_CAP:
         raise BudgetExceededError(f"deficit DP limited to n <= {_DEFICIT_N_CAP}")
-    rho = default_rho(scheme, n) if rho is None else rho
     d_max = (n - 1) // 2
     full = _sweep(scheme, n, rho=rho, method=method)
     pmf_n = full["pmf_n"]
@@ -667,31 +648,20 @@ def giant_deficit_law(
     nhat = None
     if math.isfinite(EN):
         nhat = np.arange(pmf_n.size) * pmf_n / EN
-    lx_small = law_X(scheme, rho, d_max)
-    step = _row_step(lx_small.pmf, d_max, method)
-    g_exact = np.zeros(d_max + 1)
-    g_limit = np.zeros(d_max + 1)
-    row = np.zeros(d_max + 1)
-    row[0] = 1.0
-    # Row j holds P(S_j = d); with no zero-size components rows past d_max
-    # vanish on the kept columns.
-    if float(full["law_x"].pmf[0]) == 0.0:
-        cap = min(weights_exact.size - 1, d_max)
-    else:
-        cap = weights_exact.size - 1
-    for j in range(cap + 1):  # j = l - 1 small summands
-        if weights_exact[j] != 0.0:
-            g_exact += weights_exact[j] * row
-        if nhat is not None and j + 1 < nhat.size and nhat[j + 1] != 0.0:
-            g_limit += nhat[j + 1] * row
-        if j < cap:
-            row = step(row)
+    px = full["law_x"].pmf
+    # Row j holds P(S_j = d), j = l - 1 small summands; with no zero-size
+    # components rows past d_max vanish on the kept columns.
+    cap = weights_exact.size - 1
+    if float(px[0]) == 0.0:
+        cap = min(cap, d_max)
+    weights = [weights_exact] if nhat is None else [weights_exact, nhat[1:]]
+    rows = _row_source(px[: d_max + 1], d_max, method)
+    _, _, (g_exact, *g_limit) = _harvest(rows, d_max, cap, weights)
 
-    px_full = full["law_x"].pmf
-    big = px_full[n - d_max : n + 1][::-1]  # P(X = n - d), d = 0..d_max
+    big = px[n - d_max : n + 1][::-1]  # P(X = n - d), d = 0..d_max
     pmf_exact = g_exact * big / denom
     exact = DiscreteLaw.from_pmf(pmf_exact)
-    limit = DiscreteLaw.from_pmf(g_limit) if nhat is not None else None
+    limit = DiscreteLaw.from_pmf(g_limit[0]) if g_limit else None
     return exact, limit
 
 
@@ -716,6 +686,31 @@ def _tail_class(seq: WeightSequence):
     return (seq.rho, seq.e, seq.L.log_exp, seq.L.c)
 
 
+def _product_tables(factors: list, n: int):
+    """Coefficient arrays of the factors on 0..n after a common tilt to the
+    smallest finite radius (distributionally a no-op), and their suffix
+    products suffix[j] = conv of arrays[j:] (suffix[ell] is the unit).
+
+    Returns (radii, arrays, suffix); suffix[0][n] is the partition
+    function, and it must be positive.
+    """
+    if len(factors) < 2:
+        raise ValueError("product structures need at least two factors")
+    radii = [f.radius() for f in factors]
+    finite = [r for r in radii if math.isfinite(r)]
+    t = min(finite) if finite else 1.0
+    tilted = [f.tilt(t) for f in factors]
+    arrays = [np.array([f.term(k) for k in range(n + 1)]) for f in tilted]
+    unit = np.zeros(n + 1)
+    unit[0] = 1.0
+    suffix = [unit]
+    for a in reversed(arrays):
+        suffix.insert(0, convolve(a, suffix[0], n + 1))
+    if suffix[0][n] <= 0:
+        raise ValueError(f"product partition function vanishes at n={n}")
+    return radii, arrays, suffix
+
+
 def product_law(factors, n: int) -> ProductLaw:
     """Exact coordinate marginals of the conditioned product structure.
 
@@ -725,29 +720,14 @@ def product_law(factors, n: int) -> ProductLaw:
     sum p_k = 1 by construction, which is asserted rather than enforced.
     """
     factors = list(factors)
-    if len(factors) < 2:
-        raise ValueError("product structures need at least two factors")
-    radii = [f.radius() for f in factors]
-    t = min(r for r in radii if math.isfinite(r)) if any(map(math.isfinite, radii)) else 1.0
-    tilted = [f.tilt(t) for f in factors]
-    arrays = [np.array([f.term(k) for k in range(n + 1)]) for f in tilted]
-    # suffix[j] = conv of arrays[j:], prefix[j] = conv of arrays[:j]
-    ell = len(arrays)
-    prefix = [None] * (ell + 1)
-    suffix = [None] * (ell + 1)
-    unit = np.zeros(n + 1)
-    unit[0] = 1.0
-    prefix[0] = unit
-    for j in range(ell):
-        prefix[j + 1] = convolve(prefix[j], arrays[j], n + 1)
-    suffix[ell] = unit
-    for j in range(ell - 1, -1, -1):
-        suffix[j] = convolve(arrays[j], suffix[j + 1], n + 1)
+    radii, arrays, suffix = _product_tables(factors, n)
     o_n = float(suffix[0][n])
-    if o_n <= 0:
-        raise ValueError(f"product partition function vanishes at n={n}")
+    # prefix[j] = conv of arrays[:j]
+    prefix = [suffix[-1]]
+    for a in arrays[:-1]:
+        prefix.append(convolve(prefix[-1], a, n + 1))
     marginals = []
-    for j in range(ell):
+    for j in range(len(arrays)):
         others = convolve(prefix[j], suffix[j + 1], n + 1)
         pmf = arrays[j] * others[::-1] / o_n
         marginals.append(DiscreteLaw.from_pmf(pmf))

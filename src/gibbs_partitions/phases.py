@@ -176,6 +176,24 @@ def criticality_of(scheme: SchemeSpec) -> Criticality:
     return Criticality.subcritical if w_val < rho_v else Criticality.supercritical
 
 
+def _bisect(pred, lo: float, hi: float, rtol: float) -> tuple[float, float]:
+    """Shrink the bracket [lo, hi] of the point where ``pred`` turns false.
+
+    ``pred(mid)`` moves ``lo`` up to the midpoint, otherwise ``hi`` comes
+    down; stops once ``hi - lo <= rtol * max(hi, 1e-300)`` or after 200
+    halvings.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rtol * max(hi, 1e-300):
+            break
+    return lo, hi
+
+
 def solve_rho_u(scheme: SchemeSpec) -> float:
     """Radius of convergence of U = V(W(.)).
 
@@ -200,17 +218,8 @@ def solve_rho_u(scheme: SchemeSpec) -> float:
         else:
             hi = probe
             break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = scheme.w.series_value(mid)
-        if val < rho_v:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(hi, 1e-300):
-            break
-    root = 0.5 * (lo + hi)
-    return root
+    lo, hi = _bisect(lambda t: scheme.w.series_value(t) < rho_v, lo, hi, 1e-12)
+    return 0.5 * (lo + hi)
 
 
 def mu_of(scheme: SchemeSpec, rho_u: float) -> float:

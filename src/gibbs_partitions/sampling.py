@@ -28,13 +28,14 @@ import numpy as np
 
 from .exact import (
     BudgetExceededError,
-    _row_step,
+    _ell_cap,
+    _product_tables,
+    _row_source,
     default_rho,
     law_N,
     law_Nn,
     law_X,
 )
-from .series import convolve
 from .weights import SchemeSpec
 
 __all__ = [
@@ -141,17 +142,18 @@ class ExactSampler:
         self._min_count = int(np.flatnonzero(self.count_law.pmf)[0])
         self.pmf_x = law_X(scheme, self.rho, n).pmf
         self._px = self.pmf_x.tolist()
-        self._step = _row_step(self.pmf_x, n, method)
         self.roundoff_fallbacks = 0
-        row0 = np.zeros(n + 1)
-        row0[0] = 1.0
-        self._rows: list[np.ndarray] = [row0]
-        self._views: list[memoryview] = [memoryview(row0)]  # scalar reads of _rows
+        self._source = _row_source(self.pmf_x, n, method)
+        self._rows: list[np.ndarray] = []
+        self._views: list[memoryview] = []  # scalar reads of _rows
+        self._ensure_rows(0)
 
     def _ensure_rows(self, ell: int) -> None:
         while len(self._rows) <= ell:
-            self._rows.append(self._step(self._rows[-1]))
-            self._views.append(memoryview(self._rows[-1]))
+            # a copy: an FFT row is a view that would pin its whole transform buffer
+            row = next(self._source).copy()
+            self._rows.append(row)
+            self._views.append(memoryview(row))
 
     def draw_count(self, rng: np.random.Generator) -> int:
         ell = int(np.searchsorted(self.count_cdf, rng.random() * self.count_cdf[-1], side="left"))
@@ -225,11 +227,9 @@ class RejectionSampler:
     accepted: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        from .exact import _ell_cap
-
         self.rho = default_rho(self.scheme, self.n) if self.rho is None else self.rho
         lx = law_X(self.scheme, self.rho, self.n)
-        cap = _ell_cap(self.scheme, self.rho, self.n, lx)
+        cap = _ell_cap(self.n, lx)
         self.cdf_x = np.cumsum(lx.pmf)
         self.cdf_n = np.cumsum(law_N(self.scheme, self.rho, cap).pmf)
 
@@ -282,24 +282,8 @@ class ProductSampler:
     """
 
     def __init__(self, factors, n: int):
-        factors = list(factors)
-        if len(factors) < 2:
-            raise ValueError("product structures need at least two factors")
-        radii = [f.radius() for f in factors]
-        finite = [r for r in radii if math.isfinite(r)]
-        t = min(finite) if finite else 1.0
-        tilted = [f.tilt(t) for f in factors]
         self.n = n
-        self.arrays = [np.array([f.term(k) for k in range(n + 1)]) for f in tilted]
-        ell = len(self.arrays)
-        unit = np.zeros(n + 1)
-        unit[0] = 1.0
-        self.suffix = [None] * (ell + 1)
-        self.suffix[ell] = unit
-        for j in range(ell - 1, -1, -1):
-            self.suffix[j] = convolve(self.arrays[j], self.suffix[j + 1], n + 1)
-        if self.suffix[0][n] <= 0:
-            raise ValueError(f"product partition function vanishes at n={n}")
+        _, self.arrays, self.suffix = _product_tables(list(factors), n)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         ell = len(self.arrays)

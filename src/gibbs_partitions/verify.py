@@ -987,7 +987,7 @@ def load_config(path_or_dict) -> dict:
         raise SuiteConfigError(f"cannot read config: {err}") from None
 
 
-def run_suite(config, out_dir, seed: int | None = None, threads: int = 1) -> int:
+def run_suite(config, out_dir, seed: int | None = None) -> int:
     """Execute the declared experiments; exit code 0 iff all verdicts pass.
 
     Writes ``verdicts.json`` (byte-stable given config and seed),
@@ -1010,18 +1010,7 @@ def run_suite(config, out_dir, seed: int | None = None, threads: int = 1) -> int
     if not isinstance(experiments, list):
         raise SuiteConfigError("'experiments' must be a list")
 
-    results = []
-    if threads > 1 and len(experiments) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_run_experiment, entry, declared, default_seed)
-                for entry in experiments
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_experiment(entry, declared, default_seed) for entry in experiments]
+    results = [_run_experiment(entry, declared, default_seed) for entry in experiments]
 
     verdicts = []
     runtimes = {}

@@ -153,11 +153,6 @@ class WeightSequence:
             return 0.0
         return float(self.L(n)) * n ** (-self.e) * self.rho ** (-n)
 
-    def log_term(self, n: int) -> float:
-        """log term(n); -inf when the coefficient vanishes."""
-        t = self.term(n)
-        return math.log(t) if t > 0 else -math.inf
-
     # -- transforms --------------------------------------------------------
 
     def tilt(self, t: float) -> "WeightSequence":

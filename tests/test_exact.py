@@ -30,9 +30,11 @@ from gibbs_partitions.exact import (
     _DIRECT_CONV_LIMIT,
     ConvolutionTable,
     _row_step,
+    _sweep,
     convolution_table,
     default_rho,
 )
+from gibbs_partitions.sampling import ExactSampler
 from gibbs_partitions.series import compose, convolve, fsum
 
 from test_series import bell_u_n, enumerate_set_partitions
@@ -180,6 +182,26 @@ def test_law_nn_fft_sweep_matches_per_row_fftconvolve(convergent):
     n = 2100
     got = law_Nn(convergent, n, method="auto").pmf
     assert got.tobytes() == _law_nn_fftconvolve_sweep(convergent, n).tobytes()
+
+
+@pytest.mark.parametrize("name, n, fft", [("dense-gauss", 300, False), ("convergent", 2100, True)])
+def test_table_sampler_and_law_nn_share_rows(name, n, fft):
+    """convolution_table, the sampler's lazy rows and law_Nn's column all
+    come from one row source, so they agree byte for byte."""
+    scheme = bundled_scheme(name)
+    rho = default_rho(scheme, n)
+    lx = law_X(scheme, rho, n)
+    kernel_size = np.flatnonzero(lx.pmf)[-1] + 1
+    assert lx.pmf[0] == 0.0  # w_0 = 0: the rows l = 0..n are all there are
+    assert ((n + 1) * kernel_size > _DIRECT_CONV_LIMIT) == fft
+    table = convolution_table(lx, n, n).rows
+    smp = ExactSampler(scheme, n, rho=rho)
+    smp._ensure_rows(n)
+    assert np.array(smp._rows).tobytes() == table.tobytes()
+    res = _sweep(scheme, n, rho=rho)
+    assert res["column"].tobytes() == np.ascontiguousarray(table[:, n]).tobytes()
+    num = res["pmf_n"] * table[:, n]
+    assert law_Nn(scheme, n, rho=rho).pmf.tobytes() == (num / fsum(num)).tobytes()
 
 
 def test_stopped_sum_identity_outer(dense_gauss):

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chi2_contingency, kstest
 
 from gibbs_partitions import bundled_scheme, classify, stopped_sum_law
+from gibbs_partitions.exact import _row_source
 from gibbs_partitions.sampling import (
     _CHUNK,
     ExactSampler,
@@ -152,6 +153,21 @@ def test_roundoff_fallback_is_counted(dense_gauss):
         hits += s.n_components > 1 and s.sizes[0] == n
     assert hits > 0
     assert smp.roundoff_fallbacks == hits
+
+
+def test_fft_rows_own_their_memory(convergent):
+    # in the FFT regime each row of the source is an n + 1 view of a longer
+    # transform buffer; the sampler keeps a copy so the buffer can go
+    n, ell = 2100, 40
+    smp = ExactSampler(convergent, n)
+    smp._ensure_rows(ell)
+    source = _row_source(smp.pmf_x, n, "auto")
+    for j, (row, kept) in enumerate(zip(source, smp._rows)):
+        if j > 0:
+            assert row.base is not None and row.base.size > n + 1
+        assert kept.base is None or kept.flags.owndata
+        assert kept.tobytes() == row.tobytes()
+    assert len(smp._rows) == ell + 1
 
 
 def test_draw_count_uniform_zero(dense_gauss):

@@ -164,23 +164,6 @@ def test_run_suite_outputs_and_determinism(tmp_path):
     assert ctl[0]["details"]["expected_outcome"] == "fail"
 
 
-def test_run_suite_threads_match_serial(tmp_path):
-    cfg = {
-        "seed": 5,
-        "experiments": [
-            {"id": "a", "verifier": "dense_llt", "scheme": "dense-gauss",
-             "n_ladder": [150, 300], "tol": 0.08},
-            {"id": "b", "verifier": "prefix_independence", "scheme": "dense-gauss",
-             "n_ladder": [60, 120]},
-        ],
-    }
-    run_suite(cfg, tmp_path / "serial", threads=1)
-    run_suite(cfg, tmp_path / "pooled", threads=4)
-    assert (tmp_path / "serial" / "verdicts.json").read_bytes() == (
-        tmp_path / "pooled" / "verdicts.json"
-    ).read_bytes()
-
-
 def test_csv_floats_have_full_precision(tmp_path):
     cfg = {
         "experiments": [
