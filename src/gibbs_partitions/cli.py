@@ -120,7 +120,7 @@ def _cmd_laws(args) -> int:
         ys = law.cdf(xs)
     elif args.law == "dilute_density":
         p = limit_laws.DiluteParams(args.alpha, args.b, args.lam)
-        ys = [limit_laws.dilute_Z_density(p, x) for x in xs]
+        ys = limit_laws.dilute_Z_density(p, xs)
     elif args.law == "pp_intensity":
         ys = [limit_laws.pp_intensity(args.alpha, args.b, x) for x in xs]
     else:

@@ -22,12 +22,15 @@ Gamma(1 - alpha) < 0 for 1 < alpha < 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln
+
+from .series import dot, fsum
 
 __all__ = [
     "StableParams",
@@ -88,61 +91,36 @@ def stable_cf(p: StableParams, t: float) -> complex:
 # series representations (standardized scales)
 
 
-def _dense_series_std(alpha: float, x: float) -> tuple[float, bool]:
-    """Density of the spectrally negative stable law with Laplace-dual
-    normalization (the gamma for which exp(t^alpha) holds), 1 < alpha < 2.
+def _series_std(alpha: float, x: float, dense: bool) -> tuple[float, bool]:
+    """Stable density at a standardized scale from its convergent series.
 
-    Returns (value, trustworthy); the flag drops when cancellation exceeds
-    the monitor threshold or a term overflows.
+    ``dense``: the spectrally negative law with Laplace-dual normalization
+    (the gamma for which exp(t^alpha) holds), 1 < alpha < 2.  Otherwise the
+    spectrally positive law normalized to Laplace transform exp(-t^alpha),
+    0 < alpha < 1, with support (0, inf).  Returns (value, trustworthy); the
+    flag drops when cancellation exceeds the monitor threshold or a term
+    overflows.
     """
-    if x == 0.0:
+    if dense and x == 0.0:
         return math.gamma(1.0 + 1.0 / alpha) * math.sin(math.pi / alpha) / math.pi, True
-    ax = abs(x)
-    log_ax = math.log(ax)
-    total = 0.0
-    max_abs = 0.0
-    small_streak = 0
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        s = math.sin(-k * math.pi / alpha)
-        if s == 0.0:
-            continue
-        log_mag = gammaln(k / alpha + 1.0) - gammaln(k + 1.0) + k * log_ax
-        if log_mag > 700.0:
-            return total / (math.pi * x), False
-        mag = math.exp(log_mag)
-        term = mag * s * ((-1.0) ** k if x > 0 else 1.0)
-        mag = abs(term)
-        total += term
-        max_abs = max(max_abs, mag)
-        if mag < 1e-15 * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 3:
-                break
-        else:
-            small_streak = 0
-    value = total / (math.pi * x)
-    ok = max_abs <= _CANCELLATION_LIMIT * max(abs(total), 1e-300) and small_streak >= 3
-    return max(value, 0.0), ok
-
-
-def _positive_series_std(alpha: float, x: float) -> tuple[float, bool]:
-    """Density of the spectrally positive stable law normalized to Laplace
-    transform exp(-t^alpha), 0 < alpha < 1; support (0, inf)."""
-    if x <= 0.0:
+    if not dense and x <= 0.0:
         return 0.0, True
-    log_x = math.log(x)
+    log_ax = math.log(abs(x))
     total = 0.0
     max_abs = 0.0
     small_streak = 0
     for k in range(1, _SERIES_MAX_TERMS + 1):
-        s = math.sin(-alpha * k * math.pi)
+        if dense:
+            s = math.sin(-k * math.pi / alpha)
+            log_mag = gammaln(k / alpha + 1.0) - gammaln(k + 1.0) + k * log_ax
+        else:
+            s = math.sin(-alpha * k * math.pi)
+            log_mag = gammaln(k * alpha + 1.0) - gammaln(k + 1.0) - alpha * k * log_ax
         if s == 0.0:
             continue
-        log_mag = gammaln(k * alpha + 1.0) - gammaln(k + 1.0) - alpha * k * log_x
         if log_mag > 700.0:
             return total / (math.pi * x), False
-        mag = math.exp(log_mag)
-        term = mag * s * ((-1.0) ** k)
+        term = math.exp(log_mag) * s * ((-1.0) ** k if x > 0 else 1.0)
         mag = abs(term)
         total += term
         max_abs = max(max_abs, mag)
@@ -180,7 +158,7 @@ def stable_density_series(p: StableParams, x: float) -> float:
         gamma0 = (-math.cos(math.pi * a / 2.0)) ** (1.0 / a)
         s = gamma0 / p.gamma
         arg = s * z if p.beta == -1.0 else -s * z
-        val, ok = _dense_series_std(a, arg)
+        val, ok = _series_std(a, arg, dense=True)
         if not ok:
             return stable_density_inversion(p, x)
         return s * val
@@ -190,7 +168,7 @@ def stable_density_series(p: StableParams, x: float) -> float:
     arg = s * z if p.beta == 1.0 else -s * z
     if arg <= 0.0:
         return 0.0
-    val, ok = _positive_series_std(a, arg)
+    val, ok = _series_std(a, arg, dense=False)
     if not ok:
         return stable_density_inversion(p, x)
     return s * val
@@ -292,70 +270,136 @@ class DiluteParams:
         if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
 
-    @staticmethod
-    def from_scheme_constants(c_w: float, w_value: float, a: float, b: float) -> "DiluteParams":
-        alpha = a - 1.0
-        lam = c_w * math.gamma(1.0 - alpha) / (w_value * alpha)
-        return DiluteParams(alpha, b, lam)
 
-    @property
-    def gamma(self) -> float:
-        return (self.lam * math.cos(math.pi * self.alpha / 2.0)) ** (1.0 / self.alpha)
-
-
-def dilute_Z_density(p: DiluteParams, x: float) -> float:
-    """Density of the rescaled-count limit Z:
-    f(x^(-1/alpha)) / (alpha E[X_alpha^(alpha(b-1))] x^(b + 1/alpha))."""
-    if x <= 0.0:
-        return 0.0
-    a, b, lam = p.alpha, p.b, p.lam
-    norm = 1.0 / (a * stable_moment(a, lam, a * (b - 1.0)))
-    y = x ** (-1.0 / a)
-    val, ok = _positive_series_std(a, (lam * x) ** (-1.0 / a))
-    if ok:
-        f_y = lam ** (-1.0 / a) * val
-    else:
-        f_y = stable_density_inversion(StableParams(a, p.gamma, 1.0), y)
-    return norm * f_y * x ** (-(b + 1.0 / a))
+# Kanter (1975, Ann. Probab. 3(4)): the one-sided stable law is
+# (A(U)/E)^((1-alpha)/alpha), U uniform on (0, pi), E ~ Exp(1), with
+# A(u) = sin(alpha u)^(alpha/(1-alpha)) sin((1-alpha) u) / sin(u)^(1/(1-alpha)).
+# Size-biased by X^(alpha(b-1)), Z = lam^-1 (E/A(U))^(1-alpha) with U of density
+# proportional to A^q, q = (b-1)(1-alpha), and E ~ Gamma(1-q) independent of U:
+# P(Z <= x | U) = P(1-q, A t), t = (lam x)^(1/(1-alpha)), P regularized.
+_KANTER_NODES = 400  # Gauss-Legendre nodes in u; tests/test_laws.py bounds the error
+_GAMMA_STEP = 0.125  # trapezoid step in tau for E ~ Gamma(1-q)
+_SERIES_EDGE = 1.0  # lam x at or below which the convergent series is summed
+# exp element by element from the C library: numpy's vector exp rounds
+# differently on different SIMD levels
+_exp = np.vectorize(math.exp, otypes=[float])
 
 
-def dilute_Z_cdf(p: DiluteParams, x: float) -> float:
-    """P(Z <= x) by Gauss-Kronrod quadrature of the density.
+@functools.lru_cache(maxsize=16)
+def _u_grid(alpha: float, b: float) -> tuple[tuple, tuple]:
+    """log A at the u nodes and the log weights of U, which sum to 1.
 
-    The density behaves like x^(b-2) near 0; the substitution
-    t = y^(b-1) removes the endpoint singularity.
+    u = pi - v, v = pi w^k, k = 1/(2-b): A^q ~ v^(1-b) as v -> 0, so A^q du is
+    regular in w.  w and c are the Gauss-Legendre nodes and weights on (0, 1),
+    by Newton's method on the three-term recurrence (3 of the 8 steps reach
+    round-off) with numpy arithmetic and libm only: no eigensolver, no BLAS.
+    sin(u) is evaluated as sin(min(u, v)), accurate at both ends.
     """
-    if x <= 0.0:
-        return 0.0
-    bm1 = p.b - 1.0
+    n, k, q = _KANTER_NODES, 1.0 / (2.0 - b), (b - 1.0) * (1.0 - alpha)
+    x = np.array([math.cos(math.pi * (i + 0.75) / (n + 0.5)) for i in range(n)])
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+        x = x - p1 / dp
+    nodes = zip(((1.0 - x) / 2.0).tolist(), (1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)).tolist())
+    log_a, log_w = [], []
+    for w, c in nodes:
+        u, v = math.pi - math.pi * w**k, math.pi * w**k
+        log_a.append(
+            alpha / (1.0 - alpha) * math.log(math.sin(alpha * u))
+            + math.log(math.sin((1.0 - alpha) * u))
+            - math.log(math.sin(min(u, v))) / (1.0 - alpha)
+        )
+        log_w.append(math.log(c * math.pi * k) + (k - 1.0) * math.log(w) + q * log_a[-1])
+    top = max(log_w)
+    norm = top + math.log(fsum(_exp(np.array(log_w) - top)))
+    return tuple(log_a), tuple(lw - norm for lw in log_w)  # tuples: the cache is shared
 
-    def integrand(t: float) -> float:
-        y = t ** (1.0 / bm1)
-        return dilute_Z_density(p, y) * y / (bm1 * t)
 
-    val, err = quad(integrand, 0.0, x**bm1, limit=500, epsabs=1e-8, epsrel=1e-8)
-    return min(max(val, 0.0), 1.0)
+def _dilute_series(p: DiluteParams, z: float, cdf: bool) -> float:
+    """f or F of Z at x = z / lam <= 1 / lam from the convergent series of the
+    one-sided stable density, whose terms fall monotonically there:
+    f = lam K sum_k c_k z^(k-b), F = K sum_k c_k z^(k+1-b) / (k+1-b),
+    c_k = (-1)^(k+1) Gamma(alpha k + 1) sin(pi alpha k) / k!,
+    K = Gamma(1 - alpha(b-1)) / (alpha pi Gamma(2-b))."""
+    a, b = p.alpha, p.b
+    total = 0.0
+    for k in range(1, _SERIES_MAX_TERMS + 1):
+        mag = math.exp(math.lgamma(a * k + 1.0) - math.lgamma(k + 1.0) + (k - b) * math.log(z))
+        mag = mag * z / (k + 1.0 - b) if cdf else mag
+        total += (-1.0) ** (k + 1) * math.sin(math.pi * a * k) * mag
+        if mag < 1e-17 * abs(total):
+            break
+    scale = math.gamma(1.0 - a * (b - 1.0)) / (a * math.pi * math.gamma(2.0 - b))
+    return scale * total if cdf else p.lam * scale * total
+
+
+def _dilute_eval(p: DiluteParams, x, cdf: bool):
+    """The series up to lam x = _SERIES_EDGE, the u grid above it, where the
+    integrands no longer crowd into u -> pi; every x is computed alone."""
+    xs = np.asarray(x, dtype=float)
+    flat = np.ravel(xs)
+    z = p.lam * flat
+    out = np.zeros(flat.size)
+    low = (flat > 0.0) & (z <= _SERIES_EDGE)
+    out[low] = [_dilute_series(p, zi, cdf) for zi in z[low].tolist()]
+    high = z > _SERIES_EDGE
+    if high.any():
+        alpha, q = p.alpha, (p.b - 1.0) * (1.0 - p.alpha)
+        log_a, log_w = (np.array(g) for g in _u_grid(alpha, p.b))
+        a = _exp(np.minimum(log_a, 700.0))  # past e^700, A t only needs to be huge
+        ts = [zi ** (1.0 / (1.0 - alpha)) for zi in z[high].tolist()]
+        if cdf:  # F = sum_i omega_i P(1-q, A_i t)
+            omega = _exp(log_w)
+            out[high] = [dot(row, omega) for row in gammainc(1.0 - q, np.multiply.outer(ts, a))]
+        else:  # f = t^(1-q) / ((1-alpha) x Gamma(1-q)) sum_i omega_i A_i^(1-q) e^(-A_i t)
+            m = log_w + (1.0 - q) * log_a
+            out[high] = [
+                t ** (1.0 - q) * fsum(_exp(m - a * t)) / ((1.0 - alpha) * xi * math.gamma(1.0 - q))
+                for t, xi in zip(ts, flat[high].tolist())
+            ]
+    return out.reshape(xs.shape) if xs.ndim else float(out[0])
+
+
+def dilute_Z_density(p: DiluteParams, x):
+    """Density of the rescaled-count limit Z, element by element over x: a
+    float for a scalar x, and the bytes of scalar calls for an array."""
+    return _dilute_eval(p, x, cdf=False)
+
+
+def dilute_Z_cdf(p: DiluteParams, x):
+    """P(Z <= x), element by element over x, like ``dilute_Z_density``."""
+    return _dilute_eval(p, x, cdf=True)
 
 
 def mixed_poisson_pmf(p: DiluteParams, upsilon: float, k_max: int) -> np.ndarray:
     """P(Poi(upsilon Z) = k) = E[(upsilon Z)^k exp(-upsilon Z) / k!], k <= k_max.
 
     The limit law of the count of components at the critical size scale
-    n^(alpha/(1+alpha)); evaluated by quadrature against the Z density.
+    n^(alpha/(1+alpha)).  Every k is one sum over the tensor grid of (U, E),
+    on which upsilon Z = (upsilon / lam) (E / A(U))^(1-alpha).  E ~ Gamma(1-q)
+    takes the trapezoid rule in tau, E = exp(tau - exp(-tau)), under which
+    E^(1-q) (1 + e^-tau) e^-E decays double exponentially at both ends.
     """
     if upsilon < 0:
         raise ValueError("upsilon must be nonnegative")
-    out = np.zeros(k_max + 1)
+    alpha, q = p.alpha, (p.b - 1.0) * (1.0 - p.alpha)
+    log_a, log_w = (np.array(g) for g in _u_grid(alpha, p.b))
+    taus = np.arange(-math.log(40.0 / (1.0 - q)), 4.0, _GAMMA_STEP)
+    log_e = taus - _exp(-taus)
+    e_weights = _exp((1.0 - q) * log_e - _exp(log_e)) * (1.0 + _exp(-taus))
+    c = _exp(-(1.0 - alpha) * log_a) * (upsilon / p.lam)
+    z = np.multiply.outer(c, _exp((1.0 - alpha) * log_e)).ravel()
+    weights = np.multiply.outer(_exp(log_w), e_weights / fsum(e_weights)).ravel()
+    if fsum(weights[z > 708.0]) > 1e-12:  # exp(-z) underflows there
+        raise ValueError(f"upsilon = {upsilon} puts upsilon Z past 708: out of range")
+    term = _exp(-z)
+    out = np.empty(k_max + 1)
     for k in range(k_max + 1):
-        log_fact = gammaln(k + 1.0)
-
-        def integrand(z: float, k=k, log_fact=log_fact) -> float:
-            return dilute_Z_density(p, z) * math.exp(
-                k * math.log(upsilon * z) - upsilon * z - log_fact
-            ) if z > 0 else 0.0
-
-        val, _ = quad(integrand, 0.0, 60.0, limit=300, epsabs=1e-10)
-        out[k] = val
+        out[k] = dot(term, weights)
+        term = term * z / (k + 1)
     return out
 
 

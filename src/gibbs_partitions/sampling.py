@@ -53,6 +53,9 @@ __all__ = [
 
 _CHUNK = 128
 _EXACT_N_DEFAULT_CAP = 6000
+# inverse-cdf targets are at least the smallest positive float, so a uniform
+# of exactly 0 picks the first value with positive mass, not a leading zero
+_LEAST = math.ulp(0.0)
 
 
 class RejectionCapError(RuntimeError):
@@ -98,8 +101,7 @@ class PartitionSample:
 
 def _inverse_cdf_draw(pmf: np.ndarray, u: float) -> int:
     c = np.cumsum(pmf)
-    total = c[-1]
-    return int(np.searchsorted(c, u * total, side="left"))
+    return int(np.searchsorted(c, u * c[-1] or _LEAST, side="left"))
 
 
 class ExactSampler:
@@ -116,7 +118,8 @@ class ExactSampler:
     conditional cdf: the first ``_CHUNK`` sizes by scalar partial sums in
     ``np.cumsum``'s order, the rest by numpy chunks of ``_CHUNK``.  When the
     cumulative falls short of its target by round-off the draw takes the
-    whole remainder; ``roundoff_fallbacks`` counts those coordinates.
+    largest size that keeps the rest feasible; ``roundoff_fallbacks`` counts
+    those coordinates.
     """
 
     def __init__(
@@ -138,8 +141,6 @@ class ExactSampler:
         self.method = method
         self.count_law = law_Nn(scheme, n, rho=self.rho, method=method)
         self.count_cdf = np.cumsum(self.count_law.pmf)
-        # a uniform of exactly 0 must not pick a count of probability 0
-        self._min_count = int(np.flatnonzero(self.count_law.pmf)[0])
         self.pmf_x = law_X(scheme, self.rho, n).pmf
         self._px = self.pmf_x.tolist()
         self.roundoff_fallbacks = 0
@@ -156,8 +157,8 @@ class ExactSampler:
             self._views.append(memoryview(row))
 
     def draw_count(self, rng: np.random.Generator) -> int:
-        ell = int(np.searchsorted(self.count_cdf, rng.random() * self.count_cdf[-1], side="left"))
-        return max(ell, self._min_count)
+        target = rng.random() * self.count_cdf[-1] or _LEAST
+        return int(np.searchsorted(self.count_cdf, target, side="left"))
 
     def sample(self, rng: np.random.Generator) -> PartitionSample:
         ell = self.draw_count(rng)
@@ -168,7 +169,7 @@ class ExactSampler:
         # j = coordinates left after this draw
         for j, u in zip(range(ell - 1, 0, -1), rng.random(max(ell - 1, 0)).tolist()):
             row = views[j]
-            target = u * views[j + 1][rem]
+            target = u * views[j + 1][rem] or _LEAST
             # P(K = k | rem) = P(X=k) P(S_j = rem-k) / P(S_{j+1} = rem):
             # the mass sits at small k, so the first chunk is walked in Python
             c = 0.0
@@ -177,26 +178,35 @@ class ExactSampler:
                 if c >= target:
                     break
             else:
-                k = self._walk_chunks(self._rows[j], rem, target, c)
+                k = self._walk_chunks(j, rem, target, c)
             sizes.append(k)
             rem -= k
         if ell:
             sizes.append(rem)
         return PartitionSample(self.n, np.array(sizes, dtype=np.int64))
 
-    def _walk_chunks(self, row: np.ndarray, rem: int, target: float, acc: float) -> int:
+    def _walk_chunks(self, j: int, rem: int, target: float, acc: float) -> int:
         """Continue the inverse-cdf walk past the first chunk, whose total is
-        ``acc``.  Stays in numpy: with ``acc > 0`` an element-wise early exit
-        on ``fl(target - acc)`` need not agree with ``acc + cs[-1] >= target``."""
+        ``acc``, with ``j`` coordinates left after this one.  Stays in numpy:
+        with ``acc > 0`` an element-wise early exit on ``fl(target - acc)``
+        need not agree with ``acc + cs[-1] >= target``."""
+        row = self._rows[j]
         for lo in range(_CHUNK, rem + 1, _CHUNK):
             hi = min(lo + _CHUNK, rem + 1)
             seg = self.pmf_x[lo:hi] * row[rem - hi + 1 : rem - lo + 1][::-1]
             cs = np.cumsum(seg)
             if acc + cs[-1] >= target:
-                return lo + int(np.searchsorted(cs, target - acc, side="left"))
+                i = int(np.searchsorted(cs, target - acc, side="left"))
+                if i < cs.size:
+                    return lo + i
+                break  # round-off: fl(target - acc) ran past cs[-1]
             acc += cs[-1]
-        self.roundoff_fallbacks += 1  # cumulative fell short of target
-        return rem
+        # round-off left the target unreached: take the largest size with
+        # mass that leaves every later coordinate its smallest size (FFT
+        # rows hold round-off where zeros belong)
+        self.roundoff_fallbacks += 1
+        top = rem - j * int(np.flatnonzero(self.pmf_x)[0])
+        return int(np.flatnonzero(self.pmf_x[: top + 1] * row[rem - top : rem + 1][::-1])[-1])
 
 
 def sample_exact(

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, CSV emission, config handling, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -59,6 +60,34 @@ def test_laws_grid(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert float(lines[1].split(",")[1]) == pytest.approx(np.exp(-1.0))
+
+
+def test_laws_dilute_density_one_vector_call(capsys, monkeypatch):
+    from gibbs_partitions import laws
+
+    calls = []
+    density = laws.dilute_Z_density
+
+    def counted(p, x):
+        calls.append(np.shape(x))
+        return density(p, x)
+
+    monkeypatch.setattr(laws, "dilute_Z_density", counted)
+    code, out = run_cli(
+        ["laws", "--law", "dilute_density", "--alpha", "0.5", "--b", "1.5",
+         "--lam", "1.3", "--grid", "-1", "4", "11"],
+        capsys,
+    )
+    assert code == 0
+    assert calls == [(11,)]
+    lines = out.strip().splitlines()
+    assert lines[0] == "x,value"
+    xs, ys = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
+    assert ys[:3].tolist() == [0.0, 0.0, 0.0]  # x = -1, -0.5, 0
+    # alpha = 1/2: (lam Z)^2 / 4 ~ Gamma(1/4)
+    s = (1.3 * xs[3:]) ** 2 / 4.0
+    want = np.exp(-0.75 * np.log(s) - s) * 1.3**2 * xs[3:] / (2.0 * math.gamma(0.25))
+    assert ys[3:] == pytest.approx(want, rel=1e-12)
 
 
 def test_sample_deterministic(capsys):

@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import zeta
+from scipy.special import gammainc, zeta
 
 from gibbs_partitions import laws
 from gibbs_partitions.laws import (
@@ -174,9 +176,10 @@ def test_dilute_density_normalization(dilute_params):
 
 def test_dilute_density_boundary_behavior(dilute_params):
     # near 0 the density diverges like
-    #   lam^(2-b) Gamma(1-alpha(b-1)) / (Gamma(2-b) Gamma(1-alpha)) x^(b-2)
+    #   lam^(2-b) Gamma(1-alpha(b-1)) / (Gamma(2-b) Gamma(1-alpha)) x^(1-b)
     # (the transformed argument x^(-1/alpha) hits the polynomial tail of the
-    # one-sided stable density); at the far end it decays superpolynomially.
+    # one-sided stable density; 1 - b = b - 2 at the bundled b = 3/2); at the
+    # far end it decays superpolynomially.
     lam, alpha, b = dilute_params.lam, dilute_params.alpha, dilute_params.b
     c0 = (
         lam ** (2.0 - b)
@@ -185,7 +188,7 @@ def test_dilute_density_boundary_behavior(dilute_params):
     )
     x = 1e-9
     assert dilute_Z_density(dilute_params, x) == pytest.approx(
-        c0 * x ** (b - 2.0), rel=1e-3
+        c0 * x ** (1.0 - b), rel=1e-3
     )
     assert dilute_Z_density(dilute_params, -1.0) == 0.0
     assert dilute_Z_density(dilute_params, 60.0) < 1e-8 * dilute_Z_density(dilute_params, 1.0)
@@ -228,6 +231,142 @@ def test_mixed_poisson_pmf_total(dilute_params):
         quad(lambda z: dilute_Z_density(dilute_params, z) * math.exp(-z), 0, 60)[0],
         rel=1e-6,
     )
+
+
+# The alpha = 1/2 closed forms: (lam Z)^2 / 4 ~ Gamma((2 - b) / 2).
+
+
+def _levy_cdf(p, x):
+    return gammainc((2.0 - p.b) / 2.0, (p.lam * x) ** 2 / 4.0)
+
+
+def _levy_density(p, x):
+    a, s = (2.0 - p.b) / 2.0, (p.lam * x) ** 2 / 4.0
+    return math.exp((a - 1.0) * math.log(s) - s - math.lgamma(a)) * p.lam**2 * x / 2.0
+
+
+@pytest.mark.parametrize("n", [600, 1200, 1250, 2500, 5000])
+def test_dilute_cdf_levy_closed_form_on_atom_grid(dilute_params, n):
+    # the atoms ell / n^alpha of the exact KS check in verify_dilute
+    na = n**0.5
+    xs = np.arange(1, int(12 * na) + 1) / na
+    got = dilute_Z_cdf(dilute_params, xs)
+    assert np.max(np.abs(got - _levy_cdf(dilute_params, xs))) < 1e-12
+    if n == 5000:  # criterion 10's first-atom bound
+        assert got[0] == pytest.approx(0.108068, abs=5e-7)
+
+
+@pytest.mark.parametrize("b", [1.1, 1.5, 1.9])
+def test_dilute_density_levy_closed_form(b):
+    p = DiluteParams(0.5, b, LAM_DILUTE)
+    # both sides of the series edge lam x = 1, and both tails
+    xs = np.array([1e-9, 1e-4, 0.01, 0.3, 0.7, 0.737, 0.7371, 1.0, 2.0, 5.0, 10.0])
+    got = dilute_Z_density(p, xs)
+    want = np.array([_levy_density(p, x) for x in xs])
+    assert np.max(np.abs(got / want - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha, b", [(0.35, 1.05), (0.35, 1.95), (0.5, 1.5), (0.95, 1.05), (0.95, 1.95)]
+)
+def test_dilute_grid_meets_series_at_the_edge(alpha, b):
+    # Just above lam x = 1 the u grid takes over from the series.  There its
+    # integrands are steepest in u as alpha -> 1: _KANTER_NODES = 400 keeps
+    # the two routes within 1e-12 (200 nodes left 3e-8 at (0.95, 1.95)).
+    p = DiluteParams(alpha, b, 1.0)
+    above = np.nextafter(laws._SERIES_EDGE, 2.0)
+    for fn in (dilute_Z_density, dilute_Z_cdf):
+        assert fn(p, above) == pytest.approx(fn(p, laws._SERIES_EDGE), rel=1e-12)
+
+
+def _dilute_density_oracle(p, x):
+    """The one-sided stable density (series, or inversion where the series
+    cancels) transformed to Z."""
+    a = p.alpha
+    gamma = (p.lam * math.cos(math.pi * a / 2.0)) ** (1.0 / a)
+    f = stable_density_series(StableParams(a, gamma, 1.0), x ** (-1.0 / a))
+    return f / (a * stable_moment(a, p.lam, a * (p.b - 1.0)) * x ** (p.b + 1.0 / a))
+
+
+def _from_zero(fn, x, b, **kw):
+    """int_0^x fn(y) dy; s = y^(2-b) absorbs the y^(1-b) singularity at 0."""
+    e = 2.0 - b
+    val, _ = quad(
+        lambda s: fn(s ** (1.0 / e)) * s ** ((1.0 - e) / e) / e,
+        0.0, x**e, limit=400, epsabs=0.0, epsrel=1e-11, **kw,
+    )
+    return val
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.floats(0.35, 0.95),
+    b=st.floats(1.05, 1.95),
+    lam=st.floats(0.5, 2.0),
+    log_t=st.floats(math.log(1e-2), math.log(10.0)),
+    r=st.floats(0.0, 2.0),
+)
+def test_dilute_laws_against_stable_oracles(alpha, b, lam, log_t, r):
+    # t = (lam x)^(1/(1-alpha)) = E / A(U) spans the bulk of the law
+    p = DiluteParams(alpha, b, lam)
+    x = math.exp((1.0 - alpha) * log_t) / lam
+    want = _dilute_density_oracle(p, x)
+    assert dilute_Z_density(p, x) == pytest.approx(want, rel=1e-8)
+    want = _from_zero(lambda y: _dilute_density_oracle(p, y), x, b)
+    assert dilute_Z_cdf(p, x) == pytest.approx(want, rel=1e-8)
+    # E[Z^r]; past t = 60 / min A the density is below e^-60
+    a_min = alpha ** (alpha / (1.0 - alpha)) * (1.0 - alpha)
+    x_hi = (60.0 / a_min) ** (1.0 - alpha) / lam
+    got = _from_zero(
+        lambda y: y**r * dilute_Z_density(p, y), x_hi, b, points=[lam ** (b - 2.0)]
+    )
+    assert got == pytest.approx(dilute_Z_moment(p, r), rel=1e-8)
+
+
+def test_dilute_vector_call_matches_scalar_calls():
+    p = DiluteParams(0.7, 1.8, 1.3)
+    xs = np.concatenate(([-1.0, 0.0], np.geomspace(1e-6, 20.0, 58)))
+    for fn in (dilute_Z_density, dilute_Z_cdf):
+        vec = fn(p, xs.reshape(6, 10))
+        assert vec.shape == (6, 10)
+        scalars = [fn(p, float(x)) for x in xs]
+        assert all(isinstance(v, float) for v in scalars)
+        assert vec.tobytes() == np.array(scalars).tobytes()
+
+
+def test_mixed_poisson_pmf_levy_closed_form(dilute_params):
+    ups = 0.9
+    got = mixed_poisson_pmf(dilute_params, ups, 8)
+    for k in range(9):
+        want = _from_zero(
+            lambda x: _levy_density(dilute_params, x)
+            * math.exp(k * math.log(ups * x) - ups * x - math.lgamma(k + 1.0)),
+            40.0,
+            dilute_params.b,
+            points=[1.0],
+        )
+        assert got[k] == pytest.approx(want, rel=1e-11)
+    assert mixed_poisson_pmf(dilute_params, 0.0, 3) == pytest.approx([1, 0, 0, 0], abs=1e-14)
+    # past upsilon Z ~ 700 the terms exp(-upsilon Z) underflow: refuse, do
+    # not lose the mass (at upsilon = 1000 a quarter of it went silently)
+    assert mixed_poisson_pmf(dilute_params, 50.0, 400).sum() == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValueError, match="out of range"):
+        mixed_poisson_pmf(dilute_params, 1000.0, 10)
+
+
+def test_mixed_poisson_pmf_general_alpha():
+    p = DiluteParams(0.7, 1.8, 1.0)
+    ups = 2.0
+    got = mixed_poisson_pmf(p, ups, 6)
+    for k in range(7):
+        want = _from_zero(
+            lambda x: dilute_Z_density(p, x)
+            * math.exp(k * math.log(ups * x) - ups * x - math.lgamma(k + 1.0)),
+            40.0,
+            p.b,
+            points=[1.0],
+        )
+        assert got[k] == pytest.approx(want, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

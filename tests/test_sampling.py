@@ -75,11 +75,18 @@ def _chunked_walk_sample(smp, rng):
             seg = smp.pmf_x[lo:hi] * row[rem - hi + 1 : rem - lo + 1][::-1]
             cs = np.cumsum(seg)
             if acc + cs[-1] >= target:
-                k = lo + int(np.searchsorted(cs, target - acc, side="left"))
+                at = int(np.searchsorted(cs, target - acc, side="left"))
+                k = lo + at if at < cs.size else -1  # past the chunk: round-off
                 break
             acc += cs[-1]
-        if k < 0:
-            k = rem
+        # the two edges: sizes with positive conditional mass that leave
+        # every later coordinate its smallest size
+        top = rem - j * int(np.flatnonzero(smp.pmf_x)[0])
+        feasible = np.flatnonzero(smp.pmf_x[: top + 1] * row[rem - top : rem + 1][::-1])
+        if target == 0.0:  # a uniform of 0: the smallest feasible size
+            k = int(feasible[0])
+        elif k < 0:  # round-off: the largest feasible size
+            k = int(feasible[-1])
         sizes[i] = k
         rem -= k
     return sizes
@@ -134,6 +141,8 @@ def test_exact_sampler_matches_chunked_walk(name, n, rho, streams):
         got = smp.sample(_ScriptedRng(values.tolist())).sizes
         want = _chunked_walk_sample(ref, _ScriptedRng(values.tolist()))
         assert got.tobytes() == want.tobytes(), (name, i)
+        # no component of probability 0, at either edge
+        assert smp.pmf_x[got].min() > 0.0, (name, i)
 
 
 def test_roundoff_fallback_is_counted(dense_gauss):
@@ -143,14 +152,17 @@ def test_roundoff_fallback_is_counted(dense_gauss):
         smp.sample(make_rng(19, i))
     assert smp.roundoff_fallbacks == 0
     # inflate every total P(S_j = n) so the first coordinate's cumulative
-    # falls short of its target: the draw takes the whole remainder
+    # falls short of its target: the draw takes the largest feasible size,
+    # which leaves one unit (the smallest size, P(X = 0) = 0) to every later
+    # coordinate
     smp._ensure_rows(n)
     for row in smp._rows[1:]:
         row[n] *= 1e6
     hits = 0
     for i in range(20):
         s = smp.sample(make_rng(19, i))
-        hits += s.n_components > 1 and s.sizes[0] == n
+        assert np.all(s.sizes > 0)
+        hits += s.n_components > 1 and s.sizes[0] == n - (s.n_components - 1)
     assert hits > 0
     assert smp.roundoff_fallbacks == hits
 
@@ -269,6 +281,17 @@ def test_product_sampler_symmetry_and_sum():
         first_giant += t[0] >= 150
     freq = first_giant / m
     assert abs(freq - 0.5) < 3.0 * math.sqrt(0.25 / m)
+
+
+def test_product_sampler_uniform_zero():
+    # w_0 = 0 in both factors: a uniform of exactly 0 must pick the first
+    # size with positive conditional mass, not size 0
+    smp = ProductSampler(bundled_scheme("product-symmetric").product_factors, 300)
+    assert smp.arrays[0][0] == 0.0
+    got = smp.sample(_ScriptedRng([0.0]))
+    weights = smp.arrays[0][:301] * smp.suffix[1][300::-1]
+    assert got[0] == np.flatnonzero(weights)[0] > 0
+    assert got.sum() == 300
 
 
 def test_stats_fields(dense_gauss):
