@@ -91,36 +91,61 @@ def stable_cf(p: StableParams, t: float) -> complex:
 # series representations (standardized scales)
 
 
-def _series_std(alpha: float, x: float, dense: bool) -> tuple[float, bool]:
-    """Stable density at a standardized scale from its convergent series.
+def _dense_series_std(alpha: float, x: float) -> tuple[float, bool]:
+    """Density of the spectrally negative stable law with Laplace-dual
+    normalization (the gamma for which exp(t^alpha) holds), 1 < alpha < 2.
 
-    ``dense``: the spectrally negative law with Laplace-dual normalization
-    (the gamma for which exp(t^alpha) holds), 1 < alpha < 2.  Otherwise the
-    spectrally positive law normalized to Laplace transform exp(-t^alpha),
-    0 < alpha < 1, with support (0, inf).  Returns (value, trustworthy); the
-    flag drops when cancellation exceeds the monitor threshold or a term
-    overflows.
+    Returns (value, trustworthy); the flag drops when cancellation exceeds
+    the monitor threshold or a term overflows.
     """
-    if dense and x == 0.0:
+    if x == 0.0:
         return math.gamma(1.0 + 1.0 / alpha) * math.sin(math.pi / alpha) / math.pi, True
-    if not dense and x <= 0.0:
-        return 0.0, True
-    log_ax = math.log(abs(x))
+    ax = abs(x)
+    log_ax = math.log(ax)
     total = 0.0
     max_abs = 0.0
     small_streak = 0
     for k in range(1, _SERIES_MAX_TERMS + 1):
-        if dense:
-            s = math.sin(-k * math.pi / alpha)
-            log_mag = gammaln(k / alpha + 1.0) - gammaln(k + 1.0) + k * log_ax
-        else:
-            s = math.sin(-alpha * k * math.pi)
-            log_mag = gammaln(k * alpha + 1.0) - gammaln(k + 1.0) - alpha * k * log_ax
+        s = math.sin(-k * math.pi / alpha)
         if s == 0.0:
             continue
+        log_mag = gammaln(k / alpha + 1.0) - gammaln(k + 1.0) + k * log_ax
         if log_mag > 700.0:
             return total / (math.pi * x), False
-        term = math.exp(log_mag) * s * ((-1.0) ** k if x > 0 else 1.0)
+        mag = math.exp(log_mag)
+        term = mag * s * ((-1.0) ** k if x > 0 else 1.0)
+        mag = abs(term)
+        total += term
+        max_abs = max(max_abs, mag)
+        if mag < 1e-15 * max(abs(total), 1e-300):
+            small_streak += 1
+            if small_streak >= 3:
+                break
+        else:
+            small_streak = 0
+    value = total / (math.pi * x)
+    ok = max_abs <= _CANCELLATION_LIMIT * max(abs(total), 1e-300) and small_streak >= 3
+    return max(value, 0.0), ok
+
+
+def _positive_series_std(alpha: float, x: float) -> tuple[float, bool]:
+    """Density of the spectrally positive stable law normalized to Laplace
+    transform exp(-t^alpha), 0 < alpha < 1; support (0, inf)."""
+    if x <= 0.0:
+        return 0.0, True
+    log_x = math.log(x)
+    total = 0.0
+    max_abs = 0.0
+    small_streak = 0
+    for k in range(1, _SERIES_MAX_TERMS + 1):
+        s = math.sin(-alpha * k * math.pi)
+        if s == 0.0:
+            continue
+        log_mag = gammaln(k * alpha + 1.0) - gammaln(k + 1.0) - alpha * k * log_x
+        if log_mag > 700.0:
+            return total / (math.pi * x), False
+        mag = math.exp(log_mag)
+        term = mag * s * ((-1.0) ** k)
         mag = abs(term)
         total += term
         max_abs = max(max_abs, mag)
@@ -158,7 +183,7 @@ def stable_density_series(p: StableParams, x: float) -> float:
         gamma0 = (-math.cos(math.pi * a / 2.0)) ** (1.0 / a)
         s = gamma0 / p.gamma
         arg = s * z if p.beta == -1.0 else -s * z
-        val, ok = _series_std(a, arg, dense=True)
+        val, ok = _dense_series_std(a, arg)
         if not ok:
             return stable_density_inversion(p, x)
         return s * val
@@ -168,7 +193,7 @@ def stable_density_series(p: StableParams, x: float) -> float:
     arg = s * z if p.beta == 1.0 else -s * z
     if arg <= 0.0:
         return 0.0
-    val, ok = _series_std(a, arg, dense=False)
+    val, ok = _positive_series_std(a, arg)
     if not ok:
         return stable_density_inversion(p, x)
     return s * val
@@ -290,10 +315,13 @@ def _u_grid(alpha: float, b: float) -> tuple[tuple, tuple]:
     """log A at the u nodes and the log weights of U, which sum to 1.
 
     u = pi - v, v = pi w^k, k = 1/(2-b): A^q ~ v^(1-b) as v -> 0, so A^q du is
-    regular in w.  w and c are the Gauss-Legendre nodes and weights on (0, 1),
-    by Newton's method on the three-term recurrence (3 of the 8 steps reach
-    round-off) with numpy arithmetic and libm only: no eigensolver, no BLAS.
-    sin(u) is evaluated as sin(min(u, v)), accurate at both ends.
+    regular in w.  Past b = 1.95 the mass of U crowds into v -> 0, where A t is
+    astronomically large, and all the change in the integrands sits in
+    w > e^(-20/k) (v > pi e^-20): that panel gets its own nodes.  The
+    Gauss-Legendre nodes and weights come by Newton's method on the three-term
+    recurrence (3 of the 8 steps reach round-off) with numpy arithmetic and
+    libm only: no eigensolver, no BLAS.  sin(u) is evaluated as
+    sin(min(u, v)), accurate at both ends, and as v once v underflows.
     """
     n, k, q = _KANTER_NODES, 1.0 / (2.0 - b), (b - 1.0) * (1.0 - alpha)
     x = np.array([math.cos(math.pi * (i + 0.75) / (n + 0.5)) for i in range(n)])
@@ -303,14 +331,20 @@ def _u_grid(alpha: float, b: float) -> tuple[tuple, tuple]:
             p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
         dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
         x = x - p1 / dp
-    nodes = zip(((1.0 - x) / 2.0).tolist(), (1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)).tolist())
+    cuts = (0.0, 1.0) if k <= 20.0 else (0.0, math.exp(-20.0 / k), 1.0)
+    nodes = [
+        (lo + (hi - lo) * w, (hi - lo) * c)
+        for lo, hi in zip(cuts, cuts[1:])
+        for w, c in zip(((1.0 - x) / 2.0).tolist(), (1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)).tolist())
+    ]
     log_a, log_w = [], []
     for w, c in nodes:
         u, v = math.pi - math.pi * w**k, math.pi * w**k
+        log_sin = math.log(math.sin(min(u, v))) if v > 1e-300 else math.log(math.pi) + k * math.log(w)
         log_a.append(
             alpha / (1.0 - alpha) * math.log(math.sin(alpha * u))
             + math.log(math.sin((1.0 - alpha) * u))
-            - math.log(math.sin(min(u, v))) / (1.0 - alpha)
+            - log_sin / (1.0 - alpha)
         )
         log_w.append(math.log(c * math.pi * k) + (k - 1.0) * math.log(w) + q * log_a[-1])
     top = max(log_w)
@@ -320,20 +354,29 @@ def _u_grid(alpha: float, b: float) -> tuple[tuple, tuple]:
 
 def _dilute_series(p: DiluteParams, z: float, cdf: bool) -> float:
     """f or F of Z at x = z / lam <= 1 / lam from the convergent series of the
-    one-sided stable density, whose terms fall monotonically there:
-    f = lam K sum_k c_k z^(k-b), F = K sum_k c_k z^(k+1-b) / (k+1-b),
-    c_k = (-1)^(k+1) Gamma(alpha k + 1) sin(pi alpha k) / k!,
-    K = Gamma(1 - alpha(b-1)) / (alpha pi Gamma(2-b))."""
+    one-sided stable density g with Laplace transform exp(-t^alpha):
+    f = lam K pi z^(-b-1/alpha) g(z^(-1/alpha)), and F term by term,
+    F = K sum_k c_k z^(k+1-b) / (k+1-b), c_k = (-1)^(k+1) Gamma(alpha k + 1)
+    sin(pi alpha k) / k!, K = Gamma(1 - alpha(b-1)) / (alpha pi Gamma(2-b)).
+    Near z = 1 the terms fall too slowly from alpha = 0.99 on: there g falls
+    back to inversion and F raises.  The u grid is no fallback below z = 1:
+    as alpha -> 1 its integrands turn into steps in u."""
     a, b = p.alpha, p.b
+    scale = math.gamma(1.0 - a * (b - 1.0)) / (a * math.pi * math.gamma(2.0 - b))
+    if not cdf:
+        y = z ** (-1.0 / a)
+        g, ok = _positive_series_std(a, y)
+        if not ok:
+            g = stable_density_inversion(StableParams(a, math.cos(math.pi * a / 2.0) ** (1.0 / a), 1.0), y)
+        return p.lam * scale * math.pi * z ** (-b - 1.0 / a) * g
     total = 0.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
         mag = math.exp(math.lgamma(a * k + 1.0) - math.lgamma(k + 1.0) + (k - b) * math.log(z))
-        mag = mag * z / (k + 1.0 - b) if cdf else mag
+        mag = mag * z / (k + 1.0 - b)
         total += (-1.0) ** (k + 1) * math.sin(math.pi * a * k) * mag
         if mag < 1e-17 * abs(total):
-            break
-    scale = math.gamma(1.0 - a * (b - 1.0)) / (a * math.pi * math.gamma(2.0 - b))
-    return scale * total if cdf else p.lam * scale * total
+            return scale * total
+    raise ValueError(f"alpha = {a}: the series for P(Z <= x) at lam x = {z} does not converge")
 
 
 def _dilute_eval(p: DiluteParams, x, cdf: bool):
@@ -343,23 +386,25 @@ def _dilute_eval(p: DiluteParams, x, cdf: bool):
     flat = np.ravel(xs)
     z = p.lam * flat
     out = np.zeros(flat.size)
-    low = (flat > 0.0) & (z <= _SERIES_EDGE)
-    out[low] = [_dilute_series(p, zi, cdf) for zi in z[low].tolist()]
     high = z > _SERIES_EDGE
+    low = (flat > 0.0) & ~high
+    out[low] = [_dilute_series(p, zi, cdf) for zi in z[low].tolist()]
     if high.any():
         alpha, q = p.alpha, (p.b - 1.0) * (1.0 - p.alpha)
         log_a, log_w = (np.array(g) for g in _u_grid(alpha, p.b))
         a = _exp(np.minimum(log_a, 700.0))  # past e^700, A t only needs to be huge
-        ts = [zi ** (1.0 / (1.0 - alpha)) for zi in z[high].tolist()]
-        if cdf:  # F = sum_i omega_i P(1-q, A_i t)
-            omega = _exp(log_w)
-            out[high] = [dot(row, omega) for row in gammainc(1.0 - q, np.multiply.outer(ts, a))]
-        else:  # f = t^(1-q) / ((1-alpha) x Gamma(1-q)) sum_i omega_i A_i^(1-q) e^(-A_i t)
-            m = log_w + (1.0 - q) * log_a
-            out[high] = [
-                t ** (1.0 - q) * fsum(_exp(m - a * t)) / ((1.0 - alpha) * xi * math.gamma(1.0 - q))
-                for t, xi in zip(ts, flat[high].tolist())
-            ]
+        # t past 1e300 (alpha near 1) gives F = 1 and f = 0 in floats
+        ts = [zi ** (1.0 / (1.0 - alpha)) if math.log(zi) < 690.0 * (1.0 - alpha) else 1e300 for zi in z[high].tolist()]
+        with np.errstate(over="ignore"):  # A t = inf: P(1-q, A t) = 1, e^(-A t) = 0
+            if cdf:  # F = sum_i omega_i P(1-q, A_i t)
+                omega = _exp(log_w)
+                out[high] = [dot(row, omega) for row in gammainc(1.0 - q, np.multiply.outer(ts, a))]
+            else:  # f = t^(1-q) / ((1-alpha) x Gamma(1-q)) sum_i omega_i A_i^(1-q) e^(-A_i t)
+                m = log_w + (1.0 - q) * log_a
+                out[high] = [
+                    t ** (1.0 - q) * fsum(_exp(m - a * t)) / ((1.0 - alpha) * xi * math.gamma(1.0 - q))
+                    for t, xi in zip(ts, flat[high].tolist())
+                ]
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 

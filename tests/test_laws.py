@@ -267,12 +267,18 @@ def test_dilute_density_levy_closed_form(b):
 
 
 @pytest.mark.parametrize(
-    "alpha, b", [(0.35, 1.05), (0.35, 1.95), (0.5, 1.5), (0.95, 1.05), (0.95, 1.95)]
+    "alpha, b",
+    [
+        (0.05, 1.5), (0.35, 1.05), (0.35, 1.95), (0.5, 1.5), (0.95, 1.05), (0.95, 1.95),
+        (0.5, 1.001), (0.5, 1.99), (0.5, 1.999), (0.95, 1.999), (0.99, 1.5),
+    ],
 )
 def test_dilute_grid_meets_series_at_the_edge(alpha, b):
     # Just above lam x = 1 the u grid takes over from the series.  There its
     # integrands are steepest in u as alpha -> 1: _KANTER_NODES = 400 keeps
     # the two routes within 1e-12 (200 nodes left 3e-8 at (0.95, 1.95)).
+    # Past b = 1.98 the smallest v = pi w^k underflows, and past b = 1.95 the
+    # integrands sit in a sliver of w next to 1 that gets its own panel.
     p = DiluteParams(alpha, b, 1.0)
     above = np.nextafter(laws._SERIES_EDGE, 2.0)
     for fn in (dilute_Z_density, dilute_Z_cdf):
@@ -321,6 +327,46 @@ def test_dilute_laws_against_stable_oracles(alpha, b, lam, log_t, r):
         lambda y: y**r * dilute_Z_density(p, y), x_hi, b, points=[lam ** (b - 2.0)]
     )
     assert got == pytest.approx(dilute_Z_moment(p, r), rel=1e-8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.floats(0.35, 0.95),
+    b=st.one_of(st.floats(1.001, 1.05), st.floats(1.95, 1.999)),
+    log_t=st.floats(math.log(1e-2), math.log(10.0)),
+)
+def test_dilute_laws_at_the_b_edges(alpha, b, log_t):
+    # next to b = 1 and b = 2 the substitution of the oracle test above is
+    # singular: the cdf is checked through its upper tail instead
+    p = DiluteParams(alpha, b, 1.0)
+    x = math.exp((1.0 - alpha) * log_t)
+    assert dilute_Z_density(p, x) == pytest.approx(_dilute_density_oracle(p, x), rel=1e-8)
+    a_min = alpha ** (alpha / (1.0 - alpha)) * (1.0 - alpha)
+    x_hi = (60.0 / a_min) ** (1.0 - alpha)
+    tail, _ = quad(lambda y: _dilute_density_oracle(p, y), x, x_hi, epsabs=0.0, epsrel=1e-10, limit=400)
+    assert 1.0 - dilute_Z_cdf(p, x) == pytest.approx(tail, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_dilute_laws_next_to_alpha_one():
+    # alpha = 0.99: both routes hold, the series up to lam x = 1 (past
+    # lam x = 1.01 the oracle's inversion no longer converges)
+    p = DiluteParams(0.99, 1.5, 1.0)
+    for x in (0.5, 0.9, 1.0, 1.005, 1.01):
+        assert dilute_Z_density(p, x) == pytest.approx(_dilute_density_oracle(p, x), rel=1e-8)
+    assert dilute_Z_cdf(p, 0.9) == pytest.approx(
+        _from_zero(lambda y: _dilute_density_oracle(p, y), 0.9, p.b), rel=1e-8
+    )
+    # alpha = 0.999: at lam x = 1 the series has not converged after
+    # _SERIES_MAX_TERMS terms, and the grid cannot stand in: refuse
+    p = DiluteParams(0.999, 1.5, 1.0)
+    assert dilute_Z_density(p, 0.5) == pytest.approx(_dilute_density_oracle(p, 0.5), rel=1e-8)
+    with pytest.raises(ValueError, match="does not converge"):
+        dilute_Z_cdf(p, np.array([0.5, 1.0]))
+    with pytest.raises(RuntimeError):  # the inversion fallback fails too
+        dilute_Z_density(p, 1.0)
+    # far above lam x = 1, t = (lam x)^1000 leaves the float range
+    assert dilute_Z_cdf(p, 3.0) == 1.0 and dilute_Z_density(p, 3.0) == 0.0
 
 
 def test_dilute_vector_call_matches_scalar_calls():
