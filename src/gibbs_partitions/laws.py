@@ -352,23 +352,29 @@ def _u_grid(alpha: float, b: float) -> tuple[tuple, tuple]:
     return tuple(log_a), tuple(lw - norm for lw in log_w)  # tuples: the cache is shared
 
 
-def _dilute_series(p: DiluteParams, z: float, cdf: bool) -> float:
-    """f or F of Z at x = z / lam <= 1 / lam from the convergent series of the
+def _dilute_density_series(p: DiluteParams, z: float) -> float:
+    """f of Z at x = z / lam <= 1 / lam from the convergent series of the
     one-sided stable density g with Laplace transform exp(-t^alpha):
-    f = lam K pi z^(-b-1/alpha) g(z^(-1/alpha)), and F term by term,
-    F = K sum_k c_k z^(k+1-b) / (k+1-b), c_k = (-1)^(k+1) Gamma(alpha k + 1)
-    sin(pi alpha k) / k!, K = Gamma(1 - alpha(b-1)) / (alpha pi Gamma(2-b)).
-    Near z = 1 the terms fall too slowly from alpha = 0.99 on: there g falls
-    back to inversion and F raises.  The u grid is no fallback below z = 1:
-    as alpha -> 1 its integrands turn into steps in u."""
+    f = lam K pi z^(-b-1/alpha) g(z^(-1/alpha)), K = Gamma(1 - alpha(b-1)) /
+    (alpha pi Gamma(2-b)).  Near z = 1 the series has not converged from
+    alpha = 0.99 on; g then falls back to inversion."""
     a, b = p.alpha, p.b
     scale = math.gamma(1.0 - a * (b - 1.0)) / (a * math.pi * math.gamma(2.0 - b))
-    if not cdf:
-        y = z ** (-1.0 / a)
-        g, ok = _positive_series_std(a, y)
-        if not ok:
-            g = stable_density_inversion(StableParams(a, math.cos(math.pi * a / 2.0) ** (1.0 / a), 1.0), y)
-        return p.lam * scale * math.pi * z ** (-b - 1.0 / a) * g
+    y = z ** (-1.0 / a)
+    g, ok = _positive_series_std(a, y)
+    if not ok:
+        g = stable_density_inversion(StableParams(a, math.cos(math.pi * a / 2.0) ** (1.0 / a), 1.0), y)
+    return p.lam * scale * math.pi * z ** (-b - 1.0 / a) * g
+
+
+def _dilute_cdf_series(p: DiluteParams, z: float) -> float:
+    """F of Z at x = z / lam <= 1 / lam, the density series integrated term by
+    term: F = K sum_k c_k z^(k+1-b) / (k+1-b), c_k = (-1)^(k+1)
+    Gamma(alpha k + 1) sin(pi alpha k) / k!.  Raises where the terms have not
+    fallen below round-off (near z = 1 from alpha = 0.99 on).  The u grid is
+    no fallback below z = 1: as alpha -> 1 its integrands turn into steps."""
+    a, b = p.alpha, p.b
+    scale = math.gamma(1.0 - a * (b - 1.0)) / (a * math.pi * math.gamma(2.0 - b))
     total = 0.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
         mag = math.exp(math.lgamma(a * k + 1.0) - math.lgamma(k + 1.0) + (k - b) * math.log(z))
@@ -388,7 +394,8 @@ def _dilute_eval(p: DiluteParams, x, cdf: bool):
     out = np.zeros(flat.size)
     high = z > _SERIES_EDGE
     low = (flat > 0.0) & ~high
-    out[low] = [_dilute_series(p, zi, cdf) for zi in z[low].tolist()]
+    series = _dilute_cdf_series if cdf else _dilute_density_series
+    out[low] = [series(p, zi) for zi in z[low].tolist()]
     if high.any():
         alpha, q = p.alpha, (p.b - 1.0) * (1.0 - p.alpha)
         log_a, log_w = (np.array(g) for g in _u_grid(alpha, p.b))
