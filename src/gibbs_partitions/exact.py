@@ -55,9 +55,12 @@ __all__ = [
 # FFT.  Direct convolution keeps exact zero patterns and ~1e-16 relative
 # accuracy, which the 1e-12 invariance contracts rely on at n <= 1500, and
 # gives the same bits on every x86-64 SIMD level and BLAS kernel; the FFT
-# branch promises neither.  It computes the kernel's spectrum once per sweep
-# and takes ``fftconvolve``'s transforms and size for each row, so on a given
-# machine its bits are those of a per-row ``fftconvolve``.
+# branch promises neither.  The branch is chosen once per law from the
+# component-size kernel, and ``_harvest``'s giant step (a convolution with a
+# row as long as n) takes the same one.  The FFT branch computes each step's
+# kernel spectrum once and takes ``fftconvolve``'s transforms and size, so a
+# row of ``_row_source`` has the bits of a per-row ``fftconvolve``; the
+# harvested laws agree with a row-by-row sweep to round-off, not to the bit.
 _DIRECT_CONV_LIMIT = 4_000_000
 
 _DEFICIT_N_CAP = 4000
@@ -132,15 +135,25 @@ def tv_distance(a: DiscreteLaw, b: DiscreteLaw) -> float:
 # building blocks
 
 
+def _conv_method(kernel: np.ndarray, n: int, method: str) -> str:
+    """The branch, "direct" or "fft", that a sweep of ``kernel`` over rows of
+    length n + 1 takes: "auto" is direct while (n + 1) * K stays within
+    ``_DIRECT_CONV_LIMIT``, K the kernel's length up to its last nonzero
+    entry."""
+    if method in ("direct", "fft"):
+        return method
+    nz = np.flatnonzero(kernel)
+    size = nz[-1] + 1 if nz.size else 1
+    return "direct" if (n + 1) * size <= _DIRECT_CONV_LIMIT else "fft"
+
+
 def _row_step(kernel: np.ndarray, n: int, method: str):
-    """The sweep step ``row -> (row * kernel)[0..n]``, direct or FFT (see
-    ``_DIRECT_CONV_LIMIT``).  The kernel is cut after its last nonzero
-    entry, and the choice is made once per sweep."""
+    """The sweep step ``row -> (row * kernel)[0..n]`` on the branch of
+    ``_conv_method``.  The kernel is cut after its last nonzero entry, and
+    the choice is made once per sweep."""
     nz = np.flatnonzero(kernel)
     kernel = kernel[: nz[-1] + 1] if nz.size else kernel[:1]
-    if method == "direct" or (
-        method != "fft" and (n + 1) * kernel.size <= _DIRECT_CONV_LIMIT
-    ):
+    if _conv_method(kernel, n, method) == "direct":
         return lambda row: convolve(row, kernel, n + 1)
     if kernel.size == 1 or n == 0:  # fftconvolve does not transform a length-1 axis
         return lambda row: np.clip((row * kernel)[: n + 1], 0.0, None)
@@ -155,14 +168,20 @@ def _row_step(kernel: np.ndarray, n: int, method: str):
     return fft_step
 
 
+def _unit(n: int) -> np.ndarray:
+    """The row P(S_0 = .)[0..n]: all mass at 0."""
+    row = np.zeros(n + 1)
+    row[0] = 1.0
+    return row
+
+
 def _row_source(kernel: np.ndarray, n: int, method: str):
     """Yield the rows P(S_l = .)[0..n], l = 0, 1, 2, ..., of sums of l draws
     from ``kernel``.  Each row is stepped from the previous one by
     ``_row_step`` only when asked for, so ``zip(range(cap + 1), rows)``
     steps exactly ``cap`` times."""
     step = _row_step(kernel, n, method)
-    row = np.zeros(n + 1)
-    row[0] = 1.0
+    row = _unit(n)
     while True:
         yield row
         row = step(row)
@@ -310,25 +329,49 @@ def _ell_cap(n: int, law_x: DiscreteLaw) -> int:
     return cap
 
 
-def _harvest(rows, n: int, cap: int, weights=(), h_rev: np.ndarray | None = None):
-    """Walk the rows l = 0..cap of ``rows`` (each of length n + 1) once.
+def _harvest(kernel: np.ndarray, n: int, cap: int, method: str, weights=(), start=None):
+    """Harvest the rows S_l = P(S_l = .)[0..n], l = 0..cap, of sums of l
+    draws from ``kernel`` by baby-step giant-step (Paterson & Stockmeyer,
+    SIAM J. Comput. 2(1), 1973).  With B = isqrt(cap) + 1 the baby rows
+    S_0..S_B come from ``_row_source``, one giant step convolves with S_B,
+    and S_{aB+b} = S_B^{*a} * S_b: about 2 sqrt(cap) steps instead of cap.
+    Both steps take the branch ``kernel`` gives (``_conv_method``).
 
-    Returns (column, dots, sums): column[l] = row_l[n]; dots[l] =
-    dot(row_l, h_rev) when ``h_rev`` is given, else None; and for each
-    vector w in ``weights`` the sum of w[l] * row_l over l < w.size with
-    w[l] != 0, added in increasing l.
+    Returns (column, sums).  With a ``start`` row, column[aB + b] =
+    (start * S_{aB+b})[n] = dot(G_a, S_b reversed), G_a = start * S_B^{*a};
+    without one, column is None.  For each vector w in ``weights``, the sum
+    of w[l] S_l over l <= cap, l < w.size, by Horner in the giant step:
+    acc = giant(acc) + sum_b w[aB+b] S_b, b increasing, w == 0 skipped.
     """
-    column = np.zeros(cap + 1)
-    dots = None if h_rev is None else np.zeros(cap + 1)
-    sums = [np.zeros(n + 1) for _ in weights]
-    for ell, row in zip(range(cap + 1), rows):
-        column[ell] = row[n]
-        if dots is not None:
-            dots[ell] = dot(row, h_rev)
-        for acc, w in zip(sums, weights):
-            if ell < w.size and w[ell] != 0.0:
-                acc += w[ell] * row
-    return column, dots, sums
+    method = _conv_method(kernel, n, method)
+    B = math.isqrt(cap) + 1
+    babies = np.empty((B + 1, n + 1))
+    for b, row in zip(range(B + 1), _row_source(kernel, n, method)):
+        babies[b] = row
+    giant = _row_step(babies[B], n, method)
+    column = None
+    if start is not None:
+        column = np.empty(cap + 1)
+        g = start
+        for lo in range(0, cap + 1, B):
+            if lo:
+                g = giant(g)
+            hi = min(lo + B, cap + 1)
+            column[lo:hi] = np.einsum("ij,j->i", babies[: hi - lo], np.ascontiguousarray(g[::-1]))
+    sums = []
+    for w in weights:
+        w = w[: cap + 1]
+        nz = np.flatnonzero(w)
+        top = nz[-1] // B if nz.size else -1
+        acc = np.zeros(n + 1)
+        for a in range(top, -1, -1):
+            if a < top:
+                acc = giant(acc)
+            for b, wl in enumerate(w[a * B : a * B + B]):
+                if wl != 0.0:
+                    acc += wl * babies[b]
+        sums.append(acc)
+    return column, sums
 
 
 def _sweep(
@@ -337,15 +380,15 @@ def _sweep(
     rho: float | None = None,
     method: str = "auto",
     shifts=(),
-    h_rev: np.ndarray | None = None,
+    start: np.ndarray | None = None,
 ):
-    """One pass over the rows P(S_l = .)[0..n], l = 0..cap, harvesting
+    """One ``_harvest`` of the rows P(S_l = .)[0..n], l = 0..cap, for
     several quantities at once.
 
     Returns a dict with:
-      column  -- P(S_l = n) for l = 0..cap
+      column  -- when a ``start`` row is given, (start * S_l)[n] for
+                 l = 0..cap (P(S_l = n) for ``_unit(n)``), else None
       pmf_n   -- P(N = l) for l = 0..cap
-      dots    -- when h_rev is given, dot(P(S_l = .), h_rev) for l = 0..cap
       sums    -- for each shift s in ``shifts``, the vector
                  G[m] = sum_l P(N = l + s) P(S_l = m), m = 0..n
     """
@@ -353,12 +396,10 @@ def _sweep(
     lx = law_X(scheme, rho, n)
     cap = _ell_cap(n, lx)
     ln = law_N(scheme, rho, cap)
-    rows = _row_source(lx.pmf, n, method)
-    column, dots, sums = _harvest(rows, n, cap, [ln.pmf[s:] for s in shifts], h_rev)
+    column, sums = _harvest(lx.pmf, n, cap, method, [ln.pmf[s:] for s in shifts], start)
     return {
         "column": column,
         "pmf_n": ln.pmf,
-        "dots": dots,
         "sums": sums,
         "law_x": lx,
         "rho": rho,
@@ -398,7 +439,7 @@ def law_Nn(
 
     Normalized by construction (conditioning contract).
     """
-    res = _sweep(scheme, n, rho=rho, method=method)
+    res = _sweep(scheme, n, rho=rho, method=method, start=_unit(n))
     num = res["pmf_n"] * res["column"]
     z = fsum(num)
     if z <= 0.0:
@@ -416,9 +457,9 @@ def extended_law_Nn(
     if scheme.h is None:
         raise ValueError("scheme has no extended prefactor h")
     rho = default_rho(scheme, n) if rho is None else rho
-    h_rev = scheme.h.weighted_terms(rho, n)[::-1]  # h_rev[m] = h_{n-m} rho^{n-m}
-    res = _sweep(scheme, n, rho=rho, method=method, h_rev=h_rev)
-    num = res["pmf_n"] * res["dots"]
+    start = scheme.h.weighted_terms(rho, n)  # h_j rho^j
+    res = _sweep(scheme, n, rho=rho, method=method, start=start)
+    num = res["pmf_n"] * res["column"]
     z = fsum(num)
     if z <= 0.0:
         raise ValueError(f"extended partition function vanishes at n={n}")
@@ -574,7 +615,7 @@ def prefix_law(
     if m == 2 and n > 3000:
         raise BudgetExceededError("m=2 joint table limited to n <= 3000")
     # G[x] = sum_{l >= m} P(N=l) P(S_{l-m} = x): weight row j by P(N = j+m).
-    res = _sweep(scheme, n, rho=rho, method=method, shifts=(m,))
+    res = _sweep(scheme, n, rho=rho, method=method, shifts=(m,), start=_unit(n))
     green = res["sums"][0]
     denom = dot(res["pmf_n"], res["column"])
     if denom <= 0:
@@ -625,7 +666,7 @@ def giant_deficit_law(
     if n > _DEFICIT_N_CAP:
         raise BudgetExceededError(f"deficit DP limited to n <= {_DEFICIT_N_CAP}")
     d_max = (n - 1) // 2
-    full = _sweep(scheme, n, rho=rho, method=method)
+    full = _sweep(scheme, n, rho=rho, method=method, start=_unit(n))
     pmf_n = full["pmf_n"]
     column = full["column"]
     if ell_filter is not None:
@@ -655,8 +696,7 @@ def giant_deficit_law(
     if float(px[0]) == 0.0:
         cap = min(cap, d_max)
     weights = [weights_exact] if nhat is None else [weights_exact, nhat[1:]]
-    rows = _row_source(px[: d_max + 1], d_max, method)
-    _, _, (g_exact, *g_limit) = _harvest(rows, d_max, cap, weights)
+    _, (g_exact, *g_limit) = _harvest(px[: d_max + 1], d_max, cap, method, weights)
 
     big = px[n - d_max : n + 1][::-1]  # P(X = n - d), d = 0..d_max
     pmf_exact = g_exact * big / denom

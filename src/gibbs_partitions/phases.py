@@ -107,12 +107,6 @@ class PhaseReport:
     dilute_lambda: float | None = None
     convergent_condition: str | None = None
 
-    def sn_scale(self, n: float) -> float:
-        """Fluctuation scale of the partial sums S_l: g(n) * n**(1/alpha)."""
-        if self.scale_g is None or self.alpha is None:
-            raise ValueError("no partial-sum scale in this phase")
-        return self.scale_g.total(n, self.alpha)
-
     def nn_scale(self, n: float) -> float:
         """Fluctuation scale of the count N_n: L(n) * n**(1/alpha)."""
         if self.scale_L is None or self.alpha is None:

@@ -47,7 +47,6 @@ __all__ = [
     "sample_rejection",
     "RejectionCapError",
     "ProductSampler",
-    "sample_product",
     "stats",
 ]
 
@@ -189,18 +188,26 @@ class ExactSampler:
         """Continue the inverse-cdf walk past the first chunk, whose total is
         ``acc``, with ``j`` coordinates left after this one.  Stays in numpy:
         with ``acc > 0`` an element-wise early exit on ``fl(target - acc)``
-        need not agree with ``acc + cs[-1] >= target``."""
+        need not agree with ``acc + cs[-1] >= target``.  All later chunks
+        are summed in one pass: the products once, each chunk's cumsum as a
+        row of a zero-padded (chunks, ``_CHUNK``) array, and the carried
+        totals as one cumsum, the same adds as ``acc += cs[-1]`` chunk by
+        chunk."""
         row = self._rows[j]
-        for lo in range(_CHUNK, rem + 1, _CHUNK):
-            hi = min(lo + _CHUNK, rem + 1)
-            seg = self.pmf_x[lo:hi] * row[rem - hi + 1 : rem - lo + 1][::-1]
-            cs = np.cumsum(seg)
-            if acc + cs[-1] >= target:
-                i = int(np.searchsorted(cs, target - acc, side="left"))
-                if i < cs.size:
-                    return lo + i
-                break  # round-off: fl(target - acc) ran past cs[-1]
-            acc += cs[-1]
+        if rem >= _CHUNK:
+            seg = self.pmf_x[_CHUNK : rem + 1] * row[rem - _CHUNK :: -1]
+            cs = np.zeros(-(-seg.size // _CHUNK) * _CHUNK)
+            cs[: seg.size] = seg
+            cs = cs.reshape(-1, _CHUNK).cumsum(axis=1)
+            accs = np.concatenate(([acc], cs[:, -1])).cumsum()
+            hit = np.flatnonzero(accs[1:] >= target)
+            if hit.size:
+                c = int(hit[0])
+                real = min(_CHUNK, seg.size - c * _CHUNK)
+                i = int(np.searchsorted(cs[c, :real], target - accs[c], side="left"))
+                if i < real:
+                    return _CHUNK * (c + 1) + i
+                # round-off: fl(target - acc) ran past the chunk's total
         # round-off left the target unreached: take the largest size with
         # mass that leaves every later coordinate its smallest size (FFT
         # rows hold round-off where zeros belong)
@@ -305,12 +312,6 @@ class ProductSampler:
             rem -= int(out[j])
         out[ell - 1] = rem
         return out
-
-
-def sample_product(factors, n: int, seed: int, stream: int = 0,
-                   sampler: ProductSampler | None = None) -> np.ndarray:
-    sampler = sampler or ProductSampler(factors, n)
-    return sampler.sample(make_rng(seed, stream))
 
 
 # ---------------------------------------------------------------------------

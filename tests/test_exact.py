@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 from scipy.special import zeta
 
@@ -29,13 +31,15 @@ from gibbs_partitions import (
 from gibbs_partitions.exact import (
     _DIRECT_CONV_LIMIT,
     ConvolutionTable,
+    _harvest,
     _row_step,
     _sweep,
+    _unit,
     convolution_table,
     default_rho,
 )
 from gibbs_partitions.sampling import ExactSampler
-from gibbs_partitions.series import compose, convolve, fsum
+from gibbs_partitions.series import compose, convolve, dot, fsum
 
 from test_series import bell_u_n, enumerate_set_partitions
 
@@ -179,15 +183,26 @@ def _law_nn_fftconvolve_sweep(scheme, n):
 
 
 def test_law_nn_fft_sweep_matches_per_row_fftconvolve(convergent):
+    # the baby-step giant-step harvest against the row-by-row sweep
     n = 2100
     got = law_Nn(convergent, n, method="auto").pmf
-    assert got.tobytes() == _law_nn_fftconvolve_sweep(convergent, n).tobytes()
+    assert np.max(np.abs(got - _law_nn_fftconvolve_sweep(convergent, n))) <= 1e-16
+
+
+def _assert_close_normal(got, want, rel):
+    """Entries in the normal range sit in the same places and agree to
+    ``rel``; below it a zero may meet a subnormal."""
+    tiny = np.finfo(float).tiny
+    normal = np.abs(want) >= tiny
+    assert np.array_equal(np.abs(got) >= tiny, normal)
+    assert np.all(np.abs(got[normal] / want[normal] - 1.0) <= rel)
 
 
 @pytest.mark.parametrize("name, n, fft", [("dense-gauss", 300, False), ("convergent", 2100, True)])
 def test_table_sampler_and_law_nn_share_rows(name, n, fft):
-    """convolution_table, the sampler's lazy rows and law_Nn's column all
-    come from one row source, so they agree byte for byte."""
+    """convolution_table and the sampler's lazy rows come from one row
+    source, so they agree byte for byte; law_Nn's harvested column agrees
+    with the table's column (direct) or with the direct law (FFT)."""
     scheme = bundled_scheme(name)
     rho = default_rho(scheme, n)
     lx = law_X(scheme, rho, n)
@@ -198,10 +213,110 @@ def test_table_sampler_and_law_nn_share_rows(name, n, fft):
     smp = ExactSampler(scheme, n, rho=rho)
     smp._ensure_rows(n)
     assert np.array(smp._rows).tobytes() == table.tobytes()
-    res = _sweep(scheme, n, rho=rho)
-    assert res["column"].tobytes() == np.ascontiguousarray(table[:, n]).tobytes()
-    num = res["pmf_n"] * table[:, n]
-    assert law_Nn(scheme, n, rho=rho).pmf.tobytes() == (num / fsum(num)).tobytes()
+    got = law_Nn(scheme, n, rho=rho).pmf
+    if fft:
+        assert np.max(np.abs(got - law_Nn(scheme, n, rho=rho, method="direct").pmf)) <= 1e-13
+    else:
+        column = _sweep(scheme, n, rho=rho, start=_unit(n))["column"]
+        _assert_close_normal(column, table[:, n], 1e-13)
+        num = _sweep(scheme, n, rho=rho)["pmf_n"] * table[:, n]
+        _assert_close_normal(got, num / fsum(num), 1e-13)
+
+
+def _sequential_harvest(kernel, n, cap, weights=(), start=None):
+    """_harvest's quantities from the row-by-row direct table."""
+    rows = convolution_table(DiscreteLaw(kernel, 1.0), cap, n, method="direct").rows
+    column = None if start is None else np.array([dot(row, start[::-1]) for row in rows])
+    sums = []
+    for w in weights:
+        acc = np.zeros(n + 1)
+        for ell in range(min(w.size, cap + 1)):
+            acc += w[ell] * rows[ell]
+        sums.append(acc)
+    return column, sums
+
+
+def _check_harvest(kernel, n, cap, weights, start, method):
+    """Direct: within 1e-12 relative on normal-range entries.  FFT: within
+    1e-14 of each output's largest entry (round-off scales with it)."""
+    got_column, got_sums = _harvest(kernel, n, cap, method, weights, start)
+    want_column, want_sums = _sequential_harvest(kernel, n, cap, weights, start)
+    pairs = list(zip(got_sums, want_sums))
+    if start is None:
+        assert got_column is None
+    else:
+        assert got_column.shape == (cap + 1,)
+        pairs.append((got_column, want_column))
+    assert len(got_sums) == len(weights)
+    for got, want in pairs:
+        assert got.shape == want.shape
+        if method == "direct":
+            _assert_close_normal(got, want, 1e-12)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 15, 16, 24, 25, 80])
+@pytest.mark.parametrize("method", ["direct", "fft"])
+def test_harvest_matches_sequential_table(cap, method):
+    # B = isqrt(cap) + 1: caps 15 and 24 are B^2 - 1, 16 and 25 are B^2
+    n = 40
+    rng = np.random.default_rng(cap)
+    kernel = _decaying(rng, n + 1, 1)
+    weights = [rng.random(cap + 1), rng.random(cap + 5)]
+    weights[0][::3] = 0.0  # skipped terms
+    _check_harvest(kernel, n, cap, weights, _unit(n), method)
+
+
+@pytest.mark.parametrize("method", ["direct", "fft"])
+def test_harvest_edge_inputs(method):
+    rng = np.random.default_rng(5)
+    # w_0 > 0: the cap runs past n
+    n, cap = 30, 130
+    kernel = _decaying(rng, 12)
+    kernel[0] = 0.3
+    kernel /= kernel.sum()
+    _check_harvest(kernel, n, cap, [rng.random(cap + 1)], _unit(n), method)
+    # a weight vector shorter than cap, and one that is all zeros
+    n, cap = 50, 50
+    kernel = _decaying(rng, n + 1, 1)
+    _check_harvest(kernel, n, cap, [rng.random(9), np.zeros(cap + 1)], None, method)
+    # a start row: (start * S_l)[n]
+    start = _decaying(rng, n + 1)
+    _check_harvest(kernel, n, cap, [], start, method)
+    # a kernel of length 1 (all mass at 0) and one of a single size
+    _check_harvest(np.array([0.5]), n, 20, [rng.random(21)], _unit(n), method)
+    one = np.zeros(n + 1)
+    one[3] = 1.0
+    _check_harvest(one, n, cap, [rng.random(cap + 1)], start, method)
+
+
+def test_short_kernel_law_stays_direct():
+    # sizes 1..60 only: (n + 1) * K is far below the limit, while the giant
+    # step's kernel S_B fills the row; the giant step must not switch to FFT
+    n = 2100
+    scheme = SchemeSpec(v=bundled_scheme("convergent").v,
+                        w=WeightSequence.explicit([0.0] + [1.0] * 60))
+    lx = law_X(scheme, default_rho(scheme, n), n)
+    assert np.flatnonzero(lx.pmf)[-1] == 60
+    assert (n + 1) * 61 <= _DIRECT_CONV_LIMIT < (n + 1) ** 2
+    got = law_Nn(scheme, n)
+    assert got.pmf.tobytes() == law_Nn(scheme, n, method="direct").pmf.tobytes()
+    # a direct column, down to its smallest entries: the row-by-row table's
+    column = _sweep(scheme, n, start=_unit(n))["column"]
+    _assert_close_normal(column, convolution_table(lx, n, n, method="direct").rows[:, n], 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 60), cap=st.integers(0, 150), seed=st.integers(0, 2**32 - 1),
+       with_start=st.booleans())
+def test_harvest_property(n, cap, seed, with_start):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, n + 2))
+    kernel = _decaying(rng, size, int(rng.integers(0, 2)) if size > 1 else 0)
+    weights = [rng.random(int(rng.integers(0, cap + 3)))]
+    start = _decaying(rng, n + 1) if with_start else None
+    _check_harvest(kernel, n, cap, weights, start, "direct")
 
 
 def test_stopped_sum_identity_outer(dense_gauss):

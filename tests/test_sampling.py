@@ -145,6 +145,77 @@ def test_exact_sampler_matches_chunked_walk(name, n, rho, streams):
         assert smp.pmf_x[got].min() > 0.0, (name, i)
 
 
+def _walk_chunks_loop(smp, j, rem, target, acc):
+    """The chunk-by-chunk walk past the first chunk, one numpy cumsum per
+    chunk and ``acc += cs[-1]`` between them: the reference for
+    ``ExactSampler._walk_chunks``.  None where round-off leaves the target
+    unreached (the sampler's fallback)."""
+    row = smp._rows[j]
+    for lo in range(_CHUNK, rem + 1, _CHUNK):
+        hi = min(lo + _CHUNK, rem + 1)
+        seg = smp.pmf_x[lo:hi] * row[rem - hi + 1 : rem - lo + 1][::-1]
+        cs = np.cumsum(seg)
+        if acc + cs[-1] >= target:
+            i = int(np.searchsorted(cs, target - acc, side="left"))
+            return lo + i if i < cs.size else None
+        acc += cs[-1]
+    return None
+
+
+def _walk_agrees(smp, j, rem, target, acc):
+    """Whether _walk_chunks gives the loop's size, or falls back (and counts
+    it) where the loop does; returns the loop's answer."""
+    before = smp.roundoff_fallbacks
+    got = smp._walk_chunks(j, rem, target, acc)
+    want = _walk_chunks_loop(smp, j, rem, target, acc)
+    if want is None:
+        assert smp.roundoff_fallbacks == before + 1, (j, rem, target, acc)
+    else:
+        assert (got, smp.roundoff_fallbacks) == (want, before), (j, rem, target, acc)
+    return want
+
+
+@pytest.mark.parametrize("name, n", [("convergent", 2000), ("dilute", 1000)])
+def test_walk_chunks_matches_chunk_loop(name, n):
+    smp = ExactSampler(bundled_scheme(name), n)
+    # spill-heavy draws: every call the walk makes, replayed on the loop
+    calls = []
+    walk = smp._walk_chunks
+
+    def spy(j, rem, target, acc):
+        calls.append((j, rem, target, acc))
+        return walk(j, rem, target, acc)
+
+    smp._walk_chunks = spy
+    for i in range(200):
+        smp.sample(make_rng(23, i))
+    del smp._walk_chunks
+    assert len(calls) > 50
+    for args in calls:
+        _walk_agrees(smp, *args)
+    # scripted targets around every carried total, up to the last partial
+    # chunk, after a first-chunk total of 0 and of 0.4 (which rounds each
+    # carried total to the spacing of 0.4)
+    j = max(args[0] for args in calls)
+    rem = n - 7
+    assert (rem + 1 - _CHUNK) % _CHUNK != 0  # the last chunk is partial
+    row = smp._rows[j]
+    seg = smp.pmf_x[_CHUNK : rem + 1] * row[rem - _CHUNK :: -1]
+    past = 0
+    for acc in (0.0, 0.4):
+        carried = [acc]
+        for lo in range(0, seg.size, _CHUNK):
+            carried.append(carried[-1] + np.cumsum(seg[lo : lo + _CHUNK])[-1])
+        for total in carried[1:]:
+            for target in (np.nextafter(total, 0.0), total, np.nextafter(total, 1.0)):
+                k = _walk_agrees(smp, j, rem, float(target), acc)
+                past += k is None and target <= carried[-1]
+        for target in np.linspace(acc, carried[-1], 101)[1:]:
+            _walk_agrees(smp, j, rem, float(target), acc)
+    # some target ran past its chunk's total: fl(target - acc) > cs[-1]
+    assert past > 0
+
+
 def test_roundoff_fallback_is_counted(dense_gauss):
     n = 60
     smp = ExactSampler(dense_gauss, n)
