@@ -357,14 +357,25 @@ def _dilute_density_series(p: DiluteParams, z: float) -> float:
     one-sided stable density g with Laplace transform exp(-t^alpha):
     f = lam K pi z^(-b-1/alpha) g(z^(-1/alpha)), K = Gamma(1 - alpha(b-1)) /
     (alpha pi Gamma(2-b)).  Near z = 1 the series has not converged from
-    alpha = 0.99 on; g then falls back to inversion."""
+    alpha = 0.99 on; g then falls back to inversion.  Where z^(-b-1/alpha)
+    would overflow (z below about e^(-700 / (b + 1/alpha))), the same series
+    is summed in z instead: f = lam K sum_k c_k z^(k-b), the derivative of
+    ``_dilute_cdf_series``'s."""
     a, b = p.alpha, p.b
     scale = math.gamma(1.0 - a * (b - 1.0)) / (a * math.pi * math.gamma(2.0 - b))
-    y = z ** (-1.0 / a)
-    g, ok = _positive_series_std(a, y)
-    if not ok:
-        g = stable_density_inversion(StableParams(a, math.cos(math.pi * a / 2.0) ** (1.0 / a), 1.0), y)
-    return p.lam * scale * math.pi * z ** (-b - 1.0 / a) * g
+    if -(b + 1.0 / a) * math.log(z) < 700.0:
+        y = z ** (-1.0 / a)
+        g, ok = _positive_series_std(a, y)
+        if not ok:
+            g = stable_density_inversion(StableParams(a, math.cos(math.pi * a / 2.0) ** (1.0 / a), 1.0), y)
+        return p.lam * scale * math.pi * z ** (-b - 1.0 / a) * g
+    total = 0.0
+    for k in range(1, _SERIES_MAX_TERMS + 1):
+        mag = math.exp(math.lgamma(a * k + 1.0) - math.lgamma(k + 1.0) + (k - b) * math.log(z))
+        total += (-1.0) ** (k + 1) * math.sin(math.pi * a * k) * mag
+        if mag < 1e-17 * abs(total):
+            return p.lam * scale * total
+    raise ValueError(f"alpha = {a}: the density series at lam x = {z} does not converge")
 
 
 def _dilute_cdf_series(p: DiluteParams, z: float) -> float:
