@@ -217,9 +217,9 @@ def test_table_sampler_and_law_nn_share_rows(name, n, fft):
     if fft:
         assert np.max(np.abs(got - law_Nn(scheme, n, rho=rho, method="direct").pmf)) <= 1e-13
     else:
-        column = _sweep(scheme, n, rho=rho, start=_unit(n))["column"]
-        _assert_close_normal(column, table[:, n], 1e-13)
-        num = _sweep(scheme, n, rho=rho)["pmf_n"] * table[:, n]
+        res = _sweep(scheme, n, rho=rho, start=_unit(n))
+        _assert_close_normal(res["column"], table[:, n], 1e-13)
+        num = res["pmf_n"] * table[:, n]
         _assert_close_normal(got, num / fsum(num), 1e-13)
 
 
