@@ -14,38 +14,24 @@ import numpy as np
 
 from . import exact, laws as limit_laws, sampling
 from .phases import classify
-from .schemes import bundled_names, bundled_scheme
-from .verify import PhaseMismatchError, SuiteConfigError, load_config, run_suite
+from .verify import (
+    PhaseMismatchError,
+    SuiteConfigError,
+    _declared_schemes,
+    _resolve_scheme,
+    _write_csv,
+    load_config,
+    run_suite,
+)
 from .weights import SchemeSpec
 
 
-def _load_schemes(config_path) -> dict:
-    if not config_path:
-        return {}
-    cfg = load_config(config_path)
-    return {
-        name: SchemeSpec.from_config(sc) for name, sc in cfg.get("schemes", {}).items()
-    }
-
-
 def _get_scheme(name: str, config_path) -> SchemeSpec:
-    declared = _load_schemes(config_path)
-    if name in declared:
-        return declared[name]
-    if name in bundled_names():
-        return bundled_scheme(name)
-    sys.exit(f"error: unknown scheme {name!r}; bundled: {', '.join(bundled_names())}")
-
-
-def _emit_csv(header, rows, out=None) -> None:
-    fh = open(out, "w") if out else sys.stdout
     try:
-        fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(np.asarray(rows, dtype=float)):
-            fh.write(",".join(format(x, ".17g") for x in row) + "\n")
-    finally:
-        if out:
-            fh.close()
+        declared = _declared_schemes(load_config(config_path)) if config_path else {}
+        return _resolve_scheme(name, declared)
+    except SuiteConfigError as err:
+        sys.exit(f"error: {err}")
 
 
 def _cmd_classify(args) -> int:
@@ -69,7 +55,7 @@ def _cmd_exact(args) -> int:
         law = exact.law_Nn(scheme, n)
     elif args.law == "stopped_sum":
         ssl = exact.stopped_sum_law(scheme, rho, n)
-        _emit_csv(
+        _write_csv(
             ["m", "p_stopped_sum", "u_m"],
             np.column_stack([np.arange(n + 1), ssl.s_n, ssl.u]),
             args.out,
@@ -77,20 +63,20 @@ def _cmd_exact(args) -> int:
         return 0
     elif args.law == "prefix1":
         pl = exact.prefix_law(scheme, n, 1)
-        _emit_csv(
+        _write_csv(
             ["k", "pmf"], np.column_stack([np.arange(pl.joint.size), pl.joint]), args.out
         )
         return 0
     elif args.law == "deficit":
         exact_d, limit_d = exact.giant_deficit_law(scheme, n)
         if limit_d is None:  # size-biased limit undefined (E[N] diverges)
-            _emit_csv(
+            _write_csv(
                 ["d", "exact_pmf"],
                 np.column_stack([np.arange(exact_d.pmf.size), exact_d.pmf]),
                 args.out,
             )
         else:
-            _emit_csv(
+            _write_csv(
                 ["d", "exact_pmf", "limit_pmf"],
                 np.column_stack([np.arange(exact_d.pmf.size), exact_d.pmf, limit_d.pmf]),
                 args.out,
@@ -98,7 +84,7 @@ def _cmd_exact(args) -> int:
         return 0
     else:
         sys.exit(f"error: unknown law {args.law!r}")
-    _emit_csv(
+    _write_csv(
         ["k", "pmf"], np.column_stack([np.arange(law.pmf.size), law.pmf]), args.out
     )
     return 0
@@ -125,7 +111,7 @@ def _cmd_laws(args) -> int:
         ys = [limit_laws.pp_intensity(args.alpha, args.b, x) for x in xs]
     else:
         sys.exit(f"error: unknown law {args.law!r}")
-    _emit_csv(["x", "value"], np.column_stack([xs, ys]), args.out)
+    _write_csv(["x", "value"], np.column_stack([xs, ys]), args.out)
     return 0
 
 
@@ -138,10 +124,8 @@ def _cmd_sample(args) -> int:
         rows = [
             smp.sample(sampling.make_rng(seed, i)) for i in range(args.replicates)
         ]
-        _emit_csv(
-            [f"coordinate_{j}" for j in range(len(scheme.product_factors))],
-            np.array(rows, dtype=float),
-            args.out,
+        _write_csv(
+            [f"coordinate_{j}" for j in range(len(scheme.product_factors))], rows, args.out
         )
         return 0
     shared = (
@@ -163,7 +147,7 @@ def _cmd_sample(args) -> int:
             else:
                 sys.exit(f"error: unknown stat {f!r} (use count_<k>)")
         rows.append(row)
-    _emit_csv(header, np.array(rows, dtype=float), args.out)
+    _write_csv(header, rows, args.out)
     return 0
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .phases import _bisect
+from .phases import _bisect, _w_at_radius
 from .series import convolve, dot, fsum
 from .weights import SchemeSpec, WeightSequence
 
@@ -115,9 +115,6 @@ class DiscreteLaw:
         for _ in range(k):  # repeated products: numpy's vector pow is SIMD-dependent
             powers *= ells
         return dot(powers, self.pmf)
-
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.pmf)
 
 
 def tv_distance(a: DiscreteLaw, b: DiscreteLaw) -> float:
@@ -229,9 +226,7 @@ def default_rho(scheme: SchemeSpec, n: int | None = None) -> float:
     w = scheme.w
     rho_v = scheme.v.radius()
     rho_w = w.radius()
-    w_at = w.series_value(rho_w) if math.isfinite(rho_w) else (
-        math.inf if any(c > 0 for c in w.coeffs[1:]) else w.term(0)
-    )
+    w_at = _w_at_radius(w)
     if math.isinf(rho_v):
         if math.isfinite(rho_w):
             return rho_w
@@ -650,7 +645,6 @@ def giant_deficit_law(
     n: int,
     rho: float | None = None,
     method: str = "auto",
-    ell_filter=None,
 ):
     """Exact law of n - M_n (deficit of the largest component) and its limit.
 
@@ -659,26 +653,14 @@ def giant_deficit_law(
     "sizes <= n/2 split"); the remaining mass P(n - M_n >= n/2) stays in the
     deficit bookkeeping.  The limit law is that of a sum of N-hat - 1
     independent component sizes.
-
-    ``ell_filter`` optionally restricts the count to l in [lo, hi) for the
-    conditional variants; the exact law is then conditioned on that event.
     """
     if n > _DEFICIT_N_CAP:
         raise BudgetExceededError(f"deficit DP limited to n <= {_DEFICIT_N_CAP}")
     d_max = (n - 1) // 2
     full = _sweep(scheme, n, rho=rho, method=method, start=_unit(n))
     pmf_n = full["pmf_n"]
-    column = full["column"]
-    if ell_filter is not None:
-        lo, hi = ell_filter
-        mask = np.zeros_like(pmf_n)
-        sl = slice(max(lo, 0), min(hi, pmf_n.size))
-        mask[sl] = 1.0
-        denom = dot(pmf_n * mask, column)
-        weights_exact = (pmf_n * mask)[1:] * np.arange(1, pmf_n.size)
-    else:
-        denom = dot(pmf_n, column)
-        weights_exact = pmf_n[1:] * np.arange(1, pmf_n.size)
+    denom = dot(pmf_n, full["column"])
+    weights_exact = pmf_n[1:] * np.arange(1, pmf_n.size)
     if denom <= 0:
         raise ValueError("conditioning event has zero probability")
 
@@ -741,9 +723,7 @@ def _product_tables(factors: list, n: int):
     t = min(finite) if finite else 1.0
     tilted = [f.tilt(t) for f in factors]
     arrays = [np.array([f.term(k) for k in range(n + 1)]) for f in tilted]
-    unit = np.zeros(n + 1)
-    unit[0] = 1.0
-    suffix = [unit]
+    suffix = [_unit(n)]
     for a in reversed(arrays):
         suffix.insert(0, convolve(a, suffix[0], n + 1))
     if suffix[0][n] <= 0:

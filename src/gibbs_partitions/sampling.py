@@ -121,29 +121,21 @@ class ExactSampler:
     those coordinates.
     """
 
-    def __init__(
-        self,
-        scheme: SchemeSpec,
-        n: int,
-        rho: float | None = None,
-        max_n: int = _EXACT_N_DEFAULT_CAP,
-        method: str = "auto",
-    ):
-        if n > max_n:
+    def __init__(self, scheme: SchemeSpec, n: int, rho: float | None = None):
+        if n > _EXACT_N_DEFAULT_CAP:
             raise BudgetExceededError(
-                f"exact sampler table budget ({max_n}) exceeded at n={n}; "
-                "use rejection sampling or raise max_n"
+                f"exact sampler table budget ({_EXACT_N_DEFAULT_CAP}) exceeded at n={n}; "
+                "use rejection sampling"
             )
         self.scheme = scheme
         self.n = n
         self.rho = default_rho(scheme, n) if rho is None else rho
-        self.method = method
-        self.count_law = law_Nn(scheme, n, rho=self.rho, method=method)
+        self.count_law = law_Nn(scheme, n, rho=self.rho)
         self.count_cdf = np.cumsum(self.count_law.pmf)
         self.pmf_x = law_X(scheme, self.rho, n).pmf
         self._px = self.pmf_x.tolist()
         self.roundoff_fallbacks = 0
-        self._source = _row_source(self.pmf_x, n, method)
+        self._source = _row_source(self.pmf_x, n, "auto")
         self._rows: list[np.ndarray] = []
         self._views: list[memoryview] = []  # scalar reads of _rows
         self._ensure_rows(0)
@@ -216,11 +208,8 @@ class ExactSampler:
         return int(np.flatnonzero(self.pmf_x[: top + 1] * row[rem - top : rem + 1][::-1])[-1])
 
 
-def sample_exact(
-    scheme: SchemeSpec, n: int, seed: int, stream: int = 0, sampler: ExactSampler | None = None
-) -> PartitionSample:
-    sampler = ExactSampler(scheme, n) if sampler is None else sampler
-    return sampler.sample(make_rng(seed, stream))
+def sample_exact(scheme: SchemeSpec, n: int, seed: int, stream: int = 0) -> PartitionSample:
+    return ExactSampler(scheme, n).sample(make_rng(seed, stream))
 
 
 @dataclass
@@ -279,16 +268,8 @@ class RejectionSampler:
         raise RejectionCapError(self.attempts, self.accepted)
 
 
-def sample_rejection(
-    scheme: SchemeSpec,
-    n: int,
-    seed: int,
-    stream: int = 0,
-    draw_cap: int = 10**9,
-    sampler: RejectionSampler | None = None,
-) -> PartitionSample:
-    sampler = sampler or RejectionSampler(scheme, n, draw_cap=draw_cap)
-    return sampler.sample(make_rng(seed, stream))
+def sample_rejection(scheme: SchemeSpec, n: int, seed: int, stream: int = 0) -> PartitionSample:
+    return RejectionSampler(scheme, n).sample(make_rng(seed, stream))
 
 
 class ProductSampler:

@@ -16,10 +16,17 @@ dilute                 count LLT and cdf, mixed-Poisson counts, point process
 extended               prefactor regimes and product-structure symmetry
 =====================  =====================================================
 
+An experiment of the suite config names its ``verifier`` and ``scheme``,
+and optionally an ``id`` and ``expect_fail``.  Its other keys are the
+verifier's keyword parameters; any other key is a ``SuiteConfigError``.
+Where the verifier takes ``n_ladder``, ``n`` stands for [n/4, n/2, n];
+where it takes ``seed``, the config seed is the default.
+
 Verdicts are deterministic given (config, seed): Monte Carlo streams are
-counter-based and keyed per replicate, report assembly follows declaration
-order, and runtimes are written to a separate file so that verdicts.json is
-byte-for-byte reproducible.
+counter-based and keyed per replicate, and report assembly follows
+declaration order.  ``runtimes.json``, a separate file so that
+verdicts.json stays byte-for-byte reproducible, holds one entry per
+experiment: the seconds its verifier took.
 
 Tolerances are artifact choices (the limit statements carry no rates); every
 default is overridable in the config and echoed in the reports.
@@ -27,8 +34,10 @@ default is overridable in the config and echoed in the reports.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -38,6 +47,7 @@ from scipy.stats import chi2_contingency, chisquare, kstest
 from . import exact, laws, sampling
 from .exact import DiscreteLaw, tv_distance
 from .phases import Phase, PhaseReport, classify
+from .sampling import _LEAST
 from .schemes import bundled_names, bundled_scheme
 from .series import fsum
 from .weights import SchemeSpec
@@ -83,10 +93,8 @@ class VerdictReport:
     passed: bool
     trend_nonincreasing: bool | None = None
     details: dict = field(default_factory=dict)
-    runtime_seconds: float = 0.0
 
     def to_json(self) -> dict:
-        # runtime is deliberately excluded: verdicts must be byte-stable
         return _py(
             {
                 "experiment": self.experiment,
@@ -117,11 +125,6 @@ def _py(obj):
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     return obj
-
-
-def _finish(report: VerdictReport, t0: float) -> VerdictReport:
-    report.runtime_seconds = time.time() - t0
-    return report
 
 
 def _nonincreasing(values) -> bool:
@@ -162,15 +165,13 @@ def verify_dense_llt(
     n_ladder,
     tol: float = 0.05,
     window: float = 8.0,
-    report: PhaseReport | None = None,
 ):
     """Exact count law against the stable local limit density.
 
     The sup runs over a window of +/- ``window`` fluctuation scales around
     n/mu (outside it both sides vanish); no Monte Carlo is involved.
     """
-    t0 = time.time()
-    rep = classify(scheme) if report is None else report
+    rep = classify(scheme)
     _require(rep, (Phase.dense_critical, Phase.dense_supercritical, Phase.mixture), "dense_llt")
     if rep.scale_L is None:
         raise PhaseMismatchError("dense_llt needs expressible scale constants")
@@ -198,7 +199,7 @@ def verify_dense_llt(
         trend_nonincreasing=_nonincreasing(observed),
         details={"window": window, "conditional_on_split_event": conditional},
     )
-    return [_finish(out, t0)], csvs
+    return [out], csvs
 
 
 def verify_dense_extremes(
@@ -207,7 +208,6 @@ def verify_dense_extremes(
     replicates: int = 10000,
     seed: int = 1,
     tol: float = 0.1,
-    report: PhaseReport | None = None,
 ):
     """Largest-component laws by Monte Carlo.
 
@@ -217,8 +217,7 @@ def verify_dense_extremes(
     (tolerance = the first-n quantile).  Both variants also check that the
     count of components at a deliberately rare size stays zero.
     """
-    t0 = time.time()
-    rep = classify(scheme) if report is None else report
+    rep = classify(scheme)
     _require(rep, (Phase.dense_critical, Phase.dense_supercritical), "dense_extremes")
     ladder = [n] if isinstance(n, int) else list(n)
     reports = []
@@ -314,7 +313,7 @@ def verify_dense_extremes(
             {"size": k_common, "mean_count_target": target},
         )
     )
-    return [_finish(r, t0) for r in reports], csvs
+    return reports, csvs
 
 
 def verify_prefix_independence(scheme: SchemeSpec, n_ladder, tol: float = 0.05):
@@ -323,7 +322,6 @@ def verify_prefix_independence(scheme: SchemeSpec, n_ladder, tol: float = 0.05):
     No phase gate: the verdict itself is the test (degenerate schemes must
     fail it, which prevents vacuous passes).
     """
-    t0 = time.time()
     reports = []
     csvs = {}
     for m in (1, 2):
@@ -348,7 +346,7 @@ def verify_prefix_independence(scheme: SchemeSpec, n_ladder, tol: float = 0.05):
                 {"coordinates": m},
             )
         )
-    return [_finish(r, t0) for r in reports], csvs
+    return reports, csvs
 
 
 def verify_convergent(
@@ -357,14 +355,12 @@ def verify_convergent(
     tol: float = 0.1,
     replicates: int = 4000,
     seed: int = 1,
-    report: PhaseReport | None = None,
     skip_mc: bool = False,
 ):
     """Count convergence and giant-component deficit, exactly; plus a Monte
     Carlo chi-square spot check of (count, second-largest size) against the
     giant-replacement limit tuple."""
-    t0 = time.time()
-    rep = classify(scheme) if report is None else report
+    rep = classify(scheme)
     if rep.phase is Phase.unclassified:
         raise PhaseMismatchError("convergent verifier needs a classified scheme")
     law = exact.law_Nn(scheme, n)
@@ -391,7 +387,7 @@ def verify_convergent(
     }
     if not skip_mc:
         reports.append(_convergent_mc(scheme, n, replicates, seed, nhat, fp))
-    return [_finish(r, t0) for r in reports], csvs
+    return reports, csvs
 
 
 def _second_largest(sizes: np.ndarray) -> int:
@@ -421,8 +417,9 @@ def _convergent_mc(scheme, n, replicates, seed, nhat, fp) -> VerdictReport:
         obs[key] = obs.get(key, 0) + 1
         # limit tuple: N-hat - 1 i.i.d. sizes plus the giant remainder
         rng2 = sampling.make_rng(seed + 1, i)
-        nh = int(np.searchsorted(cdf_nhat, rng2.random() * cdf_nhat[-1], side="left"))
-        small = np.searchsorted(cdf_x, rng2.random(max(nh - 1, 0)) * cdf_x[-1], side="left")
+        nh = int(np.searchsorted(cdf_nhat, rng2.random() * cdf_nhat[-1] or _LEAST, side="left"))
+        targets = np.maximum(rng2.random(max(nh - 1, 0)) * cdf_x[-1], _LEAST)
+        small = np.searchsorted(cdf_x, targets, side="left")
         tup = np.concatenate([small, [n - small.sum()]])
         key = cell(tup.size, _second_largest(tup))
         lim[key] = lim.get(key, 0) + 1
@@ -452,7 +449,6 @@ def verify_mixture(
     tol: float = 0.05,
     cond_tol: float = 0.1,
     window: float = 8.0,
-    report: PhaseReport | None = None,
 ):
     """Split probability against both candidate limits, conditional dense
     LLT on the split event, conditional count convergence off it.
@@ -461,8 +457,7 @@ def verify_mixture(
     supports the latter); the verdict records which one the exact
     probability approaches.
     """
-    t0 = time.time()
-    rep = classify(scheme) if report is None else report
+    rep = classify(scheme)
     _require(rep, (Phase.mixture,), "mixture")
     fp = scheme.fingerprint()
     p, p_frac = rep.mixture_p, rep.mixture_p_frac
@@ -532,7 +527,7 @@ def verify_mixture(
             {"note": "count law conditioned off the dense event vs size-biased limit"},
         ),
     ]
-    return [_finish(r, t0) for r in reports], csvs
+    return reports, csvs
 
 
 def verify_dilute(
@@ -549,8 +544,6 @@ def verify_dilute(
     upsilon: float = 1.0,
     zero_tol: float = 0.03,
     count_replicates: int = 2000,
-    point_lows=(0.2, 0.4),
-    report: PhaseReport | None = None,
 ):
     """Dilute-phase battery.
 
@@ -572,8 +565,7 @@ def verify_dilute(
     (v)   Monte Carlo second factorial moment against the two-point
           correlation integral.
     """
-    t0 = time.time()
-    rep = classify(scheme) if report is None else report
+    rep = classify(scheme)
     _require(rep, (Phase.dilute,), "dilute")
     fp = scheme.fingerprint()
     dp = laws.DiluteParams(rep.alpha, rep.b, rep.dilute_lambda)
@@ -640,6 +632,7 @@ def verify_dilute(
     ups_n = float(na * px[k_n])  # realized n^alpha P(X = k_n) -> upsilon
     smp = sampling.ExactSampler(scheme, n_fin)
     counts_at_kn = np.empty(replicates, dtype=np.int64)
+    point_lows = (0.2, 0.4)  # mean point counts on [x, 1]
     point_counts = {x: np.empty(replicates, dtype=np.int64) for x in point_lows}
     m2_low = 0.4
     m2_counts = np.empty(replicates, dtype=np.int64)
@@ -727,7 +720,7 @@ def verify_dilute(
             {"observed": m2_obs, "factorial_moment": m2_target, "interval": [m2_low, 1.0]},
         )
     )
-    return [_finish(r, t0) for r in reports], csvs
+    return reports, csvs
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +768,6 @@ def verify_extended(
     macroscopic-index decomposition, and a coordinate-symmetry frequency
     test for identical factors.
     """
-    t0 = time.time()
     fp = scheme.fingerprint()
     reports = []
     csvs = {}
@@ -837,7 +829,7 @@ def verify_extended(
                     {"frequencies": freq.tolist(), "replicates": replicates},
                 )
             )
-        return [_finish(r, t0) for r in reports], csvs
+        return reports, csvs
 
     if scheme.h is None:
         raise PhaseMismatchError("extended verifier needs a prefactor h or product factors")
@@ -896,7 +888,7 @@ def verify_extended(
             "extended_counts", fp, [n], "TV", [float(tv)], tol, tv <= tol, None, detail
         )
     )
-    return [_finish(r, t0) for r in reports], csvs
+    return reports, csvs
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +905,15 @@ _VERIFIERS = {
     "extended": verify_extended,
 }
 
-_LADDER_VERIFIERS = {"dense_llt", "prefix_independence", "mixture", "dilute"}
+
+def _declared_schemes(cfg: dict) -> dict:
+    declared = {}
+    for name, sc in cfg.get("schemes", {}).items():
+        try:
+            declared[name] = SchemeSpec.from_config(sc)
+        except (KeyError, ValueError) as err:
+            raise SuiteConfigError(f"bad scheme {name!r}: {err}") from None
+    return declared
 
 
 def _resolve_scheme(name: str, declared: dict) -> SchemeSpec:
@@ -921,48 +921,45 @@ def _resolve_scheme(name: str, declared: dict) -> SchemeSpec:
         return declared[name]
     if name in bundled_names():
         return bundled_scheme(name)
-    raise SuiteConfigError(f"unknown scheme {name!r}")
+    raise SuiteConfigError(f"unknown scheme {name!r}; bundled: {', '.join(bundled_names())}")
 
 
 def _run_experiment(spec_entry: dict, declared: dict, default_seed: int):
-    entry = dict(spec_entry)
-    verifier = entry.pop("verifier", None)
+    kwargs = dict(spec_entry)
+    verifier = kwargs.pop("verifier", None)
     if verifier not in _VERIFIERS:
         raise SuiteConfigError(
             f"unknown verifier {verifier!r}; available: {sorted(_VERIFIERS)}"
         )
-    scheme_name = entry.pop("scheme", None)
+    scheme_name = kwargs.pop("scheme", None)
     if scheme_name is None:
         raise SuiteConfigError("experiment missing 'scheme'")
     scheme = _resolve_scheme(scheme_name, declared)
-    exp_id = entry.pop("id", f"{verifier}:{scheme_name}")
-    expect_fail = bool(entry.pop("expect_fail", False))
+    exp_id = kwargs.pop("id", f"{verifier}:{scheme_name}")
+    expect_fail = bool(kwargs.pop("expect_fail", False))
     fn = _VERIFIERS[verifier]
-    kwargs = {}
-    if verifier in _LADDER_VERIFIERS:
-        if "n_ladder" not in entry:
-            n = entry.pop("n")
-            kwargs["n_ladder"] = [max(n // 4, 1), max(n // 2, 1), n]
-        else:
-            kwargs["n_ladder"] = entry.pop("n_ladder")
+    sig = inspect.signature(fn)
+    if "n_ladder" in sig.parameters and "n" in kwargs:
+        if "n_ladder" in kwargs:
+            raise SuiteConfigError(f"give 'n' or 'n_ladder', not both, in {exp_id!r}")
+        n = kwargs.pop("n")
+        kwargs["n_ladder"] = [max(n // 4, 1), max(n // 2, 1), n]
+    if "seed" in sig.parameters:
+        kwargs.setdefault("seed", default_seed)
     else:
-        kwargs["n"] = entry.pop("n")
-    for key in ("tol", "window", "replicates", "delta", "ks_tol", "chi2_pmin",
-                "mean_rtol", "m2_rtol", "upsilon", "cond_tol", "skip_mc",
-                "zero_tol", "count_replicates"):
-        if key in entry:
-            kwargs[key] = entry.pop(key)
-    if verifier in ("dense_extremes", "convergent", "dilute", "extended"):
-        kwargs["seed"] = entry.pop("seed", default_seed)
-    entry.pop("seed", None)
-    if entry:
-        raise SuiteConfigError(f"unknown experiment keys {sorted(entry)} in {exp_id!r}")
+        kwargs.pop("seed", None)
+    try:
+        sig.bind(scheme, **kwargs)
+    except TypeError as err:
+        raise SuiteConfigError(f"{err} in {exp_id!r} ({verifier})") from None
+    t0 = time.perf_counter()
     reports, csvs = fn(scheme, **kwargs)
+    seconds = time.perf_counter() - t0
     for r in reports:
         r.experiment = f"{exp_id}.{r.experiment}" if r.experiment != exp_id else exp_id
         if expect_fail:
             r.details["expected_outcome"] = "fail"
-    return exp_id, reports, csvs, expect_fail
+    return exp_id, reports, csvs, expect_fail, seconds
 
 
 def load_config(path_or_dict) -> dict:
@@ -992,12 +989,7 @@ def run_suite(config, out_dir, seed: int | None = None) -> int:
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     default_seed = cfg.get("seed", 1) if seed is None else seed
-    declared = {}
-    for name, sc in cfg.get("schemes", {}).items():
-        try:
-            declared[name] = SchemeSpec.from_config(sc)
-        except (KeyError, ValueError) as err:
-            raise SuiteConfigError(f"bad scheme {name!r}: {err}") from None
+    declared = _declared_schemes(cfg)
     experiments = cfg.get("experiments", [])
     if not isinstance(experiments, list):
         raise SuiteConfigError("'experiments' must be a list")
@@ -1007,15 +999,14 @@ def run_suite(config, out_dir, seed: int | None = None) -> int:
     verdicts = []
     runtimes = {}
     all_pass = True
-    for exp_id, reports, csvs, expect_fail in results:
+    for exp_id, reports, csvs, expect_fail, seconds in results:
         exp_dir = out / exp_id.replace(":", "_")
         for n, (header, rows) in csvs.items():
             exp_dir.mkdir(parents=True, exist_ok=True)
-            _write_csv(exp_dir / f"{n}.csv", header, rows)
+            _write_csv(header, rows, exp_dir / f"{n}.csv")
         exp_pass = all(r.passed for r in reports)
-        for r in reports:
-            verdicts.append(r.to_json())
-            runtimes[r.experiment] = round(r.runtime_seconds, 3)
+        verdicts += [r.to_json() for r in reports]
+        runtimes[exp_id] = round(seconds, 3)
         # a negative control satisfies the suite by failing its own verdict
         all_pass &= (not exp_pass) if expect_fail else exp_pass
     with open(out / "verdicts.json", "w") as fh:
@@ -1027,9 +1018,14 @@ def run_suite(config, out_dir, seed: int | None = None) -> int:
     return 0 if all_pass else 1
 
 
-def _write_csv(path, header, rows) -> None:
-    rows = np.asarray(rows)
-    with open(path, "w") as fh:
+def _write_csv(header, rows, path=None) -> None:
+    """CSV with a header line and floats to 17 significant digits; to
+    standard output when ``path`` is None."""
+    fh = open(path, "w") if path else sys.stdout
+    try:
         fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(rows):
+        for row in np.atleast_2d(np.asarray(rows, dtype=float)):
             fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+    finally:
+        if path:
+            fh.close()

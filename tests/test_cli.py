@@ -30,6 +30,18 @@ def test_classify_unknown_scheme():
         main(["classify", "--scheme", "not-a-scheme"])
 
 
+def test_classify_malformed_scheme_is_one_error_line(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schemes": {"bad": {
+        "v": {"kind": "closed_form", "c": 1.0, "e": 1.5, "rho": -1},
+        "w": {"kind": "closed_form", "c": 1.0, "e": 3.0, "rho": 1.0},
+    }}}))
+    with pytest.raises(SystemExit) as err:
+        main(["classify", "--scheme", "bad", "--config", str(cfg)])
+    msg = str(err.value.code)
+    assert msg.startswith("error: bad scheme 'bad'") and "\n" not in msg
+
+
 def test_exact_csv(capsys, tmp_path):
     code, out = run_cli(["exact", "--scheme", "bell", "--n", "3", "--law", "Nn",
                          "--rho", "1.0"], capsys)
@@ -151,6 +163,25 @@ def test_verify_phase_mismatch_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "PhaseMismatch" in err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"verifier": "dense_llt", "scheme": "dense-gauss", "n": 40, "replicates": 5},
+        {"verifier": "prefix_independence", "scheme": "dense-gauss", "n": 40,
+         "skip_mc": True},
+        {"verifier": "dilute", "scheme": "dilute", "n": 40, "window": 4.0},
+        {"verifier": "extended", "scheme": "extended-light"},
+        {"verifier": "dense_llt", "scheme": "dense-gauss", "n": 40, "n_ladder": [40]},
+    ],
+)
+def test_verify_key_the_verifier_does_not_take_exit_2(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [entry]}))
+    code = main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert "SuiteConfigError" in capsys.readouterr().err
 
 
 def test_entry_point_installed():

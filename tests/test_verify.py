@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from gibbs_partitions import bundled_scheme
+from gibbs_partitions import bundled_scheme, exact, verify
 from gibbs_partitions.verify import (
     PhaseMismatchError,
     SuiteConfigError,
@@ -23,6 +23,7 @@ from gibbs_partitions.verify import (
     verify_mixture,
     verify_prefix_independence,
 )
+from gibbs_partitions.weights import SchemeSpec
 
 
 def test_dense_llt_trend(dense_gauss):
@@ -115,6 +116,83 @@ def test_run_suite_unknown_verifier(tmp_path):
             {"experiments": [{"verifier": "nope", "scheme": "dilute", "n": 10}]},
             tmp_path / "out",
         )
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        # keys another verifier takes
+        {"verifier": "dense_llt", "scheme": "dense-gauss", "n": 40, "replicates": 5},
+        {"verifier": "prefix_independence", "scheme": "dense-gauss", "n": 40,
+         "skip_mc": True},
+        {"verifier": "dilute", "scheme": "dilute", "n": 40, "window": 4.0},
+        # no size
+        {"verifier": "dense_llt", "scheme": "dense-gauss"},
+        {"verifier": "extended", "scheme": "extended-light"},
+        # a size given twice
+        {"verifier": "dense_llt", "scheme": "dense-gauss", "n": 40, "n_ladder": [40]},
+        # parameters no config sets
+        {"verifier": "dense_llt", "scheme": "dense-gauss", "n": 40, "report": None},
+        {"verifier": "dilute", "scheme": "dilute", "n": 40, "point_lows": [0.3]},
+    ],
+)
+def test_run_suite_rejects_keys_the_verifier_does_not_take(tmp_path, entry):
+    with pytest.raises(SuiteConfigError):
+        run_suite({"experiments": [entry]}, tmp_path / "out")
+
+
+def test_run_suite_n_stands_for_a_ladder(tmp_path):
+    # a seed key is dropped where the verifier takes none
+    cfg = {"experiments": [{"id": "p", "verifier": "prefix_independence",
+                            "scheme": "dense-gauss", "n": 80, "seed": 4}]}
+    run_suite(cfg, tmp_path / "out")
+    data = json.loads((tmp_path / "out" / "verdicts.json").read_text())
+    assert [v["n_values"] for v in data["verdicts"]] == [[20, 40, 80]] * 2
+
+
+def test_runtimes_one_entry_per_experiment_in_config_order(tmp_path):
+    cfg = {
+        "experiments": [
+            {"id": "z", "verifier": "prefix_independence", "scheme": "dense-gauss",
+             "n_ladder": [40]},
+            {"verifier": "extended", "scheme": "extended-light", "n": 100},
+            {"id": "a", "verifier": "convergent", "scheme": "convergent", "n": 100,
+             "skip_mc": True},
+        ]
+    }
+    run_suite(cfg, tmp_path / "out")
+    runtimes = json.loads((tmp_path / "out" / "runtimes.json").read_text())
+    assert list(runtimes) == ["z", "extended:extended-light", "a"]
+    assert all(sec >= 0.0 for sec in runtimes.values())
+
+
+def test_convergent_limit_tuples_at_zero_uniforms(monkeypatch):
+    """A uniform of exactly 0 draws the least N-hat and the least component
+    size with positive mass, as the samplers do.  Here N = 2 always, so a
+    limit tuple with one component or with a size 0 has probability 0."""
+    scheme = SchemeSpec.from_config({
+        "v": {"kind": "explicit", "coeffs": [0.0, 0.0, 1.0]},
+        "w": {"kind": "closed_form", "c": 1.0, "e": 4.0, "rho": 1.0},
+    })
+
+    class Zeros:
+        def random(self, size=None):
+            return 0.0 if size is None else np.zeros(size)
+
+    monkeypatch.setattr(verify.sampling, "make_rng", lambda seed, stream=0: Zeros())
+    tuples = []
+    second_largest = verify._second_largest
+
+    def record(sizes):
+        tuples.append(np.array(sizes))
+        return second_largest(sizes)
+
+    monkeypatch.setattr(verify, "_second_largest", record)
+    n = 40
+    verify._convergent_mc(scheme, n, 3, 1, exact.law_Nhat(scheme, n), "fp")
+    assert len(tuples) == 6  # a sampler draw and a limit tuple per replicate
+    for sizes in tuples:
+        assert sizes.size == 2 and sizes.min() >= 1 and sizes.sum() == n
 
 
 def test_run_suite_phase_mismatch_is_structured(tmp_path):
