@@ -95,7 +95,7 @@ def _cmd_laws(args) -> int:
     xs = np.linspace(lo, hi, int(num))
     if args.law == "stable_density":
         p = limit_laws.StableParams(args.alpha, args.gamma, args.beta, args.delta)
-        ys = [limit_laws.stable_density_series(p, x) for x in xs]
+        ys = limit_laws.stable_density_series(p, xs)
     elif args.law == "stable_density_inversion":
         p = limit_laws.StableParams(args.alpha, args.gamma, args.beta, args.delta)
         ys = [limit_laws.stable_density_inversion(p, x) for x in xs]

@@ -37,6 +37,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -154,7 +155,7 @@ def _llt_discrepancy(
     hi = min(law.pmf.size - 1, int(math.ceil(center + window * scale)))
     ells = np.arange(lo, hi + 1)
     xs = (ells - center) / scale
-    h = np.array([laws.stable_density_series(stable, x) for x in xs])
+    h = laws.stable_density_series(stable, xs)
     scaled = scale * law.pmf[lo : hi + 1]
     rows = np.column_stack([ells, xs, scaled, h])
     return float(np.max(np.abs(scaled - h))), rows
@@ -907,11 +908,14 @@ _VERIFIERS = {
 
 
 def _declared_schemes(cfg: dict) -> dict:
+    schemes = cfg.get("schemes", {})
+    if not isinstance(schemes, dict):
+        raise SuiteConfigError("'schemes' must be an object of named schemes")
     declared = {}
-    for name, sc in cfg.get("schemes", {}).items():
+    for name, sc in schemes.items():
         try:
             declared[name] = SchemeSpec.from_config(sc)
-        except (KeyError, ValueError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise SuiteConfigError(f"bad scheme {name!r}: {err}") from None
     return declared
 
@@ -924,7 +928,14 @@ def _resolve_scheme(name: str, declared: dict) -> SchemeSpec:
     raise SuiteConfigError(f"unknown scheme {name!r}; bundled: {', '.join(bundled_names())}")
 
 
-def _run_experiment(spec_entry: dict, declared: dict, default_seed: int):
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
+def _prepare_experiment(spec_entry, declared: dict, default_seed: int):
+    """Check one experiment of the config without running it."""
+    if not isinstance(spec_entry, dict):
+        raise SuiteConfigError(f"an experiment must be an object, got {spec_entry!r}")
     kwargs = dict(spec_entry)
     verifier = kwargs.pop("verifier", None)
     if verifier not in _VERIFIERS:
@@ -936,7 +947,14 @@ def _run_experiment(spec_entry: dict, declared: dict, default_seed: int):
         raise SuiteConfigError("experiment missing 'scheme'")
     scheme = _resolve_scheme(scheme_name, declared)
     exp_id = kwargs.pop("id", f"{verifier}:{scheme_name}")
+    if not isinstance(exp_id, str):
+        raise SuiteConfigError(f"experiment id must be a string, got {exp_id!r}")
     expect_fail = bool(kwargs.pop("expect_fail", False))
+    if "n" in kwargs and not _positive_int(kwargs["n"]):
+        raise SuiteConfigError(f"'n' must be a positive integer, got {kwargs['n']!r} in {exp_id!r}")
+    ladder = kwargs.get("n_ladder", [1])
+    if not (isinstance(ladder, list) and ladder and all(map(_positive_int, ladder))):
+        raise SuiteConfigError(f"'n_ladder' must be a list of positive integers, got {ladder!r} in {exp_id!r}")
     fn = _VERIFIERS[verifier]
     sig = inspect.signature(fn)
     if "n_ladder" in sig.parameters and "n" in kwargs:
@@ -952,28 +970,24 @@ def _run_experiment(spec_entry: dict, declared: dict, default_seed: int):
         sig.bind(scheme, **kwargs)
     except TypeError as err:
         raise SuiteConfigError(f"{err} in {exp_id!r} ({verifier})") from None
-    t0 = time.perf_counter()
-    reports, csvs = fn(scheme, **kwargs)
-    seconds = time.perf_counter() - t0
-    for r in reports:
-        r.experiment = f"{exp_id}.{r.experiment}" if r.experiment != exp_id else exp_id
-        if expect_fail:
-            r.details["expected_outcome"] = "fail"
-    return exp_id, reports, csvs, expect_fail, seconds
+    return exp_id, fn, scheme, kwargs, expect_fail
 
 
 def load_config(path_or_dict) -> dict:
-    if isinstance(path_or_dict, dict):
-        return path_or_dict
-    try:
-        with open(path_or_dict) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as err:
-        raise SuiteConfigError(
-            f"config parse error at line {err.lineno}, column {err.colno}: {err.msg}"
-        ) from None
-    except OSError as err:
-        raise SuiteConfigError(f"cannot read config: {err}") from None
+    cfg = path_or_dict
+    if isinstance(path_or_dict, (str, os.PathLike)):
+        try:
+            with open(path_or_dict) as fh:
+                cfg = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise SuiteConfigError(
+                f"config parse error at line {err.lineno}, column {err.colno}: {err.msg}"
+            ) from None
+        except OSError as err:
+            raise SuiteConfigError(f"cannot read config: {err}") from None
+    if not isinstance(cfg, dict):
+        raise SuiteConfigError(f"the config must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def run_suite(config, out_dir, seed: int | None = None) -> int:
@@ -981,7 +995,8 @@ def run_suite(config, out_dir, seed: int | None = None) -> int:
 
     Writes ``verdicts.json`` (byte-stable given config and seed),
     ``runtimes.json``, and one CSV per (experiment, n).  Config errors and
-    phase mismatches surface as exit code 2 with a structured message.
+    phase mismatches surface as exit code 2 with a structured message; the
+    whole config is checked before any experiment runs.
     """
     import pathlib
 
@@ -993,13 +1008,25 @@ def run_suite(config, out_dir, seed: int | None = None) -> int:
     experiments = cfg.get("experiments", [])
     if not isinstance(experiments, list):
         raise SuiteConfigError("'experiments' must be a list")
-
-    results = [_run_experiment(entry, declared, default_seed) for entry in experiments]
+    prepared = [_prepare_experiment(entry, declared, default_seed) for entry in experiments]
+    ids = [p[0] for p in prepared]
+    for exp_id in ids:
+        if ids.count(exp_id) > 1:
+            raise SuiteConfigError(f"experiment id {exp_id!r} is used more than once; give each an 'id'")
+    results = []
+    for exp_id, fn, scheme, kwargs, expect_fail in prepared:
+        t0 = time.perf_counter()
+        reports, csvs = fn(scheme, **kwargs)
+        results.append((exp_id, reports, csvs, expect_fail, time.perf_counter() - t0))
 
     verdicts = []
     runtimes = {}
     all_pass = True
     for exp_id, reports, csvs, expect_fail, seconds in results:
+        for r in reports:
+            r.experiment = f"{exp_id}.{r.experiment}" if r.experiment != exp_id else exp_id
+            if expect_fail:
+                r.details["expected_outcome"] = "fail"
         exp_dir = out / exp_id.replace(":", "_")
         for n, (header, rows) in csvs.items():
             exp_dir.mkdir(parents=True, exist_ok=True)

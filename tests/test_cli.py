@@ -102,6 +102,33 @@ def test_laws_dilute_density_one_vector_call(capsys, monkeypatch):
     assert ys[3:] == pytest.approx(want, rel=1e-12)
 
 
+def test_laws_stable_density_one_vector_call(capsys, monkeypatch):
+    from gibbs_partitions import laws
+
+    calls = []
+    density = laws.stable_density_series
+
+    def counted(p, x):
+        calls.append(np.shape(x))
+        return density(p, x)
+
+    monkeypatch.setattr(laws, "stable_density_series", counted)
+    code, out = run_cli(
+        ["laws", "--law", "stable_density", "--alpha", "1.5", "--gamma", "0.8",
+         "--grid", "-12", "12", "49"],
+        capsys,
+    )
+    assert code == 0
+    assert calls == [(49,)]
+    lines = out.strip().splitlines()
+    assert lines[0] == "x,value"
+    xs, ys = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
+    # the series holds in the middle and the grid takes the tails; both
+    # give the bytes of one call per x
+    p = laws.StableParams(1.5, 0.8, -1.0)
+    assert ys.tolist() == [density(p, x) for x in xs.tolist()]
+
+
 def test_sample_deterministic(capsys):
     args = ["sample", "--scheme", "dense-gauss", "--n", "50",
             "--replicates", "4", "--seed", "9", "--stats", "count_1"]
@@ -182,6 +209,26 @@ def test_verify_key_the_verifier_does_not_take_exit_2(tmp_path, capsys, entry):
     code = main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert "SuiteConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        [{"verifier": "dense_llt", "scheme": "dense-gauss", "n": 80}],
+        {"schemes": [1]},
+        {"experiments": [{"verifier": "dense_llt", "scheme": "dense-gauss", "n": "80"}]},
+        {"experiments": [{"verifier": "dense_llt", "scheme": "dense-gauss", "n": True}]},
+        {"experiments": [{"verifier": "dense_llt", "scheme": "dense-gauss", "n_ladder": [40, 0]}]},
+        {"experiments": ["dense_llt"]},
+    ],
+)
+def test_verify_malformed_config_is_one_error_line_exit_2(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert json.loads(err)["error"] == "SuiteConfigError"
 
 
 def test_entry_point_installed():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc, zeta
+from scipy.special import gammainc, gammaln, zeta
 
 from gibbs_partitions import laws
 from gibbs_partitions.laws import (
@@ -132,6 +132,120 @@ def test_density_scaling_in_gamma():
         assert stable_density_series(p2, x) == pytest.approx(
             0.5 * stable_density_series(p1, x / 2.0), rel=1e-10
         )
+
+
+def _series_loop(alpha, y, dense):
+    """The series density at one standardized y and its trust flag, term by
+    term in a Python loop: the reference the vectorized sum must match bit
+    for bit (dense: 1 < alpha < 2; otherwise the positive law, 0 < alpha < 1)."""
+    if dense and y == 0.0:
+        return math.gamma(1.0 + 1.0 / alpha) * math.sin(math.pi / alpha) / math.pi, True
+    if not dense and y <= 0.0:
+        return 0.0, True
+    total, max_abs, small_streak = 0.0, 0.0, 0
+    for k in range(1, laws._SERIES_MAX_TERMS + 1):
+        if dense:
+            s = math.sin(-k * math.pi / alpha) * ((-1.0) ** k if y > 0 else 1.0)
+            log_mag = gammaln(k / alpha + 1.0) - gammaln(k + 1.0) + k * math.log(abs(y))
+        else:
+            s = math.sin(-alpha * k * math.pi) * (-1.0) ** k
+            log_mag = gammaln(k * alpha + 1.0) - gammaln(k + 1.0) - alpha * k * math.log(y)
+        if s == 0.0:
+            continue
+        if log_mag > 700.0:
+            return total / (math.pi * y), False
+        term = math.exp(log_mag) * s
+        total += term
+        max_abs = max(max_abs, abs(term))
+        if abs(term) < 1e-15 * max(abs(total), 1e-300):
+            small_streak += 1
+            if small_streak >= 3:
+                break
+        else:
+            small_streak = 0
+    ok = max_abs <= laws._CANCELLATION_LIMIT * max(abs(total), 1e-300) and small_streak >= 3
+    return max(total / (math.pi * y), 0.0), ok
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.3, 1.5, 1.7, 1.9, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_series_vector_matches_scalar_loop(alpha):
+    # every value and every flag, trusted or not, over x in [-12, 12] (dense)
+    # and from y = 1e-3 to 1e3 (positive); stops by round-off, by overflow
+    # (log term > 700) and by running out of terms all occur
+    dense = alpha > 1.0
+    ys = np.linspace(-12.0, 12.0, 481) if dense else np.concatenate(([-1.0, 0.0], np.geomspace(1e-3, 1e3, 300)))
+    got, ok = laws._series_std(alpha, ys, dense)
+    want = [_series_loop(alpha, y, dense) for y in ys.tolist()]
+    assert got.tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert ok.tolist() == [w[1] for w in want]
+    assert 0 < ok.sum() < ok.size
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.5, -1.0), (1.2, 1.0), (0.6, 1.0), (0.6, -1.0), (2.0, -1.0)])
+def test_stable_density_vector_call_matches_scalar_calls(alpha, beta):
+    p = StableParams(alpha, 0.8, beta, 0.3)
+    xs = np.linspace(-10.0, 10.0, 60)
+    vec = stable_density_series(p, xs.reshape(6, 10))
+    assert vec.shape == (6, 10)
+    scalars = [stable_density_series(p, float(x)) for x in xs]
+    assert all(isinstance(v, float) for v in scalars)
+    assert vec.tobytes() == np.array(scalars).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(1.2, 1.95), x=st.floats(-8.0, 8.0), beta=st.sampled_from([-1.0, 1.0]))
+def test_inversion_grid_against_quadrature(alpha, x, beta):
+    p = StableParams(alpha, (-math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha), beta)
+    assert laws._resolved(p, np.array([x]))[0]
+    got = laws._inversion_grid(p, np.array([x]))[0]
+    assert got == pytest.approx(stable_density_inversion(p, x), abs=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.2, 1.35, 1.5, 1.7, 1.9, 1.95])
+def test_inversion_grid_at_the_phase_bound(alpha):
+    # x where the phase of the integrand moves by exactly _INVERSION_PHASE;
+    # 200 nodes leave 1e-7 to 4e-3 here.  At alpha = 1.05 the quadrature
+    # itself is off by 4.5e-10 at the bound, so it is no oracle there.
+    for beta in (-1.0, 1.0):
+        p = StableParams(alpha, (-math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha), beta)
+        tan_term, t_max = laws._inversion_setup(p)
+        x_max = (laws._INVERSION_PHASE - abs(tan_term) * t_max**alpha) / t_max
+        xs = np.array([-x_max, -0.5 * x_max, 0.5 * x_max, x_max])
+        assert laws._resolved(p, xs).all()
+        want = [stable_density_inversion(p, x) for x in xs.tolist()]
+        assert laws._inversion_grid(p, xs) == pytest.approx(want, abs=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.1])
+def test_untrusted_series_points_route_by_the_phase_bound(alpha, monkeypatch):
+    p = StableParams(alpha, (-math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha), -1.0)
+    xs = np.linspace(-24.0, 24.0, 97)
+    want = stable_density_series(p, xs)
+    to_grid, to_quad = [], []
+    grid, inversion = laws._inversion_grid, laws.stable_density_inversion
+
+    def counted_grid(p, x):
+        to_grid.extend(x.tolist())
+        return grid(p, x)
+
+    def counted_inversion(p, x):
+        to_quad.append(x)
+        return inversion(p, x)
+
+    monkeypatch.setattr(laws, "_inversion_grid", counted_grid)
+    monkeypatch.setattr(laws, "stable_density_inversion", counted_inversion)
+    assert stable_density_series(p, xs).tobytes() == want.tobytes()
+    assert laws._resolved(p, np.array(to_grid)).all()
+    assert not laws._resolved(p, np.array(to_quad)).any()
+    # at alpha = 1.05 the series holds past the grid's reach: all to quad
+    assert len(to_quad) > 0 and (len(to_grid) > 0) == (alpha == 1.1)
+
+
+def test_gauss_legendre_integrates_monomials():
+    w, c = (np.array(v) for v in laws._gauss_legendre(laws._INVERSION_NODES))
+    assert np.all(np.diff(w) > 0.0) and 0.0 < w[0] and w[-1] < 1.0
+    for k in (0, 1, 2, 10, 100, 500, 2 * w.size - 1):
+        assert laws.dot(c, w**k) == pytest.approx(1.0 / (k + 1), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

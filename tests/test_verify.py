@@ -1,6 +1,7 @@
 """Verifier battery at desk scale plus suite-runner plumbing: negative
 controls, structured config errors, CSV/verdict outputs, determinism."""
 
+import functools
 import json
 import math
 import pathlib
@@ -164,6 +165,28 @@ def test_runtimes_one_entry_per_experiment_in_config_order(tmp_path):
     runtimes = json.loads((tmp_path / "out" / "runtimes.json").read_text())
     assert list(runtimes) == ["z", "extended:extended-light", "a"]
     assert all(sec >= 0.0 for sec in runtimes.values())
+
+
+def test_run_suite_rejects_a_repeated_id_before_running(tmp_path, monkeypatch):
+    ran = []
+    extended = verify._VERIFIERS["extended"]
+
+    @functools.wraps(extended)
+    def counted(*args, **kwargs):
+        ran.append(kwargs)
+        return extended(*args, **kwargs)
+
+    monkeypatch.setitem(verify._VERIFIERS, "extended", counted)
+    cfg = {
+        "experiments": [
+            {"id": "first", "verifier": "extended", "scheme": "extended-light", "n": 100},
+            {"verifier": "extended", "scheme": "extended-light", "n": 100},
+            {"verifier": "extended", "scheme": "extended-light", "n": 120},
+        ]
+    }
+    with pytest.raises(SuiteConfigError, match="'extended:extended-light'"):
+        run_suite(cfg, tmp_path / "out")
+    assert ran == []
 
 
 def test_convergent_limit_tuples_at_zero_uniforms(monkeypatch):
