@@ -43,50 +43,31 @@ def _cmd_classify(args) -> int:
 
 def _cmd_exact(args) -> int:
     scheme = _get_scheme(args.scheme, args.config)
-    n = args.n
-    rho = args.rho
-    if args.law == "X":
-        law = exact.law_X(scheme, rho if rho else exact.default_rho(scheme, n), n)
-    elif args.law == "N":
-        law = exact.law_N(scheme, rho if rho else exact.default_rho(scheme, n), n)
-    elif args.law == "Nhat":
-        law = exact.law_Nhat(scheme, n)
-    elif args.law == "Nn":
-        law = exact.law_Nn(scheme, n)
-    elif args.law == "stopped_sum":
+    n, rho, law = args.n, args.rho, args.law
+    if rho is not None and law in ("Nn", "prefix1", "deficit"):
+        # tilt invariant laws, and their FFT sweeps are right only at the default rho
+        sys.exit(f"error: --rho does not apply to --law {law}, which is computed at the default rho")
+    header = ["k", "pmf"]
+    if law in ("X", "N"):
+        rho = rho if rho else exact.default_rho(scheme, n)
+        cols = [(exact.law_X if law == "X" else exact.law_N)(scheme, rho, n).pmf]
+    elif law == "Nhat":
+        cols = [exact.law_Nhat(scheme, n, rho).pmf]
+    elif law == "Nn":
+        cols = [exact.law_Nn(scheme, n).pmf]
+    elif law == "stopped_sum":
         ssl = exact.stopped_sum_law(scheme, rho, n)
-        _write_csv(
-            ["m", "p_stopped_sum", "u_m"],
-            np.column_stack([np.arange(n + 1), ssl.s_n, ssl.u]),
-            args.out,
-        )
-        return 0
-    elif args.law == "prefix1":
-        pl = exact.prefix_law(scheme, n, 1)
-        _write_csv(
-            ["k", "pmf"], np.column_stack([np.arange(pl.joint.size), pl.joint]), args.out
-        )
-        return 0
-    elif args.law == "deficit":
+        header, cols = ["m", "p_stopped_sum", "u_m"], [ssl.s_n, ssl.u]
+    elif law == "prefix1":
+        cols = [exact.prefix_law(scheme, n, 1).joint]
+    elif law == "deficit":
         exact_d, limit_d = exact.giant_deficit_law(scheme, n)
-        if limit_d is None:  # size-biased limit undefined (E[N] diverges)
-            _write_csv(
-                ["d", "exact_pmf"],
-                np.column_stack([np.arange(exact_d.pmf.size), exact_d.pmf]),
-                args.out,
-            )
-        else:
-            _write_csv(
-                ["d", "exact_pmf", "limit_pmf"],
-                np.column_stack([np.arange(exact_d.pmf.size), exact_d.pmf, limit_d.pmf]),
-                args.out,
-            )
-        return 0
+        header, cols = ["d", "exact_pmf"], [exact_d.pmf]
+        if limit_d is not None:  # None: size-biased limit undefined (E[N] diverges)
+            header, cols = header + ["limit_pmf"], cols + [limit_d.pmf]
     else:
-        sys.exit(f"error: unknown law {args.law!r}")
-    _write_csv(
-        ["k", "pmf"], np.column_stack([np.arange(law.pmf.size), law.pmf]), args.out
-    )
+        sys.exit(f"error: unknown law {law!r}")
+    _write_csv(header, np.column_stack([np.arange(cols[0].size)] + cols), args.out)
     return 0
 
 
@@ -119,6 +100,8 @@ def _cmd_sample(args) -> int:
     scheme = _get_scheme(args.scheme, args.config)
     n = args.n
     seed = 1 if args.seed is None else args.seed
+    if seed < 0:
+        sys.exit(f"error: --seed must be a non-negative integer, got {seed}")
     if scheme.product_factors is not None:
         smp = sampling.ProductSampler(scheme.product_factors, n)
         rows = [

@@ -369,6 +369,16 @@ def _harvest(kernel: np.ndarray, n: int, cap: int, method: str, weights=(), star
     return column, sums
 
 
+def _calibrate(scheme: SchemeSpec, n: int, rho: float | None):
+    """The calibration of (scheme, n) every finite-n law is built on:
+    (rho, P(X = .) on 0..n, the l cap of ``_ell_cap``, P(N = .) on
+    0..cap), with rho from ``default_rho`` when None."""
+    rho = default_rho(scheme, n) if rho is None else rho
+    lx = law_X(scheme, rho, n)
+    cap = _ell_cap(n, lx)
+    return rho, lx, cap, law_N(scheme, rho, cap)
+
+
 def _sweep(
     scheme: SchemeSpec,
     n: int,
@@ -387,10 +397,7 @@ def _sweep(
       sums    -- for each shift s in ``shifts``, the vector
                  G[m] = sum_l P(N = l + s) P(S_l = m), m = 0..n
     """
-    rho = default_rho(scheme, n) if rho is None else rho
-    lx = law_X(scheme, rho, n)
-    cap = _ell_cap(n, lx)
-    ln = law_N(scheme, rho, cap)
+    rho, lx, cap, ln = _calibrate(scheme, n, rho)
     column, sums = _harvest(lx.pmf, n, cap, method, [ln.pmf[s:] for s in shifts], start)
     return {
         "column": column,
@@ -427,6 +434,16 @@ def stopped_sum_law(
     return StoppedSumLaw(acc, u, rho, vw)
 
 
+def _conditioned(res: dict, n: int, name: str) -> DiscreteLaw:
+    """The count law P(N = l) column[l] / Z of a ``_sweep`` with a start
+    row, Z their sum (``name`` is Z's name in the error)."""
+    num = res["pmf_n"] * res["column"]
+    z = fsum(num)
+    if z <= 0.0:
+        raise ValueError(f"{name} vanishes at n={n}")
+    return DiscreteLaw(num / z, 1.0)
+
+
 def law_Nn(
     scheme: SchemeSpec, n: int, rho: float | None = None, method: str = "auto"
 ) -> DiscreteLaw:
@@ -435,11 +452,7 @@ def law_Nn(
     Normalized by construction (conditioning contract).
     """
     res = _sweep(scheme, n, rho=rho, method=method, start=_unit(n))
-    num = res["pmf_n"] * res["column"]
-    z = fsum(num)
-    if z <= 0.0:
-        raise ValueError(f"partition function vanishes at n={n}")
-    return DiscreteLaw(num / z, 1.0)
+    return _conditioned(res, n, "partition function")
 
 
 def extended_law_Nn(
@@ -454,11 +467,7 @@ def extended_law_Nn(
     rho = default_rho(scheme, n) if rho is None else rho
     start = scheme.h.weighted_terms(rho, n)  # h_j rho^j
     res = _sweep(scheme, n, rho=rho, method=method, start=start)
-    num = res["pmf_n"] * res["column"]
-    z = fsum(num)
-    if z <= 0.0:
-        raise ValueError(f"extended partition function vanishes at n={n}")
-    return DiscreteLaw(num / z, 1.0)
+    return _conditioned(res, n, "extended partition function")
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +596,15 @@ class PrefixLaw:
 
     ``joint`` has shape (n+1,) or (n+1, n+1); its total mass is
     P(N_n >= m), with the remainder reported as deficit.
+    ``iid`` is the single-component law P(X = .) on 0..n, and
     ``tv_to_iid`` is the total variation distance to the i.i.d. product of
-    single-component laws.
+    m copies of it.
     """
 
     joint: np.ndarray
     mass_accounted: float
     tv_to_iid: float
+    iid: np.ndarray
 
 
 def prefix_law(
@@ -633,7 +644,7 @@ def prefix_law(
         iid = np.outer(px, px)
         # the product law misses 1 - (1 - d)^2 = d (2 - d) of its mass
         tv = 0.5 * (fsum(np.abs(joint - iid)) + d * (2.0 - d))
-    return PrefixLaw(joint, mass, tv)
+    return PrefixLaw(joint, mass, tv, px)
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,12 @@ import numpy as np
 
 from .exact import (
     BudgetExceededError,
-    _ell_cap,
+    _calibrate,
+    _conditioned,
     _product_tables,
     _row_source,
-    default_rho,
-    law_N,
-    law_Nn,
-    law_X,
+    _sweep,
+    _unit,
 )
 from .weights import SchemeSpec
 
@@ -98,9 +97,10 @@ class PartitionSample:
         return int(self.sizes.size)
 
 
-def _inverse_cdf_draw(pmf: np.ndarray, u: float) -> int:
-    c = np.cumsum(pmf)
-    return int(np.searchsorted(c, u * c[-1] or _LEAST, side="left"))
+def _inverse_cdf_draw(cdf: np.ndarray, u):
+    """The first index whose cumulative ``cdf`` reaches u * cdf[-1], for
+    a uniform u or an array of them (then an array of indices)."""
+    return np.searchsorted(cdf, np.maximum(u * cdf[-1], _LEAST), side="left")
 
 
 class ExactSampler:
@@ -129,10 +129,11 @@ class ExactSampler:
             )
         self.scheme = scheme
         self.n = n
-        self.rho = default_rho(scheme, n) if rho is None else rho
-        self.count_law = law_Nn(scheme, n, rho=self.rho)
+        res = _sweep(scheme, n, rho=rho, start=_unit(n))
+        self.rho = res["rho"]
+        self.count_law = _conditioned(res, n, "partition function")
         self.count_cdf = np.cumsum(self.count_law.pmf)
-        self.pmf_x = law_X(scheme, self.rho, n).pmf
+        self.pmf_x = res["law_x"].pmf
         self._px = self.pmf_x.tolist()
         self.roundoff_fallbacks = 0
         self._source = _row_source(self.pmf_x, n, "auto")
@@ -148,8 +149,7 @@ class ExactSampler:
             self._views.append(memoryview(row))
 
     def draw_count(self, rng: np.random.Generator) -> int:
-        target = rng.random() * self.count_cdf[-1] or _LEAST
-        return int(np.searchsorted(self.count_cdf, target, side="left"))
+        return int(_inverse_cdf_draw(self.count_cdf, rng.random()))
 
     def sample(self, rng: np.random.Generator) -> PartitionSample:
         ell = self.draw_count(rng)
@@ -233,11 +233,9 @@ class RejectionSampler:
     accepted: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        self.rho = default_rho(self.scheme, self.n) if self.rho is None else self.rho
-        lx = law_X(self.scheme, self.rho, self.n)
-        cap = _ell_cap(self.n, lx)
+        self.rho, lx, _, ln = _calibrate(self.scheme, self.n, self.rho)
         self.cdf_x = np.cumsum(lx.pmf)
-        self.cdf_n = np.cumsum(law_N(self.scheme, self.rho, cap).pmf)
+        self.cdf_n = np.cumsum(ln.pmf)
 
     @property
     def acceptance_rate(self) -> float:
@@ -289,7 +287,7 @@ class ProductSampler:
         rem = self.n
         for j in range(ell - 1):
             weights = self.arrays[j][: rem + 1] * self.suffix[j + 1][rem::-1]
-            out[j] = _inverse_cdf_draw(weights, rng.random())
+            out[j] = _inverse_cdf_draw(np.cumsum(weights), rng.random())
             rem -= int(out[j])
         out[ell - 1] = rem
         return out

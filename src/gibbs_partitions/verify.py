@@ -20,7 +20,9 @@ An experiment of the suite config names its ``verifier`` and ``scheme``,
 and optionally an ``id`` and ``expect_fail``.  Its other keys are the
 verifier's keyword parameters; any other key is a ``SuiteConfigError``.
 Where the verifier takes ``n_ladder``, ``n`` stands for [n/4, n/2, n];
-where it takes ``seed``, the config seed is the default.
+where it takes ``seed``, the config seed is the default.  Seeds are
+non-negative integers.  An experiment's CSVs go to the directory named by
+its id with ``:`` read as ``_``, and no two experiments may share one.
 
 Verdicts are deterministic given (config, seed): Monte Carlo streams are
 counter-based and keyed per replicate, and report assembly follows
@@ -48,7 +50,6 @@ from scipy.stats import chi2_contingency, chisquare, kstest
 from . import exact, laws, sampling
 from .exact import DiscreteLaw, tv_distance
 from .phases import Phase, PhaseReport, classify
-from .sampling import _LEAST
 from .schemes import bundled_names, bundled_scheme
 from .series import fsum
 from .weights import SchemeSpec
@@ -161,6 +162,15 @@ def _llt_discrepancy(
     return float(np.max(np.abs(scaled - h))), rows
 
 
+def _dense_split(law: DiscreteLaw, n: int, mu: float) -> tuple[int, DiscreteLaw]:
+    """The dense-event threshold ceil(n / (2 mu)) and ``law`` conditioned
+    on the count reaching it."""
+    thresh = int(math.ceil(n / (2.0 * mu)))
+    pmf = law.pmf.copy()
+    pmf[:thresh] = 0.0
+    return thresh, DiscreteLaw(pmf / fsum(pmf), 1.0)
+
+
 def verify_dense_llt(
     scheme: SchemeSpec,
     n_ladder,
@@ -182,10 +192,7 @@ def verify_dense_llt(
     for n in n_ladder:
         law = exact.law_Nn(scheme, n)
         if conditional:
-            thresh = int(math.ceil(n / (2.0 * rep.mu)))
-            pmf = law.pmf.copy()
-            pmf[:thresh] = 0.0
-            law = DiscreteLaw(pmf / fsum(pmf), 1.0)
+            law = _dense_split(law, n, rep.mu)[1]
         disc, rows = _llt_discrepancy(law, rep, n, window)
         observed.append(disc)
         csvs[n] = (["ell", "x", "scaled_pmf", "limit_density"], rows)
@@ -223,18 +230,18 @@ def verify_dense_extremes(
     ladder = [n] if isinstance(n, int) else list(n)
     reports = []
     csvs = {}
-    px = exact.law_X(scheme, exact.default_rho(scheme, max(ladder)), max(ladder)).pmf
 
     maxima_by_n = {}
     zero_hits = 0
     k_rare = None
-    k_common = int(np.nonzero(px[1:])[0][0]) + 1  # smallest positive size
     common_counts = 0.0
     for ni in ladder:
         smp = sampling.ExactSampler(scheme, ni)
         scale = rep.nn_scale(ni)
         lam_target = 0.005
         if ni == ladder[-1]:
+            px = smp.pmf_x
+            k_common = int(np.nonzero(px[1:])[0][0]) + 1  # smallest positive size
             expected = (ni / rep.mu) * px
             cand = np.nonzero(expected < lam_target)[0]
             cand = cand[px[cand] > 0] if cand.size else cand
@@ -331,8 +338,7 @@ def verify_prefix_independence(scheme: SchemeSpec, n_ladder, tol: float = 0.05):
             pl = exact.prefix_law(scheme, n, m)
             tvs.append(pl.tv_to_iid)
             if m == 1:
-                px = exact.law_X(scheme, exact.default_rho(scheme, n), n).pmf
-                rows = np.column_stack([np.arange(n + 1), pl.joint, px])
+                rows = np.column_stack([np.arange(n + 1), pl.joint, pl.iid])
                 csvs[n] = (["k", "prefix_pmf", "iid_pmf"], rows)
         reports.append(
             VerdictReport(
@@ -399,11 +405,9 @@ def _second_largest(sizes: np.ndarray) -> int:
 
 def _convergent_mc(scheme, n, replicates, seed, nhat, fp) -> VerdictReport:
     """Two-sample chi-square on (count, clipped second-largest size)."""
-    rho = exact.default_rho(scheme, n)
-    px = exact.law_X(scheme, rho, n).pmf
-    cdf_x = np.cumsum(px)
-    cdf_nhat = np.cumsum(nhat.pmf)
     smp = sampling.ExactSampler(scheme, n)
+    cdf_x = np.cumsum(smp.pmf_x)
+    cdf_nhat = np.cumsum(nhat.pmf)
     n_clip, s_clip = 6, 8
 
     def cell(count, second):
@@ -418,9 +422,8 @@ def _convergent_mc(scheme, n, replicates, seed, nhat, fp) -> VerdictReport:
         obs[key] = obs.get(key, 0) + 1
         # limit tuple: N-hat - 1 i.i.d. sizes plus the giant remainder
         rng2 = sampling.make_rng(seed + 1, i)
-        nh = int(np.searchsorted(cdf_nhat, rng2.random() * cdf_nhat[-1] or _LEAST, side="left"))
-        targets = np.maximum(rng2.random(max(nh - 1, 0)) * cdf_x[-1], _LEAST)
-        small = np.searchsorted(cdf_x, targets, side="left")
+        nh = int(sampling._inverse_cdf_draw(cdf_nhat, rng2.random()))
+        small = sampling._inverse_cdf_draw(cdf_x, rng2.random(max(nh - 1, 0)))
         tup = np.concatenate([small, [n - small.sum()]])
         key = cell(tup.size, _second_largest(tup))
         lim[key] = lim.get(key, 0) + 1
@@ -467,16 +470,13 @@ def verify_mixture(
     nhat = None
     for n in n_ladder:
         law = exact.law_Nn(scheme, n)
-        thresh = int(math.ceil(n / (2.0 * rep.mu)))
+        thresh, cond = _dense_split(law, n, rep.mu)
         pe = fsum(law.pmf[thresh:])
         pes.append(pe)
         d_p, d_frac = abs(pe - p), abs(pe - p_frac)
         dists.append(min(d_p, d_frac))
         winners.append("p/(1+p)" if d_frac <= d_p else "p")
         # conditional LLT on the dense side
-        pmf = law.pmf.copy()
-        pmf[:thresh] = 0.0
-        cond = DiscreteLaw(pmf / fsum(pmf), 1.0)
         disc, rows = _llt_discrepancy(cond, rep, n, window)
         cond_discs.append(disc)
         csvs[n] = (["ell", "x", "scaled_pmf", "limit_density"], rows)
@@ -629,9 +629,8 @@ def verify_dilute(
     w_val = rep.w_value
     c_w = rep.c_w
     k_n = int(round((c_w / (upsilon * w_val)) ** (1.0 / (1.0 + alpha)) * n_fin ** (alpha / (1.0 + alpha))))
-    px = exact.law_X(scheme, exact.default_rho(scheme, n_fin), n_fin).pmf
-    ups_n = float(na * px[k_n])  # realized n^alpha P(X = k_n) -> upsilon
     smp = sampling.ExactSampler(scheme, n_fin)
+    ups_n = float(na * smp.pmf_x[k_n])  # realized n^alpha P(X = k_n) -> upsilon
     counts_at_kn = np.empty(replicates, dtype=np.int64)
     point_lows = (0.2, 0.4)  # mean point counts on [x, 1]
     point_counts = {x: np.empty(replicates, dtype=np.int64) for x in point_lows}
@@ -928,8 +927,8 @@ def _resolve_scheme(name: str, declared: dict) -> SchemeSpec:
     raise SuiteConfigError(f"unknown scheme {name!r}; bundled: {', '.join(bundled_names())}")
 
 
-def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+def _int_from(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 def _prepare_experiment(spec_entry, declared: dict, default_seed: int):
@@ -950,11 +949,13 @@ def _prepare_experiment(spec_entry, declared: dict, default_seed: int):
     if not isinstance(exp_id, str):
         raise SuiteConfigError(f"experiment id must be a string, got {exp_id!r}")
     expect_fail = bool(kwargs.pop("expect_fail", False))
-    if "n" in kwargs and not _positive_int(kwargs["n"]):
+    if "n" in kwargs and not _int_from(kwargs["n"], 1):
         raise SuiteConfigError(f"'n' must be a positive integer, got {kwargs['n']!r} in {exp_id!r}")
     ladder = kwargs.get("n_ladder", [1])
-    if not (isinstance(ladder, list) and ladder and all(map(_positive_int, ladder))):
+    if not (isinstance(ladder, list) and ladder and all(_int_from(x, 1) for x in ladder)):
         raise SuiteConfigError(f"'n_ladder' must be a list of positive integers, got {ladder!r} in {exp_id!r}")
+    if "seed" in kwargs and not _int_from(kwargs["seed"], 0):
+        raise SuiteConfigError(f"'seed' must be a non-negative integer, got {kwargs['seed']!r} in {exp_id!r}")
     fn = _VERIFIERS[verifier]
     sig = inspect.signature(fn)
     if "n_ladder" in sig.parameters and "n" in kwargs:
@@ -1004,15 +1005,21 @@ def run_suite(config, out_dir, seed: int | None = None) -> int:
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     default_seed = cfg.get("seed", 1) if seed is None else seed
+    if not _int_from(default_seed, 0):
+        raise SuiteConfigError(f"'seed' must be a non-negative integer, got {default_seed!r}")
     declared = _declared_schemes(cfg)
     experiments = cfg.get("experiments", [])
     if not isinstance(experiments, list):
         raise SuiteConfigError("'experiments' must be a list")
     prepared = [_prepare_experiment(entry, declared, default_seed) for entry in experiments]
-    ids = [p[0] for p in prepared]
-    for exp_id in ids:
-        if ids.count(exp_id) > 1:
-            raise SuiteConfigError(f"experiment id {exp_id!r} is used more than once; give each an 'id'")
+    dirs = {}  # output directory -> experiment id
+    for exp_id, *_ in prepared:
+        name = exp_id.replace(":", "_")
+        if name in dirs:
+            raise SuiteConfigError(
+                f"experiments {dirs[name]!r} and {exp_id!r} both write to {name!r}; give each its own 'id'"
+            )
+        dirs[name] = exp_id
     results = []
     for exp_id, fn, scheme, kwargs, expect_fail in prepared:
         t0 = time.perf_counter()

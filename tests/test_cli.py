@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from gibbs_partitions import bundled_scheme, exact
 from gibbs_partitions.cli import main
 
 
@@ -43,13 +44,31 @@ def test_classify_malformed_scheme_is_one_error_line(tmp_path):
 
 
 def test_exact_csv(capsys, tmp_path):
-    code, out = run_cli(["exact", "--scheme", "bell", "--n", "3", "--law", "Nn",
-                         "--rho", "1.0"], capsys)
+    code, out = run_cli(["exact", "--scheme", "bell", "--n", "3", "--law", "Nn"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "k,pmf"
     vals = [float(line.split(",")[1]) for line in lines[1:]]
     assert vals == pytest.approx([0.0, 0.2, 0.6, 0.2], abs=1e-12)
+
+
+def test_exact_nhat_takes_rho(capsys):
+    code, out = run_cli(["exact", "--scheme", "convergent", "--n", "10", "--law", "Nhat",
+                         "--rho", "0.5"], capsys)
+    assert code == 0
+    vals = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+    scheme = bundled_scheme("convergent")
+    assert vals == exact.law_Nhat(scheme, 10, 0.5).pmf.tolist()
+    assert vals != exact.law_Nhat(scheme, 10).pmf.tolist()
+
+
+@pytest.mark.parametrize("law", ["Nn", "prefix1", "deficit"])
+def test_exact_rho_refused_for_tilt_invariant_laws(capsys, law):
+    with pytest.raises(SystemExit) as err:
+        main(["exact", "--scheme", "convergent", "--n", "10", "--law", law, "--rho", "0.5"])
+    msg = str(err.value.code)
+    assert msg.startswith("error: --rho") and "\n" not in msg
+    assert capsys.readouterr().out == ""
 
 
 def test_exact_stopped_sum_to_file(tmp_path, capsys):
@@ -229,6 +248,12 @@ def test_verify_malformed_config_is_one_error_line_exit_2(tmp_path, capsys, conf
     err = capsys.readouterr().err
     assert code == 2
     assert json.loads(err)["error"] == "SuiteConfigError"
+
+
+def test_sample_refuses_a_negative_seed():
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--scheme", "dense-gauss", "--n", "10", "--seed", "-1"])
+    assert str(err.value.code).startswith("error: --seed")
 
 
 def test_entry_point_installed():

@@ -214,6 +214,8 @@ def test_table_sampler_and_law_nn_share_rows(name, n, fft):
     smp._ensure_rows(n)
     assert np.array(smp._rows).tobytes() == table.tobytes()
     got = law_Nn(scheme, n, rho=rho).pmf
+    assert smp.count_law.pmf.tobytes() == got.tobytes()
+    assert smp.pmf_x.tobytes() == lx.pmf.tobytes()
     if fft:
         assert np.max(np.abs(got - law_Nn(scheme, n, rho=rho, method="direct").pmf)) <= 1e-13
     else:

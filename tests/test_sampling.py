@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, kstest
 
-from gibbs_partitions import bundled_scheme, classify, stopped_sum_law
+from gibbs_partitions import bundled_scheme, classify, exact, sampling, stopped_sum_law
 from gibbs_partitions.exact import _row_source
 from gibbs_partitions.sampling import (
     _CHUNK,
@@ -19,6 +19,23 @@ from gibbs_partitions.sampling import (
     sample_rejection,
     stats,
 )
+
+
+def test_exact_sampler_calibrates_once(monkeypatch):
+    """The sampler's count law and P(X = .) come from one sweep, so
+    ``law_X`` runs once, however the sampler reaches it."""
+    calls = []
+    law_x = exact.law_X
+
+    def counted(*args):
+        calls.append(args)
+        return law_x(*args)
+
+    for mod in (exact, sampling):
+        if getattr(mod, "law_X", None) is law_x:
+            monkeypatch.setattr(mod, "law_X", counted)
+    ExactSampler(bundled_scheme("convergent"), 300)
+    assert len(calls) == 1
 
 
 def test_sizes_always_sum_to_n(dense_gauss):

@@ -167,7 +167,9 @@ def test_runtimes_one_entry_per_experiment_in_config_order(tmp_path):
     assert all(sec >= 0.0 for sec in runtimes.values())
 
 
-def test_run_suite_rejects_a_repeated_id_before_running(tmp_path, monkeypatch):
+@pytest.fixture
+def extended_runs(monkeypatch):
+    """The keyword arguments of every run of the extended verifier."""
     ran = []
     extended = verify._VERIFIERS["extended"]
 
@@ -177,16 +179,43 @@ def test_run_suite_rejects_a_repeated_id_before_running(tmp_path, monkeypatch):
         return extended(*args, **kwargs)
 
     monkeypatch.setitem(verify._VERIFIERS, "extended", counted)
+    return ran
+
+
+def test_run_suite_rejects_a_repeated_id_before_running(tmp_path, extended_runs):
+    for ids, named in [
+        (["first", None, None], "'extended:extended-light'"),
+        # one output directory, a_b, for two different ids
+        (["a:b", "a_b"], "'a:b' and 'a_b'"),
+    ]:
+        experiments = [{"verifier": "extended", "scheme": "extended-light", "n": 100 + i}
+                       for i in range(len(ids))]
+        for entry, exp_id in zip(experiments, ids):
+            if exp_id is not None:
+                entry["id"] = exp_id
+        with pytest.raises(SuiteConfigError, match=named):
+            run_suite({"experiments": experiments}, tmp_path / "out")
+    assert extended_runs == []
+
+
+@pytest.mark.parametrize(
+    "config_seed, entry_seed, seed",
+    [("abc", 2, None), (-1, 2, None), (1, 1.5, None), (1, True, None), (1, 2, -1)],
+)
+def test_run_suite_rejects_a_bad_seed_before_running(
+    tmp_path, extended_runs, config_seed, entry_seed, seed
+):
     cfg = {
+        "seed": config_seed,
         "experiments": [
-            {"id": "first", "verifier": "extended", "scheme": "extended-light", "n": 100},
             {"verifier": "extended", "scheme": "extended-light", "n": 100},
-            {"verifier": "extended", "scheme": "extended-light", "n": 120},
-        ]
+            {"id": "b", "verifier": "extended", "scheme": "extended-light", "n": 100,
+             "seed": entry_seed},
+        ],
     }
-    with pytest.raises(SuiteConfigError, match="'extended:extended-light'"):
-        run_suite(cfg, tmp_path / "out")
-    assert ran == []
+    with pytest.raises(SuiteConfigError, match="'seed' must be a non-negative integer"):
+        run_suite(cfg, tmp_path / "out", seed=seed)
+    assert extended_runs == []
 
 
 def test_convergent_limit_tuples_at_zero_uniforms(monkeypatch):
