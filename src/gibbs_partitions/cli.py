@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,15 +45,20 @@ def _cmd_classify(args) -> int:
 def _cmd_exact(args) -> int:
     scheme = _get_scheme(args.scheme, args.config)
     n, rho, law = args.n, args.rho, args.law
+    if rho is not None and not (math.isfinite(rho) and rho > 0):
+        sys.exit(f"error: --rho must be a finite number > 0, got {rho}")
     if rho is not None and law in ("Nn", "prefix1", "deficit"):
         # tilt invariant laws, and their FFT sweeps are right only at the default rho
         sys.exit(f"error: --rho does not apply to --law {law}, which is computed at the default rho")
     header = ["k", "pmf"]
     if law in ("X", "N"):
-        rho = rho if rho else exact.default_rho(scheme, n)
+        rho = exact.default_rho(scheme, n) if rho is None else rho
         cols = [(exact.law_X if law == "X" else exact.law_N)(scheme, rho, n).pmf]
     elif law == "Nhat":
-        cols = [exact.law_Nhat(scheme, n, rho).pmf]
+        try:
+            cols = [exact.law_Nhat(scheme, n, rho).pmf]
+        except ValueError as err:  # E[N] diverges at the default rho of a dense scheme
+            sys.exit(f"error: {err}")
     elif law == "Nn":
         cols = [exact.law_Nn(scheme, n).pmf]
     elif law == "stopped_sum":
@@ -111,10 +117,13 @@ def _cmd_sample(args) -> int:
             [f"coordinate_{j}" for j in range(len(scheme.product_factors))], rows, args.out
         )
         return 0
-    shared = (
-        sampling.ExactSampler(scheme, n) if args.method == "exact" else
-        sampling.RejectionSampler(scheme, n)
-    )
+    if args.method == "rejection":
+        shared = sampling.RejectionSampler(scheme, n)
+    else:
+        try:
+            shared = sampling.ExactSampler(scheme, n)
+        except exact.BudgetExceededError as err:  # raised before any table is built
+            sys.exit(f"error: {err} (--method rejection)")
     stats_fields = [s.strip() for s in args.stats.split(",") if s.strip()]
     header = ["replicate", "n_components", "largest", "second_largest"] + stats_fields
     rows = []

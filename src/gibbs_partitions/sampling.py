@@ -16,7 +16,9 @@ size is part of the stream semantics.  The first chunk is summed by scalar
 partial sums in ``np.cumsum``'s order (the same products, added left to
 right), which stops at the same index as a cumsum followed by a left
 ``searchsorted``; later chunks are summed by numpy on top of the first
-chunk's total.
+chunk's total.  The scalar sums start at the smallest size with mass: the
+sizes below it contribute exact zeros, and adding +0.0 leaves a partial
+sum's bits unchanged, so skipping them moves no byte of any stream.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ class ExactSampler:
     coordinate but the last, all in one ``rng.random`` call (on Philox the
     same bits as one call per coordinate).  Each coordinate inverts its
     conditional cdf: the first ``_CHUNK`` sizes by scalar partial sums in
-    ``np.cumsum``'s order, the rest by numpy chunks of ``_CHUNK``.  When the
+    ``np.cumsum``'s order, from the smallest size with mass (the skipped
+    terms are exact zeros), the rest by numpy chunks of ``_CHUNK``.  When the
     cumulative falls short of its target by round-off the draw takes the
     largest size that keeps the rest feasible; ``roundoff_fallbacks`` counts
     those coordinates.
@@ -135,6 +138,11 @@ class ExactSampler:
         self.count_cdf = np.cumsum(self.count_law.pmf)
         self.pmf_x = res["law_x"].pmf
         self._px = self.pmf_x.tolist()
+        # the smallest size with mass; the first chunk's walk starts there
+        # (at the chunk's last size if it has none), with that term peeled
+        self._k0 = int(np.flatnonzero(self.pmf_x)[0])
+        self._peel = min(self._k0, _CHUNK - 1)
+        self._rest = range(self._peel + 1, _CHUNK)
         self.roundoff_fallbacks = 0
         self._source = _row_source(self.pmf_x, n, "auto")
         self._rows: list[np.ndarray] = []
@@ -154,22 +162,40 @@ class ExactSampler:
     def sample(self, rng: np.random.Generator) -> PartitionSample:
         ell = self.draw_count(rng)
         self._ensure_rows(ell)
-        px, views = self._px, self._views
+        px, views, peel, rest = self._px, self._views, self._peel, self._rest
+        last = _CHUNK - 1
         sizes = []
         rem = self.n
+        above = views[ell]
         # j = coordinates left after this draw
         for j, u in zip(range(ell - 1, 0, -1), rng.random(max(ell - 1, 0)).tolist()):
             row = views[j]
-            target = u * views[j + 1][rem] or _LEAST
+            target = u * above[rem] or _LEAST
+            above = row
             # P(K = k | rem) = P(X=k) P(S_j = rem-k) / P(S_{j+1} = rem):
-            # the mass sits at small k, so the first chunk is walked in Python
-            c = 0.0
-            for k in range(min(_CHUNK, rem + 1)):
-                c += px[k] * row[rem - k]
+            # the mass sits at small k, so the first chunk is walked in Python.
+            # Sizes below the smallest with mass add exact zeros, which leave
+            # the partial sums' bits alone, so the walk skips them; its first
+            # term is peeled, since most coordinates stop there
+            if rem >= last:
+                c = px[peel] * row[rem - peel]
                 if c >= target:
-                    break
+                    k = peel
+                else:
+                    for k in rest:
+                        c += px[k] * row[rem - k]
+                        if c >= target:
+                            break
+                    else:
+                        k = self._walk_chunks(j, rem, target, c)
             else:
-                k = self._walk_chunks(j, rem, target, c)
+                c = 0.0
+                for k in range(peel, rem + 1):
+                    c += px[k] * row[rem - k]
+                    if c >= target:
+                        break
+                else:
+                    k = self._walk_chunks(j, rem, target, c)
             sizes.append(k)
             rem -= k
         if ell:
@@ -204,7 +230,7 @@ class ExactSampler:
         # mass that leaves every later coordinate its smallest size (FFT
         # rows hold round-off where zeros belong)
         self.roundoff_fallbacks += 1
-        top = rem - j * int(np.flatnonzero(self.pmf_x)[0])
+        top = rem - j * self._k0
         return int(np.flatnonzero(self.pmf_x[: top + 1] * row[rem - top : rem + 1][::-1])[-1])
 
 

@@ -71,6 +71,24 @@ def test_exact_rho_refused_for_tilt_invariant_laws(capsys, law):
     assert capsys.readouterr().out == ""
 
 
+def test_exact_nhat_on_a_dense_scheme_is_one_error_line(capsys):
+    # E[N] diverges at a dense scheme's default rho
+    with pytest.raises(SystemExit) as err:
+        main(["exact", "--scheme", "dense-gauss", "--n", "30", "--law", "Nhat"])
+    msg = str(err.value.code)
+    assert msg.startswith("error: E[N] diverges") and "\n" not in msg
+    assert capsys.readouterr().out == ""
+
+
+def test_exact_rho_must_be_finite_and_positive(capsys):
+    for rho in ("0", "-1", "nan"):
+        with pytest.raises(SystemExit) as err:
+            main(["exact", "--scheme", "convergent", "--n", "10", "--law", "X", "--rho", rho])
+        msg = str(err.value.code)
+        assert msg.startswith("error: --rho must be") and "\n" not in msg, rho
+        assert capsys.readouterr().out == "", rho
+
+
 def test_exact_stopped_sum_to_file(tmp_path, capsys):
     out_file = tmp_path / "u.csv"
     code, _ = run_cli(
@@ -254,6 +272,21 @@ def test_sample_refuses_a_negative_seed():
     with pytest.raises(SystemExit) as err:
         main(["sample", "--scheme", "dense-gauss", "--n", "10", "--seed", "-1"])
     assert str(err.value.code).startswith("error: --seed")
+
+
+def test_sample_above_the_exact_budget_names_rejection(capsys, monkeypatch):
+    from gibbs_partitions import sampling
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the budget is checked before any table is built")
+
+    monkeypatch.setattr(sampling, "_sweep", no_table)
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--scheme", "dense-gauss", "--n", "7000"])
+    msg = str(err.value.code)
+    assert msg.startswith("error: exact sampler table budget") and "\n" not in msg
+    assert "--method rejection" in msg
+    assert capsys.readouterr().out == ""
 
 
 def test_entry_point_installed():

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, kstest
 
-from gibbs_partitions import bundled_scheme, classify, exact, sampling, stopped_sum_law
+from gibbs_partitions import (
+    SchemeSpec,
+    WeightSequence,
+    bundled_scheme,
+    classify,
+    exact,
+    sampling,
+    stopped_sum_law,
+)
 from gibbs_partitions.exact import _row_source
 from gibbs_partitions.sampling import (
     _CHUNK,
@@ -61,8 +69,6 @@ def test_single_component_degenerate(single_component):
     s = sample_exact(single_component, 77, seed=1)
     assert s.n_components == 1 and s.sizes[0] == 77
     # X = 1 surely: all parts are 1
-    from gibbs_partitions import SchemeSpec, WeightSequence
-
     ones = SchemeSpec(
         v=bundled_scheme("bell").v, w=WeightSequence.explicit([0.0, 1.0])
     )
@@ -124,20 +130,35 @@ class _ScriptedRng:
         return np.array(self.values[self.pos - size : self.pos])
 
 
+def _dense_on(w):
+    """A dense critical scheme on the weights w: v_l = l^-3/2 W(1)^-l."""
+    return SchemeSpec(v=WeightSequence.closed_form(e=1.5, rho=w.series_value(1.0)), w=w)
+
+
+# schemes whose smallest size with mass is not 1, where the walk starts
+_WALK_SCHEMES = {
+    "w0-positive": lambda: _dense_on(WeightSequence.closed_form(e=2.5, term0=0.5)),
+    "w1-zero": lambda: _dense_on(WeightSequence.closed_form(e=2.5, start_index=2)),
+}
+
+
 @pytest.mark.parametrize(
     "name, n, rho, streams",
     [
         ("dense-stable", 600, None, 200),
+        ("dense-stable", 3000, None, 20),  # the FFT regime, about 1500 coordinates a draw
         ("dense-gauss", 600, None, 200),
         ("convergent", 2000, None, 300),  # the giant crosses many chunks
         ("dilute", 1000, None, 300),
         ("bell", 3, 1.0, 300),
         ("single-component", 77, None, 200),
         ("dense-gauss", 100, None, 300),  # every remainder below _CHUNK
+        ("w0-positive", 600, None, 100),  # k0 = 0: components of size 0
+        ("w1-zero", 600, None, 200),  # k0 = 2, also for remainders below _CHUNK
     ],
 )
 def test_exact_sampler_matches_chunked_walk(name, n, rho, streams):
-    scheme = bundled_scheme(name)
+    scheme = _WALK_SCHEMES[name]() if name in _WALK_SCHEMES else bundled_scheme(name)
     smp = ExactSampler(scheme, n, rho=rho)
     ref = ExactSampler(scheme, n, rho=rho)
     spilled = 0
@@ -150,11 +171,18 @@ def test_exact_sampler_matches_chunked_walk(name, n, rho, streams):
         assert spilled > 0
     assert smp.roundoff_fallbacks == 0
     # coordinate uniforms on the cdf's edges: 0 ties the first partial sum
-    # when P(X = 0) = 0, values just below 1 reach the last chunk
+    # when P(X = 0) = 0, values just below 1 reach the last chunk (one
+    # uniform per count at most, and with sizes of 0 the count can pass n).
+    # Not below 1 on dense-stable's FFT rows: there the cumulative falls
+    # short of such a target, the round-off fallback takes a size whose row
+    # entry is only round-off, and the draw fails (a known defect, listed
+    # in ROADMAP.md)
+    below_one = (name, n) != ("dense-stable", 3000)
     for i in range(20):
-        values = make_rng(18, i).random(n + 1)
+        values = make_rng(18, i).random(max(n + 1, smp.count_cdf.size))
         values[1::3] = 0.0
-        values[2::7] = np.nextafter(1.0, 0.0)
+        if below_one:
+            values[2::7] = np.nextafter(1.0, 0.0)
         got = smp.sample(_ScriptedRng(values.tolist())).sizes
         want = _chunked_walk_sample(ref, _ScriptedRng(values.tolist()))
         assert got.tobytes() == want.tobytes(), (name, i)
