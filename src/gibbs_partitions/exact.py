@@ -14,8 +14,10 @@ Conventions:
 * With w_0 = 0 every stopped-sum truncation at l = n is exact, since
   P(S_l = n) = 0 for l > n.  With w_0 > 0 the truncation tail is certified
   by a Chernoff bound on the number of nonzero summands.
-* All laws are invariant under tilting of the inner weights; callers may
-  pass any evaluation radius rho with W(rho) finite.
+* The conditioned laws are invariant under tilting of the inner weights,
+  so they take no rho: ``_calibrate`` picks it.  ``law_Nn`` still takes
+  one, and ``stopped_sum_law`` and ``law_Nhat`` take one because their
+  outputs depend on it.
 """
 
 from __future__ import annotations
@@ -263,16 +265,21 @@ def law_N(scheme: SchemeSpec, rho: float, ell_max: int) -> DiscreteLaw:
     return DiscreteLaw(terms / VW, fsum(terms) / VW)
 
 
+def _size_biased(scheme: SchemeSpec, W: float, pmf_n: np.ndarray):
+    """l P(N = l) / E[N] for the count law ``pmf_n`` at W = W(rho), or None
+    when E[N] diverges."""
+    EN = scheme.v.weighted_moment(W, 1) / scheme.v.series_value(W)
+    if not math.isfinite(EN):
+        return None
+    return np.arange(pmf_n.size) * pmf_n / EN
+
+
 def law_Nhat(scheme: SchemeSpec, ell_max: int, rho: float | None = None) -> DiscreteLaw:
     """Size-biased count law: P(N-hat = l) = l P(N=l) / E[N]."""
     rho = default_rho(scheme) if rho is None else rho
-    W = scheme.w.series_value(rho)
-    VW = scheme.v.series_value(W)
-    EN = scheme.v.weighted_moment(W, 1) / VW
-    if not math.isfinite(EN):
+    pmf = _size_biased(scheme, scheme.w.series_value(rho), law_N(scheme, rho, ell_max).pmf)
+    if pmf is None:
         raise ValueError("E[N] diverges; size-biased law undefined")
-    base = law_N(scheme, rho, ell_max)
-    pmf = np.arange(ell_max + 1) * base.pmf / EN
     return DiscreteLaw.from_pmf(pmf)
 
 
@@ -369,44 +376,26 @@ def _harvest(kernel: np.ndarray, n: int, cap: int, method: str, weights=(), star
     return column, sums
 
 
-def _calibrate(scheme: SchemeSpec, n: int, rho: float | None):
-    """The calibration of (scheme, n) every finite-n law is built on:
-    (rho, P(X = .) on 0..n, the l cap of ``_ell_cap``, P(N = .) on
-    0..cap), with rho from ``default_rho`` when None."""
+@dataclass(frozen=True)
+class _Calibration:
+    """What every finite-n law of (scheme, n) is built on: rho, W(rho),
+    P(X = .) on 0..n, the l cap of ``_ell_cap`` and P(N = l), l = 0..cap."""
+
+    rho: float
+    W: float
+    law_x: DiscreteLaw
+    cap: int
+    pmf_n: np.ndarray
+
+
+def _calibrate(scheme: SchemeSpec, n: int, rho: float | None = None) -> _Calibration:
+    """The calibration of (scheme, n), with rho from ``default_rho`` when
+    None.  The conditioned laws are tilt invariant, so only ``law_Nn`` and
+    the rho-dependent ``stopped_sum_law`` pass a caller's rho."""
     rho = default_rho(scheme, n) if rho is None else rho
     lx = law_X(scheme, rho, n)
     cap = _ell_cap(n, lx)
-    return rho, lx, cap, law_N(scheme, rho, cap)
-
-
-def _sweep(
-    scheme: SchemeSpec,
-    n: int,
-    rho: float | None = None,
-    method: str = "auto",
-    shifts=(),
-    start: np.ndarray | None = None,
-):
-    """One ``_harvest`` of the rows P(S_l = .)[0..n], l = 0..cap, for
-    several quantities at once.
-
-    Returns a dict with:
-      column  -- when a ``start`` row is given, (start * S_l)[n] for
-                 l = 0..cap (P(S_l = n) for ``_unit(n)``), else None
-      pmf_n   -- P(N = l) for l = 0..cap
-      sums    -- for each shift s in ``shifts``, the vector
-                 G[m] = sum_l P(N = l + s) P(S_l = m), m = 0..n
-    """
-    rho, lx, cap, ln = _calibrate(scheme, n, rho)
-    column, sums = _harvest(lx.pmf, n, cap, method, [ln.pmf[s:] for s in shifts], start)
-    return {
-        "column": column,
-        "pmf_n": ln.pmf,
-        "sums": sums,
-        "law_x": lx,
-        "rho": rho,
-        "W": scheme.w.series_value(rho),
-    }
+    return _Calibration(rho, scheme.w.series_value(rho), lx, cap, law_N(scheme, rho, cap).pmf)
 
 
 @dataclass
@@ -423,21 +412,21 @@ def stopped_sum_law(
     scheme: SchemeSpec, rho: float | None = None, n: int = 0, method: str = "auto"
 ) -> StoppedSumLaw:
     """Law of the randomly stopped sum plus u_m = V(W(rho)) rho^-m P(S_N=m)."""
-    res = _sweep(scheme, n, rho=rho, method=method, shifts=(0,))
-    acc, rho = res["sums"][0], res["rho"]
-    vw = scheme.v.series_value(res["W"])
+    cal = _calibrate(scheme, n, rho)
+    _, (acc,) = _harvest(cal.law_x.pmf, n, cal.cap, method, [cal.pmf_n])
+    vw = scheme.v.series_value(cal.W)
     m = np.arange(n + 1, dtype=float)
     with np.errstate(divide="ignore"):
         log_s = np.where(acc > 0, np.log(np.where(acc > 0, acc, 1.0)), -np.inf)
-    u = np.exp(math.log(vw) - m * math.log(rho) + log_s)
+    u = np.exp(math.log(vw) - m * math.log(cal.rho) + log_s)
     u[acc == 0] = 0.0
-    return StoppedSumLaw(acc, u, rho, vw)
+    return StoppedSumLaw(acc, u, cal.rho, vw)
 
 
-def _conditioned(res: dict, n: int, name: str) -> DiscreteLaw:
-    """The count law P(N = l) column[l] / Z of a ``_sweep`` with a start
-    row, Z their sum (``name`` is Z's name in the error)."""
-    num = res["pmf_n"] * res["column"]
+def _conditioned(pmf_n: np.ndarray, column: np.ndarray, n: int, name: str) -> DiscreteLaw:
+    """The count law P(N = l) column[l] / Z of a ``_harvest`` column, Z
+    their sum (``name`` is Z's name in the error)."""
+    num = pmf_n * column
     z = fsum(num)
     if z <= 0.0:
         raise ValueError(f"{name} vanishes at n={n}")
@@ -451,23 +440,22 @@ def law_Nn(
 
     Normalized by construction (conditioning contract).
     """
-    res = _sweep(scheme, n, rho=rho, method=method, start=_unit(n))
-    return _conditioned(res, n, "partition function")
+    cal = _calibrate(scheme, n, rho)
+    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=_unit(n))
+    return _conditioned(cal.pmf_n, column, n, "partition function")
 
 
-def extended_law_Nn(
-    scheme: SchemeSpec, n: int, rho: float | None = None, method: str = "auto"
-) -> DiscreteLaw:
+def extended_law_Nn(scheme: SchemeSpec, n: int, method: str = "auto") -> DiscreteLaw:
     """Count law of W-components in the extended scheme H(z) V(W(z)).
 
     P(N~_n = l) is proportional to P(N=l) * sum_j h_j rho^j P(S_l = n - j).
     """
     if scheme.h is None:
         raise ValueError("scheme has no extended prefactor h")
-    rho = default_rho(scheme, n) if rho is None else rho
-    start = scheme.h.weighted_terms(rho, n)  # h_j rho^j
-    res = _sweep(scheme, n, rho=rho, method=method, start=start)
-    return _conditioned(res, n, "extended partition function")
+    cal = _calibrate(scheme, n)
+    start = scheme.h.weighted_terms(cal.rho, n)  # h_j rho^j
+    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=start)
+    return _conditioned(cal.pmf_n, column, n, "extended partition function")
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +595,7 @@ class PrefixLaw:
     iid: np.ndarray
 
 
-def prefix_law(
-    scheme: SchemeSpec, n: int, m: int, rho: float | None = None, method: str = "auto"
-) -> PrefixLaw:
+def prefix_law(scheme: SchemeSpec, n: int, m: int, method: str = "auto") -> PrefixLaw:
     """Joint law P(K_1..K_m = k_1..k_m) of the first m components.
 
     Equals prod_i P(X=k_i) * sum_{l >= m} P(N=l) P(S_{l-m} = n - sum k_i)
@@ -621,13 +607,13 @@ def prefix_law(
     if m == 2 and n > 3000:
         raise BudgetExceededError("m=2 joint table limited to n <= 3000")
     # G[x] = sum_{l >= m} P(N=l) P(S_{l-m} = x): weight row j by P(N = j+m).
-    res = _sweep(scheme, n, rho=rho, method=method, shifts=(m,), start=_unit(n))
-    green = res["sums"][0]
-    denom = dot(res["pmf_n"], res["column"])
+    cal = _calibrate(scheme, n)
+    column, (green,) = _harvest(cal.law_x.pmf, n, cal.cap, method, [cal.pmf_n[m:]], _unit(n))
+    denom = dot(cal.pmf_n, column)
     if denom <= 0:
         raise ValueError(f"partition function vanishes at n={n}")
-    px = res["law_x"].pmf
-    d = res["law_x"].deficit
+    px = cal.law_x.pmf
+    d = cal.law_x.deficit
     if m == 1:
         joint = px * green[::-1] / denom  # green[n-k]
         mass = fsum(joint)
@@ -651,38 +637,28 @@ def prefix_law(
 # giant component deficit
 
 
-def giant_deficit_law(
-    scheme: SchemeSpec,
-    n: int,
-    rho: float | None = None,
-    method: str = "auto",
-):
+def giant_deficit_law(scheme: SchemeSpec, n: int, method: str = "auto"):
     """Exact law of n - M_n (deficit of the largest component) and its limit.
 
     The exact pmf covers d < n/2, where the event {M_n = n - d} decomposes
     uniquely into one macroscopic part and l - 1 parts summing to d (the
     "sizes <= n/2 split"); the remaining mass P(n - M_n >= n/2) stays in the
     deficit bookkeeping.  The limit law is that of a sum of N-hat - 1
-    independent component sizes.
+    independent component sizes; it is None when E[N] diverges.
     """
     if n > _DEFICIT_N_CAP:
         raise BudgetExceededError(f"deficit DP limited to n <= {_DEFICIT_N_CAP}")
     d_max = (n - 1) // 2
-    full = _sweep(scheme, n, rho=rho, method=method, start=_unit(n))
-    pmf_n = full["pmf_n"]
-    denom = dot(pmf_n, full["column"])
+    cal = _calibrate(scheme, n)
+    px, pmf_n = cal.law_x.pmf, cal.pmf_n
+    column, _ = _harvest(px, n, cal.cap, method, start=_unit(n))
+    denom = dot(pmf_n, column)
     weights_exact = pmf_n[1:] * np.arange(1, pmf_n.size)
     if denom <= 0:
         raise ValueError("conditioning event has zero probability")
 
     # G[d] = sum_l P(N=l) l P(S_{l-1} = d): rows only to column d_max needed.
-    W = full["W"]
-    VW = scheme.v.series_value(W)
-    EN = scheme.v.weighted_moment(W, 1) / VW
-    nhat = None
-    if math.isfinite(EN):
-        nhat = np.arange(pmf_n.size) * pmf_n / EN
-    px = full["law_x"].pmf
+    nhat = _size_biased(scheme, cal.W, pmf_n)
     # Row j holds P(S_j = d), j = l - 1 small summands; with no zero-size
     # components rows past d_max vanish on the kept columns.
     cap = weights_exact.size - 1
@@ -704,11 +680,13 @@ def giant_deficit_law(
 
 @dataclass
 class ProductLaw:
-    """Coordinate marginals of (P_1..P_l) and the macroscopic-index limits."""
+    """Coordinate marginals of (P_1..P_l) and the macroscopic-index limits;
+    ``arrays`` are the factors' coefficients on 0..n after the common tilt."""
 
     marginals: list[DiscreteLaw]
     p: tuple[float, ...] | None
     o_n: float
+    arrays: list[np.ndarray]
 
 
 def _tail_class(seq: WeightSequence):
@@ -778,4 +756,4 @@ def product_law(factors, n: int) -> ProductLaw:
         total = sum(w_vals)
         p = tuple(x / total for x in w_vals)
         assert abs(sum(p) - 1.0) < 1e-12
-    return ProductLaw(marginals, p, o_n)
+    return ProductLaw(marginals, p, o_n, arrays)

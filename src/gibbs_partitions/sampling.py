@@ -32,9 +32,9 @@ from .exact import (
     BudgetExceededError,
     _calibrate,
     _conditioned,
+    _harvest,
     _product_tables,
     _row_source,
-    _sweep,
     _unit,
 )
 from .weights import SchemeSpec
@@ -124,7 +124,7 @@ class ExactSampler:
     those coordinates.
     """
 
-    def __init__(self, scheme: SchemeSpec, n: int, rho: float | None = None):
+    def __init__(self, scheme: SchemeSpec, n: int):
         if n > _EXACT_N_DEFAULT_CAP:
             raise BudgetExceededError(
                 f"exact sampler table budget ({_EXACT_N_DEFAULT_CAP}) exceeded at n={n}; "
@@ -132,11 +132,12 @@ class ExactSampler:
             )
         self.scheme = scheme
         self.n = n
-        res = _sweep(scheme, n, rho=rho, start=_unit(n))
-        self.rho = res["rho"]
-        self.count_law = _conditioned(res, n, "partition function")
+        cal = _calibrate(scheme, n)
+        column, _ = _harvest(cal.law_x.pmf, n, cal.cap, "auto", start=_unit(n))
+        self.rho = cal.rho
+        self.count_law = _conditioned(cal.pmf_n, column, n, "partition function")
         self.count_cdf = np.cumsum(self.count_law.pmf)
-        self.pmf_x = res["law_x"].pmf
+        self.pmf_x = cal.law_x.pmf
         self._px = self.pmf_x.tolist()
         # the smallest size with mass; the first chunk's walk starts there
         # (at the chunk's last size if it has none), with that term peeled
@@ -252,16 +253,17 @@ class RejectionSampler:
 
     scheme: SchemeSpec
     n: int
-    rho: float | None = None
     draw_cap: int = 10**9
+    rho: float = field(init=False)
     attempts: int = field(default=0, init=False)  # elementary variate draws
     proposals: int = field(default=0, init=False)  # (N, X_1..X_N) proposals
     accepted: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        self.rho, lx, _, ln = _calibrate(self.scheme, self.n, self.rho)
-        self.cdf_x = np.cumsum(lx.pmf)
-        self.cdf_n = np.cumsum(ln.pmf)
+        cal = _calibrate(self.scheme, self.n)
+        self.rho = cal.rho
+        self.cdf_x = np.cumsum(cal.law_x.pmf)
+        self.cdf_n = np.cumsum(cal.pmf_n)
 
     @property
     def acceptance_rate(self) -> float:

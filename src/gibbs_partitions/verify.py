@@ -370,6 +370,8 @@ def verify_convergent(
     rep = classify(scheme)
     if rep.phase is Phase.unclassified:
         raise PhaseMismatchError("convergent verifier needs a classified scheme")
+    if not math.isfinite(scheme.v.weighted_moment(rep.w_value, 1)):
+        raise PhaseMismatchError("convergent verifier needs a finite E[N] (the size-biased limit)")
     law = exact.law_Nn(scheme, n)
     nhat = exact.law_Nhat(scheme, law.pmf.size - 1)
     tv_counts = tv_distance(law, nhat)
@@ -774,18 +776,20 @@ def verify_extended(
     if scheme.product_factors is not None:
         pl = exact.product_law(scheme.product_factors, n)
         p = pl.p
+        if p is None:
+            raise PhaseMismatchError(
+                "product_marginals needs the macroscopic-index law, which needs "
+                "closed-form tails on every factor"
+            )
         # exact: small-coordinate marginal of coordinate j approaches
         # sum_{i != j} p_i * P(A_j = k) (it is freed whenever any other
         # coordinate is the macroscopic one)
-        t = min(f.radius() for f in scheme.product_factors)
         k_hi = 8  # the free-coordinate approximation is a small-k statement
         rows = []
         worst = 0.0
-        for j, marg in enumerate(pl.marginals):
-            a_j = scheme.product_factors[j].tilt(t)
-            arr = np.array([a_j.term(k) for k in range(n + 1)])
+        for j, (marg, arr) in enumerate(zip(pl.marginals, pl.arrays)):
             boltz = arr / fsum(arr)
-            free_weight = 1.0 - p[j] if p is not None else math.nan
+            free_weight = 1.0 - p[j]
             got = marg.pmf[1 : k_hi + 1]
             want = free_weight * boltz[1 : k_hi + 1]
             denom = np.maximum(want, 1e-300)
@@ -802,11 +806,11 @@ def verify_extended(
                 0.05,
                 worst <= 0.05,
                 None,
-                {"p": list(p) if p is not None else None},
+                {"p": list(p)},
             )
         )
         # MC symmetry of the macroscopic coordinate for identical factors
-        if p is not None and len(set(scheme.product_factors)) == 1:
+        if len(set(scheme.product_factors)) == 1:
             smp = sampling.ProductSampler(scheme.product_factors, n)
             ell = len(scheme.product_factors)
             hits = np.zeros(ell)

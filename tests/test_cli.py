@@ -217,12 +217,18 @@ def test_verify_bad_config_exit_2(tmp_path, capsys):
     assert "SuiteConfigError" in err
 
 
-def test_verify_phase_mismatch_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"verifier": "mixture", "scheme": "dense-gauss", "n_ladder": [60]},
+        # E[N] diverges, so the size-biased count law does not exist
+        {"verifier": "convergent", "scheme": "dense-stable", "n": 100},
+    ],
+    ids=["mixture-dense-gauss", "convergent-dense-stable"],
+)
+def test_verify_phase_mismatch_exit_2(tmp_path, capsys, entry):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "experiments": [{"verifier": "mixture", "scheme": "dense-gauss",
-                         "n_ladder": [60]}]
-    }))
+    cfg.write_text(json.dumps({"experiments": [entry]}))
     code = main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2
@@ -280,7 +286,7 @@ def test_sample_above_the_exact_budget_names_rejection(capsys, monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("the budget is checked before any table is built")
 
-    monkeypatch.setattr(sampling, "_sweep", no_table)
+    monkeypatch.setattr(sampling, "_calibrate", no_table)
     with pytest.raises(SystemExit) as err:
         main(["sample", "--scheme", "dense-gauss", "--n", "7000"])
     msg = str(err.value.code)

@@ -31,9 +31,9 @@ from gibbs_partitions import (
 from gibbs_partitions.exact import (
     _DIRECT_CONV_LIMIT,
     ConvolutionTable,
+    _calibrate,
     _harvest,
     _row_step,
-    _sweep,
     _unit,
     convolution_table,
     default_rho,
@@ -210,7 +210,7 @@ def test_table_sampler_and_law_nn_share_rows(name, n, fft):
     assert lx.pmf[0] == 0.0  # w_0 = 0: the rows l = 0..n are all there are
     assert ((n + 1) * kernel_size > _DIRECT_CONV_LIMIT) == fft
     table = convolution_table(lx, n, n).rows
-    smp = ExactSampler(scheme, n, rho=rho)
+    smp = ExactSampler(scheme, n)
     smp._ensure_rows(n)
     assert np.array(smp._rows).tobytes() == table.tobytes()
     got = law_Nn(scheme, n, rho=rho).pmf
@@ -219,9 +219,10 @@ def test_table_sampler_and_law_nn_share_rows(name, n, fft):
     if fft:
         assert np.max(np.abs(got - law_Nn(scheme, n, rho=rho, method="direct").pmf)) <= 1e-13
     else:
-        res = _sweep(scheme, n, rho=rho, start=_unit(n))
-        _assert_close_normal(res["column"], table[:, n], 1e-13)
-        num = res["pmf_n"] * table[:, n]
+        cal = _calibrate(scheme, n, rho)
+        column, _ = _harvest(cal.law_x.pmf, n, cal.cap, "auto", start=_unit(n))
+        _assert_close_normal(column, table[:, n], 1e-13)
+        num = cal.pmf_n * table[:, n]
         _assert_close_normal(got, num / fsum(num), 1e-13)
 
 
@@ -305,7 +306,8 @@ def test_short_kernel_law_stays_direct():
     got = law_Nn(scheme, n)
     assert got.pmf.tobytes() == law_Nn(scheme, n, method="direct").pmf.tobytes()
     # a direct column, down to its smallest entries: the row-by-row table's
-    column = _sweep(scheme, n, start=_unit(n))["column"]
+    cal = _calibrate(scheme, n)
+    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, "auto", start=_unit(n))
     _assert_close_normal(column, convolution_table(lx, n, n, method="direct").rows[:, n], 1e-12)
 
 
@@ -337,7 +339,9 @@ def test_dual_path_partition_function_bell(bell):
     assert ssl.u[5] == pytest.approx(bell_u_n(5), rel=1e-10)
 
 
-@pytest.mark.parametrize("name", ["dense-gauss", "dense-stable", "convergent", "mixture", "dilute"])
+@pytest.mark.parametrize(
+    "name", ["dense-gauss", "dense-stable", "convergent", "mixture", "dilute", "dense-super"]
+)
 def test_dual_path_partition_function_zeta(name):
     scheme = bundled_scheme(name)
     n = 120
@@ -357,7 +361,7 @@ def test_law_nn_point_mass(single_component):
     assert law.pmf[1] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("name", ["dense-gauss", "dilute", "mixture"])
+@pytest.mark.parametrize("name", ["dense-gauss", "dilute", "mixture", "dense-super"])
 def test_law_nn_tilt_invariance(name):
     scheme = bundled_scheme(name)
     base = law_Nn(scheme, 500)

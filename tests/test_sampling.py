@@ -159,8 +159,12 @@ _WALK_SCHEMES = {
 )
 def test_exact_sampler_matches_chunked_walk(name, n, rho, streams):
     scheme = _WALK_SCHEMES[name]() if name in _WALK_SCHEMES else bundled_scheme(name)
-    smp = ExactSampler(scheme, n, rho=rho)
-    ref = ExactSampler(scheme, n, rho=rho)
+    smp = ExactSampler(scheme, n)
+    ref = ExactSampler(scheme, n)
+    if rho is not None:
+        # the sampler calibrates itself: by tilt invariance its count law is
+        # law_Nn's at any other radius
+        assert np.max(np.abs(smp.count_law.pmf - exact.law_Nn(scheme, n, rho=rho).pmf)) <= 1e-12
     spilled = 0
     for i in range(streams):
         got = smp.sample(make_rng(17, i)).sizes
@@ -314,7 +318,7 @@ def test_draw_count_uniform_zero(dense_gauss):
 
 def test_exact_sampler_matches_enumeration(bell):
     # Bell n = 3: P(N_3) = (1/5, 3/5, 1/5)
-    smp = ExactSampler(bell, 3, rho=1.0)
+    smp = ExactSampler(bell, 3)
     m = 40000
     counts = np.zeros(4)
     for i in range(m):

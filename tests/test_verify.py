@@ -247,13 +247,26 @@ def test_convergent_limit_tuples_at_zero_uniforms(monkeypatch):
         assert sizes.size == 2 and sizes.min() >= 1 and sizes.sum() == n
 
 
-def test_run_suite_phase_mismatch_is_structured(tmp_path):
+_ONE = {"kind": "explicit", "coeffs": [0.0, 1.0]}
+_ZETA3 = {"kind": "closed_form", "c": 1.0, "e": 3.0, "rho": 1.0}
+_POLY = {"kind": "explicit", "coeffs": [0.0] + [1.0] * 10}
+
+
+@pytest.mark.parametrize(
+    "experiment, schemes",
+    [
+        ({"verifier": "dilute", "scheme": "dense-gauss", "n_ladder": [50], "replicates": 10}, {}),
+        # a factor without a closed-form tail has no macroscopic-index law p
+        ({"verifier": "extended", "scheme": "mixed", "n": 12},
+         {"mixed": {"v": _ONE, "w": _ZETA3, "product_factors": [_POLY, _ZETA3]}}),
+        ({"verifier": "extended", "scheme": "explicit", "n": 12},
+         {"explicit": {"v": _ONE, "w": _ZETA3, "product_factors": [_POLY, _POLY]}}),
+    ],
+    ids=["dilute-dense-gauss", "product-explicit-closed", "product-explicit"],
+)
+def test_run_suite_phase_mismatch_is_structured(tmp_path, experiment, schemes):
     with pytest.raises(PhaseMismatchError):
-        run_suite(
-            {"experiments": [{"verifier": "dilute", "scheme": "dense-gauss",
-                              "n_ladder": [50], "replicates": 10}]},
-            tmp_path / "out",
-        )
+        run_suite({"schemes": schemes, "experiments": [experiment]}, tmp_path / "out")
 
 
 def test_run_suite_parse_error(tmp_path):
