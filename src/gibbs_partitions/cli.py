@@ -108,6 +108,11 @@ def _cmd_sample(args) -> int:
     seed = 1 if args.seed is None else args.seed
     if seed < 0:
         sys.exit(f"error: --seed must be a non-negative integer, got {seed}")
+    stats_fields = [s.strip() for s in args.stats.split(",") if s.strip()]
+    for f in stats_fields:
+        if not (f.startswith("count_") and f[6:].isdecimal()):
+            sys.exit(f"error: unknown stat {f!r} (use count_<k>, k a non-negative integer)")
+    stat_sizes = [int(f[6:]) for f in stats_fields]
     if scheme.product_factors is not None:
         smp = sampling.ProductSampler(scheme.product_factors, n)
         rows = [
@@ -124,7 +129,6 @@ def _cmd_sample(args) -> int:
             shared = sampling.ExactSampler(scheme, n)
         except exact.BudgetExceededError as err:  # raised before any table is built
             sys.exit(f"error: {err} (--method rejection)")
-    stats_fields = [s.strip() for s in args.stats.split(",") if s.strip()]
     header = ["replicate", "n_components", "largest", "second_largest"] + stats_fields
     rows = []
     for i in range(args.replicates):
@@ -132,13 +136,7 @@ def _cmd_sample(args) -> int:
         s = shared.sample(rng)
         srt = np.sort(s.sizes)[::-1]
         row = [i, s.n_components, srt[0], srt[1] if srt.size > 1 else 0]
-        for f in stats_fields:
-            if f.startswith("count_"):
-                k = int(f.split("_")[1])
-                row.append(int(np.count_nonzero(s.sizes == k)))
-            else:
-                sys.exit(f"error: unknown stat {f!r} (use count_<k>)")
-        rows.append(row)
+        rows.append(row + [int(np.count_nonzero(s.sizes == k)) for k in stat_sizes])
     _write_csv(header, rows, args.out)
     return 0
 

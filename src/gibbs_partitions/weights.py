@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 __all__ = ["SlowVarying", "WeightSequence", "SchemeSpec"]
 
@@ -362,7 +361,10 @@ def _closed_moment_sum(
             else:
                 # x = N/u maps the tail onto (0, 1] with an integrable
                 # endpoint singularity u^(e_eff - 2) that quad resolves.
-                integral, int_err = _quad(
+                # imported here so that importing the package leaves scipy.integrate unloaded
+                from scipy.integrate import quad
+
+                integral, int_err = quad(
                     lambda u: float(f(n / u)) * n / (u * u),
                     0.0,
                     1.0,

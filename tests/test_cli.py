@@ -274,6 +274,27 @@ def test_verify_malformed_config_is_one_error_line_exit_2(tmp_path, capsys, conf
     assert json.loads(err)["error"] == "SuiteConfigError"
 
 
+@pytest.mark.parametrize(
+    "stats, replicates",
+    [("count_x", 1), ("bogus", 0), ("bogus", 3), ("count_1,count_-2", 2), ("count_1_2", 1)],
+)
+def test_sample_bad_stats_is_one_error_line_before_any_table(
+    capsys, monkeypatch, stats, replicates
+):
+    from gibbs_partitions import sampling
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("--stats is checked before any table is built")
+
+    monkeypatch.setattr(sampling, "_calibrate", no_table)
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--scheme", "dense-gauss", "--n", "50",
+              "--replicates", str(replicates), "--stats", stats])
+    msg = str(err.value.code)
+    assert msg.startswith("error: unknown stat") and "\n" not in msg
+    assert capsys.readouterr().out == ""
+
+
 def test_sample_refuses_a_negative_seed():
     with pytest.raises(SystemExit) as err:
         main(["sample", "--scheme", "dense-gauss", "--n", "10", "--seed", "-1"])

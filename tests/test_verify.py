@@ -104,6 +104,19 @@ def test_extended_regimes_and_product():
     assert by_name["product_marginals"].details["p"] == [0.5, 0.5]
 
 
+def test_run_suite_product_marginals_below_eight(tmp_path):
+    # the marginal table stops at k = n when n < 8
+    cfg = {"experiments": [{"verifier": "extended", "scheme": "product-symmetric", "n": 4}]}
+    assert run_suite(cfg, tmp_path / "out") == 1  # n = 4 is far from the limit
+    verdicts = json.loads((tmp_path / "out" / "verdicts.json").read_text())["verdicts"]
+    assert [v["experiment"].split(".")[-1] for v in verdicts] == [
+        "product_marginals", "product_symmetry"
+    ]
+    rows = (tmp_path / "out" / "extended_product-symmetric" / "4.csv").read_text().splitlines()
+    assert rows[0] == "coordinate,k,marginal_pmf,mixture_prediction"
+    assert [r.split(",")[:2] for r in rows[1:]] == [[str(j), str(k)] for j in (0, 1) for k in (1, 2, 3, 4)]
+
+
 def test_run_suite_empty(tmp_path):
     code = run_suite({"experiments": []}, tmp_path / "out")
     assert code == 0
