@@ -26,6 +26,23 @@ from .verify import (
 )
 from .weights import SchemeSpec
 
+__all__ = ["build_parser", "main"]
+
+
+def _int_at_least(low: int):
+    """The argparse type of an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
 
 def _get_scheme(name: str, config_path) -> SchemeSpec:
     try:
@@ -51,34 +68,37 @@ def _cmd_exact(args) -> int:
         # tilt invariant laws, and their FFT sweeps are right only at the default rho
         sys.exit(f"error: --rho does not apply to --law {law}, which is computed at the default rho")
     header = ["k", "pmf"]
-    if law in ("X", "N"):
-        rho = exact.default_rho(scheme, n) if rho is None else rho
-        cols = [(exact.law_X if law == "X" else exact.law_N)(scheme, rho, n).pmf]
-    elif law == "Nhat":
-        try:
+    try:
+        if law in ("X", "N"):
+            rho = exact.default_rho(scheme, n) if rho is None else rho
+            cols = [(exact.law_X if law == "X" else exact.law_N)(scheme, rho, n).pmf]
+        elif law == "Nhat":
             cols = [exact.law_Nhat(scheme, n, rho).pmf]
-        except ValueError as err:  # E[N] diverges at the default rho of a dense scheme
-            sys.exit(f"error: {err}")
-    elif law == "Nn":
-        cols = [exact.law_Nn(scheme, n).pmf]
-    elif law == "stopped_sum":
-        ssl = exact.stopped_sum_law(scheme, rho, n)
-        header, cols = ["m", "p_stopped_sum", "u_m"], [ssl.s_n, ssl.u]
-    elif law == "prefix1":
-        cols = [exact.prefix_law(scheme, n, 1).joint]
-    elif law == "deficit":
-        exact_d, limit_d = exact.giant_deficit_law(scheme, n)
-        header, cols = ["d", "exact_pmf"], [exact_d.pmf]
-        if limit_d is not None:  # None: size-biased limit undefined (E[N] diverges)
-            header, cols = header + ["limit_pmf"], cols + [limit_d.pmf]
-    else:
-        sys.exit(f"error: unknown law {law!r}")
+        elif law == "Nn":
+            cols = [exact.law_Nn(scheme, n).pmf]
+        elif law == "stopped_sum":
+            ssl = exact.stopped_sum_law(scheme, rho, n)
+            header, cols = ["m", "p_stopped_sum", "u_m"], [ssl.s_n, ssl.u]
+        elif law == "prefix1":
+            cols = [exact.prefix_law(scheme, n, 1).joint]
+        elif law == "deficit":
+            exact_d, limit_d = exact.giant_deficit_law(scheme, n)
+            header, cols = ["d", "exact_pmf"], [exact_d.pmf]
+            if limit_d is not None:  # None: size-biased limit undefined (E[N] diverges)
+                header, cols = header + ["limit_pmf"], cols + [limit_d.pmf]
+        else:
+            sys.exit(f"error: unknown law {law!r}")
+    except (exact.BudgetExceededError, exact.TailCertificationError, ValueError) as err:
+        # a size guard, an uncertifiable tail, or a law undefined at this n or rho
+        sys.exit(f"error: {err}")
     _write_csv(header, np.column_stack([np.arange(cols[0].size)] + cols), args.out)
     return 0
 
 
 def _cmd_laws(args) -> int:
     lo, hi, num = args.grid
+    if not (num.is_integer() and num >= 1):
+        sys.exit(f"error: --grid NUM must be a positive integer, got {num:g}")
     xs = np.linspace(lo, hi, int(num))
     if args.law == "stable_density":
         p = limit_laws.StableParams(args.alpha, args.gamma, args.beta, args.delta)
@@ -113,22 +133,25 @@ def _cmd_sample(args) -> int:
         if not (f.startswith("count_") and f[6:].isdecimal()):
             sys.exit(f"error: unknown stat {f!r} (use count_<k>, k a non-negative integer)")
     stat_sizes = [int(f[6:]) for f in stats_fields]
+    try:
+        if scheme.product_factors is not None:
+            shared = sampling.ProductSampler(scheme.product_factors, n)
+        elif args.method == "rejection":
+            shared = sampling.RejectionSampler(scheme, n)
+        else:
+            shared = sampling.ExactSampler(scheme, n)
+    except exact.BudgetExceededError as err:  # the exact sampler's, before any table is built
+        sys.exit(f"error: {err} (--method rejection)")
+    except ValueError as err:  # e.g. no configuration of size n
+        sys.exit(f"error: {err}")
     if scheme.product_factors is not None:
-        smp = sampling.ProductSampler(scheme.product_factors, n)
         rows = [
-            smp.sample(sampling.make_rng(seed, i)) for i in range(args.replicates)
+            shared.sample(sampling.make_rng(seed, i)) for i in range(args.replicates)
         ]
         _write_csv(
             [f"coordinate_{j}" for j in range(len(scheme.product_factors))], rows, args.out
         )
         return 0
-    if args.method == "rejection":
-        shared = sampling.RejectionSampler(scheme, n)
-    else:
-        try:
-            shared = sampling.ExactSampler(scheme, n)
-        except exact.BudgetExceededError as err:  # raised before any table is built
-            sys.exit(f"error: {err} (--method rejection)")
     header = ["replicate", "n_components", "largest", "second_largest"] + stats_fields
     rows = []
     for i in range(args.replicates):
@@ -183,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("exact", help="emit an exact finite-n law as CSV")
     p.add_argument("--scheme", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument(
         "--law",
         default="Nn",
@@ -213,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--b", type=float, default=1.5)
     p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--rank", type=int, default=1)
+    p.add_argument("--rank", type=_int_at_least(1), default=1)
     p.add_argument("--grid", type=float, nargs=3, metavar=("LO", "HI", "NUM"),
                    default=(-5.0, 5.0, 101))
     p.add_argument("--out", default=None)
@@ -221,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sample", help="draw partition samples, one CSV row each")
     p.add_argument("--scheme", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--replicates", type=int, default=10)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--replicates", type=_int_at_least(0), default=10)
     p.add_argument("--method", choices=["exact", "rejection"], default="exact")
     p.add_argument("--stats", default="", help="comma list, e.g. count_1,count_2")
     p.add_argument("--out", default=None)

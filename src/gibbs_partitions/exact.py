@@ -33,6 +33,8 @@ from .series import convolve, dot, fsum
 from .weights import SchemeSpec, WeightSequence
 
 __all__ = [
+    "BudgetExceededError",
+    "TailCertificationError",
     "DiscreteLaw",
     "ConvolutionTable",
     "StoppedSumLaw",
@@ -48,6 +50,7 @@ __all__ = [
     "law_Nn",
     "extended_law_Nn",
     "brute_force_partition_law",
+    "profile_law",
     "prefix_law",
     "giant_deficit_law",
     "product_law",

@@ -47,7 +47,9 @@ __all__ = [
     "FrechetJLaw",
     "frechet_law",
     "gumbel_cdf",
+    "mixed_poisson_pmf",
     "pp_intensity",
+    "pp_intensity_integral",
     "pp_factorial_moment",
 ]
 

@@ -17,7 +17,7 @@ scheme, a polynomial inner series an aperiodic supercritical dense one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .weights import SchemeSpec, WeightSequence
@@ -27,6 +27,7 @@ __all__ = [
     "Criticality",
     "Scale",
     "PhaseReport",
+    "criticality_of",
     "solve_rho_u",
     "mu_of",
     "mixture_p",
@@ -100,12 +101,12 @@ class PhaseReport:
     w_value: float | None = None  # W(rho_u)
     c_w: float | None = None
     v_prime: float | None = None  # V'(W(rho_w))
-    scale_g: Scale | None = None
-    scale_L: Scale | None = None
     mixture_p: float | None = None
     mixture_p_frac: float | None = None
     dilute_lambda: float | None = None
     convergent_condition: str | None = None
+    scale_g: Scale | None = None
+    scale_L: Scale | None = None
 
     def nn_scale(self, n: float) -> float:
         """Fluctuation scale of the count N_n: L(n) * n**(1/alpha)."""
@@ -114,32 +115,16 @@ class PhaseReport:
         return self.scale_L.total(n, self.alpha)
 
     def to_json(self) -> dict:
-        out = {
-            "phase": self.phase.value,
-            "criticality": self.criticality.value,
-            "a": self.a,
-            "b": self.b,
-            "alpha": self.alpha,
-            "mu": self.mu,
-            "gamma": self.gamma,
-            "rho_u": self.rho_u,
-            "w_value": self.w_value,
-            "c_w": self.c_w,
-            "v_prime": self.v_prime,
-            "mixture_p": self.mixture_p,
-            "mixture_p_frac": self.mixture_p_frac,
-            "dilute_lambda": self.dilute_lambda,
-            "convergent_condition": self.convergent_condition,
-        }
-        for name, scale in (("scale_g", self.scale_g), ("scale_L", self.scale_L)):
-            if scale is None:
-                out[f"{name}_shape"] = None
-                out[f"{name}_coeff"] = None
-                out[f"{name}_exponent"] = None
+        """Every field in declaration order; enums as their values, and each
+        scale as its ``_shape``, ``_coeff`` and ``_exponent`` (None when absent)."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.startswith("scale_"):
+                for part in ("shape", "coeff", "exponent"):
+                    out[f"{f.name}_{part}"] = getattr(value, part, None)
             else:
-                out[f"{name}_shape"] = scale.shape
-                out[f"{name}_coeff"] = scale.coeff
-                out[f"{name}_exponent"] = scale.exponent
+                out[f.name] = value.value if isinstance(value, Enum) else value
         return out
 
 
@@ -309,8 +294,30 @@ def _dense_scales(
     return g, L
 
 
-def _gamma_dense(alpha: float) -> float:
-    return (-math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha)
+def _dense_report(
+    phase: Phase, crit: Criticality, scheme: SchemeSpec, alpha: float, rho_u: float, **extra
+) -> PhaseReport:
+    """The report of a dense or mixture scheme at radius rho_u: mu, the
+    scales, and gamma = (-cos(pi alpha / 2))^(1/alpha); ``extra`` holds the
+    phase's own fields."""
+    v, w = scheme.v, scheme.w
+    mu = mu_of(scheme, rho_u)
+    scale_g, scale_L = _dense_scales(scheme, rho_u, alpha, mu)
+    return PhaseReport(
+        phase,
+        crit,
+        a=None if w.is_explicit else w.e,
+        b=None if v.is_explicit else v.e,
+        alpha=alpha,
+        mu=mu,
+        gamma=(-math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha),
+        rho_u=rho_u,
+        w_value=w.series_value(rho_u),
+        c_w=w.L.c if (not w.is_explicit and w.L.is_constant) else None,
+        scale_g=scale_g,
+        scale_L=scale_L,
+        **extra,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,46 +413,12 @@ def classify(scheme: SchemeSpec) -> PhaseReport:
         and b > 1.0
         and (b < a or (b == a and _little_o(w, v)))
     ):
-        alpha = min(a - 1.0, 2.0)
-        rho_u = w.radius()
-        mu = mu_of(scheme, rho_u)
-        scale_g, scale_L = _dense_scales(scheme, rho_u, alpha, mu)
-        return PhaseReport(
-            Phase.dense_critical,
-            crit,
-            a=a,
-            b=b,
-            alpha=alpha,
-            mu=mu,
-            gamma=_gamma_dense(alpha),
-            rho_u=rho_u,
-            w_value=w.series_value(rho_u),
-            c_w=w.L.c if w.L.is_constant else None,
-            scale_g=scale_g,
-            scale_L=scale_L,
-        )
+        return _dense_report(Phase.dense_critical, crit, scheme, min(a - 1.0, 2.0), w.radius())
 
     # --- dense case ii: supercritical and aperiodic
     if crit is Criticality.supercritical and b is not None and b > 1.0:
         if _gcd_of_support(w) == 1:
-            alpha = 2.0
-            rho_u = solve_rho_u(scheme)
-            mu = mu_of(scheme, rho_u)
-            scale_g, scale_L = _dense_scales(scheme, rho_u, alpha, mu)
-            return PhaseReport(
-                Phase.dense_supercritical,
-                crit,
-                a=a,
-                b=b,
-                alpha=alpha,
-                mu=mu,
-                gamma=_gamma_dense(alpha),
-                rho_u=rho_u,
-                w_value=scheme.w.series_value(rho_u),
-                c_w=w.L.c if (not w.is_explicit and w.L.is_constant) else None,
-                scale_g=scale_g,
-                scale_L=scale_L,
-            )
+            return _dense_report(Phase.dense_supercritical, crit, scheme, 2.0, solve_rho_u(scheme))
         return PhaseReport(Phase.unclassified, crit, a=a, b=b)
 
     # --- mixture: critical, equal exponents above 2, comparable L's
@@ -459,27 +432,10 @@ def classify(scheme: SchemeSpec) -> PhaseReport:
     ):
         vp = _v_prime(scheme, w_val)
         if math.isfinite(vp) and vp > 0:
-            alpha = min(a - 1.0, 2.0)
-            rho_u = w.radius()
-            mu = mu_of(scheme, rho_u)
             p, p_frac = mixture_p(scheme)
-            scale_g, scale_L = _dense_scales(scheme, rho_u, alpha, mu)
-            return PhaseReport(
-                Phase.mixture,
-                crit,
-                a=a,
-                b=b,
-                alpha=alpha,
-                mu=mu,
-                gamma=_gamma_dense(alpha),
-                rho_u=rho_u,
-                w_value=w_val,
-                c_w=w.L.c if w.L.is_constant else None,
-                v_prime=vp,
-                scale_g=scale_g,
-                scale_L=scale_L,
-                mixture_p=p,
-                mixture_p_frac=p_frac,
+            return _dense_report(
+                Phase.mixture, crit, scheme, min(a - 1.0, 2.0), w.radius(),
+                v_prime=vp, mixture_p=p, mixture_p_frac=p_frac,
             )
 
     # --- convergent: finite positive V'(W(rho_w)) plus a sufficient condition

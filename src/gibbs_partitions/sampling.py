@@ -46,6 +46,7 @@ __all__ = [
     "ExactSampler",
     "sample_exact",
     "sample_rejection",
+    "RejectionSampler",
     "RejectionCapError",
     "ProductSampler",
     "stats",

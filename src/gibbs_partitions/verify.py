@@ -18,7 +18,10 @@ extended               prefactor regimes and product-structure symmetry
 
 An experiment of the suite config names its ``verifier`` and ``scheme``,
 and optionally an ``id`` and ``expect_fail``.  Its other keys are the
-verifier's keyword parameters; any other key is a ``SuiteConfigError``.
+verifier's keyword parameters; any other key is a ``SuiteConfigError``,
+and so is a value that does not fit its parameter's default: an integer
+default takes a positive integer, a float default a finite number > 0, a
+boolean default a boolean.
 Where the verifier takes ``n_ladder``, ``n`` stands for [n/4, n/2, n];
 where it takes ``seed``, the config seed is the default.  Seeds are
 non-negative integers.  An experiment's CSVs go to the directory named by
@@ -30,8 +33,13 @@ declaration order.  ``runtimes.json``, a separate file so that
 verdicts.json stays byte-for-byte reproducible, holds one entry per
 experiment: the seconds its verifier took.
 
-Tolerances are artifact choices (the limit statements carry no rates); every
-default is overridable in the config and echoed in the reports.
+Tolerances are artifact choices (the limit statements carry no rates); the
+verifiers' tolerance parameters are overridable in the config, and every
+verdict echoes its tolerance.  Three choices are module constants:
+``_WINDOW``, the half-width of the dense LLT window in fluctuation scales
+(echoed as ``window``); ``_DELTA``, the dilute LLT's lower cut-off as a
+fraction of n^alpha (echoed as ``delta``); and ``_UPSILON``, the limit of
+n^alpha P(X = k_n) that picks the dilute critical size k_n.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import chdtrc
@@ -66,7 +74,12 @@ __all__ = [
     "verify_dilute",
     "verify_extended",
     "run_suite",
+    "load_config",
 ]
+
+_WINDOW = 8.0  # dense LLT: half-width of the window around n / mu, in fluctuation scales
+_DELTA = 0.2  # dilute LLT: counts from delta * n^alpha up
+_UPSILON = 1.0  # dilute counts: the critical size k_n has n^alpha P(X = k_n) -> upsilon
 
 
 class PhaseMismatchError(ValueError):
@@ -81,9 +94,12 @@ class SuiteConfigError(ValueError):
 class VerdictReport:
     """Outcome of one metric of one experiment.
 
-    ``passed`` is True iff the final-n observation meets the tolerance;
-    ``trend_nonincreasing`` records whether observations decay along the
-    n-ladder (None for single-n metrics).
+    ``trend_nonincreasing`` records whether the observations do not
+    increase along the n-ladder (None for single-n metrics).  ``passed``
+    is True iff the last observation meets the tolerance and, on a ladder,
+    the trend holds, except for the six metrics with a rule of their own:
+    the p-values, the alpha = 2 maximum quantile, the rare-size fraction,
+    and the mixture's split probability and conditional counts.
     """
 
     experiment: str
@@ -97,19 +113,7 @@ class VerdictReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return _py(
-            {
-                "experiment": self.experiment,
-                "scheme_fingerprint": self.scheme_fingerprint,
-                "n_values": self.n_values,
-                "metric": self.metric,
-                "observed": self.observed,
-                "tolerance": self.tolerance,
-                "passed": self.passed,
-                "trend_nonincreasing": self.trend_nonincreasing,
-                "details": self.details,
-            }
-        )
+        return _py({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def _py(obj):
@@ -131,6 +135,26 @@ def _py(obj):
 
 def _nonincreasing(values) -> bool:
     return all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+
+
+def _verdict(
+    experiment, scheme, n_values, metric, observed, tol, /, *, ladder=False, passed=None, **details
+) -> VerdictReport:
+    """The verdict of one metric, stamped with the scheme's fingerprint.
+
+    On an n-ladder (``ladder``) the trend is recorded and the verdict
+    passes when the last observation is <= ``tol`` and the observations do
+    not increase; at a single n no trend is recorded and it passes when
+    the observation is <= ``tol``.  ``passed`` overrides the rule for the
+    metrics that have their own.
+    """
+    observed = list(observed)
+    trend = _nonincreasing(observed) if ladder else None
+    if passed is None:
+        passed = observed[-1] <= tol and trend is not False
+    return VerdictReport(
+        experiment, scheme.fingerprint(), list(n_values), metric, observed, tol, passed, trend, details
+    )
 
 
 def _require(report: PhaseReport, phases, verifier: str) -> None:
@@ -199,43 +223,47 @@ def _contingency_pvalue(table) -> float:
 # dense case
 
 
-def _llt_discrepancy(
-    law: DiscreteLaw, rep: PhaseReport, n: int, window: float
-) -> tuple[float, np.ndarray]:
-    """Sup over the central window of |scale * pmf - h(x)| plus the csv rows."""
+def _llt(law: DiscreteLaw, lo: int, hi: int, center: float, scale: float, density):
+    """Sup over the counts lo..hi (hi capped at the law's support) of
+    |scale * pmf - density((ell - center) / scale)|, and its csv."""
+    hi = min(hi, law.pmf.size - 1)
+    ells = np.arange(lo, hi + 1)
+    xs = (ells - center) / scale
+    h = density(xs)
+    scaled = scale * law.pmf[lo : hi + 1]
+    rows = np.column_stack([ells, xs, scaled, h])
+    return float(np.max(np.abs(scaled - h))), (["ell", "x", "scaled_pmf", "limit_density"], rows)
+
+
+def _stable_window(rep: PhaseReport, n: int):
+    """The ``_llt`` arguments of the dense LLT: +/- ``_WINDOW`` fluctuation
+    scales around n/mu (outside it both sides vanish), against the stable
+    density."""
     scale = rep.nn_scale(n)
     center = n / rep.mu
     stable = laws.StableParams(rep.alpha, rep.gamma, -1.0)
-    lo = max(0, int(center - window * scale))
-    hi = min(law.pmf.size - 1, int(math.ceil(center + window * scale)))
-    ells = np.arange(lo, hi + 1)
-    xs = (ells - center) / scale
-    h = laws.stable_density_series(stable, xs)
-    scaled = scale * law.pmf[lo : hi + 1]
-    rows = np.column_stack([ells, xs, scaled, h])
-    return float(np.max(np.abs(scaled - h))), rows
+    lo = max(0, int(center - _WINDOW * scale))
+    hi = int(math.ceil(center + _WINDOW * scale))
+    return lo, hi, center, scale, lambda x: laws.stable_density_series(stable, x)
+
+
+def _restrict(pmf: np.ndarray, lo: int, hi: int) -> DiscreteLaw:
+    """The law ``pmf`` conditioned on lo <= k < hi."""
+    out = np.zeros_like(pmf)
+    out[lo:hi] = pmf[lo:hi]
+    return DiscreteLaw(out / fsum(out), 1.0)
 
 
 def _dense_split(law: DiscreteLaw, n: int, mu: float) -> tuple[int, DiscreteLaw]:
     """The dense-event threshold ceil(n / (2 mu)) and ``law`` conditioned
     on the count reaching it."""
     thresh = int(math.ceil(n / (2.0 * mu)))
-    pmf = law.pmf.copy()
-    pmf[:thresh] = 0.0
-    return thresh, DiscreteLaw(pmf / fsum(pmf), 1.0)
+    return thresh, _restrict(law.pmf, thresh, law.pmf.size)
 
 
-def verify_dense_llt(
-    scheme: SchemeSpec,
-    n_ladder,
-    tol: float = 0.05,
-    window: float = 8.0,
-):
-    """Exact count law against the stable local limit density.
-
-    The sup runs over a window of +/- ``window`` fluctuation scales around
-    n/mu (outside it both sides vanish); no Monte Carlo is involved.
-    """
+def verify_dense_llt(scheme: SchemeSpec, n_ladder, tol: float = 0.05):
+    """Exact count law against the stable local limit density, sup over
+    the ``_WINDOW`` window; no Monte Carlo is involved."""
     rep = classify(scheme)
     _require(rep, (Phase.dense_critical, Phase.dense_supercritical, Phase.mixture), "dense_llt")
     if rep.scale_L is None:
@@ -247,19 +275,11 @@ def verify_dense_llt(
         law = exact.law_Nn(scheme, n)
         if conditional:
             law = _dense_split(law, n, rep.mu)[1]
-        disc, rows = _llt_discrepancy(law, rep, n, window)
+        disc, csvs[n] = _llt(law, *_stable_window(rep, n))
         observed.append(disc)
-        csvs[n] = (["ell", "x", "scaled_pmf", "limit_density"], rows)
-    out = VerdictReport(
-        experiment="dense_llt",
-        scheme_fingerprint=scheme.fingerprint(),
-        n_values=list(n_ladder),
-        metric="sup-LLT-discrepancy",
-        observed=observed,
-        tolerance=tol,
-        passed=observed[-1] <= tol and _nonincreasing(observed),
-        trend_nonincreasing=_nonincreasing(observed),
-        details={"window": window, "conditional_on_split_event": conditional},
+    out = _verdict(
+        "dense_llt", scheme, n_ladder, "sup-LLT-discrepancy", observed, tol, ladder=True,
+        window=_WINDOW, conditional_on_split_event=conditional,
     )
     return [out], csvs
 
@@ -311,68 +331,38 @@ def verify_dense_extremes(
         maxima_by_n[ni] = maxima
         csvs[ni] = (["normalized_max"], maxima.reshape(-1, 1))
 
+    n_fin = ladder[-1]
     if 1.0 < rep.alpha < 2.0:
         law = laws.frechet_law(rep.mu, rep.alpha, 1)
-        ks = _ks_statistic(maxima_by_n[ladder[-1]], law.cdf)
+        ks = _ks_statistic(maxima_by_n[n_fin], law.cdf)
         reports.append(
-            VerdictReport(
-                "dense_extremes",
-                scheme.fingerprint(),
-                [ladder[-1]],
-                "KS",
-                [ks],
-                tol,
-                ks <= tol,
-                None,
-                {"replicates": replicates, "rank": 1},
-            )
+            _verdict("dense_extremes", scheme, [n_fin], "KS", [ks], tol, replicates=replicates, rank=1)
         )
     else:
         quantiles = [float(np.quantile(maxima_by_n[ni], 0.9)) for ni in ladder]
-        dec = _nonincreasing(quantiles) and (len(ladder) == 1 or quantiles[-1] < quantiles[0])
+        shrinks = _nonincreasing(quantiles) and (len(ladder) == 1 or quantiles[-1] < quantiles[0])
         reports.append(
-            VerdictReport(
-                "dense_extremes",
-                scheme.fingerprint(),
-                ladder,
-                "max-q90-shrinks",
-                quantiles,
-                quantiles[0],
-                dec,
-                _nonincreasing(quantiles),
-                {"replicates": replicates, "note": "alpha=2: rescaled maximum degenerates"},
+            _verdict(
+                "dense_extremes", scheme, ladder, "max-q90-shrinks", quantiles, quantiles[0],
+                ladder=True, passed=shrinks, replicates=replicates,
+                note="alpha=2: rescaled maximum degenerates",
             )
         )
     if k_rare is not None:
         frac = zero_hits / replicates
         reports.append(
-            VerdictReport(
-                "dense_extremes_rare_size",
-                scheme.fingerprint(),
-                [ladder[-1]],
-                "zero-count-fraction",
-                [1.0 - frac],
-                0.01,
-                frac >= 0.99,
-                None,
-                {"size": k_rare, "poisson_rate_target": 0.005},
+            _verdict(
+                "dense_extremes_rare_size", scheme, [n_fin], "zero-count-fraction", [1.0 - frac], 0.01,
+                passed=frac >= 0.99, size=k_rare, poisson_rate_target=0.005,
             )
         )
     # counts at an abundant size concentrate: #_k / ((n/mu) P(X=k)) -> 1
-    n_fin = ladder[-1]
     target = (n_fin / rep.mu) * px[k_common]
-    ratio = common_counts / replicates / target
+    err = abs(common_counts / replicates / target - 1.0)
     reports.append(
-        VerdictReport(
-            "dense_extremes_concentration",
-            scheme.fingerprint(),
-            [n_fin],
-            "rel-error",
-            [abs(ratio - 1.0)],
-            0.05,
-            abs(ratio - 1.0) <= 0.05,
-            None,
-            {"size": k_common, "mean_count_target": target},
+        _verdict(
+            "dense_extremes_concentration", scheme, [n_fin], "rel-error", [err], 0.05,
+            size=k_common, mean_count_target=target,
         )
     )
     return reports, csvs
@@ -395,17 +385,7 @@ def verify_prefix_independence(scheme: SchemeSpec, n_ladder, tol: float = 0.05):
                 rows = np.column_stack([np.arange(n + 1), pl.joint, pl.iid])
                 csvs[n] = (["k", "prefix_pmf", "iid_pmf"], rows)
         reports.append(
-            VerdictReport(
-                f"prefix_independence_m{m}",
-                scheme.fingerprint(),
-                list(n_ladder),
-                "TV",
-                tvs,
-                tol,
-                tvs[-1] <= tol and _nonincreasing(tvs),
-                _nonincreasing(tvs),
-                {"coordinates": m},
-            )
+            _verdict(f"prefix_independence_m{m}", scheme, n_ladder, "TV", tvs, tol, ladder=True, coordinates=m)
         )
     return reports, csvs
 
@@ -428,17 +408,10 @@ def verify_convergent(
         raise PhaseMismatchError("convergent verifier needs a finite E[N] (the size-biased limit)")
     law = exact.law_Nn(scheme, n)
     nhat = exact.law_Nhat(scheme, law.pmf.size - 1)
-    tv_counts = tv_distance(law, nhat)
     exact_d, limit_d = exact.giant_deficit_law(scheme, n)
-    tv_deficit = tv_distance(exact_d, limit_d)
-    fp = scheme.fingerprint()
     reports = [
-        VerdictReport(
-            "convergent_counts", fp, [n], "TV", [tv_counts], tol, tv_counts <= tol
-        ),
-        VerdictReport(
-            "convergent_deficit", fp, [n], "TV", [tv_deficit], tol, tv_deficit <= tol
-        ),
+        _verdict("convergent_counts", scheme, [n], "TV", [tv_distance(law, nhat)], tol),
+        _verdict("convergent_deficit", scheme, [n], "TV", [tv_distance(exact_d, limit_d)], tol),
     ]
     csvs = {
         n: (
@@ -449,7 +422,7 @@ def verify_convergent(
         )
     }
     if not skip_mc:
-        reports.append(_convergent_mc(scheme, n, replicates, seed, nhat, fp))
+        reports.append(_convergent_mc(scheme, n, replicates, seed, nhat))
     return reports, csvs
 
 
@@ -459,7 +432,7 @@ def _second_largest(sizes: np.ndarray) -> int:
     return int(np.partition(sizes, -2)[-2])
 
 
-def _convergent_mc(scheme, n, replicates, seed, nhat, fp) -> VerdictReport:
+def _convergent_mc(scheme, n, replicates, seed, nhat) -> VerdictReport:
     """Two-sample chi-square on (count, clipped second-largest size)."""
     smp = sampling.ExactSampler(scheme, n)
     cdf_x = np.cumsum(smp.pmf_x)
@@ -489,17 +462,10 @@ def _convergent_mc(scheme, n, replicates, seed, nhat, fp) -> VerdictReport:
     table = np.column_stack([table[:, keep], table[:, ~keep].sum(axis=1)])
     table = table[:, table.sum(axis=0) > 0]
     p_value = _contingency_pvalue(table) if table.shape[1] > 1 else 1.0
-    return VerdictReport(
-        "convergent_fragments",
-        fp,
-        [n],
-        "chi2-pvalue",
-        [p_value],
-        1e-3,
-        p_value > 1e-3,
-        None,
-        {"replicates": replicates, "cells": int(table.shape[1]),
-         "note": "pass means p-value above tolerance"},
+    return _verdict(
+        "convergent_fragments", scheme, [n], "chi2-pvalue", [p_value], 1e-3,
+        passed=p_value > 1e-3, replicates=replicates, cells=int(table.shape[1]),
+        note="pass means p-value above tolerance",
     )
 
 
@@ -508,18 +474,17 @@ def verify_mixture(
     n_ladder,
     tol: float = 0.05,
     cond_tol: float = 0.1,
-    window: float = 8.0,
 ):
     """Split probability against both candidate limits, conditional dense
     LLT on the split event, conditional count convergence off it.
 
     The two candidates are p and p/(1+p) (the stopped-sum decomposition
     supports the latter); the verdict records which one the exact
-    probability approaches.
+    probability approaches.  The split verdict passes on the last
+    distance alone, the conditional count verdict on the last TV alone.
     """
     rep = classify(scheme)
     _require(rep, (Phase.mixture,), "mixture")
-    fp = scheme.fingerprint()
     p, p_frac = rep.mixture_p, rep.mixture_p_frac
     dists, winners, pes, cond_discs, tvs_conv = [], [], [], [], []
     csvs = {}
@@ -533,55 +498,27 @@ def verify_mixture(
         dists.append(min(d_p, d_frac))
         winners.append("p/(1+p)" if d_frac <= d_p else "p")
         # conditional LLT on the dense side
-        disc, rows = _llt_discrepancy(cond, rep, n, window)
+        disc, csvs[n] = _llt(cond, *_stable_window(rep, n))
         cond_discs.append(disc)
-        csvs[n] = (["ell", "x", "scaled_pmf", "limit_density"], rows)
         # conditional count law off the dense side
-        pmf_c = law.pmf.copy()
-        pmf_c[thresh:] = 0.0
-        cond_c = DiscreteLaw(pmf_c / fsum(pmf_c), 1.0)
+        cond_c = _restrict(law.pmf, 0, thresh)
         if nhat is None or nhat.pmf.size < cond_c.pmf.size:
             nhat = exact.law_Nhat(scheme, cond_c.pmf.size - 1)
         tvs_conv.append(tv_distance(cond_c, nhat))
     reports = [
-        VerdictReport(
-            "mixture_split_probability",
-            fp,
-            list(n_ladder),
-            "abs-error",
-            dists,
-            tol,
-            dists[-1] <= tol,
-            _nonincreasing(dists),
-            {
-                "p": p,
-                "p_frac": p_frac,
-                "observed_P": pes,
-                "winner": winners[-1],
-                "winners": winners,
-            },
+        _verdict(
+            "mixture_split_probability", scheme, n_ladder, "abs-error", dists, tol,
+            ladder=True, passed=dists[-1] <= tol,
+            p=p, p_frac=p_frac, observed_P=pes, winner=winners[-1], winners=winners,
         ),
-        VerdictReport(
-            "mixture_conditional_llt",
-            fp,
-            list(n_ladder),
-            "sup-LLT-discrepancy",
-            cond_discs,
-            cond_tol,
-            cond_discs[-1] <= cond_tol and _nonincreasing(cond_discs),
-            _nonincreasing(cond_discs),
-            {"window": window},
+        _verdict(
+            "mixture_conditional_llt", scheme, n_ladder, "sup-LLT-discrepancy", cond_discs, cond_tol,
+            ladder=True, window=_WINDOW,
         ),
-        VerdictReport(
-            "mixture_conditional_counts",
-            fp,
-            list(n_ladder),
-            "TV",
-            tvs_conv,
-            cond_tol,
-            tvs_conv[-1] <= cond_tol,
-            _nonincreasing(tvs_conv),
-            {"note": "count law conditioned off the dense event vs size-biased limit"},
+        _verdict(
+            "mixture_conditional_counts", scheme, n_ladder, "TV", tvs_conv, cond_tol,
+            ladder=True, passed=tvs_conv[-1] <= cond_tol,
+            note="count law conditioned off the dense event vs size-biased limit",
         ),
     ]
     return reports, csvs
@@ -593,19 +530,17 @@ def verify_dilute(
     replicates: int = 10000,
     seed: int = 1,
     tol: float = 0.1,
-    delta: float = 0.2,
     ks_tol: float = 0.1,
     chi2_pmin: float = 1e-3,
     mean_rtol: float = 0.1,
     m2_rtol: float = 0.2,
-    upsilon: float = 1.0,
     zero_tol: float = 0.03,
     count_replicates: int = 2000,
 ):
     """Dilute-phase battery.
 
     (i)   exact local limit law against the density of Z, sup over counts
-          >= delta * n^alpha;
+          >= ``_DELTA`` * n^alpha;
     (ii)  exact Kolmogorov-Smirnov distance of N_n / n^alpha from Z: the
           limit cdf at every atom, against both one-sided limits of the
           exact cdf at that atom;
@@ -624,48 +559,28 @@ def verify_dilute(
     """
     rep = classify(scheme)
     _require(rep, (Phase.dilute,), "dilute")
-    fp = scheme.fingerprint()
     dp = laws.DiluteParams(rep.alpha, rep.b, rep.dilute_lambda)
     alpha = rep.alpha
     csvs = {}
 
     discs = []
-    final_law = None
     for n in n_ladder:
         law = exact.law_Nn(scheme, n)
         na = n**alpha
-        lo = max(1, int(math.ceil(delta * na)))
-        hi = law.pmf.size - 1
-        # restrict to where either side is non-negligible
-        hi = min(hi, int(20 * na))
-        ells = np.arange(lo, hi + 1)
-        tf = laws.dilute_Z_density(dp, ells / na)
-        scaled = na * law.pmf[lo : hi + 1]
-        discs.append(float(np.max(np.abs(scaled - tf))))
-        csvs[n] = (
-            ["ell", "x", "scaled_pmf", "limit_density"],
-            np.column_stack([ells, ells / na, scaled, tf]),
-        )
-        final_law = law
+        # (i) from delta n^alpha up to where either side is non-negligible
+        lo = max(1, int(math.ceil(_DELTA * na)))
+        disc, csvs[n] = _llt(law, lo, int(20 * na), 0, na, lambda x: laws.dilute_Z_density(dp, x))
+        discs.append(disc)
     n_fin = n_ladder[-1]
-    na = n_fin**alpha
     reports = [
-        VerdictReport(
-            "dilute_llt",
-            fp,
-            list(n_ladder),
-            "sup-LLT-discrepancy",
-            discs,
-            tol,
-            discs[-1] <= tol and _nonincreasing(discs),
-            _nonincreasing(discs),
-            {"delta": delta},
-        )
+        _verdict("dilute_llt", scheme, n_ladder, "sup-LLT-discrepancy", discs, tol, ladder=True, delta=_DELTA)
     ]
 
-    # (ii) exact KS: the limit cdf at the atoms ell / n^alpha in one vector
-    # call; the sup beyond the last atom is the larger of the two tails
-    pmf = final_law.pmf
+    # (ii) exact KS at the final n: the limit cdf at the atoms ell / n^alpha
+    # in one vector call; the sup beyond the last atom is the larger of the
+    # two tails
+    na = n_fin**alpha
+    pmf = law.pmf
     cdf_exact = np.cumsum(pmf)
     hi = min(pmf.size - 1, int(12 * na))
     fz = laws.dilute_Z_cdf(dp, np.arange(1, hi + 1) / na)
@@ -677,14 +592,10 @@ def verify_dilute(
         float(np.max(np.abs(right - fz))),
         float(np.max(np.abs(left - fz))),
     )
-    reports.append(
-        VerdictReport("dilute_ks", fp, [n_fin], "KS", [float(ks)], ks_tol, ks <= ks_tol)
-    )
+    reports.append(_verdict("dilute_ks", scheme, [n_fin], "KS", [float(ks)], ks_tol))
 
     # Monte Carlo parts share one exact sampler at the final n
-    w_val = rep.w_value
-    c_w = rep.c_w
-    k_n = int(round((c_w / (upsilon * w_val)) ** (1.0 / (1.0 + alpha)) * n_fin ** (alpha / (1.0 + alpha))))
+    k_n = int(round((rep.c_w / (_UPSILON * rep.w_value)) ** (1.0 / (1.0 + alpha)) * n_fin ** (alpha / (1.0 + alpha))))
     smp = sampling.ExactSampler(scheme, n_fin)
     ups_n = float(na * smp.pmf_x[k_n])  # realized n^alpha P(X = k_n) -> upsilon
     counts_at_kn = np.empty(replicates, dtype=np.int64)
@@ -716,27 +627,18 @@ def verify_dilute(
     zero_lim = float(expected_pmf[0])
     zero_err = abs(zero_emp - zero_lim)
     reports.append(
-        VerdictReport(
-            "dilute_mixed_poisson",
-            fp,
-            [n_fin],
-            "chi2-pvalue",
-            [chi_p],
-            chi2_pmin,
-            chi_p > chi2_pmin and zero_err <= zero_tol,
-            None,
-            {
-                "k_n": k_n,
-                "upsilon_realized": ups_n,
-                "chi2_replicates": m_chi,
-                "replicates": replicates,
-                "zero_fraction_empirical": zero_emp,
-                "zero_fraction_limit": zero_lim,
-                "zero_abs_error": zero_err,
-                "zero_tolerance": zero_tol,
-                "note": "pass means p-value above tolerance and the "
-                "zero bucket within its absolute tolerance",
-            },
+        _verdict(
+            "dilute_mixed_poisson", scheme, [n_fin], "chi2-pvalue", [chi_p], chi2_pmin,
+            passed=chi_p > chi2_pmin and zero_err <= zero_tol,
+            k_n=k_n,
+            upsilon_realized=ups_n,
+            chi2_replicates=m_chi,
+            replicates=replicates,
+            zero_fraction_empirical=zero_emp,
+            zero_fraction_limit=zero_lim,
+            zero_abs_error=zero_err,
+            zero_tolerance=zero_tol,
+            note="pass means p-value above tolerance and the zero bucket within its absolute tolerance",
         )
     )
 
@@ -746,16 +648,9 @@ def verify_dilute(
         got = float(point_counts[x].mean())
         err = abs(got - target) / target
         reports.append(
-            VerdictReport(
-                f"dilute_pp_mean_{x}",
-                fp,
-                [n_fin],
-                "rel-error",
-                [err],
-                mean_rtol,
-                err <= mean_rtol,
-                None,
-                {"observed_mean": got, "intensity_integral": target},
+            _verdict(
+                f"dilute_pp_mean_{x}", scheme, [n_fin], "rel-error", [err], mean_rtol,
+                observed_mean=got, intensity_integral=target,
             )
         )
 
@@ -764,16 +659,9 @@ def verify_dilute(
     m2_obs = float(np.mean(m2_counts * (m2_counts - 1)))
     m2_err = abs(m2_obs - m2_target) / m2_target
     reports.append(
-        VerdictReport(
-            "dilute_pp_m2",
-            fp,
-            [n_fin],
-            "rel-error",
-            [m2_err],
-            m2_rtol,
-            m2_err <= m2_rtol,
-            None,
-            {"observed": m2_obs, "factorial_moment": m2_target, "interval": [m2_low, 1.0]},
+        _verdict(
+            "dilute_pp_m2", scheme, [n_fin], "rel-error", [m2_err], m2_rtol,
+            observed=m2_obs, factorial_moment=m2_target, interval=[m2_low, 1.0],
         )
     )
     return reports, csvs
@@ -824,11 +712,13 @@ def verify_extended(
     macroscopic-index decomposition, and a coordinate-symmetry frequency
     test for identical factors.
     """
-    fp = scheme.fingerprint()
     reports = []
     csvs = {}
     if scheme.product_factors is not None:
-        pl = exact.product_law(scheme.product_factors, n)
+        try:
+            pl = exact.product_law(scheme.product_factors, n)
+        except ValueError as err:  # e.g. no configuration of size n
+            raise PhaseMismatchError(f"product_marginals: {err}") from None
         p = pl.p
         if p is None:
             raise PhaseMismatchError(
@@ -850,19 +740,7 @@ def verify_extended(
             worst = max(worst, float(np.max(np.abs(got - want) / denom)))
             rows.append(np.column_stack([np.full(k_hi, j), np.arange(1, k_hi + 1), got, want]))
         csvs[n] = (["coordinate", "k", "marginal_pmf", "mixture_prediction"], np.vstack(rows))
-        reports.append(
-            VerdictReport(
-                "product_marginals",
-                fp,
-                [n],
-                "max-rel-error",
-                [worst],
-                0.05,
-                worst <= 0.05,
-                None,
-                {"p": list(p)},
-            )
-        )
+        reports.append(_verdict("product_marginals", scheme, [n], "max-rel-error", [worst], 0.05, p=list(p)))
         # MC symmetry of the macroscopic coordinate for identical factors
         if len(set(scheme.product_factors)) == 1:
             smp = sampling.ProductSampler(scheme.product_factors, n)
@@ -875,16 +753,9 @@ def verify_extended(
             sigma = math.sqrt((1.0 / ell) * (1.0 - 1.0 / ell) / replicates)
             dev = float(np.max(np.abs(freq - 1.0 / ell)))
             reports.append(
-                VerdictReport(
-                    "product_symmetry",
-                    fp,
-                    [n],
-                    "abs-error",
-                    [dev],
-                    2.0 * sigma,
-                    dev <= 2.0 * sigma,
-                    None,
-                    {"frequencies": freq.tolist(), "replicates": replicates},
+                _verdict(
+                    "product_symmetry", scheme, [n], "abs-error", [dev], 2.0 * sigma,
+                    frequencies=freq.tolist(), replicates=replicates,
                 )
             )
         return reports, csvs
@@ -911,12 +782,11 @@ def verify_extended(
 
     law_ext = exact.extended_law_Nn(scheme, n)
     ell_max = law_ext.pmf.size - 1
+    detail = {}
     if regime == "base":
         ref = exact.law_Nn(base, n)
-        detail = {"regime": regime}
     elif regime == "boltzmann":
         ref = exact.law_N(base, h.rho, ell_max)
-        detail = {"regime": regime}
     else:
         q = h.L.c / c_u
         u_rho = base.v.series_value(base.w.series_value(rho_u))
@@ -929,7 +799,6 @@ def verify_extended(
         mix[: boltz_law.pmf.size] += w_boltz * boltz_law.pmf
         ref = DiscreteLaw.from_pmf(mix)
         detail = {
-            "regime": regime,
             "q": q,
             "weight_boltzmann": w_boltz,
             "weight_base": 1.0 - w_boltz,
@@ -941,11 +810,7 @@ def verify_extended(
         ["ell", "extended_pmf", "reference_pmf"],
         np.column_stack([np.arange(m), law_ext.pmf[:m], ref.pmf[:m]]),
     )
-    reports.append(
-        VerdictReport(
-            "extended_counts", fp, [n], "TV", [float(tv)], tol, tv <= tol, None, detail
-        )
-    )
+    reports.append(_verdict("extended_counts", scheme, [n], "TV", [float(tv)], tol, regime=regime, **detail))
     return reports, csvs
 
 
@@ -1029,6 +894,19 @@ def _prepare_experiment(spec_entry, declared: dict, default_seed: int):
         sig.bind(scheme, **kwargs)
     except TypeError as err:
         raise SuiteConfigError(f"{err} in {exp_id!r} ({verifier})") from None
+    for key, value in kwargs.items():
+        default = sig.parameters[key].default
+        if key == "seed" or default is inspect.Parameter.empty:
+            continue  # the seed and the sizes are checked above
+        if isinstance(default, bool):
+            ok, want = isinstance(value, bool), "true or false"
+        elif isinstance(default, int):
+            ok, want = _int_from(value, 1), "a positive integer"
+        else:  # a float default
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+            ok, want = ok and 0 < value < math.inf, "a finite number > 0"
+        if not ok:
+            raise SuiteConfigError(f"{key!r} must be {want}, got {value!r} in {exp_id!r}")
     return exp_id, fn, scheme, kwargs, expect_fail
 
 

@@ -316,6 +316,69 @@ def test_sample_above_the_exact_budget_names_rejection(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+def test_verify_product_without_a_configuration_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [
+        {"verifier": "extended", "scheme": "product-symmetric", "n": 1}
+    ]}))
+    code = main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "PhaseMismatchError" and "vanishes at n=1" in err["message"]
+
+
+def test_sample_product_without_a_configuration_is_one_error_line(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--scheme", "product-symmetric", "--n", "1"])
+    msg = str(err.value.code)
+    assert msg.startswith("error: product partition function vanishes") and "\n" not in msg
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "args, argument",
+    [
+        (["exact", "--scheme", "bell", "--n", "0"], "--n"),
+        (["exact", "--scheme", "bell", "--n", "-3"], "--n"),
+        (["sample", "--scheme", "bell", "--n", "0"], "--n"),
+        (["sample", "--scheme", "bell", "--n", "-1"], "--n"),
+        (["sample", "--scheme", "bell", "--n", "3", "--replicates", "-1"], "--replicates"),
+        (["laws", "--law", "frechet_cdf", "--alpha", "1.5", "--rank", "0"], "--rank"),
+    ],
+)
+def test_integer_arguments_out_of_range_exit_2(capsys, args, argument):
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == "" and f"error: argument {argument}: must be an integer >=" in err_text
+
+
+@pytest.mark.parametrize("num", ["0", "2.5", "-1", "nan"])
+def test_laws_grid_num_must_be_a_positive_integer(capsys, num):
+    with pytest.raises(SystemExit) as err:
+        main(["laws", "--law", "gumbel_cdf", "--grid", "0", "1", num])
+    msg = str(err.value.code)
+    assert msg.startswith("error: --grid NUM must be a positive integer") and "\n" not in msg
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "args, start",
+    [
+        (["--scheme", "convergent", "--law", "deficit", "--n", "5000"], "error: deficit DP limited"),
+        (["--scheme", "dense-gauss", "--law", "N", "--n", "10", "--rho", "100"],
+         "error: W(rho) diverges"),
+    ],
+)
+def test_exact_law_errors_are_one_error_line(capsys, args, start):
+    with pytest.raises(SystemExit) as err:
+        main(["exact"] + args)
+    msg = str(err.value.code)
+    assert msg.startswith(start) and "\n" not in msg
+    assert capsys.readouterr().out == ""
+
+
 def test_entry_point_installed():
     out = subprocess.run(
         [sys.executable, "-m", "gibbs_partitions.cli", "--help"],

@@ -84,7 +84,12 @@ def test_contingency_pvalue_matches_chi2_contingency(seed, cols):
     rng = np.random.default_rng(seed)
     table = rng.poisson(rng.uniform(0.3, 40.0, (2, cols)))
     table[:, table.sum(axis=0) == 0] = 1  # a zero column has no expected frequency
-    want = stats.chi2_contingency(table).pvalue
+    try:
+        want = stats.chi2_contingency(table).pvalue
+    except ValueError:  # a zero row (seed 488, 2 columns): both refuse the table
+        with pytest.raises(ValueError, match="zero element"):
+            _contingency_pvalue(table)
+        return
     assert _same(_contingency_pvalue(table), want)
 
 

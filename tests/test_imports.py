@@ -34,3 +34,28 @@ def test_import_leaves_unused_scipy_unloaded(module, absent):
     loaded = _modules_after_import(module)
     assert module in loaded
     assert [name for name in absent if name in loaded] == []
+
+
+def _modules():
+    import importlib
+    import pkgutil
+
+    return [
+        importlib.import_module(f"gibbs_partitions.{info.name}")
+        for info in pkgutil.iter_modules(gibbs_partitions.__path__)
+    ]
+
+
+@pytest.mark.parametrize("module", _modules(), ids=lambda m: m.__name__)
+def test_all_lists_every_public_name(module):
+    import inspect
+
+    defined = sorted(
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
+    )
+    assert [name for name in defined if name not in module.__all__] == []
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

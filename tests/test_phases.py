@@ -12,6 +12,7 @@ from gibbs_partitions import (
     Phase,
     SchemeSpec,
     WeightSequence,
+    bundled_scheme,
     classify,
     law_Nn,
     mixture_p,
@@ -255,3 +256,28 @@ def test_report_json_stable_fields(dense_gauss):
         "scale_g_shape", "scale_g_coeff", "scale_L_shape", "scale_L_coeff",
     ):
         assert key in out
+
+
+_REPORT_KEYS = [
+    "phase", "criticality", "a", "b", "alpha", "mu", "gamma", "rho_u", "w_value", "c_w",
+    "v_prime", "mixture_p", "mixture_p_frac", "dilute_lambda", "convergent_condition",
+    "scale_g_shape", "scale_g_coeff", "scale_g_exponent",
+    "scale_L_shape", "scale_L_coeff", "scale_L_exponent",
+]
+
+
+@pytest.mark.parametrize(
+    "name, phase",
+    [
+        ("dense-gauss", Phase.dense_critical),
+        ("dense-super", Phase.dense_supercritical),
+        ("convergent", Phase.convergent),
+        ("mixture", Phase.mixture),
+        ("dilute", Phase.dilute),
+        ("bell", Phase.unclassified),
+    ],
+)
+def test_report_json_key_order(name, phase):
+    report = classify(bundled_scheme(name))
+    assert report.phase is phase
+    assert list(report.to_json()) == _REPORT_KEYS

@@ -155,6 +155,54 @@ def test_run_suite_rejects_keys_the_verifier_does_not_take(tmp_path, entry):
         run_suite({"experiments": [entry]}, tmp_path / "out")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tol", "x"),
+        ("tol", 0.0),
+        ("tol", float("nan")),
+        ("tol", True),
+        ("replicates", 0),
+        ("replicates", "5"),
+        ("replicates", 2.0),
+        ("skip_mc", 1),
+    ],
+)
+def test_run_suite_checks_config_values_before_running(tmp_path, key, value):
+    entry = {"verifier": "convergent", "scheme": "convergent", "n": 40, key: value}
+    with pytest.raises(SuiteConfigError, match=f"'{key}' must be"):
+        run_suite({"experiments": [entry]}, tmp_path / "out")
+    assert not (tmp_path / "out" / "verdicts.json").exists()
+
+
+def test_run_suite_takes_an_integer_tolerance(tmp_path):
+    cfg = {"experiments": [{"verifier": "prefix_independence", "scheme": "dense-gauss",
+                            "n_ladder": [40], "tol": 1}]}
+    assert run_suite(cfg, tmp_path / "out") == 0
+    data = json.loads((tmp_path / "out" / "verdicts.json").read_text())
+    assert [v["tolerance"] for v in data["verdicts"]] == [1, 1]
+
+
+def test_verdict_rule(dense_gauss):
+    one = verify._verdict("e", dense_gauss, [40], "TV", [0.01], 0.05, ladder=True)
+    assert one.trend_nonincreasing is True and one.passed
+    single = verify._verdict("e", dense_gauss, [40], "TV", [0.01], 0.05)
+    assert single.trend_nonincreasing is None and single.passed
+    assert single.scheme_fingerprint == dense_gauss.fingerprint()
+    assert not verify._verdict("e", dense_gauss, [40], "TV", [0.06], 0.05).passed
+    rising = verify._verdict("e", dense_gauss, [20, 40], "TV", [0.01, 0.02], 0.05, ladder=True)
+    assert rising.trend_nonincreasing is False and not rising.passed
+    kept = verify._verdict(
+        "e", dense_gauss, [20, 40], "TV", [0.01, 0.02], 0.05, ladder=True, passed=True
+    )
+    assert kept.passed is True and kept.trend_nonincreasing is False
+    assert verify._verdict("e", dense_gauss, [40], "TV", [0.01], 0.05, passed=False).passed is False
+    # a detail may share a name with a parameter
+    named = verify._verdict("e", dense_gauss, [40], "m", [1.0], 2.0, observed=3.0, tol=4.0)
+    assert named.observed == [1.0] and named.tolerance == 2.0
+    assert named.details == {"observed": 3.0, "tol": 4.0}
+
+
 def test_run_suite_n_stands_for_a_ladder(tmp_path):
     # a seed key is dropped where the verifier takes none
     cfg = {"experiments": [{"id": "p", "verifier": "prefix_independence",
@@ -254,7 +302,7 @@ def test_convergent_limit_tuples_at_zero_uniforms(monkeypatch):
 
     monkeypatch.setattr(verify, "_second_largest", record)
     n = 40
-    verify._convergent_mc(scheme, n, 3, 1, exact.law_Nhat(scheme, n), "fp")
+    verify._convergent_mc(scheme, n, 3, 1, exact.law_Nhat(scheme, n))
     assert len(tuples) == 6  # a sampler draw and a limit tuple per replicate
     for sizes in tuples:
         assert sizes.size == 2 and sizes.min() >= 1 and sizes.sum() == n
