@@ -100,24 +100,28 @@ def _cmd_laws(args) -> int:
     if not (num.is_integer() and num >= 1):
         sys.exit(f"error: --grid NUM must be a positive integer, got {num:g}")
     xs = np.linspace(lo, hi, int(num))
-    if args.law == "stable_density":
-        p = limit_laws.StableParams(args.alpha, args.gamma, args.beta, args.delta)
-        ys = limit_laws.stable_density_series(p, xs)
-    elif args.law == "stable_density_inversion":
-        p = limit_laws.StableParams(args.alpha, args.gamma, args.beta, args.delta)
-        ys = [limit_laws.stable_density_inversion(p, x) for x in xs]
-    elif args.law == "gumbel_cdf":
-        ys = [limit_laws.gumbel_cdf(x) for x in xs]
-    elif args.law == "frechet_cdf":
-        law = limit_laws.frechet_law(args.mu, args.alpha, args.rank)
-        ys = law.cdf(xs)
-    elif args.law == "dilute_density":
-        p = limit_laws.DiluteParams(args.alpha, args.b, args.lam)
-        ys = limit_laws.dilute_Z_density(p, xs)
-    elif args.law == "pp_intensity":
-        ys = [limit_laws.pp_intensity(args.alpha, args.b, x) for x in xs]
-    else:
-        sys.exit(f"error: unknown law {args.law!r}")
+    try:
+        if args.law == "stable_density":
+            p = limit_laws.StableParams(args.alpha, args.gamma, args.beta, args.delta)
+            ys = limit_laws.stable_density_series(p, xs)
+        elif args.law == "stable_density_inversion":
+            p = limit_laws.StableParams(args.alpha, args.gamma, args.beta, args.delta)
+            ys = [limit_laws.stable_density_inversion(p, x) for x in xs]
+        elif args.law == "gumbel_cdf":
+            ys = [limit_laws.gumbel_cdf(x) for x in xs]
+        elif args.law == "frechet_cdf":
+            law = limit_laws.frechet_law(args.mu, args.alpha, args.rank)
+            ys = law.cdf(xs)
+        elif args.law == "dilute_density":
+            p = limit_laws.DiluteParams(args.alpha, args.b, args.lam)
+            ys = limit_laws.dilute_Z_density(p, xs)
+        elif args.law == "pp_intensity":
+            ys = [limit_laws.pp_intensity(args.alpha, args.b, x) for x in xs]
+        else:
+            sys.exit(f"error: unknown law {args.law!r}")
+    except (ValueError, RuntimeError) as err:
+        # parameters a law refuses, or an integral that does not converge there
+        sys.exit(f"error: {err}")
     _write_csv(["x", "value"], np.column_stack([xs, ys]), args.out)
     return 0
 
@@ -144,19 +148,20 @@ def _cmd_sample(args) -> int:
         sys.exit(f"error: {err} (--method rejection)")
     except ValueError as err:  # e.g. no configuration of size n
         sys.exit(f"error: {err}")
+    rngs = (sampling.make_rng(seed, i) for i in range(args.replicates))
     if scheme.product_factors is not None:
-        rows = [
-            shared.sample(sampling.make_rng(seed, i)) for i in range(args.replicates)
-        ]
+        rows = list(shared.sample_many(rngs))
         _write_csv(
             [f"coordinate_{j}" for j in range(len(scheme.product_factors))], rows, args.out
         )
         return 0
     header = ["replicate", "n_components", "largest", "second_largest"] + stats_fields
+    if isinstance(shared, sampling.ExactSampler):
+        draws = shared.sample_many(rngs)
+    else:  # rejection draws one stream at a time
+        draws = map(shared.sample, rngs)
     rows = []
-    for i in range(args.replicates):
-        rng = sampling.make_rng(seed, i)
-        s = shared.sample(rng)
+    for i, s in enumerate(draws):
         srt = np.sort(s.sizes)[::-1]
         row = [i, s.n_components, srt[0], srt[1] if srt.size > 1 else 0]
         rows.append(row + [int(np.count_nonzero(s.sizes == k)) for k in stat_sizes])
@@ -238,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--rank", type=_int_at_least(1), default=1)
     p.add_argument("--grid", type=float, nargs=3, metavar=("LO", "HI", "NUM"),
-                   default=(-5.0, 5.0, 101))
+                   default=(-5.0, 5.0, 101.0))
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_laws)
 

@@ -19,11 +19,15 @@ right), which stops at the same index as a cumsum followed by a left
 chunk's total.  The scalar sums start at the smallest size with mass: the
 sizes below it contribute exact zeros, and adding +0.0 leaves a partial
 sum's bits unchanged, so skipping them moves no byte of any stream.
+``sample_many`` walks many draws in lockstep with numpy: the same products,
+summed by row-wise cumsums in the same order, so the same bytes again.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +57,12 @@ __all__ = [
 ]
 
 _CHUNK = 128
+# the first chunk's columns in a lockstep step: the peeled term, then these
+# stops (most coordinates end within a few sizes of the smallest)
+_LOCKSTEP_STOPS = (8, _CHUNK)
+# coordinates of one ``sample_many`` block: its flat buffer of uniforms,
+# overwritten by sizes, holds this many 8-byte entries (8 MiB)
+_BATCH_COORDS = 1 << 20
 _EXACT_N_DEFAULT_CAP = 6000
 # inverse-cdf targets are at least the smallest positive float, so a uniform
 # of exactly 0 picks the first value with positive mass, not a leading zero
@@ -122,7 +132,8 @@ class ExactSampler:
     terms are exact zeros), the rest by numpy chunks of ``_CHUNK``.  When the
     cumulative falls short of its target by round-off the draw takes the
     largest size that keeps the rest feasible; ``roundoff_fallbacks`` counts
-    those coordinates.
+    those coordinates.  ``sample_many`` makes the same draws for many
+    generators, walking them in lockstep.
     """
 
     def __init__(self, scheme: SchemeSpec, n: int):
@@ -145,6 +156,8 @@ class ExactSampler:
         self._k0 = int(np.flatnonzero(self.pmf_x)[0])
         self._peel = min(self._k0, _CHUNK - 1)
         self._rest = range(self._peel + 1, _CHUNK)
+        self._px_head = np.zeros(_CHUNK)  # P(X = k) for the first chunk's k
+        self._px_head[: min(n + 1, _CHUNK)] = self.pmf_x[:_CHUNK]
         self.roundoff_fallbacks = 0
         self._source = _row_source(self.pmf_x, n, "auto")
         self._rows: list[np.ndarray] = []
@@ -203,6 +216,111 @@ class ExactSampler:
         if ell:
             sizes.append(rem)
         return PartitionSample(self.n, np.array(sizes, dtype=np.int64))
+
+    def sample_many(self, rngs: Iterable[np.random.Generator]) -> Iterator[PartitionSample]:
+        """Yield ``sample(rng)`` for each generator of ``rngs``, in order and
+        with the same bytes, walking a block of draws in lockstep.
+
+        Each generator makes the two calls ``sample`` makes, for its count
+        and its coordinate uniforms; the uniforms go into the block's one
+        flat buffer, where the walk writes each size over the uniform it
+        used.  A block closes before its coordinates could pass
+        ``_BATCH_COORDS`` (or the largest count, if that is more), so memory
+        stays bounded however many generators come.  The yielded sizes are
+        views into that buffer.  The lockstep pays a few numpy calls per
+        step, so a single draw is cheaper through ``sample``.
+        """
+        # table rows 0..l, each after _CHUNK zeros (the terms of sizes past
+        # the remainder); made again when a block needs more rows
+        table = np.empty((0, _CHUNK + self.n + 1))
+        for ells, buf in self._blocks(rngs):
+            top = max(ells)
+            if len(table) <= top:
+                self._ensure_rows(top)
+                table = np.zeros((top + 1, _CHUNK + self.n + 1))
+                np.stack(self._rows[: top + 1], out=table[:, _CHUNK:])
+            yield from self._lockstep(np.array(ells), buf, table)
+
+    def _blocks(self, rngs):
+        """The counts of a block of generators, and a new flat buffer with
+        their uniforms: draw i's from the sum of the earlier counts on."""
+        top = self.count_cdf.size - 1
+        size = max(_BATCH_COORDS, top)
+        ells, used, buf = [], 0, np.empty(size)
+        for rng in rngs:
+            if ells and used + top > size:
+                yield ells, buf
+                ells, used, buf = [], 0, np.empty(size)
+            ell = self.draw_count(rng)
+            walked = max(ell - 1, 0)
+            buf[used : used + walked] = rng.random(walked)
+            ells.append(ell)
+            used += ell
+        if ells:
+            yield ells, buf
+
+    def _lockstep(
+        self, ells: np.ndarray, buf: np.ndarray, table: np.ndarray
+    ) -> Iterator[PartitionSample]:
+        """Walk one block, every unfinished draw one coordinate per step.
+
+        Draw i owns ``ells[i]`` entries of ``buf`` from the sum of the
+        earlier counts on: its uniforms, each overwritten by its size (as
+        int64) once used, and last the remainder.  The draws are sorted
+        longest first, so the ones still walking form a prefix.  Each step
+        gathers the table entries from the zero-led rows ``table``, peels the
+        smallest size with mass for every draw, and carries the others'
+        partial sums through ``_LOCKSTEP_STOPS`` as row-wise cumsums whose
+        first column is the carried sum: numpy multiplies and adds
+        separately (no FMA) and accumulates left to right, so these are the
+        sums of ``sample``'s scalar walk.  A draw that passes the first
+        chunk goes on alone in ``_walk_chunks``.
+        """
+        sizes = buf.view(np.int64)
+        ends = np.cumsum(ells)
+        starts = ends - ells
+        order = np.argsort(-ells, kind="stable")
+        steps = ells[order] - 1  # coordinates walked before the remainder
+        pos = starts[order]  # each draw's current entry of buf
+        rem = np.full(ells.size, self.n)
+        flat, width = table.ravel(), table.shape[1]
+        peel, px, negated = self._peel, self._px_head, -steps  # negated ascends
+        for s in range(int(steps[0])):
+            m = int(np.searchsorted(negated, -s))  # the draws with steps > s
+            r, at = rem[:m], pos[:m]
+            # flat index of P(S_j = rem), j = coordinates left after this one
+            base = (steps[:m] - s) * width + _CHUNK + r
+            target = np.maximum(buf[at] * flat[base + width], _LEAST)
+            c = px[peel] * flat[base - peel]
+            k = np.full(m, peel)
+            walking = np.flatnonzero(c < target)
+            lo = peel + 1
+            for stop in _LOCKSTEP_STOPS:
+                # sizes past every remainder add zeros, which leave the sums alone
+                hi = min(stop, int(r[walking].max(initial=-1)) + 1)
+                if hi > lo:
+                    sums = np.empty((walking.size, hi - lo + 1))
+                    sums[:, 0] = c[walking]
+                    terms = flat[base[walking, None] - np.arange(lo, hi)]
+                    np.multiply(px[lo:hi], terms, out=sums[:, 1:])
+                    np.cumsum(sums, axis=1, out=sums)
+                    reached = sums >= target[walking, None]
+                    first = reached.argmax(axis=1)
+                    done = reached[np.arange(walking.size), first]
+                    k[walking[done]] = lo - 1 + first[done]
+                    c[walking] = sums[:, -1]
+                    walking = walking[~done]
+                lo = max(lo, stop)
+            for i in walking.tolist():
+                j = int(steps[i]) - s
+                k[i] = self._walk_chunks(j, int(r[i]), float(target[i]), float(c[i]))
+            sizes[at] = k
+            r -= k
+            at += 1
+        last = steps >= 0
+        sizes[pos[last]] = rem[last]
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            yield PartitionSample(self.n, sizes[a:b])
 
     def _walk_chunks(self, j: int, rem: int, target: float, acc: float) -> int:
         """Continue the inverse-cdf walk past the first chunk, whose total is
@@ -310,16 +428,52 @@ class ProductSampler:
         self.n = n
         _, self.arrays, self.suffix = _product_tables(list(factors), n)
 
+    def _cdf(self, j: int, rem: int) -> np.ndarray:
+        """The cumulative weights of P_j = 0..rem given the remainder."""
+        return np.cumsum(self.arrays[j][: rem + 1] * self.suffix[j + 1][rem::-1])
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         ell = len(self.arrays)
         out = np.empty(ell, dtype=np.int64)
         rem = self.n
         for j in range(ell - 1):
-            weights = self.arrays[j][: rem + 1] * self.suffix[j + 1][rem::-1]
-            out[j] = _inverse_cdf_draw(np.cumsum(weights), rng.random())
+            out[j] = _inverse_cdf_draw(self._cdf(j, rem), rng.random())
             rem -= int(out[j])
         out[ell - 1] = rem
         return out
+
+    def sample_many(self, rngs: Iterable[np.random.Generator]) -> Iterator[np.ndarray]:
+        """Yield ``sample(rng)`` for each generator of ``rngs``, in order and
+        with the same bytes.
+
+        Each generator makes the calls ``sample`` makes, one uniform per
+        coordinate but the last.  A block of generators is then drawn
+        together, one coordinate at a time: the draws that share a
+        remainder share its cumulative weights, and one inverse-cdf search
+        takes all their uniforms.  A block holds at most ``_BATCH_COORDS``
+        coordinates; the yielded tuples are views into its array.
+        """
+        ell = len(self.arrays)
+        rngs = iter(rngs)
+        block = np.empty((max(1, _BATCH_COORDS // ell), ell - 1))
+        while True:
+            count = 0
+            for count, rng in enumerate(itertools.islice(rngs, len(block)), 1):
+                block[count - 1] = [rng.random() for _ in range(ell - 1)]
+            if not count:
+                return
+            uniforms = block[:count]
+            out = np.empty((count, ell), dtype=np.int64)
+            rem = np.full(count, self.n)
+            for j in range(ell - 1):
+                order = np.argsort(rem, kind="stable")
+                cuts = np.flatnonzero(np.diff(rem[order])) + 1
+                for group in np.split(order, cuts):
+                    cdf = self._cdf(j, int(rem[group[0]]))
+                    out[group, j] = _inverse_cdf_draw(cdf, uniforms[group, j])
+                rem -= out[:, j]
+            out[:, -1] = rem
+            yield from out
 
 
 # ---------------------------------------------------------------------------

@@ -321,8 +321,8 @@ def verify_dense_extremes(
             cand = cand[px[cand] > 0] if cand.size else cand
             k_rare = int(cand[0]) if cand.size else None
         maxima = np.empty(replicates)
-        for i in range(replicates):
-            s = smp.sample(sampling.make_rng(seed, i))
+        draws = smp.sample_many(sampling.make_rng(seed, i) for i in range(replicates))
+        for i, s in enumerate(draws):
             maxima[i] = s.sizes.max() / scale
             if ni == ladder[-1]:
                 if k_rare is not None:
@@ -444,9 +444,8 @@ def _convergent_mc(scheme, n, replicates, seed, nhat) -> VerdictReport:
 
     obs: dict = {}
     lim: dict = {}
-    for i in range(replicates):
-        rng = sampling.make_rng(seed, i)
-        s = smp.sample(rng)
+    draws = smp.sample_many(sampling.make_rng(seed, i) for i in range(replicates))
+    for i, s in enumerate(draws):
         key = cell(s.n_components, _second_largest(s.sizes))
         obs[key] = obs.get(key, 0) + 1
         # limit tuple: N-hat - 1 i.i.d. sizes plus the giant remainder
@@ -603,8 +602,8 @@ def verify_dilute(
     point_counts = {x: np.empty(replicates, dtype=np.int64) for x in point_lows}
     m2_low = 0.4
     m2_counts = np.empty(replicates, dtype=np.int64)
-    for i in range(replicates):
-        s = smp.sample(sampling.make_rng(seed, i))
+    draws = smp.sample_many(sampling.make_rng(seed, i) for i in range(replicates))
+    for i, s in enumerate(draws):
         counts_at_kn[i] = np.count_nonzero(s.sizes == k_n)
         for x in point_lows:
             point_counts[x][i] = np.count_nonzero(s.sizes >= x * n_fin)
@@ -746,8 +745,7 @@ def verify_extended(
             smp = sampling.ProductSampler(scheme.product_factors, n)
             ell = len(scheme.product_factors)
             hits = np.zeros(ell)
-            for i in range(replicates):
-                tup = smp.sample(sampling.make_rng(seed, i))
+            for tup in smp.sample_many(sampling.make_rng(seed, i) for i in range(replicates)):
                 hits[int(np.argmax(tup))] += 1
             freq = hits / replicates
             sigma = math.sqrt((1.0 / ell) * (1.0 - 1.0 / ell) / replicates)
@@ -871,7 +869,9 @@ def _prepare_experiment(spec_entry, declared: dict, default_seed: int):
     exp_id = kwargs.pop("id", f"{verifier}:{scheme_name}")
     if not isinstance(exp_id, str):
         raise SuiteConfigError(f"experiment id must be a string, got {exp_id!r}")
-    expect_fail = bool(kwargs.pop("expect_fail", False))
+    expect_fail = kwargs.pop("expect_fail", False)
+    if not isinstance(expect_fail, bool):
+        raise SuiteConfigError(f"'expect_fail' must be true or false, got {expect_fail!r} in {exp_id!r}")
     if "n" in kwargs and not _int_from(kwargs["n"], 1):
         raise SuiteConfigError(f"'n' must be a positive integer, got {kwargs['n']!r} in {exp_id!r}")
     ladder = kwargs.get("n_ladder", [1])

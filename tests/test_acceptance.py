@@ -189,8 +189,8 @@ def test_criterion_06_frechet_largest_jump():
     smp = ExactSampler(scheme, n)
     scale = rep.nn_scale(n)
     maxima = np.empty(m)
-    for i in range(m):
-        maxima[i] = smp.sample(make_rng(606, i)).sizes.max() / scale
+    for i, s in enumerate(smp.sample_many(make_rng(606, i) for i in range(m))):
+        maxima[i] = s.sizes.max() / scale
     law = frechet_law(rep.mu, rep.alpha, 1)
     ks = float(kstest(maxima, lambda x: law.cdf(x)).statistic)
     elapsed = time.time() - t0

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from gibbs_partitions import bundled_scheme, exact
+from gibbs_partitions import bundled_scheme, exact, sampling
 from gibbs_partitions.cli import main
+from gibbs_partitions.verify import _write_csv
 
 
 def run_cli(args, capsys):
@@ -102,6 +103,13 @@ def test_exact_stopped_sum_to_file(tmp_path, capsys):
     assert float(rows[-1].split(",")[2]) == pytest.approx(15.0 / 24.0, rel=1e-10)
 
 
+def test_laws_default_grid(capsys):
+    code, out = run_cli(["laws", "--law", "gumbel_cdf"], capsys)
+    assert code == 0
+    xs = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+    assert xs == np.linspace(-5.0, 5.0, 101).tolist()
+
+
 def test_laws_grid(capsys):
     code, out = run_cli(
         ["laws", "--law", "gumbel_cdf", "--grid", "0", "0", "1"], capsys
@@ -186,6 +194,47 @@ def test_sample_product(capsys):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     for row in rows:
         assert float(row[0]) + float(row[1]) == 30.0
+
+
+def _per_replicate_csv(name, n, replicates, seed, stat_sizes, path):
+    """The sample command's CSV from one ``sample`` call per replicate."""
+    scheme = bundled_scheme(name)
+    make = [sampling.make_rng(seed, i) for i in range(replicates)]
+    if scheme.product_factors is not None:
+        smp = sampling.ProductSampler(scheme.product_factors, n)
+        header = [f"coordinate_{j}" for j in range(len(scheme.product_factors))]
+        _write_csv(header, [smp.sample(rng) for rng in make], path)
+        return
+    smp = sampling.ExactSampler(scheme, n)
+    rows = []
+    for i, rng in enumerate(make):
+        s = smp.sample(rng)
+        srt = np.sort(s.sizes)[::-1]
+        row = [i, s.n_components, srt[0], srt[1] if srt.size > 1 else 0]
+        rows.append(row + [int(np.count_nonzero(s.sizes == k)) for k in stat_sizes])
+    header = ["replicate", "n_components", "largest", "second_largest"]
+    _write_csv(header + [f"count_{k}" for k in stat_sizes], rows, path)
+
+
+@pytest.mark.parametrize(
+    "name, n, replicates, stat_sizes",
+    [
+        ("dense-stable", 300, 40, [1, 2]),
+        ("dilute", 400, 60, []),
+        ("product-symmetric", 60, 30, []),
+        ("dense-gauss", 50, 1, [3]),
+    ],
+)
+def test_sample_csv_bytes_match_per_replicate_draws(tmp_path, name, n, replicates, stat_sizes):
+    # the command draws its replicates in lockstep; the file is the one
+    # that one draw per replicate writes
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    stats = ",".join(f"count_{k}" for k in stat_sizes)
+    code = main(["sample", "--scheme", name, "--n", str(n), "--replicates", str(replicates),
+                 "--seed", "5", "--stats", stats, "--out", str(got)])
+    assert code == 0
+    _per_replicate_csv(name, n, replicates, 5, stat_sizes, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_verify_custom_config(tmp_path, capsys):
@@ -352,6 +401,24 @@ def test_integer_arguments_out_of_range_exit_2(capsys, args, argument):
     assert err.value.code == 2
     out, err_text = capsys.readouterr()
     assert out == "" and f"error: argument {argument}: must be an integer >=" in err_text
+
+
+@pytest.mark.parametrize(
+    "args, start",
+    [
+        (["--law", "frechet_cdf", "--grid", "1", "2", "2"], "error: ranked-jump laws require"),
+        (["--law", "dilute_density", "--alpha", "1.5"], "error: alpha must lie in (0, 1)"),
+        (["--law", "stable_density", "--alpha", "1.5", "--beta", "0"], "error: series densities"),
+        (["--law", "pp_intensity", "--alpha", "1.5"], "error: intensity defined for"),
+    ],
+)
+def test_laws_refused_parameters_are_one_error_line(capsys, args, start):
+    # the last three use the default grid
+    with pytest.raises(SystemExit) as err:
+        main(["laws", *args])
+    msg = str(err.value.code)
+    assert msg.startswith(start) and "\n" not in msg
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("num", ["0", "2.5", "-1", "nan"])

@@ -130,6 +130,29 @@ class _ScriptedRng:
         return np.array(self.values[self.pos - size : self.pos])
 
 
+def _batches_match(batch, want, fallbacks, make_rngs, monkeypatch):
+    """``batch.sample_many`` against ``want``, the sizes bytes that
+    ``sample`` gave per generator with ``fallbacks`` round-off fallbacks in
+    all, each batch adding as many: the whole batch (one block at the
+    default size), the batch cut into about four blocks, its first
+    generator alone and an empty batch."""
+    # a block closes once a largest count might not fit: with this size it
+    # holds about a quarter of the batch's coordinates
+    quarter = sum(len(sizes) // 8 for sizes in want) // 4
+    for block in (None, batch.count_cdf.size + quarter):
+        if block is not None:
+            monkeypatch.setattr(sampling, "_BATCH_COORDS", block)
+        before = batch.roundoff_fallbacks
+        # all draws kept before any is read: a later block must not reuse
+        # the buffers of the views it has yielded
+        got = list(batch.sample_many(make_rngs()))
+        assert [s.sizes.tobytes() for s in got] == want
+        assert batch.roundoff_fallbacks - before == fallbacks
+    monkeypatch.undo()
+    assert [s.sizes.tobytes() for s in batch.sample_many(make_rngs()[:1])] == want[:1]
+    assert list(batch.sample_many([])) == []
+
+
 def _dense_on(w):
     """A dense critical scheme on the weights w: v_l = l^-3/2 W(1)^-l."""
     return SchemeSpec(v=WeightSequence.closed_form(e=1.5, rho=w.series_value(1.0)), w=w)
@@ -157,7 +180,7 @@ _WALK_SCHEMES = {
         ("w1-zero", 600, None, 200),  # k0 = 2, also for remainders below _CHUNK
     ],
 )
-def test_exact_sampler_matches_chunked_walk(name, n, rho, streams):
+def test_exact_sampler_matches_chunked_walk(name, n, rho, streams, monkeypatch):
     scheme = _WALK_SCHEMES[name]() if name in _WALK_SCHEMES else bundled_scheme(name)
     smp = ExactSampler(scheme, n)
     ref = ExactSampler(scheme, n)
@@ -166,14 +189,17 @@ def test_exact_sampler_matches_chunked_walk(name, n, rho, streams):
         # law_Nn's at any other radius
         assert np.max(np.abs(smp.count_law.pmf - exact.law_Nn(scheme, n, rho=rho).pmf)) <= 1e-12
     spilled = 0
+    drawn = []
     for i in range(streams):
         got = smp.sample(make_rng(17, i)).sizes
         want = _chunked_walk_sample(ref, make_rng(17, i))
         assert got.tobytes() == want.tobytes(), (name, i)
         spilled += int(np.any(want[:-1] >= _CHUNK))
+        drawn.append(got.tobytes())
     if name == "convergent":
         assert spilled > 0
     assert smp.roundoff_fallbacks == 0
+    _batches_match(smp, drawn, 0, lambda: [make_rng(17, i) for i in range(streams)], monkeypatch)
     # coordinate uniforms on the cdf's edges: 0 ties the first partial sum
     # when P(X = 0) = 0, values just below 1 reach the last chunk (one
     # uniform per count at most, and with sizes of 0 the count can pass n).
@@ -182,16 +208,23 @@ def test_exact_sampler_matches_chunked_walk(name, n, rho, streams):
     # entry is only round-off, and the draw fails (a known defect, listed
     # in ROADMAP.md)
     below_one = (name, n) != ("dense-stable", 3000)
+    scripts, drawn, before = [], [], smp.roundoff_fallbacks
     for i in range(20):
         values = make_rng(18, i).random(max(n + 1, smp.count_cdf.size))
         values[1::3] = 0.0
         if below_one:
             values[2::7] = np.nextafter(1.0, 0.0)
+        scripts.append(values.tolist())
         got = smp.sample(_ScriptedRng(values.tolist())).sizes
         want = _chunked_walk_sample(ref, _ScriptedRng(values.tolist()))
         assert got.tobytes() == want.tobytes(), (name, i)
         # no component of probability 0, at either edge
         assert smp.pmf_x[got].min() > 0.0, (name, i)
+        drawn.append(got.tobytes())
+    _batches_match(
+        smp, drawn, smp.roundoff_fallbacks - before,
+        lambda: [_ScriptedRng(values) for values in scripts], monkeypatch,
+    )
 
 
 def _walk_chunks_loop(smp, j, rem, target, acc):
@@ -279,12 +312,18 @@ def test_roundoff_fallback_is_counted(dense_gauss):
     for row in smp._rows[1:]:
         row[n] *= 1e6
     hits = 0
+    drawn = []
     for i in range(20):
         s = smp.sample(make_rng(19, i))
         assert np.all(s.sizes > 0)
         hits += s.n_components > 1 and s.sizes[0] == n - (s.n_components - 1)
+        drawn.append(s.sizes.tobytes())
     assert hits > 0
     assert smp.roundoff_fallbacks == hits
+    # the lockstep takes the same fallbacks, every remainder below _CHUNK
+    got = [s.sizes.tobytes() for s in smp.sample_many(make_rng(19, i) for i in range(20))]
+    assert got == drawn
+    assert smp.roundoff_fallbacks == 2 * hits
 
 
 def test_fft_rows_own_their_memory(convergent):
@@ -412,6 +451,30 @@ def test_product_sampler_uniform_zero():
     weights = smp.arrays[0][:301] * smp.suffix[1][300::-1]
     assert got[0] == np.flatnonzero(weights)[0] > 0
     assert got.sum() == 300
+
+
+@pytest.mark.parametrize("extra", [0, 1])  # two factors, or three
+def test_product_sampler_many_matches_sample(extra, monkeypatch):
+    factors = list(bundled_scheme("product-symmetric").product_factors)
+    factors += factors[:extra]
+    smp = ProductSampler(factors, 300)
+    scripts = [make_rng(22, i).random(len(factors) - 1) for i in range(60)]
+    for values in scripts[::3]:
+        values[0] = 0.0
+    for values in scripts[1::3]:
+        values[-1] = np.nextafter(1.0, 0.0)
+    for make_rngs in (
+        lambda: [make_rng(21, i) for i in range(400)],
+        lambda: [_ScriptedRng(values.tolist()) for values in scripts],
+    ):
+        want = [smp.sample(rng).tobytes() for rng in make_rngs()]
+        for block in (None, 7 * len(factors)):  # one block, or blocks of 7 draws
+            if block is not None:
+                monkeypatch.setattr(sampling, "_BATCH_COORDS", block)
+            assert [t.tobytes() for t in list(smp.sample_many(make_rngs()))] == want
+        monkeypatch.undo()
+        assert [t.tobytes() for t in smp.sample_many(make_rngs()[:1])] == want[:1]
+    assert list(smp.sample_many([])) == []
 
 
 def test_stats_fields(dense_gauss):

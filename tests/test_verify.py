@@ -175,6 +175,16 @@ def test_run_suite_checks_config_values_before_running(tmp_path, key, value):
     assert not (tmp_path / "out" / "verdicts.json").exists()
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
+def test_expect_fail_must_be_a_json_boolean(tmp_path, value):
+    # "false" is a string, which bool() would read as a negative control
+    entry = {"verifier": "prefix_independence", "scheme": "dense-gauss", "n_ladder": [40],
+             "expect_fail": value}
+    with pytest.raises(SuiteConfigError, match="'expect_fail' must be true or false"):
+        run_suite({"experiments": [entry]}, tmp_path / "out")
+    assert not (tmp_path / "out" / "verdicts.json").exists()
+
+
 def test_run_suite_takes_an_integer_tolerance(tmp_path):
     cfg = {"experiments": [{"verifier": "prefix_independence", "scheme": "dense-gauss",
                             "n_ladder": [40], "tol": 1}]}
