@@ -132,6 +132,8 @@ def _cmd_sample(args) -> int:
     seed = 1 if args.seed is None else args.seed
     if seed < 0:
         sys.exit(f"error: --seed must be a non-negative integer, got {seed}")
+    if args.replicates > 1 << 32:  # replicate i draws on spawn word i, 32 bits
+        sys.exit(f"error: --replicates must be at most 2**32, got {args.replicates}")
     stats_fields = [s.strip() for s in args.stats.split(",") if s.strip()]
     for f in stats_fields:
         if not (f.startswith("count_") and f[6:].isdecimal()):
@@ -148,7 +150,7 @@ def _cmd_sample(args) -> int:
         sys.exit(f"error: {err} (--method rejection)")
     except ValueError as err:  # e.g. no configuration of size n
         sys.exit(f"error: {err}")
-    rngs = (sampling.make_rng(seed, i) for i in range(args.replicates))
+    rngs = sampling.make_rngs(seed, args.replicates)
     if scheme.product_factors is not None:
         rows = list(shared.sample_many(rngs))
         _write_csv(

@@ -9,10 +9,12 @@ Two routes with identical laws (their agreement is itself a test):
   rejection free.
 
 Reproducibility contract: streams use the counter-based Philox generator
-keyed by (seed, stream); identical (scheme, n, seed, method) yields
-byte-identical samples.  Coordinate draws invert the conditional cdf by
-cumulative search in fixed-size chunks of ``_CHUNK`` sizes, and the chunk
-size is part of the stream semantics.  The first chunk is summed by scalar
+keyed by (seed, stream) through SeedSequence; identical (scheme, n, seed,
+method) yields byte-identical samples.  ``make_rngs(seed, count)`` opens
+streams 0..count-1 with the keys, so the bytes, of ``make_rng``, built from
+the seed's one SeedSequence pool in a numpy pass.  Coordinate draws invert
+the conditional cdf by cumulative search in fixed-size chunks of ``_CHUNK``
+sizes, and the chunk size is part of the stream semantics.  The first chunk is summed by scalar
 partial sums in ``np.cumsum``'s order (the same products, added left to
 right), which stops at the same index as a cumsum followed by a left
 ``searchsorted``; later chunks are summed by numpy on top of the first
@@ -27,10 +29,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .exact import (
     BudgetExceededError,
@@ -47,6 +51,7 @@ __all__ = [
     "PartitionSample",
     "SampleStats",
     "make_rng",
+    "make_rngs",
     "ExactSampler",
     "sample_exact",
     "sample_rejection",
@@ -67,6 +72,13 @@ _EXACT_N_DEFAULT_CAP = 6000
 # inverse-cdf targets are at least the smallest positive float, so a uniform
 # of exactly 0 picks the first value with positive mass, not a leading zero
 _LEAST = math.ulp(0.0)
+# SeedSequence's hash constants (numpy's bit_generator.pyx): the pool hash
+# (A), the output hash of generate_state (B) and the pool mix
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# streams whose keys ``make_rngs`` builds in one numpy pass (64 KiB of keys)
+_KEY_BLOCK = 4096
 
 
 class RejectionCapError(RuntimeError):
@@ -91,6 +103,83 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+class _PhiloxKey(ISeedSequence):
+    """numpy's seed interface for a ready Philox key: it serves the one
+    request ``Philox`` makes, ``generate_state(2, np.uint64)``."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key only serves generate_state(2, np.uint64)")
+        return self.key
+
+
+def make_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """Yield ``make_rng(seed, i)`` for i < count, with the same bytes.
+
+    SeedSequence mixes the spawn word i into its pool last, so every stream
+    shares the pool of ``SeedSequence(seed)`` and the keys of a block of
+    streams come from it in one numpy pass (``_spawn_keys``).  Each yielded
+    generator is new, a Philox of its own key (its seed holds only that
+    key, so unlike ``make_rng``'s it cannot ``spawn``).  ``count`` is at
+    most 2**32, so that every i is one 32-bit word; a seed that
+    SeedSequence refuses raises here as in ``make_rng``.
+    """
+    count = operator.index(count)
+    if not 0 <= count <= 1 << 32:
+        raise ValueError(f"count must be in [0, 2**32] (one 32-bit spawn word), got {count}")
+    return _philox_streams(_spawn_mix(seed), count)
+
+
+def _spawn_mix(seed: int) -> np.ndarray:
+    """The (5, 4) uint32 constants that take a spawn word i to the Philox
+    key of ``make_rng(seed, i)``: the pool of ``SeedSequence(seed)`` times
+    the mix's left multiplier, then the xor and multiplier of each pool
+    word's hashmix of i (the hash constants after the seed's own words: 16
+    steps for up to four words, four more for each further word), then the
+    xor and multiplier of each word of ``generate_state``'s output hash."""
+    pool = np.random.SeedSequence(seed).pool
+    words = max(1, -(-operator.index(seed).bit_length() // 32))
+    m32 = 1 << 32
+    a = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), m32)
+    hash_a = [a * pow(_MULT_A, d, m32) % m32 for d in range(5)]
+    hash_b = [_INIT_B * pow(_MULT_B, d, m32) % m32 for d in range(5)]
+    consts = [hash_a[:4], hash_a[1:], hash_b[:4], hash_b[1:]]
+    return np.vstack([pool * np.uint32(_MIX_L), np.array(consts, dtype=np.uint32)])
+
+
+def _spawn_keys(mix: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The Philox keys, shape (len(ids), 2), of the uint32 spawn words
+    ``ids`` under ``_spawn_mix``'s constants: SeedSequence's last mixing
+    round and ``generate_state(2, np.uint64)``, in uint32 arithmetic."""
+    mixed_pool, xor_a, mult_a, xor_b, mult_b = mix
+    # hashmix(i) with the four constants, one per pool word
+    s = ids[:, None] ^ xor_a
+    s *= mult_a
+    s ^= s >> 16
+    # mix(pool, hashed i) = L * pool - R * hashed i, xorshifted
+    s *= np.uint32(_MIX_R)
+    np.subtract(mixed_pool, s, out=s)
+    s ^= s >> 16
+    # the output hash, and the four words read little-endian as two uint64
+    s ^= xor_b
+    s *= mult_b
+    s ^= s >> 16
+    return s.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _philox_streams(mix: np.ndarray, count: int) -> Iterator[np.random.Generator]:
+    for start in range(0, count, _KEY_BLOCK):
+        ids = np.arange(min(_KEY_BLOCK, count - start), dtype=np.uint32)
+        ids += start
+        for key in _spawn_keys(mix, ids):
+            yield np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 @dataclass
@@ -446,8 +535,9 @@ class ProductSampler:
         """Yield ``sample(rng)`` for each generator of ``rngs``, in order and
         with the same bytes.
 
-        Each generator makes the calls ``sample`` makes, one uniform per
-        coordinate but the last.  A block of generators is then drawn
+        Each generator draws one uniform per coordinate but the last, all
+        in one ``rng.random`` call (on Philox the same bits as ``sample``'s
+        call per coordinate).  A block of generators is then drawn
         together, one coordinate at a time: the draws that share a
         remainder share its cumulative weights, and one inverse-cdf search
         takes all their uniforms.  A block holds at most ``_BATCH_COORDS``
@@ -459,7 +549,7 @@ class ProductSampler:
         while True:
             count = 0
             for count, rng in enumerate(itertools.islice(rngs, len(block)), 1):
-                block[count - 1] = [rng.random() for _ in range(ell - 1)]
+                block[count - 1] = rng.random(ell - 1)
             if not count:
                 return
             uniforms = block[:count]

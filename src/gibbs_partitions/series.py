@@ -30,7 +30,6 @@ __all__ = [
     "fsum",
     "mul",
     "compose",
-    "pow_coeff",
     "series_of",
 ]
 
@@ -147,14 +146,3 @@ def compose(v: WeightSequence, w: WeightSequence, n_max: int) -> TruncatedSeries
     coeffs = acc.coeffs.copy()
     coeffs[0] += v.term(0)
     return TruncatedSeries(coeffs)
-
-
-def pow_coeff(w: WeightSequence, ell: int, n: int) -> float:
-    """``[z^n] W(z)**ell`` via repeated truncated multiplication."""
-    if ell < 1:
-        raise ValueError("power must be a positive integer")
-    ws = series_of(w, n)
-    acc = ws
-    for _ in range(ell - 1):
-        acc = mul(acc, ws, n)
-    return acc[n]

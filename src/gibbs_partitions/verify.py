@@ -321,7 +321,7 @@ def verify_dense_extremes(
             cand = cand[px[cand] > 0] if cand.size else cand
             k_rare = int(cand[0]) if cand.size else None
         maxima = np.empty(replicates)
-        draws = smp.sample_many(sampling.make_rng(seed, i) for i in range(replicates))
+        draws = smp.sample_many(sampling.make_rngs(seed, replicates))
         for i, s in enumerate(draws):
             maxima[i] = s.sizes.max() / scale
             if ni == ladder[-1]:
@@ -444,12 +444,12 @@ def _convergent_mc(scheme, n, replicates, seed, nhat) -> VerdictReport:
 
     obs: dict = {}
     lim: dict = {}
-    draws = smp.sample_many(sampling.make_rng(seed, i) for i in range(replicates))
-    for i, s in enumerate(draws):
+    draws = smp.sample_many(sampling.make_rngs(seed, replicates))
+    for s, rng2 in zip(draws, sampling.make_rngs(seed + 1, replicates)):
         key = cell(s.n_components, _second_largest(s.sizes))
         obs[key] = obs.get(key, 0) + 1
-        # limit tuple: N-hat - 1 i.i.d. sizes plus the giant remainder
-        rng2 = sampling.make_rng(seed + 1, i)
+        # limit tuple, on stream i of seed + 1: N-hat - 1 i.i.d. sizes plus
+        # the giant remainder
         nh = int(sampling._inverse_cdf_draw(cdf_nhat, rng2.random()))
         small = sampling._inverse_cdf_draw(cdf_x, rng2.random(max(nh - 1, 0)))
         tup = np.concatenate([small, [n - small.sum()]])
@@ -602,7 +602,7 @@ def verify_dilute(
     point_counts = {x: np.empty(replicates, dtype=np.int64) for x in point_lows}
     m2_low = 0.4
     m2_counts = np.empty(replicates, dtype=np.int64)
-    draws = smp.sample_many(sampling.make_rng(seed, i) for i in range(replicates))
+    draws = smp.sample_many(sampling.make_rngs(seed, replicates))
     for i, s in enumerate(draws):
         counts_at_kn[i] = np.count_nonzero(s.sizes == k_n)
         for x in point_lows:
@@ -745,7 +745,7 @@ def verify_extended(
             smp = sampling.ProductSampler(scheme.product_factors, n)
             ell = len(scheme.product_factors)
             hits = np.zeros(ell)
-            for tup in smp.sample_many(sampling.make_rng(seed, i) for i in range(replicates)):
+            for tup in smp.sample_many(sampling.make_rngs(seed, replicates)):
                 hits[int(np.argmax(tup))] += 1
             freq = hits / replicates
             sigma = math.sqrt((1.0 / ell) * (1.0 - 1.0 / ell) / replicates)

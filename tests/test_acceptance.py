@@ -28,7 +28,7 @@ from gibbs_partitions import (
 )
 from gibbs_partitions.exact import default_rho
 from gibbs_partitions.laws import StableParams, frechet_law, stable_density_inversion, stable_density_series
-from gibbs_partitions.sampling import ExactSampler, make_rng
+from gibbs_partitions.sampling import ExactSampler, make_rngs
 from gibbs_partitions.schemes import bundled_names
 from gibbs_partitions.series import compose
 from gibbs_partitions.verify import (
@@ -189,7 +189,7 @@ def test_criterion_06_frechet_largest_jump():
     smp = ExactSampler(scheme, n)
     scale = rep.nn_scale(n)
     maxima = np.empty(m)
-    for i, s in enumerate(smp.sample_many(make_rng(606, i) for i in range(m))):
+    for i, s in enumerate(smp.sample_many(make_rngs(606, m))):
         maxima[i] = s.sizes.max() / scale
     law = frechet_law(rep.mu, rep.alpha, 1)
     ks = float(kstest(maxima, lambda x: law.cdf(x)).statistic)

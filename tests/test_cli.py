@@ -350,6 +350,18 @@ def test_sample_refuses_a_negative_seed():
     assert str(err.value.code).startswith("error: --seed")
 
 
+def test_sample_refuses_more_replicates_than_spawn_words(monkeypatch):
+    from gibbs_partitions import sampling
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("--replicates is checked before any table is built")
+
+    monkeypatch.setattr(sampling, "_calibrate", no_table)
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--scheme", "dense-gauss", "--n", "10", "--replicates", str(2**32 + 1)])
+    assert str(err.value.code) == f"error: --replicates must be at most 2**32, got {2**32 + 1}"
+
+
 def test_sample_above_the_exact_budget_names_rejection(capsys, monkeypatch):
     from gibbs_partitions import sampling
 

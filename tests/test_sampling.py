@@ -2,6 +2,7 @@
 consistency, reproducibility, acceptance-rate accounting, statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,81 @@ def test_fft_rows_own_their_memory(convergent):
         assert kept.base is None or kept.flags.owndata
         assert kept.tobytes() == row.tobytes()
     assert len(smp._rows) == ell + 1
+
+
+_SEEDS = [0, 1, 20240901, 2**32 - 1, 2**32, 2**64 + 3, 2**127, 2**128, 2**200 + 11]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_make_rngs_matches_make_rng(seed):
+    """``make_rngs`` opens the streams of ``make_rng``: the same Philox key
+    and the same doubles, for seeds of one to seven 32-bit words."""
+    for count in (0, 1, 300):
+        got = list(sampling.make_rngs(seed, count))
+        assert len(got) == count
+        for i, rng in enumerate(got):
+            want = make_rng(seed, i)
+            key = rng.bit_generator.state["state"]["key"]
+            assert key.tobytes() == want.bit_generator.state["state"]["key"].tobytes()
+            assert rng.random(8).tobytes() == want.random(8).tobytes(), (seed, i)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_spawn_keys_at_every_spawn_word(seed):
+    # the last word of a key block, the first of the next, and words with
+    # the top bit set, up to the largest one
+    ids = np.array([4095, 4096, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32)
+    keys = sampling._spawn_keys(sampling._spawn_mix(seed), ids)
+    for i, key in zip(ids.tolist(), keys):
+        ss = np.random.SeedSequence(seed, spawn_key=(i,))
+        assert key.tobytes() == ss.generate_state(2, np.uint64).tobytes()
+
+
+def test_make_rngs_across_key_blocks(monkeypatch):
+    monkeypatch.setattr(sampling, "_KEY_BLOCK", 7)
+    got = [rng.random(3).tobytes() for rng in sampling.make_rngs(11, 20)]
+    assert got == [make_rng(11, i).random(3).tobytes() for i in range(20)]
+
+
+def test_make_rngs_streams_are_independent():
+    """Each yielded generator owns its state: drawing from one, before or
+    after the next is made, leaves the next one's bytes alone."""
+    want = [make_rng(5, i).random(8).tobytes() for i in range(3)]
+    rngs = sampling.make_rngs(5, 3)
+    first = next(rngs)
+    first.random(1000)
+    second = next(rngs)
+    first.random(1000)
+    assert second.random(8).tobytes() == want[1]
+    third = next(rngs)
+    second.random(1000)
+    assert third.random(8).tobytes() == want[2]
+    assert first.bit_generator.state["state"]["key"].tobytes() != (
+        third.bit_generator.state["state"]["key"].tobytes()
+    )
+
+
+def test_make_rngs_refuses_before_allocating():
+    tracemalloc.start()
+    try:
+        for count in (-1, 2**32 + 1):
+            with pytest.raises(ValueError, match="one 32-bit spawn word"):
+                sampling.make_rngs(0, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024  # one key block alone would take 64 KiB
+    # the largest count is accepted, and nothing is drawn until asked
+    assert next(sampling.make_rngs(0, 2**32)).random() == make_rng(0, 0).random()
+    # seeds SeedSequence refuses raise as in make_rng, at the call
+    for seed, error in ((-1, ValueError), (1.5, TypeError)):
+        with pytest.raises(error):
+            make_rng(seed, 0)
+        with pytest.raises(error):
+            sampling.make_rngs(seed, 3)
+    key = sampling._PhiloxKey(np.zeros(2, dtype=np.uint64))
+    with pytest.raises(ValueError, match="generate_state"):
+        key.generate_state(4, np.uint32)
 
 
 def test_draw_count_uniform_zero(dense_gauss):

@@ -18,7 +18,6 @@ from gibbs_partitions.series import (
     compose,
     convolve,
     mul,
-    pow_coeff,
     series_of,
 )
 
@@ -120,13 +119,6 @@ def test_compose_tilt_covariance():
     tilted = compose(scheme.v, scheme.w.tilt(t), 100).coeffs
     scale = t ** np.arange(101)
     assert np.allclose(tilted, base * scale, rtol=1e-12, atol=1e-300)
-
-
-def test_pow_coeff_basics():
-    w = WeightSequence.explicit([0.0, 1.0, 1.0])
-    assert pow_coeff(w, 1, 2) == 1.0
-    assert pow_coeff(w, 2, 3) == 2.0
-    assert pow_coeff(w, 5, 3) == 0.0  # minimum degree ell > n
 
 
 def test_series_of_round_trip():

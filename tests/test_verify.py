@@ -302,7 +302,9 @@ def test_convergent_limit_tuples_at_zero_uniforms(monkeypatch):
         def random(self, size=None):
             return 0.0 if size is None else np.zeros(size)
 
-    monkeypatch.setattr(verify.sampling, "make_rng", lambda seed, stream=0: Zeros())
+    monkeypatch.setattr(
+        verify.sampling, "make_rngs", lambda seed, count: (Zeros() for _ in range(count))
+    )
     tuples = []
     second_largest = verify._second_largest
 
