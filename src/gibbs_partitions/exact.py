@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .phases import _bisect, _w_at_radius
@@ -69,6 +70,9 @@ __all__ = [
 _DIRECT_CONV_LIMIT = 4_000_000
 
 _DEFICIT_N_CAP = 4000
+
+# entries per block of rows of the m = 2 prefix joint (512 KiB of doubles)
+_JOINT_BLOCK = 1 << 16
 
 
 class TailCertificationError(RuntimeError):
@@ -127,10 +131,9 @@ def tv_distance(a: DiscreteLaw, b: DiscreteLaw) -> float:
 
     Exact whenever both laws are fully accounted within their arrays.
     """
-    m = max(a.pmf.size, b.pmf.size)
-    pa = np.pad(a.pmf, (0, m - a.pmf.size))
-    pb = np.pad(b.pmf, (0, m - b.pmf.size))
-    return 0.5 * (fsum(np.abs(pa - pb)) + a.deficit + b.deficit)
+    k = min(a.pmf.size, b.pmf.size)
+    gaps = (np.abs(a.pmf[:k] - b.pmf[:k]), a.pmf[k:], b.pmf[k:])  # a tail's gap is its pmf
+    return 0.5 * (fsum(gaps) + a.deficit + b.deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -622,17 +625,26 @@ def prefix_law(scheme: SchemeSpec, n: int, m: int, method: str = "auto") -> Pref
         mass = fsum(joint)
         tv = 0.5 * (fsum(np.abs(joint - px)) + d)
     else:
-        # joint[k1, k2] = P(X=k1) P(X=k2) G[n-k1-k2] / denom
-        joint = np.zeros((n + 1, n + 1))
-        for k1 in range(n + 1):
-            if px[k1] == 0.0:
-                continue
-            lim = n - k1
-            joint[k1, : lim + 1] = px[k1] * px[: lim + 1] * green[lim::-1] / denom
+        # joint[k1, k2] = P(X=k1) P(X=k2) G[n-k1-k2] / denom, filled and
+        # compared with the product law a block of rows at a time, so no
+        # other (n+1)^2 array exists beside it
+        joint = np.empty((n + 1, n + 1))
+        # hankel[k1, k2] = G[n-k1-k2], and 0 past the antidiagonal k1 + k2 = n
+        padded = np.zeros(2 * n + 1)
+        padded[: n + 1] = green[::-1]
+        hankel = sliding_window_view(padded, n + 1)
+        rows = max(1, _JOINT_BLOCK // (n + 1))
+        blocks = [slice(k, k + rows) for k in range(0, n + 1, rows)]
+        for blk in blocks:
+            out = joint[blk]
+            np.multiply(px[blk, None], px, out=out)
+            out *= hankel[blk]
+            out /= denom
+            out[px[blk] == 0.0] = 0.0  # +0.0 even where G has round-off below 0
         mass = fsum(joint)
-        iid = np.outer(px, px)
         # the product law misses 1 - (1 - d)^2 = d (2 - d) of its mass
-        tv = 0.5 * (fsum(np.abs(joint - iid)) + d * (2.0 - d))
+        gaps = (np.abs(joint[blk] - np.outer(px[blk], px)) for blk in blocks)
+        tv = 0.5 * (fsum(gaps) + d * (2.0 - d))
     return PrefixLaw(joint, mass, tv, px)
 
 

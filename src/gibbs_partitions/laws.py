@@ -55,10 +55,17 @@ __all__ = [
 
 _SERIES_MAX_TERMS = 600
 _CANCELLATION_LIMIT = 1e6
+
+
 # exp and cos element by element from the C library: numpy's vector exp and
 # cos round differently on different SIMD levels
-_exp = np.vectorize(math.exp, otypes=[float])
-_cos = np.vectorize(math.cos, otypes=[float])
+def _libm(fn, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+_exp = functools.partial(_libm, math.exp)
+_cos = functools.partial(_libm, math.cos)
 
 
 @functools.lru_cache(maxsize=4)

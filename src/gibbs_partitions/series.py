@@ -33,7 +33,12 @@ __all__ = [
     "series_of",
 ]
 
-_FSUM_BLOCK = 1 << 14
+_FSUM_BLOCK = 1 << 14  # math.fsum up to this many entries; chunk size above it
+_FSUM_FOLD = 1 << 26  # fewer entries per bin keep the 27-bit half sums below 2**53
+_EXP_MASK = 0x7FF << 52
+_FRAC_MASK = (1 << 52) - 1
+_HALF_MASK = (1 << 26) - 1
+_ULP_INV = 1 << 1074  # every finite double is an integer multiple of 2**-1074
 
 
 def convolve(a, b, size: int | None = None) -> np.ndarray:
@@ -80,15 +85,120 @@ def dot(a, b) -> float:
 
 
 def fsum(a) -> float:
-    """Correctly rounded sum of all entries (``math.fsum``).
+    """Correctly rounded sum of all entries; equals ``math.fsum``.
 
-    Independent of numpy's pairwise-summation blocking and of the order of
-    the entries; used for every total that feeds a verdict.  Entries become
-    Python floats one block at a time, which bounds the memory this takes.
+    ``a`` is an array or an iterable of arrays (the sum runs over the
+    entries of all of them).  Independent of numpy's pairwise-summation
+    blocking and of the order of the entries; used for every total that
+    feeds a verdict.  Inputs of at most ``_FSUM_BLOCK`` entries go to
+    ``math.fsum``.  Larger ones are summed exactly in integers
+    (``_ExactSum``) and rounded once; the correctly rounded sum is unique,
+    so the float is ``math.fsum``'s.  An input with a non-finite entry, or
+    whose magnitudes could take the sum out of the float range, goes to
+    ``math.fsum`` too, so NaN, inf, ``ValueError`` and ``OverflowError``
+    come from there.
     """
-    flat = np.ravel(a)
-    blocks = (flat[i : i + _FSUM_BLOCK].tolist() for i in range(0, flat.size, _FSUM_BLOCK))
-    return math.fsum(itertools.chain.from_iterable(blocks))
+    items = (a,) if isinstance(a, np.ndarray) or np.isscalar(a) else a
+    parts = (np.ravel(np.asarray(p, dtype=float)) for p in items)
+    acc = _ExactSum()
+    pending: list[np.ndarray] = []
+    size = 0
+    for flat in parts:
+        pending.append(flat)
+        size += flat.size
+        if size > _FSUM_BLOCK:
+            if not acc.add(pending):
+                break
+            pending, size = [], 0
+    else:
+        if acc.count == 0:
+            return math.fsum(_floats(pending))
+        if size == 0 or acc.add(pending):
+            return acc.value()
+    # math.fsum from the batch that failed on, after the exact sum before it
+    return math.fsum(itertools.chain(acc.expansion(), _floats(pending), _floats(parts)))
+
+
+def _floats(arrays):
+    """The entries of 1-d arrays as Python floats, ``_FSUM_BLOCK`` at a time."""
+    return itertools.chain.from_iterable(
+        flat[i : i + _FSUM_BLOCK].tolist() for flat in arrays for i in range(0, flat.size, _FSUM_BLOCK)
+    )
+
+
+class _ExactSum:
+    """Exact sum of finite doubles, as an integer count of 2**-1074.
+
+    Every finite double is m 2**(e - 1075), with e its biased exponent
+    field and m its 53-bit integer significand; subnormals and zeros take
+    e = 1 and no implicit bit.  Entries go to one of 4096 bins by sign and
+    exponent field, and two ``np.bincount`` calls sum the high 27 and the
+    low 26 bits of their significands per bin.  Those float sums are
+    integers below 2**53, so exact, while a bin holds fewer than
+    ``_FSUM_FOLD`` entries; before that the bins fold into ``total``, a
+    Python int.  Only integers are added, so no step depends on the order
+    of the entries or on the SIMD level.
+    """
+
+    def __init__(self) -> None:
+        self.total = 0  # folded sum, in units of 2**-1074
+        self.count = 0  # entries added
+        self.bound = 0.0  # sum over the added arrays of size * largest magnitude
+        self.bins = np.zeros((2, 4096))  # high-half and low-half sums
+        self.held = 0  # entries in the bins since the last fold
+
+    def add(self, arrays: list[np.ndarray]) -> bool:
+        """Add the entries of 1-d float arrays.
+
+        Adds nothing and returns False when an entry is not finite or the
+        magnitudes added so far could reach 2**1022: past that, a running
+        sum in ``math.fsum`` may overflow, and only it says how.
+        """
+        flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        self.bound += flat.size * max(float(flat.max()), -float(flat.min()))  # NaN stays NaN
+        if not self.bound < 2.0**1022:
+            return False
+        bits = flat.view(np.int64)
+        for i in range(0, bits.size, _FSUM_BLOCK):
+            chunk = bits[i : i + _FSUM_BLOCK]
+            if self.held + chunk.size > _FSUM_FOLD:
+                self._fold()
+            sig = chunk & _EXP_MASK
+            np.minimum(sig, 1 << 52, out=sig)  # the implicit bit, 0 for subnormals
+            sig |= chunk & _FRAC_MASK
+            idx = chunk >> 52  # sign and exponent field: -2048 .. 2047
+            idx += 2048  # negative entries in bins 0..2047, the rest above
+            self.bins[0] += np.bincount(idx, sig >> 26, 4096)
+            sig &= _HALF_MASK
+            self.bins[1] += np.bincount(idx, sig, 4096)
+            self.held += chunk.size
+        self.count += flat.size
+        return True
+
+    def _fold(self) -> None:
+        high, low = self.bins
+        nz = np.flatnonzero(high + low)  # both sums are nonnegative
+        for i, h, lo in zip(nz.tolist(), high[nz].tolist(), low[nz].tolist()):
+            term = ((int(h) << 26) + int(lo)) << max((i & 2047) - 1, 0)
+            self.total += term if i & 2048 else -term
+        self.bins[:] = 0.0
+        self.held = 0
+
+    def value(self) -> float:
+        """The sum, rounded once (CPython's int division rounds correctly)."""
+        self._fold()
+        return self.total / _ULP_INV
+
+    def expansion(self) -> list[float]:
+        """Floats whose exact sum is the sum so far, largest first."""
+        self._fold()
+        out, rest = [], self.total
+        while rest:
+            f = rest / _ULP_INV
+            num, den = f.as_integer_ratio()
+            rest -= num * (_ULP_INV // den)  # f is a multiple of 2**-1074
+            out.append(f)
+        return out
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 brute-force enumeration oracle, prefix laws, deficits, product structures."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from gibbs_partitions import (
     stopped_sum_law,
     tv_distance,
 )
+from gibbs_partitions import exact
 from gibbs_partitions.exact import (
     _DIRECT_CONV_LIMIT,
     ConvolutionTable,
@@ -448,6 +450,75 @@ def test_prefix_tv_decreasing_and_marginalization(dense_gauss):
     # data processing: the two-coordinate TV dominates the marginal TV
     assert tvs2[0] >= tvs1[0]
     assert tvs2[1] >= tvs1[1]
+
+
+def _prefix_m2_oracle(scheme, n, harvest=_harvest):
+    """The m = 2 prefix law by the row-by-row formula, with the product law
+    as a full (n+1)^2 array and Python-float sums."""
+    cal = _calibrate(scheme, n)
+    column, (green,) = harvest(cal.law_x.pmf, n, cal.cap, "auto", [cal.pmf_n[2:]], _unit(n))
+    denom = dot(cal.pmf_n, column)
+    px, d = cal.law_x.pmf, cal.law_x.deficit
+    joint = np.zeros((n + 1, n + 1))
+    for k1 in range(n + 1):
+        if px[k1] == 0.0:
+            continue
+        lim = n - k1
+        joint[k1, : lim + 1] = px[k1] * px[: lim + 1] * green[lim::-1] / denom
+    mass = math.fsum(joint.ravel().tolist())
+    tv = 0.5 * (math.fsum(np.abs(joint - np.outer(px, px)).ravel().tolist()) + d * (2.0 - d))
+    return joint, mass, tv
+
+
+@pytest.mark.parametrize("n", [1, 60, 400, 1600])
+def test_prefix_m2_matches_row_formula(dense_gauss, n):
+    joint, mass, tv = _prefix_m2_oracle(dense_gauss, n)
+    pl = prefix_law(dense_gauss, n, 2)
+    assert pl.joint.tobytes() == joint.tobytes()
+    assert pl.mass_accounted.hex() == mass.hex()
+    assert pl.tv_to_iid.hex() == tv.hex()
+
+
+def test_prefix_m2_rows_without_mass_stay_zero(dense_gauss, monkeypatch):
+    """Rows with P(X = k1) = 0 are +0.0, as in the row formula, even where
+    G has round-off below zero (0 * negative would be -0.0)."""
+    def harvest(*args, **kwargs):
+        column, (green,) = _harvest(*args, **kwargs)
+        green = green.copy()
+        green[::3] *= -1.0
+        return column, (green,)
+
+    monkeypatch.setattr(exact, "_harvest", harvest)
+    joint, mass, tv = _prefix_m2_oracle(dense_gauss, 60, harvest)
+    pl = prefix_law(dense_gauss, 60, 2)
+    assert np.signbit(joint[0]).sum() == 0 and np.signbit(joint).any()
+    assert pl.joint.tobytes() == joint.tobytes()
+    assert (pl.mass_accounted.hex(), pl.tv_to_iid.hex()) == (mass.hex(), tv.hex())
+
+
+def test_prefix_m2_memory_is_the_joint(dense_gauss):
+    """Beside the joint itself, only blocks of rows: about 4 joints before."""
+    n = 1600
+    prefix_law(dense_gauss, n, 2)  # calibration cached, as in any repeat call
+    tracemalloc.start()
+    try:
+        pl = prefix_law(dense_gauss, n, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pl.joint.nbytes + 8 * 2**20
+
+
+def test_tv_distance_of_unequal_lengths():
+    rng = np.random.default_rng(3)
+    for size_a, size_b in ((5, 9), (9, 5), (7, 7), (20000, 40000), (1, 30000)):
+        pa, pb = rng.random(size_a), rng.random(size_b)
+        a = DiscreteLaw(pa / (2.0 * pa.sum()), 0.5)
+        b = DiscreteLaw(pb / (4.0 * pb.sum()), 0.25)
+        m = max(size_a, size_b)
+        gaps = np.abs(np.pad(a.pmf, (0, m - size_a)) - np.pad(b.pmf, (0, m - size_b)))
+        want = 0.5 * (math.fsum(gaps.tolist()) + a.deficit + b.deficit)
+        assert tv_distance(a, b).hex() == want.hex()
 
 
 def test_prefix_tilt_invariance(dense_gauss):

@@ -644,3 +644,18 @@ def test_all_cdfs_monotone_densities_nonneg():
     law = frechet_law(1.1, 1.5, 1)
     cdfs = law.cdf(np.linspace(0.01, 20, 50))
     assert all(b >= a for a, b in zip(cdfs, cdfs[1:]))
+
+
+def test_libm_maps_are_math_per_entry():
+    """laws._exp and laws._cos give math.exp / math.cos of each entry, in the
+    input's shape (0-d arrays for scalars), and raise where math does."""
+    rng = np.random.default_rng(2)
+    for x in (rng.standard_normal(400) * 60.0, rng.standard_normal((3, 5, 2)),
+              np.float64(-0.7), 1.25, [0, 1, 2], np.zeros((0, 4))):
+        want = np.asarray(x, dtype=float)
+        for fn, ref in ((laws._exp, math.exp), (laws._cos, math.cos)):
+            got = fn(x)
+            assert got.dtype == float and got.shape == want.shape
+            assert got.tobytes() == np.array([ref(v) for v in want.ravel().tolist()]).tobytes()
+    with pytest.raises(OverflowError):
+        laws._exp(np.array([1.0, 800.0]))

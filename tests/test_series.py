@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbs_partitions import WeightSequence, bundled_scheme
+from gibbs_partitions import WeightSequence, bundled_scheme, series
 from gibbs_partitions.series import (
+    _FSUM_BLOCK,
     TruncatedSeries,
     compose,
     convolve,
+    fsum,
     mul,
     series_of,
 )
@@ -172,3 +174,137 @@ def test_convolve_bytes_do_not_follow_blas_kernel(baseline_cpu_env):
         env=baseline_cpu_env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert child.stdout.strip() == hashlib.sha256(out.tobytes()).hexdigest()
+
+
+def _wide_floats(seed, size, lo, hi):
+    """size doubles with exponents in [lo, hi], mixed signs, signed zeros,
+    subnormals and exactly cancelling pairs."""
+    rng = np.random.default_rng(seed)
+    x = np.ldexp(rng.random(size) + 0.5, rng.integers(lo, hi + 1, size))
+    picks = rng.integers(0, size, (4, size // 8)) if size else np.zeros((4, 0), dtype=int)
+    x[picks[0]] = rng.integers(0, 1 << 52, picks[0].size).view(float)  # subnormal
+    x[rng.random(size) < 0.5] *= -1.0
+    x[picks[1]] = 0.0
+    x[picks[2]] = -0.0
+    x[picks[3]] = -x[(picks[3] + 1) % size]
+    assert np.isfinite(x).all()
+    return x
+
+
+def _fsum_outcome(fn, x):
+    try:
+        return fn(x).hex()
+    except (ValueError, OverflowError) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3 * _FSUM_BLOCK),
+       st.integers(-1074, 1000), st.integers(0, 2074))
+def test_fsum_is_math_fsum(seed, size, lo, span):
+    """Bit for bit math.fsum's float on both sides of the switch to exact
+    integer bins, over every exponent from 2**-1074 to 2**1000."""
+    x = _wide_floats(seed, size, lo, min(lo + span, 1000))
+    assert fsum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3 * _FSUM_BLOCK),
+       st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_fsum_of_blocks_is_fsum_of_concatenation(seed, size, cuts):
+    x = _wide_floats(seed, size, -1074, 1000)
+    edges = sorted(int(c * size) for c in cuts)
+    blocks = np.split(x, edges)
+    want = fsum(x).hex()
+    assert fsum(blocks).hex() == want
+    assert fsum(iter(blocks)).hex() == want
+    assert fsum(b.reshape(1, -1) for b in blocks).hex() == want
+
+
+@pytest.mark.parametrize("size", [5, _FSUM_BLOCK + 1, 3 * _FSUM_BLOCK])
+def test_fsum_non_finite_and_overflow_as_math_fsum(size):
+    rng = np.random.default_rng(size)
+    base = rng.standard_normal(size)
+    cases = []
+    for specials in ([math.nan], [math.inf], [-math.inf], [math.inf, -math.inf],
+                     [math.nan, math.inf, -math.inf], [1e308, 1e308], [1e308, -1e308, 1e308],
+                     [-1.7976931348623157e308, -1e292]):
+        for at in (0, size // 2, size - 1):
+            x = base.copy()
+            x[at : at + len(specials)] = specials[: size - at]
+            cases.append(x)
+    cases.append(np.full(size, 1e308))
+    cases.append(np.full(size, 1e308) * np.resize([1.0, -1.0], size))
+    for x in cases:
+        want = _fsum_outcome(lambda v: math.fsum(v.tolist()), x)
+        assert _fsum_outcome(fsum, x) == want
+        # the same entries as blocks, the special ones in a late block
+        halves = [x[: size // 3], x[size // 3 :]]
+        assert _fsum_outcome(fsum, halves) == want
+
+
+def test_fsum_blocks_past_the_float_range_fall_back_exactly():
+    """A late block too large for the bins goes to math.fsum after the exact
+    sum of the blocks before it, which lands on the same float."""
+    rng = np.random.default_rng(5)
+    head = _wide_floats(6, 2 * _FSUM_BLOCK, -1074, 900)
+    # the large entries cancel, so the result is the sum of the blocks before
+    for tail in ([1e308, -1e308], [1.5e308, -1e308, -0.5e308, 2.0**-1074],
+                 [2.0**1023] * 2 + [-(2.0**1023)] * 2):
+        tail = np.array(tail)
+        blocks = [head, rng.standard_normal(_FSUM_BLOCK + 3), tail]
+        want = _fsum_outcome(lambda v: math.fsum(np.concatenate(v).tolist()), blocks)
+        assert _fsum_outcome(fsum, blocks) == want
+    # the sum before the fallback, 1 + 2**-60, takes two floats to carry
+    head = np.zeros(_FSUM_BLOCK + 10)
+    head[[3, 7]] = 1.0, 2.0**-60
+    assert fsum([head, np.array([1e308, -1e308, -1.0])]) == 2.0**-60
+
+
+def test_fsum_scalars_and_lists():
+    assert fsum(2.5) == 2.5
+    assert fsum([]) == 0.0
+    assert fsum([0.1] * 10) == 1.0
+    assert fsum([[0.1, 0.2], [0.3]]) == math.fsum([0.1, 0.2, 0.3])
+    big = np.full(_FSUM_BLOCK + 1, 0.1)
+    assert fsum([np.zeros(0), big, np.zeros(0)]) == fsum(big) == math.fsum(big.tolist())
+    assert fsum(np.full(4 * _FSUM_BLOCK, -0.0)).hex() == math.fsum([-0.0]).hex()
+    assert fsum(np.arange(3 * _FSUM_BLOCK)) == math.fsum(range(3 * _FSUM_BLOCK))
+    for size in (_FSUM_BLOCK, _FSUM_BLOCK + 1):
+        x = _wide_floats(size, size, -1074, 1000)
+        assert fsum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+def test_fsum_folds_bins_mid_block(monkeypatch):
+    """With a fold every 1000 entries the bins fold before every chunk,
+    inside one array and across blocks; the float stays math.fsum's."""
+    folds = []
+    fold = series._ExactSum._fold
+    monkeypatch.setattr(series, "_FSUM_FOLD", 1000)
+    monkeypatch.setattr(series._ExactSum, "_fold", lambda acc: folds.append(acc.held) or fold(acc))
+    x = _wide_floats(9, 3 * _FSUM_BLOCK, -1074, 1000)
+    want = math.fsum(x.tolist()).hex()
+    assert fsum(x).hex() == want
+    assert folds == [0] + [_FSUM_BLOCK] * 3  # before each chunk, and at the end
+    assert fsum(np.split(x, [100, 20000, 20001])).hex() == want
+
+
+_FSUM_DIGEST = """
+import numpy as np
+from gibbs_partitions.series import fsum
+rng = np.random.default_rng(17)
+x = np.ldexp(rng.standard_normal(100_000), rng.integers(-1074, 960, 100_000))
+print(fsum(x).hex())
+"""
+
+
+def test_fsum_bits_do_not_follow_simd_level(baseline_cpu_env):
+    """The bins add integers only, so a child with numpy's SIMD dispatch off
+    gives the same float, which is math.fsum's."""
+    rng = np.random.default_rng(17)
+    x = np.ldexp(rng.standard_normal(100_000), rng.integers(-1074, 960, 100_000))
+    child = subprocess.run(
+        [sys.executable, "-c", _FSUM_DIGEST],
+        env=baseline_cpu_env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert child.stdout.strip() == fsum(x).hex() == math.fsum(x.tolist()).hex()
