@@ -135,6 +135,11 @@ def _cmd_sample(args) -> int:
     if args.replicates > 1 << 32:  # replicate i draws on spawn word i, 32 bits
         sys.exit(f"error: --replicates must be at most 2**32, got {args.replicates}")
     stats_fields = [s.strip() for s in args.stats.split(",") if s.strip()]
+    if scheme.product_factors is not None:  # exact coordinate draws, written as they are
+        if args.method == "rejection":
+            sys.exit(f"error: --method rejection does not apply to product scheme {args.scheme!r}")
+        if stats_fields:
+            sys.exit(f"error: --stats does not apply to product scheme {args.scheme!r}")
     for f in stats_fields:
         if not (f.startswith("count_") and f[6:].isdecimal()):
             sys.exit(f"error: unknown stat {f!r} (use count_<k>, k a non-negative integer)")

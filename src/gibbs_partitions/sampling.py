@@ -208,10 +208,15 @@ def _inverse_cdf_draw(cdf: np.ndarray, u):
 class ExactSampler:
     """Rejection-free sampler sharing one convolution table per (scheme, n).
 
-    Table rows are built lazily up to the largest count actually drawn and
-    are read-only afterwards.  The sampler itself is single-threaded;
-    parallelism belongs at the level of independent (scheme, n) jobs, each
-    owning its sampler and its replicate streams.
+    The table is one array, read by ``sample``, its chunk walk and
+    ``sample_many``: row l is ``_CHUNK`` zeros, then P(S_l = .)[0..n].
+    ``__init__`` reserves (count law size) x (n + 129) x 8 bytes of address
+    space; a row is written when a draw first needs it, then only read.
+    That is large only when P(X = 0) > 0 lets the count law run to
+    max(4n, 10^5) (``_ell_cap``): 850 MB at n = 3000 and P(X = 0) = 0.27,
+    where draws write about 2500 of its 33958 rows.  The sampler is
+    single-threaded; parallelism belongs at the level of independent
+    (scheme, n) jobs, each owning its sampler and its replicate streams.
 
     A draw takes its count from the exact law of N_n, then one uniform per
     coordinate but the last, all in one ``rng.random`` call (on Philox the
@@ -239,7 +244,6 @@ class ExactSampler:
         self.count_law = _conditioned(cal.pmf_n, column, n, "partition function")
         self.count_cdf = np.cumsum(self.count_law.pmf)
         self.pmf_x = cal.law_x.pmf
-        self._px = self.pmf_x.tolist()
         # the smallest size with mass; the first chunk's walk starts there
         # (at the chunk's last size if it has none), with that term peeled
         self._k0 = int(np.flatnonzero(self.pmf_x)[0])
@@ -247,16 +251,19 @@ class ExactSampler:
         self._rest = range(self._peel + 1, _CHUNK)
         self._px_head = np.zeros(_CHUNK)  # P(X = k) for the first chunk's k
         self._px_head[: min(n + 1, _CHUNK)] = self.pmf_x[:_CHUNK]
+        self._px = self._px_head.tolist()  # the scalar walk reads only k < _CHUNK
         self.roundoff_fallbacks = 0
         self._source = _row_source(self.pmf_x, n, "auto")
-        self._rows: list[np.ndarray] = []
+        self._table = np.empty((self.count_cdf.size, _CHUNK + n + 1))
+        self._rows: list[np.ndarray] = []  # the rows' P(S_l = .) parts
         self._views: list[memoryview] = []  # scalar reads of _rows
         self._ensure_rows(0)
 
     def _ensure_rows(self, ell: int) -> None:
-        while len(self._rows) <= ell:
-            # a copy: an FFT row is a view that would pin its whole transform buffer
-            row = next(self._source).copy()
+        for zero_led in self._table[len(self._rows) : ell + 1]:
+            zero_led[:_CHUNK] = 0.0
+            row = zero_led[_CHUNK:]
+            row[:] = next(self._source)
             self._rows.append(row)
             self._views.append(memoryview(row))
 
@@ -316,19 +323,13 @@ class ExactSampler:
         used.  A block closes before its coordinates could pass
         ``_BATCH_COORDS`` (or the largest count, if that is more), so memory
         stays bounded however many generators come.  The yielded sizes are
-        views into that buffer.  The lockstep pays a few numpy calls per
-        step, so a single draw is cheaper through ``sample``.
+        views into that buffer.  The walk reads the sampler's own table and
+        allocates none.  The lockstep pays a few numpy calls per step, so a
+        single draw is cheaper through ``sample``.
         """
-        # table rows 0..l, each after _CHUNK zeros (the terms of sizes past
-        # the remainder); made again when a block needs more rows
-        table = np.empty((0, _CHUNK + self.n + 1))
         for ells, buf in self._blocks(rngs):
-            top = max(ells)
-            if len(table) <= top:
-                self._ensure_rows(top)
-                table = np.zeros((top + 1, _CHUNK + self.n + 1))
-                np.stack(self._rows[: top + 1], out=table[:, _CHUNK:])
-            yield from self._lockstep(np.array(ells), buf, table)
+            self._ensure_rows(max(ells))
+            yield from self._lockstep(np.array(ells), buf)
 
     def _blocks(self, rngs):
         """The counts of a block of generators, and a new flat buffer with
@@ -348,16 +349,14 @@ class ExactSampler:
         if ells:
             yield ells, buf
 
-    def _lockstep(
-        self, ells: np.ndarray, buf: np.ndarray, table: np.ndarray
-    ) -> Iterator[PartitionSample]:
+    def _lockstep(self, ells: np.ndarray, buf: np.ndarray) -> Iterator[PartitionSample]:
         """Walk one block, every unfinished draw one coordinate per step.
 
         Draw i owns ``ells[i]`` entries of ``buf`` from the sum of the
         earlier counts on: its uniforms, each overwritten by its size (as
         int64) once used, and last the remainder.  The draws are sorted
         longest first, so the ones still walking form a prefix.  Each step
-        gathers the table entries from the zero-led rows ``table``, peels the
+        gathers the entries of the zero-led table rows, peels the
         smallest size with mass for every draw, and carries the others'
         partial sums through ``_LOCKSTEP_STOPS`` as row-wise cumsums whose
         first column is the carried sum: numpy multiplies and adds
@@ -372,7 +371,7 @@ class ExactSampler:
         steps = ells[order] - 1  # coordinates walked before the remainder
         pos = starts[order]  # each draw's current entry of buf
         rem = np.full(ells.size, self.n)
-        flat, width = table.ravel(), table.shape[1]
+        flat, width = self._table.ravel(), self._table.shape[1]
         peel, px, negated = self._peel, self._px_head, -steps  # negated ascends
         for s in range(int(steps[0])):
             m = int(np.searchsorted(negated, -s))  # the draws with steps > s

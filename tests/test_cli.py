@@ -397,6 +397,23 @@ def test_sample_product_without_a_configuration_is_one_error_line(capsys):
 
 
 @pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--method", "rejection"], "--method rejection"),
+        (["--stats", "count_1"], "--stats"),
+        (["--method", "rejection", "--stats", "count_1"], "--method rejection"),
+    ],
+)
+def test_sample_product_refuses_flags_it_cannot_honour(capsys, tmp_path, extra, flag):
+    out = tmp_path / "draws.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--scheme", "product-symmetric", "--n", "20", "--out", str(out)] + extra)
+    msg = str(err.value.code)
+    assert msg == f"error: {flag} does not apply to product scheme 'product-symmetric'"
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
     "args, argument",
     [
         (["exact", "--scheme", "bell", "--n", "0"], "--n"),

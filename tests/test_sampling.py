@@ -329,7 +329,8 @@ def test_roundoff_fallback_is_counted(dense_gauss):
 
 def test_fft_rows_own_their_memory(convergent):
     # in the FFT regime each row of the source is an n + 1 view of a longer
-    # transform buffer; the sampler keeps a copy so the buffer can go
+    # transform buffer; the sampler writes the row into its own table, so
+    # the buffer can go
     n, ell = 2100, 40
     smp = ExactSampler(convergent, n)
     smp._ensure_rows(ell)
@@ -337,9 +338,48 @@ def test_fft_rows_own_their_memory(convergent):
     for j, (row, kept) in enumerate(zip(source, smp._rows)):
         if j > 0:
             assert row.base is not None and row.base.size > n + 1
-        assert kept.base is None or kept.flags.owndata
+        assert not np.shares_memory(kept, row)
+        assert np.shares_memory(kept, smp._table)
         assert kept.tobytes() == row.tobytes()
     assert len(smp._rows) == ell + 1
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        ("dense-gauss", 600),
+        # P(X = 0) > 0: the count law has 33958 entries, and the table
+        # reserves about 850 MB of which only the drawn rows may be written
+        ("w0-positive", 3000),
+    ],
+)
+def test_table_is_lazy_and_never_restacked(name, n, monkeypatch):
+    """One sampler, its table read by interleaved ``sample_many`` and
+    ``sample`` calls: the bytes of a fresh sampler's ``sample`` draws, rows
+    written only up to the largest count drawn, each row zero-led and a
+    view of the one table, and no copy of the rows made per block."""
+    scheme = _WALK_SCHEMES[name]() if name in _WALK_SCHEMES else bundled_scheme(name)
+    smp = ExactSampler(scheme, n)
+    # blocks of a few draws, whose buffers weigh less than a copy of the rows
+    monkeypatch.setattr(sampling, "_BATCH_COORDS", 4 * smp.count_cdf.size)
+    got = [s.sizes.tobytes() for s in smp.sample_many(make_rng(29, i) for i in range(3))]
+    got.append(smp.sample(make_rng(29, 3)).sizes.tobytes())
+    got += [s.sizes.tobytes() for s in smp.sample_many(make_rng(29, i) for i in (4, 5))]
+    got.append(smp.sample(make_rng(29, 6)).sizes.tobytes())
+    tracemalloc.start()
+    try:
+        got += [s.sizes.tobytes() for s in smp.sample_many(make_rng(29, i) for i in range(7, 19))]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ref = ExactSampler(scheme, n)
+    want = [ref.sample(make_rng(29, i)).sizes for i in range(19)]
+    assert got == [sizes.tobytes() for sizes in want]
+    assert len(smp._rows) == max(sizes.size for sizes in want) + 1
+    assert len(smp._rows) < smp.count_cdf.size
+    assert not smp._table[: len(smp._rows), :_CHUNK].any()
+    assert all(np.shares_memory(row, smp._table) for row in smp._rows)
+    assert peak < smp._table[: len(smp._rows)].nbytes / 2
 
 
 _SEEDS = [0, 1, 20240901, 2**32 - 1, 2**32, 2**64 + 3, 2**127, 2**128, 2**200 + 11]
