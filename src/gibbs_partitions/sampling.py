@@ -10,23 +10,29 @@ Two routes with identical laws (their agreement is itself a test):
 
 Reproducibility contract: streams use the counter-based Philox generator
 keyed by (seed, stream) through SeedSequence; identical (scheme, n, seed,
-method) yields byte-identical samples.  ``make_rngs(seed, count)`` opens
-streams 0..count-1 with the keys, so the bytes, of ``make_rng``, built from
-the seed's one SeedSequence pool in a numpy pass.  Coordinate draws invert
-the conditional cdf by cumulative search in fixed-size chunks of ``_CHUNK``
-sizes, and the chunk size is part of the stream semantics.  The first chunk is summed by scalar
-partial sums in ``np.cumsum``'s order (the same products, added left to
-right), which stops at the same index as a cumsum followed by a left
-``searchsorted``; later chunks are summed by numpy on top of the first
-chunk's total.  The scalar sums start at the smallest size with mass: the
-sizes below it contribute exact zeros, and adding +0.0 leaves a partial
-sum's bits unchanged, so skipping them moves no byte of any stream.
+method) yields byte-identical samples.  Every stream of a seed shares the
+seed's one SeedSequence pool: ``make_rng(seed, stream)`` hashes the stream
+word into the last seed's pool constants in Python ints (the SeedSequence
+itself is built only for other seeds and streams, or when the generator
+``spawn``s), and ``make_rngs(seed, count)`` opens streams 0..count-1 with
+the same keys, a block of them in one numpy pass.  The count is drawn by a
+left search of its cdf on a scalar target.  Coordinate draws invert the
+conditional cdf by cumulative search in fixed-size chunks of ``_CHUNK``
+sizes, and the chunk size is part of the stream semantics.  The first
+chunk is summed by scalar partial sums in ``np.cumsum``'s order (the same
+products, added left to right), which stops at the same index as a cumsum
+followed by a left ``searchsorted``; later chunks are summed by numpy on
+top of the first chunk's total, reading the zero-led table row in place.
+The scalar sums start at the smallest size with mass: the sizes below it
+contribute exact zeros, and adding +0.0 leaves a partial sum's bits
+unchanged, so skipping them moves no byte of any stream.
 ``sample_many`` walks many draws in lockstep with numpy: the same products,
 summed by row-wise cumsums in the same order, so the same bytes again.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -34,7 +40,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .exact import (
     BudgetExceededError,
@@ -45,6 +51,7 @@ from .exact import (
     _row_source,
     _unit,
 )
+from .series import fsum
 from .weights import SchemeSpec
 
 __all__ = [
@@ -99,25 +106,41 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Streams are keyed through SeedSequence so that nearby (seed, stream)
     pairs get well-mixed Philox keys (arithmetic key strides correlate
-    through Philox's weak key schedule).
+    through Philox's weak key schedule).  The key is that of
+    ``SeedSequence(entropy=seed, spawn_key=(stream,))``; for an int seed
+    and a stream of one 32-bit word it is computed from the seed's
+    ``_spawn_mix`` constants (kept for the last seed) in Python ints, and
+    the SeedSequence is built only if the generator ``spawn``s.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    return np.random.Generator(np.random.Philox(ss))
+    if type(seed) is int and seed >= 0 and type(stream) is int and 0 <= stream < 1 << 32:
+        key, ss = _stream_key(seed, stream), None
+    else:
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+        key = ss.generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(_StreamSeed(seed, stream, key, ss)))
 
 
-class _PhiloxKey(ISeedSequence):
-    """numpy's seed interface for a ready Philox key: it serves the one
-    request ``Philox`` makes, ``generate_state(2, np.uint64)``."""
+class _StreamSeed(ISpawnableSeedSequence):
+    """numpy's seed interface for stream ``stream`` of ``seed`` with its
+    Philox key ready: it serves the one request ``Philox`` makes,
+    ``generate_state(2, np.uint64)``, and ``spawn``s the children of
+    ``SeedSequence(entropy=seed, spawn_key=(stream,))``, built at the first
+    ``spawn``."""
 
-    __slots__ = ("key",)
+    __slots__ = ("seed", "stream", "key", "_ss")
 
-    def __init__(self, key: np.ndarray):
-        self.key = key
+    def __init__(self, seed, stream: int, key: np.ndarray, ss=None):
+        self.seed, self.stream, self.key, self._ss = seed, stream, key, ss
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
+        if n_words != 2 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError("a Philox key only serves generate_state(2, np.uint64)")
         return self.key
+
+    def spawn(self, n_children: int) -> list[np.random.SeedSequence]:
+        if self._ss is None:
+            self._ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
+        return self._ss.spawn(n_children)
 
 
 def make_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
@@ -126,15 +149,15 @@ def make_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
     SeedSequence mixes the spawn word i into its pool last, so every stream
     shares the pool of ``SeedSequence(seed)`` and the keys of a block of
     streams come from it in one numpy pass (``_spawn_keys``).  Each yielded
-    generator is new, a Philox of its own key (its seed holds only that
-    key, so unlike ``make_rng``'s it cannot ``spawn``).  ``count`` is at
-    most 2**32, so that every i is one 32-bit word; a seed that
-    SeedSequence refuses raises here as in ``make_rng``.
+    generator is new, a Philox of its own key, and ``spawn``s the children
+    of ``make_rng(seed, i)``.  ``count`` is at most 2**32, so that every i
+    is one 32-bit word; a seed that SeedSequence refuses raises here as in
+    ``make_rng``.
     """
     count = operator.index(count)
     if not 0 <= count <= 1 << 32:
         raise ValueError(f"count must be in [0, 2**32] (one 32-bit spawn word), got {count}")
-    return _philox_streams(_spawn_mix(seed), count)
+    return _philox_streams(seed, _spawn_mix(seed), count)
 
 
 def _spawn_mix(seed: int) -> np.ndarray:
@@ -174,12 +197,31 @@ def _spawn_keys(mix: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return s.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def _philox_streams(mix: np.ndarray, count: int) -> Iterator[np.random.Generator]:
+@functools.lru_cache(maxsize=1)
+def _spawn_words(seed: int) -> tuple[tuple[int, ...], ...]:
+    """``_spawn_mix(seed)`` as Python ints, one (pool, xor_a, mult_a,
+    xor_b, mult_b) tuple per key word; kept for the last seed asked."""
+    return tuple(zip(*_spawn_mix(seed).tolist()))
+
+
+def _stream_key(seed: int, stream: int) -> np.ndarray:
+    """``_spawn_keys`` of the one spawn word ``stream``, each step masked to
+    32 bits."""
+    w = []
+    for pool, xor_a, mult_a, xor_b, mult_b in _spawn_words(seed):
+        s = (stream ^ xor_a) * mult_a & 0xFFFFFFFF
+        s = (pool - (s ^ s >> 16) * _MIX_R) & 0xFFFFFFFF
+        s = ((s ^ s >> 16) ^ xor_b) * mult_b & 0xFFFFFFFF
+        w.append(s ^ s >> 16)
+    return np.array((w[0] | w[1] << 32, w[2] | w[3] << 32), dtype=np.uint64)
+
+
+def _philox_streams(seed: int, mix: np.ndarray, count: int) -> Iterator[np.random.Generator]:
     for start in range(0, count, _KEY_BLOCK):
         ids = np.arange(min(_KEY_BLOCK, count - start), dtype=np.uint32)
         ids += start
-        for key in _spawn_keys(mix, ids):
-            yield np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+        for i, key in enumerate(_spawn_keys(mix, ids), start):
+            yield np.random.Generator(np.random.Philox(_StreamSeed(seed, i, key)))
 
 
 @dataclass
@@ -243,15 +285,18 @@ class ExactSampler:
         self.rho = cal.rho
         self.count_law = _conditioned(cal.pmf_n, column, n, "partition function")
         self.count_cdf = np.cumsum(self.count_law.pmf)
-        self.pmf_x = cal.law_x.pmf
+        self._count_top = float(self.count_cdf[-1])
+        # P(X = k) for k <= n, then _CHUNK zeros: a spill's last chunk reads
+        # past n, and the first chunk's k are all below _CHUNK
+        self._px_pad = np.zeros(n + 1 + _CHUNK)
+        self._px_pad[: n + 1] = cal.law_x.pmf
+        self.pmf_x = self._px_pad[: n + 1]
+        self._px = self._px_pad[:_CHUNK].tolist()  # the scalar walk reads only k < _CHUNK
         # the smallest size with mass; the first chunk's walk starts there
         # (at the chunk's last size if it has none), with that term peeled
         self._k0 = int(np.flatnonzero(self.pmf_x)[0])
         self._peel = min(self._k0, _CHUNK - 1)
         self._rest = range(self._peel + 1, _CHUNK)
-        self._px_head = np.zeros(_CHUNK)  # P(X = k) for the first chunk's k
-        self._px_head[: min(n + 1, _CHUNK)] = self.pmf_x[:_CHUNK]
-        self._px = self._px_head.tolist()  # the scalar walk reads only k < _CHUNK
         self.roundoff_fallbacks = 0
         self._source = _row_source(self.pmf_x, n, "auto")
         self._table = np.empty((self.count_cdf.size, _CHUNK + n + 1))
@@ -260,6 +305,8 @@ class ExactSampler:
         self._ensure_rows(0)
 
     def _ensure_rows(self, ell: int) -> None:
+        if ell < len(self._rows):
+            return
         for zero_led in self._table[len(self._rows) : ell + 1]:
             zero_led[:_CHUNK] = 0.0
             row = zero_led[_CHUNK:]
@@ -268,7 +315,8 @@ class ExactSampler:
             self._views.append(memoryview(row))
 
     def draw_count(self, rng: np.random.Generator) -> int:
-        return int(_inverse_cdf_draw(self.count_cdf, rng.random()))
+        # ``_inverse_cdf_draw``'s left search, on a Python float target
+        return int(self.count_cdf.searchsorted(max(rng.random() * self._count_top, _LEAST)))
 
     def sample(self, rng: np.random.Generator) -> PartitionSample:
         ell = self.draw_count(rng)
@@ -372,7 +420,7 @@ class ExactSampler:
         pos = starts[order]  # each draw's current entry of buf
         rem = np.full(ells.size, self.n)
         flat, width = self._table.ravel(), self._table.shape[1]
-        peel, px, negated = self._peel, self._px_head, -steps  # negated ascends
+        peel, px, negated = self._peel, self._px_pad, -steps  # negated ascends
         for s in range(int(steps[0])):
             m = int(np.searchsorted(negated, -s))  # the draws with steps > s
             r, at = rem[:m], pos[:m]
@@ -416,28 +464,30 @@ class ExactSampler:
         with ``acc > 0`` an element-wise early exit on ``fl(target - acc)``
         need not agree with ``acc + cs[-1] >= target``.  All later chunks
         are summed in one pass: the products once, each chunk's cumsum as a
-        row of a zero-padded (chunks, ``_CHUNK``) array, and the carried
-        totals as one cumsum, the same adds as ``acc += cs[-1]`` chunk by
-        chunk."""
-        row = self._rows[j]
+        row of a (chunks, ``_CHUNK``) array, and the carried totals as one
+        cumsum, the same adds as ``acc += cs[-1]`` chunk by chunk.  The
+        products read P(S_j = rem - k) from the zero-led table row, so sizes
+        past rem in the last chunk multiply its zero lead (and P(X = k)
+        past n its zero padding): exact zeros, which leave each chunk's
+        cumsum where the sizes up to rem put it."""
         if rem >= _CHUNK:
-            seg = self.pmf_x[_CHUNK : rem + 1] * row[rem - _CHUNK :: -1]
-            cs = np.zeros(-(-seg.size // _CHUNK) * _CHUNK)
-            cs[: seg.size] = seg
-            cs = cs.reshape(-1, _CHUNK).cumsum(axis=1)
+            size = -(-(rem + 1 - _CHUNK) // _CHUNK) * _CHUNK
+            seg = self._px_pad[_CHUNK : _CHUNK + size] * self._table[j, rem : rem - size : -1]
+            cs = seg.reshape(-1, _CHUNK).cumsum(axis=1)
             accs = np.concatenate(([acc], cs[:, -1])).cumsum()
-            hit = np.flatnonzero(accs[1:] >= target)
-            if hit.size:
-                c = int(hit[0])
-                real = min(_CHUNK, seg.size - c * _CHUNK)
-                i = int(np.searchsorted(cs[c, :real], target - accs[c], side="left"))
-                if i < real:
+            c = int(accs[1:].searchsorted(target))
+            if c < len(cs):
+                # the zero products past rem repeat the chunk's total, so a
+                # search that passes rem ends past the chunk
+                i = int(cs[c].searchsorted(target - accs[c]))
+                if i < _CHUNK:
                     return _CHUNK * (c + 1) + i
                 # round-off: fl(target - acc) ran past the chunk's total
         # round-off left the target unreached: take the largest size with
         # mass that leaves every later coordinate its smallest size (FFT
         # rows hold round-off where zeros belong)
         self.roundoff_fallbacks += 1
+        row = self._rows[j]
         top = rem - j * self._k0
         return int(np.flatnonzero(self.pmf_x[: top + 1] * row[rem - top : rem + 1][::-1])[-1])
 
@@ -456,6 +506,13 @@ class RejectionSampler:
     accepted law by P(X <= n)^-N, a count-dependent bias.)  The count
     table extends far enough that the neglected acceptance mass is below
     1e-16 even when zero-size components are allowed.
+
+    A proposal is accepted with probability P(S_N = n), computed once from
+    the calibration's rows (one ``_harvest``), and ``sample`` draws
+    proposals in batches of ``batch`` = ceil(1 / P(S_N = n)), about one
+    acceptance a batch.  The batch holds at most ``_BATCH_COORDS``
+    coordinates at the count law's mean, and never more proposals than the
+    ``draw_cap`` budget has left.
     """
 
     scheme: SchemeSpec
@@ -465,12 +522,18 @@ class RejectionSampler:
     attempts: int = field(default=0, init=False)  # elementary variate draws
     proposals: int = field(default=0, init=False)  # (N, X_1..X_N) proposals
     accepted: int = field(default=0, init=False)
+    batch: int = field(init=False)  # proposals drawn per batch
 
     def __post_init__(self) -> None:
         cal = _calibrate(self.scheme, self.n)
         self.rho = cal.rho
         self.cdf_x = np.cumsum(cal.law_x.pmf)
         self.cdf_n = np.cumsum(cal.pmf_n)
+        column, _ = _harvest(cal.law_x.pmf, self.n, cal.cap, "auto", start=_unit(self.n))
+        accept = fsum(cal.pmf_n * column)  # P(S_N = n)
+        mean = fsum(np.arange(cal.pmf_n.size) * cal.pmf_n)
+        most = max(1, int(_BATCH_COORDS / max(mean, 1.0)))
+        self.batch = most if accept * most <= 1.0 else math.ceil(1.0 / accept)
 
     @property
     def acceptance_rate(self) -> float:
@@ -478,9 +541,9 @@ class RejectionSampler:
         return self.accepted / self.proposals if self.proposals else math.nan
 
     def sample(self, rng: np.random.Generator) -> PartitionSample:
-        batch = 64
         n_sentinel = self.cdf_n.size
         while self.attempts < self.draw_cap:
+            batch = min(self.batch, self.draw_cap - self.attempts)
             counts = np.searchsorted(self.cdf_n, rng.random(batch), side="left")
             valid = counts < n_sentinel
             counts_eff = np.where(valid, counts, 0)

@@ -1,6 +1,7 @@
 """Samplers: law agreement with the enumeration oracle, exact-vs-rejection
 consistency, reproducibility, acceptance-rate accounting, statistics."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -276,25 +277,27 @@ def test_walk_chunks_matches_chunk_loop(name, n):
     assert len(calls) > 50
     for args in calls:
         _walk_agrees(smp, *args)
-    # scripted targets around every carried total, up to the last partial
-    # chunk, after a first-chunk total of 0 and of 0.4 (which rounds each
-    # carried total to the spacing of 0.4)
+    # scripted targets around every carried total, up to the last chunk,
+    # after a first-chunk total of 0 and of 0.4 (which rounds each carried
+    # total to the spacing of 0.4); remainders whose last chunk is full
+    # (128m - 1), holds one or two sizes, or ends at n, so that the chunks
+    # read the zero-led row's lead and the padding of P(X = .)
     j = max(args[0] for args in calls)
-    rem = n - 7
-    assert (rem + 1 - _CHUNK) % _CHUNK != 0  # the last chunk is partial
     row = smp._rows[j]
-    seg = smp.pmf_x[_CHUNK : rem + 1] * row[rem - _CHUNK :: -1]
+    m = (n - 7) // _CHUNK
     past = 0
-    for acc in (0.0, 0.4):
-        carried = [acc]
-        for lo in range(0, seg.size, _CHUNK):
-            carried.append(carried[-1] + np.cumsum(seg[lo : lo + _CHUNK])[-1])
-        for total in carried[1:]:
-            for target in (np.nextafter(total, 0.0), total, np.nextafter(total, 1.0)):
-                k = _walk_agrees(smp, j, rem, float(target), acc)
-                past += k is None and target <= carried[-1]
-        for target in np.linspace(acc, carried[-1], 101)[1:]:
-            _walk_agrees(smp, j, rem, float(target), acc)
+    for rem in (_CHUNK * m - 1, _CHUNK * m, _CHUNK * m + 1, n - 7, n):
+        seg = smp.pmf_x[_CHUNK : rem + 1] * row[rem - _CHUNK :: -1]
+        for acc in (0.0, 0.4):
+            carried = [acc]
+            for lo in range(0, seg.size, _CHUNK):
+                carried.append(carried[-1] + np.cumsum(seg[lo : lo + _CHUNK])[-1])
+            for total in carried[1:]:
+                for target in (np.nextafter(total, 0.0), total, np.nextafter(total, 1.0)):
+                    k = _walk_agrees(smp, j, rem, float(target), acc)
+                    past += k is None and target <= carried[-1]
+            for target in np.linspace(acc, carried[-1], 101)[1:]:
+                _walk_agrees(smp, j, rem, float(target), acc)
     # some target ran past its chunk's total: fl(target - acc) > cs[-1]
     assert past > 0
 
@@ -385,18 +388,52 @@ def test_table_is_lazy_and_never_restacked(name, n, monkeypatch):
 _SEEDS = [0, 1, 20240901, 2**32 - 1, 2**32, 2**64 + 3, 2**127, 2**128, 2**200 + 11]
 
 
+def _seed_sequence_rng(seed, stream):
+    """The stream's generator built by numpy alone: the oracle of
+    ``make_rng`` and ``make_rngs``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,))))
+
+
+def _same_stream(rng, want):
+    """The same Philox key, the same doubles, and children of ``spawn(3)``
+    with the same doubles."""
+    key = rng.bit_generator.state["state"]["key"]
+    assert key.tobytes() == want.bit_generator.state["state"]["key"].tobytes()
+    assert rng.random(8).tobytes() == want.random(8).tobytes()
+    got = [child.random(4).tobytes() for child in rng.spawn(3)]
+    assert got == [child.random(4).tobytes() for child in want.spawn(3)]
+
+
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_make_rngs_matches_make_rng(seed):
-    """``make_rngs`` opens the streams of ``make_rng``: the same Philox key
-    and the same doubles, for seeds of one to seven 32-bit words."""
+    """``make_rng`` and ``make_rngs`` open numpy's SeedSequence streams:
+    the same Philox key, doubles and spawned children, for seeds of one to
+    seven 32-bit words; ``make_rng`` on the edges of its 32-bit stream
+    words and past them (where it builds the SeedSequence)."""
+    for stream in (0, 1, 4095, 4096, 2**31, 2**32 - 1, 2**32, 2**40):
+        _same_stream(make_rng(seed, stream), _seed_sequence_rng(seed, stream))
     for count in (0, 1, 300):
         got = list(sampling.make_rngs(seed, count))
         assert len(got) == count
         for i, rng in enumerate(got):
-            want = make_rng(seed, i)
-            key = rng.bit_generator.state["state"]["key"]
-            assert key.tobytes() == want.bit_generator.state["state"]["key"].tobytes()
-            assert rng.random(8).tobytes() == want.random(8).tobytes(), (seed, i)
+            _same_stream(rng, _seed_sequence_rng(seed, i))
+    # the last stream of the first key block and the first of the next
+    for i, rng in enumerate(itertools.islice(sampling.make_rngs(seed, 2**32), 4095, 4097), 4095):
+        _same_stream(rng, _seed_sequence_rng(seed, i))
+
+
+def test_make_rng_follows_the_seed():
+    """A new seed replaces the kept constants of the last one: alternating
+    seeds, each call gives its own seed's stream."""
+    for seed in (5, 6, 5, 2**64 + 3, 5, 6, 6):
+        for stream in (0, 9):
+            _same_stream(make_rng(seed, stream), _seed_sequence_rng(seed, stream))
+    # a second spawn goes on from the first, as SeedSequence's does
+    rng, want = make_rng(7, 3), _seed_sequence_rng(7, 3)
+    rng.spawn(2), want.spawn(2)
+    assert [c.random(4).tobytes() for c in rng.spawn(2)] == [
+        c.random(4).tobytes() for c in want.spawn(2)
+    ]
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
@@ -413,7 +450,7 @@ def test_spawn_keys_at_every_spawn_word(seed):
 def test_make_rngs_across_key_blocks(monkeypatch):
     monkeypatch.setattr(sampling, "_KEY_BLOCK", 7)
     got = [rng.random(3).tobytes() for rng in sampling.make_rngs(11, 20)]
-    assert got == [make_rng(11, i).random(3).tobytes() for i in range(20)]
+    assert got == [_seed_sequence_rng(11, i).random(3).tobytes() for i in range(20)]
 
 
 def test_make_rngs_streams_are_independent():
@@ -446,13 +483,17 @@ def test_make_rngs_refuses_before_allocating():
     assert peak < 16 * 1024  # one key block alone would take 64 KiB
     # the largest count is accepted, and nothing is drawn until asked
     assert next(sampling.make_rngs(0, 2**32)).random() == make_rng(0, 0).random()
-    # seeds SeedSequence refuses raise as in make_rng, at the call
-    for seed, error in ((-1, ValueError), (1.5, TypeError)):
+    # seeds and streams SeedSequence refuses raise as in SeedSequence, at
+    # the call
+    for seed, stream, error in ((-1, 0, ValueError), (1.5, 0, TypeError), (3, -1, ValueError)):
         with pytest.raises(error):
-            make_rng(seed, 0)
+            np.random.SeedSequence(seed, spawn_key=(stream,))
         with pytest.raises(error):
-            sampling.make_rngs(seed, 3)
-    key = sampling._PhiloxKey(np.zeros(2, dtype=np.uint64))
+            make_rng(seed, stream)
+        if stream == 0:
+            with pytest.raises(error):
+                sampling.make_rngs(seed, 3)
+    key = sampling._StreamSeed(0, 0, np.zeros(2, dtype=np.uint64))
     with pytest.raises(ValueError, match="generate_state"):
         key.generate_state(4, np.uint32)
 
@@ -465,10 +506,23 @@ def test_draw_count_uniform_zero(dense_gauss):
     assert smp.count_law.pmf[0] == 0.0 and smp.count_law.pmf[1] > 0.0
     s = smp.sample(_ScriptedRng([0.0] + [0.5] * n))
     assert s.sizes.tolist() == [n]
-    # any other uniform picks the count a plain left search picks
-    us = make_rng(3).random(2000)
-    want = np.searchsorted(smp.count_cdf, us * smp.count_cdf[-1], side="left")
+    # any other uniform picks the count a plain left search picks, also
+    # when its target lands exactly on a cumulative entry: that count
+    cdf, top = smp.count_cdf, smp.count_cdf[-1]
+    on_entry = {}
+    for k in np.flatnonzero(smp.count_law.pmf).tolist():
+        u = cdf[k] / top
+        for u in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)):
+            if u < 1.0 and u * top == cdf[k]:
+                on_entry[float(u)] = k
+    assert len(on_entry) > 10
+    assert [smp.draw_count(_ScriptedRng([u])) for u in on_entry] == list(on_entry.values())
+    us = np.concatenate((make_rng(3).random(2000), list(on_entry)))
+    want = np.searchsorted(cdf, us * top, side="left")
     assert [smp.draw_count(_ScriptedRng([u])) for u in us] == want.tolist()
+    # a uniform just below 1 still reaches the last count with mass
+    last = int(np.flatnonzero(smp.count_law.pmf)[-1])
+    assert smp.draw_count(_ScriptedRng([np.nextafter(1.0, 0.0)])) == last
 
 
 def test_exact_sampler_matches_enumeration(bell):
