@@ -151,24 +151,80 @@ def test_convolve_matches_numpy():
     assert convolve([0.0, 0.0, 1.0], [0.0, 1.0], 2).tolist() == [0.0, 0.0]
 
 
+def _einsum_convolve(a, b, size):
+    """``convolve`` as one einsum call over every full window: the order of
+    the dot products that the banded calls must keep bit for bit."""
+    full = a.size + b.size - 1
+    size = full if size is None else size
+    out = np.zeros(size)
+    nz_a, nz_b = np.flatnonzero(a), np.flatnonzero(b)
+    if nz_a.size == 0 or nz_b.size == 0 or nz_a[0] + nz_b[0] >= size:
+        return out
+    lo = int(nz_a[0] + nz_b[0])
+    a = a[nz_a[0] : min(nz_a[-1], size - 1 - nz_b[0]) + 1]
+    b = b[nz_b[0] : min(nz_b[-1], size - 1 - nz_a[0]) + 1]
+    if a.size < b.size:
+        a, b = b, a
+    m = min(a.size + b.size - 1, size - lo)
+    padded = np.zeros(b.size - 1 + m)
+    k = min(a.size, m)
+    padded[b.size - 1 : b.size - 1 + k] = a[:k]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, b.size)
+    out[lo : lo + m] = np.einsum("ij,j->i", windows, np.ascontiguousarray(b[::-1]))
+    return out
+
+
+# lengths on both sides of multiples of the 64-entry block, and any below 1400
+_LENGTHS = st.one_of(
+    st.integers(1, 21).flatmap(lambda q: st.integers(64 * q - 2, 64 * q + 2)),
+    st.integers(1, 1400),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), _LENGTHS, _LENGTHS, st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.sampled_from(["full", "shorter", "longer", "longest", "block"]), st.floats(0.0, 1.0))
+def test_convolve_is_one_einsum_call_bit_for_bit(seed, la, lb, head_a, head_b, kind, pick):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(la) * 2.0 ** rng.integers(-30, 30, la)
+    b = rng.random(lb)
+    a[: int(head_a * head_a * la)] = 0.0  # squared: mostly short heads
+    b[: int(head_b * head_b * lb)] = 0.0
+    b[rng.random(lb) < 0.05] = 0.0
+    full = la + lb - 1
+    size = {
+        "full": None,
+        "shorter": 1 + int(pick * (full - 1)),
+        "longer": full + 1 + int(pick * 100),
+        "longest": max(la, lb),  # a product truncated at its operands' length
+        "block": max(1, 64 * int(pick * full / 64) + int(pick * 5) - 2),
+    }[kind]
+    for x, y in ((a, b), (b, a)):
+        assert convolve(x, y, size).tobytes() == _einsum_convolve(x, y, size).tobytes()
+
+
 _CONVOLVE_DIGEST = """
 import hashlib, numpy as np
 from gibbs_partitions.series import convolve
 rng = np.random.default_rng(11)
 a, b = rng.random(1500), rng.random(900)
 a[:40] = 0.0
-out = np.concatenate([convolve(a, b), convolve(b, a, 1700)])
+c, d = rng.random(2000), rng.random(2000)
+out = np.concatenate([convolve(a, b), convolve(b, a, 1700), convolve(c, d, 2000)])
 print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
 def test_convolve_bytes_do_not_follow_blas_kernel(baseline_cpu_env):
     """Same bytes in a child interpreter on another OpenBLAS kernel and with
-    numpy's SIMD dispatch off, where np.convolve's last bits would move."""
+    numpy's SIMD dispatch off, where np.convolve's last bits would move.
+    The last product is truncated at its operands' length, so most of its
+    outputs come from the banded calls past the zero triangle."""
     rng = np.random.default_rng(11)
     a, b = rng.random(1500), rng.random(900)
     a[:40] = 0.0
-    out = np.concatenate([convolve(a, b), convolve(b, a, 1700)])
+    c, d = rng.random(2000), rng.random(2000)
+    out = np.concatenate([convolve(a, b), convolve(b, a, 1700), convolve(c, d, 2000)])
     child = subprocess.run(
         [sys.executable, "-c", _CONVOLVE_DIGEST],
         env=baseline_cpu_env, capture_output=True, text=True, timeout=120, check=True,
