@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .phases import _bisect, _w_at_radius
 from .series import convolve, dot, fsum
@@ -64,7 +64,8 @@ __all__ = [
 # branch promises neither.  The branch is chosen once per law from the
 # component-size kernel, and ``_harvest``'s giant step (a convolution with a
 # row as long as n) takes the same one.  The FFT branch computes each step's
-# kernel spectrum once and takes ``fftconvolve``'s transforms and size, so a
+# kernel spectrum once and takes ``fftconvolve``'s transform size
+# (``_next_fast_len``) and its library, pocketfft (numpy's since 2.0), so a
 # row of ``_row_source`` has the bits of a per-row ``fftconvolve``; the
 # harvested laws agree with a row-by-row sweep to round-off, not to the bit.
 _DIRECT_CONV_LIMIT = 4_000_000
@@ -162,7 +163,7 @@ def _row_step(kernel: np.ndarray, n: int, method: str):
         return lambda row: convolve(row, kernel, n + 1)
     if kernel.size == 1 or n == 0:  # fftconvolve does not transform a length-1 axis
         return lambda row: np.clip((row * kernel)[: n + 1], 0.0, None)
-    size = next_fast_len(n + kernel.size, True)
+    size = _next_fast_len(n + kernel.size)
     spec = rfft(kernel, size)
 
     def fft_step(row: np.ndarray) -> np.ndarray:
@@ -171,6 +172,21 @@ def _row_step(kernel: np.ndarray, n: int, method: str):
         return out
 
     return fft_step
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 2^a 3^b 5^c >= target: ``scipy.fft.next_fast_len``'s
+    size for real transforms."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-target // p35) - 1).bit_length()  # least 2^a >= target / p35
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _unit(n: int) -> np.ndarray:
@@ -641,7 +657,7 @@ def prefix_law(scheme: SchemeSpec, n: int, m: int, method: str = "auto") -> Pref
             out *= hankel[blk]
             out /= denom
             out[px[blk] == 0.0] = 0.0  # +0.0 even where G has round-off below 0
-        mass = fsum(joint)
+        mass = fsum(joint[k, : n - k + 1] for k in range(n + 1))  # the rest is +0.0
         # the product law misses 1 - (1 - d)^2 = d (2 - d) of its mass
         gaps = (np.abs(joint[blk] - np.outer(px[blk], px)) for blk in blocks)
         tv = 0.5 * (fsum(gaps) + d * (2.0 - d))

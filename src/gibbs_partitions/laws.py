@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammainc, gammaincc, gammaln
 
 from .series import dot, fsum
@@ -241,40 +242,44 @@ def stable_density_inversion(p: StableParams, x: float) -> float:
     tan_term, t_max = _inversion_setup(p)
     shift = d - x
 
-    if abs(shift) * t_max <= 60.0:
-        val, err = quad(
-            lambda t: math.exp(-((g * t) ** a)) * math.cos(tan_term * t**a + shift * t),
-            0.0,
-            t_max,
-            limit=2000,
-            epsabs=1e-12,
-            epsrel=1e-10,
-        )
-    else:
-        # cos(A t^a + B t) = cos(A t^a) cos(B t) - sin(A t^a) sin(B t)
-        vc, ec = quad(
-            lambda t: math.exp(-((g * t) ** a)) * math.cos(tan_term * t**a),
-            0.0,
-            t_max,
-            weight="cos",
-            wvar=shift,
-            limit=800,
-            maxp1=120,
-            epsabs=1e-12,
-            epsrel=1e-10,
-        )
-        vs, es = quad(
-            lambda t: math.exp(-((g * t) ** a)) * math.sin(tan_term * t**a),
-            0.0,
-            t_max,
-            weight="sin",
-            wvar=shift,
-            limit=800,
-            maxp1=120,
-            epsabs=1e-12,
-            epsrel=1e-10,
-        )
-        val, err = vc - vs, ec + es
+    # QUADPACK's round-off warning is not a failure here: convergence is
+    # judged by the err > 1e-6 guard below, which raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        if abs(shift) * t_max <= 60.0:
+            val, err = quad(
+                lambda t: math.exp(-((g * t) ** a)) * math.cos(tan_term * t**a + shift * t),
+                0.0,
+                t_max,
+                limit=2000,
+                epsabs=1e-12,
+                epsrel=1e-10,
+            )
+        else:
+            # cos(A t^a + B t) = cos(A t^a) cos(B t) - sin(A t^a) sin(B t)
+            vc, ec = quad(
+                lambda t: math.exp(-((g * t) ** a)) * math.cos(tan_term * t**a),
+                0.0,
+                t_max,
+                weight="cos",
+                wvar=shift,
+                limit=800,
+                maxp1=120,
+                epsabs=1e-12,
+                epsrel=1e-10,
+            )
+            vs, es = quad(
+                lambda t: math.exp(-((g * t) ** a)) * math.sin(tan_term * t**a),
+                0.0,
+                t_max,
+                weight="sin",
+                wvar=shift,
+                limit=800,
+                maxp1=120,
+                epsabs=1e-12,
+                epsrel=1e-10,
+            )
+            val, err = vc - vs, ec + es
     if err > 1e-6:
         raise RuntimeError(f"inversion quadrature failed to converge (err={err})")
     return max(val / math.pi, 0.0)

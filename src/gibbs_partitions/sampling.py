@@ -247,6 +247,15 @@ def _inverse_cdf_draw(cdf: np.ndarray, u):
     return np.searchsorted(cdf, np.maximum(u * cdf[-1], _LEAST), side="left")
 
 
+def _refuse_extended(scheme: SchemeSpec) -> None:
+    """The samplers draw from V(W(z)) alone; a prefactor H(z) changes the law."""
+    if scheme.h is not None:
+        raise ValueError(
+            "the samplers do not draw from extended schemes (prefactor h); "
+            "their exact count law is extended_law_Nn"
+        )
+
+
 class ExactSampler:
     """Rejection-free sampler sharing one convolution table per (scheme, n).
 
@@ -273,6 +282,7 @@ class ExactSampler:
     """
 
     def __init__(self, scheme: SchemeSpec, n: int):
+        _refuse_extended(scheme)
         if n > _EXACT_N_DEFAULT_CAP:
             raise BudgetExceededError(
                 f"exact sampler table budget ({_EXACT_N_DEFAULT_CAP}) exceeded at n={n}; "
@@ -525,6 +535,7 @@ class RejectionSampler:
     batch: int = field(init=False)  # proposals drawn per batch
 
     def __post_init__(self) -> None:
+        _refuse_extended(self.scheme)
         cal = _calibrate(self.scheme, self.n)
         self.rho = cal.rho
         self.cdf_x = np.cumsum(cal.law_x.pmf)

@@ -24,18 +24,31 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import zeta
-
 from .weights import SchemeSpec, WeightSequence
 
 __all__ = ["bundled_scheme", "bundled_names", "bell_scheme", "zeta_scheme"]
+
+# float(scipy.special.zeta(a)) at the exponents of the bundled schemes, so
+# that building them loads no scipy.  These are scipy's floats, not the
+# correctly rounded ones: at a = 2.5 scipy's is 1 ulp above, and every
+# golden byte of dense-stable follows scipy's.
+_ZETA = {
+    1.5: 2.612375348685488,
+    2.5: 1.3414872572509173,
+    3.0: 1.2020569031595942,
+    4.0: 1.0823232337111381,
+}
 
 
 def zeta_scheme(a: float, b: float, c_v: float = 1.0) -> SchemeSpec:
     """Critical scheme with w_n = n^-a (rho_w = 1) and v_n = c_v n^-b rho_v^-n,
     rho_v = W(1) = zeta(a)."""
     w = WeightSequence.closed_form(c=1.0, e=a, rho=1.0)
-    rho_v = float(zeta(a))
+    rho_v = _ZETA.get(a)
+    if rho_v is None:
+        from scipy.special import zeta
+
+        rho_v = float(zeta(a))
     v = WeightSequence.closed_form(c=c_v, e=b, rho=rho_v)
     return SchemeSpec(v=v, w=w)
 

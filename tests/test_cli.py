@@ -386,6 +386,16 @@ def test_sample_above_the_exact_budget_names_rejection(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("method", ["exact", "rejection"])
+def test_sample_refuses_an_extended_scheme(capsys, method):
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--scheme", "extended-heavy", "--n", "200", "--replicates", "3",
+              "--method", method])
+    msg = str(err.value.code)
+    assert msg.startswith("error: ") and "extended_law_Nn" in msg and "\n" not in msg
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_product_without_a_configuration_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiments": [

@@ -35,6 +35,7 @@ from gibbs_partitions.exact import (
     ConvolutionTable,
     _calibrate,
     _harvest,
+    _next_fast_len,
     _row_step,
     _unit,
     convolution_table,
@@ -144,6 +145,10 @@ def _decaying(rng, size, lead=0):
         (300, 1, 0),  # kernel of length 1
         (300, 50, 17),  # row with leading zeros
         (0, 5, 0),  # row of length 1
+        # full-length kernels at the package's transform sizes 4050, 6075, 8100
+        (2000, 2001, 0),
+        (3000, 3001, 0),
+        (4000, 4001, 0),
     ],
 )
 def test_row_step_fft_matches_fftconvolve(n, k_len, lead):
@@ -154,6 +159,14 @@ def test_row_step_fft_matches_fftconvolve(n, k_len, lead):
     want = np.clip(fftconvolve(row, kernel)[: n + 1], 0.0, None)
     assert got.shape == (n + 1,)
     assert got.tobytes() == want.tobytes()
+
+
+def test_next_fast_len_is_scipys_real_transform_size():
+    from scipy.fft import next_fast_len
+
+    targets = range(1, 200_001)
+    assert [t for t in targets if _next_fast_len(t) != next_fast_len(t, True)] == []
+    assert [_next_fast_len(2 * n + 1) for n in (2000, 3000, 4000)] == [4050, 6075, 8100]
 
 
 @pytest.mark.parametrize("n, k_len", [(300, 50), (300, 301), (300, 1)])

@@ -10,12 +10,13 @@ import pytest
 import gibbs_partitions
 
 
-def _modules_after_import(module: str) -> set:
-    """Names in sys.modules after a fresh interpreter imports ``module``."""
+def _modules_after_import(module: str, then: str = "") -> set:
+    """Names in sys.modules after a fresh interpreter imports ``module`` and
+    runs the statement ``then``."""
     src = str(pathlib.Path(gibbs_partitions.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    script = f"import sys, {module}\nprint('\\n'.join(sorted(sys.modules)))\n"
+    script = f"import sys, {module}\n{then}\nprint('\\n'.join(sorted(sys.modules)))\n"
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
@@ -34,6 +35,15 @@ def test_import_leaves_unused_scipy_unloaded(module, absent):
     loaded = _modules_after_import(module)
     assert module in loaded
     assert [name for name in absent if name in loaded] == []
+
+
+@pytest.mark.parametrize("module", ["gibbs_partitions", "gibbs_partitions.sampling"])
+def test_exact_laws_and_samplers_load_no_scipy(module):
+    # the exact laws, the samplers and every bundled scheme need only numpy
+    build = "[gibbs_partitions.bundled_scheme(s) for s in gibbs_partitions.bundled_names()]"
+    loaded = _modules_after_import(module, build)
+    assert module in loaded
+    assert sorted(name for name in loaded if name.startswith("scipy")) == []
 
 
 def _modules():

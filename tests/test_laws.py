@@ -514,6 +514,15 @@ def test_dilute_laws_next_to_alpha_one():
     assert dilute_Z_cdf(p, 3.0) == 1.0 and dilute_Z_density(p, 3.0) == 0.0
 
 
+def test_inversion_keeps_quadpack_round_off_warnings_to_itself():
+    # both oscillatory quad calls warn of round-off here; the err > 1e-6
+    # guard judges convergence, and the value is kept as it was
+    p = StableParams(0.875, 0.15, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        assert stable_density_inversion(p, 0.4375) == pytest.approx(5.430358705900521e-05, rel=1e-6)
+
+
 def test_dilute_vector_call_matches_scalar_calls():
     p = DiluteParams(0.7, 1.8, 1.3)
     xs = np.concatenate(([-1.0, 0.0], np.geomspace(1e-6, 20.0, 58)))

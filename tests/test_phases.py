@@ -165,6 +165,17 @@ def test_classify_never_guesses_dilute_with_log_factor():
     assert rep.phase is Phase.unclassified
 
 
+def test_zeta_table_holds_scipys_floats():
+    from gibbs_partitions.schemes import _ZETA
+
+    assert sorted(_ZETA) == [1.5, 2.5, 3.0, 4.0]
+    for a, value in _ZETA.items():
+        assert value.hex() == float(zeta(a)).hex()
+        assert zeta_scheme(a, 2.0).v.rho == value
+    # outside the table the value comes from scipy in the call
+    assert zeta_scheme(1.75, 2.0).v.rho == float(zeta(1.75))
+
+
 def test_mixture_p_scale_invariance():
     # doubling c_v doubles the ratio L_v/L_w and V'(W) alike: p invariant
     p1, f1 = mixture_p(zeta_scheme(3.0, 3.0, c_v=1.0))

@@ -599,6 +599,17 @@ def test_rejection_cap_reports_rate(dense_gauss):
     assert err.value.attempts >= 2000
 
 
+@pytest.mark.parametrize("sampler", [ExactSampler, RejectionSampler])
+@pytest.mark.parametrize("name", ["extended-light", "extended-heavy", "extended-matched"])
+def test_samplers_refuse_extended_schemes(sampler, name, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the prefactor is checked before any table is built")
+
+    monkeypatch.setattr(sampling, "_calibrate", no_table)
+    with pytest.raises(ValueError, match="extended_law_Nn"):
+        sampler(bundled_scheme(name), 200)
+
+
 def test_product_sampler_symmetry_and_sum():
     scheme = bundled_scheme("product-symmetric")
     smp = ProductSampler(scheme.product_factors, 300)
