@@ -247,28 +247,47 @@ def default_rho(scheme: SchemeSpec, n: int | None = None) -> float:
     size is given, the saddle calibration keeps the conditioning event
     representable.
     """
+    return _default_radius(scheme, n)[0]
+
+
+def _default_radius(scheme: SchemeSpec, n: int | None = None):
+    """``default_rho`` and W(rho) when it has summed that value on the way
+    (rho = rho_w of a closed form, W(rho_w) summed to place it), else None."""
     w = scheme.w
     rho_v = scheme.v.radius()
     rho_w = w.radius()
     w_at = _w_at_radius(w)
+    W_rho_w = None if w.is_explicit else w_at  # an explicit w's w_at is not W(rho_w)
     if math.isinf(rho_v):
         if math.isfinite(rho_w):
-            return rho_w
-        return 1.0 if n is None else _saddle_rho(scheme, n)
+            return rho_w, W_rho_w
+        return (1.0 if n is None else _saddle_rho(scheme, n)), None
     if math.isfinite(w_at) and w_at <= rho_v * (1 + 1e-9):
-        return rho_w
+        return rho_w, W_rho_w
     # supercritical: solve W(t) = rho_v on (0, rho_w)
     hi = min(rho_w, 1.0)
     while math.isfinite(rho_w) is False and w.series_value(hi) < rho_v:
         hi *= 2.0
     if math.isfinite(rho_w):
         hi = rho_w
-    return _bisect(lambda t: w.series_value(t) < rho_v, 0.0, hi, 1e-14)[0]
+    return _bisect(lambda t: w.series_value(t) < rho_v, 0.0, hi, 1e-14)[0], None
+
+
+def _radius_and_W(scheme: SchemeSpec, n: int | None, rho: float | None):
+    """rho (``default_rho``'s when None) and W(rho), summed once."""
+    W = None
+    if rho is None:
+        rho, W = _default_radius(scheme, n)
+    return rho, scheme.w.series_value(rho) if W is None else W
 
 
 def law_X(scheme: SchemeSpec, rho: float, n_max: int) -> DiscreteLaw:
     """Law of a single component size: P(X=k) = w_k rho^k / W(rho)."""
-    W = scheme.w.series_value(rho)
+    return _law_X(scheme, rho, scheme.w.series_value(rho), n_max)
+
+
+def _law_X(scheme: SchemeSpec, rho: float, W: float, n_max: int) -> DiscreteLaw:
+    """``law_X`` with W = W(rho) already summed."""
     if not math.isfinite(W) or W <= 0:
         raise ValueError(f"W({rho}) must be positive and finite, got {W}")
     terms = scheme.w.weighted_terms(rho, n_max)
@@ -278,19 +297,29 @@ def law_X(scheme: SchemeSpec, rho: float, n_max: int) -> DiscreteLaw:
 def law_N(scheme: SchemeSpec, rho: float, ell_max: int) -> DiscreteLaw:
     """Law of the unconditioned count: P(N=l) = v_l W(rho)^l / V(W(rho))."""
     W = scheme.w.series_value(rho)
+    return _law_N(scheme, W, _outer_value(scheme, W), ell_max)
+
+
+def _outer_value(scheme: SchemeSpec, W: float) -> float:
+    """V(W) at W = W(rho), which both must be finite and V(W) positive."""
     if not math.isfinite(W):
         raise ValueError("W(rho) diverges")
     VW = scheme.v.series_value(W)
     if not math.isfinite(VW) or VW <= 0:
         raise ValueError(f"V(W(rho)) must be positive and finite, got {VW}")
+    return VW
+
+
+def _law_N(scheme: SchemeSpec, W: float, VW: float, ell_max: int) -> DiscreteLaw:
+    """``law_N`` with W = W(rho) and VW = V(W) already summed."""
     terms = scheme.v.weighted_terms(W, ell_max)
     return DiscreteLaw(terms / VW, fsum(terms) / VW)
 
 
-def _size_biased(scheme: SchemeSpec, W: float, pmf_n: np.ndarray):
-    """l P(N = l) / E[N] for the count law ``pmf_n`` at W = W(rho), or None
-    when E[N] diverges."""
-    EN = scheme.v.weighted_moment(W, 1) / scheme.v.series_value(W)
+def _size_biased(scheme: SchemeSpec, W: float, VW: float, pmf_n: np.ndarray):
+    """l P(N = l) / E[N] for the count law ``pmf_n`` at W = W(rho) and
+    VW = V(W), or None when E[N] diverges."""
+    EN = scheme.v.weighted_moment(W, 1) / VW
     if not math.isfinite(EN):
         return None
     return np.arange(pmf_n.size) * pmf_n / EN
@@ -298,8 +327,9 @@ def _size_biased(scheme: SchemeSpec, W: float, pmf_n: np.ndarray):
 
 def law_Nhat(scheme: SchemeSpec, ell_max: int, rho: float | None = None) -> DiscreteLaw:
     """Size-biased count law: P(N-hat = l) = l P(N=l) / E[N]."""
-    rho = default_rho(scheme) if rho is None else rho
-    pmf = _size_biased(scheme, scheme.w.series_value(rho), law_N(scheme, rho, ell_max).pmf)
+    rho, W = _radius_and_W(scheme, None, rho)
+    VW = _outer_value(scheme, W)
+    pmf = _size_biased(scheme, W, VW, _law_N(scheme, W, VW, ell_max).pmf)
     if pmf is None:
         raise ValueError("E[N] diverges; size-biased law undefined")
     return DiscreteLaw.from_pmf(pmf)
@@ -353,13 +383,21 @@ def _ell_cap(n: int, law_x: DiscreteLaw) -> int:
     return cap
 
 
-def _harvest(kernel: np.ndarray, n: int, cap: int, method: str, weights=(), start=None):
+def _giant_stride(cap: int) -> int:
+    """B of ``_harvest``'s giant step S_B for rows l = 0..cap."""
+    return math.isqrt(cap) + 1
+
+
+def _harvest(kernel: np.ndarray, n: int, cap: int, method: str, weights=(), start=None, rows=None):
     """Harvest the rows S_l = P(S_l = .)[0..n], l = 0..cap, of sums of l
     draws from ``kernel`` by baby-step giant-step (Paterson & Stockmeyer,
-    SIAM J. Comput. 2(1), 1973).  With B = isqrt(cap) + 1 the baby rows
-    S_0..S_B come from ``_row_source``, one giant step convolves with S_B,
-    and S_{aB+b} = S_B^{*a} * S_b: about 2 sqrt(cap) steps instead of cap.
-    Both steps take the branch ``kernel`` gives (``_conv_method``).
+    SIAM J. Comput. 2(1), 1973).  With B = ``_giant_stride(cap)`` the baby
+    rows S_0..S_B come from ``_row_source``, one giant step convolves with
+    S_B, and S_{aB+b} = S_B^{*a} * S_b: about 2 sqrt(cap) steps instead of
+    cap.  Both steps take the branch ``kernel`` gives (``_conv_method``).
+    The baby rows go into the first B + 1 rows of ``rows`` when given (an
+    array of rows of length n + 1, which the caller keeps), else into a new
+    array.
 
     Returns (column, sums).  With a ``start`` row, column[aB + b] =
     (start * S_{aB+b})[n] = dot(G_a, S_b reversed), G_a = start * S_B^{*a};
@@ -368,8 +406,8 @@ def _harvest(kernel: np.ndarray, n: int, cap: int, method: str, weights=(), star
     acc = giant(acc) + sum_b w[aB+b] S_b, b increasing, w == 0 skipped.
     """
     method = _conv_method(kernel, n, method)
-    B = math.isqrt(cap) + 1
-    babies = np.empty((B + 1, n + 1))
+    B = _giant_stride(cap)
+    babies = np.empty((B + 1, n + 1)) if rows is None else rows[: B + 1]
     for b, row in zip(range(B + 1), _row_source(kernel, n, method)):
         babies[b] = row
     giant = _row_step(babies[B], n, method)
@@ -401,10 +439,12 @@ def _harvest(kernel: np.ndarray, n: int, cap: int, method: str, weights=(), star
 @dataclass(frozen=True)
 class _Calibration:
     """What every finite-n law of (scheme, n) is built on: rho, W(rho),
-    P(X = .) on 0..n, the l cap of ``_ell_cap`` and P(N = l), l = 0..cap."""
+    V(W(rho)), P(X = .) on 0..n, the l cap of ``_ell_cap`` and P(N = l),
+    l = 0..cap."""
 
     rho: float
     W: float
+    VW: float
     law_x: DiscreteLaw
     cap: int
     pmf_n: np.ndarray
@@ -413,11 +453,22 @@ class _Calibration:
 def _calibrate(scheme: SchemeSpec, n: int, rho: float | None = None) -> _Calibration:
     """The calibration of (scheme, n), with rho from ``default_rho`` when
     None.  The conditioned laws are tilt invariant, so only ``law_Nn`` and
-    the rho-dependent ``stopped_sum_law`` pass a caller's rho."""
-    rho = default_rho(scheme, n) if rho is None else rho
-    lx = law_X(scheme, rho, n)
+    the rho-dependent ``stopped_sum_law`` pass a caller's rho.  Each series
+    is summed once: W(rho) (``default_rho``'s own sum when rho = rho_w),
+    then V(W(rho)); the laws are ``law_X``'s and ``law_N``'s."""
+    rho, W = _radius_and_W(scheme, n, rho)
+    lx = _law_X(scheme, rho, W, n)
     cap = _ell_cap(n, lx)
-    return _Calibration(rho, scheme.w.series_value(rho), lx, cap, law_N(scheme, rho, cap).pmf)
+    VW = _outer_value(scheme, W)
+    return _Calibration(rho, W, VW, lx, cap, _law_N(scheme, W, VW, cap).pmf)
+
+
+def _refuse_extended(scheme: SchemeSpec, what: str) -> None:
+    """``what`` reads V(W(z)) alone, and a prefactor H(z) changes the law."""
+    if scheme.h is not None:
+        raise ValueError(
+            f"{what} extended schemes (prefactor h); their exact count law is extended_law_Nn"
+        )
 
 
 @dataclass
@@ -434,9 +485,10 @@ def stopped_sum_law(
     scheme: SchemeSpec, rho: float | None = None, n: int = 0, method: str = "auto"
 ) -> StoppedSumLaw:
     """Law of the randomly stopped sum plus u_m = V(W(rho)) rho^-m P(S_N=m)."""
+    _refuse_extended(scheme, "stopped_sum_law does not take")
     cal = _calibrate(scheme, n, rho)
     _, (acc,) = _harvest(cal.law_x.pmf, n, cal.cap, method, [cal.pmf_n])
-    vw = scheme.v.series_value(cal.W)
+    vw = cal.VW
     m = np.arange(n + 1, dtype=float)
     with np.errstate(divide="ignore"):
         log_s = np.where(acc > 0, np.log(np.where(acc > 0, acc, 1.0)), -np.inf)
@@ -460,24 +512,26 @@ def law_Nn(
 ) -> DiscreteLaw:
     """Exact conditioned count law P(N_n = l) = P(N = l | S_N = n).
 
-    Normalized by construction (conditioning contract).
+    Normalized by construction (conditioning contract).  For an extended
+    scheme H(z) V(W(z)) (``scheme.h`` set) it is the count of W-components,
+    proportional to P(N = l) * sum_j h_j rho^j P(S_l = n - j): the same
+    harvest, started from the row h_j rho^j instead of the unit row.
     """
     cal = _calibrate(scheme, n, rho)
-    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=_unit(n))
-    return _conditioned(cal.pmf_n, column, n, "partition function")
+    if scheme.h is None:
+        start, name = _unit(n), "partition function"
+    else:
+        start, name = scheme.h.weighted_terms(cal.rho, n), "extended partition function"
+    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=start)
+    return _conditioned(cal.pmf_n, column, n, name)
 
 
 def extended_law_Nn(scheme: SchemeSpec, n: int, method: str = "auto") -> DiscreteLaw:
-    """Count law of W-components in the extended scheme H(z) V(W(z)).
-
-    P(N~_n = l) is proportional to P(N=l) * sum_j h_j rho^j P(S_l = n - j).
-    """
+    """``law_Nn`` of an extended scheme H(z) V(W(z)); refuses a scheme
+    without a prefactor h."""
     if scheme.h is None:
         raise ValueError("scheme has no extended prefactor h")
-    cal = _calibrate(scheme, n)
-    start = scheme.h.weighted_terms(cal.rho, n)  # h_j rho^j
-    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=start)
-    return _conditioned(cal.pmf_n, column, n, "extended partition function")
+    return law_Nn(scheme, n, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -624,18 +678,32 @@ def prefix_law(scheme: SchemeSpec, n: int, m: int, method: str = "auto") -> Pref
     divided by P(S_N = n); exchangeable, so the coordinate order is
     immaterial.
     """
-    if m not in (1, 2):
-        raise ValueError("prefix laws implemented for m in {1, 2}")
-    if m == 2 and n > 3000:
-        raise BudgetExceededError("m=2 joint table limited to n <= 3000")
+    return _prefix_laws(scheme, n, (m,), method)[0]
+
+
+def _prefix_laws(scheme: SchemeSpec, n: int, ms, method: str = "auto") -> list[PrefixLaw]:
+    """``prefix_law`` at each m of ``ms``, from one calibration and one
+    harvest with one weight vector per m; each law has the bits of its own
+    ``prefix_law`` call."""
+    for m in ms:
+        if m not in (1, 2):
+            raise ValueError("prefix laws implemented for m in {1, 2}")
+        if m == 2 and n > 3000:
+            raise BudgetExceededError("m=2 joint table limited to n <= 3000")
+    _refuse_extended(scheme, "prefix_law does not take")
     # G[x] = sum_{l >= m} P(N=l) P(S_{l-m} = x): weight row j by P(N = j+m).
     cal = _calibrate(scheme, n)
-    column, (green,) = _harvest(cal.law_x.pmf, n, cal.cap, method, [cal.pmf_n[m:]], _unit(n))
+    column, greens = _harvest(cal.law_x.pmf, n, cal.cap, method, [cal.pmf_n[m:] for m in ms], _unit(n))
     denom = dot(cal.pmf_n, column)
     if denom <= 0:
         raise ValueError(f"partition function vanishes at n={n}")
-    px = cal.law_x.pmf
-    d = cal.law_x.deficit
+    return [_prefix(cal.law_x, green, denom, n, m) for m, green in zip(ms, greens)]
+
+
+def _prefix(law_x: DiscreteLaw, green: np.ndarray, denom: float, n: int, m: int) -> PrefixLaw:
+    """The prefix law of m components from G (``green``) and P(S_N = n)."""
+    px = law_x.pmf
+    d = law_x.deficit
     if m == 1:
         joint = px * green[::-1] / denom  # green[n-k]
         mass = fsum(joint)
@@ -679,6 +747,7 @@ def giant_deficit_law(scheme: SchemeSpec, n: int, method: str = "auto"):
     """
     if n > _DEFICIT_N_CAP:
         raise BudgetExceededError(f"deficit DP limited to n <= {_DEFICIT_N_CAP}")
+    _refuse_extended(scheme, "giant_deficit_law does not take")
     d_max = (n - 1) // 2
     cal = _calibrate(scheme, n)
     px, pmf_n = cal.law_x.pmf, cal.pmf_n
@@ -689,7 +758,7 @@ def giant_deficit_law(scheme: SchemeSpec, n: int, method: str = "auto"):
         raise ValueError("conditioning event has zero probability")
 
     # G[d] = sum_l P(N=l) l P(S_{l-1} = d): rows only to column d_max needed.
-    nhat = _size_biased(scheme, cal.W, pmf_n)
+    nhat = _size_biased(scheme, cal.W, cal.VW, pmf_n)
     # Row j holds P(S_j = d), j = l - 1 small summands; with no zero-size
     # components rows past d_max vanish on the kept columns.
     cap = weights_exact.size - 1

@@ -46,9 +46,11 @@ from .exact import (
     BudgetExceededError,
     _calibrate,
     _conditioned,
+    _giant_stride,
     _harvest,
     _product_tables,
-    _row_source,
+    _refuse_extended,
+    _row_step,
     _unit,
 )
 from .series import fsum
@@ -247,22 +249,15 @@ def _inverse_cdf_draw(cdf: np.ndarray, u):
     return np.searchsorted(cdf, np.maximum(u * cdf[-1], _LEAST), side="left")
 
 
-def _refuse_extended(scheme: SchemeSpec) -> None:
-    """The samplers draw from V(W(z)) alone; a prefactor H(z) changes the law."""
-    if scheme.h is not None:
-        raise ValueError(
-            "the samplers do not draw from extended schemes (prefactor h); "
-            "their exact count law is extended_law_Nn"
-        )
-
-
 class ExactSampler:
     """Rejection-free sampler sharing one convolution table per (scheme, n).
 
     The table is one array, read by ``sample``, its chunk walk and
     ``sample_many``: row l is ``_CHUNK`` zeros, then P(S_l = .)[0..n].
     ``__init__`` reserves (count law size) x (n + 129) x 8 bytes of address
-    space; a row is written when a draw first needs it, then only read.
+    space.  Its count-law harvest writes rows 0..B (B = isqrt(cap) + 1, its
+    baby rows, the same bytes as stepping them here); every later row is
+    stepped from the one before when a draw first needs it, then only read.
     That is large only when P(X = 0) > 0 lets the count law run to
     max(4n, 10^5) (``_ell_cap``): 850 MB at n = 3000 and P(X = 0) = 0.27,
     where draws write about 2500 of its 33958 rows.  The sampler is
@@ -282,7 +277,7 @@ class ExactSampler:
     """
 
     def __init__(self, scheme: SchemeSpec, n: int):
-        _refuse_extended(scheme)
+        _refuse_extended(scheme, "the samplers do not draw from")
         if n > _EXACT_N_DEFAULT_CAP:
             raise BudgetExceededError(
                 f"exact sampler table budget ({_EXACT_N_DEFAULT_CAP}) exceeded at n={n}; "
@@ -291,7 +286,13 @@ class ExactSampler:
         self.scheme = scheme
         self.n = n
         cal = _calibrate(scheme, n)
-        column, _ = _harvest(cal.law_x.pmf, n, cal.cap, "auto", start=_unit(n))
+        # the harvest's baby rows are table rows 0..B; B > cap only for cap <= 1
+        babies = _giant_stride(cal.cap) + 1
+        self._table = np.empty((max(cal.cap + 1, babies), _CHUNK + n + 1))
+        self._table[:babies, :_CHUNK] = 0.0
+        column, _ = _harvest(
+            cal.law_x.pmf, n, cal.cap, "auto", start=_unit(n), rows=self._table[:, _CHUNK:]
+        )
         self.rho = cal.rho
         self.count_law = _conditioned(cal.pmf_n, column, n, "partition function")
         self.count_cdf = np.cumsum(self.count_law.pmf)
@@ -308,20 +309,19 @@ class ExactSampler:
         self._peel = min(self._k0, _CHUNK - 1)
         self._rest = range(self._peel + 1, _CHUNK)
         self.roundoff_fallbacks = 0
-        self._source = _row_source(self.pmf_x, n, "auto")
-        self._table = np.empty((self.count_cdf.size, _CHUNK + n + 1))
-        self._rows: list[np.ndarray] = []  # the rows' P(S_l = .) parts
-        self._views: list[memoryview] = []  # scalar reads of _rows
-        self._ensure_rows(0)
+        self._step = _row_step(self.pmf_x, n, "auto")  # ``_row_source``'s step
+        self._rows = list(self._table[:babies, _CHUNK:])  # the rows' P(S_l = .) parts
+        self._views = [memoryview(row) for row in self._rows]  # scalar reads of _rows
 
     def _ensure_rows(self, ell: int) -> None:
-        if ell < len(self._rows):
+        rows = self._rows
+        if ell < len(rows):
             return
-        for zero_led in self._table[len(self._rows) : ell + 1]:
+        for zero_led in self._table[len(rows) : ell + 1]:
             zero_led[:_CHUNK] = 0.0
             row = zero_led[_CHUNK:]
-            row[:] = next(self._source)
-            self._rows.append(row)
+            row[:] = self._step(rows[-1])
+            rows.append(row)
             self._views.append(memoryview(row))
 
     def draw_count(self, rng: np.random.Generator) -> int:
@@ -535,7 +535,7 @@ class RejectionSampler:
     batch: int = field(init=False)  # proposals drawn per batch
 
     def __post_init__(self) -> None:
-        _refuse_extended(self.scheme)
+        _refuse_extended(self.scheme, "the samplers do not draw from")
         cal = _calibrate(self.scheme, self.n)
         self.rho = cal.rho
         self.cdf_x = np.cumsum(cal.law_x.pmf)

@@ -157,6 +157,14 @@ def _verdict(
     )
 
 
+def _plain(scheme: SchemeSpec, verifier: str) -> None:
+    """Every verifier but ``extended`` reads the laws of V(W(z)) alone."""
+    if scheme.h is not None:
+        raise PhaseMismatchError(
+            f"{verifier} does not take extended schemes (prefactor h); the extended verifier does"
+        )
+
+
 def _require(report: PhaseReport, phases, verifier: str) -> None:
     if report.phase not in phases:
         raise PhaseMismatchError(
@@ -264,6 +272,7 @@ def _dense_split(law: DiscreteLaw, n: int, mu: float) -> tuple[int, DiscreteLaw]
 def verify_dense_llt(scheme: SchemeSpec, n_ladder, tol: float = 0.05):
     """Exact count law against the stable local limit density, sup over
     the ``_WINDOW`` window; no Monte Carlo is involved."""
+    _plain(scheme, "dense_llt")
     rep = classify(scheme)
     _require(rep, (Phase.dense_critical, Phase.dense_supercritical, Phase.mixture), "dense_llt")
     if rep.scale_L is None:
@@ -299,6 +308,7 @@ def verify_dense_extremes(
     (tolerance = the first-n quantile).  Both variants also check that the
     count of components at a deliberately rare size stays zero.
     """
+    _plain(scheme, "dense_extremes")
     rep = classify(scheme)
     _require(rep, (Phase.dense_critical, Phase.dense_supercritical), "dense_extremes")
     ladder = [n] if isinstance(n, int) else list(n)
@@ -372,21 +382,22 @@ def verify_prefix_independence(scheme: SchemeSpec, n_ladder, tol: float = 0.05):
     """Exact total variation of prefix laws against i.i.d. products.
 
     No phase gate: the verdict itself is the test (degenerate schemes must
-    fail it, which prevents vacuous passes).
+    fail it, which prevents vacuous passes).  Both m come from one harvest
+    per n.
     """
-    reports = []
+    _plain(scheme, "prefix_independence")
+    tvs = {1: [], 2: []}
     csvs = {}
-    for m in (1, 2):
-        tvs = []
-        for n in n_ladder:
-            pl = exact.prefix_law(scheme, n, m)
-            tvs.append(pl.tv_to_iid)
+    for n in n_ladder:
+        for m, pl in zip((1, 2), exact._prefix_laws(scheme, n, (1, 2))):
+            tvs[m].append(pl.tv_to_iid)
             if m == 1:
                 rows = np.column_stack([np.arange(n + 1), pl.joint, pl.iid])
                 csvs[n] = (["k", "prefix_pmf", "iid_pmf"], rows)
-        reports.append(
-            _verdict(f"prefix_independence_m{m}", scheme, n_ladder, "TV", tvs, tol, ladder=True, coordinates=m)
-        )
+    reports = [
+        _verdict(f"prefix_independence_m{m}", scheme, n_ladder, "TV", tvs[m], tol, ladder=True, coordinates=m)
+        for m in (1, 2)
+    ]
     return reports, csvs
 
 
@@ -400,15 +411,18 @@ def verify_convergent(
 ):
     """Count convergence and giant-component deficit, exactly; plus a Monte
     Carlo chi-square spot check of (count, second-largest size) against the
-    giant-replacement limit tuple."""
+    giant-replacement limit tuple.  The spot check's sampler holds the
+    exact count law."""
+    _plain(scheme, "convergent")
     rep = classify(scheme)
     if rep.phase is Phase.unclassified:
         raise PhaseMismatchError("convergent verifier needs a classified scheme")
     if not math.isfinite(scheme.v.weighted_moment(rep.w_value, 1)):
         raise PhaseMismatchError("convergent verifier needs a finite E[N] (the size-biased limit)")
-    law = exact.law_Nn(scheme, n)
-    nhat = exact.law_Nhat(scheme, law.pmf.size - 1)
     exact_d, limit_d = exact.giant_deficit_law(scheme, n)
+    smp = None if skip_mc else sampling.ExactSampler(scheme, n)
+    law = exact.law_Nn(scheme, n) if smp is None else smp.count_law
+    nhat = exact.law_Nhat(scheme, law.pmf.size - 1)
     reports = [
         _verdict("convergent_counts", scheme, [n], "TV", [tv_distance(law, nhat)], tol),
         _verdict("convergent_deficit", scheme, [n], "TV", [tv_distance(exact_d, limit_d)], tol),
@@ -421,8 +435,8 @@ def verify_convergent(
             ),
         )
     }
-    if not skip_mc:
-        reports.append(_convergent_mc(scheme, n, replicates, seed, nhat))
+    if smp is not None:
+        reports.append(_convergent_mc(smp, replicates, seed, nhat))
     return reports, csvs
 
 
@@ -432,9 +446,10 @@ def _second_largest(sizes: np.ndarray) -> int:
     return int(np.partition(sizes, -2)[-2])
 
 
-def _convergent_mc(scheme, n, replicates, seed, nhat) -> VerdictReport:
-    """Two-sample chi-square on (count, clipped second-largest size)."""
-    smp = sampling.ExactSampler(scheme, n)
+def _convergent_mc(smp, replicates, seed, nhat) -> VerdictReport:
+    """Two-sample chi-square on (count, clipped second-largest size) of the
+    sampler's draws against the limit tuple."""
+    scheme, n = smp.scheme, smp.n
     cdf_x = np.cumsum(smp.pmf_x)
     cdf_nhat = np.cumsum(nhat.pmf)
     n_clip, s_clip = 6, 8
@@ -482,6 +497,7 @@ def verify_mixture(
     probability approaches.  The split verdict passes on the last
     distance alone, the conditional count verdict on the last TV alone.
     """
+    _plain(scheme, "mixture")
     rep = classify(scheme)
     _require(rep, (Phase.mixture,), "mixture")
     p, p_frac = rep.mixture_p, rep.mixture_p_frac
@@ -555,22 +571,27 @@ def verify_dilute(
           integral;
     (v)   Monte Carlo second factorial moment against the two-point
           correlation integral.
+
+    The Monte Carlo parts share one exact sampler at the final n, and its
+    count law is the exact law there.
     """
+    _plain(scheme, "dilute")
     rep = classify(scheme)
     _require(rep, (Phase.dilute,), "dilute")
     dp = laws.DiluteParams(rep.alpha, rep.b, rep.dilute_lambda)
     alpha = rep.alpha
     csvs = {}
 
+    n_fin = n_ladder[-1]
+    smp = sampling.ExactSampler(scheme, n_fin)
     discs = []
     for n in n_ladder:
-        law = exact.law_Nn(scheme, n)
+        law = smp.count_law if n == n_fin else exact.law_Nn(scheme, n)
         na = n**alpha
         # (i) from delta n^alpha up to where either side is non-negligible
         lo = max(1, int(math.ceil(_DELTA * na)))
         disc, csvs[n] = _llt(law, lo, int(20 * na), 0, na, lambda x: laws.dilute_Z_density(dp, x))
         discs.append(disc)
-    n_fin = n_ladder[-1]
     reports = [
         _verdict("dilute_llt", scheme, n_ladder, "sup-LLT-discrepancy", discs, tol, ladder=True, delta=_DELTA)
     ]
@@ -593,9 +614,8 @@ def verify_dilute(
     )
     reports.append(_verdict("dilute_ks", scheme, [n_fin], "KS", [float(ks)], ks_tol))
 
-    # Monte Carlo parts share one exact sampler at the final n
+    # Monte Carlo parts
     k_n = int(round((rep.c_w / (_UPSILON * rep.w_value)) ** (1.0 / (1.0 + alpha)) * n_fin ** (alpha / (1.0 + alpha))))
-    smp = sampling.ExactSampler(scheme, n_fin)
     ups_n = float(na * smp.pmf_x[k_n])  # realized n^alpha P(X = k_n) -> upsilon
     counts_at_kn = np.empty(replicates, dtype=np.int64)
     point_lows = (0.2, 0.4)  # mean point counts on [x, 1]

@@ -313,6 +313,12 @@ def _closed_moment_sum(
 
     valid once f' is monotone; the integral is evaluated by adaptive
     quadrature whose error estimate joins the budget.
+
+    Just below the radius the geometric bound may be unable to certify
+    before the index cap.  There, and only there, a point within ``tol`` of
+    the radius is summed as on it: evaluation points such as W(rho_w) are
+    themselves certified sums, within their ``tol`` of the true point,
+    which may lie on the radius.
     """
     if t == 0.0:
         return 0.0
@@ -320,9 +326,12 @@ def _closed_moment_sum(
     e_eff = e - k
     lam = L.log_exp
     lam_pos = max(lam, 0.0)
+    max_index = 10**9
     at_radius = abs(q - 1.0) <= _RADIUS_RTOL
     if q > 1.0 and not at_radius:
         return math.inf
+    if not at_radius and rho - t <= tol and _geometric_never_certifies(L, e_eff, q, max_index, tol):
+        at_radius = True
     if at_radius and e_eff <= 1.0:
         return math.inf
     logq = 0.0 if at_radius else math.log(q)
@@ -340,7 +349,6 @@ def _closed_moment_sum(
     total = 0.0
     n = n0
     block = 64
-    max_index = 10**9
     while n < max_index:
         hi = n + block
         idx = np.arange(n, hi, dtype=float)
@@ -386,6 +394,24 @@ def _closed_moment_sum(
         if term_n / (1.0 - r) <= tol:
             return total
     raise RuntimeError("series truncation failed to certify the requested tolerance")
+
+
+def _geometric_never_certifies(L: SlowVarying, e_eff: float, q: float, max_index: int, tol: float) -> bool:
+    """True when the geometric tail bound of ``_closed_moment_sum`` exceeds
+    ``tol`` at every index it is tried at (all below 2 ``max_index``).
+
+    There the ratio bound r is at least q, so the bound term(N) / (1 - r)
+    is at least L(N) N^-e_eff q^N / (1 - q), and for 1 <= N <= 2 max_index
+    that is at least the same with L(N) and N^-e_eff at their smallest
+    and q^N at q^(2 max_index).  The test keeps a factor of 2 for
+    round-off.
+    """
+    if not q < 1.0:
+        return False
+    top = 2.0 * max_index
+    log_l = math.log(L.c) + L.log_exp * math.log(math.log(3.0 if L.log_exp >= 0 else 2.0 + top))
+    log_low = log_l - max(e_eff, 0.0) * math.log(top) + top * math.log(q) - math.log(1.0 - q)
+    return log_low > math.log(2.0 * tol)
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,25 @@ def test_exact_nhat_on_a_dense_scheme_is_one_error_line(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_exact_count_law_of_an_extended_scheme(capsys):
+    # the count of W-components of H(z) V(W(z)), not the plain law (whose
+    # P(N = 1) is 0.6375 at n = 200)
+    code, out = run_cli(["exact", "--scheme", "extended-heavy", "--n", "200", "--law", "Nn"], capsys)
+    assert code == 0
+    vals = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+    assert vals == exact.extended_law_Nn(bundled_scheme("extended-heavy"), 200).pmf.tolist()
+    assert vals[1] == pytest.approx(0.7625, abs=1e-4)
+
+
+@pytest.mark.parametrize("law", ["stopped_sum", "prefix1", "deficit"])
+def test_exact_plain_model_laws_refuse_an_extended_scheme(capsys, law):
+    with pytest.raises(SystemExit) as err:
+        main(["exact", "--scheme", "extended-heavy", "--n", "200", "--law", law])
+    msg = str(err.value.code)
+    assert msg.startswith("error: ") and "extended_law_Nn" in msg and "\n" not in msg
+    assert capsys.readouterr().out == ""
+
+
 def test_exact_rho_must_be_finite_and_positive(capsys):
     for rho in ("0", "-1", "nan"):
         with pytest.raises(SystemExit) as err:

@@ -633,3 +633,131 @@ def test_extended_trivial_prefactor(convergent):
     base = law_Nn(convergent, 300)
     lifted = extended_law_Nn(ext, 300)
     assert tv_distance(base, lifted) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# each exact object of a (scheme, n) computed once
+
+
+def _w0_positive():
+    return SchemeSpec(v=bundled_scheme("dense-gauss").v,
+                      w=WeightSequence.closed_form(e=2.5, term0=0.5))
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("dense-gauss", 300), ("dense-stable", 500), ("convergent", 400), ("dilute", 600),
+     ("mixture", 300), ("dense-super", 200), ("bell", 8), ("single-component", 50),
+     ("w0-positive", 200), ("extended-heavy", 200)],
+)
+def test_calibrate_matches_the_public_laws(name, n):
+    """One calibration sums W(rho) once and V(W(rho)) once, and holds the
+    bits of default_rho, law_X and law_N, at the default rho and at a
+    caller's."""
+    scheme = _w0_positive() if name == "w0-positive" else bundled_scheme(name)
+    for rho in (None, 0.9 * default_rho(scheme, n)):
+        cal = _calibrate(scheme, n, rho)
+        assert cal.rho == (default_rho(scheme, n) if rho is None else rho)
+        assert cal.W == scheme.w.series_value(cal.rho)
+        assert cal.VW == scheme.v.series_value(cal.W)
+        lx = law_X(scheme, cal.rho, n)
+        assert cal.law_x.pmf.tobytes() == lx.pmf.tobytes()
+        assert cal.law_x.mass_accounted == lx.mass_accounted
+        assert cal.pmf_n.tobytes() == law_N(scheme, cal.rho, cal.cap).pmf.tobytes()
+
+
+@pytest.mark.parametrize("name", ["convergent", "mixture", "bell"])
+def test_law_nhat_is_the_size_biased_law_n(name):
+    scheme = bundled_scheme(name)
+    rho = default_rho(scheme)
+    pmf = law_N(scheme, rho, 60).pmf
+    W = scheme.w.series_value(rho)
+    mean = scheme.v.weighted_moment(W, 1) / scheme.v.series_value(W)
+    want = np.arange(61) * pmf / mean
+    assert law_Nhat(scheme, 60).pmf.tobytes() == want.tobytes()
+    assert law_Nhat(scheme, 60, 0.5 * rho).pmf.tobytes() != want.tobytes()
+
+
+@pytest.mark.parametrize("name, n", [("dense-gauss", 100), ("dense-gauss", 400),
+                                     ("single-component", 100), ("convergent", 700)])
+def test_shared_prefix_harvest_matches_separate_prefix_laws(name, n):
+    scheme = bundled_scheme(name)
+    both = exact._prefix_laws(scheme, n, (1, 2))
+    for m, got in zip((1, 2), both):
+        want = prefix_law(scheme, n, m)
+        assert got.joint.tobytes() == want.joint.tobytes()
+        assert got.iid.tobytes() == want.iid.tobytes()
+        assert (got.mass_accounted, got.tv_to_iid) == (want.mass_accounted, want.tv_to_iid)
+
+
+@pytest.mark.parametrize("name", ["extended-light", "extended-heavy", "extended-matched"])
+@pytest.mark.parametrize("n", [200, 600, 2500])
+def test_law_nn_of_an_extended_scheme_is_the_extended_law(name, n):
+    """law_Nn harvests from the row h_j rho^j when the scheme has a
+    prefactor: the bits of the extended law's own computation."""
+    scheme = bundled_scheme(name)
+    cal = _calibrate(scheme, n)
+    start = scheme.h.weighted_terms(cal.rho, n)
+    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, "auto", start=start)
+    want = exact._conditioned(cal.pmf_n, column, n, "extended partition function").pmf
+    assert law_Nn(scheme, n).pmf.tobytes() == want.tobytes()
+    assert extended_law_Nn(scheme, n).pmf.tobytes() == want.tobytes()
+
+
+def test_extended_heavy_count_law_is_not_the_plain_one():
+    # the plain model V(W(z)) has P(N_200 = 1) = 0.6375; the prefactor's
+    # heavier tail takes the extended law 0.125 away from it in TV
+    scheme = bundled_scheme("extended-heavy")
+    base = SchemeSpec(v=scheme.v, w=scheme.w)
+    law = law_Nn(scheme, 200)
+    plain = law_Nn(base, 200)
+    assert plain.pmf[1] == pytest.approx(0.6375, abs=1e-4)
+    assert law.pmf[1] == pytest.approx(0.7625, abs=1e-4)
+    assert tv_distance(law, plain) == pytest.approx(0.125, abs=1e-3)
+    with pytest.raises(ValueError, match="no extended prefactor"):
+        extended_law_Nn(base, 200)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: prefix_law(s, 100, 1),
+        lambda s: prefix_law(s, 100, 2),
+        lambda s: giant_deficit_law(s, 100),
+        lambda s: stopped_sum_law(s, n=100),
+    ],
+    ids=["prefix_law-m1", "prefix_law-m2", "giant_deficit_law", "stopped_sum_law"],
+)
+@pytest.mark.parametrize("name", ["extended-light", "extended-heavy", "extended-matched"])
+def test_laws_of_the_plain_model_refuse_extended_schemes(call, name, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the prefactor is checked before any sweep")
+
+    monkeypatch.setattr(exact, "_calibrate", no_sweep)
+    with pytest.raises(ValueError, match="extended_law_Nn"):
+        call(bundled_scheme(name))
+
+
+@pytest.mark.parametrize("a", [1.6, 1.8])
+def test_dilute_law_nn_just_below_the_radius(a):
+    # W(1) lands 546 and 1081 ulps below zeta(a), farther than _RADIUS_RTOL
+    from gibbs_partitions.schemes import zeta_scheme
+
+    scheme = zeta_scheme(a, 1.5)
+    assert classify(scheme).phase.value == "dilute"
+    law = law_Nn(scheme, 1000)
+    assert abs(fsum(law.pmf) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [1.25, 1.5, 1.6, 1.8, 2.5, 4.0])
+@pytest.mark.parametrize("b", [1.5, 2.5, 4.0])
+def test_law_nn_on_a_zeta_grid(a, b):
+    """Wherever classify names a phase of zeta_scheme(a, b), the count law
+    is computed and normalized."""
+    from gibbs_partitions.schemes import zeta_scheme
+
+    scheme = zeta_scheme(a, b)
+    if classify(scheme).phase.value == "unclassified":
+        pytest.skip("no phase on this line of the diagram")
+    law = law_Nn(scheme, 300)
+    assert abs(fsum(law.pmf) - 1.0) <= 1e-12

@@ -32,20 +32,45 @@ from gibbs_partitions.sampling import (
 
 
 def test_exact_sampler_calibrates_once(monkeypatch):
-    """The sampler's count law and P(X = .) come from one sweep, so
-    ``law_X`` runs once, however the sampler reaches it."""
+    """The sampler's count law and P(X = .) come from one sweep, so the
+    component-size law (``_law_X``, which ``law_X`` also calls) is built
+    once, however the sampler reaches it."""
     calls = []
-    law_x = exact.law_X
+    law_x = exact._law_X
 
     def counted(*args):
         calls.append(args)
         return law_x(*args)
 
     for mod in (exact, sampling):
-        if getattr(mod, "law_X", None) is law_x:
-            monkeypatch.setattr(mod, "law_X", counted)
+        if getattr(mod, "_law_X", None) is law_x:
+            monkeypatch.setattr(mod, "_law_X", counted)
     ExactSampler(bundled_scheme("convergent"), 300)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, n, method", [("dense-gauss", 500, "direct"), ("dense-stable", 3000, "fft")])
+def test_table_starts_from_the_harvest_rows(name, n, method):
+    """Rows 0..B of the table are the count law's harvest rows, the rest are
+    stepped on from row B: all are ``_row_source``'s rows bit for bit, each
+    a zero-led view of the one table, and the count law is law_Nn's."""
+    scheme = bundled_scheme(name)
+    smp = ExactSampler(scheme, n)
+    assert exact._conv_method(smp.pmf_x, n, "auto") == method
+    babies = exact._giant_stride(smp.count_cdf.size - 1) + 1
+    assert len(smp._rows) == babies
+    ell = babies + 20
+    smp._ensure_rows(ell)
+    source = _row_source(smp.pmf_x, n, "auto")
+    for row, want in zip(smp._rows, source):
+        assert row.tobytes() == want.tobytes()
+        assert np.shares_memory(row, smp._table)
+    assert len(smp._rows) == ell + 1
+    assert not smp._table[: ell + 1, :_CHUNK].any()
+    # no array but the table holds rows
+    held = [v for v in vars(smp).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+    assert len(held) == 1 and held[0] is smp._table
+    assert smp.count_law.pmf.tobytes() == exact.law_Nn(scheme, n).pmf.tobytes()
 
 
 def test_sizes_always_sum_to_n(dense_gauss):
@@ -333,8 +358,9 @@ def test_roundoff_fallback_is_counted(dense_gauss):
 def test_fft_rows_own_their_memory(convergent):
     # in the FFT regime each row of the source is an n + 1 view of a longer
     # transform buffer; the sampler writes the row into its own table, so
-    # the buffer can go
-    n, ell = 2100, 40
+    # the buffer can go.  Rows 0..46 come from the count law's harvest
+    # (B = isqrt(2100) + 1 = 46), the rest from steps in the sampler
+    n, ell = 2100, 60
     smp = ExactSampler(convergent, n)
     smp._ensure_rows(ell)
     source = _row_source(smp.pmf_x, n, "auto")

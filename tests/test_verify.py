@@ -314,7 +314,7 @@ def test_convergent_limit_tuples_at_zero_uniforms(monkeypatch):
 
     monkeypatch.setattr(verify, "_second_largest", record)
     n = 40
-    verify._convergent_mc(scheme, n, 3, 1, exact.law_Nhat(scheme, n))
+    verify._convergent_mc(verify.sampling.ExactSampler(scheme, n), 3, 1, exact.law_Nhat(scheme, n))
     assert len(tuples) == 6  # a sampler draw and a limit tuple per replicate
     for sizes in tuples:
         assert sizes.size == 2 and sizes.min() >= 1 and sizes.sum() == n
@@ -415,3 +415,74 @@ def test_builtin_suite_matches_golden_on_baseline_cpu_paths(tmp_path, baseline_c
     assert proc.returncode == 0, proc.stderr
     golden = pathlib.Path(__file__).parent / "data" / "golden_verdicts.json"
     assert (out / "verdicts.json").read_bytes() == golden.read_bytes()
+
+
+def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
+    """One builtin suite run makes at most 20 calibrations and 21 harvests
+    (26 and 27 when every verifier rebuilt its laws), at most 120 certified
+    series sums (208), and no calibration sums one series twice; the
+    verdict bytes stay the golden ones."""
+    from importlib.resources import files
+
+    from gibbs_partitions import sampling, weights
+
+    calls = {"calibrate": 0, "harvest": 0, "sums": 0}
+    in_calibration = []  # the series sums of the calibration under way
+    repeated = []
+    calibrate, harvest = exact._calibrate, exact._harvest
+    moment = weights.WeightSequence.weighted_moment
+
+    def counted_calibrate(*args, **kwargs):
+        calls["calibrate"] += 1
+        in_calibration.append([])
+        try:
+            return calibrate(*args, **kwargs)
+        finally:
+            sums = in_calibration.pop()
+            repeated.extend(key for i, key in enumerate(sums) if key in sums[:i])
+
+    def counted_harvest(*args, **kwargs):
+        calls["harvest"] += 1
+        return harvest(*args, **kwargs)
+
+    def counted_moment(self, t, k=0, tol=1e-12):
+        calls["sums"] += 1
+        if in_calibration:
+            in_calibration[-1].append((self, t, k, tol))
+        return moment(self, t, k, tol)
+
+    for mod in (exact, sampling):
+        monkeypatch.setattr(mod, "_calibrate", counted_calibrate)
+        monkeypatch.setattr(mod, "_harvest", counted_harvest)
+    monkeypatch.setattr(weights.WeightSequence, "weighted_moment", counted_moment)
+    cfg = str(files("gibbs_partitions.data").joinpath("phases.json"))
+    assert run_suite(cfg, tmp_path) == 0
+    assert calls["calibrate"] <= 20
+    assert calls["harvest"] <= 21
+    assert calls["sums"] <= 120
+    assert repeated == []
+    golden = pathlib.Path(__file__).parent / "data" / "golden_verdicts.json"
+    assert (tmp_path / "verdicts.json").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "verifier, kwargs",
+    [
+        (verify_dense_llt, {"n_ladder": [100]}),
+        (verify_dense_extremes, {"n": 100, "replicates": 10}),
+        (verify_prefix_independence, {"n_ladder": [100]}),
+        (verify_convergent, {"n": 100, "replicates": 10}),
+        (verify_mixture, {"n_ladder": [100]}),
+        (verify_dilute, {"n_ladder": [100], "replicates": 10}),
+    ],
+    ids=lambda v: getattr(v, "__name__", ""),
+)
+def test_verifiers_of_the_plain_model_refuse_extended_schemes(verifier, kwargs, monkeypatch):
+    """Only the extended verifier reads the prefactor; the others refuse an
+    extended scheme before any law is computed."""
+    def no_law(*args, **kwargs):
+        raise AssertionError("the prefactor is checked before any law")
+
+    monkeypatch.setattr(verify, "classify", no_law)
+    with pytest.raises(PhaseMismatchError, match="prefactor h"):
+        verifier(bundled_scheme("extended-heavy"), **kwargs)

@@ -165,3 +165,35 @@ def test_config_round_trip():
     again = SchemeSpec.from_config(scheme.to_config())
     assert again == scheme
     assert again.fingerprint() == scheme.fingerprint()
+
+
+def test_sum_that_certifies_geometrically_near_the_radius_keeps_its_route():
+    """A point 682 ulps below the radius, past _RADIUS_RTOL, whose
+    geometric tail bound certifies (tail exponent 4): it is summed below
+    the radius, not on it."""
+    from gibbs_partitions import weights
+
+    t = WeightSequence.closed_form(c=1.0, e=4.0, rho=1.0).series_value(1.0)
+    rho = t + 682 * math.ulp(t)
+    assert rho / t - 1.0 > weights._RADIUS_RTOL
+    v = WeightSequence.closed_form(c=1.0, e=4.0, rho=rho)
+    assert not weights._geometric_never_certifies(v.L, 4.0, t / rho, 10**9, 1e-12)
+    below, on = v.series_value(t), v.series_value(rho)
+    assert below < on < below + 1e-12
+
+
+@pytest.mark.parametrize("a", [1.6, 1.8])
+def test_sum_just_below_the_radius_is_summed_on_it(a):
+    """W(1) of w_n = n^-a sums 546 (a = 1.6) and 1081 (a = 1.8) ulps below
+    zeta(a), farther than _RADIUS_RTOL, and V(z) = sum n^-1.5 (z/zeta(a))^n
+    has a tail the geometric bound cannot certify there: within the
+    certified error of W(1), V is summed on its radius."""
+    from gibbs_partitions import weights
+
+    t = WeightSequence.closed_form(c=1.0, e=a, rho=1.0).series_value(1.0)
+    rho = float(zeta(a))
+    assert 1.0 - t / rho > weights._RADIUS_RTOL and rho - t <= 1e-12
+    v = WeightSequence.closed_form(c=1.0, e=1.5, rho=rho)
+    assert weights._geometric_never_certifies(v.L, 1.5, t / rho, 10**9, 1e-12)
+    assert v.series_value(t) == v.series_value(rho)
+    assert v.weighted_moment(t, 1) == math.inf  # tail exponent 1/2 on the radius
