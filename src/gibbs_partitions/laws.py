@@ -33,7 +33,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .series import dot, fsum
+from .series import dot, fsum, fsum_rows
 
 __all__ = [
     "StableParams",
@@ -460,9 +460,16 @@ def _dilute_eval(p: DiluteParams, x, cdf: bool):
                 out[high] = [dot(row, omega) for row in gammainc(1.0 - q, np.multiply.outer(ts, a))]
             else:  # f = t^(1-q) / ((1-alpha) x Gamma(1-q)) sum_i omega_i A_i^(1-q) e^(-A_i t)
                 m = log_w + (1.0 - q) * log_a
+                sums = []
+                for i in range(0, len(ts), _INVERSION_ROWS):
+                    arg = m - np.multiply.outer(ts[i : i + _INVERSION_ROWS], a)
+                    live = ~(arg < -800.0)  # math.exp is +0.0 below
+                    terms = np.zeros(arg.shape)
+                    terms[live] = _exp(arg[live])
+                    sums += fsum_rows(terms).tolist()
                 out[high] = [
-                    t ** (1.0 - q) * fsum(_exp(m - a * t)) / ((1.0 - alpha) * xi * math.gamma(1.0 - q))
-                    for t, xi in zip(ts, flat[high].tolist())
+                    t ** (1.0 - q) * s / ((1.0 - alpha) * xi * math.gamma(1.0 - q))
+                    for t, s, xi in zip(ts, sums, flat[high].tolist())
                 ]
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 

@@ -17,7 +17,7 @@ scheme, a polynomial inner series an aperiodic supercritical dense one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .weights import SchemeSpec, WeightSequence
@@ -142,7 +142,11 @@ def _w_at_radius(w: WeightSequence) -> float:
 
 
 def criticality_of(scheme: SchemeSpec) -> Criticality:
-    w_val = _w_at_radius(scheme.w)
+    return _criticality(scheme, _w_at_radius(scheme.w))
+
+
+def _criticality(scheme: SchemeSpec, w_val: float) -> Criticality:
+    """``criticality_of`` with W(rho_w) = ``w_val`` already summed."""
     rho_v = scheme.v.radius()
     if math.isinf(w_val) and math.isinf(rho_v):
         raise ValueError("criticality undefined: both W(rho_w) and rho_v are infinite")
@@ -180,20 +184,27 @@ def solve_rho_u(scheme: SchemeSpec) -> float:
     solve W(rho_u) = rho_v by bisection (W is strictly increasing) to
     relative tolerance 1e-12.
     """
-    crit = criticality_of(scheme)
+    w_val = _w_at_radius(scheme.w)
+    return _rho_u(scheme, _criticality(scheme, w_val), w_val)
+
+
+def _rho_u(scheme: SchemeSpec, crit: Criticality, w_val: float) -> float:
+    """``solve_rho_u`` with the criticality and W(rho_w) = ``w_val`` known."""
     rho_w = scheme.w.radius()
     if crit is not Criticality.supercritical:
         return rho_w
     rho_v = scheme.v.radius()
     lo = 0.0
     hi = min(rho_w, 1e18) if math.isinf(rho_w) else rho_w
-    if math.isfinite(rho_w) and scheme.w.series_value(rho_w) < rho_v:
+    if math.isfinite(rho_w) and w_val < rho_v:
         raise ValueError("no root: W(rho_w) < rho_v in a supercritical scheme")
-    while math.isinf(scheme.w.series_value(hi)) and hi > 1e-300:
+    w_hi = w_val if hi == rho_w else scheme.w.series_value(hi)
+    while math.isinf(w_hi) and hi > 1e-300:
         # keep the bracket where W is finite (divergent at the radius)
         probe = hi * (1 - 1e-9)
         if math.isinf(scheme.w.series_value(probe)):
             hi = 0.5 * (lo + hi) if lo > 0 else hi / 2
+            w_hi = scheme.w.series_value(hi)
         else:
             hi = probe
             break
@@ -203,7 +214,11 @@ def solve_rho_u(scheme: SchemeSpec) -> float:
 
 def mu_of(scheme: SchemeSpec, rho_u: float) -> float:
     """Mean component size mu = sum_n n w_n rho_u^n / W(rho_u); +inf allowed."""
-    W = scheme.w.series_value(rho_u)
+    return _mu(scheme, rho_u, scheme.w.series_value(rho_u))
+
+
+def _mu(scheme: SchemeSpec, rho_u: float, W: float) -> float:
+    """``mu_of`` with W = W(rho_u) already summed."""
     if not math.isfinite(W) or W <= 0:
         raise ValueError(f"W(rho_u) must be positive finite, got {W}")
     m1 = scheme.w.weighted_moment(rho_u, 1)
@@ -247,14 +262,17 @@ def mixture_p(scheme: SchemeSpec) -> tuple[float, float]:
         raise ValueError("mixture constants need closed-form sequences")
     if v.L.log_exp != w.L.log_exp:
         raise ValueError("L_v / L_w has no positive finite limit")
-    a = w.e
-    rho_u = solve_rho_u(scheme)
-    mu = mu_of(scheme, rho_u)
-    w_val = w.series_value(w.rho)
+    w_val = _w_at_radius(w)
+    mu = mu_of(scheme, _rho_u(scheme, _criticality(scheme, w_val), w_val))
     vp = _v_prime(scheme, w_val)
     if not math.isfinite(vp) or vp <= 0:
         raise ValueError(f"V'(W(rho_w)) must be positive finite, got {vp}")
-    p = mu ** (a - 1.0) / vp * (v.L.c / w.L.c)
+    return _mixture_constants(scheme, mu, vp)
+
+
+def _mixture_constants(scheme: SchemeSpec, mu: float, vp: float) -> tuple[float, float]:
+    """``mixture_p``'s (p, p / (1 + p)) from mu and vp = V'(W(rho_w))."""
+    p = mu ** (scheme.w.e - 1.0) / vp * (scheme.v.L.c / scheme.w.L.c)
     return p, p / (1.0 + p)
 
 
@@ -263,13 +281,12 @@ def mixture_p(scheme: SchemeSpec) -> tuple[float, float]:
 
 
 def _dense_scales(
-    scheme: SchemeSpec, rho_u: float, alpha: float, mu: float
+    scheme: SchemeSpec, rho_u: float, W: float, alpha: float, mu: float
 ) -> tuple[Scale | None, Scale | None]:
-    """(scale_g, scale_L) for a dense or mixture scheme; None when the
-    constants are not expressible (non-constant L_w in the infinite
+    """(scale_g, scale_L) for a dense or mixture scheme, W = W(rho_u); None
+    when the constants are not expressible (non-constant L_w in the infinite
     variance cases)."""
     w = scheme.w
-    W = w.series_value(rho_u)
     m2 = w.weighted_moment(rho_u, 2)
     if math.isfinite(m2):
         var = m2 / W - mu * mu
@@ -295,14 +312,13 @@ def _dense_scales(
 
 
 def _dense_report(
-    phase: Phase, crit: Criticality, scheme: SchemeSpec, alpha: float, rho_u: float, **extra
+    phase: Phase, crit: Criticality, scheme: SchemeSpec, alpha: float, rho_u: float, W: float
 ) -> PhaseReport:
-    """The report of a dense or mixture scheme at radius rho_u: mu, the
-    scales, and gamma = (-cos(pi alpha / 2))^(1/alpha); ``extra`` holds the
-    phase's own fields."""
+    """The report of a dense or mixture scheme at radius rho_u, W = W(rho_u):
+    mu, the scales, and gamma = (-cos(pi alpha / 2))^(1/alpha)."""
     v, w = scheme.v, scheme.w
-    mu = mu_of(scheme, rho_u)
-    scale_g, scale_L = _dense_scales(scheme, rho_u, alpha, mu)
+    mu = _mu(scheme, rho_u, W)
+    scale_g, scale_L = _dense_scales(scheme, rho_u, W, alpha, mu)
     return PhaseReport(
         phase,
         crit,
@@ -312,11 +328,10 @@ def _dense_report(
         mu=mu,
         gamma=(-math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha),
         rho_u=rho_u,
-        w_value=w.series_value(rho_u),
+        w_value=W,
         c_w=w.L.c if (not w.is_explicit and w.L.is_constant) else None,
         scale_g=scale_g,
         scale_L=scale_L,
-        **extra,
     )
 
 
@@ -369,11 +384,11 @@ def classify(scheme: SchemeSpec) -> PhaseReport:
     """
     v, w = scheme.v, scheme.w
     try:
-        crit = criticality_of(scheme)
+        w_val = _w_at_radius(w)  # summed once: every W(rho_w) below is this one
+        crit = _criticality(scheme, w_val)
     except ValueError:
         return PhaseReport(Phase.unclassified, Criticality.subcritical)
 
-    w_val = _w_at_radius(w)
     a = w.e if not w.is_explicit else None
     b = v.e if not v.is_explicit else None
 
@@ -413,12 +428,13 @@ def classify(scheme: SchemeSpec) -> PhaseReport:
         and b > 1.0
         and (b < a or (b == a and _little_o(w, v)))
     ):
-        return _dense_report(Phase.dense_critical, crit, scheme, min(a - 1.0, 2.0), w.radius())
+        return _dense_report(Phase.dense_critical, crit, scheme, min(a - 1.0, 2.0), w.radius(), w_val)
 
     # --- dense case ii: supercritical and aperiodic
     if crit is Criticality.supercritical and b is not None and b > 1.0:
         if _gcd_of_support(w) == 1:
-            return _dense_report(Phase.dense_supercritical, crit, scheme, 2.0, solve_rho_u(scheme))
+            rho_u = _rho_u(scheme, crit, w_val)
+            return _dense_report(Phase.dense_supercritical, crit, scheme, 2.0, rho_u, w.series_value(rho_u))
         return PhaseReport(Phase.unclassified, crit, a=a, b=b)
 
     # --- mixture: critical, equal exponents above 2, comparable L's
@@ -432,11 +448,9 @@ def classify(scheme: SchemeSpec) -> PhaseReport:
     ):
         vp = _v_prime(scheme, w_val)
         if math.isfinite(vp) and vp > 0:
-            p, p_frac = mixture_p(scheme)
-            return _dense_report(
-                Phase.mixture, crit, scheme, min(a - 1.0, 2.0), w.radius(),
-                v_prime=vp, mixture_p=p, mixture_p_frac=p_frac,
-            )
+            report = _dense_report(Phase.mixture, crit, scheme, min(a - 1.0, 2.0), w.radius(), w_val)
+            p, p_frac = _mixture_constants(scheme, report.mu, vp)
+            return replace(report, v_prime=vp, mixture_p=p, mixture_p_frac=p_frac)
 
     # --- convergent: finite positive V'(W(rho_w)) plus a sufficient condition
     if math.isfinite(w_val) and w_val > 0:

@@ -28,6 +28,7 @@ __all__ = [
     "convolve",
     "dot",
     "fsum",
+    "fsum_rows",
     "mul",
     "compose",
     "series_of",
@@ -39,6 +40,7 @@ _EXP_MASK = 0x7FF << 52
 _FRAC_MASK = (1 << 52) - 1
 _HALF_MASK = (1 << 26) - 1
 _ULP_INV = 1 << 1074  # every finite double is an integer multiple of 2**-1074
+_EPS = 2.0**-52
 # einsum sums a dot in blocks of 4 vectors from its first entry, at most 32
 # doubles, so skipping whole blocks of leading +0.0 products keeps its bits
 _ZERO_BLOCK = 64
@@ -85,14 +87,12 @@ def convolve(a, b, size: int | None = None) -> np.ndarray:
     padded[width - 1 : width - 1 + k] = a[:k]
     rev = np.ascontiguousarray(b[::-1])
     step = padded.strides[0]
+    # window i holds a[i - width + 1 .. i]; against reversed b it is out[lo + i]
+    windows = as_strided(padded, (m, width), (step, step), writeable=False)
 
     def dots(start, stop, skip):
-        # windows start .. stop - 1 from entry skip on; window i holds
-        # a[i - width + 1 .. i], and against reversed b it is out[lo + i]
-        windows = as_strided(
-            padded[start + skip :], (stop - start, width - skip), (step, step), writeable=False
-        )
-        np.einsum("ij,j->i", windows, rev[skip:], out=out[lo + start : lo + stop])
+        # windows start .. stop - 1 from entry skip on
+        np.einsum("ij,j->i", windows[start:stop, skip:], rev[skip:], out=out[lo + start : lo + stop])
 
     # window i starts with width - 1 - i zeros, so the windows below top
     # share at least one whole block; a band's last window has the fewest,
@@ -126,23 +126,65 @@ def fsum(a) -> float:
     """
     items = (a,) if isinstance(a, np.ndarray) or np.isscalar(a) else a
     parts = (np.ravel(np.asarray(p, dtype=float)) for p in items)
-    acc = _ExactSum()
+    acc = None  # built at the first batch past _FSUM_BLOCK entries
     pending: list[np.ndarray] = []
     size = 0
     for flat in parts:
         pending.append(flat)
         size += flat.size
         if size > _FSUM_BLOCK:
+            acc = acc or _ExactSum()
             if not acc.add(pending):
                 break
             pending, size = [], 0
     else:
-        if acc.count == 0:
+        if acc is None:
             return math.fsum(_floats(pending))
         if size == 0 or acc.add(pending):
             return acc.value()
     # math.fsum from the batch that failed on, after the exact sum before it
     return math.fsum(itertools.chain(acc.expansion(), _floats(pending), _floats(parts)))
+
+
+def fsum_rows(x) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-d array, bit for bit.
+
+    A pairwise TwoSum cascade over the columns, vectorized across the rows,
+    leaves each row sum as s + e exactly; e, the error terms summed along the
+    cascade in floats, is off by at most 2 L**2 u**2 sum|x| (L levels, unit
+    roundoff u = eps / 2).  r = fl(s + e) is then the correctly rounded sum,
+    so ``math.fsum``'s float, where its own error plus the bound
+    (L + 2)**2 eps**2 sum|x| stays strictly inside the gap to r's neighbour
+    on either side (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26(6), 2005).
+    Rows this cannot certify (a zero, non-finite or near-midpoint sum, or
+    sum|x| past 2**1022) go to ``math.fsum``, so NaN, inf, ``ValueError``
+    and ``OverflowError`` come from there.
+    """
+    x = np.asarray(x, dtype=float)
+    s = x if x.shape[1] else np.zeros((x.shape[0], 1))
+    e, levels = np.zeros_like(s), 0
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows go to math.fsum
+        while s.shape[1] > 1:
+            h = s.shape[1] // 2
+            a, b = s[:, :h], s[:, h : 2 * h]
+            t = a + b
+            z = t - a
+            err = (a - (t - z)) + (b - z)  # a + b - t exactly (TwoSum)
+            if levels:
+                err += e[:, :h] + e[:, h : 2 * h]
+            s, e = np.hstack((t, s[:, 2 * h :])), np.hstack((err, e[:, 2 * h :]))
+            levels += 1
+        s, e = s[:, 0], e[:, 0]
+        r = s + e
+        z = r - s
+        rest = 2.0 * ((s - (r - z)) + (e - z))  # twice s + e - r, exactly
+        size = np.abs(x).sum(axis=1)
+        bound = (2.0 * (levels + 2) ** 2 * _EPS**2) * size
+        ok = (r != 0.0) & (size <= 2.0**1022)
+        ok &= (rest + bound < np.nextafter(r, math.inf) - r) & (rest - bound > np.nextafter(r, -math.inf) - r)
+    for i in np.flatnonzero(~ok).tolist():
+        r[i] = math.fsum(x[i].tolist())
+    return r
 
 
 def _floats(arrays):
@@ -168,7 +210,6 @@ class _ExactSum:
 
     def __init__(self) -> None:
         self.total = 0  # folded sum, in units of 2**-1074
-        self.count = 0  # entries added
         self.bound = 0.0  # sum over the added arrays of size * largest magnitude
         self.bins = np.zeros((2, 4096))  # high-half and low-half sums
         self.held = 0  # entries in the bins since the last fold
@@ -198,7 +239,6 @@ class _ExactSum:
             sig &= _HALF_MASK
             self.bins[1] += np.bincount(idx, sig, 4096)
             self.held += chunk.size
-        self.count += flat.size
         return True
 
     def _fold(self) -> None:

@@ -1012,10 +1012,11 @@ def _write_csv(header, rows, path=None) -> None:
     """CSV with a header line and floats to 17 significant digits; to
     standard output when ``path`` is None."""
     fh = open(path, "w") if path else sys.stdout
+    fmt = "{:.17g}".format
     try:
         fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(np.asarray(rows, dtype=float)):
-            fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+        for row in np.atleast_2d(np.asarray(rows, dtype=float)).tolist():
+            fh.write(",".join(map(fmt, row)) + "\n")
     finally:
         if path:
             fh.close()

@@ -534,6 +534,29 @@ def test_dilute_vector_call_matches_scalar_calls():
         assert vec.tobytes() == np.array(scalars).tobytes()
 
 
+@pytest.mark.parametrize("size", [63, 64, 65, 129])
+@pytest.mark.parametrize("alpha, b", [(0.3, 1.5), (0.7, 1.8), (0.5, 1.97)])
+def test_dilute_density_blocks_match_scalar_calls(size, alpha, b, monkeypatch):
+    """The density sums its u grid in blocks of _INVERSION_ROWS points;
+    ``size`` points past _SERIES_EDGE, partial blocks included, and three
+    below it give the bytes of scalar calls that sum each row by math.fsum."""
+    p = DiluteParams(alpha, b, 0.8)
+    edge = laws._SERIES_EDGE / p.lam
+    xs = np.insert(np.geomspace(1.01, 400.0, size) * edge, [0, size // 2, size], [0.05 * edge, 0.5 * edge, edge])
+    assert (p.lam * xs > laws._SERIES_EDGE).sum() == size
+    vec = dilute_Z_density(p, xs)
+    monkeypatch.setattr(laws, "fsum_rows", lambda x: np.array([math.fsum(row) for row in x.tolist()]))
+    assert vec.tobytes() == np.array([dilute_Z_density(p, float(x)) for x in xs]).tobytes()
+
+
+def test_exp_underflows_to_zero_below_minus_800():
+    """The density leaves e^arg at +0.0 for arg < -800 without calling exp:
+    exactly what math.exp returns there."""
+    for arg in (-800.0000000000001, -800.5, -1e4, -1e300, -math.inf):
+        assert math.exp(arg) == 0.0 and math.copysign(1.0, math.exp(arg)) == 1.0
+    assert math.exp(-745.0) > 0.0
+
+
 def test_mixed_poisson_pmf_levy_closed_form(dilute_params):
     ups = 0.9
     got = mixed_poisson_pmf(dilute_params, ups, 8)

@@ -21,7 +21,7 @@ from gibbs_partitions import (
     tv_distance,
 )
 from gibbs_partitions.laws import StableParams, stable_density_series
-from gibbs_partitions.schemes import zeta_scheme
+from gibbs_partitions.schemes import bundled_names, zeta_scheme
 
 
 def test_solve_rho_u_critical(dense_gauss):
@@ -292,3 +292,30 @@ def test_report_json_key_order(name, phase):
     report = classify(bundled_scheme(name))
     assert report.phase is phase
     assert list(report.to_json()) == _REPORT_KEYS
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_classify_sums_each_series_once(name, monkeypatch):
+    """One classify call sums no (sequence, point, order) twice: W(rho_w)
+    once, W(rho_u) once, and V'(W(rho_w)) once.  The report's constants are
+    the floats of the public helpers, which sum for themselves."""
+    scheme = bundled_scheme(name)
+    sums = []
+    moment = WeightSequence.weighted_moment
+
+    def counted(self, t, k=0, tol=1e-12):
+        sums.append((id(self), t, k, tol))
+        return moment(self, t, k, tol)
+
+    monkeypatch.setattr(WeightSequence, "weighted_moment", counted)
+    rep = classify(scheme)
+    assert len(sums) == len(set(sums))
+    if not scheme.w.is_explicit:
+        assert sums.count((id(scheme.w), scheme.w.rho, 0, 1e-12)) == 1
+    assert len(sums) <= {"dense_supercritical": 46, "mixture": 8}.get(rep.phase.value, 3)
+    if rep.mu is not None:
+        assert rep.mu == mu_of(scheme, rep.rho_u)
+        assert rep.rho_u == solve_rho_u(scheme)
+        assert rep.w_value == scheme.w.series_value(rep.rho_u)
+    if rep.mixture_p is not None:
+        assert (rep.mixture_p, rep.mixture_p_frac) == mixture_p(scheme)

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gibbs_partitions import WeightSequence, bundled_scheme, series
@@ -19,6 +19,7 @@ from gibbs_partitions.series import (
     compose,
     convolve,
     fsum,
+    fsum_rows,
     mul,
     series_of,
 )
@@ -364,3 +365,80 @@ def test_fsum_bits_do_not_follow_simd_level(baseline_cpu_env):
         env=baseline_cpu_env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert child.stdout.strip() == fsum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+def test_fsum_builds_no_exact_sum_at_or_below_the_block(monkeypatch):
+    """Inputs of at most _FSUM_BLOCK entries go straight to math.fsum."""
+    def no_bins():
+        raise AssertionError("no exact sum below the block size")
+
+    monkeypatch.setattr(series, "_ExactSum", no_bins)
+    x = _wide_floats(3, _FSUM_BLOCK, -1074, 1000)
+    assert fsum(x).hex() == fsum(np.split(x, [7, 900])).hex() == math.fsum(x.tolist()).hex()
+    with pytest.raises(AssertionError, match="no exact sum"):
+        fsum(np.append(x, 1.0))
+
+
+def _hard_rows(seed, rows, cols, kind):
+    """Rows that are hard to sum: wide-range exp terms, sums next to a
+    rounding midpoint, signed zeros, subnormals, cancellation, specials."""
+    rng = np.random.default_rng(seed)
+    if kind == "exp":  # the dilute-Z density's rows, e^-760 .. e^2
+        return np.exp(rng.uniform(-760.0, 2.0, (rows, cols)))
+    if kind == "midpoint":  # 1 + 2**-53 and 1 - 2**-54 sit on midpoints; the tail decides
+        x = np.zeros((rows, max(cols, 3)))
+        x[:, 0] = 1.0
+        x[:, 1] = rng.choice([2.0**-53, -(2.0**-54)], rows)  # below 1 the gap halves
+        x[:, 2] = rng.choice([2.0**-110, -(2.0**-110), 0.0, -0.0, 2.0**-1074, -(2.0**-1074)], rows)
+        x[rng.random(rows) < 0.5] *= -1.0
+        return x[:, rng.permutation(x.shape[1])]
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0, 2.0**-1074, -(2.0**-1074)], (rows, cols), p=[0.45, 0.45, 0.05, 0.05])
+    if kind == "subnormal":
+        return rng.integers(-(1 << 52), 1 << 52, (rows, cols)) * 2.0**-1074
+    if kind == "cancel":
+        half = np.ldexp(rng.standard_normal((rows, cols // 2)), rng.integers(-1074, 1000, (rows, cols // 2)))
+        x = np.hstack([half, -half, np.ldexp(rng.standard_normal((rows, cols % 2)), -1000)])
+        return x[:, rng.permutation(x.shape[1])]
+    if kind == "wide":
+        return np.vstack([_wide_floats(seed + i, cols, -1074, 1000) for i in range(rows)]).reshape(rows, cols)
+    # specials: the rows math.fsum returns nan or inf for, or raises on
+    return rng.choice([1.0, -1.0, 1e308, -1e308, 2.0**1023, math.inf, -math.inf, math.nan], (rows, cols),
+                      p=[0.3, 0.3, 0.1, 0.1, 0.1, 0.04, 0.04, 0.02])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.integers(0, 900),
+       st.sampled_from(["exp", "midpoint", "zeros", "subnormal", "cancel", "wide", "specials"]))
+@example(0, 64, 400, "exp")
+@example(1, 64, 3, "midpoint")
+def test_fsum_rows_is_math_fsum_row_by_row(seed, rows, cols, kind):
+    """Each row sum is math.fsum's float, bit for bit; where math.fsum
+    raises on a row, fsum_rows raises the same."""
+    x = _hard_rows(seed, rows, cols, kind)
+    want = [_fsum_outcome(lambda row: math.fsum(row.tolist()), row) for row in x]
+    raised = [w for w in want if w.startswith(("ValueError", "OverflowError"))]
+    if raised:
+        with pytest.raises((ValueError, OverflowError)) as exc:
+            fsum_rows(x)
+        assert repr(exc.value) == raised[0]
+    else:
+        assert [v.hex() for v in fsum_rows(x)] == want
+
+
+def test_fsum_rows_certifies_all_but_the_hard_rows(monkeypatch):
+    """math.fsum sees only the rows the certificate cannot settle: zero sums
+    and sums within the error bound of a rounding midpoint.  (Rows whose
+    sum cancels to far below sum|x| / 2**100 are not certified either.)"""
+    x = np.zeros((48, 400))
+    x[:32] = _hard_rows(4, 32, 400, "exp")
+    x[32:40] = _hard_rows(5, 8, 400, "zeros") * 0.0  # +-0.0 only
+    x[40:43, :3] = [1.0, 2.0**-53, 2.0**-110], [1.0, 2.0**-53, 0.0], [-1.0, -(2.0**-53), -(2.0**-110)]
+    half = np.random.default_rng(6).standard_normal((5, 200))
+    x[43:] = np.hstack([half, -half])  # cancel exactly but for the last
+    x[43:, -1] += 1e-3
+    want = [math.fsum(row).hex() for row in x.tolist()]
+    real, seen = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda row: seen.append(row) or real(row))
+    assert [v.hex() for v in fsum_rows(x)] == want
+    assert len(seen) == 8 + 3

@@ -395,6 +395,33 @@ def test_csv_floats_have_full_precision(tmp_path):
     assert float(val) == float(format(float(val), ".17g"))
 
 
+def test_suite_csvs_are_numpy_scalar_formatting_byte_for_byte(tmp_path, monkeypatch):
+    """Every CSV of a builtin suite run has the bytes of ``format(x,
+    ".17g")`` on each numpy scalar of its rows; the edge values too."""
+    from importlib.resources import files
+
+    written = {}
+    write = verify._write_csv
+
+    def recorded(header, rows, path=None):
+        written[path] = (header, rows)
+        return write(header, rows, path)
+
+    def numpy_scalar_csv(header, rows):
+        lines = [",".join(header)]
+        lines += [",".join(format(x, ".17g") for x in row) for row in np.atleast_2d(np.asarray(rows, dtype=float))]
+        return "".join(line + "\n" for line in lines).encode()
+
+    monkeypatch.setattr(verify, "_write_csv", recorded)
+    run_suite(str(files("gibbs_partitions.data").joinpath("phases.json")), tmp_path / "out")
+    assert len(written) == len(list((tmp_path / "out").glob("*/*.csv"))) >= 18
+    for path, (header, rows) in written.items():
+        assert pathlib.Path(path).read_bytes() == numpy_scalar_csv(header, rows)
+    edges = [[math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0]]
+    write(["x"] * 9, edges, tmp_path / "edges.csv")
+    assert (tmp_path / "edges.csv").read_bytes() == numpy_scalar_csv(["x"] * 9, edges)
+
+
 def test_builtin_suite_matches_golden_on_baseline_cpu_paths(tmp_path, baseline_cpu_env):
     """The bundled suite reproduces the committed verdict bytes with numpy's
     SIMD dispatch switched off, OpenBLAS on its oldest kernel and glibc on
@@ -419,9 +446,10 @@ def test_builtin_suite_matches_golden_on_baseline_cpu_paths(tmp_path, baseline_c
 
 def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
     """One builtin suite run makes at most 20 calibrations and 21 harvests
-    (26 and 27 when every verifier rebuilt its laws), at most 120 certified
-    series sums (208), and no calibration sums one series twice; the
-    verdict bytes stay the golden ones."""
+    (26 and 27 when every verifier rebuilt its laws), at most 90 certified
+    series sums (82; 108 when classify summed W twice or more, 208 before
+    that), and no calibration sums one series twice; the verdict bytes stay
+    the golden ones."""
     from importlib.resources import files
 
     from gibbs_partitions import sampling, weights
@@ -459,7 +487,7 @@ def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
     assert run_suite(cfg, tmp_path) == 0
     assert calls["calibrate"] <= 20
     assert calls["harvest"] <= 21
-    assert calls["sums"] <= 120
+    assert calls["sums"] <= 90
     assert repeated == []
     golden = pathlib.Path(__file__).parent / "data" / "golden_verdicts.json"
     assert (tmp_path / "verdicts.json").read_bytes() == golden.read_bytes()
