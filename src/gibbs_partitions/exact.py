@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.fft import irfft, rfft
 
-from .phases import _bisect, _w_at_radius
+from .phases import Criticality, _bisect, _criticality, _double, _w_at_radius, _w_root
 from .series import convolve, dot, fsum
 from .weights import SchemeSpec, WeightSequence
 
@@ -226,14 +226,10 @@ def _saddle_rho(scheme: SchemeSpec, n: int) -> float:
         ex = scheme.w.weighted_moment(r, 1) / W
         return en * ex
 
-    lo, hi = 1e-9, 1.0
-    for _ in range(200):
-        if mean_sn(hi) >= n or hi > 1e9:
-            break
-        hi *= 2.0
-    if mean_sn(hi) < n:
+    hi, short = _double(lambda r: mean_sn(r) < n, cap=1e9)
+    if short:
         return hi  # bounded support: the closest reachable calibration
-    lo, hi = _bisect(lambda r: mean_sn(r) < n, lo, hi, 1e-12)
+    lo, hi = _bisect(lambda r: mean_sn(r) < n, 1e-9, hi, 1e-12)
     return 0.5 * (lo + hi)
 
 
@@ -254,23 +250,18 @@ def _default_radius(scheme: SchemeSpec, n: int | None = None):
     """``default_rho`` and W(rho) when it has summed that value on the way
     (rho = rho_w of a closed form, W(rho_w) summed to place it), else None."""
     w = scheme.w
-    rho_v = scheme.v.radius()
-    rho_w = w.radius()
     w_at = _w_at_radius(w)
     W_rho_w = None if w.is_explicit else w_at  # an explicit w's w_at is not W(rho_w)
-    if math.isinf(rho_v):
-        if math.isfinite(rho_w):
-            return rho_w, W_rho_w
-        return (1.0 if n is None else _saddle_rho(scheme, n)), None
-    if math.isfinite(w_at) and w_at <= rho_v * (1 + 1e-9):
-        return rho_w, W_rho_w
-    # supercritical: solve W(t) = rho_v on (0, rho_w)
-    hi = min(rho_w, 1.0)
-    while math.isfinite(rho_w) is False and w.series_value(hi) < rho_v:
-        hi *= 2.0
-    if math.isfinite(rho_w):
-        hi = rho_w
-    return _bisect(lambda t: w.series_value(t) < rho_v, 0.0, hi, 1e-14)[0], None
+    try:
+        crit = _criticality(scheme, w_at)
+    except ValueError:  # W(rho_w) and rho_v both infinite
+        if math.isinf(w.radius()):
+            return (1.0 if n is None else _saddle_rho(scheme, n)), None
+        crit = None
+    if crit is not Criticality.supercritical:
+        return w.radius(), W_rho_w
+    # the lower end: W(rho) within 1e-13 of rho_v sums V(W(rho)) on its radius
+    return _w_root(scheme, 1e-14)[0], None
 
 
 def _radius_and_W(scheme: SchemeSpec, n: int | None, rho: float | None):

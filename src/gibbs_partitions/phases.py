@@ -27,7 +27,6 @@ __all__ = [
     "Criticality",
     "Scale",
     "PhaseReport",
-    "criticality_of",
     "solve_rho_u",
     "mu_of",
     "mixture_p",
@@ -141,12 +140,9 @@ def _w_at_radius(w: WeightSequence) -> float:
     return w.series_value(w.rho)
 
 
-def criticality_of(scheme: SchemeSpec) -> Criticality:
-    return _criticality(scheme, _w_at_radius(scheme.w))
-
-
 def _criticality(scheme: SchemeSpec, w_val: float) -> Criticality:
-    """``criticality_of`` with W(rho_w) = ``w_val`` already summed."""
+    """W(rho_w) = ``w_val`` against rho_v, critical within
+    1e-9 max(rho_v, 1); undefined (ValueError) when both are infinite."""
     rho_v = scheme.v.radius()
     if math.isinf(w_val) and math.isinf(rho_v):
         raise ValueError("criticality undefined: both W(rho_w) and rho_v are infinite")
@@ -177,6 +173,32 @@ def _bisect(pred, lo: float, hi: float, rtol: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _double(pred, cap: float = math.inf) -> tuple[float, bool]:
+    """The first of hi = 1, 2, 4, ... where ``pred`` fails or that passes
+    ``cap``, and whether ``pred(hi)`` still holds there."""
+    hi = 1.0
+    while (holds := pred(hi)) and hi <= cap:
+        hi *= 2.0
+    return hi, holds
+
+
+def _w_root(scheme: SchemeSpec, rtol: float) -> tuple[float, float]:
+    """Bracket of rho_u, the root of W(rho_u) = rho_v in a supercritical
+    scheme, to relative ``rtol``: W increases, so bisection from [0, rho_w],
+    or for an entire W from [0, hi] with hi doubled from 1 until
+    W(hi) >= rho_v.  A W divergent at rho_w needs no care: its midpoints
+    above the root fail the test."""
+    w, rho_v = scheme.w, scheme.v.radius()
+
+    def below(t: float) -> bool:
+        return w.series_value(t) < rho_v
+
+    hi = w.radius()
+    if math.isinf(hi):
+        hi = _double(below)[0]
+    return _bisect(below, 0.0, hi, rtol)
+
+
 def solve_rho_u(scheme: SchemeSpec) -> float:
     """Radius of convergence of U = V(W(.)).
 
@@ -185,31 +207,17 @@ def solve_rho_u(scheme: SchemeSpec) -> float:
     relative tolerance 1e-12.
     """
     w_val = _w_at_radius(scheme.w)
-    return _rho_u(scheme, _criticality(scheme, w_val), w_val)
+    return _rho_u(scheme, _criticality(scheme, w_val), w_val)[0]
 
 
-def _rho_u(scheme: SchemeSpec, crit: Criticality, w_val: float) -> float:
-    """``solve_rho_u`` with the criticality and W(rho_w) = ``w_val`` known."""
-    rho_w = scheme.w.radius()
+def _rho_u(scheme: SchemeSpec, crit: Criticality, w_val: float) -> tuple[float, float]:
+    """``solve_rho_u`` and W(rho_u), with the criticality and W(rho_w) =
+    ``w_val`` known: the midpoint of ``_w_root``'s bracket."""
     if crit is not Criticality.supercritical:
-        return rho_w
-    rho_v = scheme.v.radius()
-    lo = 0.0
-    hi = min(rho_w, 1e18) if math.isinf(rho_w) else rho_w
-    if math.isfinite(rho_w) and w_val < rho_v:
-        raise ValueError("no root: W(rho_w) < rho_v in a supercritical scheme")
-    w_hi = w_val if hi == rho_w else scheme.w.series_value(hi)
-    while math.isinf(w_hi) and hi > 1e-300:
-        # keep the bracket where W is finite (divergent at the radius)
-        probe = hi * (1 - 1e-9)
-        if math.isinf(scheme.w.series_value(probe)):
-            hi = 0.5 * (lo + hi) if lo > 0 else hi / 2
-            w_hi = scheme.w.series_value(hi)
-        else:
-            hi = probe
-            break
-    lo, hi = _bisect(lambda t: scheme.w.series_value(t) < rho_v, lo, hi, 1e-12)
-    return 0.5 * (lo + hi)
+        return scheme.w.radius(), w_val
+    lo, hi = _w_root(scheme, 1e-12)
+    rho_u = 0.5 * (lo + hi)
+    return rho_u, scheme.w.series_value(rho_u)
 
 
 def mu_of(scheme: SchemeSpec, rho_u: float) -> float:
@@ -263,7 +271,7 @@ def mixture_p(scheme: SchemeSpec) -> tuple[float, float]:
     if v.L.log_exp != w.L.log_exp:
         raise ValueError("L_v / L_w has no positive finite limit")
     w_val = _w_at_radius(w)
-    mu = mu_of(scheme, _rho_u(scheme, _criticality(scheme, w_val), w_val))
+    mu = _mu(scheme, *_rho_u(scheme, _criticality(scheme, w_val), w_val))
     vp = _v_prime(scheme, w_val)
     if not math.isfinite(vp) or vp <= 0:
         raise ValueError(f"V'(W(rho_w)) must be positive finite, got {vp}")
@@ -354,24 +362,18 @@ def _convergent_condition(scheme: SchemeSpec, crit: Criticality) -> str | None:
     # ii) strictly subcritical with a subexponential inner sequence
     if crit is Criticality.subcritical and not w.is_explicit and w.e > 1.0:
         return "ii"
-    if crit is not Criticality.critical or w.is_explicit or v.is_explicit:
-        return None
-    a, b = w.e, v.e
-    # iii) E[N^(1+a+delta)] < inf for some delta > 0
-    if a > 1.0 and b > 2.0 + a:
-        return "iii"
-    # iv) constant c_w with one of the moment/subtail conditions
-    if w.L.is_constant and a > 1.0:
-        if b - (1.0 + a) > 1.0 or (b - (1.0 + a) == 1.0 and v.L.log_exp < -1.0):
-            return "iv-a"
-        if 1.0 < a < 2.0:
-            return "iv-b"
-        if a == 2.0 and b > 2.0:
-            return "iv-c"
-        if 2.0 < a < 3.0 and (b > a or (b == a and v.L.log_exp < w.L.log_exp)):
-            return "iv-d"
-        if a == 3.0 and (b > 3.0 or (b == 3.0 and v.L.log_exp < 0.0)):
-            return "iv-e"
+    # iv-b) constant c_w and 1 < a < 2.  The paper's iii and iv-a, c-e each
+    # imply i, tested first, and so does iv-b with b > 2; iv-b becomes
+    # reachable at b = 2 with log_exp < -1 once ``weights`` stops reporting
+    # V'(W(rho_w)) there as divergent
+    if (
+        crit is Criticality.critical
+        and not v.is_explicit
+        and not w.is_explicit
+        and w.L.is_constant
+        and 1.0 < w.e < 2.0
+    ):
+        return "iv-b"
     return None
 
 
@@ -433,8 +435,8 @@ def classify(scheme: SchemeSpec) -> PhaseReport:
     # --- dense case ii: supercritical and aperiodic
     if crit is Criticality.supercritical and b is not None and b > 1.0:
         if _gcd_of_support(w) == 1:
-            rho_u = _rho_u(scheme, crit, w_val)
-            return _dense_report(Phase.dense_supercritical, crit, scheme, 2.0, rho_u, w.series_value(rho_u))
+            rho_u, W = _rho_u(scheme, crit, w_val)
+            return _dense_report(Phase.dense_supercritical, crit, scheme, 2.0, rho_u, W)
         return PhaseReport(Phase.unclassified, crit, a=a, b=b)
 
     # --- mixture: critical, equal exponents above 2, comparable L's

@@ -311,7 +311,7 @@ class ExactSampler:
         self.roundoff_fallbacks = 0
         self._step = _row_step(self.pmf_x, n, "auto")  # ``_row_source``'s step
         self._rows = list(self._table[:babies, _CHUNK:])  # the rows' P(S_l = .) parts
-        self._views = [memoryview(row) for row in self._rows]  # scalar reads of _rows
+        self._views = [memoryview(row) for row in self._table[:babies]]  # scalar reads, zero-led
 
     def _ensure_rows(self, ell: int) -> None:
         rows = self._rows
@@ -322,7 +322,7 @@ class ExactSampler:
             row = zero_led[_CHUNK:]
             row[:] = self._step(rows[-1])
             rows.append(row)
-            self._views.append(memoryview(row))
+            self._views.append(memoryview(zero_led))
 
     def draw_count(self, rng: np.random.Generator) -> int:
         # ``_inverse_cdf_draw``'s left search, on a Python float target
@@ -332,43 +332,34 @@ class ExactSampler:
         ell = self.draw_count(rng)
         self._ensure_rows(ell)
         px, views, peel, rest = self._px, self._views, self._peel, self._rest
-        last = _CHUNK - 1
         sizes = []
-        rem = self.n
+        at = self.n + _CHUNK  # the remainder's index in a zero-led row
         above = views[ell]
         # j = coordinates left after this draw
         for j, u in zip(range(ell - 1, 0, -1), rng.random(max(ell - 1, 0)).tolist()):
             row = views[j]
-            target = u * above[rem] or _LEAST
+            target = u * above[at] or _LEAST
             above = row
             # P(K = k | rem) = P(X=k) P(S_j = rem-k) / P(S_{j+1} = rem):
             # the mass sits at small k, so the first chunk is walked in Python.
             # Sizes below the smallest with mass add exact zeros, which leave
-            # the partial sums' bits alone, so the walk skips them; its first
+            # the partial sums' bits alone, so the walk skips them; so do
+            # sizes past rem, which read the row's zero lead.  The first
             # term is peeled, since most coordinates stop there
-            if rem >= last:
-                c = px[peel] * row[rem - peel]
-                if c >= target:
-                    k = peel
-                else:
-                    for k in rest:
-                        c += px[k] * row[rem - k]
-                        if c >= target:
-                            break
-                    else:
-                        k = self._walk_chunks(j, rem, target, c)
+            c = px[peel] * row[at - peel]
+            if c >= target:
+                k = peel
             else:
-                c = 0.0
-                for k in range(peel, rem + 1):
-                    c += px[k] * row[rem - k]
+                for k in rest:
+                    c += px[k] * row[at - k]
                     if c >= target:
                         break
                 else:
-                    k = self._walk_chunks(j, rem, target, c)
+                    k = self._walk_chunks(j, at - _CHUNK, target, c)
             sizes.append(k)
-            rem -= k
+            at -= k
         if ell:
-            sizes.append(rem)
+            sizes.append(at - _CHUNK)
         return PartitionSample(self.n, np.array(sizes, dtype=np.int64))
 
     def sample_many(self, rngs: Iterable[np.random.Generator]) -> Iterator[PartitionSample]:

@@ -2,6 +2,7 @@
 invariance, and the Laplace normalization of the scale constant gamma."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gibbs_partitions import (
     solve_rho_u,
     tv_distance,
 )
+from gibbs_partitions.exact import default_rho
 from gibbs_partitions.laws import StableParams, stable_density_series
 from gibbs_partitions.schemes import bundled_names, zeta_scheme
 
@@ -319,3 +321,48 @@ def test_classify_sums_each_series_once(name, monkeypatch):
         assert rep.w_value == scheme.w.series_value(rep.rho_u)
     if rep.mixture_p is not None:
         assert (rep.mixture_p, rep.mixture_p_frac) == mixture_p(scheme)
+
+
+def test_mixture_p_sums_each_series_once(monkeypatch):
+    """``mixture_p`` sums W(rho_w) once (rho_u = rho_w for a critical
+    mixture) and gives the floats of ``classify``."""
+    scheme = bundled_scheme("mixture")
+    rep = classify(scheme)
+    sums = []
+    moment = WeightSequence.weighted_moment
+
+    def counted(self, t, k=0, tol=1e-12):
+        sums.append((id(self), t, k, tol))
+        return moment(self, t, k, tol)
+
+    monkeypatch.setattr(WeightSequence, "weighted_moment", counted)
+    assert mixture_p(scheme) == (rep.mixture_p, rep.mixture_p_frac)
+    assert len(sums) == len(set(sums))
+
+
+_SUPER_W = {
+    **{f"n^-{a}": WeightSequence.closed_form(c=1.0, e=a, rho=1.0) for a in (0.5, 1.0, 1.5, 2.5)},
+    "0.1 t": WeightSequence.explicit([0.0, 0.1]),
+    "t + t^2": WeightSequence.explicit([0.0, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("rho_v", [0.8, 1.2])
+@pytest.mark.parametrize("w_name", list(_SUPER_W))
+def test_supercritical_grid_classifies_and_calibrates(w_name, rho_v):
+    """v_n = n^-2 rho_v^-n is supercritical against each w, W(1) = inf
+    included (a <= 1): classify and the count law are fast and agree with
+    ``default_rho`` on rho_u."""
+    w = _SUPER_W[w_name]
+    scheme = SchemeSpec(v=WeightSequence.closed_form(c=1.0, e=2.0, rho=rho_v), w=w)
+    start = time.perf_counter()
+    rep = classify(scheme)
+    assert time.perf_counter() - start < 2.0
+    assert rep.phase is Phase.dense_supercritical
+    start = time.perf_counter()
+    law = law_Nn(scheme, 200)
+    assert time.perf_counter() - start < 2.0
+    assert abs(math.fsum(law.pmf.tolist()) - 1.0) <= 1e-12
+    rho = default_rho(scheme)
+    assert w.series_value(rho) < rho_v
+    assert abs(rep.rho_u - rho) <= 1e-12 * rho

@@ -514,3 +514,45 @@ def test_verifiers_of_the_plain_model_refuse_extended_schemes(verifier, kwargs, 
     monkeypatch.setattr(verify, "classify", no_law)
     with pytest.raises(PhaseMismatchError, match="prefactor h"):
         verifier(bundled_scheme("extended-heavy"), **kwargs)
+
+
+def test_u_tail_class_of_dense_mixture_and_dilute_bases():
+    """The partition-function tail (rho, exponent, log_exp, coeff) of each
+    branch, from the closed forms: dense u_n ~ mu^(b-1) v_n at rho_u;
+    mixture adds V'(W(rho_w)) w_n; dilute has exponent 1 + alpha (b - 1)
+    and coefficient alpha E[Z^(alpha (b - 1))] of the stable Z with rate
+    lambda = Gamma(1 - alpha) / (alpha zeta(a))."""
+    from scipy.special import zeta
+
+    from gibbs_partitions import classify
+
+    z = {s: float(zeta(s)) for s in (1.5, 2.0, 3.0, 4.0)}
+    lam = 2.0 * math.sqrt(math.pi) / z[1.5]
+    expected = {
+        "dense-gauss": (1.0, 2.0, 0.0, z[3.0] / z[4.0]),
+        "mixture": (1.0, 3.0, 0.0, (z[2.0] / z[3.0]) ** 2 + z[2.0] / z[3.0]),
+        "dilute": (1.0, 1.25, 0.0, 0.5 * math.sqrt(lam * math.pi) / math.gamma(0.75)),
+    }
+    for name, (rho, exponent, log_exp, coeff) in expected.items():
+        scheme = bundled_scheme(name)
+        got = verify._u_tail_class(scheme, classify(scheme))
+        assert got[:3] == (rho, exponent, log_exp), name
+        assert got[3] == pytest.approx(coeff, rel=1e-10), name
+
+
+@pytest.mark.parametrize(
+    "base, h_rho, regime",
+    [("dense-gauss", 2.0, "base"), ("dense-gauss", 0.5, "boltzmann"),
+     ("mixture", 0.5, "boltzmann"), ("dilute", 2.0, "base")],
+)
+def test_extended_regime_decided_by_radius(base, h_rho, regime):
+    """A prefactor h with a radius off rho_u = 1 decides the regime alone:
+    above it u_n dominates (the base law), below it h_n does (the
+    Boltzmann count law at h's radius)."""
+    from gibbs_partitions import WeightSequence
+
+    b = bundled_scheme(base)
+    h = WeightSequence.closed_form(c=1.0, e=2.0, rho=h_rho, term0=1.0)
+    (r,), _ = verify_extended(SchemeSpec(v=b.v, w=b.w, h=h), 400)
+    assert r.details["regime"] == regime
+    assert r.passed, r.observed

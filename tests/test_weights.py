@@ -197,3 +197,22 @@ def test_sum_just_below_the_radius_is_summed_on_it(a):
     assert weights._geometric_never_certifies(v.L, 1.5, t / rho, 10**9, 1e-12)
     assert v.series_value(t) == v.series_value(rho)
     assert v.weighted_moment(t, 1) == math.inf  # tail exponent 1/2 on the radius
+
+
+@pytest.mark.parametrize(
+    "start_index, term0, log_exp",
+    [(1, 0.0, 0.0), (3, 0.0, 0.0), (4, 0.5, -1.0)],
+)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_weighted_moment_override_adjustment(start_index, term0, log_exp, k):
+    """Below the radius the certified moment with overrides (one below
+    ``start_index``, one zeroing a term, one raising a term) is the direct
+    sum of its terms: at t = 0.6 rho the terms past 400 are below 1e-88."""
+    seq = WeightSequence.closed_form(
+        c=1.3, e=2.5, rho=2.0, log_exp=log_exp, start_index=start_index, term0=term0,
+        overrides={2: 0.7, 5: 0.0, 6: 0.25},
+    )
+    t = 1.2
+    n = np.arange(401, dtype=float)
+    direct = math.fsum((seq.weighted_terms(t, 400) * n**k).tolist())
+    assert seq.weighted_moment(t, k) == pytest.approx(direct, rel=1e-12)
