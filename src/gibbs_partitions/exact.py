@@ -254,9 +254,11 @@ def _default_radius(scheme: SchemeSpec, n: int | None = None):
     W_rho_w = None if w.is_explicit else w_at  # an explicit w's w_at is not W(rho_w)
     try:
         crit = _criticality(scheme, w_at)
-    except ValueError:  # W(rho_w) and rho_v both infinite
+    except ValueError:  # W(rho_w) and rho_v both infinite: the saddle is finite
+        if n is not None:
+            return _saddle_rho(scheme, n), None
         if math.isinf(w.radius()):
-            return (1.0 if n is None else _saddle_rho(scheme, n)), None
+            return 1.0, None
         crit = None
     if crit is not Criticality.supercritical:
         return w.radius(), W_rho_w

@@ -53,13 +53,13 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import exact, laws, sampling
 from .exact import DiscreteLaw, tv_distance
 from .phases import Phase, PhaseReport, classify
 from .schemes import bundled_names, bundled_scheme
 from .series import fsum
+from .special import chdtrc
 from .weights import SchemeSpec
 
 __all__ = [

@@ -666,6 +666,20 @@ def test_calibrate_matches_the_public_laws(name, n):
         assert cal.pmf_n.tobytes() == law_N(scheme, cal.rho, cal.cap).pmf.tobytes()
 
 
+def test_default_rho_takes_the_saddle_when_w_diverges_at_its_radius_and_v_is_entire():
+    # V = z + z^2 is entire and W(1) = sum 1/n diverges: criticality is
+    # undefined, rho_w = 1 is no legal radius, and the saddle is
+    scheme = SchemeSpec(v=WeightSequence.explicit([0, 1, 1]), w=WeightSequence.closed_form(c=1, e=1, rho=1))
+    rho = default_rho(scheme, 100)
+    assert rho == exact._saddle_rho(scheme, 100)
+    assert 0.99 < rho < 1.0
+    # P(N_100 = 1) = w_100 / (w_100 + sum_k w_k w_(100-k)) = 1 / (1 + 2 H_99)
+    law = law_Nn(scheme, 100)
+    h99 = math.fsum(1.0 / k for k in range(1, 100))
+    assert law.pmf[1] == pytest.approx(1.0 / (1.0 + 2.0 * h99), rel=1e-12)
+    assert law.pmf[2] == pytest.approx(2.0 * h99 / (1.0 + 2.0 * h99), rel=1e-12)
+
+
 @pytest.mark.parametrize("name", ["convergent", "mixture", "bell"])
 def test_law_nhat_is_the_size_biased_law_n(name):
     scheme = bundled_scheme(name)

@@ -46,6 +46,25 @@ def test_exact_laws_and_samplers_load_no_scipy(module):
     assert sorted(name for name in loaded if name.startswith("scipy")) == []
 
 
+def test_cli_loads_no_scipy():
+    loaded = _modules_after_import("gibbs_partitions.cli")
+    assert "gibbs_partitions.cli" in loaded
+    assert sorted(name for name in loaded if name.startswith("scipy")) == []
+
+
+def test_builtin_suite_runs_without_scipy(tmp_path):
+    # the verifiers' special functions and quadrature need only numpy
+    run = (
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = gibbs_partitions.cli.main(['verify', '--config', 'builtin:phases', '--out-dir', {str(tmp_path)!r}])\n"
+        "assert code == 0, code"
+    )
+    loaded = _modules_after_import("gibbs_partitions.cli", run)
+    assert (tmp_path / "verdicts.json").exists()
+    assert sorted(name for name in loaded if name.startswith("scipy")) == []
+
+
 def _modules():
     import importlib
     import pkgutil
