@@ -6,13 +6,14 @@ Stable densities come in two dual routes that cross-validate each other:
 * convergent power series (exact but numerically unstable in known
   regimes: large arguments for the 1 < alpha < 2 series, small arguments
   for the 0 < alpha < 1 series), with a cancellation monitor;
-* Fourier inversion by adaptive quadrature (stable exactly where the
-  series cancels badly).
+* Fourier inversion (stable exactly where the series cancels badly).
 
 ``stable_density_series`` switches to the inversion automatically when the
-running maximum term exceeds 1e6 times the partial sum; for 1 < alpha < 2
-the inversion integral is then taken on one fixed grid wherever that grid
-resolves it (``_inversion_grid``).
+running maximum term exceeds 1e6 times the partial sum, and then takes the
+inversion integral on a Gauss-Legendre grid sized by each point's phase
+(``_inversion_grid``), at every alpha.  ``stable_density_inversion`` takes
+the same integral by adaptive quadrature, for the CLI and as an independent
+check; no other function here calls it.
 
 Scale conventions: the spectrally positive normalization used throughout
 has Laplace transform exp(-lambda t^alpha) with lambda = gamma^alpha /
@@ -68,20 +69,26 @@ _exp = functools.partial(_libm, math.exp)
 _cos = functools.partial(_libm, math.cos)
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=32)
 def _gauss_legendre(n: int) -> tuple[tuple, tuple]:
     """n Gauss-Legendre nodes on [0, 1], in increasing order, and their weights.
 
     Newton's method on the three-term recurrence (3 of the 8 steps reach
     round-off) with numpy arithmetic and libm only: no eigensolver, no BLAS.
+    A node whose step leaves it in place would stay there, so later steps
+    take only the nodes still moving (a few dozen after the third).
     """
     x = np.array([math.cos(math.pi * (i + 0.75) / (n + 0.5)) for i in range(n)])
+    dp = np.zeros(n)
+    live = np.arange(n)
     for _ in range(8):
-        p0, p1 = np.ones(n), x
+        y = x[live]
+        p0, p1 = np.ones(y.size), y
         for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
-        x = x - p1 / dp
+            p0, p1 = p1, ((2 * j - 1) * y * p1 - (j - 1) * p0) / j
+        dp[live] = n * (p0 - y * p1) / ((1.0 - y) * (1.0 + y))
+        x[live] = y - p1 / dp[live]
+        live = live[x[live] != y]
     # tuples: the cache is shared
     return tuple(((1.0 - x) / 2.0).tolist()), tuple((1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)).tolist())
 
@@ -194,9 +201,9 @@ def stable_density_series(p: StableParams, x):
     Supports alpha = 2 (closed form), and beta = +/-1 for alpha in
     (0, 1) or (1, 2); densities vanish on the unsupported side of the
     one-sided laws.  Element by element over x: a float for a scalar x,
-    and the bytes of scalar calls for an array.  For 1 < alpha < 2 the
-    points the series cannot be trusted at go to ``_inversion_grid`` where
-    it resolves them, and to ``stable_density_inversion`` elsewhere.
+    and the bytes of scalar calls for an array.  The points the series
+    cannot be trusted at go to ``_inversion_grid``, which refuses
+    alpha <= 0.3 and raises RuntimeError past its node budget.
     """
     xs = np.asarray(x, dtype=float)
     flat = np.ravel(xs)
@@ -216,9 +223,8 @@ def stable_density_series(p: StableParams, x):
         val, ok = _series_std(a, arg, dense)
         out = s * val
         bad = np.flatnonzero(~ok)
-        grid = _resolved(p, flat[bad]) if dense else np.zeros(bad.size, dtype=bool)
-        out[bad[grid]] = _inversion_grid(p, flat[bad[grid]])
-        out[bad[~grid]] = [stable_density_inversion(p, v) for v in flat[bad[~grid]].tolist()]
+        if bad.size:
+            out[bad] = _inversion_grid(p, flat[bad])
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 
@@ -286,15 +292,18 @@ def stable_density_inversion(p: StableParams, x: float) -> float:
     return max(val / math.pi, 0.0)
 
 
-# The integral of ``stable_density_inversion`` on one fixed grid: t = u^2 on
-# [0, t_max] smooths t^alpha at t = 0, and _INVERSION_NODES Gauss-Legendre
-# nodes in u resolve the cosine wherever its phase moves by at most
-# _INVERSION_PHASE over [0, t_max]: |tan term| t_max^alpha + |delta - x| t_max.
-# There it is within 2e-14 of the same rule on 1600 nodes, and within 1e-13
-# of the adaptive quadrature on the points of tests/test_laws.py; past a
-# phase of 1100 its error jumps to 1e-11 and beyond.
+# The integral of ``stable_density_inversion`` on Gauss-Legendre grids in u:
+# t = u^k on [0, t_max], k = max(2, ceil(2 / alpha)), smooths t^alpha at
+# t = 0.  Each point takes _INVERSION_NODES nodes per _INVERSION_PHASE of
+# its cosine's phase over [0, t_max], |tan term| t_max^alpha + |delta - x|
+# t_max: 400 nodes on a phase of 800 are within 2e-14 of 1600 nodes, and
+# past a phase of 1100 they leave 1e-11 and beyond.  ``_gauss_legendre``
+# costs O(n^2), so no grid passes _INVERSION_MAX_NODES (0.4 s to build):
+# alpha = 1.05 at |x| = 24 and the one-sided alpha = 0.995 at y = 1 fit,
+# alpha = 0.999 there does not.
 _INVERSION_NODES = 400
 _INVERSION_PHASE = 800.0
+_INVERSION_MAX_NODES = 6400
 _INVERSION_ROWS = 64  # points per block of the cosine matrix
 
 
@@ -304,28 +313,37 @@ def _inversion_setup(p: StableParams) -> tuple[float, float]:
     return math.tan(math.pi * a / 2.0) * (g**a) * p.beta, 45.0 ** (1.0 / a) / g
 
 
-def _resolved(p: StableParams, x: np.ndarray) -> np.ndarray:
-    """Where ``_inversion_grid`` resolves the phase of the integrand."""
-    tan_term, t_max = _inversion_setup(p)
-    return abs(tan_term) * t_max**p.alpha + np.abs(p.delta - x) * t_max <= _INVERSION_PHASE
-
-
 def _inversion_grid(p: StableParams, x: np.ndarray) -> np.ndarray:
-    """The density at each x by Fourier inversion on the fixed grid; exp,
-    cos and pow from the C library, and one fixed-order dot per x."""
+    """The density at each x by Fourier inversion on the grid its phase
+    sizes; exp, cos and pow from the C library, and one fixed-order dot per
+    x.  Refuses alpha <= 0.3, and raises RuntimeError where a point would
+    need more than _INVERSION_MAX_NODES nodes."""
     a, g = p.alpha, p.gamma
+    if a <= 0.3:
+        raise ValueError("inversion supported for alpha > 0.3")
     tan_term, t_max = _inversion_setup(p)
-    w, c = (np.array(v) for v in _gauss_legendre(_INVERSION_NODES))
-    u_max = math.sqrt(t_max)
-    u = u_max * w
-    t = u * u
-    phase0 = tan_term * np.array([v**a for v in t.tolist()])
-    weights = 2.0 * u * (u_max * c) * np.array([math.exp(-((g * v) ** a)) for v in t.tolist()])  # dt = 2u du
-    out = []
-    for i in range(0, x.size, _INVERSION_ROWS):
-        shift = p.delta - x[i : i + _INVERSION_ROWS]
-        out += [max(dot(row, weights) / math.pi, 0.0) for row in _cos(phase0 + np.multiply.outer(shift, t))]
-    return np.array(out)
+    blocks = np.ceil((abs(tan_term) * t_max**a + np.abs(p.delta - x) * t_max) / _INVERSION_PHASE)
+    if not np.all(blocks * _INVERSION_NODES <= _INVERSION_MAX_NODES):
+        raise RuntimeError(f"alpha = {a}: the inversion grid needs more than its budget of {_INVERSION_MAX_NODES} nodes")
+    nodes = _INVERSION_NODES * np.maximum(blocks, 1.0).astype(int)
+    k = max(2, math.ceil(2.0 / a))
+    u_max = math.sqrt(t_max) if k == 2 else t_max ** (1.0 / k)
+    out = np.zeros(x.size)
+    for n in np.unique(nodes).tolist():
+        w, c = (np.array(v) for v in _gauss_legendre(n))
+        u = [u_max * w]  # u, u^2, ..., u^k
+        while len(u) < k:
+            u.append(u[-1] * u[0])
+        t = u[-1]
+        phase0 = tan_term * np.array([v**a for v in t.tolist()])
+        # dt = k u^(k-1) du
+        weights = k * u[-2] * (u_max * c) * np.array([math.exp(-((g * v) ** a)) for v in t.tolist()])
+        at = np.flatnonzero(nodes == n)
+        for i in range(0, at.size, _INVERSION_ROWS):
+            rows = at[i : i + _INVERSION_ROWS]
+            shift = p.delta - x[rows]
+            out[rows] = [max(dot(row, weights) / math.pi, 0.0) for row in _cos(phase0 + np.multiply.outer(shift, t))]
+    return out
 
 
 def stable_moment(alpha: float, lam: float, s: float) -> float:
@@ -417,16 +435,17 @@ def _dilute_series(p: DiluteParams, z: float, cdf: bool) -> float:
     f = lam K pi z^(-b-1/alpha) g(z^(-1/alpha)), g the one-sided stable density
     with Laplace transform exp(-t^alpha), where z^(-b-1/alpha) does not
     overflow, else f = lam K sum_k c_k z^(k-b).  Near z = 1 from alpha = 0.99
-    on, g falls back to inversion and the z series raise: their terms have not
-    fallen below round-off.  The u grid is no fallback below z = 1: as
-    alpha -> 1 its integrands turn into steps."""
+    on, g falls back to ``_inversion_grid`` (which raises RuntimeError past
+    its node budget, at alpha = 0.999 there) and the z series raise: their
+    terms have not fallen below round-off.  The u grid is no fallback below
+    z = 1: as alpha -> 1 its integrands turn into steps."""
     a, b = p.alpha, p.b
     scale = math.gamma(1.0 - a * (b - 1.0)) / (a * math.pi * math.gamma(2.0 - b))
     if not cdf and -(b + 1.0 / a) * math.log(z) < 700.0:
         y = z ** (-1.0 / a)
         g, ok = (v[0] for v in _series_std(a, np.array([y]), dense=False))
         if not ok:
-            g = stable_density_inversion(StableParams(a, math.cos(math.pi * a / 2.0) ** (1.0 / a), 1.0), y)
+            g = _inversion_grid(StableParams(a, math.cos(math.pi * a / 2.0) ** (1.0 / a), 1.0), np.array([y]))[0]
         return p.lam * scale * math.pi * z ** (-b - 1.0 / a) * g
     total = 0.0
     for k in range(1, _SERIES_MAX_TERMS + 1):

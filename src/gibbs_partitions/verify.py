@@ -952,8 +952,10 @@ def run_suite(config, out_dir, seed: int | None = None) -> int:
 
     Writes ``verdicts.json`` (byte-stable given config and seed),
     ``runtimes.json``, and one CSV per (experiment, n).  Config errors and
-    phase mismatches surface as exit code 2 with a structured message; the
-    whole config is checked before any experiment runs.
+    phase mismatches surface as exit code 2 with a structured message.  The
+    config's shape, values and output directories are checked before any
+    experiment runs; a phase mismatch is raised only when its own experiment
+    runs, after the experiments before it, and then no file is written.
     """
     import pathlib
 

@@ -65,6 +65,23 @@ def test_builtin_suite_runs_without_scipy(tmp_path):
     assert sorted(name for name in loaded if name.startswith("scipy")) == []
 
 
+def test_stable_and_dilute_densities_load_no_scipy():
+    # points past the old quadrature's reach: an alpha = 1.1 window with
+    # phases past 800, and the dilute density next to alpha = 1
+    run = (
+        "import math, numpy as np\n"
+        "from gibbs_partitions import laws\n"
+        "p = laws.StableParams(1.1, (-math.cos(math.pi * 0.55)) ** (1 / 1.1), -1.0)\n"
+        "xs = np.linspace(-24.0, 24.0, 97)\n"
+        "tan_term, t_max = laws._inversion_setup(p)\n"
+        "assert abs(tan_term) * t_max**1.1 + 24.0 * t_max > 800.0\n"
+        "assert np.all(laws.stable_density_series(p, xs) >= 0.0)\n"
+        "assert laws.dilute_Z_density(laws.DiluteParams(0.993, 1.5, 1.0), 1.0) > 0.0"
+    )
+    loaded = _modules_after_import("gibbs_partitions", run)
+    assert sorted(name for name in loaded if name.startswith("scipy")) == []
+
+
 def _modules():
     import importlib
     import pkgutil

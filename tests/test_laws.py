@@ -9,6 +9,7 @@ independent oracles throughout.
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -226,7 +227,6 @@ def _tight_inversion(p, x):
 @example(alpha=1.203125, x=0.875, beta=-1.0)
 def test_inversion_grid_against_quadrature(alpha, x, beta):
     p = StableParams(alpha, (-math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha), beta)
-    assert laws._resolved(p, np.array([x]))[0]
     got = laws._inversion_grid(p, np.array([x]))[0]
     assert got == pytest.approx(_tight_inversion(p, x), abs=1e-13)
 
@@ -241,41 +241,110 @@ def test_inversion_grid_at_the_phase_bound(alpha):
         tan_term, t_max = laws._inversion_setup(p)
         x_max = (laws._INVERSION_PHASE - abs(tan_term) * t_max**alpha) / t_max
         xs = np.array([-x_max, -0.5 * x_max, 0.5 * x_max, x_max])
-        assert laws._resolved(p, xs).all()
         want = [stable_density_inversion(p, x) for x in xs.tolist()]
         assert laws._inversion_grid(p, xs) == pytest.approx(want, abs=1e-13)
 
 
-@pytest.mark.parametrize("alpha", [1.05, 1.1])
-def test_untrusted_series_points_route_by_the_phase_bound(alpha, monkeypatch):
-    p = StableParams(alpha, (-math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha), -1.0)
-    xs = np.linspace(-24.0, 24.0, 97)
-    want = stable_density_series(p, xs)
-    to_grid, to_quad = [], []
-    grid, inversion = laws._inversion_grid, laws.stable_density_inversion
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 0.35, 0.5, 0.75, 0.9])
+def test_untrusted_series_points_never_reach_the_quadrature(alpha, monkeypatch):
+    # every point the series cannot trust goes to the grid, however large
+    # its phase: past 800 at alpha = 1.05 and 1.1 (up to 5 600 nodes), and
+    # the one-sided laws' small y
+    dense = alpha > 1.0
+    xs = np.linspace(-24.0, 24.0, 97) if dense else np.geomspace(1e-4, 1.0, 60)
+    p = StableParams(alpha, abs(math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha), -1.0 if dense else 1.0)
+    grid, seen = laws._inversion_grid, []
 
-    def counted_grid(p, x):
-        to_grid.extend(x.tolist())
+    def recorded(p, x):
+        seen.extend(x.tolist())
         return grid(p, x)
 
-    def counted_inversion(p, x):
-        to_quad.append(x)
-        return inversion(p, x)
+    def refuse(p, x):
+        raise AssertionError(f"stable_density_inversion reached at x = {x}")
 
-    monkeypatch.setattr(laws, "_inversion_grid", counted_grid)
-    monkeypatch.setattr(laws, "stable_density_inversion", counted_inversion)
-    assert stable_density_series(p, xs).tobytes() == want.tobytes()
-    assert laws._resolved(p, np.array(to_grid)).all()
-    assert not laws._resolved(p, np.array(to_quad)).any()
-    # at alpha = 1.05 the series holds past the grid's reach: all to quad
-    assert len(to_quad) > 0 and (len(to_grid) > 0) == (alpha == 1.1)
+    monkeypatch.setattr(laws, "_inversion_grid", recorded)
+    monkeypatch.setattr(laws, "stable_density_inversion", refuse)
+    got = stable_density_series(p, xs)
+    assert len(seen) >= 4 and np.all(np.isfinite(got)) and np.all(got >= 0.0)
+    tan_term, t_max = laws._inversion_setup(p)
+    phases = abs(tan_term) * t_max**alpha + np.abs(np.array(seen)) * t_max
+    assert (phases.max() > laws._INVERSION_PHASE) == dense
+
+
+def _stable_density_mpmath(p, x, dps=30):
+    """The density of ``stable_density_inversion`` at x to dps digits, from
+    the non-oscillatory integral of Nolan (Commun. Statist. Stochastic
+    Models 13(4), 1997, Theorem 1) at y = (x - delta) / gamma; below y = 0
+    the law of -X, with -beta, at -y.  The integral is split at its peak,
+    where c V(theta) = 1."""
+    with mp.workdps(dps + 10):
+        a, b = mp.mpf(p.alpha), mp.mpf(p.beta)
+        y = (mp.mpf(x) - p.delta) / p.gamma
+        if y < 0:
+            b, y = -b, -y
+        zeta = b * mp.tan(mp.pi * a / 2)
+        theta0 = mp.atan(zeta) / a
+        if y == 0:
+            return mp.gamma(1 + 1 / a) * mp.cos(theta0) / (mp.pi * (1 + zeta**2) ** (1 / (2 * a)) * p.gamma)
+
+        def log_cv(th):  # log of c V(theta), c = y^(alpha / (alpha - 1))
+            return (
+                a / (a - 1) * mp.log(y)
+                + mp.log(mp.cos(a * theta0)) / (a - 1)
+                + a / (a - 1) * mp.log(abs(mp.cos(th) / mp.sin(a * (theta0 + th))))
+                + mp.log(abs(mp.cos(a * theta0 + (a - 1) * th) / mp.cos(th)))
+            )
+
+        lo, hi = -theta0, mp.pi / 2
+        left, right = lo + (hi - lo) * mp.mpf("1e-30"), hi - (hi - lo) * mp.mpf("1e-30")
+        sign = log_cv(left) < 0
+        cuts = [lo, hi]
+        if (log_cv(right) < 0) != sign:  # log c V is monotone in theta
+            for _ in range(120):
+                mid = (left + right) / 2
+                left, right = (mid, right) if (log_cv(mid) < 0) == sign else (left, mid)
+            cuts = [lo, (left + right) / 2, hi]
+        # c V e^(-c V) / c, integrated in theta
+        val = mp.quad(lambda th: mp.exp(log_cv(th) - mp.exp(log_cv(th))), cuts)
+        return a / (mp.pi * abs(a - 1)) * val / (y * p.gamma)
+
+
+@pytest.mark.parametrize(
+    "alpha, x, beta",
+    [
+        (1.05, 0.5, -1.0), (1.05, 0.5, 1.0), (1.1, 0.5, -1.0), (1.1, 0.5, 1.0),
+        (1.05, -8.0, 1.0), (1.05, 8.0, 1.0), (1.1, -7.0, -1.0), (1.1, 6.5, 1.0),
+        (1.25, -3.0, -1.0), (1.5, 2.0, 1.0), (1.7, -8.0, -1.0), (1.95, 0.125, 1.0),
+    ],
+)
+def test_inversion_grid_against_mpmath(alpha, x, beta):
+    # the adaptive quadrature is 1.7e-10 (alpha = 1.05) and 1.0e-10
+    # (alpha = 1.1) off at x = 0.5, beta = -1; the grid 6e-16 and 3e-17
+    p = StableParams(alpha, (-math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha), beta)
+    want = float(_stable_density_mpmath(p, x))
+    assert laws._inversion_grid(p, np.array([x]))[0] == pytest.approx(want, abs=1e-13)
 
 
 def test_gauss_legendre_integrates_monomials():
-    w, c = (np.array(v) for v in laws._gauss_legendre(laws._INVERSION_NODES))
-    assert np.all(np.diff(w) > 0.0) and 0.0 < w[0] and w[-1] < 1.0
-    for k in (0, 1, 2, 10, 100, 500, 2 * w.size - 1):
-        assert laws.dot(c, w**k) == pytest.approx(1.0 / (k + 1), abs=1e-15)
+    # the counts the inversion grid asks for, up to its budget; summed with
+    # fsum, so that the check measures the rule, not a dot's rounding
+    for n in (laws._INVERSION_NODES, 800, 2000, laws._INVERSION_MAX_NODES):
+        w, c = (np.array(v) for v in laws._gauss_legendre(n))
+        assert w.size == n and np.all(np.diff(w) > 0.0) and 0.0 < w[0] and w[-1] < 1.0
+        for k in (0, 1, 2, 10, 100, 500, n, 2 * n - 1):
+            assert laws.fsum(c * w**k) == pytest.approx(1.0 / (k + 1), abs=1e-15)
+
+
+def test_inversion_grid_refuses_past_its_budget():
+    p = StableParams(1.05, (-math.cos(math.pi * 1.05 / 2.0)) ** (1.0 / 1.05), -1.0)
+    assert laws._inversion_grid(p, np.array([24.0]))[0] > 0.0
+    with pytest.raises(RuntimeError, match=f"budget of {laws._INVERSION_MAX_NODES} nodes"):
+        laws._inversion_grid(p, np.array([0.0, 40.0]))
+    # alpha <= 0.3: the series alone where it holds, refused where it does not
+    p = StableParams(0.25, math.cos(math.pi / 8.0) ** 4, 1.0)
+    assert stable_density_series(p, np.array([1e-3, 2.0])).min() > 0.0
+    with pytest.raises(ValueError, match="alpha > 0.3"):
+        stable_density_series(p, 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +571,24 @@ def test_dilute_laws_next_to_alpha_one():
     assert dilute_Z_cdf(p, 0.9) == pytest.approx(
         _from_zero(lambda y: _dilute_density_oracle(p, y), 0.9, p.b), rel=1e-8
     )
+    # alpha = 0.993 and 0.995: at lam x = 1 the series cannot be trusted and
+    # the one-sided density g comes from the inversion grid (4 400 and 6 000
+    # nodes), within 4e-15 and 2.6e-14 of 30-digit mpmath
+    for alpha in (0.993, 0.995):
+        p = DiluteParams(alpha, 1.5, 1.0)
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            gamma = float(mp.cos(mp.pi * a / 2) ** (1 / a))
+            g = _stable_density_mpmath(StableParams(alpha, gamma, 1.0), 1.0)  # Laplace transform exp(-t^alpha)
+            want = float(g * mp.gamma(1 - a * (mp.mpf(p.b) - 1)) / (a * mp.gamma(2 - mp.mpf(p.b))))
+        assert dilute_Z_density(p, 1.0) == pytest.approx(want, rel=1e-12)
     # alpha = 0.999: at lam x = 1 the series has not converged after
     # _SERIES_MAX_TERMS terms, and the grid cannot stand in: refuse
     p = DiluteParams(0.999, 1.5, 1.0)
     assert dilute_Z_density(p, 0.5) == pytest.approx(_dilute_density_oracle(p, 0.5), rel=1e-8)
     with pytest.raises(ValueError, match="does not converge"):
         dilute_Z_cdf(p, np.array([0.5, 1.0]))
-    with pytest.raises(RuntimeError):  # the inversion fallback fails too
+    with pytest.raises(RuntimeError, match="budget"):  # g would need 28 800 grid nodes
         dilute_Z_density(p, 1.0)
     # far above lam x = 1, t = (lam x)^1000 leaves the float range
     assert dilute_Z_cdf(p, 3.0) == 1.0 and dilute_Z_density(p, 3.0) == 0.0
