@@ -2,7 +2,7 @@
 samplers, limit laws, and limit-theorem verifiers."""
 
 from .weights import SlowVarying, WeightSequence, SchemeSpec
-from .phases import Phase, Criticality, Scale, PhaseReport, classify, solve_rho_u, mu_of, mixture_p
+from .phases import Phase, Criticality, Scale, PhaseReport, classify
 from .exact import (
     DiscreteLaw,
     tv_distance,
@@ -29,9 +29,6 @@ __all__ = [
     "Scale",
     "PhaseReport",
     "classify",
-    "solve_rho_u",
-    "mu_of",
-    "mixture_p",
     "DiscreteLaw",
     "tv_distance",
     "law_X",

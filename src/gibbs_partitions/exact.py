@@ -37,7 +37,6 @@ __all__ = [
     "BudgetExceededError",
     "TailCertificationError",
     "DiscreteLaw",
-    "ConvolutionTable",
     "StoppedSumLaw",
     "PrefixLaw",
     "ProductLaw",
@@ -111,20 +110,6 @@ class DiscreteLaw:
     @property
     def deficit(self) -> float:
         return max(0.0, 1.0 - self.mass_accounted)
-
-    @property
-    def n_max(self) -> int:
-        return self.pmf.size - 1
-
-    def mean(self) -> float:
-        return self.moment(1)
-
-    def moment(self, k: int) -> float:
-        ells = np.arange(self.pmf.size, dtype=float)
-        powers = np.ones_like(ells)
-        for _ in range(k):  # repeated products: numpy's vector pow is SIMD-dependent
-            powers *= ells
-        return dot(powers, self.pmf)
 
 
 def tv_distance(a: DiscreteLaw, b: DiscreteLaw) -> float:
@@ -328,31 +313,17 @@ def law_Nhat(scheme: SchemeSpec, ell_max: int, rho: float | None = None) -> Disc
     return DiscreteLaw.from_pmf(pmf)
 
 
-@dataclass
-class ConvolutionTable:
-    """Rows P(S_l = m) for l = 0..ell_max, m = 0..n."""
-
-    rows: np.ndarray
-
-    @property
-    def ell_max(self) -> int:
-        return self.rows.shape[0] - 1
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[1] - 1
-
-
 def convolution_table(
     law_x: DiscreteLaw, ell_max: int, n: int, method: str = "auto"
-) -> ConvolutionTable:
-    """Iterated convolution table of a component-size law."""
+) -> np.ndarray:
+    """Iterated convolution table of a component-size law: rows P(S_l = m)
+    for l = 0..ell_max, m = 0..n."""
     if (ell_max + 1) * (n + 1) > 400_000_000:
         raise BudgetExceededError("convolution table too large")
     rows = np.zeros((ell_max + 1, n + 1))
     for ell, row in zip(range(ell_max + 1), _row_source(law_x.pmf[: n + 1], n, method)):
         rows[ell] = row
-    return ConvolutionTable(rows)
+    return rows
 
 
 def _ell_cap(n: int, law_x: DiscreteLaw) -> int:

@@ -43,7 +43,6 @@ from .special import _libm, _pow, igam, igamc, lgam
 __all__ = [
     "StableParams",
     "DiluteParams",
-    "stable_cf",
     "stable_density_series",
     "stable_density_inversion",
     "stable_moment",
@@ -109,22 +108,6 @@ class StableParams:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not -1.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
-
-
-def stable_cf(p: StableParams, t: float) -> complex:
-    """Characteristic function, both the generic and the alpha = 1 branch."""
-    if t == 0.0:
-        return 1.0 + 0.0j
-    a, g, b, d = p.alpha, p.gamma, p.beta, p.delta
-    if a != 1.0:
-        expo = -(g**a) * abs(t) ** a * (
-            1.0 - 1j * b * math.copysign(1.0, t) * math.tan(math.pi * a / 2.0)
-        )
-        return complex(np.exp(expo + 1j * d * t))
-    expo = -g * abs(t) * (
-        1.0 + 1j * b * math.copysign(1.0, t) * (2.0 / math.pi) * math.log(abs(t))
-    )
-    return complex(np.exp(expo + 1j * d * t))
 
 
 # ---------------------------------------------------------------------------
@@ -585,20 +568,6 @@ class FrechetJLaw:
         out[pos] = igamc(self.j, lam)
         return out
 
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0
-        a, theta, j = self.alpha, self.theta, self.j
-        head, tail = math.log(a * theta), lgam(j)
-        # pow, log and exp from the C library, one value at a time, like cdf
-        vals = []
-        for v in x[pos].tolist():
-            lam = theta * v**-a
-            vals.append(math.exp(head - (a + 1.0) * math.log(v) + (j - 1) * math.log(lam) - lam - tail))
-        out[pos] = vals
-        return out
-
 
 def frechet_law(mu: float, alpha: float, j: int = 1) -> FrechetJLaw:
     if not 1.0 < alpha < 2.0:
@@ -613,8 +582,12 @@ def frechet_law(mu: float, alpha: float, j: int = 1) -> FrechetJLaw:
 
 
 def gumbel_cdf(x: float) -> float:
-    """P(G <= x) = exp(-exp(-x))."""
-    return math.exp(-math.exp(-x))
+    """P(G <= x) = exp(-exp(-x)); 0.0 where exp(-x) overflows (x below about
+    -709.78), the value every x below about -6.6 already rounds to."""
+    try:
+        return math.exp(-math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 # ---------------------------------------------------------------------------

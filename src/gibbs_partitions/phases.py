@@ -27,9 +27,6 @@ __all__ = [
     "Criticality",
     "Scale",
     "PhaseReport",
-    "solve_rho_u",
-    "mu_of",
-    "mixture_p",
     "classify",
 ]
 
@@ -58,27 +55,18 @@ class Scale:
     ``total(n, alpha)`` evaluates the full scale including the n**(1/alpha)
     growth: a ``constant`` shape means a constant slowly varying part in
     front of n**(1/alpha); ``sqrt_n_log_n`` already embeds the growth
-    (the infinite-variance alpha = 2 case); ``power`` is fully explicit.
+    (the infinite-variance alpha = 2 case).
     """
 
-    shape: str  # "constant" | "sqrt_n_log_n" | "power"
+    shape: str  # "constant" | "sqrt_n_log_n"
     coeff: float
-    exponent: float | None = None
 
     def total(self, n: float, alpha: float) -> float:
         if self.shape == "constant":
             return self.coeff * n ** (1.0 / alpha)
         if self.shape == "sqrt_n_log_n":
             return self.coeff * math.sqrt(n * math.log(n))
-        if self.shape == "power":
-            return self.coeff * n**self.exponent
         raise ValueError(f"unknown scale shape {self.shape!r}")
-
-    def to_json(self) -> dict:
-        out = {"shape": self.shape, "coeff": self.coeff}
-        if self.exponent is not None:
-            out["exponent"] = self.exponent
-        return out
 
 
 @dataclass(frozen=True)
@@ -115,7 +103,9 @@ class PhaseReport:
 
     def to_json(self) -> dict:
         """Every field in declaration order; enums as their values, and each
-        scale as its ``_shape``, ``_coeff`` and ``_exponent`` (None when absent)."""
+        scale as its ``_shape``, ``_coeff`` and ``_exponent`` (None when absent;
+        no shape has an exponent, so ``_exponent`` is always None and stays
+        only to keep the keys of the JSON report fixed)."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -199,34 +189,19 @@ def _w_root(scheme: SchemeSpec, rtol: float) -> tuple[float, float]:
     return _bisect(below, 0.0, hi, rtol)
 
 
-def solve_rho_u(scheme: SchemeSpec) -> float:
-    """Radius of convergence of U = V(W(.)).
-
-    Critical and subcritical schemes keep rho_u = rho_w; supercritical ones
-    solve W(rho_u) = rho_v by bisection (W is strictly increasing) to
-    relative tolerance 1e-12.
-    """
-    w_val = _w_at_radius(scheme.w)
-    return _rho_u(scheme, _criticality(scheme, w_val), w_val)[0]
-
-
-def _rho_u(scheme: SchemeSpec, crit: Criticality, w_val: float) -> tuple[float, float]:
-    """``solve_rho_u`` and W(rho_u), with the criticality and W(rho_w) =
-    ``w_val`` known: the midpoint of ``_w_root``'s bracket."""
-    if crit is not Criticality.supercritical:
-        return scheme.w.radius(), w_val
+def _rho_u(scheme: SchemeSpec) -> tuple[float, float]:
+    """rho_u, the radius of convergence of U = V(W(.)), and W(rho_u) for a
+    supercritical scheme: the midpoint of ``_w_root``'s bracket of
+    W(rho_u) = rho_v at relative 1e-12.  Critical and subcritical schemes
+    keep rho_u = rho_w."""
     lo, hi = _w_root(scheme, 1e-12)
     rho_u = 0.5 * (lo + hi)
     return rho_u, scheme.w.series_value(rho_u)
 
 
-def mu_of(scheme: SchemeSpec, rho_u: float) -> float:
-    """Mean component size mu = sum_n n w_n rho_u^n / W(rho_u); +inf allowed."""
-    return _mu(scheme, rho_u, scheme.w.series_value(rho_u))
-
-
 def _mu(scheme: SchemeSpec, rho_u: float, W: float) -> float:
-    """``mu_of`` with W = W(rho_u) already summed."""
+    """Mean component size mu = sum_n n w_n rho_u^n / W, with W = W(rho_u)
+    already summed; +inf allowed."""
     if not math.isfinite(W) or W <= 0:
         raise ValueError(f"W(rho_u) must be positive finite, got {W}")
     m1 = scheme.w.weighted_moment(rho_u, 1)
@@ -256,8 +231,8 @@ def _gcd_of_support(w: WeightSequence, count: int = 1000, scan: int = 100000) ->
     return g
 
 
-def mixture_p(scheme: SchemeSpec) -> tuple[float, float]:
-    """The mixture constants (p, p / (1 + p)).
+def _mixture_constants(scheme: SchemeSpec, mu: float, vp: float) -> tuple[float, float]:
+    """The mixture constants (p, p / (1 + p)) from mu and vp = V'(W(rho_w)).
 
     p = mu^(a-1) / V'(W(rho_w)) * lim L_v(n) / L_w(n).  Both p and the
     alternative candidate p/(1+p) are returned; the stopped-sum asymptotics
@@ -265,21 +240,6 @@ def mixture_p(scheme: SchemeSpec) -> tuple[float, float]:
     to p, which makes p/(1+p) the natural candidate for lim P(E_n), and the
     verifier measures which one matches.
     """
-    v, w = scheme.v, scheme.w
-    if v.is_explicit or w.is_explicit:
-        raise ValueError("mixture constants need closed-form sequences")
-    if v.L.log_exp != w.L.log_exp:
-        raise ValueError("L_v / L_w has no positive finite limit")
-    w_val = _w_at_radius(w)
-    mu = _mu(scheme, *_rho_u(scheme, _criticality(scheme, w_val), w_val))
-    vp = _v_prime(scheme, w_val)
-    if not math.isfinite(vp) or vp <= 0:
-        raise ValueError(f"V'(W(rho_w)) must be positive finite, got {vp}")
-    return _mixture_constants(scheme, mu, vp)
-
-
-def _mixture_constants(scheme: SchemeSpec, mu: float, vp: float) -> tuple[float, float]:
-    """``mixture_p``'s (p, p / (1 + p)) from mu and vp = V'(W(rho_w))."""
     p = mu ** (scheme.w.e - 1.0) / vp * (scheme.v.L.c / scheme.w.L.c)
     return p, p / (1.0 + p)
 
@@ -315,7 +275,7 @@ def _dense_scales(
                 (c_w * abs(math.gamma(1.0 - alpha)) / (W * alpha)) ** (1.0 / alpha),
             )
     factor = mu ** (-1.0 - 1.0 / alpha)
-    L = Scale(g.shape, factor * g.coeff, g.exponent)
+    L = Scale(g.shape, factor * g.coeff)
     return g, L
 
 
@@ -435,7 +395,7 @@ def classify(scheme: SchemeSpec) -> PhaseReport:
     # --- dense case ii: supercritical and aperiodic
     if crit is Criticality.supercritical and b is not None and b > 1.0:
         if _gcd_of_support(w) == 1:
-            rho_u, W = _rho_u(scheme, crit, w_val)
+            rho_u, W = _rho_u(scheme)
             return _dense_report(Phase.dense_supercritical, crit, scheme, 2.0, rho_u, W)
         return PhaseReport(Phase.unclassified, crit, a=a, b=b)
 

@@ -2,7 +2,7 @@
 
 Two routes with identical laws (their agreement is itself a test):
 
-* ``sample_rejection`` draws (N, X_1..X_N) and accepts on the event
+* ``RejectionSampler`` draws (N, X_1..X_N) and accepts on the event
   ``sum X_i = n`` -- the defining conditional law;
 * ``ExactSampler`` draws N_n from its exact conditioned law, then the
   coordinates sequentially through the convolution table, so every draw is
@@ -58,16 +58,12 @@ from .weights import SchemeSpec
 
 __all__ = [
     "PartitionSample",
-    "SampleStats",
     "make_rng",
     "make_rngs",
     "ExactSampler",
-    "sample_exact",
-    "sample_rejection",
     "RejectionSampler",
     "RejectionCapError",
     "ProductSampler",
-    "stats",
 ]
 
 _CHUNK = 128
@@ -493,10 +489,6 @@ class ExactSampler:
         return int(np.flatnonzero(self.pmf_x[: top + 1] * row[rem - top : rem + 1][::-1])[-1])
 
 
-def sample_exact(scheme: SchemeSpec, n: int, seed: int, stream: int = 0) -> PartitionSample:
-    return ExactSampler(scheme, n).sample(make_rng(seed, stream))
-
-
 @dataclass
 class RejectionSampler:
     """Batched rejection from the unconditioned (N, X_1..X_N) pair.
@@ -566,10 +558,6 @@ class RejectionSampler:
         raise RejectionCapError(self.attempts, self.accepted)
 
 
-def sample_rejection(scheme: SchemeSpec, n: int, seed: int, stream: int = 0) -> PartitionSample:
-    return RejectionSampler(scheme, n).sample(make_rng(seed, stream))
-
-
 class ProductSampler:
     """Exact conditioned draw of (P_1..P_l) for product structures.
 
@@ -628,53 +616,3 @@ class ProductSampler:
                 rem -= out[:, j]
             out[:, -1] = rem
             yield from out
-
-
-# ---------------------------------------------------------------------------
-# statistics
-
-
-@dataclass
-class SampleStats:
-    """Extracted statistics of one sample."""
-
-    order_stats: np.ndarray
-    counts: dict[int, int]
-    path_grid: np.ndarray | None
-    path_values: np.ndarray | None
-    points: np.ndarray
-    e_n: bool | None
-
-
-def stats(
-    sample: PartitionSample,
-    count_sizes=(),
-    mu: float | None = None,
-    nn_scale: float | None = None,
-    path_points: int = 0,
-) -> SampleStats:
-    """Order statistics, size counts, the centred partial-sum path, the
-    normalized point multiset, and the half-dense-count indicator.
-
-    The path s -> (sum_{i <= sN} K_i - N s mu) / (L(n) n^(1/alpha)) is
-    evaluated on a uniform grid; pass ``mu`` and ``nn_scale`` =
-    L(n) n^(1/alpha) from a phase report.  At s = 1 the path equals
-    (n - N mu) / nn_scale exactly (the sizes telescope to n).
-    """
-    sizes = sample.sizes
-    order = np.sort(sizes)[::-1]
-    counts = {int(k): int(np.count_nonzero(sizes == k)) for k in count_sizes}
-    points = sizes[sizes > 0] / sample.n
-    path_grid = path_values = None
-    e_n = None
-    if mu is not None:
-        e_n = bool(sample.n_components >= sample.n / (2.0 * mu))
-    if path_points > 0:
-        if mu is None or nn_scale is None:
-            raise ValueError("path statistics need mu and nn_scale")
-        ncomp = sample.n_components
-        csum = np.concatenate(([0.0], np.cumsum(sizes)))
-        path_grid = np.linspace(0.0, 1.0, path_points + 1)
-        idx = np.floor(path_grid * ncomp).astype(int)
-        path_values = (csum[idx] - ncomp * path_grid * mu) / nn_scale
-    return SampleStats(order, counts, path_grid, path_values, points, e_n)

@@ -138,6 +138,13 @@ def test_laws_grid(capsys):
     assert float(lines[1].split(",")[1]) == pytest.approx(np.exp(-1.0))
 
 
+def test_laws_gumbel_cdf_far_below_zero(capsys):
+    # exp(-x) overflows below x = -709.78: the cdf is 0 there, not a traceback
+    code, out = run_cli(["laws", "--law", "gumbel_cdf", "--grid", "-800", "0", "2"], capsys)
+    assert code == 0
+    assert out.strip().splitlines() == ["x,value", "-800,0", f"0,{math.exp(-1.0)!r}"]
+
+
 def test_laws_dilute_density_one_vector_call(capsys, monkeypatch):
     from gibbs_partitions import laws
 

@@ -30,7 +30,6 @@ from gibbs_partitions.laws import (
     pp_factorial_moment,
     pp_intensity,
     pp_intensity_integral,
-    stable_cf,
     stable_density_inversion,
     stable_density_series,
     stable_moment,
@@ -38,26 +37,6 @@ from gibbs_partitions.laws import (
 
 GAMMA_DENSE_15 = (-math.cos(math.pi * 0.75)) ** (1.0 / 1.5)
 LAM_DILUTE = math.gamma(0.5) / (0.5 * float(zeta(1.5)))  # ~1.356967215141875
-
-
-# ---------------------------------------------------------------------------
-# characteristic function
-
-
-def test_cf_at_zero_is_one():
-    assert stable_cf(StableParams(1.5, 1.0, -1.0), 0.0) == 1.0
-
-
-def test_cf_gaussian_branch():
-    p = StableParams(2.0, 1.2, 0.7, 0.3)
-    t = 0.9
-    want = complex(np.exp(-(1.2**2) * t**2 + 1j * 0.3 * t))  # tan(pi) = 0
-    assert stable_cf(p, t) == pytest.approx(want, rel=1e-12)
-
-
-def test_cf_alpha_one_branch():
-    p = StableParams(1.0, 1.0, 1.0, 0.0)
-    assert stable_cf(p, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)  # log|1| = 0
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +573,40 @@ def test_dilute_laws_next_to_alpha_one():
     assert dilute_Z_cdf(p, 3.0) == 1.0 and dilute_Z_density(p, 3.0) == 0.0
 
 
+def _dilute_density_mpmath(p, x):
+    """The dilute density at x from the 30-digit one-sided stable density
+    of ``_stable_density_mpmath``, transformed to Z as in
+    ``_dilute_density_oracle``: g(x^(-1/alpha)) / (alpha E[S^(alpha (b - 1))]
+    x^(b + 1/alpha)), with E[S^s] the moment of ``stable_moment``."""
+    with mp.workdps(40):
+        a, b, lam, x = mp.mpf(p.alpha), mp.mpf(p.b), mp.mpf(p.lam), mp.mpf(x)
+        gamma = float((lam * mp.cos(mp.pi * a / 2)) ** (1 / a))
+        g = _stable_density_mpmath(StableParams(p.alpha, gamma, 1.0), x ** (-1 / a))
+        moment = lam ** (b - 1) * mp.gamma(2 - b) / mp.gamma(1 - a * (b - 1))
+        return float(g / (a * moment * x ** (b + 1 / a)))
+
+
+@pytest.mark.parametrize(
+    "alpha, b, lam, x",
+    [
+        (0.96, 1.2, 1.0, 1.3), (0.96, 1.9, 1.0, 1.1), (0.98, 1.5, 2.0, 0.55),
+        (0.98, 1.2, 1.0, 1.02), (0.99, 1.2, 1.0, 1.02), (0.99, 1.9, 1.0, 1.02),
+    ],
+)
+def test_kanter_grid_next_to_alpha_one_against_mpmath(alpha, b, lam, x):
+    # above lam x = 1 the laws come from the u grid alone; at alpha > 0.95
+    # its integrands are steepest.  The density is checked against 30-digit
+    # mpmath, and the cdf through its upper tail up to the e^-60 point, as
+    # at the b edges (at alpha = 0.99 that point is lam x = 1.10)
+    p = DiluteParams(alpha, b, lam)
+    assert lam * x > laws._SERIES_EDGE
+    assert dilute_Z_density(p, x) == pytest.approx(_dilute_density_mpmath(p, x), rel=1e-10)
+    a_min = alpha ** (alpha / (1.0 - alpha)) * (1.0 - alpha)
+    x_hi = (60.0 / a_min) ** (1.0 - alpha) / lam
+    tail, _ = quad(lambda y: _dilute_density_oracle(p, y), x, x_hi, epsabs=0.0, epsrel=1e-10, limit=400)
+    assert 1.0 - dilute_Z_cdf(p, x) == pytest.approx(tail, rel=1e-8)
+
+
 def test_inversion_keeps_quadpack_round_off_warnings_to_itself():
     # both oscillatory quad calls warn of round-off here; the err > 1e-6
     # guard judges convergence, and the value is kept as it was
@@ -690,18 +703,15 @@ def test_frechet_cdf_limits():
     assert law.cdf(1e-9) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_frechet_rank2_density_normalizes():
-    law = frechet_law(1.3, 1.5, 2)
-    total, _ = quad(lambda x: float(law.pdf(x)), 0.0, np.inf, limit=400)
-    assert total == pytest.approx(1.0, abs=1e-6)
-
-
-def test_frechet_pdf_matches_cdf_derivative():
-    law = frechet_law(1.0, 1.7, 3)
-    for x in (0.4, 1.0, 2.5):
-        h = 1e-6
-        num = (law.cdf(x + h) - law.cdf(x - h)) / (2 * h)
-        assert float(law.pdf(x)) == pytest.approx(float(num), rel=1e-5)
+def test_frechet_rank_j_cdf_is_a_poisson_count():
+    # the j-th largest atom is <= x iff fewer than j atoms exceed x, a
+    # Poisson count of mean Lambda = theta x^-alpha
+    for mu, alpha, j in ((1.3, 1.5, 2), (1.0, 1.7, 3)):
+        law = frechet_law(mu, alpha, j)
+        for x in (0.4, 1.0, 2.5, 7.0):
+            lam = law.theta * x**-alpha
+            want = math.exp(-lam) * math.fsum(lam**i / math.factorial(i) for i in range(j))
+            assert float(law.cdf(x)) == pytest.approx(want, rel=1e-12)
 
 
 def test_frechet_rejects_alpha_two():
@@ -713,6 +723,13 @@ def test_gumbel_points():
     assert gumbel_cdf(0.0) == pytest.approx(math.exp(-1.0))
     assert gumbel_cdf(40.0) == pytest.approx(1.0)
     assert gumbel_cdf(-math.log(math.log(2.0))) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_gumbel_cdf_where_exp_overflows():
+    # exp(-x) overflows below x = -709.78; the cdf is 0.0 from about -6.6 down
+    assert gumbel_cdf(-700.0) == 0.0
+    assert gumbel_cdf(-800.0) == 0.0
+    assert gumbel_cdf(-1e300) == 0.0
 
 
 # ---------------------------------------------------------------------------

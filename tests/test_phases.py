@@ -10,15 +10,13 @@ from scipy.integrate import quad
 from scipy.special import zeta
 
 from gibbs_partitions import (
+    Criticality,
     Phase,
     SchemeSpec,
     WeightSequence,
     bundled_scheme,
     classify,
     law_Nn,
-    mixture_p,
-    mu_of,
-    solve_rho_u,
     tv_distance,
 )
 from gibbs_partitions.exact import default_rho
@@ -27,7 +25,7 @@ from gibbs_partitions.schemes import bundled_names, zeta_scheme
 
 
 def test_solve_rho_u_critical(dense_gauss):
-    assert solve_rho_u(dense_gauss) == 1.0
+    assert classify(dense_gauss).rho_u == 1.0
 
 
 def test_solve_rho_u_supercritical_residual_oracle():
@@ -35,10 +33,10 @@ def test_solve_rho_u_supercritical_residual_oracle():
     w = WeightSequence.closed_form(c=1.0, e=4.0, rho=1.0)
     rho_v = 0.5
     v = WeightSequence.closed_form(c=1.0, e=2.0, rho=rho_v)
-    scheme = SchemeSpec(v=v, w=w)
-    rho_u = solve_rho_u(scheme)
-    assert 0 < rho_u < 1
-    assert abs(w.series_value(rho_u) - rho_v) <= 1e-12 * rho_v
+    rep = classify(SchemeSpec(v=v, w=w))
+    assert rep.phase is Phase.dense_supercritical
+    assert 0 < rep.rho_u < 1
+    assert abs(w.series_value(rep.rho_u) - rho_v) <= 1e-12 * rho_v
 
 
 def test_solve_rho_u_subcritical_polynomial_outer():
@@ -46,20 +44,12 @@ def test_solve_rho_u_subcritical_polynomial_outer():
         v=WeightSequence.explicit([0.0, 1.0]),
         w=WeightSequence.closed_form(c=1.0, e=3.0, rho=1.0),
     )
-    assert solve_rho_u(scheme) == 1.0
+    assert classify(scheme).rho_u == 1.0
 
 
 def test_mu_zeta_ratios(dense_gauss, dense_stable):
-    assert mu_of(dense_gauss, 1.0) == pytest.approx(float(zeta(3) / zeta(4)), rel=1e-12)
-    assert mu_of(dense_stable, 1.0) == pytest.approx(float(zeta(1.5) / zeta(2.5)), rel=1e-12)
-
-
-def test_mu_degenerate_two():
-    scheme = SchemeSpec(
-        v=WeightSequence.explicit([0.0, 1.0]),
-        w=WeightSequence.explicit([0.0, 0.0, 1.0]),
-    )
-    assert mu_of(scheme, 1.0) == pytest.approx(2.0)
+    assert classify(dense_gauss).mu == pytest.approx(float(zeta(3) / zeta(4)), rel=1e-12)
+    assert classify(dense_stable).mu == pytest.approx(float(zeta(1.5) / zeta(2.5)), rel=1e-12)
 
 
 def test_classify_dense_gauss(dense_gauss):
@@ -180,10 +170,10 @@ def test_zeta_table_holds_scipys_floats():
 
 def test_mixture_p_scale_invariance():
     # doubling c_v doubles the ratio L_v/L_w and V'(W) alike: p invariant
-    p1, f1 = mixture_p(zeta_scheme(3.0, 3.0, c_v=1.0))
-    p2, f2 = mixture_p(zeta_scheme(3.0, 3.0, c_v=2.0))
-    assert p1 == pytest.approx(p2, rel=1e-12)
-    assert f1 == pytest.approx(f2, rel=1e-12)
+    r1 = classify(zeta_scheme(3.0, 3.0, c_v=1.0))
+    r2 = classify(zeta_scheme(3.0, 3.0, c_v=2.0))
+    assert r1.mixture_p == pytest.approx(r2.mixture_p, rel=1e-12)
+    assert r1.mixture_p_frac == pytest.approx(r2.mixture_p_frac, rel=1e-12)
 
 
 def test_mixture_p_unit_construction():
@@ -192,7 +182,7 @@ def test_mixture_p_unit_construction():
     rep = classify(base)
     target_c = rep.mu ** 2 / rep.v_prime
     scheme = zeta_scheme(3.0, 3.0, c_v=1.0)
-    p, frac = mixture_p(
+    rep = classify(
         SchemeSpec(
             v=WeightSequence.closed_form(
                 c=target_c * scheme.v.L.c / 1.0, e=3.0, rho=scheme.v.rho
@@ -202,7 +192,8 @@ def test_mixture_p_unit_construction():
     )
     # V' scales with c_v, so the construction needs the self-consistent c:
     # p = mu^2 / V'_base which the classifier already exposes; check both
-    assert p > 0 and 0 < frac < 1
+    assert rep.phase is Phase.mixture
+    assert rep.mixture_p > 0 and 0 < rep.mixture_p_frac < 1
 
 
 def laplace_of_density(alpha: float, t: float) -> float:
@@ -300,7 +291,7 @@ def test_report_json_key_order(name, phase):
 def test_classify_sums_each_series_once(name, monkeypatch):
     """One classify call sums no (sequence, point, order) twice: W(rho_w)
     once, W(rho_u) once, and V'(W(rho_w)) once.  The report's constants are
-    the floats of the public helpers, which sum for themselves."""
+    the floats of their direct formulas, summed again here."""
     scheme = bundled_scheme(name)
     sums = []
     moment = WeightSequence.weighted_moment
@@ -316,28 +307,19 @@ def test_classify_sums_each_series_once(name, monkeypatch):
         assert sums.count((id(scheme.w), scheme.w.rho, 0, 1e-12)) == 1
     assert len(sums) <= {"dense_supercritical": 46, "mixture": 8}.get(rep.phase.value, 3)
     if rep.mu is not None:
-        assert rep.mu == mu_of(scheme, rep.rho_u)
-        assert rep.rho_u == solve_rho_u(scheme)
-        assert rep.w_value == scheme.w.series_value(rep.rho_u)
+        W = scheme.w.series_value(rep.rho_u)
+        assert rep.w_value == W
+        assert rep.mu == scheme.w.weighted_moment(rep.rho_u, 1) / W
+        rho_v = scheme.v.radius()
+        if rep.criticality is Criticality.supercritical:
+            assert abs(W - rho_v) <= 1e-12 * rho_v  # the bisection residual
+        else:
+            assert rep.rho_u == scheme.w.radius()
     if rep.mixture_p is not None:
-        assert (rep.mixture_p, rep.mixture_p_frac) == mixture_p(scheme)
-
-
-def test_mixture_p_sums_each_series_once(monkeypatch):
-    """``mixture_p`` sums W(rho_w) once (rho_u = rho_w for a critical
-    mixture) and gives the floats of ``classify``."""
-    scheme = bundled_scheme("mixture")
-    rep = classify(scheme)
-    sums = []
-    moment = WeightSequence.weighted_moment
-
-    def counted(self, t, k=0, tol=1e-12):
-        sums.append((id(self), t, k, tol))
-        return moment(self, t, k, tol)
-
-    monkeypatch.setattr(WeightSequence, "weighted_moment", counted)
-    assert mixture_p(scheme) == (rep.mixture_p, rep.mixture_p_frac)
-    assert len(sums) == len(set(sums))
+        assert rep.v_prime == scheme.v.weighted_moment(rep.w_value, 1) / rep.w_value
+        ratio = scheme.v.L.c / scheme.w.L.c
+        p = rep.mu ** (scheme.w.e - 1.0) / rep.v_prime * ratio
+        assert (rep.mixture_p, rep.mixture_p_frac) == (p, p / (1.0 + p))
 
 
 _SUPER_W = {

@@ -13,7 +13,6 @@ from gibbs_partitions import (
     SchemeSpec,
     WeightSequence,
     bundled_scheme,
-    classify,
     exact,
     sampling,
     stopped_sum_law,
@@ -25,9 +24,6 @@ from gibbs_partitions.sampling import (
     ProductSampler,
     RejectionSampler,
     make_rng,
-    sample_exact,
-    sample_rejection,
-    stats,
 )
 
 
@@ -81,25 +77,26 @@ def test_sizes_always_sum_to_n(dense_gauss):
 
 
 def test_reproducible_byte_for_byte(dense_stable):
-    a = sample_exact(dense_stable, 300, seed=11, stream=7)
-    b = sample_exact(dense_stable, 300, seed=11, stream=7)
+    # two separate samplers of each kind: no state shared between the draws
+    a = ExactSampler(dense_stable, 300).sample(make_rng(11, 7))
+    b = ExactSampler(dense_stable, 300).sample(make_rng(11, 7))
     assert np.array_equal(a.sizes, b.sizes)
-    c = sample_rejection(dense_stable, 40, seed=11, stream=7)
-    d = sample_rejection(dense_stable, 40, seed=11, stream=7)
+    c = RejectionSampler(dense_stable, 40).sample(make_rng(11, 7))
+    d = RejectionSampler(dense_stable, 40).sample(make_rng(11, 7))
     assert np.array_equal(c.sizes, d.sizes)
     assert not np.array_equal(
-        a.sizes, sample_exact(dense_stable, 300, seed=11, stream=8).sizes
+        a.sizes, ExactSampler(dense_stable, 300).sample(make_rng(11, 8)).sizes
     )
 
 
 def test_single_component_degenerate(single_component):
-    s = sample_exact(single_component, 77, seed=1)
+    s = ExactSampler(single_component, 77).sample(make_rng(1))
     assert s.n_components == 1 and s.sizes[0] == 77
     # X = 1 surely: all parts are 1
     ones = SchemeSpec(
         v=bundled_scheme("bell").v, w=WeightSequence.explicit([0.0, 1.0])
     )
-    s = sample_exact(ones, 40, seed=2)
+    s = ExactSampler(ones, 40).sample(make_rng(2))
     assert s.n_components == 40
     assert np.all(s.sizes == 1)
 
@@ -682,41 +679,3 @@ def test_product_sampler_many_matches_sample(extra, monkeypatch):
         monkeypatch.undo()
         assert [t.tobytes() for t in smp.sample_many(make_rngs()[:1])] == want[:1]
     assert list(smp.sample_many([])) == []
-
-
-def test_stats_fields(dense_gauss):
-    rep = classify(dense_gauss)
-    smp = ExactSampler(dense_gauss, 400)
-    s = smp.sample(make_rng(8, 0))
-    st = stats(
-        s,
-        count_sizes=(1, 2),
-        mu=rep.mu,
-        nn_scale=rep.nn_scale(400),
-        path_points=16,
-    )
-    assert np.all(np.diff(st.order_stats) <= 0)
-    assert st.counts[1] == int(np.count_nonzero(s.sizes == 1))
-    assert st.e_n is True  # dense: N_n concentrates at n/mu > n/(2 mu)
-    # path telescopes at s = 1 to (n - N mu) / scale
-    want = (400 - s.n_components * rep.mu) / rep.nn_scale(400)
-    assert st.path_values[-1] == pytest.approx(want, rel=1e-12)
-    assert st.path_values[0] == 0.0
-    assert st.points.min() > 0
-    assert st.points.max() <= 1.0
-
-
-def test_stats_filters_zero_sizes():
-    from gibbs_partitions.sampling import PartitionSample
-
-    s = PartitionSample(5, np.array([3, 0, 2]))
-    st = stats(s)
-    assert np.array_equal(np.sort(st.points), np.array([2 / 5, 3 / 5]))
-
-
-def test_order_stats_example():
-    from gibbs_partitions.sampling import PartitionSample
-
-    st = stats(PartitionSample(6, np.array([3, 1, 2])), count_sizes=(2,))
-    assert list(st.order_stats) == [3, 2, 1]
-    assert st.counts[2] == 1
