@@ -159,6 +159,36 @@ def _row_step(kernel: np.ndarray, n: int, method: str):
     return fft_step
 
 
+def _product_rows(rows: np.ndarray, have: int, ell: int, stride: int) -> None:
+    """Write rows[have..ell] of the FFT-regime rows P(S_l = .)[0..n], from
+    rows[0..have - 1] (have > ``stride``), as products of two rows on
+    ``_harvest``'s baby-step giant-step split with B = ``stride``: the
+    giant row S_aB = S_(a-1)B * S_B and S_(aB+b) = S_aB * S_b, 0 < b < B,
+    each the clipped n + 1 head of one inverse transform at
+    ``_next_fast_len(2n + 1)``.  So every row is a function of (kernel, n,
+    l) alone, however the calls cut 0..ell.  Each giant row the call spans
+    and each baby row it needs is transformed once, the babies one at a
+    time, and no spectrum outlives the call."""
+    n = rows.shape[1] - 1
+    size = _next_fast_len(2 * n + 1)
+    first, last = (have - 1) // stride, ell // stride  # giant rows first*B..last*B
+    giants = [rfft(rows[first * stride], size)]
+    if last > first:
+        step = giants[0] if first == 1 else rfft(rows[stride], size)
+        for a in range(first + 1, last + 1):
+            np.clip(irfft(giants[-1] * step, size)[: n + 1], 0.0, None, out=rows[a * stride])
+            giants.append(rfft(rows[a * stride], size))
+        del step
+    for b in range(1, stride):
+        # the giants a with have <= aB + b <= ell
+        spans = range(max(first, -(-(have - b) // stride)), (ell - b) // stride + 1)
+        if spans:
+            baby = rfft(rows[b], size)
+            for a in spans:
+                out = rows[a * stride + b]
+                np.clip(irfft(giants[a - first] * baby, size)[: n + 1], 0.0, None, out=out)
+
+
 def _next_fast_len(target: int) -> int:
     """The smallest 2^a 3^b 5^c >= target: ``scipy.fft.next_fast_len``'s
     size for real transforms."""
@@ -709,13 +739,27 @@ def giant_deficit_law(scheme: SchemeSpec, n: int, method: str = "auto"):
     deficit bookkeeping.  The limit law is that of a sum of N-hat - 1
     independent component sizes; it is None when E[N] diverges.
     """
+    _deficit_cap(n)
+    _refuse_extended(scheme, "giant_deficit_law does not take")
+    cal = _calibrate(scheme, n)
+    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=_unit(n))
+    return _giant_deficit(scheme, n, cal, column, method)
+
+
+def _deficit_cap(n: int) -> None:
+    """The deficit DP's size guard, checked before any calibration."""
     if n > _DEFICIT_N_CAP:
         raise BudgetExceededError(f"deficit DP limited to n <= {_DEFICIT_N_CAP}")
-    _refuse_extended(scheme, "giant_deficit_law does not take")
+
+
+def _giant_deficit(
+    scheme: SchemeSpec, n: int, cal: _Calibration, column: np.ndarray, method: str = "auto"
+):
+    """``giant_deficit_law`` from the calibration of (scheme, n) and its
+    harvested column P(S_l = n), l = 0..cap, which an ``ExactSampler``
+    keeps; the caller has checked ``_deficit_cap``."""
     d_max = (n - 1) // 2
-    cal = _calibrate(scheme, n)
     px, pmf_n = cal.law_x.pmf, cal.pmf_n
-    column, _ = _harvest(px, n, cal.cap, method, start=_unit(n))
     denom = dot(pmf_n, column)
     weights_exact = pmf_n[1:] * np.arange(1, pmf_n.size)
     if denom <= 0:

@@ -458,9 +458,9 @@ def _dilute_eval(p: DiluteParams, x, cdf: bool):
         # t past 1e300 (alpha near 1) gives F = 1 and f = 0 in floats
         ts = [zi ** (1.0 / (1.0 - alpha)) if math.log(zi) < 690.0 * (1.0 - alpha) else 1e300 for zi in z[high].tolist()]
         with np.errstate(over="ignore"):  # A t = inf: P(1-q, A t) = 1, e^(-A t) = 0
-            if cdf:  # F = sum_i omega_i P(1-q, A_i t)
+            if cdf:  # F = sum_i omega_i P(1-q, A_i t), which round-off may put past 1
                 omega = _exp(log_w)
-                out[high] = [dot(row, omega) for row in igam(1.0 - q, np.multiply.outer(ts, a))]
+                out[high] = [min(dot(row, omega), 1.0) for row in igam(1.0 - q, np.multiply.outer(ts, a))]
             else:  # f = t^(1-q) / ((1-alpha) x Gamma(1-q)) sum_i omega_i A_i^(1-q) e^(-A_i t)
                 m = log_w + (1.0 - q) * log_a
                 sums = []

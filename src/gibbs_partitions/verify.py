@@ -419,9 +419,15 @@ def verify_convergent(
         raise PhaseMismatchError("convergent verifier needs a classified scheme")
     if not math.isfinite(scheme.v.weighted_moment(rep.w_value, 1)):
         raise PhaseMismatchError("convergent verifier needs a finite E[N] (the size-biased limit)")
-    exact_d, limit_d = exact.giant_deficit_law(scheme, n)
-    smp = None if skip_mc else sampling.ExactSampler(scheme, n)
-    law = exact.law_Nn(scheme, n) if smp is None else smp.count_law
+    if skip_mc:
+        exact_d, limit_d = exact.giant_deficit_law(scheme, n)
+        smp, law = None, exact.law_Nn(scheme, n)
+    else:
+        # the deficit law from the sampler's own calibration and column
+        exact._deficit_cap(n)
+        smp = sampling.ExactSampler(scheme, n)
+        exact_d, limit_d = exact._giant_deficit(scheme, n, smp._cal, smp._column)
+        law = smp.count_law
     nhat = exact.law_Nhat(scheme, law.pmf.size - 1)
     reports = [
         _verdict("convergent_counts", scheme, [n], "TV", [tv_distance(law, nhat)], tol),

@@ -2,6 +2,7 @@ import os
 import pathlib
 import platform
 
+import numpy as np
 import pytest
 
 import gibbs_partitions
@@ -68,3 +69,24 @@ def dilute():
 @pytest.fixture(scope="session")
 def single_component():
     return bundled_scheme("single-component")
+
+
+@pytest.fixture(scope="session")
+def fft_product_row():
+    """Row l > B of an FFT-regime sampler table written out from the two
+    rows it is the product of: the giant row aB = S_(a-1)B * S_B, and
+    S_(aB+b) = S_aB * S_b for 0 < b < B, each the clipped n + 1 head of one
+    inverse transform at the smallest 2^i 3^j 5^k >= 2n + 1."""
+    from numpy.fft import irfft, rfft
+
+    from gibbs_partitions.exact import _next_fast_len
+
+    def product(rows, ell, stride):
+        n = rows[0].size - 1
+        size = _next_fast_len(2 * n + 1)
+        a, b = divmod(ell, stride)
+        left, right = ((a - 1) * stride, stride) if b == 0 else (a * stride, b)
+        spec = rfft(rows[left], size) * rfft(rows[right], size)
+        return np.clip(irfft(spec, size)[: n + 1], 0.0, None)
+
+    return product

@@ -216,10 +216,12 @@ def _assert_close_normal(got, want, rel):
 
 
 @pytest.mark.parametrize("name, n, fft", [("dense-gauss", 300, False), ("convergent", 2100, True)])
-def test_table_sampler_and_law_nn_share_rows(name, n, fft):
+def test_table_sampler_and_law_nn_share_rows(name, n, fft, fft_product_row):
     """convolution_table and the sampler's lazy rows come from one row
-    source, so they agree byte for byte; law_Nn's harvested column agrees
-    with the table's column (direct) or with the direct law (FFT)."""
+    source, so they agree byte for byte, except the sampler's FFT rows past
+    its harvest's B, which are each the product of two earlier rows;
+    law_Nn's harvested column agrees with the table's column (direct) or
+    with the direct law (FFT)."""
     scheme = bundled_scheme(name)
     rho = default_rho(scheme, n)
     lx = law_X(scheme, rho, n)
@@ -228,7 +230,11 @@ def test_table_sampler_and_law_nn_share_rows(name, n, fft):
     assert ((n + 1) * kernel_size > _DIRECT_CONV_LIMIT) == fft
     table = convolution_table(lx, n, n)
     smp = ExactSampler(scheme, n)
+    babies = len(smp._rows)
     smp._ensure_rows(n)
+    if fft:
+        for ell in range(babies, n + 1):
+            table[ell] = fft_product_row(smp._rows, ell, babies - 1)
     assert np.array(smp._rows).tobytes() == table.tobytes()
     got = law_Nn(scheme, n, rho=rho).pmf
     assert smp.count_law.pmf.tobytes() == got.tobytes()
@@ -241,6 +247,18 @@ def test_table_sampler_and_law_nn_share_rows(name, n, fft):
         _assert_close_normal(column, table[:, n], 1e-13)
         num = cal.pmf_n * table[:, n]
         _assert_close_normal(got, num / fsum(num), 1e-13)
+
+
+@pytest.mark.parametrize("name, n, ell", [("convergent", 2100, 300), ("dense-stable", 3000, 1850)])
+def test_sampler_fft_rows_match_the_direct_table(name, n, ell):
+    # products of two rows stay as close to the direct sweep as rows
+    # stepped one by one: 1.11e-16 and 1.48e-16 here (stepped: 1.11e-16
+    # and 1.61e-16)
+    smp = ExactSampler(bundled_scheme(name), n)
+    assert exact._conv_method(smp.pmf_x, n, "auto") == "fft"
+    smp._ensure_rows(ell)
+    direct = convolution_table(DiscreteLaw(smp.pmf_x, 1.0), ell, n, method="direct")
+    assert np.max(np.abs(np.array(smp._rows) - direct)) <= 2e-16
 
 
 def _sequential_harvest(kernel, n, cap, weights=(), start=None):
@@ -581,6 +599,18 @@ def test_deficit_tilt_invariance(convergent):
 def test_deficit_limit_law_convergence(convergent):
     exact_d, limit_d = giant_deficit_law(convergent, 2000)
     assert tv_distance(exact_d, limit_d) < 0.1
+
+
+@pytest.mark.parametrize("n", [800, 2000])
+def test_deficit_from_the_sampler_is_the_deficit_law(convergent, n):
+    # the convergent verifier takes the deficit law from its sampler's
+    # calibration and harvested column: the bytes of giant_deficit_law's own
+    smp = ExactSampler(convergent, n)
+    got = exact._giant_deficit(convergent, n, smp._cal, smp._column)
+    want = giant_deficit_law(convergent, n)
+    for a, b in zip(got, want):
+        assert a.pmf.tobytes() == b.pmf.tobytes()
+        assert a.mass_accounted == b.mass_accounted
 
 
 def test_stopped_sum_asymptotic_ratio(dense_gauss):

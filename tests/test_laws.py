@@ -607,6 +607,17 @@ def test_kanter_grid_next_to_alpha_one_against_mpmath(alpha, b, lam, x):
     assert 1.0 - dilute_Z_cdf(p, x) == pytest.approx(tail, rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha, b", [(0.99, 1.2), (0.96, 1.9)])
+def test_dilute_cdf_stays_a_probability_above_lam_x_one(alpha, b):
+    # the u grid's total rounded to 1 + 2.2e-16 or 1 + 4.4e-16 at most of
+    # these points before it was clamped
+    p = DiluteParams(alpha, b, 1.0)
+    f = dilute_Z_cdf(p, np.linspace(1.0, 2.0, 201))
+    assert np.all((f >= 0.0) & (f <= 1.0))
+    assert np.all(np.diff(f) >= 0.0)
+    assert f[-1] == 1.0
+
+
 def test_inversion_keeps_quadpack_round_off_warnings_to_itself():
     # both oscillatory quad calls warn of round-off here; the err > 1e-6
     # guard judges convergence, and the value is kept as it was

@@ -4,6 +4,7 @@ consistency, reproducibility, acceptance-rate accounting, statistics."""
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -46,23 +47,36 @@ def test_exact_sampler_calibrates_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name, n, method", [("dense-gauss", 500, "direct"), ("dense-stable", 3000, "fft")])
-def test_table_starts_from_the_harvest_rows(name, n, method):
-    """Rows 0..B of the table are the count law's harvest rows, the rest are
-    stepped on from row B: all are ``_row_source``'s rows bit for bit, each
-    a zero-led view of the one table, and the count law is law_Nn's."""
+def test_table_starts_from_the_harvest_rows(name, n, method, fft_product_row):
+    """Rows 0..B of the table are the count law's harvest rows, which are
+    ``_row_source``'s rows bit for bit.  In the direct regime the rest are
+    stepped on from row B, so they are ``_row_source``'s rows too; in the
+    FFT regime each is the product of two earlier rows, however the calls
+    cut the rows.  Each row is a zero-led view of the one table, and the
+    count law is law_Nn's."""
     scheme = bundled_scheme(name)
     smp = ExactSampler(scheme, n)
     assert exact._conv_method(smp.pmf_x, n, "auto") == method
     babies = exact._giant_stride(smp.count_cdf.size - 1) + 1
     assert len(smp._rows) == babies
-    ell = babies + 20
+    # the FFT rows span the giant rows 2B and 3B and their products
+    ell = babies + 20 if method == "direct" else 3 * babies
     smp._ensure_rows(ell)
     source = _row_source(smp.pmf_x, n, "auto")
-    for row, want in zip(smp._rows, source):
+    for ell_, (row, want) in enumerate(zip(smp._rows, source)):
+        if method == "fft" and ell_ >= babies:
+            want = fft_product_row(smp._rows, ell_, babies - 1)
         assert row.tobytes() == want.tobytes()
         assert np.shares_memory(row, smp._table)
     assert len(smp._rows) == ell + 1
     assert not smp._table[: ell + 1, :_CHUNK].any()
+    if method == "fft":
+        # calls that cut the rows anywhere, also at and just past a giant
+        # row, write the bytes of the one call
+        cut = ExactSampler(scheme, n)
+        for top in (babies, 2 * babies - 3, 2 * babies - 2, 2 * babies + 5, ell - 1, ell):
+            cut._ensure_rows(top)
+        assert np.array(cut._rows).tobytes() == np.array(smp._rows).tobytes()
     # no array but the table holds rows
     held = [v for v in vars(smp).values() if isinstance(v, np.ndarray) and v.ndim == 2]
     assert len(held) == 1 and held[0] is smp._table
@@ -352,22 +366,71 @@ def test_roundoff_fallback_is_counted(dense_gauss):
     assert smp.roundoff_fallbacks == 2 * hits
 
 
-def test_fft_rows_own_their_memory(convergent):
-    # in the FFT regime each row of the source is an n + 1 view of a longer
-    # transform buffer; the sampler writes the row into its own table, so
-    # the buffer can go.  Rows 0..46 come from the count law's harvest
-    # (B = isqrt(2100) + 1 = 46), the rest from steps in the sampler
-    n, ell = 2100, 60
+def test_fft_rows_own_their_memory(convergent, fft_product_row, monkeypatch):
+    # in the FFT regime rows 0..B come from the count law's harvest
+    # (B = isqrt(2100) + 1 = 46), each an n + 1 view of a longer transform
+    # buffer copied into the table; every later row is the product of two
+    # table rows, written into its table row from the head of an inverse
+    # transform.  One inverse transform per row, no spectrum outlives the
+    # call that made it, and so no kept row shares memory with a transform
+    # buffer (a view would keep its buffer alive)
+    n, ell = 2100, 300
     smp = ExactSampler(convergent, n)
-    smp._ensure_rows(ell)
+    B = len(smp._rows) - 1
+    assert B == 46
+    made = []  # (name, weak reference) of every transform's output
+    for name in ("rfft", "irfft"):
+
+        def recorded(*args, _fn=getattr(exact, name), _name=name):
+            out = _fn(*args)
+            made.append((_name, weakref.ref(out)))
+            return out
+
+        monkeypatch.setattr(exact, name, recorded)
+    spectrum = 16 * (exact._next_fast_len(2 * n + 1) // 2 + 1)
+    tracemalloc.start(8)
+    try:
+        for top in (60, 61, 2 * B, 150, ell):
+            have = len(smp._rows)
+            first = (have - 1) // B
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            smp._ensure_rows(top)
+            _, peak = tracemalloc.get_traced_memory()
+            # no transform output is referenced, and nothing allocated under
+            # ``exact`` is alive: the rows' bookkeeping is the sampler's
+            assert [ref() for _, ref in made if ref() is not None] == []
+            kept = tracemalloc.take_snapshot().filter_traces(
+                [
+                    tracemalloc.Filter(True, exact.__file__, all_frames=True),
+                    tracemalloc.Filter(False, __file__, all_frames=True),  # ``made``
+                ]
+            )
+            assert sum(stat.size for stat in kept.statistics("filename")) == 0
+            names = [name for name, _ in made]
+            made.clear()
+            assert names.count("irfft") == top + 1 - have
+            # the giant rows spanned, S_B and the babies needed, each once
+            assert names.count("rfft") <= top // B - first + 1 + B
+            # at most the giant spectra the call spans, one baby's, their
+            # product and its inverse transform at once, never all B babies'
+            assert peak - before < spectrum * (top // B - first + 5)
+    finally:
+        tracemalloc.stop()
     source = _row_source(smp.pmf_x, n, "auto")
     for j, (row, kept) in enumerate(zip(source, smp._rows)):
         if j > 0:
             assert row.base is not None and row.base.size > n + 1
+        if j > B:
+            row = fft_product_row(smp._rows, j, B)
         assert not np.shares_memory(kept, row)
         assert np.shares_memory(kept, smp._table)
         assert kept.tobytes() == row.tobytes()
     assert len(smp._rows) == ell + 1
+    # the table is the one 2-d array the sampler holds, and it holds no spectrum
+    arrays = [v for v in vars(smp).values() if isinstance(v, np.ndarray)]
+    assert [v for v in arrays if v.ndim == 2] == [smp._table]
+    assert all(v.dtype.kind != "c" for v in arrays)
 
 
 @pytest.mark.parametrize(
