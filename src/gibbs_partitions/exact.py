@@ -65,8 +65,10 @@ __all__ = [
 # row as long as n) takes the same one.  The FFT branch computes each step's
 # kernel spectrum once and takes ``fftconvolve``'s transform size
 # (``_next_fast_len``) and its library, pocketfft (numpy's since 2.0), so a
-# row of ``_row_source`` has the bits of a per-row ``fftconvolve``; the
-# harvested laws agree with a row-by-row sweep to round-off, not to the bit.
+# stepped row has the bits of a per-row ``fftconvolve``.  ``_write_rows``
+# steps the rows up to the harvest's B and makes each later FFT row one
+# product of two earlier rows; the harvested laws agree with a row-by-row
+# sweep to round-off, not to the bit.
 _DIRECT_CONV_LIMIT = 4_000_000
 
 _DEFICIT_N_CAP = 4000
@@ -159,17 +161,34 @@ def _row_step(kernel: np.ndarray, n: int, method: str):
     return fft_step
 
 
-def _product_rows(rows: np.ndarray, have: int, ell: int, stride: int) -> None:
-    """Write rows[have..ell] of the FFT-regime rows P(S_l = .)[0..n], from
-    rows[0..have - 1] (have > ``stride``), as products of two rows on
-    ``_harvest``'s baby-step giant-step split with B = ``stride``: the
-    giant row S_aB = S_(a-1)B * S_B and S_(aB+b) = S_aB * S_b, 0 < b < B,
-    each the clipped n + 1 head of one inverse transform at
-    ``_next_fast_len(2n + 1)``.  So every row is a function of (kernel, n,
-    l) alone, however the calls cut 0..ell.  Each giant row the call spans
-    and each baby row it needs is transformed once, the babies one at a
-    time, and no spectrum outlives the call."""
+def _write_rows(rows: np.ndarray, have: int, ell: int, kernel: np.ndarray, cap: int, method: str) -> None:
+    """Write rows[have..ell] of the table P(S_l = .)[0..n] of sums of l
+    draws from ``kernel`` (n + 1 = rows.shape[1], l <= ``cap``) from
+    rows[0..have - 1]: the one writer of such rows.  Row 0 is the unit row.
+    With B = ``_giant_stride(cap)``, rows up to B, and every row on the
+    direct branch of ``_conv_method``, are stepped from the row before by
+    ``_row_step``.  On the FFT branch each row past B is a product of two
+    rows on ``_harvest``'s baby-step giant-step split: the giant row S_aB =
+    S_(a-1)B * S_B and S_(aB+b) = S_aB * S_b, 0 < b < B, each the clipped
+    n + 1 head of one inverse transform at ``_next_fast_len(2n + 1)``.  So
+    every row is a function of (kernel, n, cap, l) alone, however the calls
+    cut 0..ell.  Each giant row the call spans and each baby row it needs
+    is transformed once, the babies one at a time, and no spectrum outlives
+    the call."""
     n = rows.shape[1] - 1
+    method = _conv_method(kernel, n, method)
+    stride = _giant_stride(cap)
+    if have == 0:
+        rows[0] = _unit(n)
+        have = 1
+    stepped = ell if method == "direct" else min(ell, stride)
+    if have <= stepped:
+        advance = _row_step(kernel, n, method)
+        for l in range(have, stepped + 1):
+            rows[l] = advance(rows[l - 1])
+        have = stepped + 1
+    if have > ell:
+        return
     size = _next_fast_len(2 * n + 1)
     first, last = (have - 1) // stride, ell // stride  # giant rows first*B..last*B
     giants = [rfft(rows[first * stride], size)]
@@ -209,18 +228,6 @@ def _unit(n: int) -> np.ndarray:
     row = np.zeros(n + 1)
     row[0] = 1.0
     return row
-
-
-def _row_source(kernel: np.ndarray, n: int, method: str):
-    """Yield the rows P(S_l = .)[0..n], l = 0, 1, 2, ..., of sums of l draws
-    from ``kernel``.  Each row is stepped from the previous one by
-    ``_row_step`` only when asked for, so ``zip(range(cap + 1), rows)``
-    steps exactly ``cap`` times."""
-    step = _row_step(kernel, n, method)
-    row = _unit(n)
-    while True:
-        yield row
-        row = step(row)
 
 
 def _saddle_rho(scheme: SchemeSpec, n: int) -> float:
@@ -350,9 +357,8 @@ def convolution_table(
     for l = 0..ell_max, m = 0..n."""
     if (ell_max + 1) * (n + 1) > 400_000_000:
         raise BudgetExceededError("convolution table too large")
-    rows = np.zeros((ell_max + 1, n + 1))
-    for ell, row in zip(range(ell_max + 1), _row_source(law_x.pmf[: n + 1], n, method)):
-        rows[ell] = row
+    rows = np.empty((ell_max + 1, n + 1))
+    _write_rows(rows, 0, ell_max, law_x.pmf[: n + 1], ell_max, method)
     return rows
 
 
@@ -386,7 +392,7 @@ def _harvest(kernel: np.ndarray, n: int, cap: int, method: str, weights=(), star
     """Harvest the rows S_l = P(S_l = .)[0..n], l = 0..cap, of sums of l
     draws from ``kernel`` by baby-step giant-step (Paterson & Stockmeyer,
     SIAM J. Comput. 2(1), 1973).  With B = ``_giant_stride(cap)`` the baby
-    rows S_0..S_B come from ``_row_source``, one giant step convolves with
+    rows S_0..S_B come from ``_write_rows``, one giant step convolves with
     S_B, and S_{aB+b} = S_B^{*a} * S_b: about 2 sqrt(cap) steps instead of
     cap.  Both steps take the branch ``kernel`` gives (``_conv_method``).
     The baby rows go into the first B + 1 rows of ``rows`` when given (an
@@ -402,8 +408,7 @@ def _harvest(kernel: np.ndarray, n: int, cap: int, method: str, weights=(), star
     method = _conv_method(kernel, n, method)
     B = _giant_stride(cap)
     babies = np.empty((B + 1, n + 1)) if rows is None else rows[: B + 1]
-    for b, row in zip(range(B + 1), _row_source(kernel, n, method)):
-        babies[b] = row
+    _write_rows(babies, 0, B, kernel, cap, method)
     giant = _row_step(babies[B], n, method)
     column = None
     if start is not None:
@@ -457,11 +462,21 @@ def _calibrate(scheme: SchemeSpec, n: int, rho: float | None = None) -> _Calibra
     return _Calibration(rho, W, VW, lx, cap, _law_N(scheme, W, VW, cap).pmf)
 
 
-def _refuse_extended(scheme: SchemeSpec, what: str) -> None:
-    """``what`` reads V(W(z)) alone, and a prefactor H(z) changes the law."""
+def _require_plain(scheme: SchemeSpec, what: str) -> None:
+    """``what`` reads V(W(z)) alone: a prefactor H(z) changes the law, and
+    a product scheme's law is its factors'."""
     if scheme.h is not None:
         raise ValueError(
             f"{what} extended schemes (prefactor h); their exact count law is extended_law_Nn"
+        )
+    _refuse_product(scheme, what)
+
+
+def _refuse_product(scheme: SchemeSpec, what: str) -> None:
+    """A product scheme's law is its factors'; its V and W are placeholders."""
+    if scheme.product_factors is not None:
+        raise ValueError(
+            f"{what} product schemes (product_factors); their exact laws are product_law's"
         )
 
 
@@ -479,7 +494,7 @@ def stopped_sum_law(
     scheme: SchemeSpec, rho: float | None = None, n: int = 0, method: str = "auto"
 ) -> StoppedSumLaw:
     """Law of the randomly stopped sum plus u_m = V(W(rho)) rho^-m P(S_N=m)."""
-    _refuse_extended(scheme, "stopped_sum_law does not take")
+    _require_plain(scheme, "stopped_sum_law does not take")
     cal = _calibrate(scheme, n, rho)
     _, (acc,) = _harvest(cal.law_x.pmf, n, cal.cap, method, [cal.pmf_n])
     vw = cal.VW
@@ -511,6 +526,7 @@ def law_Nn(
     proportional to P(N = l) * sum_j h_j rho^j P(S_l = n - j): the same
     harvest, started from the row h_j rho^j instead of the unit row.
     """
+    _refuse_product(scheme, "law_Nn does not take")
     cal = _calibrate(scheme, n, rho)
     if scheme.h is None:
         start, name = _unit(n), "partition function"
@@ -684,7 +700,7 @@ def _prefix_laws(scheme: SchemeSpec, n: int, ms, method: str = "auto") -> list[P
             raise ValueError("prefix laws implemented for m in {1, 2}")
         if m == 2 and n > 3000:
             raise BudgetExceededError("m=2 joint table limited to n <= 3000")
-    _refuse_extended(scheme, "prefix_law does not take")
+    _require_plain(scheme, "prefix_law does not take")
     # G[x] = sum_{l >= m} P(N=l) P(S_{l-m} = x): weight row j by P(N = j+m).
     cal = _calibrate(scheme, n)
     column, greens = _harvest(cal.law_x.pmf, n, cal.cap, method, [cal.pmf_n[m:] for m in ms], _unit(n))
@@ -740,7 +756,7 @@ def giant_deficit_law(scheme: SchemeSpec, n: int, method: str = "auto"):
     independent component sizes; it is None when E[N] diverges.
     """
     _deficit_cap(n)
-    _refuse_extended(scheme, "giant_deficit_law does not take")
+    _require_plain(scheme, "giant_deficit_law does not take")
     cal = _calibrate(scheme, n)
     column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=_unit(n))
     return _giant_deficit(scheme, n, cal, column, method)

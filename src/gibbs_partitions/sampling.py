@@ -8,10 +8,10 @@ Two routes with identical laws (their agreement is itself a test):
   coordinates sequentially through the convolution table, so every draw is
   rejection free.
 
-The exact sampler's table rows P(S_l = .) past its count-law harvest's
-baby rows are stepped one by one in the direct regime and built as products
-of two earlier rows in the FFT regime (``ExactSampler``), so FFT-regime
-streams (n above about 2000) follow those rows' bits.
+The exact sampler's table rows P(S_l = .) come from ``exact._write_rows``,
+the writer of ``convolution_table`` and of the count-law harvest, so a
+sampler's rows 0..l are the bytes of ``convolution_table`` at the same
+cap; FFT-regime streams (n above about 2000) follow those rows' bits.
 
 Reproducibility contract: streams use the counter-based Philox generator
 keyed by (seed, stream) through SeedSequence; identical (scheme, n, seed,
@@ -51,14 +51,12 @@ from .exact import (
     BudgetExceededError,
     _calibrate,
     _conditioned,
-    _conv_method,
     _giant_stride,
     _harvest,
-    _product_rows,
     _product_tables,
-    _refuse_extended,
-    _row_step,
+    _require_plain,
     _unit,
+    _write_rows,
 )
 from .series import fsum
 from .weights import SchemeSpec
@@ -259,14 +257,12 @@ class ExactSampler:
     ``sample_many``: row l is ``_CHUNK`` zeros, then P(S_l = .)[0..n].
     ``__init__`` reserves (count law size) x (n + 129) x 8 bytes of address
     space.  Its count-law harvest writes rows 0..B (B = isqrt(cap) + 1, its
-    baby rows, ``_row_source``'s bytes); every later row is written when a
-    draw first needs it, then only read.  In the direct regime it is
-    stepped from the row before, so it is ``_row_source``'s row too.  In
-    the FFT regime it is one product of two rows the table holds, on the
-    harvest's split: the giant row aB = S_(a-1)B * S_B, then aB + b =
-    S_aB * S_b (``exact._product_rows``), about one inverse transform a row
-    where a step takes two transforms; no spectrum is kept between calls,
-    and each row's bytes depend on (scheme, n, l) alone.
+    baby rows); every later row is written when a draw first needs it,
+    then only read.  ``exact._write_rows`` writes them all: stepped from
+    the row before in the direct regime, in the FFT regime one product of
+    two rows the table holds past B (about one inverse transform a row).
+    No spectrum is kept between calls, and each row's bytes depend on
+    (scheme, n, l) alone.
     The reservation is large only when P(X = 0) > 0 lets the count law run to
     max(4n, 10^5) (``_ell_cap``): 850 MB at n = 3000 and P(X = 0) = 0.27,
     where draws write about 2500 of its 33958 rows.  The sampler is
@@ -286,7 +282,7 @@ class ExactSampler:
     """
 
     def __init__(self, scheme: SchemeSpec, n: int):
-        _refuse_extended(scheme, "the samplers do not draw from")
+        _require_plain(scheme, "the samplers do not draw from")
         if n > _EXACT_N_DEFAULT_CAP:
             raise BudgetExceededError(
                 f"exact sampler table budget ({_EXACT_N_DEFAULT_CAP}) exceeded at n={n}; "
@@ -319,29 +315,18 @@ class ExactSampler:
         self._peel = min(self._k0, _CHUNK - 1)
         self._rest = range(self._peel + 1, _CHUNK)
         self.roundoff_fallbacks = 0
-        # ``_row_source``'s step in the direct regime; None in the FFT regime
-        fft = _conv_method(self.pmf_x, n, "auto") == "fft"
-        self._step = None if fft else _row_step(self.pmf_x, n, "direct")
         self._rows = list(self._table[:babies, _CHUNK:])  # the rows' P(S_l = .) parts
         self._views = [memoryview(row) for row in self._table[:babies]]  # scalar reads, zero-led
 
     def _ensure_rows(self, ell: int) -> None:
-        """Write table rows len(_rows)..ell: each stepped from the row before
-        in the direct regime, products of two earlier rows in the FFT regime
-        (``_product_rows``)."""
-        rows = self._rows
-        have = len(rows)
+        """Write table rows len(_rows)..ell (``exact._write_rows``)."""
+        have = len(self._rows)
         if ell < have:
             return
         zero_led = self._table[have : ell + 1]
         zero_led[:, :_CHUNK] = 0.0
-        if self._step is None:
-            _product_rows(self._table[:, _CHUNK:], have, ell, _giant_stride(self._cal.cap))
-            rows.extend(zero_led[:, _CHUNK:])
-        else:
-            for row in zero_led[:, _CHUNK:]:
-                row[:] = self._step(rows[-1])
-                rows.append(row)
+        _write_rows(self._table[:, _CHUNK:], have, ell, self.pmf_x, self._cal.cap, "auto")
+        self._rows.extend(zero_led[:, _CHUNK:])
         self._views.extend(map(memoryview, zero_led))
 
     def draw_count(self, rng: np.random.Generator) -> int:
@@ -542,7 +527,7 @@ class RejectionSampler:
     batch: int = field(init=False)  # proposals drawn per batch
 
     def __post_init__(self) -> None:
-        _refuse_extended(self.scheme, "the samplers do not draw from")
+        _require_plain(self.scheme, "the samplers do not draw from")
         cal = _calibrate(self.scheme, self.n)
         self.rho = cal.rho
         self.cdf_x = np.cumsum(cal.law_x.pmf)

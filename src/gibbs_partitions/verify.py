@@ -159,10 +159,10 @@ def _verdict(
 
 def _plain(scheme: SchemeSpec, verifier: str) -> None:
     """Every verifier but ``extended`` reads the laws of V(W(z)) alone."""
-    if scheme.h is not None:
-        raise PhaseMismatchError(
-            f"{verifier} does not take extended schemes (prefactor h); the extended verifier does"
-        )
+    for kind, given in (("extended schemes (prefactor h)", scheme.h),
+                        ("product schemes (product_factors)", scheme.product_factors)):
+        if given is not None:
+            raise PhaseMismatchError(f"{verifier} does not take {kind}; the extended verifier does")
 
 
 def _require(report: PhaseReport, phases, verifier: str) -> None:
@@ -407,7 +407,6 @@ def verify_convergent(
     tol: float = 0.1,
     replicates: int = 4000,
     seed: int = 1,
-    skip_mc: bool = False,
 ):
     """Count convergence and giant-component deficit, exactly; plus a Monte
     Carlo chi-square spot check of (count, second-largest size) against the
@@ -419,19 +418,16 @@ def verify_convergent(
         raise PhaseMismatchError("convergent verifier needs a classified scheme")
     if not math.isfinite(scheme.v.weighted_moment(rep.w_value, 1)):
         raise PhaseMismatchError("convergent verifier needs a finite E[N] (the size-biased limit)")
-    if skip_mc:
-        exact_d, limit_d = exact.giant_deficit_law(scheme, n)
-        smp, law = None, exact.law_Nn(scheme, n)
-    else:
-        # the deficit law from the sampler's own calibration and column
-        exact._deficit_cap(n)
-        smp = sampling.ExactSampler(scheme, n)
-        exact_d, limit_d = exact._giant_deficit(scheme, n, smp._cal, smp._column)
-        law = smp.count_law
+    # the deficit law from the sampler's own calibration and column
+    exact._deficit_cap(n)
+    smp = sampling.ExactSampler(scheme, n)
+    exact_d, limit_d = exact._giant_deficit(scheme, n, smp._cal, smp._column)
+    law = smp.count_law
     nhat = exact.law_Nhat(scheme, law.pmf.size - 1)
     reports = [
         _verdict("convergent_counts", scheme, [n], "TV", [tv_distance(law, nhat)], tol),
         _verdict("convergent_deficit", scheme, [n], "TV", [tv_distance(exact_d, limit_d)], tol),
+        _convergent_mc(smp, replicates, seed, nhat),
     ]
     csvs = {
         n: (
@@ -441,8 +437,6 @@ def verify_convergent(
             ),
         )
     }
-    if smp is not None:
-        reports.append(_convergent_mc(smp, replicates, seed, nhat))
     return reports, csvs
 
 
@@ -924,9 +918,7 @@ def _prepare_experiment(spec_entry, declared: dict, default_seed: int):
         default = sig.parameters[key].default
         if key == "seed" or default is inspect.Parameter.empty:
             continue  # the seed and the sizes are checked above
-        if isinstance(default, bool):
-            ok, want = isinstance(value, bool), "true or false"
-        elif isinstance(default, int):
+        if isinstance(default, int):
             ok, want = _int_from(value, 1), "a positive integer"
         else:  # a float default
             ok = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -1023,7 +1015,7 @@ def _write_csv(header, rows, path=None) -> None:
     fmt = "{:.17g}".format
     try:
         fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(np.asarray(rows, dtype=float)).tolist():
+        for row in np.asarray(rows, dtype=float).tolist():
             fh.write(",".join(map(fmt, row)) + "\n")
     finally:
         if path:

@@ -90,3 +90,27 @@ def fft_product_row():
         return np.clip(irfft(spec, size)[: n + 1], 0.0, None)
 
     return product
+
+
+@pytest.fixture(scope="session")
+def stepped_rows():
+    """Rows 0..ell of P(S_l = .)[0..n] for the kernel, each stepped from
+    the row before: by ``series.convolve`` (direct) or by scipy's
+    ``fftconvolve`` clipped at 0 (FFT), the kernel cut after its last
+    nonzero entry.  The oracle of the table's stepped rows."""
+    from scipy.signal import fftconvolve
+
+    from gibbs_partitions.series import convolve
+
+    def stepped(kernel, n, ell, fft):
+        kernel = kernel[: np.flatnonzero(kernel)[-1] + 1]
+        rows = np.zeros((ell + 1, n + 1))
+        rows[0, 0] = 1.0
+        for l in range(1, ell + 1):
+            if fft:
+                rows[l] = np.clip(fftconvolve(rows[l - 1], kernel)[: n + 1], 0.0, None)
+            else:
+                rows[l] = convolve(rows[l - 1], kernel, n + 1)
+        return rows
+
+    return stepped

@@ -93,10 +93,20 @@ def test_exact_count_law_of_an_extended_scheme(capsys):
 
 @pytest.mark.parametrize("law", ["stopped_sum", "prefix1", "deficit"])
 def test_exact_plain_model_laws_refuse_an_extended_scheme(capsys, law):
+    for name, pointer in (("extended-heavy", "extended_law_Nn"), ("product-symmetric", "product_law")):
+        with pytest.raises(SystemExit) as err:
+            main(["exact", "--scheme", name, "--n", "200", "--law", law])
+        msg = str(err.value.code)
+        assert msg.startswith("error: ") and pointer in msg and "\n" not in msg
+        assert capsys.readouterr().out == ""
+
+
+def test_exact_count_law_refuses_a_product_scheme(capsys):
+    # its V(W) is a placeholder, whose count law is a point mass at 1
     with pytest.raises(SystemExit) as err:
-        main(["exact", "--scheme", "extended-heavy", "--n", "200", "--law", law])
+        main(["exact", "--scheme", "product-symmetric", "--n", "50", "--law", "Nn"])
     msg = str(err.value.code)
-    assert msg.startswith("error: ") and "extended_law_Nn" in msg and "\n" not in msg
+    assert msg.startswith("error: law_Nn does not take product schemes") and "\n" not in msg
     assert capsys.readouterr().out == ""
 
 
@@ -272,6 +282,20 @@ def test_sample_csv_bytes_match_per_replicate_draws(
     assert got.read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, header",
+    [
+        ("dense-gauss", "replicate,n_components,largest,second_largest"),
+        ("product-symmetric", "coordinate_0,coordinate_1"),
+    ],
+)
+def test_sample_without_replicates_writes_the_header_alone(capsys, name, header):
+    # no blank line after the header: an empty table has no rows
+    code, out = run_cli(["sample", "--scheme", name, "--n", "30", "--replicates", "0"], capsys)
+    assert code == 0
+    assert out == header + "\n"
+
+
 def test_verify_custom_config(tmp_path, capsys):
     cfg = {
         "seed": 3,
@@ -324,7 +348,7 @@ def test_verify_phase_mismatch_exit_2(tmp_path, capsys, entry):
     [
         {"verifier": "dense_llt", "scheme": "dense-gauss", "n": 40, "replicates": 5},
         {"verifier": "prefix_independence", "scheme": "dense-gauss", "n": 40,
-         "skip_mc": True},
+         "replicates": 5},
         {"verifier": "dilute", "scheme": "dilute", "n": 40, "window": 4.0},
         {"verifier": "extended", "scheme": "extended-light"},
         {"verifier": "dense_llt", "scheme": "dense-gauss", "n": 40, "n_ladder": [40]},

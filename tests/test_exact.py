@@ -216,12 +216,10 @@ def _assert_close_normal(got, want, rel):
 
 
 @pytest.mark.parametrize("name, n, fft", [("dense-gauss", 300, False), ("convergent", 2100, True)])
-def test_table_sampler_and_law_nn_share_rows(name, n, fft, fft_product_row):
+def test_table_sampler_and_law_nn_share_rows(name, n, fft):
     """convolution_table and the sampler's lazy rows come from one row
-    source, so they agree byte for byte, except the sampler's FFT rows past
-    its harvest's B, which are each the product of two earlier rows;
-    law_Nn's harvested column agrees with the table's column (direct) or
-    with the direct law (FFT)."""
+    writer, so they agree byte for byte; law_Nn's harvested column agrees
+    with the table's column (direct) or with the direct law (FFT)."""
     scheme = bundled_scheme(name)
     rho = default_rho(scheme, n)
     lx = law_X(scheme, rho, n)
@@ -230,11 +228,7 @@ def test_table_sampler_and_law_nn_share_rows(name, n, fft, fft_product_row):
     assert ((n + 1) * kernel_size > _DIRECT_CONV_LIMIT) == fft
     table = convolution_table(lx, n, n)
     smp = ExactSampler(scheme, n)
-    babies = len(smp._rows)
     smp._ensure_rows(n)
-    if fft:
-        for ell in range(babies, n + 1):
-            table[ell] = fft_product_row(smp._rows, ell, babies - 1)
     assert np.array(smp._rows).tobytes() == table.tobytes()
     got = law_Nn(scheme, n, rho=rho).pmf
     assert smp.count_law.pmf.tobytes() == got.tobytes()
@@ -247,6 +241,19 @@ def test_table_sampler_and_law_nn_share_rows(name, n, fft, fft_product_row):
         _assert_close_normal(column, table[:, n], 1e-13)
         num = cal.pmf_n * table[:, n]
         _assert_close_normal(got, num / fsum(num), 1e-13)
+
+
+@pytest.mark.parametrize("name, n, method", [("dense-gauss", 500, "direct"), ("dense-stable", 3000, "fft")])
+def test_convolution_table_is_the_sampler_table(name, n, method):
+    # rows 0..n (the count law's cap, w_0 = 0) have the same bytes built at
+    # once or drawn lazily in calls that cut them anywhere
+    smp = ExactSampler(bundled_scheme(name), n)
+    assert smp.count_cdf.size == n + 1
+    assert exact._conv_method(smp.pmf_x, n, "auto") == method
+    table = convolution_table(DiscreteLaw(smp.pmf_x, 1.0), n, n)
+    for top in (n // 3, n // 3 + 1, n):
+        smp._ensure_rows(top)
+    assert np.array(smp._rows).tobytes() == table.tobytes()
 
 
 @pytest.mark.parametrize("name, n, ell", [("convergent", 2100, 300), ("dense-stable", 3000, 1850)])
@@ -774,14 +781,28 @@ def test_extended_heavy_count_law_is_not_the_plain_one():
     ],
     ids=["prefix_law-m1", "prefix_law-m2", "giant_deficit_law", "stopped_sum_law"],
 )
-@pytest.mark.parametrize("name", ["extended-light", "extended-heavy", "extended-matched"])
+@pytest.mark.parametrize(
+    "name", ["extended-light", "extended-heavy", "extended-matched", "product-symmetric"]
+)
 def test_laws_of_the_plain_model_refuse_extended_schemes(call, name, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the prefactor is checked before any sweep")
 
     monkeypatch.setattr(exact, "_calibrate", no_sweep)
-    with pytest.raises(ValueError, match="extended_law_Nn"):
+    match = "product_law" if name == "product-symmetric" else "extended_law_Nn"
+    with pytest.raises(ValueError, match=match):
         call(bundled_scheme(name))
+
+
+def test_law_nn_refuses_a_product_scheme(monkeypatch):
+    # V and W of a product scheme are placeholders, whose count law is a
+    # point mass at 1
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the factors are checked before any sweep")
+
+    monkeypatch.setattr(exact, "_calibrate", no_sweep)
+    with pytest.raises(ValueError, match="law_Nn does not take product schemes"):
+        law_Nn(bundled_scheme("product-symmetric"), 50)
 
 
 @pytest.mark.parametrize("a", [1.6, 1.8])

@@ -18,7 +18,6 @@ from gibbs_partitions import (
     sampling,
     stopped_sum_law,
 )
-from gibbs_partitions.exact import _row_source
 from gibbs_partitions.sampling import (
     _CHUNK,
     ExactSampler,
@@ -47,36 +46,35 @@ def test_exact_sampler_calibrates_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name, n, method", [("dense-gauss", 500, "direct"), ("dense-stable", 3000, "fft")])
-def test_table_starts_from_the_harvest_rows(name, n, method, fft_product_row):
-    """Rows 0..B of the table are the count law's harvest rows, which are
-    ``_row_source``'s rows bit for bit.  In the direct regime the rest are
-    stepped on from row B, so they are ``_row_source``'s rows too; in the
-    FFT regime each is the product of two earlier rows, however the calls
-    cut the rows.  Each row is a zero-led view of the one table, and the
-    count law is law_Nn's."""
+def test_table_starts_from_the_harvest_rows(name, n, method, fft_product_row, stepped_rows):
+    """Rows 0..B of the table are the count law's harvest rows, each
+    stepped from the row before.  In the direct regime the rest are
+    stepped on from row B; in the FFT regime each is the product of two
+    earlier rows.  Either way calls that cut the rows anywhere write the
+    bytes of one call.  Each row is a zero-led view of the one table, and
+    the count law is law_Nn's."""
     scheme = bundled_scheme(name)
     smp = ExactSampler(scheme, n)
     assert exact._conv_method(smp.pmf_x, n, "auto") == method
     babies = exact._giant_stride(smp.count_cdf.size - 1) + 1
     assert len(smp._rows) == babies
-    # the FFT rows span the giant rows 2B and 3B and their products
-    ell = babies + 20 if method == "direct" else 3 * babies
+    # the rows span the giant rows 2B and 3B and, in the FFT regime, their products
+    ell = 3 * babies
     smp._ensure_rows(ell)
-    source = _row_source(smp.pmf_x, n, "auto")
-    for ell_, (row, want) in enumerate(zip(smp._rows, source)):
-        if method == "fft" and ell_ >= babies:
-            want = fft_product_row(smp._rows, ell_, babies - 1)
+    fft = method == "fft"
+    stepped = stepped_rows(smp.pmf_x, n, babies - 1 if fft else ell, fft)
+    for ell_, row in enumerate(smp._rows):
+        want = fft_product_row(smp._rows, ell_, babies - 1) if ell_ >= babies and fft else stepped[ell_]
         assert row.tobytes() == want.tobytes()
         assert np.shares_memory(row, smp._table)
     assert len(smp._rows) == ell + 1
     assert not smp._table[: ell + 1, :_CHUNK].any()
-    if method == "fft":
-        # calls that cut the rows anywhere, also at and just past a giant
-        # row, write the bytes of the one call
-        cut = ExactSampler(scheme, n)
-        for top in (babies, 2 * babies - 3, 2 * babies - 2, 2 * babies + 5, ell - 1, ell):
-            cut._ensure_rows(top)
-        assert np.array(cut._rows).tobytes() == np.array(smp._rows).tobytes()
+    # calls that cut the rows anywhere, also at and just past a giant
+    # row, write the bytes of the one call
+    cut = ExactSampler(scheme, n)
+    for top in (babies, 2 * babies - 3, 2 * babies - 2, 2 * babies + 5, ell - 1, ell):
+        cut._ensure_rows(top)
+    assert np.array(cut._rows).tobytes() == np.array(smp._rows).tobytes()
     # no array but the table holds rows
     held = [v for v in vars(smp).values() if isinstance(v, np.ndarray) and v.ndim == 2]
     assert len(held) == 1 and held[0] is smp._table
@@ -366,7 +364,7 @@ def test_roundoff_fallback_is_counted(dense_gauss):
     assert smp.roundoff_fallbacks == 2 * hits
 
 
-def test_fft_rows_own_their_memory(convergent, fft_product_row, monkeypatch):
+def test_fft_rows_own_their_memory(convergent, fft_product_row, stepped_rows, monkeypatch):
     # in the FFT regime rows 0..B come from the count law's harvest
     # (B = isqrt(2100) + 1 = 46), each an n + 1 view of a longer transform
     # buffer copied into the table; every later row is the product of two
@@ -417,13 +415,9 @@ def test_fft_rows_own_their_memory(convergent, fft_product_row, monkeypatch):
             assert peak - before < spectrum * (top // B - first + 5)
     finally:
         tracemalloc.stop()
-    source = _row_source(smp.pmf_x, n, "auto")
-    for j, (row, kept) in enumerate(zip(source, smp._rows)):
-        if j > 0:
-            assert row.base is not None and row.base.size > n + 1
-        if j > B:
-            row = fft_product_row(smp._rows, j, B)
-        assert not np.shares_memory(kept, row)
+    stepped = stepped_rows(smp.pmf_x, n, B, True)
+    for j, kept in enumerate(smp._rows):
+        row = fft_product_row(smp._rows, j, B) if j > B else stepped[j]
         assert np.shares_memory(kept, smp._table)
         assert kept.tobytes() == row.tobytes()
     assert len(smp._rows) == ell + 1
@@ -686,13 +680,17 @@ def test_rejection_cap_reports_rate(dense_gauss):
 
 
 @pytest.mark.parametrize("sampler", [ExactSampler, RejectionSampler])
-@pytest.mark.parametrize("name", ["extended-light", "extended-heavy", "extended-matched"])
+@pytest.mark.parametrize(
+    "name", ["extended-light", "extended-heavy", "extended-matched", "product-symmetric"]
+)
 def test_samplers_refuse_extended_schemes(sampler, name, monkeypatch):
+    # a product scheme's V and W are placeholders: ProductSampler draws it
     def no_table(*args, **kwargs):
         raise AssertionError("the prefactor is checked before any table is built")
 
     monkeypatch.setattr(sampling, "_calibrate", no_table)
-    with pytest.raises(ValueError, match="extended_law_Nn"):
+    match = "product_law" if name == "product-symmetric" else "extended_law_Nn"
+    with pytest.raises(ValueError, match=match):
         sampler(bundled_scheme(name), 200)
 
 

@@ -53,7 +53,7 @@ def test_prefix_negative_control(single_component):
 def test_convergent_negative_control():
     # a dense scheme with finite E[N]: the count law does not converge to
     # the size-biased limit, so the verifier must fail
-    reports, _ = verify_convergent(bundled_scheme("dense-b3"), 400, skip_mc=True)
+    reports, _ = verify_convergent(bundled_scheme("dense-b3"), 400, replicates=20)
     by_name = {r.experiment: r for r in reports}
     assert not by_name["convergent_counts"].passed
 
@@ -138,7 +138,7 @@ def test_run_suite_unknown_verifier(tmp_path):
         # keys another verifier takes
         {"verifier": "dense_llt", "scheme": "dense-gauss", "n": 40, "replicates": 5},
         {"verifier": "prefix_independence", "scheme": "dense-gauss", "n": 40,
-         "skip_mc": True},
+         "replicates": 5},
         {"verifier": "dilute", "scheme": "dilute", "n": 40, "window": 4.0},
         # no size
         {"verifier": "dense_llt", "scheme": "dense-gauss"},
@@ -165,7 +165,6 @@ def test_run_suite_rejects_keys_the_verifier_does_not_take(tmp_path, entry):
         ("replicates", 0),
         ("replicates", "5"),
         ("replicates", 2.0),
-        ("skip_mc", 1),
     ],
 )
 def test_run_suite_checks_config_values_before_running(tmp_path, key, value):
@@ -229,7 +228,7 @@ def test_runtimes_one_entry_per_experiment_in_config_order(tmp_path):
              "n_ladder": [40]},
             {"verifier": "extended", "scheme": "extended-light", "n": 100},
             {"id": "a", "verifier": "convergent", "scheme": "convergent", "n": 100,
-             "skip_mc": True},
+             "replicates": 20},
         ]
     }
     run_suite(cfg, tmp_path / "out")
@@ -508,14 +507,16 @@ def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
     ids=lambda v: getattr(v, "__name__", ""),
 )
 def test_verifiers_of_the_plain_model_refuse_extended_schemes(verifier, kwargs, monkeypatch):
-    """Only the extended verifier reads the prefactor; the others refuse an
-    extended scheme before any law is computed."""
+    """Only the extended verifier reads the prefactor or the product
+    factors; the others refuse an extended or a product scheme before any
+    law is computed."""
     def no_law(*args, **kwargs):
         raise AssertionError("the prefactor is checked before any law")
 
     monkeypatch.setattr(verify, "classify", no_law)
-    with pytest.raises(PhaseMismatchError, match="prefactor h"):
-        verifier(bundled_scheme("extended-heavy"), **kwargs)
+    for name, match in (("extended-heavy", "prefactor h"), ("product-symmetric", "product_factors")):
+        with pytest.raises(PhaseMismatchError, match=match):
+            verifier(bundled_scheme(name), **kwargs)
 
 
 def test_u_tail_class_of_dense_mixture_and_dilute_bases():
