@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -59,6 +60,8 @@ def _get_scheme(name: str, config_path) -> SchemeSpec:
 
 def _cmd_classify(args) -> int:
     scheme = _get_scheme(args.scheme, args.config)
+    if scheme.product_factors is not None:
+        sys.exit("error: classify does not take product schemes (product_factors); their V and W are placeholders")
     report = classify(scheme)
     print(json.dumps(report.to_json(), indent=2))
     return 0
@@ -276,7 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output early (``| head``): point it at
+        # devnull, so that the flush at exit cannot fail again, and exit 1
+        # (the recipe of Python's ``signal`` documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -260,7 +260,8 @@ class ExactSampler:
     baby rows); every later row is written when a draw first needs it,
     then only read.  ``exact._write_rows`` writes them all: stepped from
     the row before in the direct regime, in the FFT regime one product of
-    two rows the table holds past B (about one inverse transform a row).
+    two rows the table holds past B (one inverse-transformed row a row,
+    ``exact._ROW_BLOCK`` of them to a transform call).
     No spectrum is kept between calls, and each row's bytes depend on
     (scheme, n, l) alone.
     The reservation is large only when P(X = 0) > 0 lets the count law run to

@@ -110,6 +110,48 @@ def test_exact_count_law_refuses_a_product_scheme(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("law", ["N", "Nhat"])
+def test_exact_count_laws_refuse_a_product_scheme(capsys, law):
+    # its V(W) is a placeholder, whose count law is a point mass at 1
+    with pytest.raises(SystemExit) as err:
+        main(["exact", "--scheme", "product-symmetric", "--n", "50", "--law", law])
+    msg = str(err.value.code)
+    assert msg.startswith(f"error: law_{law} does not take product schemes") and "\n" not in msg
+    assert capsys.readouterr().out == ""
+
+
+def test_classify_refuses_a_product_scheme(capsys):
+    # the phase of its placeholder V(W) is no phase of the product
+    with pytest.raises(SystemExit) as err:
+        main(["classify", "--scheme", "product-symmetric"])
+    msg = str(err.value.code)
+    assert msg.startswith("error: classify does not take product schemes") and "\n" not in msg
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--scheme", "dense-gauss"],
+        ["exact", "--scheme", "dense-gauss", "--law", "Nn", "--n", "3000"],
+        ["laws", "--law", "gumbel_cdf", "--grid", "-2", "2", "50"],
+        ["sample", "--scheme", "dense-gauss", "--n", "30", "--replicates", "3"],
+    ],
+    ids=["classify", "exact", "laws", "sample"],
+)
+def test_closed_standard_output_is_no_traceback(args):
+    # the reader closes the pipe before the command writes a byte, as
+    # ``| head`` does once it has its lines: exit 1, and nothing on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gibbs_partitions.cli"] + args,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and err == ""
+
+
 def test_exact_rho_must_be_finite_and_positive(capsys):
     for rho in ("0", "-1", "nan"):
         with pytest.raises(SystemExit) as err:

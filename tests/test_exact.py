@@ -805,6 +805,16 @@ def test_law_nn_refuses_a_product_scheme(monkeypatch):
         law_Nn(bundled_scheme("product-symmetric"), 50)
 
 
+def test_count_laws_refuse_a_product_scheme():
+    # V and W of a product scheme are placeholders, whose count law is a
+    # point mass at 1
+    scheme = bundled_scheme("product-symmetric")
+    with pytest.raises(ValueError, match="law_N does not take product schemes"):
+        law_N(scheme, 0.5, 50)
+    with pytest.raises(ValueError, match="law_Nhat does not take product schemes"):
+        law_Nhat(scheme, 50)
+
+
 @pytest.mark.parametrize("a", [1.6, 1.8])
 def test_dilute_law_nn_just_below_the_radius(a):
     # W(1) lands 546 and 1081 ulps below zeta(a), farther than _RADIUS_RTOL

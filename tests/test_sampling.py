@@ -3,6 +3,8 @@ consistency, reproducibility, acceptance-rate accounting, statistics."""
 
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -45,21 +47,31 @@ def test_exact_sampler_calibrates_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name, n, method", [("dense-gauss", 500, "direct"), ("dense-stable", 3000, "fft")])
+@pytest.mark.parametrize(
+    "name, n, method",
+    [
+        ("dense-gauss", 500, "direct"),
+        ("dense-stable", 3000, "fft"),
+        ("dilute", 4000, "fft"),
+        ("convergent", 2100, "fft"),
+    ],
+)
 def test_table_starts_from_the_harvest_rows(name, n, method, fft_product_row, stepped_rows):
     """Rows 0..B of the table are the count law's harvest rows, each
     stepped from the row before.  In the direct regime the rest are
     stepped on from row B; in the FFT regime each is the product of two
-    earlier rows.  Either way calls that cut the rows anywhere write the
-    bytes of one call.  Each row is a zero-led view of the one table, and
-    the count law is law_Nn's."""
+    earlier rows, inverse-transformed ``_ROW_BLOCK`` giants of one baby at
+    a time.  Either way calls that cut the rows anywhere, inside a block
+    too, write the bytes of one call.  Each row is a zero-led view of the
+    one table, and the count law is law_Nn's."""
     scheme = bundled_scheme(name)
     smp = ExactSampler(scheme, n)
     assert exact._conv_method(smp.pmf_x, n, "auto") == method
     babies = exact._giant_stride(smp.count_cdf.size - 1) + 1
     assert len(smp._rows) == babies
-    # the rows span the giant rows 2B and 3B and, in the FFT regime, their products
-    ell = 3 * babies
+    # the rows span more than one block of giant rows and, in the FFT
+    # regime, their products
+    ell = (exact._ROW_BLOCK + 3) * babies
     smp._ensure_rows(ell)
     fft = method == "fft"
     stepped = stepped_rows(smp.pmf_x, n, babies - 1 if fft else ell, fft)
@@ -69,16 +81,50 @@ def test_table_starts_from_the_harvest_rows(name, n, method, fft_product_row, st
         assert np.shares_memory(row, smp._table)
     assert len(smp._rows) == ell + 1
     assert not smp._table[: ell + 1, :_CHUNK].any()
-    # calls that cut the rows anywhere, also at and just past a giant
-    # row, write the bytes of the one call
+    # calls that cut the rows anywhere, also at and just past a giant row
+    # and inside a block of giants, write the bytes of the one call
     cut = ExactSampler(scheme, n)
-    for top in (babies, 2 * babies - 3, 2 * babies - 2, 2 * babies + 5, ell - 1, ell):
+    B = babies - 1
+    for top in (B + 1, B + 3, 2 * B - 1, 2 * B, 2 * B + 5, 2 * B + 7, (exact._ROW_BLOCK + 1) * B + 2, ell - 1, ell):
         cut._ensure_rows(top)
     assert np.array(cut._rows).tobytes() == np.array(smp._rows).tobytes()
     # no array but the table holds rows
     held = [v for v in vars(smp).values() if isinstance(v, np.ndarray) and v.ndim == 2]
     assert len(held) == 1 and held[0] is smp._table
     assert smp.count_law.pmf.tobytes() == exact.law_Nn(scheme, n).pmf.tobytes()
+
+
+_BLOCKED_ROWS_CHECK = """
+import numpy as np
+from numpy.fft import irfft, rfft
+from gibbs_partitions import bundled_scheme, exact
+from gibbs_partitions.sampling import ExactSampler
+n = 2100
+smp = ExactSampler(bundled_scheme("convergent"), n)
+B = len(smp._rows) - 1
+for top in (B + 3, 2 * B + 5, (exact._ROW_BLOCK + 3) * B + 7):
+    smp._ensure_rows(top)
+size = exact._next_fast_len(2 * n + 1)
+same = []
+for j in range(B + 1, len(smp._rows)):
+    a, b = divmod(j, B)
+    left, right = ((a - 1) * B, B) if b == 0 else (a * B, b)
+    spec = rfft(smp._rows[left], size) * rfft(smp._rows[right], size)
+    same.append(smp._rows[j].tobytes() == np.clip(irfft(spec, size)[: n + 1], 0.0, None).tobytes())
+print(len(same), all(same))
+"""
+
+
+def test_blocked_rows_do_not_follow_simd_level(baseline_cpu_env):
+    """With numpy's SIMD dispatch off, the blocked rows are still the
+    per-row products computed in the same interpreter: blocking moves no
+    bit on either path of the complex product and the transform."""
+    child = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_ROWS_CHECK],
+        env=baseline_cpu_env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    B = 46
+    assert child.stdout.split() == [str((exact._ROW_BLOCK + 2) * B + 7), "True"]
 
 
 def test_sizes_always_sum_to_n(dense_gauss):
@@ -369,19 +415,20 @@ def test_fft_rows_own_their_memory(convergent, fft_product_row, stepped_rows, mo
     # (B = isqrt(2100) + 1 = 46), each an n + 1 view of a longer transform
     # buffer copied into the table; every later row is the product of two
     # table rows, written into its table row from the head of an inverse
-    # transform.  One inverse transform per row, no spectrum outlives the
-    # call that made it, and so no kept row shares memory with a transform
-    # buffer (a view would keep its buffer alive)
+    # transform, up to ``_ROW_BLOCK`` rows of one baby to a 2-d transform.
+    # One inverse-transformed row per row, no spectrum or transform buffer
+    # outlives the call that made it, and so no kept row shares memory with
+    # one (a view would keep its buffer alive)
     n, ell = 2100, 300
     smp = ExactSampler(convergent, n)
     B = len(smp._rows) - 1
     assert B == 46
-    made = []  # (name, weak reference) of every transform's output
+    made = []  # (name, rows, weak reference) of every transform's output
     for name in ("rfft", "irfft"):
 
-        def recorded(*args, _fn=getattr(exact, name), _name=name):
-            out = _fn(*args)
-            made.append((_name, weakref.ref(out)))
+        def recorded(*args, _fn=getattr(exact, name), _name=name, **kwargs):
+            out = _fn(*args, **kwargs)
+            made.append((_name, out.shape[0] if out.ndim == 2 else 1, weakref.ref(out)))
             return out
 
         monkeypatch.setattr(exact, name, recorded)
@@ -391,13 +438,14 @@ def test_fft_rows_own_their_memory(convergent, fft_product_row, stepped_rows, mo
         for top in (60, 61, 2 * B, 150, ell):
             have = len(smp._rows)
             first = (have - 1) // B
+            giants = top // B - first + 1
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             smp._ensure_rows(top)
             _, peak = tracemalloc.get_traced_memory()
             # no transform output is referenced, and nothing allocated under
             # ``exact`` is alive: the rows' bookkeeping is the sampler's
-            assert [ref() for _, ref in made if ref() is not None] == []
+            assert [ref() for *_, ref in made if ref() is not None] == []
             kept = tracemalloc.take_snapshot().filter_traces(
                 [
                     tracemalloc.Filter(True, exact.__file__, all_frames=True),
@@ -405,14 +453,25 @@ def test_fft_rows_own_their_memory(convergent, fft_product_row, stepped_rows, mo
                 ]
             )
             assert sum(stat.size for stat in kept.statistics("filename")) == 0
-            names = [name for name, _ in made]
+            inverse = sum(rows for name, rows, _ in made if name == "irfft")
+            forward = sum(name == "rfft" for name, *_ in made)
             made.clear()
-            assert names.count("irfft") == top + 1 - have
+            assert inverse == top + 1 - have
             # the giant rows spanned, S_B and the babies needed, each once
-            assert names.count("rfft") <= top // B - first + 1 + B
-            # at most the giant spectra the call spans, one baby's, their
-            # product and its inverse transform at once, never all B babies'
-            assert peak - before < spectrum * (top // B - first + 5)
+            assert forward <= giants + B
+            # at most, in spectra: the giant spectra the call spans; a
+            # block of k = min(_ROW_BLOCK, giants) rows' products and
+            # inverse transforms (an output row of the transform size's
+            # doubles weighs a spectrum); numpy's iterator buffers for the
+            # broadcast product or the strided clip into the table, at most
+            # a spectrum a block row (3 at k >= 4, 2 at k = 2); and one
+            # baby's spectrum, with one spectrum to spare: giants + 3k + 2.
+            # The giant chain, before the block exists, holds giants + 3
+            # (S_B's spectrum, a product and its inverse transform).  Never
+            # all B babies' spectra: the bound stays below B spectra here
+            block = min(exact._ROW_BLOCK, giants)
+            assert giants + 3 * block + 2 < B
+            assert peak - before < spectrum * (giants + 3 * block + 2)
     finally:
         tracemalloc.stop()
     stepped = stepped_rows(smp.pmf_x, n, B, True)
