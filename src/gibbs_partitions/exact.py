@@ -22,6 +22,7 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -224,7 +225,8 @@ def _write_rows(rows: np.ndarray, have: int, ell: int, kernel: np.ndarray, cap: 
         baby = rfft(rows[b], size)
         for s in range(lo, hi, block):
             k = min(block, hi - s)
-            np.multiply(giants[s - first : s - first + k], baby, out=prod[:k])
+            for i in range(k):  # a row at a time: a broadcast product is buffered
+                np.multiply(giants[s - first + i], baby, out=prod[i])
             irfft(prod[:k], size, out=out[:k])
             np.clip(out[:k, : n + 1], 0.0, None, out=rows[s * stride + b :: stride][:k])
 
@@ -420,17 +422,25 @@ def _harvest(kernel: np.ndarray, n: int, cap: int, method: str, weights=(), star
     cap.  Both steps take the branch ``kernel`` gives (``_conv_method``).
     The baby rows go into the first B + 1 rows of ``rows`` when given (an
     array of rows of length n + 1, which the caller keeps), else into a new
-    array.
+    array after one spare leading row.
 
     Returns (column, sums).  With a ``start`` row, column[aB + b] =
     (start * S_{aB+b})[n] = dot(G_a, S_b reversed), G_a = start * S_B^{*a};
     without one, column is None.  For each vector w in ``weights``, the sum
     of w[l] S_l over l <= cap, l < w.size, by Horner in the giant step:
-    acc = giant(acc) + sum_b w[aB+b] S_b, b increasing, w == 0 skipped.
+    acc = 1 acc + sum_b w[aB+b] S_b, b increasing, one einsum over the
+    stack (acc, S_0, S_1, ...) after acc = giant(acc).  einsum's loop adds
+    each product in that order, so a zero weight adds +0.0.  Precondition:
+    no caller passes both ``rows`` and ``weights``; only the stack of a
+    harvest's own has the spare leading row acc goes into.
     """
     method = _conv_method(kernel, n, method)
     B = _giant_stride(cap)
-    babies = np.empty((B + 1, n + 1)) if rows is None else rows[: B + 1]
+    if rows is None:
+        stack = np.empty((B + 2, n + 1))  # row 0: the Horner accumulator
+        babies = stack[1:]
+    else:
+        babies = rows[: B + 1]
     _write_rows(babies, 0, B, kernel, cap, method)
     giant = _row_step(babies[B], n, method)
     column = None
@@ -443,6 +453,7 @@ def _harvest(kernel: np.ndarray, n: int, cap: int, method: str, weights=(), star
             hi = min(lo + B, cap + 1)
             column[lo:hi] = np.einsum("ij,j->i", babies[: hi - lo], np.ascontiguousarray(g[::-1]))
     sums = []
+    coef = np.ones(B + 1)  # coef[0] = 1 scales acc
     for w in weights:
         w = w[: cap + 1]
         nz = np.flatnonzero(w)
@@ -451,9 +462,10 @@ def _harvest(kernel: np.ndarray, n: int, cap: int, method: str, weights=(), star
         for a in range(top, -1, -1):
             if a < top:
                 acc = giant(acc)
-            for b, wl in enumerate(w[a * B : a * B + B]):
-                if wl != 0.0:
-                    acc += wl * babies[b]
+            k = min(B, w.size - a * B)
+            coef[1 : k + 1] = w[a * B : a * B + k]
+            stack[0] = acc
+            acc = np.einsum("b,bm->m", coef[: k + 1], stack[: k + 1])
         sums.append(acc)
     return column, sums
 
@@ -734,7 +746,13 @@ def _prefix_laws(scheme: SchemeSpec, n: int, ms, method: str = "auto") -> list[P
 
 
 def _prefix(law_x: DiscreteLaw, green: np.ndarray, denom: float, n: int, m: int) -> PrefixLaw:
-    """The prefix law of m components from G (``green``) and P(S_N = n)."""
+    """The prefix law of m components from G (``green``) and P(S_N = n).
+
+    At m = 2 the joint equals its transpose by value (a row with
+    P(X = k1) = 0 is +0.0 where its mirror may be -0.0), so its mass and
+    its TV to the product law are each fsum of the diagonal and twice the
+    strict upper half, about half the entries of the full sums and the
+    same floats."""
     px = law_x.pmf
     d = law_x.deficit
     if m == 1:
@@ -758,11 +776,30 @@ def _prefix(law_x: DiscreteLaw, green: np.ndarray, denom: float, n: int, m: int)
             out *= hankel[blk]
             out /= denom
             out[px[blk] == 0.0] = 0.0  # +0.0 even where G has round-off below 0
-        mass = fsum(joint[k, : n - k + 1] for k in range(n + 1))  # the rest is +0.0
+        # each sum: the diagonal plus twice the strict upper half, exactly
+        half = n // 2
+        upper = (2.0 * joint[k, k + 1 : n - k + 1] for k in range(half + 1))  # the rest is +0.0
+        mass = fsum(itertools.chain([joint.diagonal()[: half + 1]], upper))
         # the product law misses 1 - (1 - d)^2 = d (2 - d) of its mass
-        gaps = (np.abs(joint[blk] - np.outer(px[blk], px)) for blk in blocks)
-        tv = 0.5 * (fsum(gaps) + d * (2.0 - d))
+        diag = np.abs(joint.diagonal() - px * px)
+        tv = 0.5 * (fsum(itertools.chain([diag], _upper_gaps(joint, px, blocks))) + d * (2.0 - d))
     return PrefixLaw(joint, mass, tv, px)
+
+
+def _upper_gaps(joint: np.ndarray, px: np.ndarray, blocks):
+    """Twice |joint - px x px| on k1 < k2, one block of rows at a time:
+    the block's rows from its first row's column on, computed in place in
+    one new array, with the block's own square below and on the diagonal
+    set to +0.0."""
+    lower = np.tri(px[blocks[0]].size, dtype=bool)
+    for blk in blocks:
+        gap = np.multiply(px[blk, None], px[blk.start :])
+        np.subtract(joint[blk, blk.start :], gap, out=gap)
+        np.abs(gap, out=gap)
+        gap *= 2.0
+        k = gap.shape[0]
+        gap[:, :k][lower[:k, :k]] = 0.0
+        yield gap
 
 
 # ---------------------------------------------------------------------------

@@ -183,9 +183,12 @@ class WeightSequence:
         This is the backbone for probability vectors: for closed forms with
         x near rho the product ``n**(-e) * (x/rho)**n`` is formed without
         intermediate overflow.  Every log and exp goes through the C
-        library (``math``), term by term: numpy's vectorized exp and log
-        round differently on different SIMD levels, and these terms feed
-        every exact law.
+        library (``math``, mapped over the entries): numpy's vectorized exp
+        and log round differently on different SIMD levels, and these terms
+        feed every exact law.  Only the products and sums of the exponent
+        ``log L(k) - e log k + k log(x / rho)`` are numpy's, one correctly
+        rounded operation each in that order, so each term has the bits of
+        the same expression in Python floats.
         """
         if x < 0:
             raise ValueError("evaluation point must be nonnegative")
@@ -207,12 +210,17 @@ class WeightSequence:
         logc, lam, e = math.log(self.L.c), self.L.log_exp, self.e
         logx = math.log(x)
         step = logx - math.log(self.rho)
-
-        def term(k: int) -> float:
-            log_l = logc + lam * math.log(math.log(2.0 + k)) if lam else logc
-            return math.exp(log_l - e * math.log(k) + k * step)
-
-        vals = np.fromiter(map(term, range(1, n_max + 1)), dtype=float, count=n_max)
+        # libm's log of k and of log(2 + k) from the ints, its exp from a
+        # memoryview: Python floats one at a time, no list of them
+        log_k = np.fromiter(map(math.log, range(1, n_max + 1)), dtype=float, count=n_max)
+        if lam:
+            loglog = map(math.log, map(math.log, range(3, n_max + 3)))
+            log_l = logc + lam * np.fromiter(loglog, dtype=float, count=n_max)
+        else:
+            log_l = logc
+        args = log_l - e * log_k
+        args += np.arange(1.0, n_max + 1.0) * step
+        vals = np.fromiter(map(math.exp, memoryview(args)), dtype=float, count=n_max)
         if self.start_index > 1:
             vals[: min(self.start_index - 1, n_max)] = 0.0
         for k, val in self.overrides:

@@ -2,6 +2,9 @@
 brute-force enumeration oracle, prefix laws, deficits, product structures."""
 
 import math
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -365,6 +368,72 @@ def test_harvest_property(n, cap, seed, with_start):
     _check_harvest(kernel, n, cap, weights, start, "direct")
 
 
+def _stepwise_horner(kernel, n, cap, weights):
+    """``_harvest``'s weighted sums by Horner one baby row at a time,
+    acc += w[aB + b] S_b with zero weights skipped, on the same baby rows
+    and giant step."""
+    method = exact._conv_method(kernel, n, "auto")
+    B = exact._giant_stride(cap)
+    babies = np.empty((B + 1, n + 1))
+    exact._write_rows(babies, 0, B, kernel, cap, method)
+    giant = _row_step(babies[B], n, method)
+    sums = []
+    for w in weights:
+        w = w[: cap + 1]
+        nz = np.flatnonzero(w)
+        top = nz[-1] // B if nz.size else -1
+        acc = np.zeros(n + 1)
+        for a in range(top, -1, -1):
+            if a < top:
+                acc = giant(acc)
+            for b, wl in enumerate(w[a * B : a * B + B]):
+                if wl != 0.0:
+                    acc += wl * babies[b]
+        sums.append(acc)
+    return sums
+
+
+def _horner_mismatches(name, n):
+    """Weighted sums of ``_harvest`` whose bytes differ from the stepwise
+    Horner's, for two vectors at once: P(N = l) itself, and a copy with
+    zeros inside blocks that stops in a partial last block."""
+    cal = _calibrate(bundled_scheme(name), n)
+    B = exact._giant_stride(cal.cap)
+    holes = cal.pmf_n[: 5 * B + 17].copy()
+    holes[B + 3 : B + 9] = 0.0
+    holes[::7] = 0.0
+    weights = [cal.pmf_n, holes]
+    _, got = _harvest(cal.law_x.pmf, n, cal.cap, "auto", weights)
+    want = _stepwise_horner(cal.law_x.pmf, n, cal.cap, weights)
+    return [i for i, (g, w) in enumerate(zip(got, want)) if g.tobytes() != w.tobytes()]
+
+
+@pytest.mark.parametrize("name, n, method", [("dense-gauss", 1600, "direct"), ("dilute", 3000, "fft")])
+def test_harvest_horner_matches_stepwise_bytes(name, n, method):
+    """One einsum a giant step adds acc and the weighted baby rows in the
+    stepwise order: the bytes of adding them one at a time."""
+    cal = _calibrate(bundled_scheme(name), n)
+    assert exact._conv_method(cal.law_x.pmf, n, "auto") == method
+    assert (cal.cap + 1) % exact._giant_stride(cal.cap)  # a partial last block
+    assert _horner_mismatches(name, n) == []
+
+
+_HORNER_CHECK = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_exact import _horner_mismatches
+print(_horner_mismatches("dense-gauss", 1600))
+"""
+
+
+def test_harvest_horner_bytes_do_not_follow_simd_level(baseline_cpu_env):
+    child = subprocess.run(
+        [sys.executable, "-c", _HORNER_CHECK, str(pathlib.Path(__file__).parent)],
+        env=baseline_cpu_env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert child.stdout.strip() == "[]"
+
+
 def test_stopped_sum_identity_outer(dense_gauss):
     scheme = SchemeSpec(v=WeightSequence.explicit([0.0, 1.0]), w=dense_gauss.w)
     ssl = stopped_sum_law(scheme, 1.0, 50)
@@ -510,11 +579,13 @@ def _prefix_m2_oracle(scheme, n, harvest=_harvest):
     return joint, mass, tv
 
 
-@pytest.mark.parametrize("n", [1, 60, 400, 1600])
+@pytest.mark.parametrize("n", [1, 60, 61, 400, 401, 1599, 1600])
 def test_prefix_m2_matches_row_formula(dense_gauss, n):
     joint, mass, tv = _prefix_m2_oracle(dense_gauss, n)
     pl = prefix_law(dense_gauss, n, 2)
     assert pl.joint.tobytes() == joint.tobytes()
+    # symmetric by value, which the half sums of mass and TV rely on
+    assert np.array_equal(pl.joint, pl.joint.T)
     assert pl.mass_accounted.hex() == mass.hex()
     assert pl.tv_to_iid.hex() == tv.hex()
 

@@ -5,6 +5,9 @@ mpmath Euler-Maclaurin sums for log-power factors.
 """
 
 import math
+import pathlib
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -148,6 +151,70 @@ def test_weighted_terms_matches_term_products():
     arr = seq.weighted_terms(x, 30)
     for n in range(31):
         assert arr[n] == pytest.approx(seq.term(n) * x**n, rel=1e-12, abs=1e-300)
+
+
+def _scalar_terms(seq, x, n_max):
+    """term(n) x^n, n = 0..n_max, one Python float at a time through libm
+    in the order of the closed form's exponent: the oracle of
+    ``weighted_terms``."""
+    out = [seq.term0]
+    if x == 0.0 or n_max == 0:
+        return np.array(out + [0.0] * n_max)
+    logc, lam, e = math.log(seq.L.c), seq.L.log_exp, seq.e
+    logx = math.log(x)
+    step = logx - math.log(seq.rho)
+    overrides = dict(seq.overrides)
+    for k in range(1, n_max + 1):
+        if k in overrides:
+            val = overrides[k]
+            out.append(val * math.exp(k * logx) if val > 0 else 0.0)
+        elif k < seq.start_index:
+            out.append(0.0)
+        else:
+            log_l = logc + lam * math.log(math.log(2.0 + k)) if lam else logc
+            out.append(math.exp(log_l - e * math.log(k) + k * step))
+    return np.array(out)
+
+
+def _weighted_term_mismatches():
+    """Every (sequence, x, n_max) of the grid whose ``weighted_terms``
+    bytes differ from ``_scalar_terms``: log_exp 0, positive and negative;
+    start_index 1 and 3; with and without overrides (0.0 among them);
+    x on the radius and below it; n_max 0, 1, 2 and 4000."""
+    bad = []
+    for lam, e in ((0.0, 1.5), (0.7, 2.5), (-1.3, -0.5)):
+        for start in (1, 3):
+            for ov in ({}, {2: 0.0, 5: 1.5, 40: 0.0}):
+                seq = WeightSequence.closed_form(c=1.7, e=e, rho=0.8, log_exp=lam,
+                                                 start_index=start, term0=0.25, overrides=ov)
+                for x in (0.8, 0.8 * 0.83):
+                    for n_max in (0, 1, 2, 4000):
+                        got = seq.weighted_terms(x, n_max)
+                        if got.tobytes() != _scalar_terms(seq, x, n_max).tobytes():
+                            bad.append((lam, e, start, ov, x, n_max))
+    return bad
+
+
+def test_weighted_terms_match_the_scalar_formula_bit_for_bit():
+    assert _weighted_term_mismatches() == []
+
+
+_TERMS_CHECK = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_weights import _weighted_term_mismatches
+print(_weighted_term_mismatches())
+"""
+
+
+def test_weighted_terms_match_the_scalar_formula_on_baseline_cpu(baseline_cpu_env):
+    """With numpy's SIMD dispatch and glibc's FMA variants off, the array
+    arithmetic still gives the scalar formula's bits, term for term."""
+    child = subprocess.run(
+        [sys.executable, "-c", _TERMS_CHECK, str(pathlib.Path(__file__).parent)],
+        env=baseline_cpu_env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert child.stdout.strip() == "[]"
 
 
 def test_scheme_requires_v0_zero():
