@@ -198,7 +198,8 @@ def _cmd_verify(args) -> int:
         config = str(path)
     try:
         return run_suite(config, args.out_dir, seed=args.seed)
-    except (SuiteConfigError, PhaseMismatchError) as err:
+    except (SuiteConfigError, PhaseMismatchError, exact.BudgetExceededError,
+            exact.TailCertificationError) as err:  # exit code 1 is a failed verdict
         print(json.dumps({"error": type(err).__name__, "message": str(err)}), file=sys.stderr)
         return 2
 

@@ -4,24 +4,30 @@ One verifier per limit statement, each comparing exact finite-n laws (or
 Monte Carlo ensembles, only where the functional involves order statistics
 or point configurations) against the closed-form limits:
 
-=====================  =====================================================
-verifier               statement checked
-=====================  =====================================================
-dense_llt              count local limit law against the stable density
-dense_extremes         largest-component laws (Frechet / vanishing maximum)
-prefix_independence    total-variation decay of i.i.d. prefix approximation
-convergent             count convergence, giant-component deficit law
-mixture                split probability and both conditional behaviours
-dilute                 count LLT and cdf, mixed-Poisson counts, point process
-extended               prefactor regimes and product-structure symmetry
-=====================  =====================================================
+===================  =================================================  =====================
+verifier             statement checked                                  accepts
+===================  =================================================  =====================
+dense_llt            count local limit law against the stable density   plain; dense, mixture
+dense_extremes       largest-component laws (Frechet / vanishing max)   plain; dense
+prefix_independence  total-variation decay of i.i.d. prefix approx.     plain; unclassified
+convergent           count convergence, giant-component deficit law     plain; classified
+mixture              split probability and both conditional behaviours  plain; mixture
+dilute               count LLT and cdf, mixed-Poisson counts, points    plain; dilute
+extended             prefactor regimes and product-structure symmetry   extended, product
+===================  =================================================  =====================
+
+A plain scheme is V(W(z)) alone; an extended one has a prefactor ``h``, a
+product one ``product_factors``.  ``_VERIFIERS`` alone says what each
+verifier accepts: the kinds and phases above, plus what else it needs
+(scale constants, a finite E[N], closed forms, at alpha = 2 two sizes).  A
+``verify_*`` call or a suite experiment it refuses is a
+``PhaseMismatchError`` before any law is computed.
 
 An experiment of the suite config names its ``verifier`` and ``scheme``,
 and optionally an ``id`` and ``expect_fail``.  Its other keys are the
 verifier's keyword parameters; any other key is a ``SuiteConfigError``,
 and so is a value that does not fit its parameter's default: an integer
-default takes a positive integer, a float default a finite number > 0, a
-boolean default a boolean.
+default takes a positive integer, a float default a finite number > 0.
 Where the verifier takes ``n_ladder``, ``n`` stands for [n/4, n/2, n];
 where it takes ``seed``, the config seed is the default.  Seeds are
 non-negative integers.  An experiment's CSVs go to the directory named by
@@ -44,12 +50,14 @@ n^alpha P(X = k_n) that picks the dilute critical size k_n.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -157,22 +165,6 @@ def _verdict(
     )
 
 
-def _plain(scheme: SchemeSpec, verifier: str) -> None:
-    """Every verifier but ``extended`` reads the laws of V(W(z)) alone."""
-    for kind, given in (("extended schemes (prefactor h)", scheme.h),
-                        ("product schemes (product_factors)", scheme.product_factors)):
-        if given is not None:
-            raise PhaseMismatchError(f"{verifier} does not take {kind}; the extended verifier does")
-
-
-def _require(report: PhaseReport, phases, verifier: str) -> None:
-    if report.phase not in phases:
-        raise PhaseMismatchError(
-            f"{verifier} needs a scheme in {[p.value for p in phases]}, "
-            f"got {report.phase.value}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # goodness-of-fit tests
 #
@@ -269,14 +261,9 @@ def _dense_split(law: DiscreteLaw, n: int, mu: float) -> tuple[int, DiscreteLaw]
     return thresh, _restrict(law.pmf, thresh, law.pmf.size)
 
 
-def verify_dense_llt(scheme: SchemeSpec, n_ladder, tol: float = 0.05):
+def _dense_llt(rep: PhaseReport, scheme: SchemeSpec, n_ladder, tol: float = 0.05):
     """Exact count law against the stable local limit density, sup over
     the ``_WINDOW`` window; no Monte Carlo is involved."""
-    _plain(scheme, "dense_llt")
-    rep = classify(scheme)
-    _require(rep, (Phase.dense_critical, Phase.dense_supercritical, Phase.mixture), "dense_llt")
-    if rep.scale_L is None:
-        raise PhaseMismatchError("dense_llt needs expressible scale constants")
     observed = []
     csvs = {}
     conditional = rep.phase is Phase.mixture
@@ -286,106 +273,79 @@ def verify_dense_llt(scheme: SchemeSpec, n_ladder, tol: float = 0.05):
             law = _dense_split(law, n, rep.mu)[1]
         disc, csvs[n] = _llt(law, *_stable_window(rep, n))
         observed.append(disc)
-    out = _verdict(
+    return [_verdict(
         "dense_llt", scheme, n_ladder, "sup-LLT-discrepancy", observed, tol, ladder=True,
         window=_WINDOW, conditional_on_split_event=conditional,
-    )
-    return [out], csvs
+    )], csvs
 
 
-def verify_dense_extremes(
-    scheme: SchemeSpec,
-    n,
-    replicates: int = 10000,
-    seed: int = 1,
-    tol: float = 0.1,
+def _dense_extremes(
+    rep: PhaseReport, scheme: SchemeSpec, n_ladder, replicates: int = 10000, seed: int = 1, tol: float = 0.1
 ):
     """Largest-component laws by Monte Carlo.
 
     1 < alpha < 2: Kolmogorov-Smirnov of the rescaled maximum against the
-    closed-form ranked-jump cdf at a single n.  alpha = 2: the rescaled
-    maximum degenerates to 0; the 0.9-quantile must shrink along the ladder
-    (tolerance = the first-n quantile).  Both variants also check that the
-    count of components at a deliberately rare size stays zero.
+    closed-form ranked-jump cdf, sampled at the final n alone.  alpha = 2:
+    the rescaled maximum degenerates to 0; its 0.9-quantile, sampled at
+    every n of the ladder (two sizes or more), must shrink along it
+    (tolerance = the first-n quantile).  Both variants also check, at the
+    final n, that the count of components at a deliberately rare size
+    stays zero.
     """
-    _plain(scheme, "dense_extremes")
-    rep = classify(scheme)
-    _require(rep, (Phase.dense_critical, Phase.dense_supercritical), "dense_extremes")
-    ladder = [n] if isinstance(n, int) else list(n)
-    reports = []
-    csvs = {}
-
-    maxima_by_n = {}
-    zero_hits = 0
-    k_rare = None
-    common_counts = 0.0
-    for ni in ladder:
+    ladder = list(n_ladder)
+    n_fin = ladder[-1]
+    stable = 1.0 < rep.alpha < 2.0
+    maxima_by_n, csvs = {}, {}
+    for ni in [n_fin] if stable else ladder:  # the counts kept are the final n's
         smp = sampling.ExactSampler(scheme, ni)
-        scale = rep.nn_scale(ni)
-        lam_target = 0.005
-        if ni == ladder[-1]:
-            px = smp.pmf_x
-            k_common = int(np.nonzero(px[1:])[0][0]) + 1  # smallest positive size
-            expected = (ni / rep.mu) * px
-            cand = np.nonzero(expected < lam_target)[0]
-            cand = cand[px[cand] > 0] if cand.size else cand
-            k_rare = int(cand[0]) if cand.size else None
+        scale, px = rep.nn_scale(ni), smp.pmf_x
+        k_common = int(np.nonzero(px[1:])[0][0]) + 1  # smallest positive size
+        cand = np.nonzero((ni / rep.mu) * px < 0.005)[0]
+        cand = cand[px[cand] > 0]
+        k_rare = int(cand[0]) if cand.size else None
         maxima = np.empty(replicates)
-        draws = smp.sample_many(sampling.make_rngs(seed, replicates))
-        for i, s in enumerate(draws):
-            maxima[i] = s.sizes.max() / scale
-            if ni == ladder[-1]:
-                if k_rare is not None:
-                    zero_hits += int(np.count_nonzero(s.sizes == k_rare) == 0)
-                common_counts += int(np.count_nonzero(s.sizes == k_common))
+        zero_hits = common_counts = 0
+        for j, s in enumerate(smp.sample_many(sampling.make_rngs(seed, replicates))):
+            maxima[j] = s.sizes.max() / scale
+            if k_rare is not None:
+                zero_hits += int(np.count_nonzero(s.sizes == k_rare) == 0)
+            common_counts += int(np.count_nonzero(s.sizes == k_common))
         maxima_by_n[ni] = maxima
         csvs[ni] = (["normalized_max"], maxima.reshape(-1, 1))
 
-    n_fin = ladder[-1]
-    if 1.0 < rep.alpha < 2.0:
-        law = laws.frechet_law(rep.mu, rep.alpha, 1)
-        ks = _ks_statistic(maxima_by_n[n_fin], law.cdf)
-        reports.append(
-            _verdict("dense_extremes", scheme, [n_fin], "KS", [ks], tol, replicates=replicates, rank=1)
-        )
+    if stable:
+        ks = _ks_statistic(maxima_by_n[n_fin], laws.frechet_law(rep.mu, rep.alpha, 1).cdf)
+        reports = [_verdict("dense_extremes", scheme, [n_fin], "KS", [ks], tol, replicates=replicates, rank=1)]
     else:
         quantiles = [float(np.quantile(maxima_by_n[ni], 0.9)) for ni in ladder]
-        shrinks = _nonincreasing(quantiles) and (len(ladder) == 1 or quantiles[-1] < quantiles[0])
-        reports.append(
-            _verdict(
-                "dense_extremes", scheme, ladder, "max-q90-shrinks", quantiles, quantiles[0],
-                ladder=True, passed=shrinks, replicates=replicates,
-                note="alpha=2: rescaled maximum degenerates",
-            )
-        )
+        shrinks = _nonincreasing(quantiles) and quantiles[-1] < quantiles[0]
+        reports = [_verdict(
+            "dense_extremes", scheme, ladder, "max-q90-shrinks", quantiles, quantiles[0], ladder=True,
+            passed=shrinks, replicates=replicates, note="alpha=2: rescaled maximum degenerates",
+        )]
     if k_rare is not None:
         frac = zero_hits / replicates
-        reports.append(
-            _verdict(
-                "dense_extremes_rare_size", scheme, [n_fin], "zero-count-fraction", [1.0 - frac], 0.01,
-                passed=frac >= 0.99, size=k_rare, poisson_rate_target=0.005,
-            )
-        )
+        reports.append(_verdict(
+            "dense_extremes_rare_size", scheme, [n_fin], "zero-count-fraction", [1.0 - frac], 0.01,
+            passed=frac >= 0.99, size=k_rare, poisson_rate_target=0.005,
+        ))
     # counts at an abundant size concentrate: #_k / ((n/mu) P(X=k)) -> 1
     target = (n_fin / rep.mu) * px[k_common]
     err = abs(common_counts / replicates / target - 1.0)
-    reports.append(
-        _verdict(
-            "dense_extremes_concentration", scheme, [n_fin], "rel-error", [err], 0.05,
-            size=k_common, mean_count_target=target,
-        )
-    )
+    reports.append(_verdict(
+        "dense_extremes_concentration", scheme, [n_fin], "rel-error", [err], 0.05,
+        size=k_common, mean_count_target=target,
+    ))
     return reports, csvs
 
 
-def verify_prefix_independence(scheme: SchemeSpec, n_ladder, tol: float = 0.05):
+def _prefix_independence(rep: None, scheme: SchemeSpec, n_ladder, tol: float = 0.05):
     """Exact total variation of prefix laws against i.i.d. products.
 
     No phase gate: the verdict itself is the test (degenerate schemes must
     fail it, which prevents vacuous passes).  Both m come from one harvest
     per n.
     """
-    _plain(scheme, "prefix_independence")
     tvs = {1: [], 2: []}
     csvs = {}
     for n in n_ladder:
@@ -401,23 +361,13 @@ def verify_prefix_independence(scheme: SchemeSpec, n_ladder, tol: float = 0.05):
     return reports, csvs
 
 
-def verify_convergent(
-    scheme: SchemeSpec,
-    n: int,
-    tol: float = 0.1,
-    replicates: int = 4000,
-    seed: int = 1,
+def _convergent(
+    rep: PhaseReport, scheme: SchemeSpec, n: int, tol: float = 0.1, replicates: int = 4000, seed: int = 1
 ):
     """Count convergence and giant-component deficit, exactly; plus a Monte
     Carlo chi-square spot check of (count, second-largest size) against the
     giant-replacement limit tuple.  The spot check's sampler holds the
     exact count law."""
-    _plain(scheme, "convergent")
-    rep = classify(scheme)
-    if rep.phase is Phase.unclassified:
-        raise PhaseMismatchError("convergent verifier needs a classified scheme")
-    if not math.isfinite(scheme.v.weighted_moment(rep.w_value, 1)):
-        raise PhaseMismatchError("convergent verifier needs a finite E[N] (the size-biased limit)")
     # the deficit law from the sampler's own calibration and column
     exact._deficit_cap(n)
     smp = sampling.ExactSampler(scheme, n)
@@ -429,15 +379,8 @@ def verify_convergent(
         _verdict("convergent_deficit", scheme, [n], "TV", [tv_distance(exact_d, limit_d)], tol),
         _convergent_mc(smp, replicates, seed, nhat),
     ]
-    csvs = {
-        n: (
-            ["d", "exact_deficit_pmf", "limit_deficit_pmf"],
-            np.column_stack(
-                [np.arange(exact_d.pmf.size), exact_d.pmf, limit_d.pmf]
-            ),
-        )
-    }
-    return reports, csvs
+    rows = np.column_stack([np.arange(exact_d.pmf.size), exact_d.pmf, limit_d.pmf])
+    return reports, {n: (["d", "exact_deficit_pmf", "limit_deficit_pmf"], rows)}
 
 
 def _second_largest(sizes: np.ndarray) -> int:
@@ -483,12 +426,7 @@ def _convergent_mc(smp, replicates, seed, nhat) -> VerdictReport:
     )
 
 
-def verify_mixture(
-    scheme: SchemeSpec,
-    n_ladder,
-    tol: float = 0.05,
-    cond_tol: float = 0.1,
-):
+def _mixture(rep: PhaseReport, scheme: SchemeSpec, n_ladder, tol: float = 0.05, cond_tol: float = 0.1):
     """Split probability against both candidate limits, conditional dense
     LLT on the split event, conditional count convergence off it.
 
@@ -497,9 +435,6 @@ def verify_mixture(
     probability approaches.  The split verdict passes on the last
     distance alone, the conditional count verdict on the last TV alone.
     """
-    _plain(scheme, "mixture")
-    rep = classify(scheme)
-    _require(rep, (Phase.mixture,), "mixture")
     p, p_frac = rep.mixture_p, rep.mixture_p_frac
     dists, winners, pes, cond_discs, tvs_conv = [], [], [], [], []
     csvs = {}
@@ -539,18 +474,10 @@ def verify_mixture(
     return reports, csvs
 
 
-def verify_dilute(
-    scheme: SchemeSpec,
-    n_ladder,
-    replicates: int = 10000,
-    seed: int = 1,
-    tol: float = 0.1,
-    ks_tol: float = 0.1,
-    chi2_pmin: float = 1e-3,
-    mean_rtol: float = 0.1,
-    m2_rtol: float = 0.2,
-    zero_tol: float = 0.03,
-    count_replicates: int = 2000,
+def _dilute(
+    rep: PhaseReport, scheme: SchemeSpec, n_ladder, replicates: int = 10000, seed: int = 1,
+    tol: float = 0.1, ks_tol: float = 0.1, chi2_pmin: float = 1e-3, mean_rtol: float = 0.1,
+    m2_rtol: float = 0.2, zero_tol: float = 0.03, count_replicates: int = 2000,
 ):
     """Dilute-phase battery.
 
@@ -575,9 +502,6 @@ def verify_dilute(
     The Monte Carlo parts share one exact sampler at the final n, and its
     count law is the exact law there.
     """
-    _plain(scheme, "dilute")
-    rep = classify(scheme)
-    _require(rep, (Phase.dilute,), "dilute")
     dp = laws.DiluteParams(rep.alpha, rep.b, rep.dilute_lambda)
     alpha = rep.alpha
     csvs = {}
@@ -645,44 +569,32 @@ def verify_dilute(
     zero_emp = float(np.mean(counts_at_kn == 0))
     zero_lim = float(expected_pmf[0])
     zero_err = abs(zero_emp - zero_lim)
-    reports.append(
-        _verdict(
-            "dilute_mixed_poisson", scheme, [n_fin], "chi2-pvalue", [chi_p], chi2_pmin,
-            passed=chi_p > chi2_pmin and zero_err <= zero_tol,
-            k_n=k_n,
-            upsilon_realized=ups_n,
-            chi2_replicates=m_chi,
-            replicates=replicates,
-            zero_fraction_empirical=zero_emp,
-            zero_fraction_limit=zero_lim,
-            zero_abs_error=zero_err,
-            zero_tolerance=zero_tol,
-            note="pass means p-value above tolerance and the zero bucket within its absolute tolerance",
-        )
-    )
+    reports.append(_verdict(
+        "dilute_mixed_poisson", scheme, [n_fin], "chi2-pvalue", [chi_p], chi2_pmin,
+        passed=chi_p > chi2_pmin and zero_err <= zero_tol, k_n=k_n, upsilon_realized=ups_n,
+        chi2_replicates=m_chi, replicates=replicates, zero_fraction_empirical=zero_emp,
+        zero_fraction_limit=zero_lim, zero_abs_error=zero_err, zero_tolerance=zero_tol,
+        note="pass means p-value above tolerance and the zero bucket within its absolute tolerance",
+    ))
 
     # (iv) intensity integrals
     for x in point_lows:
         target = laws.pp_intensity_integral(alpha, rep.b, x, 1.0)
         got = float(point_counts[x].mean())
         err = abs(got - target) / target
-        reports.append(
-            _verdict(
-                f"dilute_pp_mean_{x}", scheme, [n_fin], "rel-error", [err], mean_rtol,
-                observed_mean=got, intensity_integral=target,
-            )
-        )
+        reports.append(_verdict(
+            f"dilute_pp_mean_{x}", scheme, [n_fin], "rel-error", [err], mean_rtol,
+            observed_mean=got, intensity_integral=target,
+        ))
 
     # (v) second factorial moment on [m2_low, 1]
     m2_target = laws.pp_factorial_moment(alpha, rep.b, (m2_low, 1.0), 2)
     m2_obs = float(np.mean(m2_counts * (m2_counts - 1)))
     m2_err = abs(m2_obs - m2_target) / m2_target
-    reports.append(
-        _verdict(
-            "dilute_pp_m2", scheme, [n_fin], "rel-error", [m2_err], m2_rtol,
-            observed=m2_obs, factorial_moment=m2_target, interval=[m2_low, 1.0],
-        )
-    )
+    reports.append(_verdict(
+        "dilute_pp_m2", scheme, [n_fin], "rel-error", [m2_err], m2_rtol,
+        observed=m2_obs, factorial_moment=m2_target, interval=[m2_low, 1.0],
+    ))
     return reports, csvs
 
 
@@ -712,12 +624,8 @@ def _u_tail_class(scheme: SchemeSpec, rep: PhaseReport):
     return None
 
 
-def verify_extended(
-    scheme: SchemeSpec,
-    n: int,
-    tol: float = 0.1,
-    replicates: int = 10000,
-    seed: int = 1,
+def _extended(
+    rep: PhaseReport | None, scheme: SchemeSpec, n: int, tol: float = 0.1, replicates: int = 10000, seed: int = 1
 ):
     """Extended-scheme regimes and product-structure checks.
 
@@ -738,12 +646,7 @@ def verify_extended(
             pl = exact.product_law(scheme.product_factors, n)
         except ValueError as err:  # e.g. no configuration of size n
             raise PhaseMismatchError(f"product_marginals: {err}") from None
-        p = pl.p
-        if p is None:
-            raise PhaseMismatchError(
-                "product_marginals needs the macroscopic-index law, which needs "
-                "closed-form tails on every factor"
-            )
+        p = pl.p  # the gate asked for closed-form tails on every factor
         # exact: small-coordinate marginal of coordinate j approaches
         # sum_{i != j} p_i * P(A_j = k) (it is freed whenever any other
         # coordinate is the macroscopic one)
@@ -770,23 +673,15 @@ def verify_extended(
             freq = hits / replicates
             sigma = math.sqrt((1.0 / ell) * (1.0 - 1.0 / ell) / replicates)
             dev = float(np.max(np.abs(freq - 1.0 / ell)))
-            reports.append(
-                _verdict(
-                    "product_symmetry", scheme, [n], "abs-error", [dev], 2.0 * sigma,
-                    frequencies=freq.tolist(), replicates=replicates,
-                )
-            )
+            reports.append(_verdict(
+                "product_symmetry", scheme, [n], "abs-error", [dev], 2.0 * sigma,
+                frequencies=freq.tolist(), replicates=replicates,
+            ))
         return reports, csvs
 
-    if scheme.h is None:
-        raise PhaseMismatchError("extended verifier needs a prefactor h or product factors")
     base = SchemeSpec(v=scheme.v, w=scheme.w)
-    rep = classify(base)
-    ucl = _u_tail_class(base, rep)
-    if ucl is None or scheme.h.is_explicit:
-        raise PhaseMismatchError("extended regime detection needs closed forms")
     h = scheme.h
-    rho_u, s_u, lam_u, c_u = ucl
+    rho_u, s_u, lam_u, c_u = _u_tail_class(scheme, rep)
     if h.rho > rho_u * (1 + 1e-9):
         regime = "base"
     elif h.rho < rho_u * (1 - 1e-9):
@@ -833,18 +728,115 @@ def verify_extended(
 
 
 # ---------------------------------------------------------------------------
-# the suite runner
+# what each verifier accepts
+
+
+def _needs_scale(scheme, rep, params):
+    if rep.scale_L is None:
+        return "expressible scale constants"
+
+
+def _needs_a_ladder(scheme, rep, params):
+    if not 1.0 < rep.alpha < 2.0 and len(params["n_ladder"]) < 2:
+        return "an n_ladder of two sizes or more at alpha = 2, where the maximum's 0.9-quantile must shrink"
+
+
+def _needs_finite_mean(scheme, rep, params):
+    if not math.isfinite(scheme.v.weighted_moment(rep.w_value, 1)):
+        return "a finite E[N] (the size-biased limit)"
+
+
+def _needs_closed_forms(scheme, rep, params):
+    if scheme.product_factors is not None:
+        if any(f.is_explicit for f in scheme.product_factors):
+            return "closed-form tails on every product factor (the macroscopic-index law)"
+    elif scheme.h.is_explicit or _u_tail_class(scheme, rep) is None:
+        return "closed forms for regime detection"
+
+
+@dataclass(frozen=True)
+class _Verifier:
+    """``body(rep, scheme, **params)`` runs the verifier on the report its
+    gate made; ``kinds`` maps each scheme kind it takes to the phases it
+    takes (None: the scheme is not classified and ``rep`` is None);
+    ``refuse(scheme, rep, params)`` names what else it needs, or None."""
+
+    body: Callable
+    kinds: dict
+    refuse: Callable | None = None
+
+    @property
+    def signature(self) -> inspect.Signature:
+        """The verifier's parameters: the body's, less the report."""
+        return inspect.signature(functools.partial(self.body, None))
 
 
 _VERIFIERS = {
-    "dense_llt": verify_dense_llt,
-    "dense_extremes": verify_dense_extremes,
-    "prefix_independence": verify_prefix_independence,
-    "convergent": verify_convergent,
-    "mixture": verify_mixture,
-    "dilute": verify_dilute,
-    "extended": verify_extended,
+    "dense_llt": _Verifier(
+        _dense_llt, {"plain": (Phase.dense_critical, Phase.dense_supercritical, Phase.mixture)}, _needs_scale
+    ),
+    "dense_extremes": _Verifier(
+        _dense_extremes, {"plain": (Phase.dense_critical, Phase.dense_supercritical)}, _needs_a_ladder
+    ),
+    "prefix_independence": _Verifier(_prefix_independence, {"plain": None}),
+    "convergent": _Verifier(
+        _convergent, {"plain": tuple(p for p in Phase if p is not Phase.unclassified)}, _needs_finite_mean
+    ),
+    "mixture": _Verifier(_mixture, {"plain": (Phase.mixture,)}),
+    "dilute": _Verifier(_dilute, {"plain": (Phase.dilute,)}),
+    "extended": _Verifier(
+        _extended, {"extended": tuple(p for p in Phase if p is not Phase.unclassified), "product": None},
+        _needs_closed_forms,
+    ),
 }
+
+
+def _gate(name: str, scheme: SchemeSpec, params: dict) -> PhaseReport | None:
+    """The report the body of verifier ``name`` reads, or the
+    ``PhaseMismatchError`` naming what it does not take; the kind is
+    checked before ``classify``, and no law is computed."""
+    entry = _VERIFIERS[name]
+    kind, given = (
+        ("product", "product_factors") if scheme.product_factors is not None
+        else ("plain", "V(W(z)) alone") if scheme.h is None
+        else ("extended", "prefactor h")
+    )
+    if kind not in entry.kinds:
+        raise PhaseMismatchError(f"{name} takes {' or '.join(entry.kinds)} schemes, not {kind} schemes ({given})")
+    phases = entry.kinds[kind]
+    rep = None if phases is None else classify(scheme)
+    if rep is not None and rep.phase not in phases:
+        raise PhaseMismatchError(f"{name} needs a scheme in {[p.value for p in phases]}, got {rep.phase.value}")
+    why = entry.refuse and entry.refuse(scheme, rep, params)
+    if why:
+        raise PhaseMismatchError(f"{name} needs {why}")
+    return rep
+
+
+def _library_form(name: str):
+    """``verify_<name>``: the gate of verifier ``name``, then its body."""
+    entry = _VERIFIERS[name]
+
+    def verify(scheme, *args, **kwargs):
+        params = entry.signature.bind(scheme, *args, **kwargs).arguments
+        return entry.body(_gate(name, scheme, params), **params)
+
+    verify.__name__ = verify.__qualname__ = f"verify_{name}"
+    verify.__doc__, verify.__signature__ = entry.body.__doc__, entry.signature
+    return verify
+
+
+verify_dense_llt = _library_form("dense_llt")
+verify_dense_extremes = _library_form("dense_extremes")
+verify_prefix_independence = _library_form("prefix_independence")
+verify_convergent = _library_form("convergent")
+verify_mixture = _library_form("mixture")
+verify_dilute = _library_form("dilute")
+verify_extended = _library_form("extended")
+
+
+# ---------------------------------------------------------------------------
+# the suite runner
 
 
 def _declared_schemes(cfg: dict) -> dict:
@@ -873,7 +865,8 @@ def _int_from(value, low: int) -> bool:
 
 
 def _prepare_experiment(spec_entry, declared: dict, default_seed: int):
-    """Check one experiment of the config without running it."""
+    """Check one experiment of the config, its gate included, without
+    running it."""
     if not isinstance(spec_entry, dict):
         raise SuiteConfigError(f"an experiment must be an object, got {spec_entry!r}")
     kwargs = dict(spec_entry)
@@ -899,8 +892,8 @@ def _prepare_experiment(spec_entry, declared: dict, default_seed: int):
         raise SuiteConfigError(f"'n_ladder' must be a list of positive integers, got {ladder!r} in {exp_id!r}")
     if "seed" in kwargs and not _int_from(kwargs["seed"], 0):
         raise SuiteConfigError(f"'seed' must be a non-negative integer, got {kwargs['seed']!r} in {exp_id!r}")
-    fn = _VERIFIERS[verifier]
-    sig = inspect.signature(fn)
+    entry = _VERIFIERS[verifier]
+    sig = entry.signature
     if "n_ladder" in sig.parameters and "n" in kwargs:
         if "n_ladder" in kwargs:
             raise SuiteConfigError(f"give 'n' or 'n_ladder', not both, in {exp_id!r}")
@@ -925,7 +918,7 @@ def _prepare_experiment(spec_entry, declared: dict, default_seed: int):
             ok, want = ok and 0 < value < math.inf, "a finite number > 0"
         if not ok:
             raise SuiteConfigError(f"{key!r} must be {want}, got {value!r} in {exp_id!r}")
-    return exp_id, fn, scheme, kwargs, expect_fail
+    return exp_id, entry.body, _gate(verifier, scheme, kwargs), scheme, kwargs, expect_fail
 
 
 def load_config(path_or_dict) -> dict:
@@ -949,17 +942,21 @@ def run_suite(config, out_dir, seed: int | None = None) -> int:
     """Execute the declared experiments; exit code 0 iff all verdicts pass.
 
     Writes ``verdicts.json`` (byte-stable given config and seed),
-    ``runtimes.json``, and one CSV per (experiment, n).  Config errors and
-    phase mismatches surface as exit code 2 with a structured message.  The
-    config's shape, values and output directories are checked before any
-    experiment runs; a phase mismatch is raised only when its own experiment
-    runs, after the experiments before it, and then no file is written.
+    ``runtimes.json``, and one CSV per (experiment, n).  The config's
+    shape and values, the output directories and each experiment's gate in
+    ``_VERIFIERS`` (which classifies it, once) are checked before the
+    first experiment runs and before ``out_dir`` is created.  Two refusals
+    depend on n's exact law and come only when their experiment runs,
+    leaving no file written: a product scheme with no configuration of
+    size n (``PhaseMismatchError``, "vanishes at n=...") and the size
+    guards (``exact.BudgetExceededError``: the m = 2 prefix joint above
+    n = 3000, the giant-deficit DP above 4000, the exact sampler above its
+    table budget).  The CLI exits 2 on each of these errors.
     """
     import pathlib
 
     cfg = load_config(config)
     out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     default_seed = cfg.get("seed", 1) if seed is None else seed
     if not _int_from(default_seed, 0):
         raise SuiteConfigError(f"'seed' must be a non-negative integer, got {default_seed!r}")
@@ -976,10 +973,11 @@ def run_suite(config, out_dir, seed: int | None = None) -> int:
                 f"experiments {dirs[name]!r} and {exp_id!r} both write to {name!r}; give each its own 'id'"
             )
         dirs[name] = exp_id
+    out.mkdir(parents=True, exist_ok=True)
     results = []
-    for exp_id, fn, scheme, kwargs, expect_fail in prepared:
+    for exp_id, body, rep, scheme, kwargs, expect_fail in prepared:
         t0 = time.perf_counter()
-        reports, csvs = fn(scheme, **kwargs)
+        reports, csvs = body(rep, scheme, **kwargs)
         results.append((exp_id, reports, csvs, expect_fail, time.perf_counter() - t0))
 
     verdicts = []

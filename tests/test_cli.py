@@ -385,6 +385,56 @@ def test_verify_phase_mismatch_exit_2(tmp_path, capsys, entry):
     assert "PhaseMismatch" in err
 
 
+def test_verify_phase_mismatch_anywhere_exits_2_before_any_experiment(tmp_path, capsys, monkeypatch):
+    """The builtin dilute-all, then the dilute verifier on dense-gauss: the
+    second experiment's phase is refused before the first runs and before
+    the output directory exists."""
+    from importlib.resources import files
+
+    from gibbs_partitions import exact, sampling
+
+    def no_law(*args, **kwargs):
+        raise AssertionError("no experiment runs before every gate has passed")
+
+    monkeypatch.setattr(exact, "law_Nn", no_law)
+    monkeypatch.setattr(sampling, "ExactSampler", no_law)
+    builtin = json.loads(files("gibbs_partitions.data").joinpath("phases.json").read_text())
+    (first,) = [e for e in builtin["experiments"] if e["id"] == "dilute-all"]
+    second = {"verifier": "dilute", "scheme": "dense-gauss", "n_ladder": [100, 200]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [first, second]}))
+    out = tmp_path / "o"
+    code = main(["verify", "--config", str(cfg), "--out-dir", str(out)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err == {"error": "PhaseMismatchError",
+                   "message": "dilute needs a scheme in ['dilute'], got dense_critical"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"verifier": "convergent", "scheme": "convergent", "n": 5000},
+         "deficit DP limited to n <= 4000"),
+        ({"verifier": "prefix_independence", "scheme": "dense-gauss", "n_ladder": [3200]},
+         "m=2 joint table limited to n <= 3000"),
+        ({"verifier": "dilute", "scheme": "dilute", "n_ladder": [7000]},
+         "exact sampler table budget"),
+    ],
+    ids=["deficit", "prefix-joint", "sampler"],
+)
+def test_verify_over_a_size_guard_is_one_error_line_exit_2(tmp_path, capsys, entry, message):
+    # exit code 1 would read as a failed verdict
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [entry]}))
+    code = main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "BudgetExceededError" and err["message"].startswith(message)
+    assert not (tmp_path / "o" / "verdicts.json").exists()
+
+
 @pytest.mark.parametrize(
     "entry",
     [

@@ -1,7 +1,9 @@
 """Verifier battery at desk scale plus suite-runner plumbing: negative
 controls, structured config errors, CSV/verdict outputs, determinism."""
 
+import dataclasses
 import functools
+import inspect
 import json
 import math
 import pathlib
@@ -11,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from gibbs_partitions import bundled_scheme, exact, verify
+from gibbs_partitions import bundled_names, bundled_scheme, exact, verify
 from gibbs_partitions.verify import (
     PhaseMismatchError,
     SuiteConfigError,
@@ -84,6 +86,80 @@ def test_dense_extremes_alpha2_quantile_trend(dense_gauss):
     trend = by_name["dense_extremes"]
     assert trend.metric == "max-q90-shrinks"
     assert trend.passed  # rescaled maximum degenerates for alpha = 2
+
+
+def test_run_suite_dense_extremes_n_stands_for_a_ladder(tmp_path):
+    # at alpha = 2 the maximum's quantile is sampled at each of the three sizes
+    cfg = {"experiments": [{"id": "x", "verifier": "dense_extremes", "scheme": "dense-gauss",
+                            "n": 300, "replicates": 100}]}
+    run_suite(cfg, tmp_path / "out")
+    verdicts = json.loads((tmp_path / "out" / "verdicts.json").read_text())["verdicts"]
+    (trend,) = [v for v in verdicts if v["experiment"] == "x.dense_extremes"]
+    assert trend["metric"] == "max-q90-shrinks" and trend["n_values"] == [75, 150, 300]
+    assert sorted(int(f.stem) for f in (tmp_path / "out" / "x").glob("*.csv")) == [75, 150, 300]
+
+
+class _Reached(Exception):
+    """A verifier got past its gate to its first law or sampler."""
+
+
+@pytest.fixture
+def no_laws(monkeypatch):
+    """Every exact law and sampler a verifier body starts with raises ``_Reached``."""
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for name in ("law_Nn", "_prefix_laws", "product_law", "extended_law_Nn"):
+        monkeypatch.setattr(exact, name, reached)
+    monkeypatch.setattr(verify.sampling, "ExactSampler", reached)
+
+
+def test_dense_extremes_refuses_one_size_at_alpha_2(tmp_path, dense_gauss, dense_stable, no_laws):
+    # one size would make the shrinking quantile pass against itself
+    with pytest.raises(PhaseMismatchError, match="two sizes or more at alpha = 2"):
+        verify_dense_extremes(dense_gauss, [300])
+    entry = {"verifier": "dense_extremes", "scheme": "dense-gauss", "n_ladder": [300]}
+    with pytest.raises(PhaseMismatchError, match="two sizes or more at alpha = 2"):
+        run_suite({"experiments": [entry]}, tmp_path / "out")
+    # 1 < alpha < 2 samples the final n alone
+    with pytest.raises(_Reached):
+        verify_dense_extremes(dense_stable, [300])
+
+
+# the (verifier, bundled scheme) pairs that get past the gate: 28 of 91
+_ACCEPTED = {
+    "dense_llt": {"dense-b3", "dense-gauss", "dense-stable", "dense-super", "mixture"},
+    "dense_extremes": {"dense-b3", "dense-gauss", "dense-stable", "dense-super"},
+    "prefix_independence": {"bell", "convergent", "dense-b3", "dense-gauss", "dense-stable",
+                            "dense-super", "dilute", "mixture", "single-component"},
+    "convergent": {"convergent", "dense-b3", "mixture", "single-component"},
+    "mixture": {"mixture"},
+    "dilute": {"dilute"},
+    "extended": {"extended-heavy", "extended-light", "extended-matched", "product-symmetric"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ACCEPTED))
+def test_which_bundled_schemes_each_verifier_takes(tmp_path, no_laws, name):
+    """A suite experiment and a direct call agree on the schemes a verifier
+    takes; every other scheme is a ``PhaseMismatchError`` before any law."""
+    call = getattr(verify, f"verify_{name}")
+    size = [10, 20, 40] if "n_ladder" in inspect.signature(call).parameters else 40
+    for route in ("suite", "call"):
+        accepted = set()
+        for scheme in bundled_names():
+            try:
+                if route == "suite":
+                    entry = {"verifier": name, "scheme": scheme, "n": 40}
+                    run_suite({"experiments": [entry]}, tmp_path / "out")
+                else:
+                    call(bundled_scheme(scheme), size)
+            except _Reached:
+                accepted.add(scheme)
+            except PhaseMismatchError:
+                pass
+        assert accepted == _ACCEPTED[name], route
 
 
 def test_extended_regimes_and_product():
@@ -239,16 +315,16 @@ def test_runtimes_one_entry_per_experiment_in_config_order(tmp_path):
 
 @pytest.fixture
 def extended_runs(monkeypatch):
-    """The keyword arguments of every run of the extended verifier."""
+    """The keyword arguments of every run of the extended verifier's body."""
     ran = []
     extended = verify._VERIFIERS["extended"]
 
-    @functools.wraps(extended)
+    @functools.wraps(extended.body)
     def counted(*args, **kwargs):
         ran.append(kwargs)
-        return extended(*args, **kwargs)
+        return extended.body(*args, **kwargs)
 
-    monkeypatch.setitem(verify._VERIFIERS, "extended", counted)
+    monkeypatch.setitem(verify._VERIFIERS, "extended", dataclasses.replace(extended, body=counted))
     return ran
 
 
@@ -498,7 +574,7 @@ def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
     "verifier, kwargs",
     [
         (verify_dense_llt, {"n_ladder": [100]}),
-        (verify_dense_extremes, {"n": 100, "replicates": 10}),
+        (verify_dense_extremes, {"n_ladder": [100], "replicates": 10}),
         (verify_prefix_independence, {"n_ladder": [100]}),
         (verify_convergent, {"n": 100, "replicates": 10}),
         (verify_mixture, {"n_ladder": [100]}),
