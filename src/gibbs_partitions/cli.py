@@ -25,7 +25,7 @@ from .verify import (
     load_config,
     run_suite,
 )
-from .weights import SchemeSpec
+from .weights import ProductSpec, SchemeSpec
 
 __all__ = ["build_parser", "main"]
 
@@ -50,25 +50,26 @@ def _int_at_least(low: int):
     return parse
 
 
-def _get_scheme(name: str, config_path) -> SchemeSpec:
+def _get_scheme(args) -> SchemeSpec | ProductSpec:
     try:
-        declared = _declared_schemes(load_config(config_path)) if config_path else {}
-        return _resolve_scheme(name, declared)
+        declared = _declared_schemes(load_config(args.config)) if args.config else {}
+        scheme = _resolve_scheme(args.scheme, declared)
     except SuiteConfigError as err:
         sys.exit(f"error: {err}")
+    if isinstance(scheme, ProductSpec) and args.command != "sample":
+        sys.exit(f"error: {args.command} does not take product schemes ({args.scheme!r}); their laws are product_law's")
+    return scheme
 
 
 def _cmd_classify(args) -> int:
-    scheme = _get_scheme(args.scheme, args.config)
-    if scheme.product_factors is not None:
-        sys.exit("error: classify does not take product schemes (product_factors); their V and W are placeholders")
+    scheme = _get_scheme(args)
     report = classify(scheme)
     print(json.dumps(report.to_json(), indent=2))
     return 0
 
 
 def _cmd_exact(args) -> int:
-    scheme = _get_scheme(args.scheme, args.config)
+    scheme = _get_scheme(args)
     n, rho, law = args.n, args.rho, args.law
     if rho is not None and not (math.isfinite(rho) and rho > 0):
         sys.exit(f"error: --rho must be a finite number > 0, got {rho}")
@@ -135,7 +136,7 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    scheme = _get_scheme(args.scheme, args.config)
+    scheme = _get_scheme(args)
     n = args.n
     seed = 1 if args.seed is None else args.seed
     if seed < 0:
@@ -143,7 +144,7 @@ def _cmd_sample(args) -> int:
     if args.replicates > 1 << 32:  # replicate i draws on spawn word i, 32 bits
         sys.exit(f"error: --replicates must be at most 2**32, got {args.replicates}")
     stats_fields = [s.strip() for s in args.stats.split(",") if s.strip()]
-    if scheme.product_factors is not None:  # exact coordinate draws, written as they are
+    if isinstance(scheme, ProductSpec):  # exact coordinate draws, written as they are
         if args.method == "rejection":
             sys.exit(f"error: --method rejection does not apply to product scheme {args.scheme!r}")
         if stats_fields:
@@ -153,8 +154,8 @@ def _cmd_sample(args) -> int:
             sys.exit(f"error: unknown stat {f!r} (use count_<k>, k a non-negative integer)")
     stat_sizes = [int(f[6:]) for f in stats_fields]
     try:
-        if scheme.product_factors is not None:
-            shared = sampling.ProductSampler(scheme.product_factors, n)
+        if isinstance(scheme, ProductSpec):
+            shared = sampling.ProductSampler(scheme, n)
         elif args.method == "rejection":
             shared = sampling.RejectionSampler(scheme, n)
         else:
@@ -164,11 +165,9 @@ def _cmd_sample(args) -> int:
     except ValueError as err:  # e.g. no configuration of size n
         sys.exit(f"error: {err}")
     rngs = sampling.make_rngs(seed, args.replicates)
-    if scheme.product_factors is not None:
+    if isinstance(scheme, ProductSpec):
         rows = list(shared.sample_many(rngs))
-        _write_csv(
-            [f"coordinate_{j}" for j in range(len(scheme.product_factors))], rows, args.out
-        )
+        _write_csv([f"coordinate_{j}" for j in range(len(scheme.factors))], rows, args.out)
         return 0
     header = ["replicate", "n_components", "largest", "second_largest"] + stats_fields
     if isinstance(shared, sampling.ExactSampler) and args.replicates >= _LOCKSTEP_MIN:

@@ -32,7 +32,7 @@ from numpy.fft import irfft, rfft
 
 from .phases import Criticality, _bisect, _criticality, _double, _w_at_radius, _w_root
 from .series import convolve, dot, fsum
-from .weights import SchemeSpec, WeightSequence
+from .weights import ProductSpec, SchemeSpec, WeightSequence
 
 __all__ = [
     "BudgetExceededError",
@@ -334,7 +334,6 @@ def _law_X(scheme: SchemeSpec, rho: float, W: float, n_max: int) -> DiscreteLaw:
 
 def law_N(scheme: SchemeSpec, rho: float, ell_max: int) -> DiscreteLaw:
     """Law of the unconditioned count: P(N=l) = v_l W(rho)^l / V(W(rho))."""
-    _refuse_product(scheme, "law_N does not take")
     W = scheme.w.series_value(rho)
     return _law_N(scheme, W, _outer_value(scheme, W), ell_max)
 
@@ -366,7 +365,6 @@ def _size_biased(scheme: SchemeSpec, W: float, VW: float, pmf_n: np.ndarray):
 
 def law_Nhat(scheme: SchemeSpec, ell_max: int, rho: float | None = None) -> DiscreteLaw:
     """Size-biased count law: P(N-hat = l) = l P(N=l) / E[N]."""
-    _refuse_product(scheme, "law_Nhat does not take")
     rho, W = _radius_and_W(scheme, None, rho)
     VW = _outer_value(scheme, W)
     pmf = _size_biased(scheme, W, VW, _law_N(scheme, W, VW, ell_max).pmf)
@@ -498,20 +496,10 @@ def _calibrate(scheme: SchemeSpec, n: int, rho: float | None = None) -> _Calibra
 
 
 def _require_plain(scheme: SchemeSpec, what: str) -> None:
-    """``what`` reads V(W(z)) alone: a prefactor H(z) changes the law, and
-    a product scheme's law is its factors'."""
+    """``what`` reads V(W(z)) alone: a prefactor H(z) changes the law."""
     if scheme.h is not None:
         raise ValueError(
             f"{what} extended schemes (prefactor h); their exact count law is extended_law_Nn"
-        )
-    _refuse_product(scheme, what)
-
-
-def _refuse_product(scheme: SchemeSpec, what: str) -> None:
-    """A product scheme's law is its factors'; its V and W are placeholders."""
-    if scheme.product_factors is not None:
-        raise ValueError(
-            f"{what} product schemes (product_factors); their exact laws are product_law's"
         )
 
 
@@ -561,7 +549,6 @@ def law_Nn(
     proportional to P(N = l) * sum_j h_j rho^j P(S_l = n - j): the same
     harvest, started from the row h_j rho^j instead of the unit row.
     """
-    _refuse_product(scheme, "law_Nn does not take")
     cal = _calibrate(scheme, n, rho)
     if scheme.h is None:
         start, name = _unit(n), "partition function"
@@ -881,7 +868,7 @@ def _tail_class(seq: WeightSequence):
     return (seq.rho, seq.e, seq.L.log_exp, seq.L.c)
 
 
-def _product_tables(factors: list, n: int):
+def _product_tables(spec: ProductSpec, n: int):
     """Coefficient arrays of the factors on 0..n after a common tilt to the
     smallest finite radius (distributionally a no-op), and their suffix
     products suffix[j] = conv of arrays[j:] (suffix[ell] is the unit).
@@ -889,12 +876,10 @@ def _product_tables(factors: list, n: int):
     Returns (radii, arrays, suffix); suffix[0][n] is the partition
     function, and it must be positive.
     """
-    if len(factors) < 2:
-        raise ValueError("product structures need at least two factors")
-    radii = [f.radius() for f in factors]
+    radii = [f.radius() for f in spec.factors]
     finite = [r for r in radii if math.isfinite(r)]
     t = min(finite) if finite else 1.0
-    tilted = [f.tilt(t) for f in factors]
+    tilted = [f.tilt(t) for f in spec.factors]
     arrays = [np.array([f.term(k) for k in range(n + 1)]) for f in tilted]
     suffix = [_unit(n)]
     for a in reversed(arrays):
@@ -904,7 +889,7 @@ def _product_tables(factors: list, n: int):
     return radii, arrays, suffix
 
 
-def product_law(factors, n: int) -> ProductLaw:
+def product_law(spec: ProductSpec, n: int) -> ProductLaw:
     """Exact coordinate marginals of the conditioned product structure.
 
     The laws are computed from truncated series after a common tilt to the
@@ -912,8 +897,7 @@ def product_law(factors, n: int) -> ProductLaw:
     probabilities p_k come from the closed-form tail classes and satisfy
     sum p_k = 1 by construction, which is asserted rather than enforced.
     """
-    factors = list(factors)
-    radii, arrays, suffix = _product_tables(factors, n)
+    radii, arrays, suffix = _product_tables(spec, n)
     o_n = float(suffix[0][n])
     # prefix[j] = conv of arrays[:j]
     prefix = [suffix[-1]]
@@ -926,12 +910,12 @@ def product_law(factors, n: int) -> ProductLaw:
         marginals.append(DiscreteLaw.from_pmf(pmf))
 
     p = None
-    if all(not f.is_explicit for f in factors):
+    if all(not f.is_explicit for f in spec.factors):
         rho_o = min(radii)
-        classes = [_tail_class(f) for f in factors]
+        classes = [_tail_class(f) for f in spec.factors]
         heaviest = min(classes, key=lambda cl: (cl[0], cl[1], -cl[2]))
         w_vals = []
-        for f, cl in zip(factors, classes):
+        for f, cl in zip(spec.factors, classes):
             wf = f.series_value(rho_o)
             if not math.isfinite(wf):
                 raise ValueError("factor series diverges at the product radius")

@@ -59,7 +59,7 @@ from .exact import (
     _write_rows,
 )
 from .series import fsum
-from .weights import SchemeSpec
+from .weights import ProductSpec, SchemeSpec
 
 __all__ = [
     "PartitionSample",
@@ -575,9 +575,9 @@ class ProductSampler:
     / suffix_j[rem], with suffix products precomputed after a common tilt.
     """
 
-    def __init__(self, factors, n: int):
+    def __init__(self, spec: ProductSpec, n: int):
         self.n = n
-        _, self.arrays, self.suffix = _product_tables(list(factors), n)
+        _, self.arrays, self.suffix = _product_tables(spec, n)
 
     def _cdf(self, j: int, rem: int) -> np.ndarray:
         """The cumulative weights of P_j = 0..rem given the remainder."""

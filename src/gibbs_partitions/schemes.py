@@ -18,13 +18,14 @@ dilute              3/2   3/2   dilute, alpha = 1/2
 ==================  ====  ====  =====================================
 
 ``single-component`` (V(z) = z) is the degenerate control: N_n = 1 always.
+``product-symmetric`` is no composition scheme: a ``ProductSpec`` of two n^-3 factors.
 """
 
 from __future__ import annotations
 
 import math
 
-from .weights import SchemeSpec, WeightSequence
+from .weights import ProductSpec, SchemeSpec, WeightSequence
 
 __all__ = ["bundled_scheme", "bundled_names", "bell_scheme", "zeta_scheme"]
 
@@ -85,10 +86,9 @@ def _extended(base: SchemeSpec, h: WeightSequence) -> SchemeSpec:
     return SchemeSpec(v=base.v, w=base.w, h=h)
 
 
-def _product_symmetric(a: float = 3.0) -> SchemeSpec:
+def _product_symmetric(a: float = 3.0) -> ProductSpec:
     f = WeightSequence.closed_form(c=1.0, e=a, rho=1.0)
-    v = WeightSequence.explicit([0.0, 1.0])
-    return SchemeSpec(v=v, w=f, product_factors=(f, f))
+    return ProductSpec((f, f))
 
 
 _BUILDERS = {
@@ -122,7 +122,7 @@ def bundled_names() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def bundled_scheme(name: str) -> SchemeSpec:
+def bundled_scheme(name: str) -> SchemeSpec | ProductSpec:
     try:
         return _BUILDERS[name]()
     except KeyError:

@@ -16,12 +16,12 @@ dilute               count LLT and cdf, mixed-Poisson counts, points    plain; d
 extended             prefactor regimes and product-structure symmetry   extended, product
 ===================  =================================================  =====================
 
-A plain scheme is V(W(z)) alone; an extended one has a prefactor ``h``, a
-product one ``product_factors``.  ``_VERIFIERS`` alone says what each
-verifier accepts: the kinds and phases above, plus what else it needs
-(scale constants, a finite E[N], closed forms, at alpha = 2 two sizes).  A
-``verify_*`` call or a suite experiment it refuses is a
-``PhaseMismatchError`` before any law is computed.
+A plain scheme is V(W(z)) alone; an extended one has a prefactor ``h``; a
+product one is a ``ProductSpec``, prod_k W_k(z), with no V or W.
+``_VERIFIERS`` alone says what each verifier accepts: the kinds and phases
+above, plus what else it needs (scale constants, a finite E[N], closed
+forms, at alpha = 2 two sizes).  A ``verify_*`` call or a suite experiment
+it refuses is a ``PhaseMismatchError`` before any law is computed.
 
 An experiment of the suite config names its ``verifier`` and ``scheme``,
 and optionally an ``id`` and ``expect_fail``.  Its other keys are the
@@ -68,7 +68,7 @@ from .phases import Phase, PhaseReport, classify
 from .schemes import bundled_names, bundled_scheme
 from .series import fsum
 from .special import chdtrc
-from .weights import SchemeSpec
+from .weights import ProductSpec, SchemeSpec
 
 __all__ = [
     "VerdictReport",
@@ -641,9 +641,9 @@ def _extended(
     """
     reports = []
     csvs = {}
-    if scheme.product_factors is not None:
+    if isinstance(scheme, ProductSpec):
         try:
-            pl = exact.product_law(scheme.product_factors, n)
+            pl = exact.product_law(scheme, n)
         except ValueError as err:  # e.g. no configuration of size n
             raise PhaseMismatchError(f"product_marginals: {err}") from None
         p = pl.p  # the gate asked for closed-form tails on every factor
@@ -664,9 +664,9 @@ def _extended(
         csvs[n] = (["coordinate", "k", "marginal_pmf", "mixture_prediction"], np.vstack(rows))
         reports.append(_verdict("product_marginals", scheme, [n], "max-rel-error", [worst], 0.05, p=list(p)))
         # MC symmetry of the macroscopic coordinate for identical factors
-        if len(set(scheme.product_factors)) == 1:
-            smp = sampling.ProductSampler(scheme.product_factors, n)
-            ell = len(scheme.product_factors)
+        if len(set(scheme.factors)) == 1:
+            smp = sampling.ProductSampler(scheme, n)
+            ell = len(scheme.factors)
             hits = np.zeros(ell)
             for tup in smp.sample_many(sampling.make_rngs(seed, replicates)):
                 hits[int(np.argmax(tup))] += 1
@@ -747,8 +747,8 @@ def _needs_finite_mean(scheme, rep, params):
 
 
 def _needs_closed_forms(scheme, rep, params):
-    if scheme.product_factors is not None:
-        if any(f.is_explicit for f in scheme.product_factors):
+    if isinstance(scheme, ProductSpec):
+        if any(f.is_explicit for f in scheme.factors):
             return "closed-form tails on every product factor (the macroscopic-index law)"
     elif scheme.h.is_explicit or _u_tail_class(scheme, rep) is None:
         return "closed forms for regime detection"
@@ -791,13 +791,13 @@ _VERIFIERS = {
 }
 
 
-def _gate(name: str, scheme: SchemeSpec, params: dict) -> PhaseReport | None:
+def _gate(name: str, scheme: SchemeSpec | ProductSpec, params: dict) -> PhaseReport | None:
     """The report the body of verifier ``name`` reads, or the
     ``PhaseMismatchError`` naming what it does not take; the kind is
     checked before ``classify``, and no law is computed."""
     entry = _VERIFIERS[name]
     kind, given = (
-        ("product", "product_factors") if scheme.product_factors is not None
+        ("product", "prod_k W_k(z)") if isinstance(scheme, ProductSpec)
         else ("plain", "V(W(z)) alone") if scheme.h is None
         else ("extended", "prefactor h")
     )
@@ -852,7 +852,7 @@ def _declared_schemes(cfg: dict) -> dict:
     return declared
 
 
-def _resolve_scheme(name: str, declared: dict) -> SchemeSpec:
+def _resolve_scheme(name: str, declared: dict) -> SchemeSpec | ProductSpec:
     if name in declared:
         return declared[name]
     if name in bundled_names():

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["SlowVarying", "WeightSequence", "SchemeSpec"]
+__all__ = ["SlowVarying", "WeightSequence", "SchemeSpec", "ProductSpec"]
 
 # Relative slack used to decide whether an evaluation point sits on the
 # radius of convergence; configs build rho_v = W(rho_w) in floating point.
@@ -284,8 +284,11 @@ class WeightSequence:
     def from_config(cfg: dict) -> "WeightSequence":
         kind = cfg.get("kind")
         if kind == "explicit":
+            _known_keys(cfg, ("kind", "coeffs"), "an explicit sequence")
             return WeightSequence.explicit(cfg["coeffs"])
         if kind == "closed_form":
+            keys = ("kind", "c", "e", "rho", "log_exp", "start_index", "term0", "overrides")
+            _known_keys(cfg, keys, "a closed_form sequence")
             return WeightSequence.closed_form(
                 c=cfg.get("c", 1.0),
                 e=cfg["e"],
@@ -296,6 +299,13 @@ class WeightSequence:
                 overrides={int(k): float(v) for k, v in cfg.get("overrides", {}).items()},
             )
         raise ValueError(f"unknown weight sequence kind: {kind!r}")
+
+
+def _known_keys(cfg: dict, keys: tuple, what: str) -> None:
+    """A config key that ``what`` does not read is a ValueError naming it."""
+    for key in cfg:
+        if key not in keys:
+            raise ValueError(f"{what} does not take the key {key!r} (it takes {', '.join(keys)})")
 
 
 def _closed_moment_sum(
@@ -426,15 +436,13 @@ def _geometric_never_certifies(L: SlowVarying, e_eff: float, q: float, max_index
 class SchemeSpec:
     """A composition scheme: outer weights v, inner weights w.
 
-    Optionally carries an extended-scheme prefactor ``h`` and a list of
-    product factors (for partition functions of the form prod_k W_k(z)).
-    The outer series starts at index 1, so v must have v_0 = 0.
+    Optionally carries an extended-scheme prefactor ``h``.  The outer
+    series starts at index 1, so v must have v_0 = 0.
     """
 
     v: WeightSequence
     w: WeightSequence
     h: WeightSequence | None = None
-    product_factors: tuple[WeightSequence, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.v.term(0) != 0.0:
@@ -444,19 +452,20 @@ class SchemeSpec:
         cfg = {"v": self.v.to_config(), "w": self.w.to_config()}
         if self.h is not None:
             cfg["h"] = self.h.to_config()
-        if self.product_factors is not None:
-            cfg["product_factors"] = [f.to_config() for f in self.product_factors]
         return cfg
 
     @staticmethod
-    def from_config(cfg: dict) -> "SchemeSpec":
+    def from_config(cfg: dict) -> "SchemeSpec | ProductSpec":
+        """A ``ProductSpec`` for a config with ``product_factors``, else a composition scheme."""
+        if "product_factors" in cfg:
+            _known_keys(cfg, ("product_factors",), "a product scheme")
+            return ProductSpec(tuple(WeightSequence.from_config(f) for f in cfg["product_factors"]))
+        _known_keys(cfg, ("v", "w", "h"), "a scheme")
         h = cfg.get("h")
-        pf = cfg.get("product_factors")
         return SchemeSpec(
             v=WeightSequence.from_config(cfg["v"]),
             w=WeightSequence.from_config(cfg["w"]),
             h=WeightSequence.from_config(h) if h else None,
-            product_factors=tuple(WeightSequence.from_config(f) for f in pf) if pf else None,
         )
 
     def fingerprint(self) -> str:
@@ -465,3 +474,21 @@ class SchemeSpec:
 
         blob = json.dumps(self.to_config(), sort_keys=True)
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
+
+
+@dataclass(frozen=True)
+class ProductSpec:
+    """A product structure prod_k W_k(z), its factors alone: no ``v``, ``w``
+    or ``h``, so a plain-model function fails on its first read of one.  Its
+    laws are ``exact.product_law``'s and its draws ``ProductSampler``'s."""
+
+    factors: tuple[WeightSequence, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.factors) < 2:
+            raise ValueError(f"product structures need at least two factors, got {len(self.factors)}")
+
+    def to_config(self) -> dict:
+        return {"product_factors": [f.to_config() for f in self.factors]}
+
+    fingerprint = SchemeSpec.fingerprint  # the sha1 of to_config()

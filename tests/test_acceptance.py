@@ -55,12 +55,12 @@ def w0_free_schemes():
     """The bundled composition schemes V(W(z)) with w_0 = 0.  The extended
     schemes H(z) V(W(z)) are left out: the oracles and tilts below model
     V(W(z)) alone, and their v and w are those of ``convergent``.  A
-    product scheme enters as the plain scheme of its v and w (a single
-    component of weight n^-3): the plain-model laws refuse its factors."""
+    product structure (``ProductSpec``) is no composition scheme and is
+    left out too."""
     out = []
     for name in bundled_names():
         scheme = bundled_scheme(name)
-        if scheme.w.term(0) == 0.0 and scheme.h is None:
+        if isinstance(scheme, SchemeSpec) and scheme.w.term(0) == 0.0 and scheme.h is None:
             out.append((name, SchemeSpec(v=scheme.v, w=scheme.w)))
     return out
 

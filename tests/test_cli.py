@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from gibbs_partitions import bundled_scheme, exact, sampling
+from gibbs_partitions import ProductSpec, bundled_scheme, exact, sampling
 from gibbs_partitions.cli import _LOCKSTEP_MIN, main
 from gibbs_partitions.verify import _write_csv
 
@@ -102,26 +102,26 @@ def test_exact_plain_model_laws_refuse_an_extended_scheme(capsys, law):
 
 
 def test_exact_count_law_refuses_a_product_scheme(capsys):
-    # its V(W) is a placeholder, whose count law is a point mass at 1
+    # a product structure has no V(W(z)), so no count law
     with pytest.raises(SystemExit) as err:
         main(["exact", "--scheme", "product-symmetric", "--n", "50", "--law", "Nn"])
     msg = str(err.value.code)
-    assert msg.startswith("error: law_Nn does not take product schemes") and "\n" not in msg
+    assert msg.startswith("error: exact does not take product schemes") and "\n" not in msg
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("law", ["N", "Nhat"])
+@pytest.mark.parametrize("law", ["X", "N", "Nhat"])
 def test_exact_count_laws_refuse_a_product_scheme(capsys, law):
-    # its V(W) is a placeholder, whose count law is a point mass at 1
+    # a product structure has no V(W(z)): no component law X and no count law
     with pytest.raises(SystemExit) as err:
         main(["exact", "--scheme", "product-symmetric", "--n", "50", "--law", law])
     msg = str(err.value.code)
-    assert msg.startswith(f"error: law_{law} does not take product schemes") and "\n" not in msg
+    assert msg.startswith("error: exact does not take product schemes") and "\n" not in msg
     assert capsys.readouterr().out == ""
 
 
 def test_classify_refuses_a_product_scheme(capsys):
-    # the phase of its placeholder V(W) is no phase of the product
+    # a product structure has no V(W(z)), so no phase of the diagram
     with pytest.raises(SystemExit) as err:
         main(["classify", "--scheme", "product-symmetric"])
     msg = str(err.value.code)
@@ -278,9 +278,9 @@ def _per_replicate_csv(name, n, replicates, seed, stat_sizes, path):
     """The sample command's CSV from one ``sample`` call per replicate."""
     scheme = bundled_scheme(name)
     make = [sampling.make_rng(seed, i) for i in range(replicates)]
-    if scheme.product_factors is not None:
-        smp = sampling.ProductSampler(scheme.product_factors, n)
-        header = [f"coordinate_{j}" for j in range(len(scheme.product_factors))]
+    if isinstance(scheme, ProductSpec):
+        smp = sampling.ProductSampler(scheme, n)
+        header = [f"coordinate_{j}" for j in range(len(scheme.factors))]
         _write_csv(header, [smp.sample(rng) for rng in make], path)
         return
     smp = sampling.ExactSampler(scheme, n)

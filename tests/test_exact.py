@@ -16,6 +16,7 @@ from scipy.special import zeta
 
 from gibbs_partitions import (
     DiscreteLaw,
+    ProductSpec,
     SchemeSpec,
     WeightSequence,
     brute_force_partition_law,
@@ -706,7 +707,7 @@ def test_stopped_sum_asymptotic_ratio(dense_gauss):
 
 def test_product_law_symmetry():
     scheme = bundled_scheme("product-symmetric")
-    pl = product_law(scheme.product_factors, 300)
+    pl = product_law(scheme, 300)
     assert pl.p == pytest.approx((0.5, 0.5))
     assert np.allclose(pl.marginals[0].pmf, pl.marginals[1].pmf, atol=1e-12)
 
@@ -714,7 +715,7 @@ def test_product_law_symmetry():
 def test_product_law_lighter_tail_vanishes():
     heavy = WeightSequence.closed_form(c=1.0, e=2.0, rho=1.0)
     light = WeightSequence.closed_form(c=1.0, e=4.0, rho=1.0)
-    pl = product_law([heavy, light], 100)
+    pl = product_law(ProductSpec((heavy, light)), 100)
     assert pl.p[0] == pytest.approx(1.0)
     assert pl.p[1] == pytest.approx(0.0)
 
@@ -722,7 +723,7 @@ def test_product_law_lighter_tail_vanishes():
 def test_product_law_small_coordinate_split():
     # identical cubic factors: P(P_2 = k) ~ (1/2) P(A_2 = k) for small k
     f = WeightSequence.closed_form(c=1.0, e=3.0, rho=1.0)
-    pl = product_law([f, f], 500)
+    pl = product_law(ProductSpec((f, f)), 500)
     norm = sum(f.term(k) for k in range(501))
     for k in (1, 2, 3, 5, 8):
         want = 0.5 * f.term(k) / norm
@@ -732,7 +733,7 @@ def test_product_law_small_coordinate_split():
 def test_product_law_refuses_pk_for_explicit():
     f = WeightSequence.closed_form(c=1.0, e=3.0, rho=1.0)
     g = WeightSequence.explicit([0.0, 1.0, 1.0])
-    pl = product_law([f, g], 50)
+    pl = product_law(ProductSpec((f, g)), 50)
     assert pl.p is None
 
 
@@ -856,34 +857,57 @@ def test_extended_heavy_count_law_is_not_the_plain_one():
     "name", ["extended-light", "extended-heavy", "extended-matched", "product-symmetric"]
 )
 def test_laws_of_the_plain_model_refuse_extended_schemes(call, name, monkeypatch):
+    # a product structure has no h: the prefactor check is the type's refusal
     def no_sweep(*args, **kwargs):
         raise AssertionError("the prefactor is checked before any sweep")
 
     monkeypatch.setattr(exact, "_calibrate", no_sweep)
-    match = "product_law" if name == "product-symmetric" else "extended_law_Nn"
-    with pytest.raises(ValueError, match=match):
+    error, match = (
+        (AttributeError, "'ProductSpec' object has no attribute 'h'") if name == "product-symmetric"
+        else (ValueError, "extended_law_Nn")
+    )
+    with pytest.raises(error, match=match):
         call(bundled_scheme(name))
 
 
-def test_law_nn_refuses_a_product_scheme(monkeypatch):
-    # V and W of a product scheme are placeholders, whose count law is a
-    # point mass at 1
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the factors are checked before any sweep")
+@pytest.fixture
+def no_sums(monkeypatch):
+    """Every series sum and every sweep raises."""
 
-    monkeypatch.setattr(exact, "_calibrate", no_sweep)
-    with pytest.raises(ValueError, match="law_Nn does not take product schemes"):
-        law_Nn(bundled_scheme("product-symmetric"), 50)
+    def no_sum(*args, **kwargs):
+        raise AssertionError("the type is refused before any series sum")
+
+    for name in ("weighted_moment", "weighted_terms"):
+        monkeypatch.setattr(WeightSequence, name, no_sum)
+    monkeypatch.setattr(exact, "_harvest", no_sum)
 
 
-def test_count_laws_refuse_a_product_scheme():
-    # V and W of a product scheme are placeholders, whose count law is a
-    # point mass at 1
+def test_law_nn_refuses_a_product_scheme(no_sums):
+    # a product structure has no V(W(z)), so no count law, at any rho
+    for rho in (None, 0.5):
+        with pytest.raises(AttributeError, match="'ProductSpec' object has no attribute 'w'"):
+            law_Nn(bundled_scheme("product-symmetric"), 50, rho=rho)
+
+
+def test_count_laws_refuse_a_product_scheme(no_sums):
+    # a product structure has no V(W(z)), so no count law
     scheme = bundled_scheme("product-symmetric")
-    with pytest.raises(ValueError, match="law_N does not take product schemes"):
+    with pytest.raises(AttributeError, match="'ProductSpec' object has no attribute 'w'"):
         law_N(scheme, 0.5, 50)
-    with pytest.raises(ValueError, match="law_Nhat does not take product schemes"):
+    with pytest.raises(AttributeError, match="'ProductSpec' object has no attribute 'w'"):
         law_Nhat(scheme, 50)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [classify, default_rho, lambda s: law_X(s, 0.5, 6)],
+    ids=["classify", "default_rho", "law_X"],
+)
+def test_a_product_spec_has_no_v_or_w_to_read(call, no_sums):
+    # the placeholder V = z and W = the first factor are gone: nothing
+    # reads a phase or a law of them
+    with pytest.raises(AttributeError, match="'ProductSpec' object has no attribute '[vw]'"):
+        call(bundled_scheme("product-symmetric"))
 
 
 @pytest.mark.parametrize("a", [1.6, 1.8])

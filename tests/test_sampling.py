@@ -13,6 +13,7 @@ import pytest
 from scipy.stats import chi2_contingency, kstest
 
 from gibbs_partitions import (
+    ProductSpec,
     SchemeSpec,
     WeightSequence,
     bundled_scheme,
@@ -743,19 +744,23 @@ def test_rejection_cap_reports_rate(dense_gauss):
     "name", ["extended-light", "extended-heavy", "extended-matched", "product-symmetric"]
 )
 def test_samplers_refuse_extended_schemes(sampler, name, monkeypatch):
-    # a product scheme's V and W are placeholders: ProductSampler draws it
+    # a product structure has no h, so the prefactor check refuses it by
+    # type: ProductSampler draws it
     def no_table(*args, **kwargs):
         raise AssertionError("the prefactor is checked before any table is built")
 
     monkeypatch.setattr(sampling, "_calibrate", no_table)
-    match = "product_law" if name == "product-symmetric" else "extended_law_Nn"
-    with pytest.raises(ValueError, match=match):
+    error, match = (
+        (AttributeError, "'ProductSpec' object has no attribute 'h'") if name == "product-symmetric"
+        else (ValueError, "extended_law_Nn")
+    )
+    with pytest.raises(error, match=match):
         sampler(bundled_scheme(name), 200)
 
 
 def test_product_sampler_symmetry_and_sum():
     scheme = bundled_scheme("product-symmetric")
-    smp = ProductSampler(scheme.product_factors, 300)
+    smp = ProductSampler(scheme, 300)
     first_giant = 0
     m = 3000
     for i in range(m):
@@ -769,7 +774,7 @@ def test_product_sampler_symmetry_and_sum():
 def test_product_sampler_uniform_zero():
     # w_0 = 0 in both factors: a uniform of exactly 0 must pick the first
     # size with positive conditional mass, not size 0
-    smp = ProductSampler(bundled_scheme("product-symmetric").product_factors, 300)
+    smp = ProductSampler(bundled_scheme("product-symmetric"), 300)
     assert smp.arrays[0][0] == 0.0
     got = smp.sample(_ScriptedRng([0.0]))
     weights = smp.arrays[0][:301] * smp.suffix[1][300::-1]
@@ -779,9 +784,9 @@ def test_product_sampler_uniform_zero():
 
 @pytest.mark.parametrize("extra", [0, 1])  # two factors, or three
 def test_product_sampler_many_matches_sample(extra, monkeypatch):
-    factors = list(bundled_scheme("product-symmetric").product_factors)
+    factors = bundled_scheme("product-symmetric").factors
     factors += factors[:extra]
-    smp = ProductSampler(factors, 300)
+    smp = ProductSampler(ProductSpec(factors), 300)
     scripts = [make_rng(22, i).random(len(factors) - 1) for i in range(60)]
     for values in scripts[::3]:
         values[0] = 0.0

@@ -406,15 +406,38 @@ _POLY = {"kind": "explicit", "coeffs": [0.0] + [1.0] * 10}
         ({"verifier": "dilute", "scheme": "dense-gauss", "n_ladder": [50], "replicates": 10}, {}),
         # a factor without a closed-form tail has no macroscopic-index law p
         ({"verifier": "extended", "scheme": "mixed", "n": 12},
-         {"mixed": {"v": _ONE, "w": _ZETA3, "product_factors": [_POLY, _ZETA3]}}),
+         {"mixed": {"product_factors": [_POLY, _ZETA3]}}),
         ({"verifier": "extended", "scheme": "explicit", "n": 12},
-         {"explicit": {"v": _ONE, "w": _ZETA3, "product_factors": [_POLY, _POLY]}}),
+         {"explicit": {"product_factors": [_POLY, _POLY]}}),
     ],
     ids=["dilute-dense-gauss", "product-explicit-closed", "product-explicit"],
 )
 def test_run_suite_phase_mismatch_is_structured(tmp_path, experiment, schemes):
     with pytest.raises(PhaseMismatchError):
         run_suite({"schemes": schemes, "experiments": [experiment]}, tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "scheme, match",
+    [
+        ({"product_factors": []}, "at least two factors, got 0"),
+        ({"product_factors": [_ZETA3]}, "at least two factors, got 1"),
+        ({"v": _ONE, "w": _ZETA3, "product_factors": []}, "does not take the key 'v'"),
+        ({"v": _ONE, "w": _ZETA3, "product_factor": [_ZETA3, _ZETA3]}, "does not take the key 'product_factor'"),
+    ],
+    ids=["no-factor", "one-factor", "no-factor-with-v-and-w", "product_factor-typo"],
+)
+def test_run_suite_refuses_a_scheme_config_before_any_experiment(tmp_path, scheme, match):
+    """A product of fewer than two factors, a product config with a V or W
+    and a key that no config reads are refused at load, before the first
+    experiment runs and before ``out_dir`` exists."""
+    cfg = {"schemes": {"bad": scheme}, "experiments": [
+        {"verifier": "mixture", "scheme": "mixture", "n_ladder": [50]},
+        {"verifier": "extended", "scheme": "bad", "n": 12},
+    ]}
+    with pytest.raises(SuiteConfigError, match=f"bad scheme 'bad': .*{match}"):
+        run_suite(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_suite_parse_error(tmp_path):
@@ -590,7 +613,7 @@ def test_verifiers_of_the_plain_model_refuse_extended_schemes(verifier, kwargs, 
         raise AssertionError("the prefactor is checked before any law")
 
     monkeypatch.setattr(verify, "classify", no_law)
-    for name, match in (("extended-heavy", "prefactor h"), ("product-symmetric", "product_factors")):
+    for name, match in (("extended-heavy", "prefactor h"), ("product-symmetric", "not product schemes")):
         with pytest.raises(PhaseMismatchError, match=match):
             verifier(bundled_scheme(name), **kwargs)
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
-from gibbs_partitions import SchemeSpec, WeightSequence
+from gibbs_partitions import ProductSpec, SchemeSpec, WeightSequence, bundled_names, bundled_scheme
 
 
 def test_term_explicit_direct_read():
@@ -232,6 +232,44 @@ def test_config_round_trip():
     again = SchemeSpec.from_config(scheme.to_config())
     assert again == scheme
     assert again.fingerprint() == scheme.fingerprint()
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_bundled_config_round_trip(name):
+    # the one config reader gives back each bundled spec, of its own type
+    scheme = bundled_scheme(name)
+    again = SchemeSpec.from_config(scheme.to_config())
+    assert type(again) is type(scheme) and again == scheme
+    assert again.fingerprint() == scheme.fingerprint()
+    assert isinstance(again, ProductSpec) == (name == "product-symmetric")
+
+
+_ZETA3 = {"kind": "closed_form", "c": 1.0, "e": 3.0, "rho": 1.0}
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        # a typo of product_factors once gave the plain scheme of v and w
+        ({"v": {"kind": "explicit", "coeffs": [0.0, 1.0]}, "w": _ZETA3, "product_factor": [_ZETA3, _ZETA3]},
+         "product_factor"),
+        ({"product_factors": [_ZETA3, _ZETA3], "w": _ZETA3}, "w"),
+        ({"product_factors": [_ZETA3, _ZETA3], "h": _ZETA3}, "h"),
+        # a closed form once dropped a key it does not read
+        ({"v": _ZETA3 | {"rho": 1.2}, "w": _ZETA3 | {"exponent": 2.0}}, "exponent"),
+        ({"v": {"kind": "explicit", "coeffs": [0.0, 1.0], "e": 2.0}, "w": _ZETA3}, "e"),
+    ],
+    ids=["product_factor-typo", "product-with-w", "product-with-h", "closed-form-exponent", "explicit-e"],
+)
+def test_scheme_configs_refuse_keys_they_do_not_read(cfg, key):
+    with pytest.raises(ValueError, match=f"does not take the key '{key}'"):
+        SchemeSpec.from_config(cfg)
+
+
+@pytest.mark.parametrize("factors", [[], [_ZETA3]], ids=["none", "one"])
+def test_product_spec_needs_two_factors(factors):
+    with pytest.raises(ValueError, match=f"at least two factors, got {len(factors)}"):
+        SchemeSpec.from_config({"product_factors": factors})
 
 
 def test_sum_that_certifies_geometrically_near_the_radius_keeps_its_route():
