@@ -1,7 +1,7 @@
 """Gibbs partition / composition scheme models: phase diagram, exact laws,
 samplers, limit laws, and limit-theorem verifiers."""
 
-from .weights import SlowVarying, WeightSequence, SchemeSpec, ProductSpec
+from .weights import SlowVarying, WeightSequence, SchemeSpec, ExtendedSpec, ProductSpec
 from .phases import Phase, Criticality, Scale, PhaseReport, classify
 from .exact import (
     DiscreteLaw,
@@ -24,6 +24,7 @@ __all__ = [
     "SlowVarying",
     "WeightSequence",
     "SchemeSpec",
+    "ExtendedSpec",
     "ProductSpec",
     "Phase",
     "Criticality",

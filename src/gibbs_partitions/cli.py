@@ -25,7 +25,7 @@ from .verify import (
     load_config,
     run_suite,
 )
-from .weights import ProductSpec, SchemeSpec
+from .weights import ExtendedSpec, ProductSpec, SchemeSpec
 
 __all__ = ["build_parser", "main"]
 
@@ -50,7 +50,7 @@ def _int_at_least(low: int):
     return parse
 
 
-def _get_scheme(args) -> SchemeSpec | ProductSpec:
+def _get_scheme(args) -> SchemeSpec | ExtendedSpec | ProductSpec:
     try:
         declared = _declared_schemes(load_config(args.config)) if args.config else {}
         scheme = _resolve_scheme(args.scheme, declared)
@@ -58,6 +58,10 @@ def _get_scheme(args) -> SchemeSpec | ProductSpec:
         sys.exit(f"error: {err}")
     if isinstance(scheme, ProductSpec) and args.command != "sample":
         sys.exit(f"error: {args.command} does not take product schemes ({args.scheme!r}); their laws are product_law's")
+    if isinstance(scheme, ExtendedSpec) and not (args.command == "exact" and args.law == "Nn"):
+        what = f"exact --law {args.law}" if args.command == "exact" else args.command
+        sys.exit(f"error: {what} does not take extended schemes ({args.scheme!r}); "
+                 "their count law is extended_law_Nn's (exact --law Nn)")
     return scheme
 
 
@@ -84,7 +88,7 @@ def _cmd_exact(args) -> int:
         elif law == "Nhat":
             cols = [exact.law_Nhat(scheme, n, rho).pmf]
         elif law == "Nn":
-            cols = [exact.law_Nn(scheme, n).pmf]
+            cols = [(exact.extended_law_Nn if isinstance(scheme, ExtendedSpec) else exact.law_Nn)(scheme, n).pmf]
         elif law == "stopped_sum":
             ssl = exact.stopped_sum_law(scheme, rho, n)
             header, cols = ["m", "p_stopped_sum", "u_m"], [ssl.s_n, ssl.u]

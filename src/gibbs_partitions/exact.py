@@ -32,7 +32,7 @@ from numpy.fft import irfft, rfft
 
 from .phases import Criticality, _bisect, _criticality, _double, _w_at_radius, _w_root
 from .series import convolve, dot, fsum
-from .weights import ProductSpec, SchemeSpec, WeightSequence
+from .weights import ExtendedSpec, ProductSpec, SchemeSpec, WeightSequence
 
 __all__ = [
     "BudgetExceededError",
@@ -354,23 +354,15 @@ def _law_N(scheme: SchemeSpec, W: float, VW: float, ell_max: int) -> DiscreteLaw
     return DiscreteLaw(terms / VW, fsum(terms) / VW)
 
 
-def _size_biased(scheme: SchemeSpec, W: float, VW: float, pmf_n: np.ndarray):
-    """l P(N = l) / E[N] for the count law ``pmf_n`` at W = W(rho) and
-    VW = V(W), or None when E[N] diverges."""
-    EN = scheme.v.weighted_moment(W, 1) / VW
-    if not math.isfinite(EN):
-        return None
-    return np.arange(pmf_n.size) * pmf_n / EN
-
-
 def law_Nhat(scheme: SchemeSpec, ell_max: int, rho: float | None = None) -> DiscreteLaw:
     """Size-biased count law: P(N-hat = l) = l P(N=l) / E[N]."""
     rho, W = _radius_and_W(scheme, None, rho)
     VW = _outer_value(scheme, W)
-    pmf = _size_biased(scheme, W, VW, _law_N(scheme, W, VW, ell_max).pmf)
-    if pmf is None:
+    pmf_n = _law_N(scheme, W, VW, ell_max).pmf
+    EN = scheme.v.weighted_moment(W, 1) / VW
+    if not math.isfinite(EN):
         raise ValueError("E[N] diverges; size-biased law undefined")
-    return DiscreteLaw.from_pmf(pmf)
+    return DiscreteLaw.from_pmf(np.arange(pmf_n.size) * pmf_n / EN)
 
 
 def convolution_table(
@@ -495,14 +487,6 @@ def _calibrate(scheme: SchemeSpec, n: int, rho: float | None = None) -> _Calibra
     return _Calibration(rho, W, VW, lx, cap, _law_N(scheme, W, VW, cap).pmf)
 
 
-def _require_plain(scheme: SchemeSpec, what: str) -> None:
-    """``what`` reads V(W(z)) alone: a prefactor H(z) changes the law."""
-    if scheme.h is not None:
-        raise ValueError(
-            f"{what} extended schemes (prefactor h); their exact count law is extended_law_Nn"
-        )
-
-
 @dataclass
 class StoppedSumLaw:
     """P(S_N = m) for m = 0..n, with partition-function reconstruction."""
@@ -517,7 +501,6 @@ def stopped_sum_law(
     scheme: SchemeSpec, rho: float | None = None, n: int = 0, method: str = "auto"
 ) -> StoppedSumLaw:
     """Law of the randomly stopped sum plus u_m = V(W(rho)) rho^-m P(S_N=m)."""
-    _require_plain(scheme, "stopped_sum_law does not take")
     cal = _calibrate(scheme, n, rho)
     _, (acc,) = _harvest(cal.law_x.pmf, n, cal.cap, method, [cal.pmf_n])
     vw = cal.VW
@@ -542,28 +525,25 @@ def _conditioned(pmf_n: np.ndarray, column: np.ndarray, n: int, name: str) -> Di
 def law_Nn(
     scheme: SchemeSpec, n: int, rho: float | None = None, method: str = "auto"
 ) -> DiscreteLaw:
-    """Exact conditioned count law P(N_n = l) = P(N = l | S_N = n).
+    """Exact conditioned count law P(N_n = l) = P(N = l | S_N = n) of the
+    plain scheme V(W(z)).
 
-    Normalized by construction (conditioning contract).  For an extended
-    scheme H(z) V(W(z)) (``scheme.h`` set) it is the count of W-components,
-    proportional to P(N = l) * sum_j h_j rho^j P(S_l = n - j): the same
-    harvest, started from the row h_j rho^j instead of the unit row.
+    Normalized by construction (conditioning contract).  An extended
+    scheme's count law is ``extended_law_Nn``'s.
     """
     cal = _calibrate(scheme, n, rho)
-    if scheme.h is None:
-        start, name = _unit(n), "partition function"
-    else:
-        start, name = scheme.h.weighted_terms(cal.rho, n), "extended partition function"
-    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=start)
-    return _conditioned(cal.pmf_n, column, n, name)
+    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=_unit(n))
+    return _conditioned(cal.pmf_n, column, n, "partition function")
 
 
-def extended_law_Nn(scheme: SchemeSpec, n: int, method: str = "auto") -> DiscreteLaw:
-    """``law_Nn`` of an extended scheme H(z) V(W(z)); refuses a scheme
-    without a prefactor h."""
-    if scheme.h is None:
-        raise ValueError("scheme has no extended prefactor h")
-    return law_Nn(scheme, n, method=method)
+def extended_law_Nn(spec: ExtendedSpec, n: int, method: str = "auto") -> DiscreteLaw:
+    """Exact count law of the W-components of an extended scheme
+    H(z) V(W(z)), proportional to P(N = l) * sum_j h_j rho^j P(S_l = n - j):
+    ``law_Nn``'s harvest on the base scheme's calibration, started from the
+    row h_j rho^j instead of the unit row."""
+    cal = _calibrate(spec.base, n)
+    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=spec.h.weighted_terms(cal.rho, n))
+    return _conditioned(cal.pmf_n, column, n, "extended partition function")
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +702,6 @@ def _prefix_laws(scheme: SchemeSpec, n: int, ms, method: str = "auto") -> list[P
             raise ValueError("prefix laws implemented for m in {1, 2}")
         if m == 2 and n > 3000:
             raise BudgetExceededError("m=2 joint table limited to n <= 3000")
-    _require_plain(scheme, "prefix_law does not take")
     # G[x] = sum_{l >= m} P(N=l) P(S_{l-m} = x): weight row j by P(N = j+m).
     cal = _calibrate(scheme, n)
     column, greens = _harvest(cal.law_x.pmf, n, cal.cap, method, [cal.pmf_n[m:] for m in ms], _unit(n))
@@ -803,7 +782,6 @@ def giant_deficit_law(scheme: SchemeSpec, n: int, method: str = "auto"):
     independent component sizes; it is None when E[N] diverges.
     """
     _deficit_cap(n)
-    _require_plain(scheme, "giant_deficit_law does not take")
     cal = _calibrate(scheme, n)
     column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=_unit(n))
     return _giant_deficit(scheme, n, cal, column, method)
@@ -829,19 +807,18 @@ def _giant_deficit(
         raise ValueError("conditioning event has zero probability")
 
     # G[d] = sum_l P(N=l) l P(S_{l-1} = d): rows only to column d_max needed.
-    nhat = _size_biased(scheme, cal.W, cal.VW, pmf_n)
     # Row j holds P(S_j = d), j = l - 1 small summands; with no zero-size
     # components rows past d_max vanish on the kept columns.
     cap = weights_exact.size - 1
     if float(px[0]) == 0.0:
         cap = min(cap, d_max)
-    weights = [weights_exact] if nhat is None else [weights_exact, nhat[1:]]
-    _, (g_exact, *g_limit) = _harvest(px[: d_max + 1], d_max, cap, method, weights)
+    _, (g_exact,) = _harvest(px[: d_max + 1], d_max, cap, method, [weights_exact])
 
     big = px[n - d_max : n + 1][::-1]  # P(X = n - d), d = 0..d_max
-    pmf_exact = g_exact * big / denom
-    exact = DiscreteLaw.from_pmf(pmf_exact)
-    limit = DiscreteLaw.from_pmf(g_limit[0]) if g_limit else None
+    exact = DiscreteLaw.from_pmf(g_exact * big / denom)
+    # the limit sum_l nhat_l P(S_{l-1} = d), nhat_l = l P(N = l) / E[N], is G / E[N]
+    EN = scheme.v.weighted_moment(cal.W, 1) / cal.VW
+    limit = DiscreteLaw.from_pmf(g_exact / EN) if math.isfinite(EN) else None
     return exact, limit
 
 

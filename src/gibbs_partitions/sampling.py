@@ -54,7 +54,6 @@ from .exact import (
     _giant_stride,
     _harvest,
     _product_tables,
-    _require_plain,
     _unit,
     _write_rows,
 )
@@ -283,7 +282,6 @@ class ExactSampler:
     """
 
     def __init__(self, scheme: SchemeSpec, n: int):
-        _require_plain(scheme, "the samplers do not draw from")
         if n > _EXACT_N_DEFAULT_CAP:
             raise BudgetExceededError(
                 f"exact sampler table budget ({_EXACT_N_DEFAULT_CAP}) exceeded at n={n}; "
@@ -528,7 +526,6 @@ class RejectionSampler:
     batch: int = field(init=False)  # proposals drawn per batch
 
     def __post_init__(self) -> None:
-        _require_plain(self.scheme, "the samplers do not draw from")
         cal = _calibrate(self.scheme, self.n)
         self.rho = cal.rho
         self.cdf_x = np.cumsum(cal.law_x.pmf)

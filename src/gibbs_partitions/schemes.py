@@ -18,6 +18,7 @@ dilute              3/2   3/2   dilute, alpha = 1/2
 ==================  ====  ====  =====================================
 
 ``single-component`` (V(z) = z) is the degenerate control: N_n = 1 always.
+The three ``extended-*`` schemes are ``ExtendedSpec``s, H(z) V(W(z)) on the convergent base.
 ``product-symmetric`` is no composition scheme: a ``ProductSpec`` of two n^-3 factors.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .weights import ProductSpec, SchemeSpec, WeightSequence
+from .weights import ExtendedSpec, ProductSpec, SchemeSpec, WeightSequence
 
 __all__ = ["bundled_scheme", "bundled_names", "bell_scheme", "zeta_scheme"]
 
@@ -82,10 +83,6 @@ def _dense_super() -> SchemeSpec:
     return SchemeSpec(v=v, w=w)
 
 
-def _extended(base: SchemeSpec, h: WeightSequence) -> SchemeSpec:
-    return SchemeSpec(v=base.v, w=base.w, h=h)
-
-
 def _product_symmetric(a: float = 3.0) -> ProductSpec:
     f = WeightSequence.closed_form(c=1.0, e=a, rho=1.0)
     return ProductSpec((f, f))
@@ -103,15 +100,15 @@ _BUILDERS = {
     "single-component": _single_component,
     # extended-scheme regimes on top of the convergent base (u_n ~ C n^-3/2):
     # lighter prefactor tail -> base behavior survives
-    "extended-light": lambda: _extended(
+    "extended-light": lambda: ExtendedSpec(
         zeta_scheme(1.5, 3.0), WeightSequence.closed_form(c=1.0, e=3.0, rho=1.0, term0=1.0)
     ),
     # heavier prefactor tail -> Boltzmann limit
-    "extended-heavy": lambda: _extended(
+    "extended-heavy": lambda: ExtendedSpec(
         zeta_scheme(1.5, 3.0), WeightSequence.closed_form(c=1.0, e=1.25, rho=1.0, term0=1.0)
     ),
     # matched tails -> mixture of the two
-    "extended-matched": lambda: _extended(
+    "extended-matched": lambda: ExtendedSpec(
         zeta_scheme(1.5, 3.0), WeightSequence.closed_form(c=1.0, e=1.5, rho=1.0, term0=1.0)
     ),
     "product-symmetric": _product_symmetric,
@@ -122,7 +119,7 @@ def bundled_names() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def bundled_scheme(name: str) -> SchemeSpec | ProductSpec:
+def bundled_scheme(name: str) -> SchemeSpec | ExtendedSpec | ProductSpec:
     try:
         return _BUILDERS[name]()
     except KeyError:

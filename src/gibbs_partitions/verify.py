@@ -16,8 +16,10 @@ dilute               count LLT and cdf, mixed-Poisson counts, points    plain; d
 extended             prefactor regimes and product-structure symmetry   extended, product
 ===================  =================================================  =====================
 
-A plain scheme is V(W(z)) alone; an extended one has a prefactor ``h``; a
-product one is a ``ProductSpec``, prod_k W_k(z), with no V or W.
+A plain scheme is a ``SchemeSpec``, V(W(z)) alone; an extended one is an
+``ExtendedSpec``, H(z) V(W(z)), whose phase is its base scheme's; a product
+one is a ``ProductSpec``, prod_k W_k(z).  Neither of the last two has a V
+or W of its own.
 ``_VERIFIERS`` alone says what each verifier accepts: the kinds and phases
 above, plus what else it needs (scale constants, a finite E[N], closed
 forms, at alpha = 2 two sizes).  A ``verify_*`` call or a suite experiment
@@ -68,7 +70,7 @@ from .phases import Phase, PhaseReport, classify
 from .schemes import bundled_names, bundled_scheme
 from .series import fsum
 from .special import chdtrc
-from .weights import ProductSpec, SchemeSpec
+from .weights import ExtendedSpec, ProductSpec, SchemeSpec
 
 __all__ = [
     "VerdictReport",
@@ -625,7 +627,8 @@ def _u_tail_class(scheme: SchemeSpec, rep: PhaseReport):
 
 
 def _extended(
-    rep: PhaseReport | None, scheme: SchemeSpec, n: int, tol: float = 0.1, replicates: int = 10000, seed: int = 1
+    rep: PhaseReport | None, scheme: ExtendedSpec | ProductSpec, n: int, tol: float = 0.1,
+    replicates: int = 10000, seed: int = 1,
 ):
     """Extended-scheme regimes and product-structure checks.
 
@@ -679,9 +682,8 @@ def _extended(
             ))
         return reports, csvs
 
-    base = SchemeSpec(v=scheme.v, w=scheme.w)
-    h = scheme.h
-    rho_u, s_u, lam_u, c_u = _u_tail_class(scheme, rep)
+    base, h = scheme.base, scheme.h
+    rho_u, s_u, lam_u, c_u = _u_tail_class(base, rep)
     if h.rho > rho_u * (1 + 1e-9):
         regime = "base"
     elif h.rho < rho_u * (1 - 1e-9):
@@ -750,7 +752,7 @@ def _needs_closed_forms(scheme, rep, params):
     if isinstance(scheme, ProductSpec):
         if any(f.is_explicit for f in scheme.factors):
             return "closed-form tails on every product factor (the macroscopic-index law)"
-    elif scheme.h.is_explicit or _u_tail_class(scheme, rep) is None:
+    elif scheme.h.is_explicit or _u_tail_class(scheme.base, rep) is None:
         return "closed forms for regime detection"
 
 
@@ -791,20 +793,21 @@ _VERIFIERS = {
 }
 
 
-def _gate(name: str, scheme: SchemeSpec | ProductSpec, params: dict) -> PhaseReport | None:
+def _gate(name: str, scheme: SchemeSpec | ExtendedSpec | ProductSpec, params: dict) -> PhaseReport | None:
     """The report the body of verifier ``name`` reads, or the
     ``PhaseMismatchError`` naming what it does not take; the kind is
-    checked before ``classify``, and no law is computed."""
+    checked before ``classify``, and no law is computed.  An extended
+    scheme's report is its base scheme's."""
     entry = _VERIFIERS[name]
     kind, given = (
         ("product", "prod_k W_k(z)") if isinstance(scheme, ProductSpec)
-        else ("plain", "V(W(z)) alone") if scheme.h is None
-        else ("extended", "prefactor h")
+        else ("extended", "prefactor h") if isinstance(scheme, ExtendedSpec)
+        else ("plain", "V(W(z)) alone")
     )
     if kind not in entry.kinds:
         raise PhaseMismatchError(f"{name} takes {' or '.join(entry.kinds)} schemes, not {kind} schemes ({given})")
     phases = entry.kinds[kind]
-    rep = None if phases is None else classify(scheme)
+    rep = None if phases is None else classify(scheme.base if kind == "extended" else scheme)
     if rep is not None and rep.phase not in phases:
         raise PhaseMismatchError(f"{name} needs a scheme in {[p.value for p in phases]}, got {rep.phase.value}")
     why = entry.refuse and entry.refuse(scheme, rep, params)
@@ -852,7 +855,7 @@ def _declared_schemes(cfg: dict) -> dict:
     return declared
 
 
-def _resolve_scheme(name: str, declared: dict) -> SchemeSpec | ProductSpec:
+def _resolve_scheme(name: str, declared: dict) -> SchemeSpec | ExtendedSpec | ProductSpec:
     if name in declared:
         return declared[name]
     if name in bundled_names():

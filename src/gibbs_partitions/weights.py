@@ -17,10 +17,11 @@ Weight sequences come in two kinds:
   the slowly varying factor positive and finite at every index.
 
 Series evaluation returns certified partial sums: the reported value differs
-from the infinite sum by at most ``tol``.  Away from the radius a geometric
-ratio bound controls the tail; on the radius an integral comparison does.
-Divergence (``t > rho``, or ``t = rho`` with tail exponent <= 1) is signalled
-by returning ``+inf``, never by a fabricated number.
+from the infinite sum by at most ``_SERIES_TOL``.  Away from the radius a
+geometric ratio bound controls the tail; on the radius an integral
+comparison does.  Divergence (``t > rho``, or ``t = rho`` with tail
+exponent <= 1) is signalled by returning ``+inf``, never by a fabricated
+number.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -32,11 +33,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["SlowVarying", "WeightSequence", "SchemeSpec", "ProductSpec"]
+__all__ = ["SlowVarying", "WeightSequence", "SchemeSpec", "ExtendedSpec", "ProductSpec"]
 
 # Relative slack used to decide whether an evaluation point sits on the
 # radius of convergence; configs build rho_v = W(rho_w) in floating point.
 _RADIUS_RTOL = 1e-13
+
+# The certified error of every series value: a reported sum is within this
+# of the infinite one.
+_SERIES_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -229,7 +234,7 @@ class WeightSequence:
         out[1:] = vals
         return out
 
-    def weighted_moment(self, t: float, k: int = 0, tol: float = 1e-12) -> float:
+    def weighted_moment(self, t: float, k: int = 0) -> float:
         """Certified value of ``sum_n n**k * term(n) * t**n``, or +inf.
 
         Diverges (returns +inf) for t above the radius, and on the radius
@@ -244,7 +249,7 @@ class WeightSequence:
                 return float(self.coeffs[0]) if k == 0 else 0.0
             arr = self.weighted_terms(t, len(self.coeffs) - 1)
             return math.fsum(c * j**k for j, c in enumerate(arr.tolist()))
-        base = _closed_moment_sum(self.L, self.e, self.rho, max(self.start_index, 1), t, k, tol)
+        base = _closed_moment_sum(self.L, self.e, self.rho, max(self.start_index, 1), t, k)
         if math.isinf(base):
             return math.inf
         total = base
@@ -259,9 +264,9 @@ class WeightSequence:
             total += self.term0
         return max(total, 0.0)
 
-    def series_value(self, t: float, tol: float = 1e-12) -> float:
+    def series_value(self, t: float) -> float:
         """Certified value of ``sum_n term(n) * t**n``, or +inf on divergence."""
-        return self.weighted_moment(t, 0, tol)
+        return self.weighted_moment(t, 0)
 
     # -- config round trip -------------------------------------------------
 
@@ -315,9 +320,9 @@ def _closed_moment_sum(
     n0: int,
     t: float,
     k: int,
-    tol: float,
 ) -> float:
-    """``sum_{n >= n0} n**k L(n) n**(-e) (t/rho)**n`` with tail error <= tol.
+    """``sum_{n >= n0} n**k L(n) n**(-e) (t/rho)**n`` with tail error <= tol
+    = ``_SERIES_TOL``.
 
     Below the radius the term ratio is eventually bounded by
 
@@ -340,6 +345,7 @@ def _closed_moment_sum(
     """
     if t == 0.0:
         return 0.0
+    tol = _SERIES_TOL
     q = t / rho
     e_eff = e - k
     lam = L.log_exp
@@ -434,39 +440,33 @@ def _geometric_never_certifies(L: SlowVarying, e_eff: float, q: float, max_index
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """A composition scheme: outer weights v, inner weights w.
+    """A composition scheme V(W(z)): outer weights v, inner weights w.
 
-    Optionally carries an extended-scheme prefactor ``h``.  The outer
-    series starts at index 1, so v must have v_0 = 0.
+    The outer series starts at index 1, so v must have v_0 = 0.
     """
 
     v: WeightSequence
     w: WeightSequence
-    h: WeightSequence | None = None
 
     def __post_init__(self) -> None:
         if self.v.term(0) != 0.0:
             raise ValueError("outer sequence must have v_0 = 0")
 
     def to_config(self) -> dict:
-        cfg = {"v": self.v.to_config(), "w": self.w.to_config()}
-        if self.h is not None:
-            cfg["h"] = self.h.to_config()
-        return cfg
+        return {"v": self.v.to_config(), "w": self.w.to_config()}
 
     @staticmethod
-    def from_config(cfg: dict) -> "SchemeSpec | ProductSpec":
-        """A ``ProductSpec`` for a config with ``product_factors``, else a composition scheme."""
+    def from_config(cfg: dict) -> "SchemeSpec | ExtendedSpec | ProductSpec":
+        """A ``ProductSpec`` for a config with ``product_factors``, an
+        ``ExtendedSpec`` for one with a non-empty ``h``, else a composition
+        scheme."""
         if "product_factors" in cfg:
             _known_keys(cfg, ("product_factors",), "a product scheme")
             return ProductSpec(tuple(WeightSequence.from_config(f) for f in cfg["product_factors"]))
         _known_keys(cfg, ("v", "w", "h"), "a scheme")
+        base = SchemeSpec(v=WeightSequence.from_config(cfg["v"]), w=WeightSequence.from_config(cfg["w"]))
         h = cfg.get("h")
-        return SchemeSpec(
-            v=WeightSequence.from_config(cfg["v"]),
-            w=WeightSequence.from_config(cfg["w"]),
-            h=WeightSequence.from_config(h) if h else None,
-        )
+        return ExtendedSpec(base, WeightSequence.from_config(h)) if h else base
 
     def fingerprint(self) -> str:
         import hashlib
@@ -477,9 +477,25 @@ class SchemeSpec:
 
 
 @dataclass(frozen=True)
+class ExtendedSpec:
+    """An extended composition scheme H(z) V(W(z)): the plain scheme
+    ``base`` and the prefactor ``h``.  It has no ``v`` or ``w``, so a
+    plain-model function fails on its first read of one.  Its count law is
+    ``exact.extended_law_Nn``'s."""
+
+    base: SchemeSpec
+    h: WeightSequence
+
+    def to_config(self) -> dict:
+        return {**self.base.to_config(), "h": self.h.to_config()}
+
+    fingerprint = SchemeSpec.fingerprint  # the sha1 of to_config()
+
+
+@dataclass(frozen=True)
 class ProductSpec:
-    """A product structure prod_k W_k(z), its factors alone: no ``v``, ``w``
-    or ``h``, so a plain-model function fails on its first read of one.  Its
+    """A product structure prod_k W_k(z), its factors alone: no ``v`` or
+    ``w``, so a plain-model function fails on its first read of one.  Its
     laws are ``exact.product_law``'s and its draws ``ProductSampler``'s."""
 
     factors: tuple[WeightSequence, ...]

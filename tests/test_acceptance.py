@@ -15,10 +15,12 @@ import pytest
 from scipy.stats import kstest
 
 from gibbs_partitions import (
+    ExtendedSpec,
     SchemeSpec,
     brute_force_partition_law,
     bundled_scheme,
     classify,
+    extended_law_Nn,
     giant_deficit_law,
     law_Nn,
     prefix_law,
@@ -53,15 +55,15 @@ def report(criterion, passed, detail=""):
 
 def w0_free_schemes():
     """The bundled composition schemes V(W(z)) with w_0 = 0.  The extended
-    schemes H(z) V(W(z)) are left out: the oracles and tilts below model
-    V(W(z)) alone, and their v and w are those of ``convergent``.  A
+    schemes H(z) V(W(z)) (``ExtendedSpec``) are left out: the oracles and
+    tilts below model V(W(z)) alone, and their base is ``convergent``.  A
     product structure (``ProductSpec``) is no composition scheme and is
     left out too."""
     out = []
     for name in bundled_names():
         scheme = bundled_scheme(name)
-        if isinstance(scheme, SchemeSpec) and scheme.w.term(0) == 0.0 and scheme.h is None:
-            out.append((name, SchemeSpec(v=scheme.v, w=scheme.w)))
+        if isinstance(scheme, SchemeSpec) and scheme.w.term(0) == 0.0:
+            out.append((name, scheme))
     return out
 
 
@@ -131,9 +133,10 @@ def test_criterion_03_tilting_invariance():
     # the extended count law is invariant when h is tilted with w
     for name in ("extended-light", "extended-heavy", "extended-matched"):
         scheme = bundled_scheme(name)
+        v, w = scheme.base.v, scheme.base.w
         for t in (0.5, 2.0):
-            tilted = SchemeSpec(v=scheme.v, w=scheme.w.tilt(t), h=scheme.h.tilt(t))
-            worst = max(worst, tv_distance(law_Nn(scheme, n), law_Nn(tilted, n)))
+            tilted = ExtendedSpec(SchemeSpec(v, w.tilt(t)), scheme.h.tilt(t))
+            worst = max(worst, tv_distance(extended_law_Nn(scheme, n), extended_law_Nn(tilted, n)))
     report("criterion 3 (tilting invariance)", worst < 1e-12, f"worst {worst:.2e}")
 
 

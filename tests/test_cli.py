@@ -91,8 +91,9 @@ def test_exact_count_law_of_an_extended_scheme(capsys):
     assert vals[1] == pytest.approx(0.7625, abs=1e-4)
 
 
-@pytest.mark.parametrize("law", ["stopped_sum", "prefix1", "deficit"])
+@pytest.mark.parametrize("law", ["X", "N", "Nhat", "stopped_sum", "prefix1", "deficit"])
 def test_exact_plain_model_laws_refuse_an_extended_scheme(capsys, law):
+    # X, N and Nhat once printed the laws of the base scheme V(W(z)) and exited 0
     for name, pointer in (("extended-heavy", "extended_law_Nn"), ("product-symmetric", "product_law")):
         with pytest.raises(SystemExit) as err:
             main(["exact", "--scheme", name, "--n", "200", "--law", law])
@@ -117,6 +118,16 @@ def test_exact_count_laws_refuse_a_product_scheme(capsys, law):
         main(["exact", "--scheme", "product-symmetric", "--n", "50", "--law", law])
     msg = str(err.value.code)
     assert msg.startswith("error: exact does not take product schemes") and "\n" not in msg
+    assert capsys.readouterr().out == ""
+
+
+def test_classify_refuses_an_extended_scheme(capsys):
+    # H(z) V(W(z)) once got the phase of its base V(W(z)), convergent
+    with pytest.raises(SystemExit) as err:
+        main(["classify", "--scheme", "extended-light"])
+    msg = str(err.value.code)
+    assert msg.startswith("error: classify does not take extended schemes") and "\n" not in msg
+    assert "extended_law_Nn" in msg
     assert capsys.readouterr().out == ""
 
 

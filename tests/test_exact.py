@@ -16,6 +16,7 @@ from scipy.special import zeta
 
 from gibbs_partitions import (
     DiscreteLaw,
+    ExtendedSpec,
     ProductSpec,
     SchemeSpec,
     WeightSequence,
@@ -680,6 +681,21 @@ def test_deficit_limit_law_convergence(convergent):
     assert tv_distance(exact_d, limit_d) < 0.1
 
 
+@pytest.mark.parametrize("name, n", [("convergent", 400), ("mixture", 300), ("dense-b3", 250)])
+def test_deficit_limit_is_the_size_biased_stopped_sum(name, n):
+    # the limit sum_l nhat_l P(S_(l-1) = d), from law_Nhat and the
+    # convolution table of law_X instead of the exact law's weights
+    scheme = bundled_scheme(name)
+    _, limit_d = giant_deficit_law(scheme, n)
+    d_max = limit_d.pmf.size - 1
+    rho = default_rho(scheme, n)
+    nhat = law_Nhat(scheme, d_max + 1, rho).pmf
+    table = convolution_table(law_X(scheme, rho, d_max), d_max, d_max, method="direct")
+    want = nhat[1:] @ table
+    assert np.all(want > 0)
+    assert np.max(np.abs(limit_d.pmf - want) / want) < 1e-12
+
+
 @pytest.mark.parametrize("n", [800, 2000])
 def test_deficit_from_the_sampler_is_the_deficit_law(convergent, n):
     # the convergent verifier takes the deficit law from its sampler's
@@ -739,8 +755,7 @@ def test_product_law_refuses_pk_for_explicit():
 
 def test_extended_trivial_prefactor(convergent):
     # H = 1 (only h_0 = 1): identical to the base scheme exactly
-    ext = SchemeSpec(v=convergent.v, w=convergent.w,
-                     h=WeightSequence.explicit([1.0]))
+    ext = ExtendedSpec(convergent, WeightSequence.explicit([1.0]))
     base = law_Nn(convergent, 300)
     lifted = extended_law_Nn(ext, 300)
     assert tv_distance(base, lifted) < 1e-12
@@ -764,8 +779,15 @@ def _w0_positive():
 def test_calibrate_matches_the_public_laws(name, n):
     """One calibration sums W(rho) once and V(W(rho)) once, and holds the
     bits of default_rho, law_X and law_N, at the default rho and at a
-    caller's."""
+    caller's.  An extended scheme's laws are built on its base's
+    calibration: its count law has the bits of the harvest from h_j rho^j."""
     scheme = _w0_positive() if name == "w0-positive" else bundled_scheme(name)
+    if isinstance(scheme, ExtendedSpec):
+        cal = _calibrate(scheme.base, n)
+        column, _ = _harvest(cal.law_x.pmf, n, cal.cap, "auto", start=scheme.h.weighted_terms(cal.rho, n))
+        want = exact._conditioned(cal.pmf_n, column, n, "extended partition function").pmf
+        assert extended_law_Nn(scheme, n).pmf.tobytes() == want.tobytes()
+        scheme = scheme.base
     for rho in (None, 0.9 * default_rho(scheme, n)):
         cal = _calibrate(scheme, n, rho)
         assert cal.rho == (default_rho(scheme, n) if rho is None else rho)
@@ -818,14 +840,14 @@ def test_shared_prefix_harvest_matches_separate_prefix_laws(name, n):
 @pytest.mark.parametrize("name", ["extended-light", "extended-heavy", "extended-matched"])
 @pytest.mark.parametrize("n", [200, 600, 2500])
 def test_law_nn_of_an_extended_scheme_is_the_extended_law(name, n):
-    """law_Nn harvests from the row h_j rho^j when the scheme has a
-    prefactor: the bits of the extended law's own computation."""
+    """extended_law_Nn harvests from the row h_j rho^j on the base
+    scheme's calibration: the bits of that harvest, at n on both sides of
+    the direct/FFT switch."""
     scheme = bundled_scheme(name)
-    cal = _calibrate(scheme, n)
+    cal = _calibrate(scheme.base, n)
     start = scheme.h.weighted_terms(cal.rho, n)
     column, _ = _harvest(cal.law_x.pmf, n, cal.cap, "auto", start=start)
     want = exact._conditioned(cal.pmf_n, column, n, "extended partition function").pmf
-    assert law_Nn(scheme, n).pmf.tobytes() == want.tobytes()
     assert extended_law_Nn(scheme, n).pmf.tobytes() == want.tobytes()
 
 
@@ -833,14 +855,14 @@ def test_extended_heavy_count_law_is_not_the_plain_one():
     # the plain model V(W(z)) has P(N_200 = 1) = 0.6375; the prefactor's
     # heavier tail takes the extended law 0.125 away from it in TV
     scheme = bundled_scheme("extended-heavy")
-    base = SchemeSpec(v=scheme.v, w=scheme.w)
-    law = law_Nn(scheme, 200)
-    plain = law_Nn(base, 200)
+    law = extended_law_Nn(scheme, 200)
+    plain = law_Nn(scheme.base, 200)
     assert plain.pmf[1] == pytest.approx(0.6375, abs=1e-4)
     assert law.pmf[1] == pytest.approx(0.7625, abs=1e-4)
     assert tv_distance(law, plain) == pytest.approx(0.125, abs=1e-3)
-    with pytest.raises(ValueError, match="no extended prefactor"):
-        extended_law_Nn(base, 200)
+    # a plain scheme has no prefactor to start the harvest from
+    with pytest.raises(AttributeError, match="'SchemeSpec' object has no attribute 'base'"):
+        extended_law_Nn(scheme.base, 200)
 
 
 @pytest.mark.parametrize(
@@ -856,30 +878,25 @@ def test_extended_heavy_count_law_is_not_the_plain_one():
 @pytest.mark.parametrize(
     "name", ["extended-light", "extended-heavy", "extended-matched", "product-symmetric"]
 )
-def test_laws_of_the_plain_model_refuse_extended_schemes(call, name, monkeypatch):
-    # a product structure has no h: the prefactor check is the type's refusal
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the prefactor is checked before any sweep")
-
-    monkeypatch.setattr(exact, "_calibrate", no_sweep)
-    error, match = (
-        (AttributeError, "'ProductSpec' object has no attribute 'h'") if name == "product-symmetric"
-        else (ValueError, "extended_law_Nn")
-    )
-    with pytest.raises(error, match=match):
+def test_laws_of_the_plain_model_refuse_extended_schemes(call, name, no_sums):
+    # neither an ExtendedSpec nor a ProductSpec has a V or W to read
+    kind = type(bundled_scheme(name)).__name__
+    with pytest.raises(AttributeError, match=f"'{kind}' object has no attribute 'w'"):
         call(bundled_scheme(name))
 
 
-@pytest.fixture
-def no_sums(monkeypatch):
-    """Every series sum and every sweep raises."""
-
-    def no_sum(*args, **kwargs):
-        raise AssertionError("the type is refused before any series sum")
-
-    for name in ("weighted_moment", "weighted_terms"):
-        monkeypatch.setattr(WeightSequence, name, no_sum)
-    monkeypatch.setattr(exact, "_harvest", no_sum)
+@pytest.mark.parametrize(
+    "call",
+    [classify, default_rho, lambda s: law_X(s, 0.5, 6), lambda s: law_N(s, 0.5, 6),
+     lambda s: law_Nhat(s, 6), lambda s: law_Nn(s, 50), lambda s: law_Nn(s, 50, rho=0.5)],
+    ids=["classify", "default_rho", "law_X", "law_N", "law_Nhat", "law_Nn", "law_Nn-rho"],
+)
+@pytest.mark.parametrize("name", ["extended-light", "extended-heavy", "extended-matched"])
+def test_an_extended_spec_has_no_v_or_w_to_read(call, name, no_sums):
+    # H(z) V(W(z)) is no V(W(z)): nothing reads a phase or a plain law of
+    # its base in its stead
+    with pytest.raises(AttributeError, match="'ExtendedSpec' object has no attribute '[vw]'"):
+        call(bundled_scheme(name))
 
 
 def test_law_nn_refuses_a_product_scheme(no_sums):

@@ -287,8 +287,11 @@ def test_report_json_key_order(name, phase):
     assert list(report.to_json()) == _REPORT_KEYS
 
 
-# product-symmetric is a ProductSpec, which has no V(W(z)) to classify
-@pytest.mark.parametrize("name", [name for name in bundled_names() if name != "product-symmetric"])
+# product-symmetric is a ProductSpec and the extended-* schemes are
+# ExtendedSpecs: neither has a V(W(z)) of its own to classify
+@pytest.mark.parametrize(
+    "name", [name for name in bundled_names() if name != "product-symmetric" and not name.startswith("extended-")]
+)
 def test_classify_sums_each_series_once(name, monkeypatch):
     """One classify call sums no (sequence, point, order) twice: W(rho_w)
     once, W(rho_u) once, and V'(W(rho_w)) once.  The report's constants are
@@ -297,15 +300,15 @@ def test_classify_sums_each_series_once(name, monkeypatch):
     sums = []
     moment = WeightSequence.weighted_moment
 
-    def counted(self, t, k=0, tol=1e-12):
-        sums.append((id(self), t, k, tol))
-        return moment(self, t, k, tol)
+    def counted(self, t, k=0):
+        sums.append((id(self), t, k))
+        return moment(self, t, k)
 
     monkeypatch.setattr(WeightSequence, "weighted_moment", counted)
     rep = classify(scheme)
     assert len(sums) == len(set(sums))
     if not scheme.w.is_explicit:
-        assert sums.count((id(scheme.w), scheme.w.rho, 0, 1e-12)) == 1
+        assert sums.count((id(scheme.w), scheme.w.rho, 0)) == 1
     assert len(sums) <= {"dense_supercritical": 46, "mixture": 8}.get(rep.phase.value, 3)
     if rep.mu is not None:
         W = scheme.w.series_value(rep.rho_u)

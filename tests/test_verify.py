@@ -573,11 +573,11 @@ def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
         calls["harvest"] += 1
         return harvest(*args, **kwargs)
 
-    def counted_moment(self, t, k=0, tol=1e-12):
+    def counted_moment(self, t, k=0):
         calls["sums"] += 1
         if in_calibration:
-            in_calibration[-1].append((self, t, k, tol))
-        return moment(self, t, k, tol)
+            in_calibration[-1].append((self, t, k))
+        return moment(self, t, k)
 
     for mod in (exact, sampling):
         monkeypatch.setattr(mod, "_calibrate", counted_calibrate)
@@ -651,10 +651,9 @@ def test_extended_regime_decided_by_radius(base, h_rho, regime):
     """A prefactor h with a radius off rho_u = 1 decides the regime alone:
     above it u_n dominates (the base law), below it h_n does (the
     Boltzmann count law at h's radius)."""
-    from gibbs_partitions import WeightSequence
+    from gibbs_partitions import ExtendedSpec, WeightSequence
 
-    b = bundled_scheme(base)
     h = WeightSequence.closed_form(c=1.0, e=2.0, rho=h_rho, term0=1.0)
-    (r,), _ = verify_extended(SchemeSpec(v=b.v, w=b.w, h=h), 400)
+    (r,), _ = verify_extended(ExtendedSpec(bundled_scheme(base), h), 400)
     assert r.details["regime"] == regime
     assert r.passed, r.observed

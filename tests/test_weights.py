@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
-from gibbs_partitions import ProductSpec, SchemeSpec, WeightSequence, bundled_names, bundled_scheme
+from gibbs_partitions import ExtendedSpec, ProductSpec, SchemeSpec, WeightSequence, bundled_names, bundled_scheme
 
 
 def test_term_explicit_direct_read():
@@ -44,12 +44,12 @@ def test_term0_default_zero():
 
 def test_series_value_zeta4():
     seq = WeightSequence.closed_form(c=1.0, e=4.0, rho=1.0)
-    assert seq.series_value(1.0, tol=1e-12) == pytest.approx(float(zeta(4)), abs=1e-11)
+    assert seq.series_value(1.0) == pytest.approx(float(zeta(4)), abs=1e-11)
 
 
 def test_series_value_zeta_three_halves():
     seq = WeightSequence.closed_form(c=1.0, e=1.5, rho=1.0)
-    assert seq.series_value(1.0, tol=1e-12) == pytest.approx(float(zeta(1.5)), abs=1e-11)
+    assert seq.series_value(1.0) == pytest.approx(float(zeta(1.5)), abs=1e-11)
 
 
 def test_series_value_at_zero_returns_term0():
@@ -69,7 +69,7 @@ def test_series_log_power_against_euler_maclaurin():
     oracle = float(
         mpmath.nsum(lambda n: mpmath.log(2 + n) ** 1.5 / n**2, [1, mpmath.inf], method="e")
     )
-    assert seq.series_value(1.0, tol=1e-11) == pytest.approx(oracle, abs=1e-10)
+    assert seq.series_value(1.0) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_radius():
@@ -79,7 +79,7 @@ def test_radius():
 
 def test_weighted_moment_zeta3():
     seq = WeightSequence.closed_form(c=1.0, e=4.0, rho=1.0)
-    assert seq.weighted_moment(1.0, 1, tol=1e-12) == pytest.approx(float(zeta(3)), abs=1e-11)
+    assert seq.weighted_moment(1.0, 1) == pytest.approx(float(zeta(3)), abs=1e-11)
 
 
 def test_weighted_moment_divergence():
@@ -130,8 +130,8 @@ def test_tilt_term_identity_property(e, log_exp, t, n):
 )
 def test_tilt_series_identity_property(t, x):
     seq = WeightSequence.closed_form(c=1.0, e=1.2, rho=1.0, log_exp=0.5)
-    lhs = seq.tilt(t).series_value(x, tol=1e-12)
-    rhs = seq.series_value(t * x, tol=1e-12)
+    lhs = seq.tilt(t).series_value(x)
+    rhs = seq.series_value(t * x)
     if math.isinf(lhs) or math.isinf(rhs):
         assert lhs == rhs
     else:
@@ -224,14 +224,22 @@ def test_scheme_requires_v0_zero():
 
 
 def test_config_round_trip():
-    scheme = SchemeSpec(
+    base = SchemeSpec(
         v=WeightSequence.closed_form(c=1.0, e=3.0, rho=1.2, overrides={2: 0.5}),
         w=WeightSequence.explicit([0.0, 1.0, 0.25]),
-        h=WeightSequence.closed_form(c=2.0, e=1.5, rho=1.0, term0=1.0),
     )
+    scheme = ExtendedSpec(base, WeightSequence.closed_form(c=2.0, e=1.5, rho=1.0, term0=1.0))
     again = SchemeSpec.from_config(scheme.to_config())
     assert again == scheme
     assert again.fingerprint() == scheme.fingerprint()
+    # an empty h is no prefactor: the plain scheme
+    assert SchemeSpec.from_config({**base.to_config(), "h": {}}) == base
+    # the bundled extended schemes keep the fingerprints of the golden verdicts
+    fingerprints = {"extended-light": "daf97236bb23", "extended-heavy": "a7f74f28f7a2",
+                    "extended-matched": "154f6fb6e64f"}
+    for name, fingerprint in fingerprints.items():
+        again = SchemeSpec.from_config(bundled_scheme(name).to_config())
+        assert isinstance(again, ExtendedSpec) and again.fingerprint() == fingerprint
 
 
 @pytest.mark.parametrize("name", bundled_names())
@@ -242,6 +250,7 @@ def test_bundled_config_round_trip(name):
     assert type(again) is type(scheme) and again == scheme
     assert again.fingerprint() == scheme.fingerprint()
     assert isinstance(again, ProductSpec) == (name == "product-symmetric")
+    assert isinstance(again, ExtendedSpec) == name.startswith("extended-")
 
 
 _ZETA3 = {"kind": "closed_form", "c": 1.0, "e": 3.0, "rho": 1.0}
