@@ -13,7 +13,8 @@ prefix_independence  total-variation decay of i.i.d. prefix approx.     plain; u
 convergent           count convergence, giant-component deficit law     plain; classified
 mixture              split probability and both conditional behaviours  plain; mixture
 dilute               count LLT and cdf, mixed-Poisson counts, points    plain; dilute
-extended             prefactor regimes and product-structure symmetry   extended, product
+extended             prefactor regimes of the count law                 extended; classified
+product              coordinate marginals and symmetry                  product
 ===================  =================================================  =====================
 
 A plain scheme is a ``SchemeSpec``, V(W(z)) alone; an extended one is an
@@ -22,8 +23,9 @@ one is a ``ProductSpec``, prod_k W_k(z).  Neither of the last two has a V
 or W of its own.
 ``_VERIFIERS`` alone says what each verifier accepts: the kinds and phases
 above, plus what else it needs (scale constants, a finite E[N], closed
-forms, at alpha = 2 two sizes).  A ``verify_*`` call or a suite experiment
-it refuses is a ``PhaseMismatchError`` before any law is computed.
+forms, at alpha = 2 two sizes and no ``tol``).  A ``verify_*`` call or a
+suite experiment it refuses is a ``PhaseMismatchError`` before any law is
+computed.
 
 An experiment of the suite config names its ``verifier`` and ``scheme``,
 and optionally an ``id`` and ``expect_fail``.  Its other keys are the
@@ -31,9 +33,10 @@ verifier's keyword parameters; any other key is a ``SuiteConfigError``,
 and so is a value that does not fit its parameter's default: an integer
 default takes a positive integer, a float default a finite number > 0.
 Where the verifier takes ``n_ladder``, ``n`` stands for [n/4, n/2, n];
-where it takes ``seed``, the config seed is the default.  Seeds are
-non-negative integers.  An experiment's CSVs go to the directory named by
-its id with ``:`` read as ``_``, and no two experiments may share one.
+where it takes ``seed``, the config seed is the default, and elsewhere a
+``seed`` key is dropped.  Seeds are non-negative integers.  An
+experiment's CSVs go to the directory named by its id with ``:`` read as
+``_``, and no two experiments may share one.
 
 Verdicts are deterministic given (config, seed): Monte Carlo streams are
 counter-based and keyed per replicate, and report assembly follows
@@ -83,6 +86,7 @@ __all__ = [
     "verify_mixture",
     "verify_dilute",
     "verify_extended",
+    "verify_product",
     "run_suite",
     "load_config",
 ]
@@ -222,12 +226,26 @@ def _contingency_pvalue(table) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dense case
+# shared exact checks and the dense case
 
 
-def _llt(law: DiscreteLaw, lo: int, hi: int, center: float, scale: float, density):
-    """Sup over the counts lo..hi (hi capped at the law's support) of
-    |scale * pmf - density((ell - center) / scale)|, and its csv."""
+def _phase_llt(rep: PhaseReport, law: DiscreteLaw, n: int):
+    """Sup of |scale * pmf - density((ell - center) / scale)| over the
+    phase's window of counts, and its csv.  Dense: +/- ``_WINDOW``
+    fluctuation scales around n/mu against the stable density; mixture:
+    the same, on ``law`` conditioned on the split event; dilute: from
+    ``_DELTA`` n^alpha to 20 n^alpha against the density of Z.  Past the
+    window's upper end both sides are negligible."""
+    if rep.phase is Phase.dilute:
+        scale, center = n**rep.alpha, 0
+        lo, hi = max(1, int(math.ceil(_DELTA * scale))), int(20 * scale)
+        density = functools.partial(laws.dilute_Z_density, laws.DiluteParams(rep.alpha, rep.b, rep.dilute_lambda))
+    else:
+        if rep.phase is Phase.mixture:
+            law = _restrict(law.pmf, _split(n, rep.mu), law.pmf.size)
+        scale, center = rep.nn_scale(n), n / rep.mu
+        lo, hi = max(0, int(center - _WINDOW * scale)), int(math.ceil(center + _WINDOW * scale))
+        density = functools.partial(laws.stable_density_series, laws.StableParams(rep.alpha, rep.gamma, -1.0))
     hi = min(hi, law.pmf.size - 1)
     ells = np.arange(lo, hi + 1)
     xs = (ells - center) / scale
@@ -237,18 +255,6 @@ def _llt(law: DiscreteLaw, lo: int, hi: int, center: float, scale: float, densit
     return float(np.max(np.abs(scaled - h))), (["ell", "x", "scaled_pmf", "limit_density"], rows)
 
 
-def _stable_window(rep: PhaseReport, n: int):
-    """The ``_llt`` arguments of the dense LLT: +/- ``_WINDOW`` fluctuation
-    scales around n/mu (outside it both sides vanish), against the stable
-    density."""
-    scale = rep.nn_scale(n)
-    center = n / rep.mu
-    stable = laws.StableParams(rep.alpha, rep.gamma, -1.0)
-    lo = max(0, int(center - _WINDOW * scale))
-    hi = int(math.ceil(center + _WINDOW * scale))
-    return lo, hi, center, scale, lambda x: laws.stable_density_series(stable, x)
-
-
 def _restrict(pmf: np.ndarray, lo: int, hi: int) -> DiscreteLaw:
     """The law ``pmf`` conditioned on lo <= k < hi."""
     out = np.zeros_like(pmf)
@@ -256,11 +262,15 @@ def _restrict(pmf: np.ndarray, lo: int, hi: int) -> DiscreteLaw:
     return DiscreteLaw(out / fsum(out), 1.0)
 
 
-def _dense_split(law: DiscreteLaw, n: int, mu: float) -> tuple[int, DiscreteLaw]:
-    """The dense-event threshold ceil(n / (2 mu)) and ``law`` conditioned
-    on the count reaching it."""
-    thresh = int(math.ceil(n / (2.0 * mu)))
-    return thresh, _restrict(law.pmf, thresh, law.pmf.size)
+def _split(n: int, mu: float) -> int:
+    """The dense-event threshold ceil(n / (2 mu)) of the count."""
+    return int(math.ceil(n / (2.0 * mu)))
+
+
+def _nhat_tv(scheme: SchemeSpec, law: DiscreteLaw):
+    """The TV distance from ``law`` to N-hat on its support, and N-hat."""
+    nhat = exact.law_Nhat(scheme, law.pmf.size - 1)
+    return tv_distance(law, nhat), nhat
 
 
 def _dense_llt(rep: PhaseReport, scheme: SchemeSpec, n_ladder, tol: float = 0.05):
@@ -268,16 +278,12 @@ def _dense_llt(rep: PhaseReport, scheme: SchemeSpec, n_ladder, tol: float = 0.05
     the ``_WINDOW`` window; no Monte Carlo is involved."""
     observed = []
     csvs = {}
-    conditional = rep.phase is Phase.mixture
     for n in n_ladder:
-        law = exact.law_Nn(scheme, n)
-        if conditional:
-            law = _dense_split(law, n, rep.mu)[1]
-        disc, csvs[n] = _llt(law, *_stable_window(rep, n))
+        disc, csvs[n] = _phase_llt(rep, exact.law_Nn(scheme, n), n)
         observed.append(disc)
     return [_verdict(
         "dense_llt", scheme, n_ladder, "sup-LLT-discrepancy", observed, tol, ladder=True,
-        window=_WINDOW, conditional_on_split_event=conditional,
+        window=_WINDOW, conditional_on_split_event=rep.phase is Phase.mixture,
     )], csvs
 
 
@@ -374,10 +380,9 @@ def _convergent(
     exact._deficit_cap(n)
     smp = sampling.ExactSampler(scheme, n)
     exact_d, limit_d = exact._giant_deficit(scheme, n, smp._cal, smp._column)
-    law = smp.count_law
-    nhat = exact.law_Nhat(scheme, law.pmf.size - 1)
+    tv, nhat = _nhat_tv(scheme, smp.count_law)
     reports = [
-        _verdict("convergent_counts", scheme, [n], "TV", [tv_distance(law, nhat)], tol),
+        _verdict("convergent_counts", scheme, [n], "TV", [tv], tol),
         _verdict("convergent_deficit", scheme, [n], "TV", [tv_distance(exact_d, limit_d)], tol),
         _convergent_mc(smp, replicates, seed, nhat),
     ]
@@ -440,23 +445,19 @@ def _mixture(rep: PhaseReport, scheme: SchemeSpec, n_ladder, tol: float = 0.05, 
     p, p_frac = rep.mixture_p, rep.mixture_p_frac
     dists, winners, pes, cond_discs, tvs_conv = [], [], [], [], []
     csvs = {}
-    nhat = None
     for n in n_ladder:
         law = exact.law_Nn(scheme, n)
-        thresh, cond = _dense_split(law, n, rep.mu)
+        thresh = _split(n, rep.mu)
         pe = fsum(law.pmf[thresh:])
         pes.append(pe)
         d_p, d_frac = abs(pe - p), abs(pe - p_frac)
         dists.append(min(d_p, d_frac))
         winners.append("p/(1+p)" if d_frac <= d_p else "p")
         # conditional LLT on the dense side
-        disc, csvs[n] = _llt(cond, *_stable_window(rep, n))
+        disc, csvs[n] = _phase_llt(rep, law, n)
         cond_discs.append(disc)
         # conditional count law off the dense side
-        cond_c = _restrict(law.pmf, 0, thresh)
-        if nhat is None or nhat.pmf.size < cond_c.pmf.size:
-            nhat = exact.law_Nhat(scheme, cond_c.pmf.size - 1)
-        tvs_conv.append(tv_distance(cond_c, nhat))
+        tvs_conv.append(_nhat_tv(scheme, _restrict(law.pmf, 0, thresh))[0])
     reports = [
         _verdict(
             "mixture_split_probability", scheme, n_ladder, "abs-error", dists, tol,
@@ -513,10 +514,7 @@ def _dilute(
     discs = []
     for n in n_ladder:
         law = smp.count_law if n == n_fin else exact.law_Nn(scheme, n)
-        na = n**alpha
-        # (i) from delta n^alpha up to where either side is non-negligible
-        lo = max(1, int(math.ceil(_DELTA * na)))
-        disc, csvs[n] = _llt(law, lo, int(20 * na), 0, na, lambda x: laws.dilute_Z_density(dp, x))
+        disc, csvs[n] = _phase_llt(rep, law, n)
         discs.append(disc)
     reports = [
         _verdict("dilute_llt", scheme, n_ladder, "sup-LLT-discrepancy", discs, tol, ladder=True, delta=_DELTA)
@@ -626,62 +624,12 @@ def _u_tail_class(scheme: SchemeSpec, rep: PhaseReport):
     return None
 
 
-def _extended(
-    rep: PhaseReport | None, scheme: ExtendedSpec | ProductSpec, n: int, tol: float = 0.1,
-    replicates: int = 10000, seed: int = 1,
-):
-    """Extended-scheme regimes and product-structure checks.
-
-    With a prefactor h: detects from the closed forms whether h_n / u_n
-    tends to 0 (base behavior persists), infinity (Boltzmann limit), or a
-    constant (a mixture with weights H(rho) : q U(rho) where
-    q = lim h_n / u_n), and checks the exact count law against the matching
-    reference within ``tol``.
-
-    With product factors: exact coordinate marginals against the
-    macroscopic-index decomposition, and a coordinate-symmetry frequency
-    test for identical factors.
-    """
-    reports = []
-    csvs = {}
-    if isinstance(scheme, ProductSpec):
-        try:
-            pl = exact.product_law(scheme, n)
-        except ValueError as err:  # e.g. no configuration of size n
-            raise PhaseMismatchError(f"product_marginals: {err}") from None
-        p = pl.p  # the gate asked for closed-form tails on every factor
-        # exact: small-coordinate marginal of coordinate j approaches
-        # sum_{i != j} p_i * P(A_j = k) (it is freed whenever any other
-        # coordinate is the macroscopic one)
-        k_hi = min(8, n)  # the free-coordinate approximation is a small-k statement
-        rows = []
-        worst = 0.0
-        for j, (marg, arr) in enumerate(zip(pl.marginals, pl.arrays)):
-            boltz = arr / fsum(arr)
-            free_weight = 1.0 - p[j]
-            got = marg.pmf[1 : k_hi + 1]
-            want = free_weight * boltz[1 : k_hi + 1]
-            denom = np.maximum(want, 1e-300)
-            worst = max(worst, float(np.max(np.abs(got - want) / denom)))
-            rows.append(np.column_stack([np.full(k_hi, j), np.arange(1, k_hi + 1), got, want]))
-        csvs[n] = (["coordinate", "k", "marginal_pmf", "mixture_prediction"], np.vstack(rows))
-        reports.append(_verdict("product_marginals", scheme, [n], "max-rel-error", [worst], 0.05, p=list(p)))
-        # MC symmetry of the macroscopic coordinate for identical factors
-        if len(set(scheme.factors)) == 1:
-            smp = sampling.ProductSampler(scheme, n)
-            ell = len(scheme.factors)
-            hits = np.zeros(ell)
-            for tup in smp.sample_many(sampling.make_rngs(seed, replicates)):
-                hits[int(np.argmax(tup))] += 1
-            freq = hits / replicates
-            sigma = math.sqrt((1.0 / ell) * (1.0 - 1.0 / ell) / replicates)
-            dev = float(np.max(np.abs(freq - 1.0 / ell)))
-            reports.append(_verdict(
-                "product_symmetry", scheme, [n], "abs-error", [dev], 2.0 * sigma,
-                frequencies=freq.tolist(), replicates=replicates,
-            ))
-        return reports, csvs
-
+def _extended(rep: PhaseReport, scheme: ExtendedSpec, n: int, tol: float = 0.1):
+    """Extended-scheme regimes: detects from the closed forms whether
+    h_n / u_n tends to 0 (base behavior persists), infinity (Boltzmann
+    limit), or a constant (a mixture with weights H(rho) : q U(rho) where
+    q = lim h_n / u_n), and checks the exact count law against the
+    matching reference within ``tol``.  ``rep`` is the base scheme's."""
     base, h = scheme.base, scheme.h
     rho_u, s_u, lam_u, c_u = _u_tail_class(base, rep)
     if h.rho > rho_u * (1 + 1e-9):
@@ -721,11 +669,50 @@ def _extended(
         }
     tv = tv_distance(law_ext, ref)
     m = min(law_ext.pmf.size, ref.pmf.size)
-    csvs[n] = (
-        ["ell", "extended_pmf", "reference_pmf"],
-        np.column_stack([np.arange(m), law_ext.pmf[:m], ref.pmf[:m]]),
-    )
-    reports.append(_verdict("extended_counts", scheme, [n], "TV", [float(tv)], tol, regime=regime, **detail))
+    rows = np.column_stack([np.arange(m), law_ext.pmf[:m], ref.pmf[:m]])
+    reports = [_verdict("extended_counts", scheme, [n], "TV", [float(tv)], tol, regime=regime, **detail)]
+    return reports, {n: (["ell", "extended_pmf", "reference_pmf"], rows)}
+
+
+def _product(rep: None, scheme: ProductSpec, n: int, replicates: int = 10000, seed: int = 1):
+    """Exact coordinate marginals against the macroscopic-index
+    decomposition, and a coordinate-symmetry frequency test for identical
+    factors; both bounds are fixed (0.05 relative, 2 sigma)."""
+    try:
+        pl = exact.product_law(scheme, n)
+    except ValueError as err:  # e.g. no configuration of size n
+        raise PhaseMismatchError(f"product_marginals: {err}") from None
+    p = pl.p  # the gate asked for closed-form tails on every factor
+    # exact: small-coordinate marginal of coordinate j approaches
+    # sum_{i != j} p_i * P(A_j = k) (it is freed whenever any other
+    # coordinate is the macroscopic one)
+    k_hi = min(8, n)  # the free-coordinate approximation is a small-k statement
+    rows = []
+    worst = 0.0
+    for j, (marg, arr) in enumerate(zip(pl.marginals, pl.arrays)):
+        boltz = arr / fsum(arr)
+        free_weight = 1.0 - p[j]
+        got = marg.pmf[1 : k_hi + 1]
+        want = free_weight * boltz[1 : k_hi + 1]
+        denom = np.maximum(want, 1e-300)
+        worst = max(worst, float(np.max(np.abs(got - want) / denom)))
+        rows.append(np.column_stack([np.full(k_hi, j), np.arange(1, k_hi + 1), got, want]))
+    csvs = {n: (["coordinate", "k", "marginal_pmf", "mixture_prediction"], np.vstack(rows))}
+    reports = [_verdict("product_marginals", scheme, [n], "max-rel-error", [worst], 0.05, p=list(p))]
+    # MC symmetry of the macroscopic coordinate for identical factors
+    if len(set(scheme.factors)) == 1:
+        smp = sampling.ProductSampler(scheme, n)
+        ell = len(scheme.factors)
+        hits = np.zeros(ell)
+        for tup in smp.sample_many(sampling.make_rngs(seed, replicates)):
+            hits[int(np.argmax(tup))] += 1
+        freq = hits / replicates
+        sigma = math.sqrt((1.0 / ell) * (1.0 - 1.0 / ell) / replicates)
+        dev = float(np.max(np.abs(freq - 1.0 / ell)))
+        reports.append(_verdict(
+            "product_symmetry", scheme, [n], "abs-error", [dev], 2.0 * sigma,
+            frequencies=freq.tolist(), replicates=replicates,
+        ))
     return reports, csvs
 
 
@@ -738,9 +725,13 @@ def _needs_scale(scheme, rep, params):
         return "expressible scale constants"
 
 
-def _needs_a_ladder(scheme, rep, params):
-    if not 1.0 < rep.alpha < 2.0 and len(params["n_ladder"]) < 2:
+def _needs_at_alpha_2(scheme, rep, params):
+    if 1.0 < rep.alpha < 2.0:
+        return None
+    if len(params["n_ladder"]) < 2:
         return "an n_ladder of two sizes or more at alpha = 2, where the maximum's 0.9-quantile must shrink"
+    if "tol" in params:
+        return "no tol at alpha = 2, where the bound is the first size's 0.9-quantile"
 
 
 def _needs_finite_mean(scheme, rep, params):
@@ -749,11 +740,13 @@ def _needs_finite_mean(scheme, rep, params):
 
 
 def _needs_closed_forms(scheme, rep, params):
-    if isinstance(scheme, ProductSpec):
-        if any(f.is_explicit for f in scheme.factors):
-            return "closed-form tails on every product factor (the macroscopic-index law)"
-    elif scheme.h.is_explicit or _u_tail_class(scheme.base, rep) is None:
+    if scheme.h.is_explicit or _u_tail_class(scheme.base, rep) is None:
         return "closed forms for regime detection"
+
+
+def _needs_closed_tails(scheme, rep, params):
+    if any(f.is_explicit for f in scheme.factors):
+        return "closed-form tails on every product factor (the macroscopic-index law)"
 
 
 @dataclass(frozen=True)
@@ -778,7 +771,7 @@ _VERIFIERS = {
         _dense_llt, {"plain": (Phase.dense_critical, Phase.dense_supercritical, Phase.mixture)}, _needs_scale
     ),
     "dense_extremes": _Verifier(
-        _dense_extremes, {"plain": (Phase.dense_critical, Phase.dense_supercritical)}, _needs_a_ladder
+        _dense_extremes, {"plain": (Phase.dense_critical, Phase.dense_supercritical)}, _needs_at_alpha_2
     ),
     "prefix_independence": _Verifier(_prefix_independence, {"plain": None}),
     "convergent": _Verifier(
@@ -787,9 +780,9 @@ _VERIFIERS = {
     "mixture": _Verifier(_mixture, {"plain": (Phase.mixture,)}),
     "dilute": _Verifier(_dilute, {"plain": (Phase.dilute,)}),
     "extended": _Verifier(
-        _extended, {"extended": tuple(p for p in Phase if p is not Phase.unclassified), "product": None},
-        _needs_closed_forms,
+        _extended, {"extended": tuple(p for p in Phase if p is not Phase.unclassified)}, _needs_closed_forms
     ),
+    "product": _Verifier(_product, {"product": None}, _needs_closed_tails),
 }
 
 
@@ -805,7 +798,9 @@ def _gate(name: str, scheme: SchemeSpec | ExtendedSpec | ProductSpec, params: di
         else ("plain", "V(W(z)) alone")
     )
     if kind not in entry.kinds:
-        raise PhaseMismatchError(f"{name} takes {' or '.join(entry.kinds)} schemes, not {kind} schemes ({given})")
+        takers = [other for other, e in _VERIFIERS.items() if kind in e.kinds]
+        raise PhaseMismatchError(f"{name} takes {' or '.join(entry.kinds)} schemes, not {kind} schemes ({given}); "
+                                 f"{', '.join(takers)} take{'s' * (len(takers) == 1)} them")
     phases = entry.kinds[kind]
     rep = None if phases is None else classify(scheme.base if kind == "extended" else scheme)
     if rep is not None and rep.phase not in phases:
@@ -836,6 +831,7 @@ verify_convergent = _library_form("convergent")
 verify_mixture = _library_form("mixture")
 verify_dilute = _library_form("dilute")
 verify_extended = _library_form("extended")
+verify_product = _library_form("product")
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from gibbs_partitions.verify import (
     verify_extended,
     verify_mixture,
     verify_prefix_independence,
+    verify_product,
 )
 
 HERE = pathlib.Path(__file__).parent
@@ -332,7 +333,7 @@ def test_criterion_11_extended_schemes():
         (r,), _ = verify_extended(bundled_scheme(name), 1000, tol=0.1)
         ok &= r.passed
         details.append(f"{r.details['regime']}={r.observed[0]:.4f}")
-    reports, _ = verify_extended(
+    reports, _ = verify_product(
         bundled_scheme("product-symmetric"), 1000, replicates=10000, seed=11
     )
     by_name = {r.experiment: r for r in reports}

@@ -384,8 +384,11 @@ def test_verify_bad_config_exit_2(tmp_path, capsys):
         {"verifier": "mixture", "scheme": "dense-gauss", "n_ladder": [60]},
         # E[N] diverges, so the size-biased count law does not exist
         {"verifier": "convergent", "scheme": "dense-stable", "n": 100},
+        # at alpha = 2 the bound is the first size's quantile, not tol
+        {"verifier": "dense_extremes", "scheme": "dense-gauss", "n_ladder": [100, 200], "tol": 0.1},
+        {"verifier": "extended", "scheme": "product-symmetric", "n": 50},
     ],
-    ids=["mixture-dense-gauss", "convergent-dense-stable"],
+    ids=["mixture-dense-gauss", "convergent-dense-stable", "dense_extremes-tol-alpha-2", "extended-product"],
 )
 def test_verify_phase_mismatch_exit_2(tmp_path, capsys, entry):
     cfg = tmp_path / "cfg.json"
@@ -393,7 +396,7 @@ def test_verify_phase_mismatch_exit_2(tmp_path, capsys, entry):
     code = main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "PhaseMismatch" in err
+    assert json.loads(err)["error"] == "PhaseMismatchError" and err.count("\n") == 1
 
 
 def test_verify_phase_mismatch_anywhere_exits_2_before_any_experiment(tmp_path, capsys, monkeypatch):
@@ -454,6 +457,8 @@ def test_verify_over_a_size_guard_is_one_error_line_exit_2(tmp_path, capsys, ent
          "replicates": 5},
         {"verifier": "dilute", "scheme": "dilute", "n": 40, "window": 4.0},
         {"verifier": "extended", "scheme": "extended-light"},
+        {"verifier": "extended", "scheme": "extended-light", "n": 40, "replicates": 3},
+        {"verifier": "product", "scheme": "product-symmetric", "n": 40, "tol": 1e-9},
         {"verifier": "dense_llt", "scheme": "dense-gauss", "n": 40, "n_ladder": [40]},
     ],
 )
@@ -461,8 +466,9 @@ def test_verify_key_the_verifier_does_not_take_exit_2(tmp_path, capsys, entry):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiments": [entry]}))
     code = main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
     assert code == 2
-    assert "SuiteConfigError" in capsys.readouterr().err
+    assert "SuiteConfigError" in err and "unknown verifier" not in err
 
 
 @pytest.mark.parametrize(
@@ -552,7 +558,7 @@ def test_sample_refuses_an_extended_scheme(capsys, method):
 def test_verify_product_without_a_configuration_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiments": [
-        {"verifier": "extended", "scheme": "product-symmetric", "n": 1}
+        {"verifier": "product", "scheme": "product-symmetric", "n": 1}
     ]}))
     code = main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     err = json.loads(capsys.readouterr().err)

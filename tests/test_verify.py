@@ -3,6 +3,7 @@ controls, structured config errors, CSV/verdict outputs, determinism."""
 
 import dataclasses
 import functools
+import hashlib
 import inspect
 import json
 import math
@@ -25,6 +26,7 @@ from gibbs_partitions.verify import (
     verify_extended,
     verify_mixture,
     verify_prefix_independence,
+    verify_product,
 )
 from gibbs_partitions.weights import SchemeSpec
 
@@ -78,6 +80,16 @@ def test_mixture_verifier(mixture):
     assert by_name["mixture_conditional_llt"].trend_nonincreasing
 
 
+def test_mixture_values_at_each_n_do_not_depend_on_the_ladder(mixture):
+    """Each metric at a size reads the same whichever order the ladder
+    takes: each size gets its own N-hat law."""
+    up, _ = verify_mixture(mixture, [500, 1000])
+    down, _ = verify_mixture(mixture, [1000, 500])
+    for a, b in zip(up, down):
+        assert a.observed == b.observed[::-1], a.experiment
+    assert up[0].details["observed_P"] == down[0].details["observed_P"][::-1]
+
+
 def test_dense_extremes_alpha2_quantile_trend(dense_gauss):
     reports, _ = verify_dense_extremes(
         dense_gauss, [300, 600, 1200], replicates=400, seed=5
@@ -127,7 +139,20 @@ def test_dense_extremes_refuses_one_size_at_alpha_2(tmp_path, dense_gauss, dense
         verify_dense_extremes(dense_stable, [300])
 
 
-# the (verifier, bundled scheme) pairs that get past the gate: 28 of 91
+def test_dense_extremes_refuses_a_tol_at_alpha_2(tmp_path, dense_gauss, dense_stable, no_laws):
+    # the bound at alpha = 2 is the first quantile, so a tolerance would go unread
+    match = "no tol at alpha = 2, where the bound is the first size's 0.9-quantile"
+    with pytest.raises(PhaseMismatchError, match=match):
+        verify_dense_extremes(dense_gauss, [300, 600], tol=0.1)
+    entry = {"verifier": "dense_extremes", "scheme": "dense-gauss", "n_ladder": [300, 600], "tol": 0.1}
+    with pytest.raises(PhaseMismatchError, match=match):
+        run_suite({"experiments": [entry]}, tmp_path / "out")
+    # 1 < alpha < 2 reads it
+    with pytest.raises(_Reached):
+        verify_dense_extremes(dense_stable, [300], tol=0.1)
+
+
+# the (verifier, bundled scheme) pairs that get past the gate: 28 of 104
 _ACCEPTED = {
     "dense_llt": {"dense-b3", "dense-gauss", "dense-stable", "dense-super", "mixture"},
     "dense_extremes": {"dense-b3", "dense-gauss", "dense-stable", "dense-super"},
@@ -136,7 +161,8 @@ _ACCEPTED = {
     "convergent": {"convergent", "dense-b3", "mixture", "single-component"},
     "mixture": {"mixture"},
     "dilute": {"dilute"},
-    "extended": {"extended-heavy", "extended-light", "extended-matched", "product-symmetric"},
+    "extended": {"extended-heavy", "extended-light", "extended-matched"},
+    "product": {"product-symmetric"},
 }
 
 
@@ -172,8 +198,8 @@ def test_extended_regimes_and_product():
         (r,) = reports
         assert r.details["regime"] == regime
         assert r.passed, (name, r.observed)
-    reports, _ = verify_extended(bundled_scheme("product-symmetric"), 500,
-                                 replicates=4000, seed=2)
+    reports, _ = verify_product(bundled_scheme("product-symmetric"), 500,
+                                replicates=4000, seed=2)
     by_name = {r.experiment: r for r in reports}
     assert by_name["product_marginals"].passed
     assert by_name["product_symmetry"].passed
@@ -182,13 +208,13 @@ def test_extended_regimes_and_product():
 
 def test_run_suite_product_marginals_below_eight(tmp_path):
     # the marginal table stops at k = n when n < 8
-    cfg = {"experiments": [{"verifier": "extended", "scheme": "product-symmetric", "n": 4}]}
+    cfg = {"experiments": [{"verifier": "product", "scheme": "product-symmetric", "n": 4}]}
     assert run_suite(cfg, tmp_path / "out") == 1  # n = 4 is far from the limit
     verdicts = json.loads((tmp_path / "out" / "verdicts.json").read_text())["verdicts"]
     assert [v["experiment"].split(".")[-1] for v in verdicts] == [
         "product_marginals", "product_symmetry"
     ]
-    rows = (tmp_path / "out" / "extended_product-symmetric" / "4.csv").read_text().splitlines()
+    rows = (tmp_path / "out" / "product_product-symmetric" / "4.csv").read_text().splitlines()
     assert rows[0] == "coordinate,k,marginal_pmf,mixture_prediction"
     assert [r.split(",")[:2] for r in rows[1:]] == [[str(j), str(k)] for j in (0, 1) for k in (1, 2, 3, 4)]
 
@@ -216,6 +242,8 @@ def test_run_suite_unknown_verifier(tmp_path):
         {"verifier": "prefix_independence", "scheme": "dense-gauss", "n": 40,
          "replicates": 5},
         {"verifier": "dilute", "scheme": "dilute", "n": 40, "window": 4.0},
+        {"verifier": "extended", "scheme": "extended-light", "n": 40, "replicates": 3},
+        {"verifier": "product", "scheme": "product-symmetric", "n": 40, "tol": 1e-9},
         # no size
         {"verifier": "dense_llt", "scheme": "dense-gauss"},
         {"verifier": "extended", "scheme": "extended-light"},
@@ -227,8 +255,9 @@ def test_run_suite_unknown_verifier(tmp_path):
     ],
 )
 def test_run_suite_rejects_keys_the_verifier_does_not_take(tmp_path, entry):
-    with pytest.raises(SuiteConfigError):
+    with pytest.raises(SuiteConfigError) as err:
         run_suite({"experiments": [entry]}, tmp_path / "out")
+    assert "unknown verifier" not in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -405,15 +434,15 @@ _POLY = {"kind": "explicit", "coeffs": [0.0] + [1.0] * 10}
     [
         ({"verifier": "dilute", "scheme": "dense-gauss", "n_ladder": [50], "replicates": 10}, {}),
         # a factor without a closed-form tail has no macroscopic-index law p
-        ({"verifier": "extended", "scheme": "mixed", "n": 12},
+        ({"verifier": "product", "scheme": "mixed", "n": 12},
          {"mixed": {"product_factors": [_POLY, _ZETA3]}}),
-        ({"verifier": "extended", "scheme": "explicit", "n": 12},
+        ({"verifier": "product", "scheme": "explicit", "n": 12},
          {"explicit": {"product_factors": [_POLY, _POLY]}}),
     ],
     ids=["dilute-dense-gauss", "product-explicit-closed", "product-explicit"],
 )
 def test_run_suite_phase_mismatch_is_structured(tmp_path, experiment, schemes):
-    with pytest.raises(PhaseMismatchError):
+    with pytest.raises(PhaseMismatchError, match="needs"):
         run_suite({"schemes": schemes, "experiments": [experiment]}, tmp_path / "out")
 
 
@@ -549,7 +578,7 @@ def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
     verifier rebuilt its laws), at most 90 certified
     series sums (82; 108 when classify summed W twice or more, 208 before
     that), and no calibration sums one series twice; the verdict bytes stay
-    the golden ones."""
+    the golden ones, and so do the 18 CSVs' (``golden_csvs.json``)."""
     from importlib.resources import files
 
     from gibbs_partitions import sampling, weights
@@ -589,8 +618,11 @@ def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
     assert calls["harvest"] <= 20
     assert calls["sums"] <= 90
     assert repeated == []
-    golden = pathlib.Path(__file__).parent / "data" / "golden_verdicts.json"
-    assert (tmp_path / "verdicts.json").read_bytes() == golden.read_bytes()
+    golden = pathlib.Path(__file__).parent / "data"
+    assert (tmp_path / "verdicts.json").read_bytes() == (golden / "golden_verdicts.json").read_bytes()
+    csvs = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.rglob("*.csv")}
+    assert csvs == json.loads((golden / "golden_csvs.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -606,9 +638,9 @@ def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
     ids=lambda v: getattr(v, "__name__", ""),
 )
 def test_verifiers_of_the_plain_model_refuse_extended_schemes(verifier, kwargs, monkeypatch):
-    """Only the extended verifier reads the prefactor or the product
-    factors; the others refuse an extended or a product scheme before any
-    law is computed."""
+    """Only the extended verifier reads the prefactor and only the product
+    verifier the product factors; the others refuse an extended or a
+    product scheme before any law is computed."""
     def no_law(*args, **kwargs):
         raise AssertionError("the prefactor is checked before any law")
 
@@ -616,6 +648,19 @@ def test_verifiers_of_the_plain_model_refuse_extended_schemes(verifier, kwargs, 
     for name, match in (("extended-heavy", "prefactor h"), ("product-symmetric", "not product schemes")):
         with pytest.raises(PhaseMismatchError, match=match):
             verifier(bundled_scheme(name), **kwargs)
+
+
+def test_extended_and_product_refuse_each_other(monkeypatch):
+    """Each of the two reads one scheme kind; the refusal names the
+    verifier that takes the other."""
+    def no_law(*args, **kwargs):
+        raise AssertionError("the kind is checked before any law")
+
+    monkeypatch.setattr(verify, "classify", no_law)
+    with pytest.raises(PhaseMismatchError, match=r"not product schemes \(prod_k W_k\(z\)\); product takes them$"):
+        verify_extended(bundled_scheme("product-symmetric"), 500)
+    with pytest.raises(PhaseMismatchError, match=r"not extended schemes \(prefactor h\); extended takes them$"):
+        verify_product(bundled_scheme("extended-light"), 500)
 
 
 def test_u_tail_class_of_dense_mixture_and_dilute_bases():
