@@ -16,8 +16,10 @@ Conventions:
   by a Chernoff bound on the number of nonzero summands.
 * The conditioned laws are invariant under tilting of the inner weights,
   so they take no rho: ``_calibrate`` picks it.  ``law_Nn`` still takes
-  one, and ``stopped_sum_law`` and ``law_Nhat`` take one because their
-  outputs depend on it.
+  one, which the FFT sweep gets right only at the default rho.
+  ``stopped_sum_law`` and ``law_Nhat`` take one because their outputs
+  depend on it; the stopped sum is harvested at the default rho and
+  re-tilted exactly, so it is right at any rho.
 """
 
 from __future__ import annotations
@@ -72,8 +74,6 @@ __all__ = [
 # 2-d ``irfft`` with the bits of one transform a row; the harvested laws
 # agree with a row-by-row sweep to round-off, not to the bit.
 _DIRECT_CONV_LIMIT = 4_000_000
-
-_DEFICIT_N_CAP = 4000
 
 # entries per block of rows of the m = 2 prefix joint (512 KiB of doubles)
 _JOINT_BLOCK = 1 << 16
@@ -476,10 +476,10 @@ class _Calibration:
 
 def _calibrate(scheme: SchemeSpec, n: int, rho: float | None = None) -> _Calibration:
     """The calibration of (scheme, n), with rho from ``default_rho`` when
-    None.  The conditioned laws are tilt invariant, so only ``law_Nn`` and
-    the rho-dependent ``stopped_sum_law`` pass a caller's rho.  Each series
-    is summed once: W(rho) (``default_rho``'s own sum when rho = rho_w),
-    then V(W(rho)); the laws are ``law_X``'s and ``law_N``'s."""
+    None.  The conditioned laws are tilt invariant, so only ``law_Nn``
+    passes a caller's rho.  Each series is summed once: W(rho)
+    (``default_rho``'s own sum when rho = rho_w), then V(W(rho)); the laws
+    are ``law_X``'s and ``law_N``'s."""
     rho, W = _radius_and_W(scheme, n, rho)
     lx = _law_X(scheme, rho, W, n)
     cap = _ell_cap(n, lx)
@@ -500,16 +500,27 @@ class StoppedSumLaw:
 def stopped_sum_law(
     scheme: SchemeSpec, rho: float | None = None, n: int = 0, method: str = "auto"
 ) -> StoppedSumLaw:
-    """Law of the randomly stopped sum plus u_m = V(W(rho)) rho^-m P(S_N=m)."""
-    cal = _calibrate(scheme, n, rho)
+    """Law of the randomly stopped sum at rho plus u_m = [z^m] V(W(z)).
+
+    The rows are harvested at the default rho, where the FFT sweep is
+    right, and give u_m = V(W) rho^-m P(S_N = m) there.  A caller's rho
+    (``default_rho``'s when None) enters only through the exact re-tilt
+    P_rho(S_N = m) = u_m rho^m / V(W(rho)), in log space.
+    """
+    cal = _calibrate(scheme, n)
     _, (acc,) = _harvest(cal.law_x.pmf, n, cal.cap, method, [cal.pmf_n])
-    vw = cal.VW
     m = np.arange(n + 1, dtype=float)
     with np.errstate(divide="ignore"):
         log_s = np.where(acc > 0, np.log(np.where(acc > 0, acc, 1.0)), -np.inf)
-    u = np.exp(math.log(vw) - m * math.log(cal.rho) + log_s)
+    log_u = math.log(cal.VW) - m * math.log(cal.rho) + log_s
+    u = np.exp(log_u)
     u[acc == 0] = 0.0
-    return StoppedSumLaw(acc, u, cal.rho, vw)
+    if rho is None or rho == cal.rho:
+        return StoppedSumLaw(acc, u, cal.rho, cal.VW)
+    vw = _outer_value(scheme, scheme.w.series_value(rho))
+    s_n = np.exp(log_u + m * math.log(rho) - math.log(vw))
+    s_n[acc == 0] = 0.0
+    return StoppedSumLaw(s_n, u, rho, vw)
 
 
 def _conditioned(pmf_n: np.ndarray, column: np.ndarray, n: int, name: str) -> DiscreteLaw:
@@ -641,7 +652,7 @@ def profile_law(scheme: SchemeSpec, n: int) -> dict[tuple[int, ...], float]:
         raise BudgetExceededError("profile enumeration limited to n <= 40")
     from .series import compose
 
-    u_n = compose(scheme.v, scheme.w, n)[n]
+    u_n = float(compose(scheme.v, scheme.w, n)[n])
     if u_n <= 0:
         raise ValueError(f"partition function vanishes at n={n}")
     out: dict[tuple[int, ...], float] = {}
@@ -781,16 +792,9 @@ def giant_deficit_law(scheme: SchemeSpec, n: int, method: str = "auto"):
     deficit bookkeeping.  The limit law is that of a sum of N-hat - 1
     independent component sizes; it is None when E[N] diverges.
     """
-    _deficit_cap(n)
     cal = _calibrate(scheme, n)
     column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=_unit(n))
     return _giant_deficit(scheme, n, cal, column, method)
-
-
-def _deficit_cap(n: int) -> None:
-    """The deficit DP's size guard, checked before any calibration."""
-    if n > _DEFICIT_N_CAP:
-        raise BudgetExceededError(f"deficit DP limited to n <= {_DEFICIT_N_CAP}")
 
 
 def _giant_deficit(
@@ -798,7 +802,7 @@ def _giant_deficit(
 ):
     """``giant_deficit_law`` from the calibration of (scheme, n) and its
     harvested column P(S_l = n), l = 0..cap, which an ``ExactSampler``
-    keeps; the caller has checked ``_deficit_cap``."""
+    keeps."""
     d_max = (n - 1) // 2
     px, pmf_n = cal.law_x.pmf, cal.pmf_n
     denom = dot(pmf_n, column)

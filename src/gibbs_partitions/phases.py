@@ -234,11 +234,10 @@ def _gcd_of_support(w: WeightSequence, count: int = 1000, scan: int = 100000) ->
 def _mixture_constants(scheme: SchemeSpec, mu: float, vp: float) -> tuple[float, float]:
     """The mixture constants (p, p / (1 + p)) from mu and vp = V'(W(rho_w)).
 
-    p = mu^(a-1) / V'(W(rho_w)) * lim L_v(n) / L_w(n).  Both p and the
-    alternative candidate p/(1+p) are returned; the stopped-sum asymptotics
-    split P(S_N = n) into a dense and a convergent term whose ratio tends
-    to p, which makes p/(1+p) the natural candidate for lim P(E_n), and the
-    verifier measures which one matches.
+    p = mu^(a-1) / V'(W(rho_w)) * lim L_v(n) / L_w(n).  The stopped-sum
+    asymptotics split P(S_N = n) into a dense and a convergent term whose
+    ratio tends to p, so lim P(E_n) = p/(1+p) (README), the constant the
+    mixture verifier measures.
     """
     p = mu ** (scheme.w.e - 1.0) / vp * (scheme.v.L.c / scheme.w.L.c)
     return p, p / (1.0 + p)

@@ -1,7 +1,9 @@
 """Bundled example schemes, one per phase, plus controls.
 
 The zeta-weight family w_n = n^-a (rho_w = 1) paired with
-v_n = n^-b W(1)^-n is critical by construction; the registry covers every
+v_n = n^-b W(1)^-n is critical by construction: W(1) = zeta(a) is a table
+float at the bundled exponents and elsewhere the certified sum ``classify``
+reads, so building any of them needs numpy alone.  The registry covers every
 phase of the diagram at well-understood constants:
 
 ==================  ====  ====  =====================================
@@ -30,10 +32,9 @@ from .weights import ExtendedSpec, ProductSpec, SchemeSpec, WeightSequence
 
 __all__ = ["bundled_scheme", "bundled_names", "bell_scheme", "zeta_scheme"]
 
-# float(scipy.special.zeta(a)) at the exponents of the bundled schemes, so
-# that building them loads no scipy.  These are scipy's floats, not the
-# correctly rounded ones: at a = 2.5 scipy's is 1 ulp above, and every
-# golden byte of dense-stable follows scipy's.
+# float(scipy.special.zeta(a)) at the exponents of the bundled schemes:
+# every golden byte of them follows scipy's floats, which are not the
+# correctly rounded ones (at a = 2.5 scipy's is 1 ulp above).
 _ZETA = {
     1.5: 2.612375348685488,
     2.5: 1.3414872572509173,
@@ -44,13 +45,18 @@ _ZETA = {
 
 def zeta_scheme(a: float, b: float, c_v: float = 1.0) -> SchemeSpec:
     """Critical scheme with w_n = n^-a (rho_w = 1) and v_n = c_v n^-b rho_v^-n,
-    rho_v = W(1) = zeta(a)."""
+    rho_v = W(1) = zeta(a).
+
+    Off ``_ZETA`` rho_v is the certified sum W(1) that ``classify`` compares
+    it with, so the scheme is critical bit for bit.  a <= 1, where W(1)
+    diverges, is a ``ValueError``.
+    """
     w = WeightSequence.closed_form(c=1.0, e=a, rho=1.0)
     rho_v = _ZETA.get(a)
     if rho_v is None:
-        from scipy.special import zeta
-
-        rho_v = float(zeta(a))
+        rho_v = w.series_value(1.0)
+        if not math.isfinite(rho_v):
+            raise ValueError(f"zeta_scheme needs a > 1: W(1) = sum n^-{a} diverges")
     v = WeightSequence.closed_form(c=c_v, e=b, rho=rho_v)
     return SchemeSpec(v=v, w=w)
 

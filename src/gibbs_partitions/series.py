@@ -16,23 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .weights import WeightSequence
 
-__all__ = [
-    "TruncatedSeries",
-    "convolve",
-    "dot",
-    "fsum",
-    "fsum_rows",
-    "mul",
-    "compose",
-    "series_of",
-]
+__all__ = ["convolve", "dot", "fsum", "fsum_rows", "compose"]
 
 _FSUM_BLOCK = 1 << 14  # math.fsum up to this many entries; chunk size above it
 _FSUM_FOLD = 1 << 26  # fewer entries per bin keep the 27-bit half sums below 2**53
@@ -267,39 +257,7 @@ class _ExactSum:
         return out
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients indexed 0..n_max."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def n_max(self) -> int:
-        return self.coeffs.size - 1
-
-    def __getitem__(self, n: int) -> float:
-        return float(self.coeffs[n]) if n <= self.n_max else 0.0
-
-
-def series_of(seq: WeightSequence, n_max: int) -> TruncatedSeries:
-    """Truncation of a weight sequence to degree n_max."""
-    return TruncatedSeries(np.array([seq.term(n) for n in range(n_max + 1)]))
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries, n_max: int) -> TruncatedSeries:
-    """Cauchy product truncated at degree n_max."""
-    return TruncatedSeries(convolve(a.coeffs[: n_max + 1], b.coeffs[: n_max + 1], n_max + 1))
-
-
-def compose(v: WeightSequence, w: WeightSequence, n_max: int) -> TruncatedSeries:
+def compose(v: WeightSequence, w: WeightSequence, n_max: int) -> np.ndarray:
     """Coefficients of V(W(z)) up to degree n_max.
 
     Requires w_0 = 0, so that the composition is well defined on truncations
@@ -311,14 +269,9 @@ def compose(v: WeightSequence, w: WeightSequence, n_max: int) -> TruncatedSeries
         raise ValueError(
             "composition requires w_0 = 0; use the stopped-sum law for w_0 > 0"
         )
-    ws = series_of(w, n_max)
-    acc = TruncatedSeries(np.array([v.term(n_max)]))
-    for ell in range(n_max - 1, 0, -1):
-        acc = mul(acc, ws, n_max)
-        coeffs = acc.coeffs.copy()
-        coeffs[0] += v.term(ell)
-        acc = TruncatedSeries(coeffs)
-    acc = mul(acc, ws, n_max)
-    coeffs = acc.coeffs.copy()
-    coeffs[0] += v.term(0)
-    return TruncatedSeries(coeffs)
+    ws = np.array([w.term(k) for k in range(n_max + 1)])
+    acc = np.array([v.term(n_max)])
+    for ell in range(n_max - 1, -1, -1):
+        acc = convolve(acc, ws, n_max + 1)
+        acc[0] += v.term(ell)
+    return acc

@@ -111,9 +111,9 @@ class VerdictReport:
     ``trend_nonincreasing`` records whether the observations do not
     increase along the n-ladder (None for single-n metrics).  ``passed``
     is True iff the last observation meets the tolerance and, on a ladder,
-    the trend holds, except for the six metrics with a rule of their own:
+    the trend holds, except for the five metrics with a rule of their own:
     the p-values, the alpha = 2 maximum quantile, the rare-size fraction,
-    and the mixture's split probability and conditional counts.
+    and the mixture's conditional counts.
     """
 
     experiment: str
@@ -377,7 +377,6 @@ def _convergent(
     giant-replacement limit tuple.  The spot check's sampler holds the
     exact count law."""
     # the deficit law from the sampler's own calibration and column
-    exact._deficit_cap(n)
     smp = sampling.ExactSampler(scheme, n)
     exact_d, limit_d = exact._giant_deficit(scheme, n, smp._cal, smp._column)
     tv, nhat = _nhat_tv(scheme, smp.count_law)
@@ -434,25 +433,21 @@ def _convergent_mc(smp, replicates, seed, nhat) -> VerdictReport:
 
 
 def _mixture(rep: PhaseReport, scheme: SchemeSpec, n_ladder, tol: float = 0.05, cond_tol: float = 0.1):
-    """Split probability against both candidate limits, conditional dense
-    LLT on the split event, conditional count convergence off it.
+    """Split probability against its limit p/(1+p), conditional dense LLT
+    on the split event, conditional count convergence off it.
 
-    The two candidates are p and p/(1+p) (the stopped-sum decomposition
-    supports the latter); the verdict records which one the exact
-    probability approaches.  The split verdict passes on the last
-    distance alone, the conditional count verdict on the last TV alone.
+    The stopped-sum split gives lim P(E_n) = p/(1+p) (README).  The
+    conditional count verdict passes on the last TV alone.
     """
     p, p_frac = rep.mixture_p, rep.mixture_p_frac
-    dists, winners, pes, cond_discs, tvs_conv = [], [], [], [], []
+    dists, pes, cond_discs, tvs_conv = [], [], [], []
     csvs = {}
     for n in n_ladder:
         law = exact.law_Nn(scheme, n)
         thresh = _split(n, rep.mu)
         pe = fsum(law.pmf[thresh:])
         pes.append(pe)
-        d_p, d_frac = abs(pe - p), abs(pe - p_frac)
-        dists.append(min(d_p, d_frac))
-        winners.append("p/(1+p)" if d_frac <= d_p else "p")
+        dists.append(abs(pe - p_frac))
         # conditional LLT on the dense side
         disc, csvs[n] = _phase_llt(rep, law, n)
         cond_discs.append(disc)
@@ -461,8 +456,7 @@ def _mixture(rep: PhaseReport, scheme: SchemeSpec, n_ladder, tol: float = 0.05, 
     reports = [
         _verdict(
             "mixture_split_probability", scheme, n_ladder, "abs-error", dists, tol,
-            ladder=True, passed=dists[-1] <= tol,
-            p=p, p_frac=p_frac, observed_P=pes, winner=winners[-1], winners=winners,
+            ladder=True, p=p, p_frac=p_frac, observed_P=pes,
         ),
         _verdict(
             "mixture_conditional_llt", scheme, n_ladder, "sup-LLT-discrepancy", cond_discs, cond_tol,
@@ -949,8 +943,7 @@ def run_suite(config, out_dir, seed: int | None = None) -> int:
     leaving no file written: a product scheme with no configuration of
     size n (``PhaseMismatchError``, "vanishes at n=...") and the size
     guards (``exact.BudgetExceededError``: the m = 2 prefix joint above
-    n = 3000, the giant-deficit DP above 4000, the exact sampler above its
-    table budget).  The CLI exits 2 on each of these errors.
+    n = 3000, the exact sampler above its table budget).  The CLI exits 2 on each of these errors.
     """
     import pathlib
 

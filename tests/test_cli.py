@@ -429,14 +429,12 @@ def test_verify_phase_mismatch_anywhere_exits_2_before_any_experiment(tmp_path, 
 @pytest.mark.parametrize(
     "entry, message",
     [
-        ({"verifier": "convergent", "scheme": "convergent", "n": 5000},
-         "deficit DP limited to n <= 4000"),
         ({"verifier": "prefix_independence", "scheme": "dense-gauss", "n_ladder": [3200]},
          "m=2 joint table limited to n <= 3000"),
         ({"verifier": "dilute", "scheme": "dilute", "n_ladder": [7000]},
          "exact sampler table budget"),
     ],
-    ids=["deficit", "prefix-joint", "sampler"],
+    ids=["prefix-joint", "sampler"],
 )
 def test_verify_over_a_size_guard_is_one_error_line_exit_2(tmp_path, capsys, entry, message):
     # exit code 1 would read as a failed verdict
@@ -640,7 +638,9 @@ def test_laws_grid_num_must_be_a_positive_integer(capsys, num):
 @pytest.mark.parametrize(
     "args, start",
     [
-        (["--scheme", "convergent", "--law", "deficit", "--n", "5000"], "error: deficit DP limited"),
+        # the re-tilt to a caller's rho sums V(W(rho)), which diverges past rho_u
+        (["--scheme", "dense-super", "--law", "stopped_sum", "--n", "10", "--rho", "0.9"],
+         "error: V(W(rho)) must be positive and finite"),
         (["--scheme", "dense-gauss", "--law", "N", "--n", "10", "--rho", "100"],
          "error: W(rho) diverges"),
     ],

@@ -445,7 +445,7 @@ def test_stopped_sum_identity_outer(dense_gauss):
 
 def test_dual_path_partition_function_bell(bell):
     ssl = stopped_sum_law(bell, 1.0, 60)
-    direct = compose(bell.v, bell.w, 60).coeffs
+    direct = compose(bell.v, bell.w, 60)
     assert ssl.u[3] == pytest.approx(5.0 / 6.0, rel=1e-12)
     assert ssl.u[4] == pytest.approx(15.0 / 24.0, rel=1e-12)
     assert np.allclose(ssl.u, direct, rtol=1e-10)
@@ -459,9 +459,32 @@ def test_dual_path_partition_function_zeta(name):
     scheme = bundled_scheme(name)
     n = 120
     ssl = stopped_sum_law(scheme, default_rho(scheme), n)
-    direct = compose(scheme.v, scheme.w, n).coeffs
+    direct = compose(scheme.v, scheme.w, n)
     mask = direct > 0
     assert np.max(np.abs(ssl.u[mask] / direct[mask] - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("name, n", [("dilute", 3000), ("dense-gauss", 3000), ("dense-stable", 2500)])
+def test_stopped_sum_at_a_callers_rho_in_the_fft_regime(name, n):
+    # the FFT rows are harvested at the default rho and re-tilted exactly;
+    # harvested at 0.9 x default they were wrong by up to 1e126 relative
+    scheme = bundled_scheme(name)
+    rho0 = default_rho(scheme, n)
+    base = stopped_sum_law(scheme, n=n)
+    assert base.rho == rho0
+    same = stopped_sum_law(scheme, rho0, n)
+    assert same.s_n.tobytes() == base.s_n.tobytes() and same.u.tobytes() == base.u.tobytes()
+    for f in (0.99, 0.9):
+        rho = f * rho0
+        got = stopped_sum_law(scheme, rho, n)
+        # the oracle: the direct sweep harvested at rho itself
+        cal = _calibrate(scheme, n, rho)
+        _, (want,) = _harvest(cal.law_x.pmf, n, cal.cap, "direct", [cal.pmf_n])
+        assert got.rho == rho and got.vw == cal.VW
+        assert got.u.tobytes() == base.u.tobytes()
+        keep = want > 1e-250
+        assert np.max(np.abs(got.s_n[keep] / want[keep] - 1.0)) <= 1e-9, f
+        assert np.max(np.abs(got.s_n - want)) <= 1e-15  # FFT round-off where want is 0
 
 
 def test_law_nn_stirling(bell):
@@ -694,6 +717,15 @@ def test_deficit_limit_is_the_size_biased_stopped_sum(name, n):
     want = nhat[1:] @ table
     assert np.all(want > 0)
     assert np.max(np.abs(limit_d.pmf - want) / want) < 1e-12
+
+
+def test_deficit_law_past_n_4000_matches_the_direct_sweep(convergent):
+    # no size guard: n = 5000 takes about 0.1 s (FFT) and 0.7 s (direct)
+    fft = giant_deficit_law(convergent, 5000)
+    direct = giant_deficit_law(convergent, 5000, method="direct")
+    for a, b in zip(fft, direct):
+        assert a.pmf.size == b.pmf.size == 2500
+        assert np.max(np.abs(a.pmf - b.pmf)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [800, 2000])
@@ -929,10 +961,10 @@ def test_a_product_spec_has_no_v_or_w_to_read(call, no_sums):
 
 @pytest.mark.parametrize("a", [1.6, 1.8])
 def test_dilute_law_nn_just_below_the_radius(a):
-    # W(1) lands 546 and 1081 ulps below zeta(a), farther than _RADIUS_RTOL
-    from gibbs_partitions.schemes import zeta_scheme
-
-    scheme = zeta_scheme(a, 1.5)
+    # with rho_v = scipy's zeta(a), W(1) lands 546 and 1081 ulps below it,
+    # farther than _RADIUS_RTOL: V(W(1)) is summed as on its radius
+    w = WeightSequence.closed_form(c=1.0, e=a, rho=1.0)
+    scheme = SchemeSpec(v=WeightSequence.closed_form(c=1.0, e=1.5, rho=float(zeta(a))), w=w)
     assert classify(scheme).phase.value == "dilute"
     law = law_Nn(scheme, 1000)
     assert abs(fsum(law.pmf) - 1.0) <= 1e-12

@@ -46,6 +46,12 @@ def test_exact_laws_and_samplers_load_no_scipy(module):
     assert sorted(name for name in loaded if name.startswith("scipy")) == []
 
 
+def test_zeta_scheme_off_the_table_loads_no_scipy():
+    # rho_v off the bundled exponents is the certified sum W(1), not scipy's zeta
+    loaded = _modules_after_import("gibbs_partitions", "gibbs_partitions.schemes.zeta_scheme(1.75, 2.0)")
+    assert sorted(name for name in loaded if name.startswith("scipy")) == []
+
+
 def test_cli_loads_no_scipy():
     loaded = _modules_after_import("gibbs_partitions.cli")
     assert "gibbs_partitions.cli" in loaded

@@ -21,7 +21,9 @@ from gibbs_partitions import (
 )
 from gibbs_partitions.exact import default_rho
 from gibbs_partitions.laws import StableParams, stable_density_series
+from gibbs_partitions.phases import _w_at_radius
 from gibbs_partitions.schemes import bundled_names, zeta_scheme
+from gibbs_partitions.series import fsum
 
 
 def test_solve_rho_u_critical(dense_gauss):
@@ -164,8 +166,29 @@ def test_zeta_table_holds_scipys_floats():
     for a, value in _ZETA.items():
         assert value.hex() == float(zeta(a)).hex()
         assert zeta_scheme(a, 2.0).v.rho == value
-    # outside the table the value comes from scipy in the call
-    assert zeta_scheme(1.75, 2.0).v.rho == float(zeta(1.75))
+    # outside the table rho_v is the certified W(1) that classify sums, so
+    # the scheme is critical bit for bit; it is within 1e-12 of scipy's
+    rho_v = zeta_scheme(1.75, 2.0).v.rho
+    assert rho_v.hex() == _w_at_radius(WeightSequence.closed_form(c=1.0, e=1.75, rho=1.0)).hex()
+    assert rho_v == pytest.approx(float(zeta(1.75)), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, -2.0])
+def test_zeta_scheme_refuses_a_divergent_w(a):
+    with pytest.raises(ValueError, match=r"zeta_scheme needs a > 1"):
+        zeta_scheme(a, 2.0)
+
+
+@pytest.mark.parametrize("a, b", [(1.6, 3.0), (1.6, 4.0), (1.8, 3.0), (1.8, 4.0)])
+def test_zeta_scheme_off_the_table_classifies_and_conditions_fast(a, b):
+    # with rho_v = scipy's zeta(a), a few hundred ulps above W(1), V(W(1))
+    # was summed just below its radius by about 10^8 geometric terms (2 s)
+    t0 = time.perf_counter()
+    scheme = zeta_scheme(a, b)
+    assert classify(scheme).phase is Phase.convergent
+    law = law_Nn(scheme, 300)
+    assert time.perf_counter() - t0 < 0.05
+    assert abs(fsum(law.pmf) - 1.0) <= 1e-12
 
 
 def test_mixture_p_scale_invariance():

@@ -75,7 +75,10 @@ def test_mixture_verifier(mixture):
     by_name = {r.experiment: r for r in reports}
     split = by_name["mixture_split_probability"]
     assert split.passed
-    assert split.details["winner"] == "p/(1+p)"
+    # one limit, p/(1+p); the observations are the distances to it
+    p_frac = split.details["p_frac"]
+    assert split.observed == [abs(pe - p_frac) for pe in split.details["observed_P"]]
+    assert "winner" not in split.details
     assert 0.0 < split.details["observed_P"][-1] < 1.0
     assert by_name["mixture_conditional_llt"].trend_nonincreasing
 
