@@ -271,14 +271,13 @@ class ExactSampler:
 
     A draw takes its count from the exact law of N_n, then one uniform per
     coordinate but the last, all in one ``rng.random`` call (on Philox the
-    same bits as one call per coordinate).  Each coordinate inverts its
-    conditional cdf: the first ``_CHUNK`` sizes by scalar partial sums in
-    ``np.cumsum``'s order, from the smallest size with mass (the skipped
-    terms are exact zeros), the rest by numpy chunks of ``_CHUNK``.  When the
-    cumulative falls short of its target by round-off the draw takes the
-    largest size that keeps the rest feasible; ``roundoff_fallbacks`` counts
-    those coordinates.  ``sample_many`` makes the same draws for many
-    generators, walking them in lockstep.
+    same bits as one call per coordinate).  The walk zips the table's rows
+    with them: a coordinate's target is its uniform times the entry the one
+    before stopped on, and its cdf is summed in ``np.cumsum``'s order from
+    the smallest size with mass, peeled, by scalars up to ``_CHUNK`` and by
+    numpy chunks past it.  Round-off that leaves the sum short of its target
+    takes the largest size keeping the rest feasible (``roundoff_fallbacks``
+    counts these).  ``sample_many`` makes the same draws in lockstep.
     """
 
     def __init__(self, scheme: SchemeSpec, n: int):
@@ -335,36 +334,37 @@ class ExactSampler:
     def sample(self, rng: np.random.Generator) -> PartitionSample:
         ell = self.draw_count(rng)
         self._ensure_rows(ell)
-        px, views, peel, rest = self._px, self._views, self._peel, self._rest
+        px, rest, peel, first = self._px, self._rest, self._peel, self._px[self._peel]
         sizes = []
         at = self.n + _CHUNK  # the remainder's index in a zero-led row
-        above = views[ell]
-        # j = coordinates left after this draw
-        for j, u in zip(range(ell - 1, 0, -1), rng.random(max(ell - 1, 0)).tolist()):
-            row = views[j]
-            target = u * above[at] or _LEAST
-            above = row
+        mass = self._views[ell][at]  # P(S_{j+1} = rem), the target's scale
+        # row = P(S_j = .), j = coordinates left after this draw
+        for row, u in zip(self._views[ell - 1 : 0 : -1], memoryview(rng.random(max(ell - 1, 0)))):
+            target = u * mass or _LEAST
             # P(K = k | rem) = P(X=k) P(S_j = rem-k) / P(S_{j+1} = rem):
             # the mass sits at small k, so the first chunk is walked in Python.
             # Sizes below the smallest with mass add exact zeros, which leave
             # the partial sums' bits alone, so the walk skips them; so do
             # sizes past rem, which read the row's zero lead.  The first
             # term is peeled, since most coordinates stop there
-            c = px[peel] * row[at - peel]
+            mass = row[at - peel]
+            c = first * mass
             if c >= target:
-                k = peel
+                sizes.append(peel)
+                at -= peel
+                continue
+            for k in rest:
+                c += px[k] * row[at - k]
+                if c >= target:
+                    break
             else:
-                for k in rest:
-                    c += px[k] * row[at - k]
-                    if c >= target:
-                        break
-                else:
-                    k = self._walk_chunks(j, at - _CHUNK, target, c)
+                k = self._walk_chunks(ell - 1 - len(sizes), at - _CHUNK, target, c)
             sizes.append(k)
             at -= k
+            mass = row[at]
         if ell:
             sizes.append(at - _CHUNK)
-        return PartitionSample(self.n, np.array(sizes, dtype=np.int64))
+        return PartitionSample(self.n, np.fromiter(sizes, np.int64, len(sizes)))
 
     def sample_many(self, rngs: Iterable[np.random.Generator]) -> Iterator[PartitionSample]:
         """Yield ``sample(rng)`` for each generator of ``rngs``, in order and

@@ -247,8 +247,11 @@ class WeightSequence:
         if self.is_explicit:
             if t == 0.0:
                 return float(self.coeffs[0]) if k == 0 else 0.0
-            arr = self.weighted_terms(t, len(self.coeffs) - 1)
-            return math.fsum(c * j**k for j, c in enumerate(arr.tolist()))
+            try:
+                arr = self.weighted_terms(t, len(self.coeffs) - 1)
+                return math.fsum(c * j**k for j, c in enumerate(arr.tolist()))
+            except OverflowError:  # a term, or their sum, past the float range
+                return math.inf
         base = _closed_moment_sum(self.L, self.e, self.rho, max(self.start_index, 1), t, k)
         if math.isinf(base):
             return math.inf

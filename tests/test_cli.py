@@ -53,6 +53,20 @@ def test_exact_csv(capsys, tmp_path):
     assert vals == pytest.approx([0.0, 0.2, 0.6, 0.2], abs=1e-12)
 
 
+def test_exact_bell_count_law_past_the_saddle_doubling(capsys):
+    # the saddle search once doubled its radius into an overflowing term of
+    # the explicit V and ended in a raw OverflowError traceback
+    try:
+        code, out = run_cli(["exact", "--scheme", "bell", "--n", "1500", "--law", "Nn"], capsys)
+    except SystemExit as err:
+        msg = str(err.code)
+        assert msg.startswith("error: ") and "\n" not in msg
+        return
+    assert code == 0
+    vals = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+    assert len(vals) == 1501 and math.fsum(vals) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_exact_nhat_takes_rho(capsys):
     code, out = run_cli(["exact", "--scheme", "convergent", "--n", "10", "--law", "Nhat",
                          "--rho", "0.5"], capsys)

@@ -87,6 +87,13 @@ def test_weighted_moment_divergence():
     assert seq.weighted_moment(1.0, 1) == math.inf
 
 
+def test_explicit_weighted_moment_overflows_to_inf():
+    # a term past the float range, and finite terms whose sum is past it
+    assert WeightSequence.explicit([0.0, 1e300, 1e300]).weighted_moment(1e10, 0) == math.inf
+    assert WeightSequence.explicit([1e308, 1e308]).series_value(1.0) == math.inf
+    assert WeightSequence.explicit([0.0, 1e308, 1e308]).weighted_moment(1.0, 1) == math.inf
+
+
 def test_weighted_moment_k0_is_series_value():
     seq = WeightSequence.closed_form(c=1.3, e=2.5, rho=1.0, log_exp=-1.0, term0=0.1)
     assert seq.weighted_moment(0.7, 0) == pytest.approx(seq.series_value(0.7), rel=1e-14)
