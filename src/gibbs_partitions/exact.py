@@ -878,7 +878,12 @@ def product_law(spec: ProductSpec, n: int) -> ProductLaw:
     probabilities p_k come from the closed-form tail classes and satisfy
     sum p_k = 1 by construction, which is asserted rather than enforced.
     """
-    radii, arrays, suffix = _product_tables(spec, n)
+    return _product_law(spec, n, *_product_tables(spec, n))
+
+
+def _product_law(spec: ProductSpec, n: int, radii, arrays, suffix) -> ProductLaw:
+    """``product_law`` from the ``_product_tables`` of (spec, n), which a
+    ``ProductSampler`` keeps."""
     o_n = float(suffix[0][n])
     # prefix[j] = conv of arrays[:j]
     prefix = [suffix[-1]]

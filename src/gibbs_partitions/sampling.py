@@ -21,13 +21,15 @@ word into the last seed's pool constants in Python ints (the SeedSequence
 itself is built only for other seeds and streams, or when the generator
 ``spawn``s), and ``make_rngs(seed, count)`` opens streams 0..count-1 with
 the same keys, a block of them in one numpy pass.  The count is drawn by a
-left search of its cdf on a scalar target.  Coordinate draws invert the
-conditional cdf by cumulative search in fixed-size chunks of ``_CHUNK``
-sizes, and the chunk size is part of the stream semantics.  The first
-chunk is summed by scalar partial sums in ``np.cumsum``'s order (the same
-products, added left to right), which stops at the same index as a cumsum
-followed by a left ``searchsorted``; later chunks are summed by numpy on
-top of the first chunk's total, reading the zero-led table row in place.
+left search of its cdf on a scalar target, a bisect over a memoryview of
+the cdf.  Coordinate draws invert the conditional cdf by cumulative search
+in fixed-size chunks of ``_CHUNK`` sizes, and the chunk size is part of
+the stream semantics.  The first chunk is summed by scalar partial sums in
+``np.cumsum``'s order (the same products, added left to right), which
+stops at the same index as a cumsum followed by a left ``searchsorted``;
+later chunks are summed by numpy, reading the zero-led table row in place,
+and their totals are carried on top of the first chunk's in Python
+floats, chunk by chunk, with the adds a cumsum of them makes.
 The scalar sums start at the smallest size with mass: the sizes below it
 contribute exact zeros, and adding +0.0 leaves a partial sum's bits
 unchanged, so skipping them moves no byte of any stream.
@@ -37,6 +39,7 @@ summed by row-wise cumsums in the same order, so the same bytes again.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -88,6 +91,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # streams whose keys ``make_rngs`` builds in one numpy pass (64 KiB of keys)
 _KEY_BLOCK = 4096
+# every stream's Philox counter starts at zero; ``Philox`` copies the array,
+# where an int counter goes through its slower int-to-array conversion
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 
 
 class RejectionCapError(RuntimeError):
@@ -119,7 +125,9 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     else:
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
         key = ss.generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(_StreamSeed(seed, stream, key, ss)))
+    return np.random.Generator(
+        np.random.Philox(_StreamSeed(seed, stream, key, ss), counter=_ZERO_COUNTER)
+    )
 
 
 class _StreamSeed(ISpawnableSeedSequence):
@@ -223,7 +231,9 @@ def _philox_streams(seed: int, mix: np.ndarray, count: int) -> Iterator[np.rando
         ids = np.arange(min(_KEY_BLOCK, count - start), dtype=np.uint32)
         ids += start
         for i, key in enumerate(_spawn_keys(mix, ids), start):
-            yield np.random.Generator(np.random.Philox(_StreamSeed(seed, i, key)))
+            yield np.random.Generator(
+                np.random.Philox(_StreamSeed(seed, i, key), counter=_ZERO_COUNTER)
+            )
 
 
 @dataclass
@@ -300,6 +310,7 @@ class ExactSampler:
         self._cal, self._column = cal, column  # ``giant_deficit_law``'s inputs too
         self.count_law = _conditioned(cal.pmf_n, column, n, "partition function")
         self.count_cdf = np.cumsum(self.count_law.pmf)
+        self._count_view = memoryview(self.count_cdf)  # ``draw_count``'s bisect reads floats
         self._count_top = float(self.count_cdf[-1])
         # P(X = k) for k <= n, then _CHUNK zeros: a spill's last chunk reads
         # past n, and the first chunk's k are all below _CHUNK
@@ -328,8 +339,9 @@ class ExactSampler:
         self._views.extend(map(memoryview, zero_led))
 
     def draw_count(self, rng: np.random.Generator) -> int:
-        # ``_inverse_cdf_draw``'s left search, on a Python float target
-        return int(self.count_cdf.searchsorted(max(rng.random() * self._count_top, _LEAST)))
+        # ``_inverse_cdf_draw``'s left search, on a Python float target: a
+        # bisect over the cdf's memoryview compares the same floats
+        return bisect.bisect_left(self._count_view, max(rng.random() * self._count_top, _LEAST))
 
     def sample(self, rng: np.random.Generator) -> PartitionSample:
         ell = self.draw_count(rng)
@@ -469,8 +481,10 @@ class ExactSampler:
         with ``acc > 0`` an element-wise early exit on ``fl(target - acc)``
         need not agree with ``acc + cs[-1] >= target``.  All later chunks
         are summed in one pass: the products once, each chunk's cumsum as a
-        row of a (chunks, ``_CHUNK``) array, and the carried totals as one
-        cumsum, the same adds as ``acc += cs[-1]`` chunk by chunk.  The
+        row of a (chunks, ``_CHUNK``) array.  Their totals are carried in
+        Python floats, ``acc += cs[-1]`` chunk by chunk (the adds of a
+        cumsum over them), up to the first chunk whose carried total
+        reaches the target, which is searched for ``target - acc``.  The
         products read P(S_j = rem - k) from the zero-led table row, so sizes
         past rem in the last chunk multiply its zero lead (and P(X = k)
         past n its zero padding): exact zeros, which leave each chunk's
@@ -479,15 +493,15 @@ class ExactSampler:
             size = -(-(rem + 1 - _CHUNK) // _CHUNK) * _CHUNK
             seg = self._px_pad[_CHUNK : _CHUNK + size] * self._table[j, rem : rem - size : -1]
             cs = seg.reshape(-1, _CHUNK).cumsum(axis=1)
-            accs = np.concatenate(([acc], cs[:, -1])).cumsum()
-            c = int(accs[1:].searchsorted(target))
-            if c < len(cs):
-                # the zero products past rem repeat the chunk's total, so a
-                # search that passes rem ends past the chunk
-                i = int(cs[c].searchsorted(target - accs[c]))
-                if i < _CHUNK:
-                    return _CHUNK * (c + 1) + i
-                # round-off: fl(target - acc) ran past the chunk's total
+            for c, total in enumerate(cs[:, -1].tolist()):
+                if acc + total >= target:
+                    # the zero products past rem repeat the chunk's total, so
+                    # a search that passes rem ends past the chunk
+                    i = int(cs[c].searchsorted(target - acc))
+                    if i < _CHUNK:
+                        return _CHUNK * (c + 1) + i
+                    break  # round-off: fl(target - acc) ran past the chunk's total
+                acc += total
         # round-off left the target unreached: take the largest size with
         # mass that leaves every later coordinate its smallest size (FFT
         # rows hold round-off where zeros belong)
@@ -574,7 +588,8 @@ class ProductSampler:
 
     def __init__(self, spec: ProductSpec, n: int):
         self.n = n
-        _, self.arrays, self.suffix = _product_tables(spec, n)
+        # the radii are ``exact._product_law``'s input too
+        self._radii, self.arrays, self.suffix = _product_tables(spec, n)
 
     def _cdf(self, j: int, rem: int) -> np.ndarray:
         """The cumulative weights of P_j = 0..rem given the remainder."""

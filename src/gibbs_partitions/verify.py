@@ -673,7 +673,9 @@ def _product(rep: None, scheme: ProductSpec, n: int, replicates: int = 10000, se
     decomposition, and a coordinate-symmetry frequency test for identical
     factors; both bounds are fixed (0.05 relative, 2 sigma)."""
     try:
-        pl = exact.product_law(scheme, n)
+        # the law from the sampler's own tables
+        smp = sampling.ProductSampler(scheme, n)
+        pl = exact._product_law(scheme, n, smp._radii, smp.arrays, smp.suffix)
     except ValueError as err:  # e.g. no configuration of size n
         raise PhaseMismatchError(f"product_marginals: {err}") from None
     p = pl.p  # the gate asked for closed-form tails on every factor
@@ -695,7 +697,6 @@ def _product(rep: None, scheme: ProductSpec, n: int, replicates: int = 10000, se
     reports = [_verdict("product_marginals", scheme, [n], "max-rel-error", [worst], 0.05, p=list(p))]
     # MC symmetry of the macroscopic coordinate for identical factors
     if len(set(scheme.factors)) == 1:
-        smp = sampling.ProductSampler(scheme, n)
         ell = len(scheme.factors)
         hits = np.zeros(ell)
         for tup in smp.sample_many(sampling.make_rngs(seed, replicates)):

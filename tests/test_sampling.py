@@ -612,6 +612,32 @@ def test_make_rngs_streams_are_independent():
     )
 
 
+def _draw_state(rng):
+    """10^4 + 1 doubles and one 32-bit word from ``rng``, then its whole
+    bit-generator state (key, counter, buffer, buffer_pos, has_uint32 and
+    the kept half word), as comparable lists."""
+    rng.random(10**4 + 1)
+    rng.integers(0, 2**32, dtype=np.uint32)
+    state = rng.bit_generator.state
+    state.update(state.pop("state"))
+    return {k: np.asarray(v).tolist() for k, v in state.items()}
+
+
+def test_streams_do_not_share_their_counter():
+    """Every stream starts from ``_ZERO_COUNTER``, which ``Philox`` copies:
+    after draws from a ``make_rng`` generator and from every generator of
+    a full ``make_rngs`` key block, the array is still zero, and each
+    stream's whole state is that of numpy's own SeedSequence stream."""
+    want = _draw_state(_seed_sequence_rng(31, 7))
+    assert want["has_uint32"] == 1 and want["buffer_pos"] not in (0, 4)
+    assert _draw_state(make_rng(31, 7)) == want
+    block = sampling.make_rngs(31, sampling._KEY_BLOCK)
+    for i, rng in enumerate(block):
+        assert _draw_state(rng) == _draw_state(_seed_sequence_rng(31, i)), i
+    assert i == sampling._KEY_BLOCK - 1
+    assert sampling._ZERO_COUNTER.tolist() == [0, 0, 0, 0]
+
+
 def test_make_rngs_refuses_before_allocating():
     tracemalloc.start()
     try:

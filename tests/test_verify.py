@@ -125,9 +125,10 @@ def no_laws(monkeypatch):
     def reached(*args, **kwargs):
         raise _Reached
 
-    for name in ("law_Nn", "_prefix_laws", "product_law", "extended_law_Nn"):
+    for name in ("law_Nn", "_prefix_laws", "extended_law_Nn"):
         monkeypatch.setattr(exact, name, reached)
-    monkeypatch.setattr(verify.sampling, "ExactSampler", reached)
+    for name in ("ExactSampler", "ProductSampler"):
+        monkeypatch.setattr(verify.sampling, name, reached)
 
 
 def test_dense_extremes_refuses_one_size_at_alpha_2(tmp_path, dense_gauss, dense_stable, no_laws):
@@ -580,16 +581,18 @@ def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
     deficit law's column beside its sampler's, 26 and 27 when every
     verifier rebuilt its laws), at most 90 certified
     series sums (82; 108 when classify summed W twice or more, 208 before
-    that), and no calibration sums one series twice; the verdict bytes stay
-    the golden ones, and so do the 18 CSVs' (``golden_csvs.json``)."""
+    that), one set of product tables (two when the product law and its
+    sampler each built theirs), and no calibration sums one series twice;
+    the verdict bytes stay the golden ones, and so do the 18 CSVs'
+    (``golden_csvs.json``)."""
     from importlib.resources import files
 
     from gibbs_partitions import sampling, weights
 
-    calls = {"calibrate": 0, "harvest": 0, "sums": 0}
+    calls = {"calibrate": 0, "harvest": 0, "sums": 0, "product_tables": 0}
     in_calibration = []  # the series sums of the calibration under way
     repeated = []
-    calibrate, harvest = exact._calibrate, exact._harvest
+    calibrate, harvest, product_tables = exact._calibrate, exact._harvest, exact._product_tables
     moment = weights.WeightSequence.weighted_moment
 
     def counted_calibrate(*args, **kwargs):
@@ -605,6 +608,10 @@ def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
         calls["harvest"] += 1
         return harvest(*args, **kwargs)
 
+    def counted_product_tables(*args, **kwargs):
+        calls["product_tables"] += 1
+        return product_tables(*args, **kwargs)
+
     def counted_moment(self, t, k=0):
         calls["sums"] += 1
         if in_calibration:
@@ -614,12 +621,14 @@ def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
     for mod in (exact, sampling):
         monkeypatch.setattr(mod, "_calibrate", counted_calibrate)
         monkeypatch.setattr(mod, "_harvest", counted_harvest)
+        monkeypatch.setattr(mod, "_product_tables", counted_product_tables)
     monkeypatch.setattr(weights.WeightSequence, "weighted_moment", counted_moment)
     cfg = str(files("gibbs_partitions.data").joinpath("phases.json"))
     assert run_suite(cfg, tmp_path) == 0
     assert calls["calibrate"] <= 19
     assert calls["harvest"] <= 20
     assert calls["sums"] <= 90
+    assert calls["product_tables"] == 1
     assert repeated == []
     golden = pathlib.Path(__file__).parent / "data"
     assert (tmp_path / "verdicts.json").read_bytes() == (golden / "golden_verdicts.json").read_bytes()
