@@ -144,9 +144,11 @@ def _conv_method(kernel: np.ndarray, n: int, method: str) -> str:
     """The branch, "direct" or "fft", that a sweep of ``kernel`` over rows of
     length n + 1 takes: "auto" is direct while (n + 1) * K stays within
     ``_DIRECT_CONV_LIMIT``, K the kernel's length up to its last nonzero
-    entry."""
+    entry.  Any other method is a ValueError."""
     if method in ("direct", "fft"):
         return method
+    if method != "auto":
+        raise ValueError(f"method must be 'auto', 'direct' or 'fft', not {method!r}")
     nz = np.flatnonzero(kernel)
     size = nz[-1] + 1 if nz.size else 1
     return "direct" if (n + 1) * size <= _DIRECT_CONV_LIMIT else "fft"
@@ -802,7 +804,16 @@ def _giant_deficit(
 ):
     """``giant_deficit_law`` from the calibration of (scheme, n) and its
     harvested column P(S_l = n), l = 0..cap, which an ``ExactSampler``
-    keeps."""
+    keeps.
+
+    The Green vector's sweep over rows of length d_max + 1 takes the branch
+    of the law's own sweep, ``_conv_method`` of (P(X = .), n), chosen once.
+    Deciding again at d_max would run it direct wherever (d_max + 1) K
+    stays within ``_DIRECT_CONV_LIMIT`` and (n + 1) K does not, as for
+    convergent at every n from 2000 to 4000, at about twice the FFT's
+    cost.  A direct law keeps a direct Green sweep, since (d_max + 1)
+    K_dmax <= (n + 1) K_n."""
+    method = _conv_method(cal.law_x.pmf, n, method)
     d_max = (n - 1) // 2
     px, pmf_n = cal.law_x.pmf, cal.pmf_n
     denom = dot(pmf_n, column)

@@ -719,16 +719,44 @@ def test_deficit_limit_is_the_size_biased_stopped_sum(name, n):
     assert np.max(np.abs(limit_d.pmf - want) / want) < 1e-12
 
 
-def test_deficit_law_past_n_4000_matches_the_direct_sweep(convergent):
-    # no size guard: n = 5000 takes about 0.1 s (FFT) and 0.7 s (direct)
-    fft = giant_deficit_law(convergent, 5000)
-    direct = giant_deficit_law(convergent, 5000, method="direct")
+@pytest.mark.parametrize("name", ["convergent", "dilute"])
+@pytest.mark.parametrize("n", [2000, 3000, 4000, 5000])
+def test_deficit_law_matches_the_direct_sweep(name, n):
+    # the law runs FFT at these n; up to n = 4000 its Green vector's rows, of
+    # length d_max + 1, would run direct on their own and take the law's FFT
+    # branch instead. No size guard: n = 5000 takes about 0.1 s (FFT) and
+    # 0.7 s (direct)
+    scheme = bundled_scheme(name)
+    fft = giant_deficit_law(scheme, n)
+    direct = giant_deficit_law(scheme, n, method="direct")
     for a, b in zip(fft, direct):
-        assert a.pmf.size == b.pmf.size == 2500
+        if b is None:  # no limit law where E[N] diverges
+            assert a is None
+            continue
+        assert a.pmf.size == b.pmf.size == (n - 1) // 2 + 1
         assert np.max(np.abs(a.pmf - b.pmf)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [800, 2000])
+@pytest.mark.parametrize("n, branch", [(800, "direct"), (4000, "fft")])
+def test_deficit_sweeps_take_the_branch_of_the_law(convergent, monkeypatch, n, branch):
+    # the count sweep and the Green vector's sweep take one branch, the
+    # law's: at n = 4000 the Green rows alone would be exactly at
+    # _DIRECT_CONV_LIMIT, (d_max + 1) K = 2000 * 2000, and run direct
+    harvest, branches = exact._harvest, []
+
+    def spy(kernel, top, cap, method, *args, **kwargs):
+        branches.append(exact._conv_method(kernel, top, method))
+        return harvest(kernel, top, cap, method, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "_harvest", spy)
+    giant_deficit_law(convergent, n)
+    assert branches == [branch, branch]
+    px = law_X(convergent, default_rho(convergent, n), n).pmf
+    d_max = (n - 1) // 2
+    assert exact._conv_method(px[: d_max + 1], d_max, "auto") == "direct"
+
+
+@pytest.mark.parametrize("n", [800, 2000, 3000])
 def test_deficit_from_the_sampler_is_the_deficit_law(convergent, n):
     # the convergent verifier takes the deficit law from its sampler's
     # calibration and harvested column: the bytes of giant_deficit_law's own
@@ -915,6 +943,26 @@ def test_laws_of_the_plain_model_refuse_extended_schemes(call, name, no_sums):
     kind = type(bundled_scheme(name)).__name__
     with pytest.raises(AttributeError, match=f"'{kind}' object has no attribute 'w'"):
         call(bundled_scheme(name))
+
+
+@pytest.mark.parametrize("method", ["bogus", "FFT", "Direct", "", "AUTO"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: law_Nn(bundled_scheme("convergent"), 10, method=m),
+        lambda m: extended_law_Nn(bundled_scheme("extended-heavy"), 10, method=m),
+        lambda m: stopped_sum_law(bundled_scheme("dilute"), n=10, method=m),
+        lambda m: prefix_law(bundled_scheme("dense-gauss"), 10, 1, method=m),
+        lambda m: giant_deficit_law(bundled_scheme("convergent"), 10, method=m),
+        lambda m: convolution_table(DiscreteLaw.from_pmf([0.0, 0.5, 0.5]), 4, 6, method=m),
+    ],
+    ids=["law_Nn", "extended_law_Nn", "stopped_sum_law", "prefix_law", "giant_deficit_law",
+         "convolution_table"],
+)
+def test_an_unknown_method_is_refused(call, method):
+    # a misspelt branch is an error, never the "auto" rule in its stead
+    with pytest.raises(ValueError, match="'auto', 'direct' or 'fft', not"):
+        call(method)
 
 
 @pytest.mark.parametrize(
