@@ -11,7 +11,6 @@ from .exact import (
     law_Nhat,
     law_Nn,
     stopped_sum_law,
-    brute_force_partition_law,
     profile_law,
     prefix_law,
     giant_deficit_law,
@@ -38,7 +37,6 @@ __all__ = [
     "law_Nhat",
     "law_Nn",
     "stopped_sum_law",
-    "brute_force_partition_law",
     "profile_law",
     "prefix_law",
     "giant_deficit_law",

@@ -16,10 +16,14 @@ Conventions:
   by a Chernoff bound on the number of nonzero summands.
 * The conditioned laws are invariant under tilting of the inner weights,
   so they take no rho: ``_calibrate`` picks it.  ``law_Nn`` still takes
-  one, which the FFT sweep gets right only at the default rho.
-  ``stopped_sum_law`` and ``law_Nhat`` take one because their outputs
-  depend on it; the stopped sum is harvested at the default rho and
-  re-tilted exactly, so it is right at any rho.
+  one, which the FFT sweep gets right only at the default rho.  There it
+  is within about 1e-12 of ``method="direct"`` on most bundled schemes but
+  not on steep kernels: at n = 2000 / 3000 / 4000 the FFT ``law_Nn`` is
+  2.9e-8 / 2.7e-8 / 3.6e-8 off on dense-b3 and 3.1e-9 / 2.4e-9 / 4.7e-9 on
+  mixture, from entries P(S_l = n) of few components that lie under the
+  FFT's absolute floor.  ``stopped_sum_law`` and ``law_Nhat`` take one
+  because their outputs depend on it; the stopped sum is harvested at the
+  default rho and re-tilted exactly, so any rho adds no error of its own.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ __all__ = [
     "stopped_sum_law",
     "law_Nn",
     "extended_law_Nn",
-    "brute_force_partition_law",
     "profile_law",
     "prefix_law",
     "giant_deficit_law",
@@ -417,8 +420,10 @@ def _harvest(kernel: np.ndarray, n: int, cap: int, method: str, weights=(), star
     array after one spare leading row.
 
     Returns (column, sums).  With a ``start`` row, column[aB + b] =
-    (start * S_{aB+b})[n] = dot(G_a, S_b reversed), G_a = start * S_B^{*a};
-    without one, column is None.  For each vector w in ``weights``, the sum
+    (start * S_{aB+b})[n] = dot(G_a, S_b reversed), G_a = start * S_B^{*a},
+    a second chain of giant steps; without one, column is None and only
+    the Horner chains run (prefix laws read P(S_N = n) off their own
+    sums).  For each vector w in ``weights``, the sum
     of w[l] S_l over l <= cap, l < w.size, by Horner in the giant step:
     acc = 1 acc + sum_b w[aB+b] S_b, b increasing, one einsum over the
     stack (acc, S_0, S_1, ...) after acc = giant(acc).  einsum's loop adds
@@ -560,73 +565,7 @@ def extended_law_Nn(spec: ExtendedSpec, n: int, method: str = "auto") -> Discret
 
 
 # ---------------------------------------------------------------------------
-# brute force oracle
-
-
-def _set_partitions(n: int):
-    """Yield block-size tuples of all set partitions of {0..n-1}.
-
-    Enumerates restricted growth strings so every set partition appears
-    exactly once (sizes repeat across different partitions, as they must).
-    """
-    sizes = [0] * n
-
-    def rec(i: int, k: int):
-        if i == n:
-            yield tuple(sizes[:k])
-            return
-        for j in range(k):
-            sizes[j] += 1
-            yield from rec(i + 1, k)
-            sizes[j] -= 1
-        sizes[k] = 1
-        yield from rec(i + 1, k + 1)
-        sizes[k] = 0
-
-    yield from rec(0, 0)
-
-
-def brute_force_partition_law(scheme: SchemeSpec, n: int):
-    """Exact laws of (N_n, size multiset) by summation over set partitions.
-
-    Returns (law of N_n, dict mapping sorted size tuples to probabilities,
-    partition function u_n).  Refuses n > 9 (enumeration cost) and w_0 > 0
-    (set-partition components are nonempty; the conditioned-sum law is the
-    model's semantics in that case).
-    """
-    if n > 9:
-        raise BudgetExceededError("brute force enumeration limited to n <= 9")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if scheme.w.term(0) != 0.0:
-        raise ValueError("brute force oracle requires w_0 = 0")
-    v_cache = [scheme.v.term(k) for k in range(n + 1)]
-    w_cache = [scheme.w.term(k) for k in range(n + 1)]
-    fact = [math.factorial(k) for k in range(n + 1)]
-    count_weight = np.zeros(n + 1)
-    multiset_weight: dict[tuple[int, ...], float] = {}
-    total = 0.0
-    for sizes in _set_partitions(n):
-        k = len(sizes)
-        u = fact[k] * v_cache[k]
-        if u == 0.0:
-            continue
-        for s in sizes:
-            u *= fact[s] * w_cache[s]
-            if u == 0.0:
-                break
-        if u == 0.0:
-            continue
-        total += u
-        count_weight[k] += u
-        key = tuple(sorted(sizes, reverse=True))
-        multiset_weight[key] = multiset_weight.get(key, 0.0) + u
-    if total <= 0.0:
-        raise ValueError(f"partition function vanishes at n={n}")
-    u_n = total / fact[n]
-    law_n = DiscreteLaw(count_weight / total, 1.0)
-    multiset_law = {key: val / total for key, val in sorted(multiset_weight.items())}
-    return law_n, multiset_law, u_n
+# size profiles
 
 
 def _integer_partitions(n: int, max_part: int | None = None):
@@ -701,15 +640,17 @@ def prefix_law(scheme: SchemeSpec, n: int, m: int, method: str = "auto") -> Pref
 
     Equals prod_i P(X=k_i) * sum_{l >= m} P(N=l) P(S_{l-m} = n - sum k_i)
     divided by P(S_N = n); exchangeable, so the coordinate order is
-    immaterial.
+    immaterial.  The sum over l is the Green vector G_m[n - sum k_i] of one
+    harvest, and P(S_N = n) is read off G_m too (``_stopped_at_n``).
     """
     return _prefix_laws(scheme, n, (m,), method)[0]
 
 
 def _prefix_laws(scheme: SchemeSpec, n: int, ms, method: str = "auto") -> list[PrefixLaw]:
     """``prefix_law`` at each m of ``ms``, from one calibration and one
-    harvest with one weight vector per m; each law has the bits of its own
-    ``prefix_law`` call."""
+    harvest with one weight vector per m and no start row, so one chain of
+    giant steps per m; each law takes its denominator from its own G_m and
+    has the bits of its own ``prefix_law`` call."""
     for m in ms:
         if m not in (1, 2):
             raise ValueError("prefix laws implemented for m in {1, 2}")
@@ -717,11 +658,22 @@ def _prefix_laws(scheme: SchemeSpec, n: int, ms, method: str = "auto") -> list[P
             raise BudgetExceededError("m=2 joint table limited to n <= 3000")
     # G[x] = sum_{l >= m} P(N=l) P(S_{l-m} = x): weight row j by P(N = j+m).
     cal = _calibrate(scheme, n)
-    column, greens = _harvest(cal.law_x.pmf, n, cal.cap, method, [cal.pmf_n[m:] for m in ms], _unit(n))
-    denom = dot(cal.pmf_n, column)
+    _, greens = _harvest(cal.law_x.pmf, n, cal.cap, method, [cal.pmf_n[m:] for m in ms])
+    return [_prefix(cal.law_x, green, _stopped_at_n(cal, green, n, m), n, m) for m, green in zip(ms, greens)]
+
+
+def _stopped_at_n(cal: _Calibration, green: np.ndarray, n: int, m: int) -> float:
+    """P(S_N = n) read off the Green vector G_m of m components:
+    sum_{l < m} P(N = l) P(S_l = n) + sum_k P(S_m = k) G_m[n - k], with
+    P(S_2 = .) = P(X = .) * P(X = .) by ``convolve``, as ``fsum`` of the
+    products, correctly rounded."""
+    px, pmf_n = cal.law_x.pmf, cal.pmf_n
+    head = np.array([float(n == 0), px[n]][: min(m, pmf_n.size)])  # P(S_l = n), l < m
+    s_m = px if m == 1 else convolve(px, px, n + 1)
+    denom = fsum([pmf_n[: head.size] * head, s_m * green[::-1]])
     if denom <= 0:
         raise ValueError(f"partition function vanishes at n={n}")
-    return [_prefix(cal.law_x, green, denom, n, m) for m, green in zip(ms, greens)]
+    return denom
 
 
 def _prefix(law_x: DiscreteLaw, green: np.ndarray, denom: float, n: int, m: int) -> PrefixLaw:
@@ -731,7 +683,8 @@ def _prefix(law_x: DiscreteLaw, green: np.ndarray, denom: float, n: int, m: int)
     P(X = k1) = 0 is +0.0 where its mirror may be -0.0), so its mass and
     its TV to the product law are each fsum of the diagonal and twice the
     strict upper half, about half the entries of the full sums and the
-    same floats."""
+    same floats, summed from blocks made on the fly (made a second time
+    only for a sum ``fsum``'s lanes cannot certify)."""
     px = law_x.pmf
     d = law_x.deficit
     if m == 1:
@@ -757,11 +710,13 @@ def _prefix(law_x: DiscreteLaw, green: np.ndarray, denom: float, n: int, m: int)
             out[px[blk] == 0.0] = 0.0  # +0.0 even where G has round-off below 0
         # each sum: the diagonal plus twice the strict upper half, exactly
         half = n // 2
-        upper = (2.0 * joint[k, k + 1 : n - k + 1] for k in range(half + 1))  # the rest is +0.0
-        mass = fsum(itertools.chain([joint.diagonal()[: half + 1]], upper))
+        mass = fsum(lambda: itertools.chain(
+            [joint.diagonal()[: half + 1]],
+            (2.0 * joint[k, k + 1 : n - k + 1] for k in range(half + 1)),  # the rest is +0.0
+        ))
         # the product law misses 1 - (1 - d)^2 = d (2 - d) of its mass
         diag = np.abs(joint.diagonal() - px * px)
-        tv = 0.5 * (fsum(itertools.chain([diag], _upper_gaps(joint, px, blocks))) + d * (2.0 - d))
+        tv = 0.5 * (fsum(lambda: itertools.chain([diag], _upper_gaps(joint, px, blocks))) + d * (2.0 - d))
     return PrefixLaw(joint, mass, tv, px)
 
 

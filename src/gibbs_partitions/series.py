@@ -24,12 +24,7 @@ from .weights import WeightSequence
 
 __all__ = ["convolve", "dot", "fsum", "fsum_rows", "compose"]
 
-_FSUM_BLOCK = 1 << 14  # math.fsum up to this many entries; chunk size above it
-_FSUM_FOLD = 1 << 26  # fewer entries per bin keep the 27-bit half sums below 2**53
-_EXP_MASK = 0x7FF << 52
-_FRAC_MASK = (1 << 52) - 1
-_HALF_MASK = (1 << 26) - 1
-_ULP_INV = 1 << 1074  # every finite double is an integer multiple of 2**-1074
+_FSUM_BLOCK = 1 << 14  # math.fsum up to this many entries; lanes fill rows of this many above it
 _EPS = 2.0**-52
 # einsum sums a dot in blocks of 4 vectors from its first entry, at most 32
 # doubles, so skipping whole blocks of leading +0.0 products keeps its bits
@@ -103,37 +98,99 @@ def dot(a, b) -> float:
 def fsum(a) -> float:
     """Correctly rounded sum of all entries; equals ``math.fsum``.
 
-    ``a`` is an array or an iterable of arrays (the sum runs over the
-    entries of all of them).  Independent of numpy's pairwise-summation
-    blocking and of the order of the entries; used for every total that
+    ``a`` is an array, an iterable of arrays (read into a list first), or a
+    function that returns such an iterable afresh, the same arrays at every
+    call, for entries made on the fly; ``fsum`` may call it twice.  The
+    float does not depend on the order of the entries, on numpy's
+    summation blocking or on the SIMD level; used for every total that
     feeds a verdict.  Inputs of at most ``_FSUM_BLOCK`` entries go to
-    ``math.fsum``.  Larger ones are summed exactly in integers
-    (``_ExactSum``) and rounded once; the correctly rounded sum is unique,
-    so the float is ``math.fsum``'s.  An input with a non-finite entry, or
-    whose magnitudes could take the sum out of the float range, goes to
-    ``math.fsum`` too, so NaN, inf, ``ValueError`` and ``OverflowError``
-    come from there.
+    ``math.fsum``.  Larger ones run through 4096 float lanes a row at a
+    time (Ogita, Rump & Oishi's Sum2): each lane keeps its running sum s
+    and the float sum e of its TwoSum errors, and the lanes fold in halves
+    the same way down to 64.  Their s and e sum exactly to the entries but
+    for the rounding of e, at most (C + 1)**2 u**2 sum|x| with C additions
+    into an e, one a row and two a fold (u = eps / 2; Higham's bound for
+    recursive summation, of errors each below u times a partial sum).
+    ``math.fsum`` rounds the lanes' total once to r.  Where the bound stays
+    strictly inside r's rounding interval, r is the correctly rounded sum.
+    Otherwise (a zero or tiny r, a sum near a rounding midpoint, a
+    non-finite entry, sum|x| past 2**1000) ``math.fsum`` sums the entries
+    themselves, so NaN, inf, ``ValueError`` and ``OverflowError`` come from
+    there.
     """
-    items = (a,) if isinstance(a, np.ndarray) or np.isscalar(a) else a
-    parts = (np.ravel(np.asarray(p, dtype=float)) for p in items)
-    acc = None  # built at the first batch past _FSUM_BLOCK entries
-    pending: list[np.ndarray] = []
-    size = 0
-    for flat in parts:
-        pending.append(flat)
+    parts = None if callable(a) else list((a,) if isinstance(a, np.ndarray) or np.isscalar(a) else a)
+
+    def flats():
+        return (np.ravel(np.asarray(p, dtype=float)) for p in (a() if parts is None else parts))
+
+    stream, head, size = flats(), [], 0
+    for flat in stream:
+        head.append(flat)
         size += flat.size
         if size > _FSUM_BLOCK:
-            acc = acc or _ExactSum()
-            if not acc.add(pending):
-                break
-            pending, size = [], 0
-    else:
-        if acc is None:
-            return math.fsum(_floats(pending))
-        if size == 0 or acc.add(pending):
-            return acc.value()
-    # math.fsum from the batch that failed on, after the exact sum before it
-    return math.fsum(itertools.chain(acc.expansion(), _floats(pending), _floats(parts)))
+            r = _lane_sum(itertools.chain(head, stream))
+            if r is not None:
+                return r
+            head = flats()  # math.fsum of the entries, made again
+            break
+    return math.fsum(_floats(head))
+
+
+def _lane_sum(parts) -> float | None:
+    """``fsum``'s lane sum of the entries of ``parts``: the correctly
+    rounded float, or None where its bound cannot certify one."""
+    buf = np.empty((4, _FSUM_BLOCK // 4))  # 4096 lanes: 2048 to 16384 timed within 10% of the best
+    s, e, t, z, w = np.zeros((5, buf.shape[1]))
+    rows, size = 0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # such sums are not certified
+        for k in _lane_rows(parts, buf):
+            block = buf[:k]
+            size += float(np.abs(block).sum())
+            for x in block:  # t, w = s + x, TwoSum's s + x - t
+                np.add(s, x, out=t)
+                np.subtract(t, s, out=z)
+                np.subtract(t, z, out=w)
+                np.subtract(s, w, out=w)
+                np.subtract(x, z, out=z)
+                np.add(w, z, out=w)
+                np.add(e, w, out=e)
+                s, t = t, s
+            rows += k
+        while s.size > 64:  # fold the lanes in halves, two more additions on each e
+            s, s2, e = s[: s.size // 2], s[s.size // 2 :], e[: e.size // 2] + e[e.size // 2 :]
+            t = s + s2
+            z = t - s
+            e += (s - (t - z)) + (s2 - z)
+            s, rows = t, rows + 2
+    if not 2.0**-900 <= size < 2.0**1000:
+        return None
+    lanes = s.tolist() + e.tolist()
+    r = math.fsum(lanes)
+    if not 2.0**-1000 <= abs(r) < math.inf:
+        return None
+    rest = abs(math.fsum(lanes + [-r]))  # |lanes - r|, within u of itself
+    bound = 2.0 * (rows + 1) ** 2 * (0.5 * _EPS) ** 2 * size  # twice the bound: size is rounded
+    gap = min(math.nextafter(r, math.inf) - r, r - math.nextafter(r, -math.inf))
+    return r if rest * (1.0 + 4.0 * _EPS) + bound < 0.5 * gap else None
+
+
+def _lane_rows(parts, buf):
+    """Copy the entries of the arrays ``parts`` into the rows of ``buf``,
+    yielding the number of rows filled each time it is full, and at the end
+    the rows the rest fills, zero-padded."""
+    flat, fill = buf.reshape(-1), 0
+    for part in parts:
+        at = 0
+        while at < part.size:
+            k = min(part.size - at, flat.size - fill)
+            flat[fill : fill + k] = part[at : at + k]
+            fill, at = fill + k, at + k
+            if fill == flat.size:
+                yield buf.shape[0]
+                fill = 0
+    if fill:
+        flat[fill:] = 0.0
+        yield -(-fill // buf.shape[1])
 
 
 def fsum_rows(x) -> np.ndarray:
@@ -182,79 +239,6 @@ def _floats(arrays):
     return itertools.chain.from_iterable(
         flat[i : i + _FSUM_BLOCK].tolist() for flat in arrays for i in range(0, flat.size, _FSUM_BLOCK)
     )
-
-
-class _ExactSum:
-    """Exact sum of finite doubles, as an integer count of 2**-1074.
-
-    Every finite double is m 2**(e - 1075), with e its biased exponent
-    field and m its 53-bit integer significand; subnormals and zeros take
-    e = 1 and no implicit bit.  Entries go to one of 4096 bins by sign and
-    exponent field, and two ``np.bincount`` calls sum the high 27 and the
-    low 26 bits of their significands per bin.  Those float sums are
-    integers below 2**53, so exact, while a bin holds fewer than
-    ``_FSUM_FOLD`` entries; before that the bins fold into ``total``, a
-    Python int.  Only integers are added, so no step depends on the order
-    of the entries or on the SIMD level.
-    """
-
-    def __init__(self) -> None:
-        self.total = 0  # folded sum, in units of 2**-1074
-        self.bound = 0.0  # sum over the added arrays of size * largest magnitude
-        self.bins = np.zeros((2, 4096))  # high-half and low-half sums
-        self.held = 0  # entries in the bins since the last fold
-
-    def add(self, arrays: list[np.ndarray]) -> bool:
-        """Add the entries of 1-d float arrays.
-
-        Adds nothing and returns False when an entry is not finite or the
-        magnitudes added so far could reach 2**1022: past that, a running
-        sum in ``math.fsum`` may overflow, and only it says how.
-        """
-        flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-        self.bound += flat.size * max(float(flat.max()), -float(flat.min()))  # NaN stays NaN
-        if not self.bound < 2.0**1022:
-            return False
-        bits = flat.view(np.int64)
-        for i in range(0, bits.size, _FSUM_BLOCK):
-            chunk = bits[i : i + _FSUM_BLOCK]
-            if self.held + chunk.size > _FSUM_FOLD:
-                self._fold()
-            sig = chunk & _EXP_MASK
-            np.minimum(sig, 1 << 52, out=sig)  # the implicit bit, 0 for subnormals
-            sig |= chunk & _FRAC_MASK
-            idx = chunk >> 52  # sign and exponent field: -2048 .. 2047
-            idx += 2048  # negative entries in bins 0..2047, the rest above
-            self.bins[0] += np.bincount(idx, sig >> 26, 4096)
-            sig &= _HALF_MASK
-            self.bins[1] += np.bincount(idx, sig, 4096)
-            self.held += chunk.size
-        return True
-
-    def _fold(self) -> None:
-        high, low = self.bins
-        nz = np.flatnonzero(high + low)  # both sums are nonnegative
-        for i, h, lo in zip(nz.tolist(), high[nz].tolist(), low[nz].tolist()):
-            term = ((int(h) << 26) + int(lo)) << max((i & 2047) - 1, 0)
-            self.total += term if i & 2048 else -term
-        self.bins[:] = 0.0
-        self.held = 0
-
-    def value(self) -> float:
-        """The sum, rounded once (CPython's int division rounds correctly)."""
-        self._fold()
-        return self.total / _ULP_INV
-
-    def expansion(self) -> list[float]:
-        """Floats whose exact sum is the sum so far, largest first."""
-        self._fold()
-        out, rest = [], self.total
-        while rest:
-            f = rest / _ULP_INV
-            num, den = f.as_integer_ratio()
-            rest -= num * (_ULP_INV // den)  # f is a multiple of 2**-1074
-            out.append(f)
-        return out
 
 
 def compose(v: WeightSequence, w: WeightSequence, n_max: int) -> np.ndarray:

@@ -1,0 +1,136 @@
+"""Oracles of the tests: routes to exact quantities that the package itself
+does not take, kept out of the runtime.
+
+* ``brute_force_partition_law``: the laws of (N_n, size multiset) by
+  summation over all set partitions of {0..n-1}, n <= 9.
+* ``prefix_oracle``: P(S_N = n), the prefix Green vectors G_1 and G_2 and
+  the prefix laws' TVs to the i.i.d. products, from the calibration's
+  P(X = .) and P(N = .) in ``np.longdouble``.  Each row P(S_l = .) is
+  stepped one by one with ``np.convolve`` and P(S_N = n) is the column sum
+  over l, not a read of a Green vector.  Callers skip unless
+  ``LONGDOUBLE_OK`` (80-bit or wider: x86-64 has it; on some platforms
+  ``longdouble`` is a plain double).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from gibbs_partitions.exact import BudgetExceededError, DiscreteLaw, _calibrate
+from gibbs_partitions.weights import SchemeSpec
+
+LONGDOUBLE_OK = np.finfo(np.longdouble).nmant >= 63
+
+
+def _set_partitions(n: int):
+    """Yield block-size tuples of all set partitions of {0..n-1}.
+
+    Enumerates restricted growth strings so every set partition appears
+    exactly once (sizes repeat across different partitions, as they must).
+    """
+    sizes = [0] * n
+
+    def rec(i: int, k: int):
+        if i == n:
+            yield tuple(sizes[:k])
+            return
+        for j in range(k):
+            sizes[j] += 1
+            yield from rec(i + 1, k)
+            sizes[j] -= 1
+        sizes[k] = 1
+        yield from rec(i + 1, k + 1)
+        sizes[k] = 0
+
+    yield from rec(0, 0)
+
+
+def brute_force_partition_law(scheme: SchemeSpec, n: int):
+    """Exact laws of (N_n, size multiset) by summation over set partitions.
+
+    Returns (law of N_n, dict mapping sorted size tuples to probabilities,
+    partition function u_n).  Refuses n > 9 (enumeration cost) and w_0 > 0
+    (set-partition components are nonempty; the conditioned-sum law is the
+    model's semantics in that case).
+    """
+    if n > 9:
+        raise BudgetExceededError("brute force enumeration limited to n <= 9")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if scheme.w.term(0) != 0.0:
+        raise ValueError("brute force oracle requires w_0 = 0")
+    v_cache = [scheme.v.term(k) for k in range(n + 1)]
+    w_cache = [scheme.w.term(k) for k in range(n + 1)]
+    fact = [math.factorial(k) for k in range(n + 1)]
+    count_weight = np.zeros(n + 1)
+    multiset_weight: dict[tuple[int, ...], float] = {}
+    total = 0.0
+    for sizes in _set_partitions(n):
+        k = len(sizes)
+        u = fact[k] * v_cache[k]
+        if u == 0.0:
+            continue
+        for s in sizes:
+            u *= fact[s] * w_cache[s]
+            if u == 0.0:
+                break
+        if u == 0.0:
+            continue
+        total += u
+        count_weight[k] += u
+        key = tuple(sorted(sizes, reverse=True))
+        multiset_weight[key] = multiset_weight.get(key, 0.0) + u
+    if total <= 0.0:
+        raise ValueError(f"partition function vanishes at n={n}")
+    u_n = total / fact[n]
+    law_n = DiscreteLaw(count_weight / total, 1.0)
+    multiset_law = {key: val / total for key, val in sorted(multiset_weight.items())}
+    return law_n, multiset_law, u_n
+
+
+@dataclass(frozen=True)
+class PrefixOracle:
+    """``prefix_oracle``'s quantities, all ``np.longdouble``."""
+
+    stopped_at_n: np.longdouble  # P(S_N = n)
+    g1: np.ndarray  # G_1[x] = sum_{l >= 1} P(N = l) P(S_(l-1) = x)
+    g2: np.ndarray  # G_2[x] = sum_{l >= 2} P(N = l) P(S_(l-2) = x)
+    tv1: np.longdouble  # prefix law m = 1 to P(X = .)
+    tv2: np.longdouble  # prefix law m = 2 to P(X = .) x P(X = .)
+
+
+def prefix_oracle(scheme: SchemeSpec, n: int) -> PrefixOracle:
+    """The prefix quantities of (scheme, n) in ``np.longdouble`` from the
+    calibration's P(X = .) and P(N = .), rows l = 0..cap stepped by
+    ``np.convolve``.  The TVs carry the calibration's deficit of P(X = .)
+    as the package's do: d for m = 1 and d (2 - d) for m = 2."""
+    ld = np.longdouble
+    cal = _calibrate(scheme, n)
+    px = cal.law_x.pmf.astype(ld)
+    pmf_n = cal.pmf_n.astype(ld)
+    d = ld(cal.law_x.deficit)
+    row = np.zeros(n + 1, dtype=ld)
+    row[0] = 1
+    column = np.zeros(cal.cap + 1, dtype=ld)
+    g1 = np.zeros(n + 1, dtype=ld)
+    g2 = np.zeros(n + 1, dtype=ld)
+    for l in range(cal.cap + 1):
+        if l:
+            row = np.convolve(row, px)[: n + 1]
+        column[l] = row[n]
+        if l + 1 <= cal.cap:
+            g1 += pmf_n[l + 1] * row
+        if l + 2 <= cal.cap:
+            g2 += pmf_n[l + 2] * row
+    denom = np.sum(pmf_n * column)
+    joint1 = px * g1[::-1] / denom
+    tv1 = (np.sum(np.abs(joint1 - px)) + d) / 2
+    k = np.arange(n + 1)
+    padded = np.concatenate([g2[::-1], np.zeros(n, dtype=ld)])
+    hankel = padded[k[:, None] + k[None, :]]  # G_2[n - k1 - k2], 0 past k1 + k2 = n
+    product = px[:, None] * px[None, :]
+    tv2 = (np.sum(np.abs(product * hankel / denom - product)) + d * (2 - d)) / 2
+    return PrefixOracle(denom, g1, g2, tv1, tv2)

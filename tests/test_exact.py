@@ -1,6 +1,7 @@
 """Exact engine: component laws, stopped sums, conditioned counts, the
 brute-force enumeration oracle, prefix laws, deficits, product structures."""
 
+import json
 import math
 import pathlib
 import subprocess
@@ -20,7 +21,6 @@ from gibbs_partitions import (
     ProductSpec,
     SchemeSpec,
     WeightSequence,
-    brute_force_partition_law,
     bundled_scheme,
     classify,
     extended_law_Nn,
@@ -46,8 +46,10 @@ from gibbs_partitions.exact import (
     default_rho,
 )
 from gibbs_partitions.sampling import ExactSampler
+from gibbs_partitions.schemes import bundled_names
 from gibbs_partitions.series import compose, convolve, dot, fsum
 
+from oracle import LONGDOUBLE_OK, brute_force_partition_law, prefix_oracle
 from test_series import bell_u_n, enumerate_set_partitions
 
 
@@ -588,10 +590,13 @@ def test_prefix_tv_decreasing_and_marginalization(dense_gauss):
 
 def _prefix_m2_oracle(scheme, n, harvest=_harvest):
     """The m = 2 prefix law by the row-by-row formula, with the product law
-    as a full (n+1)^2 array and Python-float sums."""
+    as a full (n+1)^2 array and Python-float sums; P(S_N = n) is read off
+    G_2 as P(N = 0) [n = 0] + P(N = 1) P(X = n) + sum_k P(S_2 = k) G_2[n - k]."""
     cal = _calibrate(scheme, n)
-    column, (green,) = harvest(cal.law_x.pmf, n, cal.cap, "auto", [cal.pmf_n[2:]], _unit(n))
-    denom = dot(cal.pmf_n, column)
+    _, (green,) = harvest(cal.law_x.pmf, n, cal.cap, "auto", [cal.pmf_n[2:]])
+    px2 = convolve(cal.law_x.pmf, cal.law_x.pmf, n + 1)
+    head = [cal.pmf_n[0] * (n == 0), cal.pmf_n[1] * cal.law_x.pmf[n]]
+    denom = math.fsum(head + (px2 * green[::-1]).tolist())
     px, d = cal.law_x.pmf, cal.law_x.deficit
     joint = np.zeros((n + 1, n + 1))
     for k1 in range(n + 1):
@@ -661,6 +666,90 @@ def test_prefix_tilt_invariance(dense_gauss):
     base = prefix_law(dense_gauss, 300, 1)
     tilted = prefix_law(SchemeSpec(v=dense_gauss.v, w=dense_gauss.w.tilt(0.5)), 300, 1)
     assert np.max(np.abs(base.joint - tilted.joint)) < 1e-12
+
+
+def test_prefix_laws_run_one_chain(dense_gauss, monkeypatch):
+    """A prefix harvest runs the Horner chain alone: no start row, so no
+    column chain; P(S_N = n) is read off each law's own G_m."""
+    starts = []
+
+    def spy(kernel, n, cap, method, weights=(), start=None, rows=None):
+        starts.append(start)
+        return _harvest(kernel, n, cap, method, weights, start, rows)
+
+    monkeypatch.setattr(exact, "_harvest", spy)
+    prefix_law(dense_gauss, 60, 1)
+    exact._prefix_laws(dense_gauss, 60, (1, 2))
+    assert starts == [None, None]
+
+
+def _plain_schemes():
+    names = [name for name in bundled_names() if isinstance(bundled_scheme(name), SchemeSpec)]
+    return [(name, bundled_scheme(name)) for name in names] + [("w0-positive", _w0_positive())]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 60, 300])
+def test_prefix_denominator_is_the_column_sum(n):
+    """In the direct regime P(S_N = n) from G_1 and from G_2 (with the
+    l < m terms) equals the column chain's dot(P(N = .), P(S_. = n))
+    within 1e-13 relative; where the column sum vanishes, as at n = 0
+    without zero-size components, the prefix law is refused."""
+    for name, scheme in _plain_schemes():
+        cal = _calibrate(scheme, n)
+        assert exact._conv_method(cal.law_x.pmf, n, "auto") == "direct"
+        column, greens = _harvest(cal.law_x.pmf, n, cal.cap, "auto", [cal.pmf_n[1:], cal.pmf_n[2:]], _unit(n))
+        want = dot(cal.pmf_n, column)
+        for m, green in zip((1, 2), greens):
+            if want == 0.0:
+                with pytest.raises(ValueError, match="partition function vanishes"):
+                    exact._stopped_at_n(cal, green, n, m)
+            else:
+                got = exact._stopped_at_n(cal, green, n, m)
+                assert abs(got - want) <= 1e-13 * want, (name, n, m)
+
+
+@pytest.mark.parametrize("name", ["dense-gauss", "dense-stable", "convergent", "dilute"])
+def test_prefix_m1_fft_matches_the_direct_sweep(name):
+    # 1.6e-13 on dense-gauss (2.6e-12 with the column chain's denominator)
+    scheme = bundled_scheme(name)
+    n = 2500
+    assert exact._conv_method(_calibrate(scheme, n).law_x.pmf, n, "auto") == "fft"
+    fft = prefix_law(scheme, n, 1)
+    assert np.max(np.abs(fft.joint - prefix_law(scheme, n, 1, method="direct").joint)) <= 1e-12
+    assert abs(fft.mass_accounted - 1.0) <= 1.2e-16
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: at the default rho and n = 2500 the FFT "
+                   "law_Nn is 7.1e-9 (dense-b3) and 2.9e-9 (mixture) off the direct sweep, "
+                   "prefix_law m = 1 9.2e-11 and 5.8e-10")
+@pytest.mark.parametrize("name", ["dense-b3", "mixture"])
+def test_fft_laws_match_the_direct_sweep_on_steep_kernels(name):
+    scheme = bundled_scheme(name)
+    n = 2500
+    assert exact._conv_method(_calibrate(scheme, n).law_x.pmf, n, "auto") == "fft"
+    gaps = [np.max(np.abs(law_Nn(scheme, n).pmf - law_Nn(scheme, n, method="direct").pmf)),
+            np.max(np.abs(prefix_law(scheme, n, 1).joint - prefix_law(scheme, n, 1, method="direct").joint))]
+    assert max(gaps) <= 1e-12, gaps
+
+
+@pytest.mark.skipif(not LONGDOUBLE_OK, reason="np.longdouble is no wider than a double here")
+def test_golden_prefix_tvs_match_the_longdouble_oracle(dense_gauss):
+    """The committed prefix-gauss TVs are within 1e-13 relative of the
+    longdouble oracle (at most 3.0e-14; the column chain's floats read up
+    to 2.2e-13), and so are G_1, G_2 and P(S_N = n) at their scale."""
+    golden = json.loads((pathlib.Path(__file__).parent / "data" / "golden_verdicts.json").read_text())
+    tvs = {v["experiment"]: v["observed"] for v in golden["verdicts"]
+           if v["experiment"].startswith("prefix-gauss.")}
+    for i, n in enumerate((100, 400)):
+        ref = prefix_oracle(dense_gauss, n)
+        assert abs(tvs["prefix-gauss.prefix_independence_m1"][i] - ref.tv1) <= 1e-13 * ref.tv1
+        assert abs(tvs["prefix-gauss.prefix_independence_m2"][i] - ref.tv2) <= 1e-13 * ref.tv2
+        cal = _calibrate(dense_gauss, n)
+        _, greens = _harvest(cal.law_x.pmf, n, cal.cap, "auto", [cal.pmf_n[1:], cal.pmf_n[2:]])
+        for m, green, want in zip((1, 2), greens, (ref.g1, ref.g2)):
+            assert np.max(np.abs(green - want)) <= 1e-14 * np.max(want)
+            got = exact._stopped_at_n(cal, green, n, m)
+            assert abs(got - ref.stopped_at_n) <= 1e-14 * ref.stopped_at_n
 
 
 def test_deficit_degenerate_cases(single_component):

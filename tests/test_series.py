@@ -243,10 +243,11 @@ def _fsum_outcome(fn, x):
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3 * _FSUM_BLOCK),
        st.integers(-1074, 1000), st.integers(0, 2074))
 def test_fsum_is_math_fsum(seed, size, lo, span):
-    """Bit for bit math.fsum's float on both sides of the switch to exact
-    integer bins, over every exponent from 2**-1074 to 2**1000."""
+    """Bit for bit math.fsum's float on both sides of the switch to the
+    lanes, over every exponent from 2**-1074 to 2**1000."""
     x = _wide_floats(seed, size, lo, min(lo + span, 1000))
     assert fsum(x).hex() == math.fsum(x.tolist()).hex()
+    assert fsum(lambda: [x]).hex() == math.fsum(x.tolist()).hex()
 
 
 @settings(max_examples=40, deadline=None)
@@ -260,6 +261,7 @@ def test_fsum_of_blocks_is_fsum_of_concatenation(seed, size, cuts):
     assert fsum(blocks).hex() == want
     assert fsum(iter(blocks)).hex() == want
     assert fsum(b.reshape(1, -1) for b in blocks).hex() == want
+    assert fsum(lambda: (b.reshape(1, -1) for b in blocks)).hex() == want
 
 
 @pytest.mark.parametrize("size", [5, _FSUM_BLOCK + 1, 3 * _FSUM_BLOCK])
@@ -282,11 +284,12 @@ def test_fsum_non_finite_and_overflow_as_math_fsum(size):
         # the same entries as blocks, the special ones in a late block
         halves = [x[: size // 3], x[size // 3 :]]
         assert _fsum_outcome(fsum, halves) == want
+        assert _fsum_outcome(lambda v: fsum(lambda: v), halves) == want
 
 
 def test_fsum_blocks_past_the_float_range_fall_back_exactly():
-    """A late block too large for the bins goes to math.fsum after the exact
-    sum of the blocks before it, which lands on the same float."""
+    """A late block too large for the lanes sends every block to math.fsum,
+    which lands on the same float."""
     rng = np.random.default_rng(5)
     head = _wide_floats(6, 2 * _FSUM_BLOCK, -1074, 900)
     # the large entries cancel, so the result is the sum of the blocks before
@@ -316,20 +319,6 @@ def test_fsum_scalars_and_lists():
         assert fsum(x).hex() == math.fsum(x.tolist()).hex()
 
 
-def test_fsum_folds_bins_mid_block(monkeypatch):
-    """With a fold every 1000 entries the bins fold before every chunk,
-    inside one array and across blocks; the float stays math.fsum's."""
-    folds = []
-    fold = series._ExactSum._fold
-    monkeypatch.setattr(series, "_FSUM_FOLD", 1000)
-    monkeypatch.setattr(series._ExactSum, "_fold", lambda acc: folds.append(acc.held) or fold(acc))
-    x = _wide_floats(9, 3 * _FSUM_BLOCK, -1074, 1000)
-    want = math.fsum(x.tolist()).hex()
-    assert fsum(x).hex() == want
-    assert folds == [0] + [_FSUM_BLOCK] * 3  # before each chunk, and at the end
-    assert fsum(np.split(x, [100, 20000, 20001])).hex() == want
-
-
 _FSUM_DIGEST = """
 import numpy as np
 from gibbs_partitions.series import fsum
@@ -340,8 +329,8 @@ print(fsum(x).hex())
 
 
 def test_fsum_bits_do_not_follow_simd_level(baseline_cpu_env):
-    """The bins add integers only, so a child with numpy's SIMD dispatch off
-    gives the same float, which is math.fsum's."""
+    """A certified float is the correctly rounded sum, so a child with
+    numpy's SIMD dispatch off gives the same float, which is math.fsum's."""
     rng = np.random.default_rng(17)
     x = np.ldexp(rng.standard_normal(100_000), rng.integers(-1074, 960, 100_000))
     child = subprocess.run(
@@ -351,16 +340,59 @@ def test_fsum_bits_do_not_follow_simd_level(baseline_cpu_env):
     assert child.stdout.strip() == fsum(x).hex() == math.fsum(x.tolist()).hex()
 
 
-def test_fsum_builds_no_exact_sum_at_or_below_the_block(monkeypatch):
+def test_fsum_runs_no_lanes_at_or_below_the_block(monkeypatch):
     """Inputs of at most _FSUM_BLOCK entries go straight to math.fsum."""
-    def no_bins():
-        raise AssertionError("no exact sum below the block size")
+    def no_lanes(parts):
+        raise AssertionError("no lanes below the block size")
 
-    monkeypatch.setattr(series, "_ExactSum", no_bins)
+    monkeypatch.setattr(series, "_lane_sum", no_lanes)
     x = _wide_floats(3, _FSUM_BLOCK, -1074, 1000)
     assert fsum(x).hex() == fsum(np.split(x, [7, 900])).hex() == math.fsum(x.tolist()).hex()
-    with pytest.raises(AssertionError, match="no exact sum"):
+    assert fsum(lambda: np.split(x, [7, 900])).hex() == math.fsum(x.tolist()).hex()
+    with pytest.raises(AssertionError, match="no lanes"):
         fsum(np.append(x, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3 * _FSUM_BLOCK),
+       st.sampled_from(["exp", "midpoint", "zeros", "subnormal", "cancel", "wide", "specials"]))
+@example(0, 3 * _FSUM_BLOCK, "exp")
+@example(1, _FSUM_BLOCK + 1, "midpoint")
+def test_fsum_of_hard_streams_is_math_fsum(seed, size, kind):
+    """fsum's certified lanes, or its math.fsum of the entries made again,
+    give math.fsum's float on hard streams; where math.fsum raises, the
+    same."""
+    x = _hard_rows(seed, 1, size, kind).ravel()
+    if kind == "midpoint":  # the three entries that decide, amid zeros
+        x = np.concatenate([x[:1], np.zeros(size), x[1:]])
+    blocks = np.split(x, [size // 3, size // 3 + 1])
+    want = _fsum_outcome(lambda v: math.fsum(v.tolist()), x)
+    assert _fsum_outcome(lambda v: fsum(lambda: v), blocks) == want
+
+
+def test_fsum_makes_a_stream_again_only_when_uncertified():
+    calls = []
+
+    def make(x):
+        calls.append(x.size)
+        return iter(np.split(x, [5, 20000]))
+
+    wide = _wide_floats(8, 3 * _FSUM_BLOCK, -1074, 900)
+    exp = np.exp(np.random.default_rng(8).uniform(-700.0, 2.0, 3 * _FSUM_BLOCK))
+    for x in (wide, exp, -exp):
+        calls.clear()
+        assert fsum(lambda: make(x)).hex() == math.fsum(x.tolist()).hex()
+        assert len(calls) == 1
+    # 1 + 2**-53 is a midpoint; 2**-110 past it decides, below the bound
+    mid = np.zeros(3 * _FSUM_BLOCK)
+    mid[[7, 20000, 40000]] = 1.0, 2.0**-53, 2.0**-110
+    for x in (mid, -mid, np.zeros(3 * _FSUM_BLOCK), np.full(3 * _FSUM_BLOCK, 2.0**-1000)):
+        calls.clear()
+        assert fsum(lambda: make(x)).hex() == math.fsum(x.tolist()).hex()
+        assert len(calls) == 2
+    calls.clear()
+    assert fsum(lambda: make(wide[:_FSUM_BLOCK])) == math.fsum(wide[:_FSUM_BLOCK].tolist())
+    assert len(calls) == 1  # at most _FSUM_BLOCK entries: math.fsum at once
 
 
 def _hard_rows(seed, rows, cols, kind):
