@@ -29,11 +29,6 @@ from .weights import ExtendedSpec, ProductSpec, SchemeSpec
 
 __all__ = ["build_parser", "main"]
 
-# fewer replicates than this draw one by one: the lockstep of
-# ``ExactSampler.sample_many`` pays a few numpy calls per coordinate step,
-# and it overtook one ``sample`` call per draw at about 200 draws
-_LOCKSTEP_MIN = 200
-
 
 def _int_at_least(low: int):
     """The argparse type of an integer >= ``low``."""
@@ -174,7 +169,7 @@ def _cmd_sample(args) -> int:
         _write_csv([f"coordinate_{j}" for j in range(len(scheme.factors))], rows, args.out)
         return 0
     header = ["replicate", "n_components", "largest", "second_largest"] + stats_fields
-    if isinstance(shared, sampling.ExactSampler) and args.replicates >= _LOCKSTEP_MIN:
+    if isinstance(shared, sampling.ExactSampler):
         draws = shared.sample_many(rngs)  # the same bytes as one sample call per stream
     else:  # rejection draws one stream at a time
         draws = map(shared.sample, rngs)

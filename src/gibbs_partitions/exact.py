@@ -15,13 +15,14 @@ Conventions:
   P(S_l = n) = 0 for l > n.  With w_0 > 0 the truncation tail is certified
   by a Chernoff bound on the number of nonzero summands.
 * The conditioned laws are invariant under tilting of the inner weights,
-  so they take no rho: ``_calibrate`` picks it.  ``law_Nn`` still takes
-  one, which the FFT sweep gets right only at the default rho.  There it
-  is within about 1e-12 of ``method="direct"`` on most bundled schemes but
+  so each (scheme, n) has one calibration, at ``default_rho(scheme, n)``,
+  and one count law on it (``_count_law``); ``law_Nn`` only checks a
+  caller's rho.  There the FFT sweep is
+  within about 1e-12 of ``method="direct"`` on most bundled schemes but
   not on steep kernels: at n = 2000 / 3000 / 4000 the FFT ``law_Nn`` is
   2.9e-8 / 2.7e-8 / 3.6e-8 off on dense-b3 and 3.1e-9 / 2.4e-9 / 4.7e-9 on
   mixture, from entries P(S_l = n) of few components that lie under the
-  FFT's absolute floor.  ``stopped_sum_law`` and ``law_Nhat`` take one
+  FFT's absolute floor.  ``stopped_sum_law`` and ``law_Nhat`` take a rho
   because their outputs depend on it; the stopped sum is harvested at the
   default rho and re-tilted exactly, so any rho adds no error of its own.
 """
@@ -37,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.fft import irfft, rfft
 
 from .phases import Criticality, _bisect, _criticality, _double, _w_at_radius, _w_root
-from .series import convolve, dot, fsum
+from .series import convolve, fsum
 from .weights import ExtendedSpec, ProductSpec, SchemeSpec, WeightSequence
 
 __all__ = [
@@ -481,13 +482,12 @@ class _Calibration:
     pmf_n: np.ndarray
 
 
-def _calibrate(scheme: SchemeSpec, n: int, rho: float | None = None) -> _Calibration:
-    """The calibration of (scheme, n), with rho from ``default_rho`` when
-    None.  The conditioned laws are tilt invariant, so only ``law_Nn``
-    passes a caller's rho.  Each series is summed once: W(rho)
-    (``default_rho``'s own sum when rho = rho_w), then V(W(rho)); the laws
-    are ``law_X``'s and ``law_N``'s."""
-    rho, W = _radius_and_W(scheme, n, rho)
+def _calibrate(scheme: SchemeSpec, n: int) -> _Calibration:
+    """The calibration of (scheme, n) at ``default_rho(scheme, n)``; the
+    conditioned laws are tilt invariant, so it is the only one.  Each
+    series is summed once: W(rho) (``default_rho``'s own sum when rho =
+    rho_w), then V(W(rho)); the laws are ``law_X``'s and ``law_N``'s."""
+    rho, W = _radius_and_W(scheme, n, None)
     lx = _law_X(scheme, rho, W, n)
     cap = _ell_cap(n, lx)
     VW = _outer_value(scheme, W)
@@ -530,14 +530,19 @@ def stopped_sum_law(
     return StoppedSumLaw(s_n, u, rho, vw)
 
 
-def _conditioned(pmf_n: np.ndarray, column: np.ndarray, n: int, name: str) -> DiscreteLaw:
-    """The count law P(N = l) column[l] / Z of a ``_harvest`` column, Z
-    their sum (``name`` is Z's name in the error)."""
-    num = pmf_n * column
+def _count_law(cal: _Calibration, n: int, method: str = "auto", start=None, rows=None):
+    """(law, Z): the count law of (scheme, n) on its calibration ``cal``,
+    P(N = l) column[l] / Z, column the ``_harvest`` of (start * S_l)[n] from
+    the unit row or an extended scheme's h_j rho^j (``rows`` as there), and
+    Z = P(S_N = n), the ``fsum`` of those products.  The one route of
+    ``law_Nn``, ``extended_law_Nn``, ``giant_deficit_law`` and the samplers."""
+    start = _unit(n) if start is None else start
+    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=start, rows=rows)
+    num = cal.pmf_n * column
     z = fsum(num)
     if z <= 0.0:
-        raise ValueError(f"{name} vanishes at n={n}")
-    return DiscreteLaw(num / z, 1.0)
+        raise ValueError(f"partition function vanishes at n={n}")
+    return DiscreteLaw(num / z, 1.0), z
 
 
 def law_Nn(
@@ -546,12 +551,14 @@ def law_Nn(
     """Exact conditioned count law P(N_n = l) = P(N = l | S_N = n) of the
     plain scheme V(W(z)).
 
-    Normalized by construction (conditioning contract).  An extended
-    scheme's count law is ``extended_law_Nn``'s.
+    Normalized by construction (conditioning contract), and tilt invariant:
+    it is computed at ``default_rho(scheme, n)``, and a caller's ``rho`` is
+    only checked, W(rho) and V(W(rho)) finite and V(W(rho)) positive.  An
+    extended scheme's count law is ``extended_law_Nn``'s.
     """
-    cal = _calibrate(scheme, n, rho)
-    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=_unit(n))
-    return _conditioned(cal.pmf_n, column, n, "partition function")
+    if rho is not None:
+        _outer_value(scheme, scheme.w.series_value(rho))
+    return _count_law(_calibrate(scheme, n), n, method)[0]
 
 
 def extended_law_Nn(spec: ExtendedSpec, n: int, method: str = "auto") -> DiscreteLaw:
@@ -560,8 +567,7 @@ def extended_law_Nn(spec: ExtendedSpec, n: int, method: str = "auto") -> Discret
     ``law_Nn``'s harvest on the base scheme's calibration, started from the
     row h_j rho^j instead of the unit row."""
     cal = _calibrate(spec.base, n)
-    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=spec.h.weighted_terms(cal.rho, n))
-    return _conditioned(cal.pmf_n, column, n, "extended partition function")
+    return _count_law(cal, n, method, spec.h.weighted_terms(cal.rho, n))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -750,15 +756,12 @@ def giant_deficit_law(scheme: SchemeSpec, n: int, method: str = "auto"):
     independent component sizes; it is None when E[N] diverges.
     """
     cal = _calibrate(scheme, n)
-    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, method, start=_unit(n))
-    return _giant_deficit(scheme, n, cal, column, method)
+    return _giant_deficit(scheme, n, cal, _count_law(cal, n, method)[1], method)
 
 
-def _giant_deficit(
-    scheme: SchemeSpec, n: int, cal: _Calibration, column: np.ndarray, method: str = "auto"
-):
+def _giant_deficit(scheme: SchemeSpec, n: int, cal: _Calibration, z: float, method: str = "auto"):
     """``giant_deficit_law`` from the calibration of (scheme, n) and its
-    harvested column P(S_l = n), l = 0..cap, which an ``ExactSampler``
+    count law's Z = P(S_N = n) (``_count_law``), which an ``ExactSampler``
     keeps.
 
     The Green vector's sweep over rows of length d_max + 1 takes the branch
@@ -771,10 +774,7 @@ def _giant_deficit(
     method = _conv_method(cal.law_x.pmf, n, method)
     d_max = (n - 1) // 2
     px, pmf_n = cal.law_x.pmf, cal.pmf_n
-    denom = dot(pmf_n, column)
     weights_exact = pmf_n[1:] * np.arange(1, pmf_n.size)
-    if denom <= 0:
-        raise ValueError("conditioning event has zero probability")
 
     # G[d] = sum_l P(N=l) l P(S_{l-1} = d): rows only to column d_max needed.
     # Row j holds P(S_j = d), j = l - 1 small summands; with no zero-size
@@ -785,7 +785,7 @@ def _giant_deficit(
     _, (g_exact,) = _harvest(px[: d_max + 1], d_max, cap, method, [weights_exact])
 
     big = px[n - d_max : n + 1][::-1]  # P(X = n - d), d = 0..d_max
-    exact = DiscreteLaw.from_pmf(g_exact * big / denom)
+    exact = DiscreteLaw.from_pmf(g_exact * big / z)
     # the limit sum_l nhat_l P(S_{l-1} = d), nhat_l = l P(N = l) / E[N], is G / E[N]
     EN = scheme.v.weighted_moment(cal.W, 1) / cal.VW
     limit = DiscreteLaw.from_pmf(g_exact / EN) if math.isfinite(EN) else None

@@ -33,8 +33,9 @@ floats, chunk by chunk, with the adds a cumsum of them makes.
 The scalar sums start at the smallest size with mass: the sizes below it
 contribute exact zeros, and adding +0.0 leaves a partial sum's bits
 unchanged, so skipping them moves no byte of any stream.
-``sample_many`` walks many draws in lockstep with numpy: the same products,
-summed by row-wise cumsums in the same order, so the same bytes again.
+``sample_many`` walks ``_LOCKSTEP_MIN`` or more draws in lockstep with
+numpy: the same products, summed by row-wise cumsums in the same order, so
+the same bytes again.
 """
 
 from __future__ import annotations
@@ -53,11 +54,9 @@ from numpy.random.bit_generator import ISpawnableSeedSequence
 from .exact import (
     BudgetExceededError,
     _calibrate,
-    _conditioned,
+    _count_law,
     _giant_stride,
-    _harvest,
     _product_tables,
-    _unit,
     _write_rows,
 )
 from .series import fsum
@@ -77,6 +76,9 @@ _CHUNK = 128
 # the first chunk's columns in a lockstep step: the peeled term, then these
 # stops (most coordinates end within a few sizes of the smallest)
 _LOCKSTEP_STOPS = (8, _CHUNK)
+# ``sample_many`` draws fewer generators than this through ``sample``: the
+# lockstep pays a few numpy calls a step and overtook ``sample`` at 200 draws
+_LOCKSTEP_MIN = 200
 # coordinates of one ``sample_many`` block: its flat buffer of uniforms,
 # overwritten by sizes, holds this many 8-byte entries (8 MiB)
 _BATCH_COORDS = 1 << 20
@@ -287,7 +289,8 @@ class ExactSampler:
     the smallest size with mass, peeled, by scalars up to ``_CHUNK`` and by
     numpy chunks past it.  Round-off that leaves the sum short of its target
     takes the largest size keeping the rest feasible (``roundoff_fallbacks``
-    counts these).  ``sample_many`` makes the same draws in lockstep.
+    counts these).  ``sample_many`` makes the same draws, in lockstep from
+    ``_LOCKSTEP_MIN`` generators on.
     """
 
     def __init__(self, scheme: SchemeSpec, n: int):
@@ -303,12 +306,9 @@ class ExactSampler:
         babies = _giant_stride(cal.cap) + 1
         self._table = np.empty((max(cal.cap + 1, babies), _CHUNK + n + 1))
         self._table[:babies, :_CHUNK] = 0.0
-        column, _ = _harvest(
-            cal.law_x.pmf, n, cal.cap, "auto", start=_unit(n), rows=self._table[:, _CHUNK:]
-        )
+        self.count_law, self._z = _count_law(cal, n, rows=self._table[:, _CHUNK:])
         self.rho = cal.rho
-        self._cal, self._column = cal, column  # ``giant_deficit_law``'s inputs too
-        self.count_law = _conditioned(cal.pmf_n, column, n, "partition function")
+        self._cal = cal  # with _z, ``giant_deficit_law``'s inputs too
         self.count_cdf = np.cumsum(self.count_law.pmf)
         self._count_view = memoryview(self.count_cdf)  # ``draw_count``'s bisect reads floats
         self._count_top = float(self.count_cdf[-1])
@@ -382,17 +382,22 @@ class ExactSampler:
         """Yield ``sample(rng)`` for each generator of ``rngs``, in order and
         with the same bytes, walking a block of draws in lockstep.
 
-        Each generator makes the two calls ``sample`` makes, for its count
+        Fewer than ``_LOCKSTEP_MIN`` generators are drawn by ``sample``.
+        Otherwise each makes the two calls ``sample`` makes, for its count
         and its coordinate uniforms; the uniforms go into the block's one
         flat buffer, where the walk writes each size over the uniform it
         used.  A block closes before its coordinates could pass
         ``_BATCH_COORDS`` (or the largest count, if that is more), so memory
         stays bounded however many generators come.  The yielded sizes are
         views into that buffer.  The walk reads the sampler's own table and
-        allocates none.  The lockstep pays a few numpy calls per step, so a
-        single draw is cheaper through ``sample``.
+        allocates none.
         """
-        for ells, buf in self._blocks(rngs):
+        rngs = iter(rngs)
+        head = list(itertools.islice(rngs, _LOCKSTEP_MIN))
+        if len(head) < _LOCKSTEP_MIN:
+            yield from map(self.sample, head)
+            return
+        for ells, buf in self._blocks(itertools.chain(head, rngs)):
             self._ensure_rows(max(ells))
             yield from self._lockstep(np.array(ells), buf)
 
@@ -522,8 +527,8 @@ class RejectionSampler:
     table extends far enough that the neglected acceptance mass is below
     1e-16 even when zero-size components are allowed.
 
-    A proposal is accepted with probability P(S_N = n), computed once from
-    the calibration's rows (one ``_harvest``), and ``sample`` draws
+    A proposal is accepted with probability P(S_N = n), the count law's
+    normalizer (``exact._count_law``), and ``sample`` draws
     proposals in batches of ``batch`` = ceil(1 / P(S_N = n)), about one
     acceptance a batch.  The batch holds at most ``_BATCH_COORDS``
     coordinates at the count law's mean, and never more proposals than the
@@ -544,8 +549,7 @@ class RejectionSampler:
         self.rho = cal.rho
         self.cdf_x = np.cumsum(cal.law_x.pmf)
         self.cdf_n = np.cumsum(cal.pmf_n)
-        column, _ = _harvest(cal.law_x.pmf, self.n, cal.cap, "auto", start=_unit(self.n))
-        accept = fsum(cal.pmf_n * column)  # P(S_N = n)
+        _, accept = _count_law(cal, self.n)  # P(S_N = n)
         mean = fsum(np.arange(cal.pmf_n.size) * cal.pmf_n)
         most = max(1, int(_BATCH_COORDS / max(mean, 1.0)))
         self.batch = most if accept * most <= 1.0 else math.ceil(1.0 / accept)

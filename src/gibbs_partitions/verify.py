@@ -376,9 +376,9 @@ def _convergent(
     Carlo chi-square spot check of (count, second-largest size) against the
     giant-replacement limit tuple.  The spot check's sampler holds the
     exact count law."""
-    # the deficit law from the sampler's own calibration and column
+    # the deficit law from the sampler's own calibration and P(S_N = n)
     smp = sampling.ExactSampler(scheme, n)
-    exact_d, limit_d = exact._giant_deficit(scheme, n, smp._cal, smp._column)
+    exact_d, limit_d = exact._giant_deficit(scheme, n, smp._cal, smp._z)
     tv, nhat = _nhat_tv(scheme, smp.count_law)
     reports = [
         _verdict("convergent_counts", scheme, [n], "TV", [tv], tol),

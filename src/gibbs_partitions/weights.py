@@ -195,7 +195,7 @@ class WeightSequence:
         rounded operation each in that order, so each term has the bits of
         the same expression in Python floats.
         """
-        if x < 0:
+        if not x >= 0:  # NaN too
             raise ValueError("evaluation point must be nonnegative")
         out = np.zeros(n_max + 1)
         if self.is_explicit:
@@ -240,7 +240,7 @@ class WeightSequence:
         Diverges (returns +inf) for t above the radius, and on the radius
         when the effective tail exponent e - k is <= 1.
         """
-        if t < 0:
+        if not t >= 0:  # NaN too
             raise ValueError("evaluation point must be nonnegative")
         if k < 0:
             raise ValueError("moment order must be nonnegative")

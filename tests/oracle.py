@@ -3,6 +3,9 @@ does not take, kept out of the runtime.
 
 * ``brute_force_partition_law``: the laws of (N_n, size multiset) by
   summation over all set partitions of {0..n-1}, n <= 9.
+* ``calibration_at``: the calibration of (scheme, n) at a caller's rho,
+  from ``law_X``, ``law_N`` and ``_ell_cap``; the package calibrates only
+  at the default rho.
 * ``prefix_oracle``: P(S_N = n), the prefix Green vectors G_1 and G_2 and
   the prefix laws' TVs to the i.i.d. products, from the calibration's
   P(X = .) and P(N = .) in ``np.longdouble``.  Each row P(S_l = .) is
@@ -19,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gibbs_partitions.exact import BudgetExceededError, DiscreteLaw, _calibrate
+from gibbs_partitions.exact import (
+    BudgetExceededError,
+    DiscreteLaw,
+    _calibrate,
+    _Calibration,
+    _ell_cap,
+    law_N,
+    law_X,
+)
 from gibbs_partitions.weights import SchemeSpec
 
 LONGDOUBLE_OK = np.finfo(np.longdouble).nmant >= 63
@@ -89,6 +100,16 @@ def brute_force_partition_law(scheme: SchemeSpec, n: int):
     law_n = DiscreteLaw(count_weight / total, 1.0)
     multiset_law = {key: val / total for key, val in sorted(multiset_weight.items())}
     return law_n, multiset_law, u_n
+
+
+def calibration_at(scheme: SchemeSpec, n: int, rho: float) -> _Calibration:
+    """``_calibrate(scheme, n)``'s fields at ``rho``: W(rho), V(W(rho)),
+    ``law_X(scheme, rho, n)``, the l cap of ``_ell_cap`` and
+    ``law_N(scheme, rho, cap)``'s pmf."""
+    W = scheme.w.series_value(rho)
+    lx = law_X(scheme, rho, n)
+    cap = _ell_cap(n, lx)
+    return _Calibration(rho, W, scheme.v.series_value(W), lx, cap, law_N(scheme, rho, cap).pmf)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Exact engine: component laws, stopped sums, conditioned counts, the
 brute-force enumeration oracle, prefix laws, deficits, product structures."""
 
+import importlib.util
 import json
 import math
 import pathlib
@@ -49,7 +50,7 @@ from gibbs_partitions.sampling import ExactSampler
 from gibbs_partitions.schemes import bundled_names
 from gibbs_partitions.series import compose, convolve, dot, fsum
 
-from oracle import LONGDOUBLE_OK, brute_force_partition_law, prefix_oracle
+from oracle import LONGDOUBLE_OK, brute_force_partition_law, calibration_at, prefix_oracle
 from test_series import bell_u_n, enumerate_set_partitions
 
 
@@ -243,7 +244,7 @@ def test_table_sampler_and_law_nn_share_rows(name, n, fft):
     if fft:
         assert np.max(np.abs(got - law_Nn(scheme, n, rho=rho, method="direct").pmf)) <= 1e-13
     else:
-        cal = _calibrate(scheme, n, rho)
+        cal = _calibrate(scheme, n)
         column, _ = _harvest(cal.law_x.pmf, n, cal.cap, "auto", start=_unit(n))
         _assert_close_normal(column, table[:, n], 1e-13)
         num = cal.pmf_n * table[:, n]
@@ -480,13 +481,60 @@ def test_stopped_sum_at_a_callers_rho_in_the_fft_regime(name, n):
         rho = f * rho0
         got = stopped_sum_law(scheme, rho, n)
         # the oracle: the direct sweep harvested at rho itself
-        cal = _calibrate(scheme, n, rho)
+        cal = calibration_at(scheme, n, rho)
         _, (want,) = _harvest(cal.law_x.pmf, n, cal.cap, "direct", [cal.pmf_n])
         assert got.rho == rho and got.vw == cal.VW
         assert got.u.tobytes() == base.u.tobytes()
         keep = want > 1e-250
         assert np.max(np.abs(got.s_n[keep] / want[keep] - 1.0)) <= 1e-9, f
         assert np.max(np.abs(got.s_n - want)) <= 1e-15  # FFT round-off where want is 0
+
+
+@pytest.mark.parametrize("name", ["dense-stable", "convergent", "dilute"])
+def test_law_nn_at_a_callers_rho_is_the_default_rho_law(name):
+    # tilt invariance: the law is computed at the default rho whatever rho
+    # is passed.  Harvested at 0.99 x default, the FFT law_Nn was 0.398,
+    # 0.615 and 0.250 off
+    scheme = bundled_scheme(name)
+    n = 4000
+    assert exact._conv_method(_calibrate(scheme, n).law_x.pmf, n, "auto") == "fft"
+    direct = law_Nn(scheme, n, method="direct").pmf
+    rho0 = default_rho(scheme, n)
+    for f in (0.99, 0.9):
+        assert np.max(np.abs(law_Nn(scheme, n, rho=f * rho0).pmf - direct)) <= 1e-12, f
+
+
+@pytest.mark.parametrize("name, factor, match", [
+    ("dense-stable", 1.01, r"W\(rho\) diverges"),
+    ("convergent", 1.01, r"W\(rho\) diverges"),
+    ("dense-super", 1.0, r"V\(W\(rho\)\) must be positive and finite"),
+    ("dense-stable", 0.0, r"V\(W\(rho\)\) must be positive and finite"),
+])
+def test_law_nn_refuses_a_rho_outside_the_model(name, factor, match):
+    # a caller's rho changes no bit of the law, but one where W(rho) or
+    # V(W(rho)) diverges (or W(rho) = 0) is still refused
+    scheme = bundled_scheme(name)
+    with pytest.raises(ValueError, match=match):
+        law_Nn(scheme, 50, rho=factor * scheme.w.radius())
+
+
+def test_nan_rho_is_refused_at_once(convergent):
+    # NaN passed the "x < 0" checks: each call spun for about 10 s in the
+    # series truncation and raised RuntimeError
+    for call in (lambda: law_X(convergent, math.nan, 10), lambda: law_Nhat(convergent, 10, rho=math.nan),
+                 lambda: law_Nn(convergent, 10, rho=math.nan), lambda: law_N(convergent, math.nan, 10)):
+        with pytest.raises(ValueError, match="evaluation point must be nonnegative"):
+            call()
+
+
+def test_benchmark_fft_tilt_dev_is_zero():
+    """The benchmark's ``fft_tilt_dev`` still runs against ``law_Nn``'s
+    ``rho=``, and tilt invariance makes it 0."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.fft_tilt_dev() == 0.0
 
 
 def test_law_nn_stirling(bell):
@@ -848,13 +896,35 @@ def test_deficit_sweeps_take_the_branch_of_the_law(convergent, monkeypatch, n, b
 @pytest.mark.parametrize("n", [800, 2000, 3000])
 def test_deficit_from_the_sampler_is_the_deficit_law(convergent, n):
     # the convergent verifier takes the deficit law from its sampler's
-    # calibration and harvested column: the bytes of giant_deficit_law's own
+    # calibration and P(S_N = n): the bytes of giant_deficit_law's own
     smp = ExactSampler(convergent, n)
-    got = exact._giant_deficit(convergent, n, smp._cal, smp._column)
+    got = exact._giant_deficit(convergent, n, smp._cal, smp._z)
     want = giant_deficit_law(convergent, n)
     for a, b in zip(got, want):
         assert a.pmf.tobytes() == b.pmf.tobytes()
         assert a.mass_accounted == b.mass_accounted
+
+
+@pytest.mark.parametrize("n", [800, 2000])
+def test_deficit_divides_by_the_count_laws_normalizer(convergent, n):
+    """``giant_deficit_law`` and the sampler (whose route the test above
+    checks) divide by the count law's P(S_N = n), the fsum of P(N = l)
+    P(S_l = n) that normalizes law_Nn, bit for bit (a dot product of the
+    same vectors is 1 to 5 ulps off)."""
+    cal = _calibrate(convergent, n)
+    column, _ = _harvest(cal.law_x.pmf, n, cal.cap, "auto", start=_unit(n))
+    num = cal.pmf_n * column
+    z = fsum(num)
+    assert law_Nn(convergent, n).pmf.tobytes() == (num / z).tobytes()
+    smp = ExactSampler(convergent, n)
+    assert smp._z == z
+    # the exact deficit pmf: the Green vector at d < n/2 times P(X = n - d), over z
+    d_max = (n - 1) // 2
+    weights = cal.pmf_n[1:] * np.arange(1, cal.pmf_n.size)
+    method = exact._conv_method(cal.law_x.pmf, n, "auto")
+    _, (green,) = _harvest(cal.law_x.pmf[: d_max + 1], d_max, min(weights.size - 1, d_max), method, [weights])
+    want = green * cal.law_x.pmf[n - d_max : n + 1][::-1] / z
+    assert giant_deficit_law(convergent, n)[0].pmf.tobytes() == want.tobytes()
 
 
 def test_stopped_sum_asymptotic_ratio(dense_gauss):
@@ -927,18 +997,19 @@ def _w0_positive():
 )
 def test_calibrate_matches_the_public_laws(name, n):
     """One calibration sums W(rho) once and V(W(rho)) once, and holds the
-    bits of default_rho, law_X and law_N, at the default rho and at a
-    caller's.  An extended scheme's laws are built on its base's
-    calibration: its count law has the bits of the harvest from h_j rho^j."""
+    bits of default_rho, law_X and law_N, at the default rho, and so does
+    the tests' calibration at a caller's.  An extended scheme's laws are
+    built on its base's calibration: its count law has the bits of the
+    harvest from h_j rho^j."""
     scheme = _w0_positive() if name == "w0-positive" else bundled_scheme(name)
     if isinstance(scheme, ExtendedSpec):
         cal = _calibrate(scheme.base, n)
         column, _ = _harvest(cal.law_x.pmf, n, cal.cap, "auto", start=scheme.h.weighted_terms(cal.rho, n))
-        want = exact._conditioned(cal.pmf_n, column, n, "extended partition function").pmf
-        assert extended_law_Nn(scheme, n).pmf.tobytes() == want.tobytes()
+        num = cal.pmf_n * column
+        assert extended_law_Nn(scheme, n).pmf.tobytes() == (num / fsum(num)).tobytes()
         scheme = scheme.base
     for rho in (None, 0.9 * default_rho(scheme, n)):
-        cal = _calibrate(scheme, n, rho)
+        cal = _calibrate(scheme, n) if rho is None else calibration_at(scheme, n, rho)
         assert cal.rho == (default_rho(scheme, n) if rho is None else rho)
         assert cal.W == scheme.w.series_value(cal.rho)
         assert cal.VW == scheme.v.series_value(cal.W)
@@ -996,8 +1067,8 @@ def test_law_nn_of_an_extended_scheme_is_the_extended_law(name, n):
     cal = _calibrate(scheme.base, n)
     start = scheme.h.weighted_terms(cal.rho, n)
     column, _ = _harvest(cal.law_x.pmf, n, cal.cap, "auto", start=start)
-    want = exact._conditioned(cal.pmf_n, column, n, "extended partition function").pmf
-    assert extended_law_Nn(scheme, n).pmf.tobytes() == want.tobytes()
+    num = cal.pmf_n * column
+    assert extended_law_Nn(scheme, n).pmf.tobytes() == (num / fsum(num)).tobytes()
 
 
 def test_extended_heavy_count_law_is_not_the_plain_one():

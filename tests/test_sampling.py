@@ -148,6 +148,22 @@ def test_reproducible_byte_for_byte(dense_stable):
     )
 
 
+@pytest.mark.parametrize("extra", [-1, 0])
+def test_sample_many_walks_in_lockstep_from_lockstep_min(extra, monkeypatch):
+    """``sample_many`` draws fewer than ``_LOCKSTEP_MIN`` generators through
+    ``sample`` and more in lockstep, with the bytes of one ``sample`` call
+    per generator either way."""
+    smp = ExactSampler(bundled_scheme("dense-stable"), 150)
+    count = sampling._LOCKSTEP_MIN + extra
+    want = [smp.sample(make_rng(5, i)).sizes.tobytes() for i in range(count)]
+    walks = []
+    lockstep = ExactSampler._lockstep
+    monkeypatch.setattr(ExactSampler, "_lockstep", lambda *args: walks.append(1) or lockstep(*args))
+    got = [s.sizes.tobytes() for s in smp.sample_many(make_rng(5, i) for i in range(count))]
+    assert got == want
+    assert bool(walks) == (extra >= 0)
+
+
 def test_single_component_degenerate(single_component):
     s = ExactSampler(single_component, 77).sample(make_rng(1))
     assert s.n_components == 1 and s.sizes[0] == 77
@@ -218,7 +234,9 @@ def _batches_match(batch, want, fallbacks, make_rngs, monkeypatch):
     ``sample`` gave per generator with ``fallbacks`` round-off fallbacks in
     all, each batch adding as many: the whole batch (one block at the
     default size), the batch cut into about four blocks, its first
-    generator alone and an empty batch."""
+    generator alone and an empty batch.  The batch is walked in lockstep
+    however few its generators."""
+    monkeypatch.setattr(sampling, "_LOCKSTEP_MIN", 1)
     # a block closes once a largest count might not fit: with this size it
     # holds about a quarter of the batch's coordinates
     quarter = sum(len(sizes) // 8 for sizes in want) // 4
@@ -384,7 +402,7 @@ def test_walk_chunks_matches_chunk_loop(name, n):
     assert past > 0
 
 
-def test_roundoff_fallback_is_counted(dense_gauss):
+def test_roundoff_fallback_is_counted(dense_gauss, monkeypatch):
     n = 60
     smp = ExactSampler(dense_gauss, n)
     for i in range(20):
@@ -407,6 +425,7 @@ def test_roundoff_fallback_is_counted(dense_gauss):
     assert hits > 0
     assert smp.roundoff_fallbacks == hits
     # the lockstep takes the same fallbacks, every remainder below _CHUNK
+    monkeypatch.setattr(sampling, "_LOCKSTEP_MIN", 1)
     got = [s.sizes.tobytes() for s in smp.sample_many(make_rng(19, i) for i in range(20))]
     assert got == drawn
     assert smp.roundoff_fallbacks == 2 * hits
@@ -504,8 +523,10 @@ def test_table_is_lazy_and_never_restacked(name, n, monkeypatch):
     view of the one table, and no copy of the rows made per block."""
     scheme = _WALK_SCHEMES[name]() if name in _WALK_SCHEMES else bundled_scheme(name)
     smp = ExactSampler(scheme, n)
-    # blocks of a few draws, whose buffers weigh less than a copy of the rows
+    # blocks of a few draws, whose buffers weigh less than a copy of the rows,
+    # walked in lockstep however few
     monkeypatch.setattr(sampling, "_BATCH_COORDS", 4 * smp.count_cdf.size)
+    monkeypatch.setattr(sampling, "_LOCKSTEP_MIN", 1)
     got = [s.sizes.tobytes() for s in smp.sample_many(make_rng(29, i) for i in range(3))]
     got.append(smp.sample(make_rng(29, 3)).sizes.tobytes())
     got += [s.sizes.tobytes() for s in smp.sample_many(make_rng(29, i) for i in (4, 5))]

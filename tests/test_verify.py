@@ -620,8 +620,8 @@ def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
 
     for mod in (exact, sampling):
         monkeypatch.setattr(mod, "_calibrate", counted_calibrate)
-        monkeypatch.setattr(mod, "_harvest", counted_harvest)
         monkeypatch.setattr(mod, "_product_tables", counted_product_tables)
+    monkeypatch.setattr(exact, "_harvest", counted_harvest)  # the samplers' harvests too
     monkeypatch.setattr(weights.WeightSequence, "weighted_moment", counted_moment)
     cfg = str(files("gibbs_partitions.data").joinpath("phases.json"))
     assert run_suite(cfg, tmp_path) == 0

@@ -94,6 +94,16 @@ def test_explicit_weighted_moment_overflows_to_inf():
     assert WeightSequence.explicit([0.0, 1e308, 1e308]).weighted_moment(1.0, 1) == math.inf
 
 
+@pytest.mark.parametrize("name", ["dense-stable", "bell"])  # a closed form, an explicit sequence
+def test_nan_evaluation_point_is_refused_at_once(name):
+    # NaN passed "x < 0": a sum spun for about 10 s, then raised RuntimeError
+    w = bundled_scheme(name).w
+    for call in (lambda: w.series_value(math.nan), lambda: w.weighted_moment(math.nan, 1),
+                 lambda: w.weighted_terms(math.nan, 10)):
+        with pytest.raises(ValueError, match="evaluation point must be nonnegative"):
+            call()
+
+
 def test_weighted_moment_k0_is_series_value():
     seq = WeightSequence.closed_form(c=1.3, e=2.5, rho=1.0, log_exp=-1.0, term0=0.1)
     assert seq.weighted_moment(0.7, 0) == pytest.approx(seq.series_value(0.7), rel=1e-14)
