@@ -73,7 +73,7 @@ def _cmd_exact(args) -> int:
     if rho is not None and not (math.isfinite(rho) and rho > 0):
         sys.exit(f"error: --rho must be a finite number > 0, got {rho}")
     if rho is not None and law in ("Nn", "prefix1", "deficit"):
-        # tilt invariant laws, and their FFT sweeps are right only at the default rho
+        # tilt invariant laws, computed at the default rho: a --rho would change nothing
         sys.exit(f"error: --rho does not apply to --law {law}, which is computed at the default rho")
     header = ["k", "pmf"]
     try:
@@ -112,9 +112,6 @@ def _cmd_laws(args) -> int:
         if args.law == "stable_density":
             p = limit_laws.StableParams(args.alpha, args.gamma, args.beta, args.delta)
             ys = limit_laws.stable_density_series(p, xs)
-        elif args.law == "stable_density_inversion":
-            p = limit_laws.StableParams(args.alpha, args.gamma, args.beta, args.delta)
-            ys = [limit_laws.stable_density_inversion(p, x) for x in xs]
         elif args.law == "gumbel_cdf":
             ys = [limit_laws.gumbel_cdf(x) for x in xs]
         elif args.law == "frechet_cdf":
@@ -128,7 +125,7 @@ def _cmd_laws(args) -> int:
         else:
             sys.exit(f"error: unknown law {args.law!r}")
     except (ValueError, RuntimeError) as err:
-        # parameters a law refuses, or an integral that does not converge there
+        # parameters a law refuses, or an inversion grid past its node budget
         sys.exit(f"error: {err}")
     _write_csv(["x", "value"], np.column_stack([xs, ys]), args.out)
     return 0
@@ -241,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[
             "stable_density",
-            "stable_density_inversion",
             "gumbel_cdf",
             "frechet_cdf",
             "dilute_density",

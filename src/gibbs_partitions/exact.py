@@ -53,7 +53,6 @@ __all__ = [
     "law_X",
     "law_N",
     "law_Nhat",
-    "convolution_table",
     "stopped_sum_law",
     "law_Nn",
     "extended_law_Nn",
@@ -369,18 +368,6 @@ def law_Nhat(scheme: SchemeSpec, ell_max: int, rho: float | None = None) -> Disc
     if not math.isfinite(EN):
         raise ValueError("E[N] diverges; size-biased law undefined")
     return DiscreteLaw.from_pmf(np.arange(pmf_n.size) * pmf_n / EN)
-
-
-def convolution_table(
-    law_x: DiscreteLaw, ell_max: int, n: int, method: str = "auto"
-) -> np.ndarray:
-    """Iterated convolution table of a component-size law: rows P(S_l = m)
-    for l = 0..ell_max, m = 0..n."""
-    if (ell_max + 1) * (n + 1) > 400_000_000:
-        raise BudgetExceededError("convolution table too large")
-    rows = np.empty((ell_max + 1, n + 1))
-    _write_rows(rows, 0, ell_max, law_x.pmf[: n + 1], ell_max, method)
-    return rows
 
 
 def _ell_cap(n: int, law_x: DiscreteLaw) -> int:

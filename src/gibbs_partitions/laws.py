@@ -1,19 +1,19 @@
 """Closed-form limit laws: stable densities, extreme-value laws, dilute
 limit variables, and the component-size point process.
 
-Stable densities come in two dual routes that cross-validate each other:
+Stable densities have one route, ``stable_density_series``, which takes
+each point by one of two methods:
 
 * convergent power series (exact but numerically unstable in known
   regimes: large arguments for the 1 < alpha < 2 series, small arguments
   for the 0 < alpha < 1 series), with a cancellation monitor;
 * Fourier inversion (stable exactly where the series cancels badly).
 
-``stable_density_series`` switches to the inversion automatically when the
-running maximum term exceeds 1e6 times the partial sum, and then takes the
-inversion integral on a Gauss-Legendre grid sized by each point's phase
-(``_inversion_grid``), at every alpha.  ``stable_density_inversion`` takes
-the same integral by adaptive quadrature, for the CLI and as an independent
-check; no other function here calls it.
+It switches to the inversion when the running maximum term exceeds 1e6
+times the partial sum, and then takes the inversion integral on a
+Gauss-Legendre grid sized by each point's phase (``_inversion_grid``), at
+every alpha.  The tests take the same integral by adaptive quadrature as
+an independent check.
 
 Scale conventions: the spectrally positive normalization used throughout
 has Laplace transform exp(-lambda t^alpha) with lambda = gamma^alpha /
@@ -24,15 +24,13 @@ Gamma(1 - alpha) < 0 for 1 < alpha < 2.
 
 Log-gamma and the incomplete gamma functions come from ``special`` (scipy's
 floats bit for bit), and the point-process integrals from one fixed
-tanh-sinh rule, so importing and running this module loads no scipy.  Only
-``stable_density_inversion`` imports ``scipy.integrate``, in the call.
+tanh-sinh rule, so importing and running this module loads no scipy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +42,9 @@ __all__ = [
     "StableParams",
     "DiluteParams",
     "stable_density_series",
-    "stable_density_inversion",
     "stable_moment",
     "dilute_Z_density",
     "dilute_Z_cdf",
-    "dilute_Z_moment",
     "FrechetJLaw",
     "frechet_law",
     "gumbel_cdf",
@@ -211,71 +207,10 @@ def stable_density_series(p: StableParams, x):
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 
-def stable_density_inversion(p: StableParams, x: float) -> float:
-    """Density by Fourier inversion of the characteristic function.
-
-    f(x) = (1/pi) Int_0^inf exp(-(gamma t)^alpha)
-           cos(gamma^alpha beta tan(pi alpha/2) t^alpha + (delta - x) t) dt.
-
-    For large |delta - x| the linear phase is split off and handled by
-    oscillatory-weight quadrature (the envelope and the t^alpha phase are
-    slowly varying).  Requires alpha > 0.3: below that the envelope decays
-    too slowly for reliable truncation.
-    """
-    from scipy.integrate import IntegrationWarning, quad
-
-    a, g, d = p.alpha, p.gamma, p.delta
-    if a <= 0.3:
-        raise ValueError("inversion supported for alpha > 0.3")
-    if a == 1.0:
-        raise ValueError("alpha = 1 limit laws are out of scope")
-    tan_term, t_max = _inversion_setup(p)
-    shift = d - x
-
-    # QUADPACK's round-off warning is not a failure here: convergence is
-    # judged by the err > 1e-6 guard below, which raises
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if abs(shift) * t_max <= 60.0:
-            val, err = quad(
-                lambda t: math.exp(-((g * t) ** a)) * math.cos(tan_term * t**a + shift * t),
-                0.0,
-                t_max,
-                limit=2000,
-                epsabs=1e-12,
-                epsrel=1e-10,
-            )
-        else:
-            # cos(A t^a + B t) = cos(A t^a) cos(B t) - sin(A t^a) sin(B t)
-            vc, ec = quad(
-                lambda t: math.exp(-((g * t) ** a)) * math.cos(tan_term * t**a),
-                0.0,
-                t_max,
-                weight="cos",
-                wvar=shift,
-                limit=800,
-                maxp1=120,
-                epsabs=1e-12,
-                epsrel=1e-10,
-            )
-            vs, es = quad(
-                lambda t: math.exp(-((g * t) ** a)) * math.sin(tan_term * t**a),
-                0.0,
-                t_max,
-                weight="sin",
-                wvar=shift,
-                limit=800,
-                maxp1=120,
-                epsabs=1e-12,
-                epsrel=1e-10,
-            )
-            val, err = vc - vs, ec + es
-    if err > 1e-6:
-        raise RuntimeError(f"inversion quadrature failed to converge (err={err})")
-    return max(val / math.pi, 0.0)
-
-
-# The integral of ``stable_density_inversion`` on Gauss-Legendre grids in u:
+# The inversion integral
+#   f(x) = (1/pi) Int_0^inf exp(-(gamma t)^alpha)
+#          cos(gamma^alpha beta tan(pi alpha/2) t^alpha + (delta - x) t) dt,
+# cut at t_max, on Gauss-Legendre grids in u:
 # t = u^k on [0, t_max], k = max(2, ceil(2 / alpha)), smooths t^alpha at
 # t = 0.  Each point takes _INVERSION_NODES nodes per _INVERSION_PHASE of
 # its cosine's phase over [0, t_max], |tan term| t_max^alpha + |delta - x|
@@ -291,7 +226,8 @@ _INVERSION_ROWS = 64  # points per block of the cosine matrix
 
 
 def _inversion_setup(p: StableParams) -> tuple[float, float]:
-    """stable_density_inversion's tan term and t_max."""
+    """The inversion integral's tan term, gamma^alpha beta tan(pi alpha/2),
+    and its cut-off t_max, where exp(-(gamma t)^alpha) = e^-45."""
     a, g = p.alpha, p.gamma
     return math.tan(math.pi * a / 2.0) * (g**a) * p.beta, 45.0 ** (1.0 / a) / g
 
@@ -515,23 +451,6 @@ def mixed_poisson_pmf(p: DiluteParams, upsilon: float, k_max: int) -> np.ndarray
         out[k] = dot(term, weights)
         term = term * z / (k + 1)
     return out
-
-
-def dilute_Z_moment(p: DiluteParams, r: float) -> float:
-    """E[Z^r] = lambda^-r Gamma(2-b+r) Gamma(1-alpha(b-1)) /
-    (Gamma(2-b) Gamma(1-alpha(b-r-1))); defined for r > b - 2."""
-    a, b, lam = p.alpha, p.b, p.lam
-    if r <= b - 2.0:
-        raise ValueError(f"E[Z^r] diverges for r <= b - 2 (r={r})")
-    for arg in (2.0 - b + r, 1.0 - a * (b - 1.0), 2.0 - b, 1.0 - a * (b - r - 1.0)):
-        if arg <= 0 and abs(arg - round(arg)) < 1e-12:
-            raise ValueError("moment formula hits a gamma pole")
-    return (
-        lam ** (-r)
-        * math.gamma(2.0 - b + r)
-        * math.gamma(1.0 - a * (b - 1.0))
-        / (math.gamma(2.0 - b) * math.gamma(1.0 - a * (b - r - 1.0)))
-    )
 
 
 # ---------------------------------------------------------------------------

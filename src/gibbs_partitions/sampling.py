@@ -9,8 +9,8 @@ Two routes with identical laws (their agreement is itself a test):
   rejection free.
 
 The exact sampler's table rows P(S_l = .) come from ``exact._write_rows``,
-the writer of ``convolution_table`` and of the count-law harvest, so a
-sampler's rows 0..l are the bytes of ``convolution_table`` at the same
+the writer of the count-law harvest's rows too, so a sampler's rows 0..l
+are the bytes of any ``_write_rows`` table of the same kernel at the same
 cap; FFT-regime streams (n above about 2000) follow those rows' bits.
 
 Reproducibility contract: streams use the counter-based Philox generator

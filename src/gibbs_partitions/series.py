@@ -113,6 +113,8 @@ def fsum(a) -> float:
     recursive summation, of errors each below u times a partial sum).
     ``math.fsum`` rounds the lanes' total once to r.  Where the bound stays
     strictly inside r's rounding interval, r is the correctly rounded sum.
+    Where every entry is a zero (sum|x| = 0), the sum is ``math.fsum``'s
+    own zero: ``math.fsum([-0.0])`` if every entry is -0.0, else 0.0.
     Otherwise (a zero or tiny r, a sum near a rounding midpoint, a
     non-finite entry, sum|x| past 2**1000) ``math.fsum`` sums the entries
     themselves, so NaN, inf, ``ValueError`` and ``OverflowError`` come from
@@ -141,11 +143,13 @@ def _lane_sum(parts) -> float | None:
     rounded float, or None where its bound cannot certify one."""
     buf = np.empty((4, _FSUM_BLOCK // 4))  # 4096 lanes: 2048 to 16384 timed within 10% of the best
     s, e, t, z, w = np.zeros((5, buf.shape[1]))
-    rows, size = 0, 0.0
+    rows, size, negative = 0, 0.0, True
     with np.errstate(over="ignore", invalid="ignore"):  # such sums are not certified
         for k in _lane_rows(parts, buf):
             block = buf[:k]
             size += float(np.abs(block).sum())
+            if size == 0.0:  # zeros alone so far; the padding is -0.0
+                negative = negative and bool(np.signbit(block).all())
             for x in block:  # t, w = s + x, TwoSum's s + x - t
                 np.add(s, x, out=t)
                 np.subtract(t, s, out=z)
@@ -162,6 +166,8 @@ def _lane_sum(parts) -> float | None:
             z = t - s
             e += (s - (t - z)) + (s2 - z)
             s, rows = t, rows + 2
+    if size == 0.0:
+        return math.fsum([-0.0]) if negative else 0.0
     if not 2.0**-900 <= size < 2.0**1000:
         return None
     lanes = s.tolist() + e.tolist()
@@ -177,7 +183,7 @@ def _lane_sum(parts) -> float | None:
 def _lane_rows(parts, buf):
     """Copy the entries of the arrays ``parts`` into the rows of ``buf``,
     yielding the number of rows filled each time it is full, and at the end
-    the rows the rest fills, zero-padded."""
+    the rows the rest fills, padded with -0.0, which adds to any s as s."""
     flat, fill = buf.reshape(-1), 0
     for part in parts:
         at = 0
@@ -189,7 +195,7 @@ def _lane_rows(parts, buf):
                 yield buf.shape[0]
                 fill = 0
     if fill:
-        flat[fill:] = 0.0
+        flat[fill:] = -0.0
         yield -(-fill // buf.shape[1])
 
 

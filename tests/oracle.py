@@ -13,11 +13,17 @@ does not take, kept out of the runtime.
   over l, not a read of a Green vector.  Callers skip unless
   ``LONGDOUBLE_OK`` (80-bit or wider: x86-64 has it; on some platforms
   ``longdouble`` is a plain double).
+* ``convolution_table``: the rows P(S_l = .) of ``exact._write_rows``, the
+  writer of the harvest's and the samplers' rows, as one table.
+* ``stable_density_inversion``: the stable density by QUADPACK on the
+  inversion integral that ``laws._inversion_grid`` takes on a fixed grid.
+* ``dilute_Z_moment``: E[Z^r] of the dilute limit variable in closed form.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +34,11 @@ from gibbs_partitions.exact import (
     _calibrate,
     _Calibration,
     _ell_cap,
+    _write_rows,
     law_N,
     law_X,
 )
+from gibbs_partitions.laws import DiluteParams, StableParams, _inversion_setup
 from gibbs_partitions.weights import SchemeSpec
 
 LONGDOUBLE_OK = np.finfo(np.longdouble).nmant >= 63
@@ -155,3 +163,96 @@ def prefix_oracle(scheme: SchemeSpec, n: int) -> PrefixOracle:
     product = px[:, None] * px[None, :]
     tv2 = (np.sum(np.abs(product * hankel / denom - product)) + d * (2 - d)) / 2
     return PrefixOracle(denom, g1, g2, tv1, tv2)
+
+
+def convolution_table(
+    law_x: DiscreteLaw, ell_max: int, n: int, method: str = "auto"
+) -> np.ndarray:
+    """Iterated convolution table of a component-size law: rows P(S_l = m)
+    for l = 0..ell_max, m = 0..n."""
+    if (ell_max + 1) * (n + 1) > 400_000_000:
+        raise BudgetExceededError("convolution table too large")
+    rows = np.empty((ell_max + 1, n + 1))
+    _write_rows(rows, 0, ell_max, law_x.pmf[: n + 1], ell_max, method)
+    return rows
+
+
+def stable_density_inversion(p: StableParams, x: float) -> float:
+    """Density by Fourier inversion of the characteristic function.
+
+    f(x) = (1/pi) Int_0^inf exp(-(gamma t)^alpha)
+           cos(gamma^alpha beta tan(pi alpha/2) t^alpha + (delta - x) t) dt.
+
+    For large |delta - x| the linear phase is split off and handled by
+    oscillatory-weight quadrature (the envelope and the t^alpha phase are
+    slowly varying).  Requires alpha > 0.3: below that the envelope decays
+    too slowly for reliable truncation.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
+    a, g, d = p.alpha, p.gamma, p.delta
+    if a <= 0.3:
+        raise ValueError("inversion supported for alpha > 0.3")
+    if a == 1.0:
+        raise ValueError("alpha = 1 limit laws are out of scope")
+    tan_term, t_max = _inversion_setup(p)
+    shift = d - x
+
+    # QUADPACK's round-off warning is not a failure here: convergence is
+    # judged by the err > 1e-6 guard below, which raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        if abs(shift) * t_max <= 60.0:
+            val, err = quad(
+                lambda t: math.exp(-((g * t) ** a)) * math.cos(tan_term * t**a + shift * t),
+                0.0,
+                t_max,
+                limit=2000,
+                epsabs=1e-12,
+                epsrel=1e-10,
+            )
+        else:
+            # cos(A t^a + B t) = cos(A t^a) cos(B t) - sin(A t^a) sin(B t)
+            vc, ec = quad(
+                lambda t: math.exp(-((g * t) ** a)) * math.cos(tan_term * t**a),
+                0.0,
+                t_max,
+                weight="cos",
+                wvar=shift,
+                limit=800,
+                maxp1=120,
+                epsabs=1e-12,
+                epsrel=1e-10,
+            )
+            vs, es = quad(
+                lambda t: math.exp(-((g * t) ** a)) * math.sin(tan_term * t**a),
+                0.0,
+                t_max,
+                weight="sin",
+                wvar=shift,
+                limit=800,
+                maxp1=120,
+                epsabs=1e-12,
+                epsrel=1e-10,
+            )
+            val, err = vc - vs, ec + es
+    if err > 1e-6:
+        raise RuntimeError(f"inversion quadrature failed to converge (err={err})")
+    return max(val / math.pi, 0.0)
+
+
+def dilute_Z_moment(p: DiluteParams, r: float) -> float:
+    """E[Z^r] = lambda^-r Gamma(2-b+r) Gamma(1-alpha(b-1)) /
+    (Gamma(2-b) Gamma(1-alpha(b-r-1))); defined for r > b - 2."""
+    a, b, lam = p.alpha, p.b, p.lam
+    if r <= b - 2.0:
+        raise ValueError(f"E[Z^r] diverges for r <= b - 2 (r={r})")
+    for arg in (2.0 - b + r, 1.0 - a * (b - 1.0), 2.0 - b, 1.0 - a * (b - r - 1.0)):
+        if arg <= 0 and abs(arg - round(arg)) < 1e-12:
+            raise ValueError("moment formula hits a gamma pole")
+    return (
+        lam ** (-r)
+        * math.gamma(2.0 - b + r)
+        * math.gamma(1.0 - a * (b - 1.0))
+        / (math.gamma(2.0 - b) * math.gamma(1.0 - a * (b - r - 1.0)))
+    )

@@ -28,7 +28,7 @@ from gibbs_partitions import (
     tv_distance,
 )
 from gibbs_partitions.exact import default_rho
-from gibbs_partitions.laws import StableParams, frechet_law, stable_density_inversion, stable_density_series
+from gibbs_partitions.laws import StableParams, frechet_law, stable_density_series
 from gibbs_partitions.sampling import ExactSampler, make_rngs
 from gibbs_partitions.schemes import bundled_names
 from gibbs_partitions.series import compose
@@ -42,7 +42,7 @@ from gibbs_partitions.verify import (
     verify_product,
 )
 
-from oracle import brute_force_partition_law
+from oracle import brute_force_partition_law, stable_density_inversion
 
 HERE = pathlib.Path(__file__).parent
 

@@ -43,14 +43,19 @@ from gibbs_partitions.exact import (
     _next_fast_len,
     _row_step,
     _unit,
-    convolution_table,
     default_rho,
 )
 from gibbs_partitions.sampling import ExactSampler
 from gibbs_partitions.schemes import bundled_names
 from gibbs_partitions.series import compose, convolve, dot, fsum
 
-from oracle import LONGDOUBLE_OK, brute_force_partition_law, calibration_at, prefix_oracle
+from oracle import (
+    LONGDOUBLE_OK,
+    brute_force_partition_law,
+    calibration_at,
+    convolution_table,
+    prefix_oracle,
+)
 from test_series import bell_u_n, enumerate_set_partitions
 
 

@@ -112,6 +112,56 @@ def test_all_lists_every_public_name(module):
     assert [name for name in defined if name not in module.__all__] == []
 
 
+# Results of the library that only the tests exercise: the size-profile law
+# (criterion 1), the product-structure law (the product verifier takes its
+# tables from the sampler instead) and the library forms of the verifiers.
+# Any other public function without a caller in the runtime is an oracle of
+# the tests, and belongs in tests/oracle.py.
+TEST_ONLY_RESULTS = {
+    "profile_law",
+    "product_law",
+    "verify_dense_llt",
+    "verify_dense_extremes",
+    "verify_prefix_independence",
+    "verify_convergent",
+    "verify_mixture",
+    "verify_dilute",
+    "verify_extended",
+    "verify_product",
+}
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # read by ast, not text: docstrings and comments name functions too
+    import ast
+    import inspect
+
+    repo = pathlib.Path(gibbs_partitions.__file__).resolve().parents[2]
+    used = set()
+    for path in [*(repo / "src" / "gibbs_partitions").glob("*.py"), *(repo / "benchmarks").glob("*.py")]:
+        for top in ast.parse(path.read_text()).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:  # a recursive call is no caller
+                    used.add(name)
+    public = sorted(
+        f"{module.__name__}.{name}"
+        for module in _modules()
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and inspect.isfunction(value)
+        and value.__module__ == module.__name__
+        and name not in TEST_ONLY_RESULTS
+    )
+    assert [name for name in public if name.rpartition(".")[2] not in used] == []
+
+
 @pytest.mark.parametrize("module", [gibbs_partitions, *_modules()], ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     # a deleted function or class must leave no stale name in an __all__

@@ -1,11 +1,13 @@
 """Truncated series algebra against hand convolutions and a standalone
 set-partition enumerator (the Bell-number oracle)."""
 
+import contextlib
 import hashlib
 import itertools
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -241,13 +243,26 @@ def _fsum_outcome(fn, x):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3 * _FSUM_BLOCK),
-       st.integers(-1074, 1000), st.integers(0, 2074))
-def test_fsum_is_math_fsum(seed, size, lo, span):
+       st.integers(-1074, 1000), st.integers(0, 2074), st.none())
+@example(0, 20_000, 0, 0, [0.0])
+@example(0, 20_000, 0, 0, [-0.0])
+@example(0, 20_000, 0, 0, [-0.0, -0.0, 0.0])
+def test_fsum_is_math_fsum(seed, size, lo, span, zeros):
     """Bit for bit math.fsum's float on both sides of the switch to the
-    lanes, over every exponent from 2**-1074 to 2**1000."""
-    x = _wide_floats(seed, size, lo, min(lo + span, 1000))
-    assert fsum(x).hex() == math.fsum(x.tolist()).hex()
-    assert fsum(lambda: [x]).hex() == math.fsum(x.tolist()).hex()
+    lanes, over every exponent from 2**-1074 to 2**1000.  Inputs of
+    ``zeros`` alone, repeated to ``size`` entries, take their signed zero
+    from the lanes: no entry reaches math.fsum."""
+    if zeros is None:
+        x = _wide_floats(seed, size, lo, min(lo + span, 1000))
+        spy = contextlib.nullcontext()
+    else:
+        x = np.resize(zeros, size)
+        spy = mock.patch.object(series, "_floats", side_effect=AssertionError("entries reach math.fsum"))
+    want = math.fsum(x.tolist()).hex()
+    with spy:
+        assert fsum(x).hex() == want
+        assert fsum(np.split(x, [size // 3])).hex() == want
+        assert fsum(lambda: [x]).hex() == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,14 +394,15 @@ def test_fsum_makes_a_stream_again_only_when_uncertified():
 
     wide = _wide_floats(8, 3 * _FSUM_BLOCK, -1074, 900)
     exp = np.exp(np.random.default_rng(8).uniform(-700.0, 2.0, 3 * _FSUM_BLOCK))
-    for x in (wide, exp, -exp):
+    # zeros alone take their signed zero from the lanes
+    for x in (wide, exp, -exp, np.zeros(3 * _FSUM_BLOCK)):
         calls.clear()
         assert fsum(lambda: make(x)).hex() == math.fsum(x.tolist()).hex()
         assert len(calls) == 1
     # 1 + 2**-53 is a midpoint; 2**-110 past it decides, below the bound
     mid = np.zeros(3 * _FSUM_BLOCK)
     mid[[7, 20000, 40000]] = 1.0, 2.0**-53, 2.0**-110
-    for x in (mid, -mid, np.zeros(3 * _FSUM_BLOCK), np.full(3 * _FSUM_BLOCK, 2.0**-1000)):
+    for x in (mid, -mid, np.full(3 * _FSUM_BLOCK, 2.0**-1000)):
         calls.clear()
         assert fsum(lambda: make(x)).hex() == math.fsum(x.tolist()).hex()
         assert len(calls) == 2
