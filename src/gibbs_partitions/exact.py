@@ -37,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.fft import irfft, rfft
 
-from .phases import Criticality, _bisect, _criticality, _double, _w_at_radius, _w_root
+from .phases import Criticality, _bisect, _criticality, _double, _heaviest, _tie_weights, _w_at_radius, _w_root
 from .series import convolve, fsum
 from .weights import ExtendedSpec, ProductSpec, SchemeSpec, WeightSequence
 
@@ -794,24 +794,15 @@ class ProductLaw:
     arrays: list[np.ndarray]
 
 
-def _tail_class(seq: WeightSequence):
-    """(rho, e, log_exp, c): smaller rho, then smaller e, then larger log_exp
-    means an asymptotically heavier coefficient tail."""
-    if seq.is_explicit:
-        return None
-    return (seq.rho, seq.e, seq.L.log_exp, seq.L.c)
-
-
 def _product_tables(spec: ProductSpec, n: int):
     """Coefficient arrays of the factors on 0..n after a common tilt to the
     smallest finite radius (distributionally a no-op), and their suffix
     products suffix[j] = conv of arrays[j:] (suffix[ell] is the unit).
 
-    Returns (radii, arrays, suffix); suffix[0][n] is the partition
-    function, and it must be positive.
+    Returns (arrays, suffix); suffix[0][n] is the partition function, and
+    it must be positive.
     """
-    radii = [f.radius() for f in spec.factors]
-    finite = [r for r in radii if math.isfinite(r)]
+    finite = [r for r in (f.radius() for f in spec.factors) if math.isfinite(r)]
     t = min(finite) if finite else 1.0
     tilted = [f.tilt(t) for f in spec.factors]
     arrays = [np.array([f.term(k) for k in range(n + 1)]) for f in tilted]
@@ -820,7 +811,7 @@ def _product_tables(spec: ProductSpec, n: int):
         suffix.insert(0, convolve(a, suffix[0], n + 1))
     if suffix[0][n] <= 0:
         raise ValueError(f"product partition function vanishes at n={n}")
-    return radii, arrays, suffix
+    return arrays, suffix
 
 
 def product_law(spec: ProductSpec, n: int) -> ProductLaw:
@@ -828,13 +819,14 @@ def product_law(spec: ProductSpec, n: int) -> ProductLaw:
 
     The laws are computed from truncated series after a common tilt to the
     smallest factor radius (distributionally a no-op); the macroscopic-index
-    probabilities p_k come from the closed-form tail classes and satisfy
+    probabilities p_k are ``phases``' tie weights c_k / F_k(rho_k) over the
+    heaviest tail class (``phases._heaviest``), 0 outside it, and satisfy
     sum p_k = 1 by construction, which is asserted rather than enforced.
     """
     return _product_law(spec, n, *_product_tables(spec, n))
 
 
-def _product_law(spec: ProductSpec, n: int, radii, arrays, suffix) -> ProductLaw:
+def _product_law(spec: ProductSpec, n: int, arrays, suffix) -> ProductLaw:
     """``product_law`` from the ``_product_tables`` of (spec, n), which a
     ``ProductSampler`` keeps."""
     o_n = float(suffix[0][n])
@@ -850,17 +842,12 @@ def _product_law(spec: ProductSpec, n: int, radii, arrays, suffix) -> ProductLaw
 
     p = None
     if all(not f.is_explicit for f in spec.factors):
-        rho_o = min(radii)
-        classes = [_tail_class(f) for f in spec.factors]
-        heaviest = min(classes, key=lambda cl: (cl[0], cl[1], -cl[2]))
-        w_vals = []
-        for f, cl in zip(spec.factors, classes):
-            wf = f.series_value(rho_o)
-            if not math.isfinite(wf):
-                raise ValueError("factor series diverges at the product radius")
-            in_class = cl[0] == heaviest[0] and cl[1] == heaviest[1] and cl[2] == heaviest[2]
-            w_vals.append(cl[3] / wf if in_class else 0.0)
-        total = sum(w_vals)
-        p = tuple(x / total for x in w_vals)
+        tied = _heaviest([(f.rho, f.e, f.L.log_exp) for f in spec.factors])
+        in_class = [spec.factors[k] for k in tied]
+        values = [f.series_value(f.rho) for f in in_class]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("factor series diverges at its radius")
+        weights = dict(zip(tied, _tie_weights([f.L.c for f in in_class], values)))
+        p = tuple(weights.get(k, 0.0) for k in range(len(spec.factors)))
         assert abs(sum(p) - 1.0) < 1e-12
     return ProductLaw(marginals, p, o_n, arrays)

@@ -214,9 +214,25 @@ def _v_prime(scheme: SchemeSpec, w_val: float) -> float:
     return m1 / w_val if math.isfinite(m1) else math.inf
 
 
-def _little_o(num: WeightSequence, den: WeightSequence) -> bool:
-    """L_num(n) = o(L_den(n)) for the representable log-power factors."""
-    return num.L.log_exp < den.L.log_exp
+def _heaviest(tails) -> list[int]:
+    """Indices of the heaviest coefficient tails among (rho, e, log_exp)
+    triples, c log(2+n)^log_exp n^-e rho^-n: the smallest radius, radii
+    within ``_criticality``'s band tied, then the smallest exponent, then
+    the largest log power."""
+    rho = min(t[0] for t in tails)
+    tied = [k for k, t in enumerate(tails) if t[0] <= rho + _CRIT_RTOL * max(rho, 1.0)]
+    e = min(tails[k][1] for k in tied)
+    tied = [k for k in tied if tails[k][1] == e]
+    log_exp = max(tails[k][2] for k in tied)
+    return [k for k in tied if tails[k][2] == log_exp]
+
+
+def _tie_weights(coeffs, values) -> list[float]:
+    """Macroscopic-index weights of a tied class: c_k / F_k normalized over
+    it, with F_k each factor's series at its own radius."""
+    ratios = [c / f for c, f in zip(coeffs, values)]
+    total = sum(ratios)
+    return [r / total for r in ratios]
 
 
 def _gcd_of_support(w: WeightSequence, count: int = 1000, scan: int = 100000) -> int:
@@ -306,17 +322,12 @@ def _dense_report(
 # the classifier
 
 
-def _convergent_condition(scheme: SchemeSpec, crit: Criticality) -> str | None:
-    """First matching sufficient condition (checked syntactically), or None."""
+def _convergent_condition(scheme: SchemeSpec, crit: Criticality, heavier) -> str | None:
+    """First matching sufficient condition (checked syntactically), or None;
+    ``heavier`` is ``classify``'s critical tail order."""
     v, w = scheme.v, scheme.w
-    # i) critical, regularly varying, b > 2 and lighter inner tail
-    if (
-        crit is Criticality.critical
-        and not v.is_explicit
-        and not w.is_explicit
-        and v.e > 2.0
-        and (1.0 < w.e < v.e or (w.e == v.e and _little_o(v, w)))
-    ):
+    # i) critical, regularly varying, b > 2 and W's tail strictly heavier
+    if heavier == [1] and v.e > 2.0 and 1.0 < w.e:
         return "i"
     # ii) strictly subcritical with a subexponential inner sequence
     if crit is Criticality.subcritical and not w.is_explicit and w.e > 1.0:
@@ -352,6 +363,11 @@ def classify(scheme: SchemeSpec) -> PhaseReport:
 
     a = w.e if not w.is_explicit else None
     b = v.e if not v.is_explicit else None
+    # at criticality, which tail of U's coefficients is heavier: [0] V's
+    # alone (dense), [1] W's alone (convergent), [0, 1] a tie (mixture)
+    heavier = None
+    if crit is Criticality.critical and a is not None and b is not None:
+        heavier = _heaviest([(w.rho, b, v.L.log_exp), (w.rho, a, w.L.log_exp)])
 
     # --- dilute: critical with both exponents in (1, 2), constant c_w
     if (
@@ -380,15 +396,8 @@ def classify(scheme: SchemeSpec) -> PhaseReport:
             dilute_lambda=lam,
         )
 
-    # --- dense case i: critical with heavy enough outer tail
-    if (
-        crit is Criticality.critical
-        and a is not None
-        and b is not None
-        and a > 2.0
-        and b > 1.0
-        and (b < a or (b == a and _little_o(w, v)))
-    ):
+    # --- dense case i: critical with V's tail strictly heavier
+    if heavier == [0] and a > 2.0 and b > 1.0:
         return _dense_report(Phase.dense_critical, crit, scheme, min(a - 1.0, 2.0), w.radius(), w_val)
 
     # --- dense case ii: supercritical and aperiodic
@@ -398,15 +407,8 @@ def classify(scheme: SchemeSpec) -> PhaseReport:
             return _dense_report(Phase.dense_supercritical, crit, scheme, 2.0, rho_u, W)
         return PhaseReport(Phase.unclassified, crit, a=a, b=b)
 
-    # --- mixture: critical, equal exponents above 2, comparable L's
-    if (
-        crit is Criticality.critical
-        and a is not None
-        and b is not None
-        and a == b
-        and a > 2.0
-        and v.L.log_exp == w.L.log_exp
-    ):
+    # --- mixture: critical, tied tails with exponents above 2
+    if heavier == [0, 1] and a > 2.0:
         vp = _v_prime(scheme, w_val)
         if math.isfinite(vp) and vp > 0:
             report = _dense_report(Phase.mixture, crit, scheme, min(a - 1.0, 2.0), w.radius(), w_val)
@@ -417,7 +419,7 @@ def classify(scheme: SchemeSpec) -> PhaseReport:
     if math.isfinite(w_val) and w_val > 0:
         vp = _v_prime(scheme, w_val)
         if math.isfinite(vp) and vp > 0:
-            cond = _convergent_condition(scheme, crit)
+            cond = _convergent_condition(scheme, crit, heavier)
             if cond is not None:
                 return PhaseReport(
                     Phase.convergent,

@@ -592,8 +592,7 @@ class ProductSampler:
 
     def __init__(self, spec: ProductSpec, n: int):
         self.n = n
-        # the radii are ``exact._product_law``'s input too
-        self._radii, self.arrays, self.suffix = _product_tables(spec, n)
+        self.arrays, self.suffix = _product_tables(spec, n)
 
     def _cdf(self, j: int, rem: int) -> np.ndarray:
         """The cumulative weights of P_j = 0..rem given the remainder."""

@@ -69,7 +69,7 @@ import numpy as np
 
 from . import exact, laws, sampling
 from .exact import DiscreteLaw, tv_distance
-from .phases import Phase, PhaseReport, classify
+from .phases import Phase, PhaseReport, _heaviest, _tie_weights, classify
 from .schemes import bundled_names, bundled_scheme
 from .series import fsum
 from .special import chdtrc
@@ -619,23 +619,16 @@ def _u_tail_class(scheme: SchemeSpec, rep: PhaseReport):
 
 
 def _extended(rep: PhaseReport, scheme: ExtendedSpec, n: int, tol: float = 0.1):
-    """Extended-scheme regimes: detects from the closed forms whether
-    h_n / u_n tends to 0 (base behavior persists), infinity (Boltzmann
-    limit), or a constant (a mixture with weights H(rho) : q U(rho) where
-    q = lim h_n / u_n), and checks the exact count law against the
-    matching reference within ``tol``.  ``rep`` is the base scheme's."""
+    """Extended-scheme regimes: reads from the closed forms, through
+    ``phases``' tail order, whether h_n / u_n tends to 0 (base behavior
+    persists), infinity (Boltzmann limit), or a constant (a mixture with
+    weights H(rho_h) : q U(rho_u) where q = lim h_n / u_n, each series at
+    its own radius), and checks the exact count law against the matching
+    reference within ``tol``.  ``rep`` is the base scheme's."""
     base, h = scheme.base, scheme.h
     rho_u, s_u, lam_u, c_u = _u_tail_class(base, rep)
-    if h.rho > rho_u * (1 + 1e-9):
-        regime = "base"
-    elif h.rho < rho_u * (1 - 1e-9):
-        regime = "boltzmann"
-    elif (h.e, -h.L.log_exp) > (s_u, -lam_u):
-        regime = "base"
-    elif (h.e, -h.L.log_exp) < (s_u, -lam_u):
-        regime = "boltzmann"
-    else:
-        regime = "mixture"
+    heaviest = _heaviest([(h.rho, h.e, h.L.log_exp), (rho_u, s_u, lam_u)])
+    regime = {(0,): "boltzmann", (1,): "base"}.get(tuple(heaviest), "mixture")
 
     law_ext = exact.extended_law_Nn(scheme, n)
     ell_max = law_ext.pmf.size - 1
@@ -647,10 +640,9 @@ def _extended(rep: PhaseReport, scheme: ExtendedSpec, n: int, tol: float = 0.1):
     else:
         q = h.L.c / c_u
         u_rho = base.v.series_value(base.w.series_value(rho_u))
-        h_rho = h.series_value(rho_u)
-        w_boltz = q * u_rho / (q * u_rho + h_rho)
+        w_boltz = _tie_weights([h.L.c, c_u], [h.series_value(h.rho), u_rho])[0]
         base_law = exact.law_Nn(base, n)
-        boltz_law = exact.law_N(base, h.rho, ell_max)
+        boltz_law = exact.law_N(base, rho_u, ell_max)
         mix = np.zeros(ell_max + 1)
         mix[: base_law.pmf.size] += (1.0 - w_boltz) * base_law.pmf
         mix[: boltz_law.pmf.size] += w_boltz * boltz_law.pmf
@@ -675,7 +667,7 @@ def _product(rep: None, scheme: ProductSpec, n: int, replicates: int = 10000, se
     try:
         # the law from the sampler's own tables
         smp = sampling.ProductSampler(scheme, n)
-        pl = exact._product_law(scheme, n, smp._radii, smp.arrays, smp.suffix)
+        pl = exact._product_law(scheme, n, smp.arrays, smp.suffix)
     except ValueError as err:  # e.g. no configuration of size n
         raise PhaseMismatchError(f"product_marginals: {err}") from None
     p = pl.p  # the gate asked for closed-form tails on every factor

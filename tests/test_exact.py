@@ -960,6 +960,48 @@ def test_product_law_lighter_tail_vanishes():
     assert pl.p[1] == pytest.approx(0.0)
 
 
+def _paper_product_p(factors):
+    """The paper's macroscopic index of prod_k W_k(z), written out from
+    (c, e, rho, log_exp, term0) factors: those with the smallest radius,
+    among them the smallest exponent, among those the largest log power,
+    share it in proportion to c_k / W_k(rho_k), with W_k(1) = term0 +
+    c zeta(e) (every tied factor here has rho 1 and no log power)."""
+    rho = min(f[2] for f in factors)
+    e = min(f[1] for f in factors if f[2] == rho)
+    log_exp = max(f[3] for f in factors if f[2] == rho and f[1] == e)
+    share = [c / (t0 + c * float(zeta(fe))) if (fr, fe, fl) == (rho, e, log_exp) else 0.0
+             for c, fe, fr, fl, t0 in factors]
+    return tuple(x / sum(share) for x in share)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [(1.0, 3.0, 1.0, 0.0, 0.0), (2.0, 3.0, 1.0, 0.0, 1.0)],  # tied
+        [(1.0, 4.0, 1.0, 0.0, 0.0), (1.0, 2.0, 2.0, 0.0, 0.0)],  # untied by radius
+        [(1.0, 2.5, 1.0, 0.0, 0.0), (3.0, 3.0, 1.0, 0.0, 0.0)],  # untied by exponent
+        [(1.0, 3.0, 1.0, 1.0, 0.0), (1.0, 3.0, 1.0, 0.0, 0.0)],  # untied by log power
+        [(1.0, 3.0, 1.0, 0.0, 0.0), (3.0, 3.0, 1.0, 0.0, 0.0), (1.0, 2.5, 1.5, 0.0, 0.0)],
+        [(1.0, 3.0, 1.0, 0.0, 0.0), (2.0, 3.0, 1.0, 0.0, 0.0), (1.0, 3.5, 1.0, 0.0, 0.0)],
+    ],
+)
+def test_product_p_follows_the_tail_order(factors):
+    spec = ProductSpec(tuple(
+        WeightSequence.closed_form(c=c, e=e, rho=rho, log_exp=log_exp, term0=t0)
+        for c, e, rho, log_exp, t0 in factors
+    ))
+    assert product_law(spec, 120).p == pytest.approx(_paper_product_p(factors), rel=1e-12, abs=0.0)
+
+
+def test_product_factors_with_radii_inside_the_band_tie():
+    """Radii 1 and 1 - 5e-10 lie inside the band ``phases`` ties radii in
+    (1e-9 max(rho, 1), as for criticality and extended schemes), so equal
+    factors share the macroscopic index."""
+    f = WeightSequence.closed_form(c=1.0, e=3.0, rho=1.0)
+    g = WeightSequence.closed_form(c=1.0, e=3.0, rho=1.0 - 5e-10)
+    assert product_law(ProductSpec((f, g)), 200).p == pytest.approx((0.5, 0.5), abs=1e-6)
+
+
 def test_product_law_small_coordinate_split():
     # identical cubic factors: P(P_2 = k) ~ (1/2) P(A_2 = k) for small k
     f = WeightSequence.closed_form(c=1.0, e=3.0, rho=1.0)

@@ -148,6 +148,48 @@ def test_classify_boundary_log_powers():
     assert rep.phase is Phase.convergent
 
 
+def _paper_critical_phase(a, b, log_v, log_w):
+    """The paper's critical split, written out: V's tail strictly heavier
+    (b < a, or b = a with L_w = o(L_v)) is dense given a > 2 and b > 1; W's
+    strictly heavier is convergent by condition i given a > 1 and b > 2; a
+    tie is the mixture given a > 2; a failed guard leaves these pairs
+    unclassified."""
+    if b < a or (b == a and log_v > log_w):
+        return (Phase.dense_critical, None) if a > 2.0 and b > 1.0 else (Phase.unclassified, None)
+    if a < b or (a == b and log_w > log_v):
+        return (Phase.convergent, "i") if a > 1.0 and b > 2.0 else (Phase.unclassified, None)
+    return (Phase.mixture, None) if a > 2.0 else (Phase.unclassified, None)
+
+
+@pytest.mark.parametrize(
+    "a, b, log_v, log_w",
+    [
+        (3.0, 2.5, 0.0, 0.0),
+        (3.0, 2.999, 0.0, 0.0),
+        (3.0, 3.0, 0.0, 0.0),
+        (3.0, 3.001, 0.0, 0.0),
+        (3.0, 4.0, 0.0, 0.0),
+        (2.5, 2.5, 0.0, 0.0),
+        (3.0, 3.0, 1.0, 0.0),
+        (3.0, 3.0, 0.5, 0.5),
+        (3.0, 3.0, -1.0, 0.0),
+        (4.0, 4.0, 0.0, 1.0),
+        (2.0, 1.5, 0.0, 0.0),  # V heavier, a > 2 fails
+        (1.5, 2.0, 0.0, 0.0),  # W heavier, b > 2 fails
+        (2.0, 2.0, 0.0, 0.0),  # tie, a > 2 fails
+    ],
+)
+def test_critical_split_follows_the_tail_order(a, b, log_v, log_w):
+    """On critical closed-form pairs w_n = L_w(n) n^-a, v_n = L_v(n) n^-b
+    W(1)^-n, on each side of every tie in (b, log_v) against (a, log_w),
+    the phase is the paper's rule."""
+    w = WeightSequence.closed_form(c=1.0, e=a, rho=1.0, log_exp=log_w)
+    v = WeightSequence.closed_form(c=1.0, e=b, rho=w.series_value(1.0), log_exp=log_v)
+    rep = classify(SchemeSpec(v=v, w=w))
+    assert rep.criticality is Criticality.critical
+    assert (rep.phase, rep.convergent_condition) == _paper_critical_phase(a, b, log_v, log_w)
+
+
 def test_classify_explicit_pair_unclassified(bell):
     assert classify(bell).phase is Phase.unclassified
 

@@ -553,11 +553,11 @@ def test_suite_csvs_are_numpy_scalar_formatting_byte_for_byte(tmp_path, monkeypa
     assert (tmp_path / "edges.csv").read_bytes() == numpy_scalar_csv(["x"] * 9, edges)
 
 
-def test_builtin_suite_matches_golden_on_baseline_cpu_paths(tmp_path, baseline_cpu_env):
-    """The bundled suite reproduces the committed verdict bytes with numpy's
-    SIMD dispatch switched off, OpenBLAS on its oldest kernel and glibc on
-    its non-FMA variants: verdict values must not depend on the CPU the
-    suite runs on."""
+@pytest.fixture(scope="module")
+def baseline_cpu_suite(tmp_path_factory, baseline_cpu_env):
+    """The output directory of one bundled suite run with numpy's SIMD
+    dispatch switched off, OpenBLAS on its oldest kernel and glibc on its
+    non-FMA variants."""
     script = (
         "import sys\n"
         "from importlib.resources import files\n"
@@ -565,14 +565,37 @@ def test_builtin_suite_matches_golden_on_baseline_cpu_paths(tmp_path, baseline_c
         "cfg = str(files('gibbs_partitions.data').joinpath('phases.json'))\n"
         "sys.exit(run_suite(cfg, sys.argv[1]))\n"
     )
-    out = tmp_path / "out"
+    out = tmp_path_factory.mktemp("baseline_cpu") / "out"
     proc = subprocess.run(
         [sys.executable, "-c", script, str(out)],
         env=baseline_cpu_env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
+    return out
+
+
+def test_builtin_suite_matches_golden_on_baseline_cpu_paths(baseline_cpu_suite):
+    """The bundled suite reproduces the committed verdict bytes on the
+    baseline CPU paths: verdict values must not depend on the CPU the suite
+    runs on."""
     golden = pathlib.Path(__file__).parent / "data" / "golden_verdicts.json"
-    assert (out / "verdicts.json").read_bytes() == golden.read_bytes()
+    assert (baseline_cpu_suite / "verdicts.json").read_bytes() == golden.read_bytes()
+
+
+def test_builtin_suite_csvs_that_follow_the_cpu(baseline_cpu_suite):
+    """On the baseline CPU paths 10 of the 18 CSVs keep their
+    ``golden_csvs.json`` bytes; only the 8 of ``prefix-gauss``,
+    ``prefix-control``, ``llt-stable`` and ``dilute-all`` may differ (a
+    prefix or i.i.d. pmf by about an ulp, the limit densities where libm's
+    variants differ)."""
+    golden = json.loads((pathlib.Path(__file__).parent / "data" / "golden_csvs.json").read_text())
+    csvs = {p.relative_to(baseline_cpu_suite).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in baseline_cpu_suite.rglob("*.csv")}
+    assert sorted(csvs) == sorted(golden)
+    may_differ = {"prefix-gauss", "prefix-control", "llt-stable", "dilute-all"}
+    kept = {name: digest for name, digest in golden.items() if name.split("/")[0] not in may_differ}
+    assert len(kept) == 10
+    assert {name: csvs[name] for name in kept} == kept
 
 
 def test_builtin_suite_computes_each_exact_object_once(tmp_path, monkeypatch):
@@ -678,9 +701,10 @@ def test_extended_and_product_refuse_each_other(monkeypatch):
 def test_u_tail_class_of_dense_mixture_and_dilute_bases():
     """The partition-function tail (rho, exponent, log_exp, coeff) of each
     branch, from the closed forms: dense u_n ~ mu^(b-1) v_n at rho_u;
-    mixture adds V'(W(rho_w)) w_n; dilute has exponent 1 + alpha (b - 1)
-    and coefficient alpha E[Z^(alpha (b - 1))] of the stable Z with rate
-    lambda = Gamma(1 - alpha) / (alpha zeta(a))."""
+    mixture adds V'(W(rho_w)) w_n; convergent is V'(W(rho_w)) w_n alone
+    (V'(W) = zeta(2) / zeta(3/2) on the bundled base); dilute has exponent
+    1 + alpha (b - 1) and coefficient alpha E[Z^(alpha (b - 1))] of the
+    stable Z with rate lambda = Gamma(1 - alpha) / (alpha zeta(a))."""
     from scipy.special import zeta
 
     from gibbs_partitions import classify
@@ -690,6 +714,8 @@ def test_u_tail_class_of_dense_mixture_and_dilute_bases():
     expected = {
         "dense-gauss": (1.0, 2.0, 0.0, z[3.0] / z[4.0]),
         "mixture": (1.0, 3.0, 0.0, (z[2.0] / z[3.0]) ** 2 + z[2.0] / z[3.0]),
+        # the base of every extended-* scheme
+        "convergent": (1.0, 1.5, 0.0, z[2.0] / z[1.5]),
         "dilute": (1.0, 1.25, 0.0, 0.5 * math.sqrt(lam * math.pi) / math.gamma(0.75)),
     }
     for name, (rho, exponent, log_exp, coeff) in expected.items():
@@ -713,4 +739,58 @@ def test_extended_regime_decided_by_radius(base, h_rho, regime):
     h = WeightSequence.closed_form(c=1.0, e=2.0, rho=h_rho, term0=1.0)
     (r,), _ = verify_extended(ExtendedSpec(bundled_scheme(base), h), 400)
     assert r.details["regime"] == regime
+    assert r.passed, r.observed
+
+
+def _paper_extended_regime(h, rho_u, s_u, lam_u):
+    """The paper's regime of H(z) V(W(z)), written out: the smaller radius
+    wins, then the smaller exponent, then the larger log power; h winning
+    alone is the Boltzmann limit, u alone the base law, a tie the mixture."""
+    if h.rho != rho_u:
+        return "boltzmann" if h.rho < rho_u else "base"
+    if (h.e, -h.L.log_exp) != (s_u, -lam_u):
+        return "boltzmann" if (h.e, -h.L.log_exp) < (s_u, -lam_u) else "base"
+    return "mixture"
+
+
+@pytest.mark.parametrize(
+    "e, rho, log_exp",
+    [
+        (3.0, 1.0, 0.0), (1.25, 1.0, 0.0), (1.5, 1.0, 0.0),  # exponent: lighter, heavier, matched
+        (1.5, 1.0, -1.0), (1.5, 1.0, 1.0),  # matched exponent, lighter and heavier log power
+        (1.25, 1.5, 0.0), (3.0, 0.8, 0.0),  # radius: lighter with a heavier exponent, heavier
+    ],
+)
+def test_extended_regime_follows_the_tail_order(e, rho, log_exp):
+    """Prefactors h_n = log(2+n)^log_exp n^-e rho^-n on the convergent base
+    (u_n ~ C n^-3/2 at rho_u = 1) get the paper's regime; a matched one
+    weighs the Boltzmann law by q U(rho_u) / (q U(rho_u) + H(rho_h))."""
+    from gibbs_partitions import ExtendedSpec, WeightSequence, classify
+
+    base = bundled_scheme("convergent")
+    h = WeightSequence.closed_form(c=1.0, e=e, rho=rho, log_exp=log_exp, term0=1.0)
+    rho_u, s_u, lam_u, c_u = verify._u_tail_class(base, classify(base))
+    (r,), _ = verify_extended(ExtendedSpec(base, h), 400)
+    assert r.details["regime"] == _paper_extended_regime(h, rho_u, s_u, lam_u)
+    if r.details["regime"] == "mixture":
+        q, u = 1.0 / c_u, base.v.series_value(base.w.series_value(rho_u))
+        assert r.details["weight_boltzmann"] == pytest.approx(q * u / (q * u + h.series_value(h.rho)), rel=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_extended_near_tie_is_the_mixture_in_each_series_own_radius(sign):
+    """A prefactor whose radius lies 5e-10 off rho_u, inside the band in
+    which ``phases`` ties radii, is the matched mixture: H is summed at its
+    own radius and U at rho_u, so the weight is ``extended-matched``'s and
+    no series is summed just off its radius."""
+    import time
+
+    from gibbs_partitions import ExtendedSpec, WeightSequence
+
+    h = WeightSequence.closed_form(c=1.0, e=1.5, rho=1.0 + sign * 5e-10, term0=1.0)
+    start = time.perf_counter()
+    (r,), _ = verify_extended(ExtendedSpec(bundled_scheme("convergent"), h), 600)
+    assert time.perf_counter() - start < 1.0
+    assert r.details["regime"] == "mixture"
+    assert r.details["weight_boltzmann"] == pytest.approx(0.34575040699794307, rel=1e-9)
     assert r.passed, r.observed
