@@ -62,7 +62,11 @@ def _get_scheme(args) -> SchemeSpec | ExtendedSpec | ProductSpec:
 
 def _cmd_classify(args) -> int:
     scheme = _get_scheme(args)
-    report = classify(scheme)
+    try:
+        report = classify(scheme)
+    except exact.TailCertificationError as err:  # a series tail that cannot be certified
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     print(json.dumps(report.to_json(), indent=2))
     return 0
 
@@ -158,6 +162,9 @@ def _cmd_sample(args) -> int:
             shared = sampling.ExactSampler(scheme, n)
     except exact.BudgetExceededError as err:  # the exact sampler's, before any table is built
         sys.exit(f"error: {err} (--method rejection)")
+    except exact.TailCertificationError as err:  # a series tail that cannot be certified
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except ValueError as err:  # e.g. no configuration of size n
         sys.exit(f"error: {err}")
     rngs = sampling.make_rngs(seed, args.replicates)

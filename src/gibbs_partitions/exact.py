@@ -39,7 +39,7 @@ from numpy.fft import irfft, rfft
 
 from .phases import Criticality, _bisect, _criticality, _double, _heaviest, _tie_weights, _w_at_radius, _w_root
 from .series import convolve, fsum
-from .weights import ExtendedSpec, ProductSpec, SchemeSpec, WeightSequence
+from .weights import _RADIUS_RTOL, ExtendedSpec, ProductSpec, SchemeSpec, TailCertificationError, WeightSequence
 
 __all__ = [
     "BudgetExceededError",
@@ -90,10 +90,6 @@ _JOINT_BLOCK = 1 << 16
 # faulted in again, and the first call of a fresh sampler at n = 3000
 # (rows 56 to 1672) took a median 96 ms against 83 ms.
 _ROW_BLOCK = 8
-
-
-class TailCertificationError(RuntimeError):
-    """The stopped-sum truncation tail could not be certified."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -310,7 +306,10 @@ def _default_radius(scheme: SchemeSpec, n: int | None = None):
         if math.isinf(w.radius()):
             return 1.0, None
         crit = None
-    if crit is not Criticality.supercritical:
+    # a critical W(rho_w) may lie inside the band but past V's radius: V
+    # diverges there, and rho_u's bracket is taken as for supercritical
+    past = crit is Criticality.critical and w_at / scheme.v.radius() - 1.0 > _RADIUS_RTOL
+    if crit is not Criticality.supercritical and not past:
         return w.radius(), W_rho_w
     # the lower end: W(rho) within 1e-13 of rho_v sums V(W(rho)) on its radius
     return _w_root(scheme, 1e-14)[0], None

@@ -7,7 +7,10 @@ bit for bit.
 * ``igam`` and ``igamc``: the regularized incomplete gamma functions
   P(a, x) and Q(a, x) of ``gammainc`` and ``gammaincc``, element by element
   over x for one a;
-* ``chdtrc``: the chi-square survival function, Q(df / 2, x / 2).
+* ``chdtrc``: the chi-square survival function, Q(df / 2, x / 2);
+* ``upper_gamma``: the unregularized Gamma(a, x) for every real a, the
+  tail integral of the certified series sums.  It is not one of scipy's
+  functions and has no bits to match: it is tested against mpmath.
 
 P and Q follow cephes' choice among the power series of P (DLMF 8.11.4),
 the series of Q that avoids cancellation (DLMF 8.7.3) and the continued
@@ -31,7 +34,7 @@ import math
 
 import numpy as np
 
-__all__ = ["lgam", "igam", "igamc", "chdtrc"]
+__all__ = ["lgam", "igam", "igamc", "chdtrc", "upper_gamma"]
 
 _MACHEP = 1.11022302462515654042e-16  # 2^-53
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
@@ -295,17 +298,26 @@ def _q_series(a: float, x: np.ndarray) -> np.ndarray:
 
 def _q_fraction(a: float, x: np.ndarray) -> np.ndarray:
     """Q(a, x) by the continued fraction of DLMF 8.9.2 (cephes
-    igamc_continued_fraction).  Points that have stopped ride along until
-    half the live ones have: dropping them at every term costs more than
-    their arithmetic.  cephes scales the four recurrence terms by 2^-52
-    whenever |pk| > 2^52; here they are scaled by 2^-512 every 8 terms once
-    they pass 2^512.  Scaling by a power of two is exact while the terms
-    stay normal, so every convergent pk / qk, and every bit of the result,
-    is the same."""
+    igamc_continued_fraction): ``_fraction`` times x^a e^-x / Gamma(a)."""
     ax = _fac(a, x)
     out = np.zeros(x.size)
     live = np.flatnonzero(ax != 0.0)
-    xs = x[live]
+    out[live] = _fraction(a, x[live]) * ax[live]
+    return out
+
+
+def _fraction(a: float, xs: np.ndarray) -> np.ndarray:
+    """Gamma(a, x) / (x^a e^-x) at each x > 0: the continued fraction of
+    DLMF 8.9.2, valid for every real a, as cephes'
+    igamc_continued_fraction runs it.  Points that have stopped ride along
+    until half the live ones have: dropping them at every term costs more
+    than their arithmetic.  cephes scales the four recurrence terms by
+    2^-52 whenever |pk| > 2^52; here they are scaled by 2^-512 every 8
+    terms once they pass 2^512.  Scaling by a power of two is exact while
+    the terms stay normal, so every convergent pk / qk, and every bit of
+    the result, is the same."""
+    out = np.zeros(xs.size)
+    live = np.arange(xs.size)
     y, c = 1.0 - a, 0.0
     z = xs + y + 1.0
     pkm2, qkm2, pkm1, qkm1 = np.ones(xs.size), xs.copy(), xs + 1.0, z * xs
@@ -337,7 +349,7 @@ def _q_fraction(a: float, x: np.ndarray) -> np.ndarray:
                         v[big] *= _BIGINV
             done = (t <= _MACHEP) & pending
             if done.any():
-                out[live[done]] = ans[done] * ax[live[done]]
+                out[live[done]] = ans[done]
                 pending &= ~done
                 left = np.count_nonzero(pending)
                 if left == 0:
@@ -347,7 +359,7 @@ def _q_fraction(a: float, x: np.ndarray) -> np.ndarray:
                         v[pending] for v in (live, z, ans, pkm2, pkm1, qkm2, qkm1)
                     )
                     pending = np.ones(left, dtype=bool)
-    out[live[pending]] = ans[pending] * ax[live[pending]]
+    out[live[pending]] = ans[pending]
     return out
 
 
@@ -415,3 +427,64 @@ def chdtrc(df: float, x):
     """P(chi-square with df degrees of freedom > x) = Q(df / 2, x / 2),
     ``scipy.special.chdtrc``'s floats (NaN for x < 0, as there)."""
     return igamc(df / 2.0, np.asarray(x, dtype=float) / 2.0)
+
+
+def upper_gamma(a: float, x: float) -> float:
+    """Gamma(a, x) = int_x^inf t^(a-1) e^-t dt for every real a and x > 0.
+
+    * a > 3/4 where x <= 1 or x < a: Gamma(a) Q(a, x), where the continued
+      fraction converges slowly;
+    * elsewhere past x = 1: x^a e^-x times the continued fraction of
+      DLMF 8.9.2, valid for every real a;
+    * x <= 1 and a < -1/4: the recurrence Gamma(a, x) = (Gamma(a + 1, x) -
+      x^a e^-x) / a (DLMF 8.8.2) from a + m in (-1/4, 3/4], where each
+      division is by |a + j| >= 1/4 and x^a e^-x dominates the difference;
+    * x <= 1 and -1/4 <= a <= 3/4: DLMF 8.7.3,
+
+          Gamma(a, x) = (Gamma(1 + a) - x^a) / a - x^a sum_{n >= 1} (-x)^n / (n! (a + n)),
+
+      its first term as -Gamma(1 + a) expm1(a log x - log Gamma(1 + a)) / a,
+      which does not cancel near a = 0, and as -gamma - log x at
+      |a| < 1e-15 (E1's series, DLMF 6.6.2), within about |a| (log x)^2 / 2
+      of the true value there: 1.4e-14 relative at x = 1e-12.  log Gamma(1
+      + a) is cephes' Taylor series up to a = 1/4 and ``lgam(1 + a)`` past
+      it: the series stops at its 41st term, 1e-14 short of the sum near
+      |a| = 1/2.
+
+    +inf where x^a e^-x or Gamma(a) passes the float range: Gamma(a, x) is
+    then past it, or within a factor x or 4 |a| of it.
+    """
+    if not (0.0 < x < math.inf and math.isfinite(a)):
+        raise ValueError(f"upper_gamma needs a finite a and 0 < x < inf, got a = {a}, x = {x}")
+    a, x = float(a), float(x)
+    logx = math.log(x)
+    if a > 0.75 and (x <= 1.0 or x < a):
+        log_gamma = lgam(a)  # past _MAXLOG (a > 171), x < a and Q(a, x) is about 1/2 or more
+        return math.exp(log_gamma) * igamc(a, x) if log_gamma <= _MAXLOG else math.inf
+    if x > 1.0:
+        power = a * logx - x
+        return math.exp(power) * float(_fraction(a, np.array([x]))[0]) if power <= _MAXLOG else math.inf
+    if a < -0.25:
+        m = math.floor(0.75 - a)
+        value = upper_gamma(a + m, x)
+        for j in range(m - 1, -1, -1):
+            aj = a + j  # exact: |a + j| <= |a|
+            power = aj * logx - x
+            if power > _MAXLOG:
+                return math.inf
+            value = (value - math.exp(power)) / aj
+        return value
+    term, total, n = 1.0, 0.0, 0
+    while True:
+        n += 1
+        term *= -x / n
+        add = term / (a + n)
+        total += add
+        if abs(add) <= _MACHEP * abs(total):
+            break
+    if abs(a) < 1e-15:
+        head = -_EULER - logx
+    else:
+        lg1p = lgam(1.0 + a) if a > 0.25 else _lgam1p(a)
+        head = -math.exp(lg1p) * math.expm1(a * logx - lg1p) / a
+    return head - math.exp(a * logx) * total

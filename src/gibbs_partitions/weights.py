@@ -17,11 +17,11 @@ Weight sequences come in two kinds:
   the slowly varying factor positive and finite at every index.
 
 Series evaluation returns certified partial sums: the reported value differs
-from the infinite sum by at most ``_SERIES_TOL``.  Away from the radius a
-geometric ratio bound controls the tail; on the radius an integral
-comparison does.  Divergence (``t > rho``, or ``t = rho`` with tail
+from the infinite sum by at most ``_SERIES_TOL``.  One rule controls the tail
+at every point up to the radius: an Euler-Maclaurin integral comparison on
+the tilted terms.  Divergence (``t > rho``, or ``t = rho`` with tail
 exponent <= 1) is signalled by returning ``+inf``, never by a fabricated
-number.
+number; a tail that cannot be certified raises ``TailCertificationError``.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -33,7 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["SlowVarying", "WeightSequence", "SchemeSpec", "ExtendedSpec", "ProductSpec"]
+from .special import upper_gamma
+
+__all__ = ["SlowVarying", "WeightSequence", "SchemeSpec", "ExtendedSpec", "ProductSpec", "TailCertificationError"]
 
 # Relative slack used to decide whether an evaluation point sits on the
 # radius of convergence; configs build rho_v = W(rho_w) in floating point.
@@ -42,6 +44,11 @@ _RADIUS_RTOL = 1e-13
 # The certified error of every series value: a reported sum is within this
 # of the infinite one.
 _SERIES_TOL = 1e-12
+
+
+class TailCertificationError(RuntimeError):
+    """A truncated tail, of a series sum or of a stopped sum, could not be
+    certified."""
 
 
 @dataclass(frozen=True)
@@ -327,118 +334,102 @@ def _closed_moment_sum(
     """``sum_{n >= n0} n**k L(n) n**(-e) (t/rho)**n`` with tail error <= tol
     = ``_SERIES_TOL``.
 
-    Below the radius the term ratio is eventually bounded by
+    With s = e - k and lambda = -log(t/rho) >= 0 the n-th term is g(n),
 
-        r(N) = q * (1 + 1/N)**max(k-e, 0) * (log(3+N)/log(2+N))**max(log_exp, 0)
+        g(x) = L(x) x**(-s) e**(-lambda x),
 
-    giving the geometric tail bound term(N) / (1 - r(N)).  On the radius the
-    tail from N is replaced by the Euler-Maclaurin estimate
+    and past an index where g' is monotone the tail from N is replaced by
+    the Euler-Maclaurin estimate
 
-        sum_{m >= N} f(m) = integral_N^inf f + f(N)/2 - f'(N)/12 + R,
-        |R| <= |f'(N)| / 12,
+        sum_{m >= N} g(m) = integral_N^inf g + g(N)/2 - g'(N)/12 + R,
+        |R| <= |g'(N)| / 12.
 
-    valid once f' is monotone; the integral is evaluated by adaptive
-    quadrature whose error estimate joins the budget.
+    For constant L the integral is c lambda**(s-1) Gamma(1 - s, N lambda),
+    c N**(1-s) / (s-1) on the radius; otherwise adaptive quadrature, whose
+    error estimate joins the budget.  A sum whose remainder bound is still
+    above tol at the index cap raises ``TailCertificationError`` before it
+    sums a term.
 
-    Just below the radius the geometric bound may be unable to certify
-    before the index cap.  There, and only there, a point within ``tol`` of
-    the radius is summed as on it: evaluation points such as W(rho_w) are
-    themselves certified sums, within their ``tol`` of the true point,
-    which may lie on the radius.
+    A point below the radius within tol of it (or within ``_RADIUS_RTOL``
+    relative) is summed on it: evaluation points such as W(rho_w) are
+    themselves certified sums, within their tol of the true point, which
+    may lie on the radius, and a moment that diverges there reads +inf.
     """
     if t == 0.0:
         return 0.0
     tol = _SERIES_TOL
     q = t / rho
-    e_eff = e - k
+    s = e - k
     lam = L.log_exp
     lam_pos = max(lam, 0.0)
     max_index = 10**9
-    at_radius = abs(q - 1.0) <= _RADIUS_RTOL
+    at_radius = abs(q - 1.0) <= _RADIUS_RTOL or 0.0 < rho - t <= tol
     if q > 1.0 and not at_radius:
         return math.inf
-    if not at_radius and rho - t <= tol and _geometric_never_certifies(L, e_eff, q, max_index, tol):
-        at_radius = True
-    if at_radius and e_eff <= 1.0:
+    if at_radius and s <= 1.0:
         return math.inf
     logq = 0.0 if at_radius else math.log(q)
 
-    def f(x):
-        return np.exp(L.log_value(x) - e_eff * np.log(x))
+    def g(x):
+        return np.exp(L.log_value(x) - s * np.log(x) + x * logq)
 
-    def f_prime_abs(x: float) -> float:
-        return float(f(x)) * (abs(lam) / ((2.0 + x) * math.log(2.0 + x)) + e_eff / x)
+    def g_prime_abs(x: float) -> float:
+        return float(g(x)) * (abs(lam) / ((2.0 + x) * math.log(2.0 + x)) + abs(s) / x - logq)
 
-    # Index past which f is decreasing and f' monotone (crude but safe).
-    n_dec = max(n0, 16)
-    if lam_pos > 0 and e_eff > 0:
-        n_dec = max(n_dec, int(math.exp(lam_pos / e_eff)) + 2)
+    # Index past which g is decreasing and g' monotone (crude but safe).
+    # Below the radius the tilt places it too: with sigma = |s| + |log_exp|,
+    # (log g)' <= sigma/x - lambda and |(log g)''| <= sigma/x^2 from x = 16
+    # on, so past (sigma + sqrt(sigma)) / lambda, g'' = g ((log g)'' +
+    # (log g)'^2) >= 0.
+    mono = 0 if s > 0 else math.inf
+    if lam_pos > 0 and s > 0:
+        mono = int(math.exp(lam_pos / s)) + 2 if lam_pos / s < 40.0 else math.inf
+    if logq < 0.0:
+        sigma = abs(s) + abs(lam)
+        mono = min(mono, (sigma + math.sqrt(sigma)) / -logq)
+    n_dec = max(n0, 16, mono)
+    if n_dec >= max_index or g_prime_abs(max_index) / 6.0 > tol / 2.0:
+        raise TailCertificationError(f"the tail of sum n^{k - e:g} L(n) (t/rho)^n at 1 - t/rho = "
+                                     f"{1.0 - q:.3g} cannot be certified within {max_index:.0e} terms")
     total = 0.0
     n = n0
     block = 64
     while n < max_index:
         hi = n + block
         idx = np.arange(n, hi, dtype=float)
-        logs = L.log_value(idx) - e_eff * np.log(idx) + idx * logq
+        logs = L.log_value(idx) - s * np.log(idx) + idx * logq
         total += float(np.sum(np.exp(logs)))
         n = hi
         block = min(block * 2, 1 << 16)
         if n < n_dec:
             continue
-        if at_radius:
-            # -f'(N)/12 is folded into the remainder budget (|.| <= |f'|/6).
-            rem_bound = f_prime_abs(n) / 6.0
-            if rem_bound > tol / 2.0:
-                continue
-            if L.log_exp == 0.0:
-                integral = L.c * n ** (1.0 - e_eff) / (e_eff - 1.0)
-                int_err = 0.0
-            else:
-                # x = N/u maps the tail onto (0, 1] with an integrable
-                # endpoint singularity u^(e_eff - 2) that quad resolves.
-                # imported here so that importing the package leaves scipy.integrate unloaded
-                from scipy.integrate import quad
-
-                integral, int_err = quad(
-                    lambda u: float(f(n / u)) * n / (u * u),
-                    0.0,
-                    1.0,
-                    epsabs=tol / 4.0,
-                    epsrel=1e-12,
-                    limit=300,
-                )
-            if int_err + rem_bound > tol:
-                continue
-            return total + integral + float(f(n)) / 2.0
-        r = (
-            q
-            * (1.0 + 1.0 / n) ** max(-e_eff, 0.0)
-            * (math.log(3.0 + n) / math.log(2.0 + n)) ** lam_pos
-        )
-        if r >= 1.0:
+        # -g'(N)/12 is folded into the remainder budget (|.| <= |g'|/6).
+        rem_bound = g_prime_abs(n) / 6.0
+        if rem_bound > tol / 2.0:
             continue
-        term_n = math.exp(float(L.log_value(n)) - e_eff * math.log(n) + n * logq)
-        if term_n / (1.0 - r) <= tol:
-            return total
-    raise RuntimeError("series truncation failed to certify the requested tolerance")
+        int_err = 0.0
+        if L.log_exp != 0.0:
+            # x = N/u maps the tail onto (0, 1] with an integrable
+            # endpoint singularity u^(s - 2) that quad resolves.
+            # imported here so that importing the package leaves scipy.integrate unloaded
+            from scipy.integrate import quad
 
-
-def _geometric_never_certifies(L: SlowVarying, e_eff: float, q: float, max_index: int, tol: float) -> bool:
-    """True when the geometric tail bound of ``_closed_moment_sum`` exceeds
-    ``tol`` at every index it is tried at (all below 2 ``max_index``).
-
-    There the ratio bound r is at least q, so the bound term(N) / (1 - r)
-    is at least L(N) N^-e_eff q^N / (1 - q), and for 1 <= N <= 2 max_index
-    that is at least the same with L(N) and N^-e_eff at their smallest
-    and q^N at q^(2 max_index).  The test keeps a factor of 2 for
-    round-off.
-    """
-    if not q < 1.0:
-        return False
-    top = 2.0 * max_index
-    log_l = math.log(L.c) + L.log_exp * math.log(math.log(3.0 if L.log_exp >= 0 else 2.0 + top))
-    log_low = log_l - max(e_eff, 0.0) * math.log(top) + top * math.log(q) - math.log(1.0 - q)
-    return log_low > math.log(2.0 * tol)
+            integral, int_err = quad(
+                lambda u: float(g(n / u)) * n / (u * u),
+                0.0,
+                1.0,
+                epsabs=tol / 4.0,
+                epsrel=1e-12,
+                limit=300,
+            )
+        else:
+            integral = math.inf if at_radius else L.c * (-logq) ** (s - 1.0) * upper_gamma(1.0 - s, -n * logq)
+            if not math.isfinite(integral):  # on the radius, or Gamma past the float range
+                integral = L.c * n ** (1.0 - s) / (s - 1.0)  # then within N lambda relative
+        if int_err + rem_bound > tol:
+            continue
+        return total + integral + float(g(n)) / 2.0
+    raise TailCertificationError("series truncation failed to certify the requested tolerance")
 
 
 @dataclass(frozen=True)

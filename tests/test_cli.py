@@ -672,3 +672,22 @@ def test_entry_point_installed():
     )
     assert out.returncode == 0
     assert "classify" in out.stdout and "verify" in out.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "--scheme", "dense-gauss"], ["sample", "--scheme", "dense-gauss", "--n", "50"]],
+    ids=["classify", "sample"],
+)
+def test_an_uncertified_tail_is_one_error_line(capsys, monkeypatch, argv):
+    # classify and sample once printed a traceback
+    from gibbs_partitions import weights
+
+    def uncertified(*args, **kwargs):
+        raise weights.TailCertificationError("series truncation failed to certify the requested tolerance")
+
+    monkeypatch.setattr(weights, "_closed_moment_sum", uncertified)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: series truncation failed to certify the requested tolerance\n"

@@ -1217,7 +1217,8 @@ def test_a_product_spec_has_no_v_or_w_to_read(call, no_sums):
 @pytest.mark.parametrize("a", [1.6, 1.8])
 def test_dilute_law_nn_just_below_the_radius(a):
     # with rho_v = scipy's zeta(a), W(1) lands 546 and 1081 ulps below it,
-    # farther than _RADIUS_RTOL: V(W(1)) is summed as on its radius
+    # farther than _RADIUS_RTOL but within W(1)'s certified error: V(W(1))
+    # lies in the band below the radius that is summed on it
     w = WeightSequence.closed_form(c=1.0, e=a, rho=1.0)
     scheme = SchemeSpec(v=WeightSequence.closed_form(c=1.0, e=1.5, rho=float(zeta(a))), w=w)
     assert classify(scheme).phase.value == "dilute"

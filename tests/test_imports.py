@@ -52,6 +52,18 @@ def test_zeta_scheme_off_the_table_loads_no_scipy():
     assert sorted(name for name in loaded if name.startswith("scipy")) == []
 
 
+def test_upper_gamma_and_near_radius_sums_load_no_scipy():
+    # the tilted tail of a constant-L sum is c lambda^(s-1) Gamma(1 - s, N lambda)
+    run = (
+        "from gibbs_partitions.special import upper_gamma\n"
+        "assert upper_gamma(-3.9, 60.0) > 0.0 and upper_gamma(0.0, 1e-12) > 0.0\n"
+        "w = gibbs_partitions.WeightSequence.closed_form(c=1.0, e=1.5, rho=1.0)\n"
+        "assert w.series_value(1.0 - 1e-8) > 0.0 and w.weighted_moment(1.0 - 5e-10, 1) > 0.0"
+    )
+    loaded = _modules_after_import("gibbs_partitions", run)
+    assert sorted(name for name in loaded if name.startswith("scipy")) == []
+
+
 def test_cli_loads_no_scipy():
     loaded = _modules_after_import("gibbs_partitions.cli")
     assert "gibbs_partitions.cli" in loaded

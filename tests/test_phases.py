@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import zeta
 
@@ -417,3 +419,34 @@ def test_supercritical_grid_classifies_and_calibrates(w_name, rho_v):
     rho = default_rho(scheme)
     assert w.series_value(rho) < rho_v
     assert abs(rep.rho_u - rho) <= 1e-12 * rho
+
+
+@pytest.mark.parametrize("offset", [5e-10, 1e-8])
+def test_classify_just_inside_the_radius_of_v(offset):
+    """w_n = n^-3/2 against v_n = n^-2 rho_v^-n, rho_v = W(1) (1 + offset):
+    V'(W(1)) = -log(1 - q) / W(1), q = W(1) / rho_v, is summed 5e-10 and
+    1e-8 inside V's radius, where classify once ran to the 10^9-term cap
+    for 8.5 s and raised."""
+    w = WeightSequence.closed_form(c=1.0, e=1.5, rho=1.0)
+    w1 = w.series_value(1.0)
+    rho_v = w1 * (1.0 + offset)
+    start = time.perf_counter()
+    report = classify(SchemeSpec(v=WeightSequence.closed_form(c=1.0, e=2.0, rho=rho_v), w=w))
+    assert time.perf_counter() - start < 0.1
+    assert report.v_prime == pytest.approx(-math.log1p(-w1 / rho_v) / w1, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(3.0, 5.0), b=st.floats(2.0, 5.0), offset=st.floats(-1e-6, 1e-6))
+def test_zeta_schemes_around_criticality_classify_and_count(a, b, offset):
+    """w_n = n^-a against v_n = n^-b rho_v^-n with rho_v within 1e-6 of
+    zeta(a), relative: every sum has tail exponent s = e - k >= 1, and
+    classify and law_Nn(., 300) each return in under 0.1 s."""
+    w = WeightSequence.closed_form(c=1.0, e=a, rho=1.0)
+    scheme = SchemeSpec(v=WeightSequence.closed_form(c=1.0, e=b, rho=float(zeta(a)) * (1.0 + offset)), w=w)
+    start = time.perf_counter()
+    classify(scheme)
+    middle = time.perf_counter()
+    law = law_Nn(scheme, 300)
+    assert max(middle - start, time.perf_counter() - middle) < 0.1
+    assert abs(fsum(law.pmf) - 1.0) <= 1e-12

@@ -1,18 +1,19 @@
 """The special functions without scipy: bit for bit against scipy.special,
-on both sides of every branch boundary of cephes' incomplete gamma; and the
-point-process integrals' fixed rule against 30-digit mpmath."""
+on both sides of every branch boundary of cephes' incomplete gamma; the
+unregularized Gamma(a, x) and the point-process integrals' fixed rule
+against 30-digit mpmath."""
 
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
 from gibbs_partitions import laws, special
-from gibbs_partitions.special import chdtrc, igam, igamc, lgam
+from gibbs_partitions.special import chdtrc, igam, igamc, lgam, upper_gamma
 
 
 def _bits(x) -> np.ndarray:
@@ -120,6 +121,34 @@ def test_dilute_cdf_grid_is_gammainc():
     ts = np.geomspace(1e-3, 1e4, 40) ** (1.0 / (1.0 - p.alpha))
     grid = np.multiply.outer(ts, a)
     assert np.array_equal(_bits(igam(1.0 - q, grid)), _bits(sc.gammainc(1.0 - q, grid)))
+
+
+# ---------------------------------------------------------------------------
+# Gamma(a, x) for real a, the tail integral of the certified series sums
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-4.0, 1.0, exclude_max=True), x=st.floats(1e-12, 60.0))
+@example(a=-4.0, x=60.0)
+@example(a=-3.0, x=1.0)
+@example(a=-2.0, x=1e-12)
+@example(a=-1.0, x=0.5)
+@example(a=0.0, x=3.0)
+@example(a=-3.9, x=60.0)  # the downward recurrence alone lost 3e-9 here
+def test_upper_gamma_against_mpmath(a, x):
+    with mp.workdps(30):
+        want = mp.gammainc(mp.mpf(a), mp.mpf(x))
+    assert upper_gamma(a, x) == pytest.approx(float(want), rel=1e-13)
+
+
+@pytest.mark.parametrize("a", [-1e-300, -1e-12, 1e-12, -0.25, -0.25000000000000006, 0.75, 0.7500000000000001, 2.5, 20.5])
+@pytest.mark.parametrize("x", [1e-12, 0.5, 1.0, 1.0000000000000002, 1.5, 21.0])
+def test_upper_gamma_across_its_branches(a, x):
+    # each side of a = -1/4, 0, 3/4 and x = 1, and a > x > 1, where the
+    # continued fraction alone converges too slowly
+    with mp.workdps(30):
+        want = mp.gammainc(mp.mpf(a), mp.mpf(x))
+    assert upper_gamma(a, x) == pytest.approx(float(want), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -794,3 +794,20 @@ def test_extended_near_tie_is_the_mixture_in_each_series_own_radius(sign):
     assert r.details["regime"] == "mixture"
     assert r.details["weight_boltzmann"] == pytest.approx(0.34575040699794307, rel=1e-9)
     assert r.passed, r.observed
+
+
+def test_extended_boltzmann_just_inside_the_radius_of_w():
+    """A prefactor radius 2e-9 below rho_u = 1, outside the tie band, is the
+    Boltzmann regime, whose count law sums W(h.rho) 2e-9 inside W's
+    radius: that sum once ran to the 10^9-term cap for 13 s and raised.
+    The verdict itself fails at n = 600 (TV 0.13): (rho_u / rho_h)^600 is
+    1 + 1.2e-6, and the Boltzmann limit is far from reached."""
+    import time
+
+    from gibbs_partitions import ExtendedSpec, WeightSequence
+
+    h = WeightSequence.closed_form(c=1.0, e=1.5, rho=1.0 - 2e-9, term0=1.0)
+    start = time.perf_counter()
+    (r,), _ = verify_extended(ExtendedSpec(bundled_scheme("convergent"), h), 600)
+    assert time.perf_counter() - start < 1.0
+    assert r.details["regime"] == "boltzmann"

@@ -298,36 +298,90 @@ def test_product_spec_needs_two_factors(factors):
         SchemeSpec.from_config({"product_factors": factors})
 
 
-def test_sum_that_certifies_geometrically_near_the_radius_keeps_its_route():
-    """A point 682 ulps below the radius, past _RADIUS_RTOL, whose
-    geometric tail bound certifies (tail exponent 4): it is summed below
-    the radius, not on it."""
+def test_near_radius_band_is_within_the_certified_error():
+    """Below the radius one band, rho - t <= max(_RADIUS_RTOL rho, tol), is
+    summed on the radius, whatever the tail: a point 682 ulps below it,
+    past _RADIUS_RTOL but within tol, reads the on-radius value, and a
+    point 2 tol below it is summed there, within tol of mpmath's polylog
+    (the on-radius value is 2.2e-12 higher)."""
     from gibbs_partitions import weights
 
     t = WeightSequence.closed_form(c=1.0, e=4.0, rho=1.0).series_value(1.0)
     rho = t + 682 * math.ulp(t)
-    assert rho / t - 1.0 > weights._RADIUS_RTOL
+    assert rho / t - 1.0 > weights._RADIUS_RTOL and rho - t <= weights._SERIES_TOL
     v = WeightSequence.closed_form(c=1.0, e=4.0, rho=rho)
-    assert not weights._geometric_never_certifies(v.L, 4.0, t / rho, 10**9, 1e-12)
-    below, on = v.series_value(t), v.series_value(rho)
-    assert below < on < below + 1e-12
+    assert v.series_value(t) == v.series_value(rho)
+    outside = rho - 2.0 * weights._SERIES_TOL
+    with mpmath.workdps(40):
+        want = float(mpmath.polylog(4, mpmath.mpf(outside) / mpmath.mpf(rho)))
+    assert v.series_value(outside) == pytest.approx(want, abs=1e-12)
+    assert v.series_value(rho) - want > 2e-12
 
 
 @pytest.mark.parametrize("a", [1.6, 1.8])
 def test_sum_just_below_the_radius_is_summed_on_it(a):
     """W(1) of w_n = n^-a sums 546 (a = 1.6) and 1081 (a = 1.8) ulps below
-    zeta(a), farther than _RADIUS_RTOL, and V(z) = sum n^-1.5 (z/zeta(a))^n
-    has a tail the geometric bound cannot certify there: within the
-    certified error of W(1), V is summed on its radius."""
+    zeta(a), farther than _RADIUS_RTOL: within the certified error of W(1),
+    V(z) = sum n^-1.5 (z/zeta(a))^n is summed on its radius, where its
+    first moment diverges."""
     from gibbs_partitions import weights
 
     t = WeightSequence.closed_form(c=1.0, e=a, rho=1.0).series_value(1.0)
     rho = float(zeta(a))
     assert 1.0 - t / rho > weights._RADIUS_RTOL and rho - t <= 1e-12
     v = WeightSequence.closed_form(c=1.0, e=1.5, rho=rho)
-    assert weights._geometric_never_certifies(v.L, 1.5, t / rho, 10**9, 1e-12)
     assert v.series_value(t) == v.series_value(rho)
     assert v.weighted_moment(t, 1) == math.inf  # tail exponent 1/2 on the radius
+
+
+@pytest.mark.parametrize(
+    "s, gap", [(1.0, 5e-10), (1.5, 1e-8), (3.0, 1.05e-13), (1.5, 1e-6), (1.2, 1e-3), (40.0, 2e-12)]
+)
+def test_sum_near_the_radius_is_the_polylog(s, gap):
+    """sum n^-s q^n at 1 - q = gap, within tol of mpmath's polylog in
+    milliseconds.  Between 1e-12 and 1e-7 below the radius such sums once
+    ran to the 10^9-term cap (8 to 11 s) and raised; 1e-6 and 1e-3 are
+    controls.  At s = 40, Gamma(1 - s, N lambda) is past the float range
+    and the tail integral is the radius's."""
+    import time
+
+    w, q = WeightSequence.closed_form(c=1.0, e=s, rho=1.0), 1.0 - gap
+    start = time.perf_counter()
+    got = w.series_value(q)
+    assert time.perf_counter() - start < 0.1
+    with mpmath.workdps(40):
+        want = float(mpmath.polylog(s, mpmath.mpf(q)))
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_slow_tail_near_the_radius_is_summed():
+    """s = 1/2 at 1 - q = 1e-8: about 4e7 terms before the tail certifies,
+    under 2 s, within 1e-15 relative of the polylog (1.8e4)."""
+    import time
+
+    w, q = WeightSequence.closed_form(c=1.0, e=0.5, rho=1.0), 1.0 - 1e-8
+    start = time.perf_counter()
+    got = w.series_value(q)
+    assert time.perf_counter() - start < 2.0
+    with mpmath.workdps(40):
+        want = float(mpmath.polylog(0.5, mpmath.mpf(q)))
+    assert got == pytest.approx(want, rel=1e-15)
+
+
+def test_tail_past_the_index_cap_raises_at_once():
+    """sum n^2 n^-1.5 q^n at 1 - q = 1e-10 peaks near n = 5e9, past the
+    10^9-term cap: it raises before summing a term, where it once ran to
+    the cap for 8.6 s."""
+    import time
+
+    from gibbs_partitions import exact, weights
+
+    assert exact.TailCertificationError is weights.TailCertificationError
+    w = WeightSequence.closed_form(c=1.0, e=1.5, rho=1.0)
+    start = time.perf_counter()
+    with pytest.raises(weights.TailCertificationError, match="cannot be certified"):
+        w.weighted_moment(1.0 - 1e-10, 2)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize(
