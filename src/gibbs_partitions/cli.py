@@ -111,6 +111,8 @@ def _cmd_laws(args) -> int:
     lo, hi, num = args.grid
     if not (num.is_integer() and num >= 1):
         sys.exit(f"error: --grid NUM must be a positive integer, got {num:g}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        sys.exit(f"error: --grid LO and HI must be finite, got {lo:g} and {hi:g}")
     xs = np.linspace(lo, hi, int(num))
     try:
         if args.law == "stable_density":

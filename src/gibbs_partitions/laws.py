@@ -136,7 +136,10 @@ def _series_std(alpha: float, y: np.ndarray, dense: bool) -> tuple[np.ndarray, n
     s_k = (-1)^k sin(-alpha k pi), L = -log y.  The flag drops when the largest
     term passes _CANCELLATION_LIMIT times the sum, a term would pass e^700, or
     the terms run out.  A row-wise cumsum adds in the order of a loop over k
-    and exp is libm's: every value and flag is that of a scalar loop."""
+    and exp is libm's: every value and flag is that of a scalar loop.  That
+    loop's exp is the variant glibc picks at run time (its FMA one where the
+    CPU has FMA), whose last bits the series can amplify to 5e-11 relative
+    in the bulk of the dense density (ROADMAP item 22)."""
     val, ok = np.zeros(y.size), np.ones(y.size, dtype=bool)
     if dense:
         val[y == 0.0] = math.gamma(1.0 + 1.0 / alpha) * math.sin(math.pi / alpha) / math.pi
@@ -174,37 +177,51 @@ def _series_std(alpha: float, y: np.ndarray, dense: bool) -> tuple[np.ndarray, n
     return val, ok
 
 
+_POINT_BLOCK = 4096  # points per call of the array-valued laws' point-wise work
+
+
+def _in_blocks(fn, flat: np.ndarray) -> np.ndarray:
+    """fn, which acts point by point, on the 1-d flat _POINT_BLOCK points at
+    a time: the bytes of one call, with working arrays of one block."""
+    return np.concatenate([fn(flat[i : i + _POINT_BLOCK]) for i in range(0, max(flat.size, 1), _POINT_BLOCK)])
+
+
 def stable_density_series(p: StableParams, x):
     """Stable density via the convergent series, inversion as fallback.
 
     Supports alpha = 2 (closed form), and beta = +/-1 for alpha in
     (0, 1) or (1, 2); densities vanish on the unsupported side of the
-    one-sided laws.  Element by element over x: a float for a scalar x,
-    and the bytes of scalar calls for an array.  The points the series
-    cannot be trusted at go to ``_inversion_grid``, which refuses
-    alpha <= 0.3 and raises RuntimeError past its node budget.
+    one-sided laws, and at +/-inf; NaN gives NaN.  Element by element over
+    x: a float for a scalar x, and the bytes of scalar calls for an array.
+    The points the series cannot be trusted at go to ``_inversion_grid``,
+    which refuses alpha <= 0.3 and raises RuntimeError past its node budget.
     """
+    if p.alpha != 2.0 and (p.alpha == 1.0 or abs(p.beta) != 1.0):
+        raise ValueError("series densities implemented for beta = +/-1, alpha != 1")
     xs = np.asarray(x, dtype=float)
-    flat = np.ravel(xs)
+    out = _in_blocks(functools.partial(_stable_density_block, p), np.ravel(xs))
+    return out.reshape(xs.shape) if xs.ndim else float(out[0])
+
+
+def _stable_density_block(p: StableParams, flat: np.ndarray) -> np.ndarray:
     z, a = flat - p.delta, p.alpha
     if a == 2.0:  # S_2(gamma, ., delta) is Gaussian with variance 2 gamma^2
-        out = _exp(-(z * z) / (4.0 * p.gamma**2)) / (2.0 * p.gamma * math.sqrt(math.pi))
-    elif a == 1.0 or abs(p.beta) != 1.0:
-        raise ValueError("series densities implemented for beta = +/-1, alpha != 1")
-    else:
-        dense = 1.0 < a < 2.0
-        if dense:
-            s = (-math.cos(math.pi * a / 2.0)) ** (1.0 / a) / p.gamma
-            arg = s * z if p.beta == -1.0 else -s * z
-        else:  # one-sided
-            s = (p.gamma**a / math.cos(math.pi * a / 2.0)) ** (-1.0 / a)
-            arg = s * z if p.beta == 1.0 else -s * z
-        val, ok = _series_std(a, arg, dense)
-        out = s * val
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            out[bad] = _inversion_grid(p, flat[bad])
-    return out.reshape(xs.shape) if xs.ndim else float(out[0])
+        return _exp(-(z * z) / (4.0 * p.gamma**2)) / (2.0 * p.gamma * math.sqrt(math.pi))
+    dense = 1.0 < a < 2.0
+    if dense:
+        s = (-math.cos(math.pi * a / 2.0)) ** (1.0 / a) / p.gamma
+        arg = s * z if p.beta == -1.0 else -s * z
+    else:  # one-sided
+        s = (p.gamma**a / math.cos(math.pi * a / 2.0)) ** (-1.0 / a)
+        arg = s * z if p.beta == 1.0 else -s * z
+    out = np.where(np.isnan(flat), math.nan, 0.0)
+    finite = np.flatnonzero(np.isfinite(flat))
+    val, ok = _series_std(a, arg[finite], dense)
+    out[finite] = s * val
+    bad = finite[~ok]
+    if bad.size:
+        out[bad] = _inversion_grid(p, flat[bad])
+    return out
 
 
 # The inversion integral
@@ -379,13 +396,18 @@ def _dilute_series(p: DiluteParams, z: float, cdf: bool) -> float:
 
 def _dilute_eval(p: DiluteParams, x, cdf: bool):
     """The series up to lam x = _SERIES_EDGE, the u grid above it, where the
-    integrands no longer crowd into u -> pi; every x is computed alone."""
+    integrands no longer crowd into u -> pi; every x is computed alone.
+    The grid takes its points _INVERSION_ROWS at a time, so its working
+    arrays stay a few hundred kB however many points there are; igam, exp
+    and each row's sum act point by point, so the blocks move no byte.
+    NaN gives NaN, and x = +inf the limits F = 1, f = 0."""
     xs = np.asarray(x, dtype=float)
     flat = np.ravel(xs)
     z = p.lam * flat
-    out = np.zeros(flat.size)
-    high = z > _SERIES_EDGE
-    low = (flat > 0.0) & ~high
+    out = np.where(np.isnan(flat), math.nan, 0.0)
+    out[flat == math.inf] = 1.0 if cdf else 0.0
+    high = (z > _SERIES_EDGE) & (flat < math.inf)
+    low = (flat > 0.0) & (z <= _SERIES_EDGE)
     out[low] = [_dilute_series(p, zi, cdf) for zi in z[low].tolist()]
     if high.any():
         alpha, q = p.alpha, (p.b - 1.0) * (1.0 - p.alpha)
@@ -393,23 +415,25 @@ def _dilute_eval(p: DiluteParams, x, cdf: bool):
         a = _exp(np.minimum(log_a, 700.0))  # past e^700, A t only needs to be huge
         # t past 1e300 (alpha near 1) gives F = 1 and f = 0 in floats
         ts = [zi ** (1.0 / (1.0 - alpha)) if math.log(zi) < 690.0 * (1.0 - alpha) else 1e300 for zi in z[high].tolist()]
+        # F = sum_i omega_i P(1-q, A_i t), which round-off may put past 1;
+        # f = t^(1-q) / ((1-alpha) x Gamma(1-q)) sum_i omega_i A_i^(1-q) e^(-A_i t)
+        omega, m = _exp(log_w), log_w + (1.0 - q) * log_a
+        sums = []
         with np.errstate(over="ignore"):  # A t = inf: P(1-q, A t) = 1, e^(-A t) = 0
-            if cdf:  # F = sum_i omega_i P(1-q, A_i t), which round-off may put past 1
-                omega = _exp(log_w)
-                out[high] = [min(dot(row, omega), 1.0) for row in igam(1.0 - q, np.multiply.outer(ts, a))]
-            else:  # f = t^(1-q) / ((1-alpha) x Gamma(1-q)) sum_i omega_i A_i^(1-q) e^(-A_i t)
-                m = log_w + (1.0 - q) * log_a
-                sums = []
-                for i in range(0, len(ts), _INVERSION_ROWS):
-                    arg = m - np.multiply.outer(ts[i : i + _INVERSION_ROWS], a)
+            for i in range(0, len(ts), _INVERSION_ROWS):
+                at = np.multiply.outer(ts[i : i + _INVERSION_ROWS], a)
+                if cdf:
+                    sums += [min(dot(row, omega), 1.0) for row in igam(1.0 - q, at)]
+                else:
+                    arg = m - at
                     live = ~(arg < -800.0)  # math.exp is +0.0 below
                     terms = np.zeros(arg.shape)
                     terms[live] = _exp(arg[live])
                     sums += fsum_rows(terms).tolist()
-                out[high] = [
-                    t ** (1.0 - q) * s / ((1.0 - alpha) * xi * math.gamma(1.0 - q))
-                    for t, s, xi in zip(ts, sums, flat[high].tolist())
-                ]
+        out[high] = sums if cdf else [
+            t ** (1.0 - q) * s / ((1.0 - alpha) * xi * math.gamma(1.0 - q))
+            for t, s, xi in zip(ts, sums, flat[high].tolist())
+        ]
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 
@@ -477,8 +501,12 @@ class FrechetJLaw:
         return -(self.mu**self.alpha) / math.gamma(1.0 - self.alpha)
 
     def cdf(self, x) -> np.ndarray:
+        """P(J <= x) at each x, in x's shape: 0 for x <= 0, 1 at +inf, NaN at NaN."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
+        return _in_blocks(self._cdf_block, np.ravel(x)).reshape(x.shape)
+
+    def _cdf_block(self, x: np.ndarray) -> np.ndarray:
+        out = np.where(np.isnan(x), math.nan, 0.0)
         pos = x > 0
         # the C library's pow, element by element: numpy's vector pow rounds
         # differently on different SIMD levels, and this cdf feeds a KS verdict

@@ -646,6 +646,16 @@ def test_laws_grid_num_must_be_a_positive_integer(capsys, num):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("lo, hi", [("inf", "1"), ("0", "inf"), ("0", "1e400"), ("nan", "1"), ("0", "nan")])
+def test_laws_grid_bounds_must_be_finite(capsys, lo, hi):
+    # argparse takes "-inf" for an option and exits 2 before the command runs
+    with pytest.raises(SystemExit) as err:
+        main(["laws", "--law", "stable_density", "--alpha", "1.5", "--grid", lo, hi, "5"])
+    msg = str(err.value.code)
+    assert msg.startswith("error: --grid LO and HI must be finite") and "\n" not in msg
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "args, start",
     [
