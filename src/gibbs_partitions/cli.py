@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -263,6 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=_int_at_least(1), default=1)
     p.add_argument("--grid", type=float, nargs=3, metavar=("LO", "HI", "NUM"),
                    default=(-5.0, 5.0, 101.0))
+    # argparse reads only -1 and -1.5 as negative numbers, and -1e2 or -inf
+    # as an option; this subcommand has no option that starts so
+    p._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf$|infinity$|nan$)", re.IGNORECASE)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_laws)
 

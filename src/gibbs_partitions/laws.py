@@ -23,8 +23,9 @@ values are evaluated through log-gamma with explicit sign tracking since
 Gamma(1 - alpha) < 0 for 1 < alpha < 2.
 
 Log-gamma and the incomplete gamma functions come from ``special`` (scipy's
-floats bit for bit), and the point-process integrals from one fixed
-tanh-sinh rule, so importing and running this module loads no scipy.
+floats bit for bit), and the point-process integrals take ``special``'s
+tanh-sinh rule at a fixed step, so importing and running this module
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import dot, fsum, fsum_rows
-from .special import _libm, _pow, igam, igamc, lgam
+from .special import _libm, _pow, _tanh_sinh, igam, igamc, lgam
 
 __all__ = [
     "StableParams",
@@ -413,9 +414,11 @@ def _dilute_eval(p: DiluteParams, x, cdf: bool):
         alpha, q = p.alpha, (p.b - 1.0) * (1.0 - p.alpha)
         log_a, log_w = (np.array(g) for g in _u_grid(alpha, p.b))
         a = _exp(np.minimum(log_a, 700.0))  # past e^700, A t only needs to be huge
-        # t past 1e300 (alpha near 1) gives F = 1 and f = 0 in floats
+        # t is clamped at 1e300 (alpha near 1): A t is then past every float
+        # scale, P(1-q, A t) = 1 and e^(-A t) = 0 at every node
         ts = [zi ** (1.0 / (1.0 - alpha)) if math.log(zi) < 690.0 * (1.0 - alpha) else 1e300 for zi in z[high].tolist()]
-        # F = sum_i omega_i P(1-q, A_i t), which round-off may put past 1;
+        # F = sum_i omega_i P(1-q, A_i t), which round-off may put past 1, or an
+        # ulp short of it where every P is 1 (the omega's float total): then 1;
         # f = t^(1-q) / ((1-alpha) x Gamma(1-q)) sum_i omega_i A_i^(1-q) e^(-A_i t)
         omega, m = _exp(log_w), log_w + (1.0 - q) * log_a
         sums = []
@@ -423,7 +426,7 @@ def _dilute_eval(p: DiluteParams, x, cdf: bool):
             for i in range(0, len(ts), _INVERSION_ROWS):
                 at = np.multiply.outer(ts[i : i + _INVERSION_ROWS], a)
                 if cdf:
-                    sums += [min(dot(row, omega), 1.0) for row in igam(1.0 - q, at)]
+                    sums += [1.0 if row.min() == 1.0 else min(dot(row, omega), 1.0) for row in igam(1.0 - q, at)]
                 else:
                     arg = m - at
                     live = ~(arg < -800.0)  # math.exp is +0.0 below
@@ -561,23 +564,10 @@ def pp_intensity(alpha: float, b: float, x: float) -> float:
     return norm * x ** (-alpha - 1.0) * (1.0 - x) ** (c - 1.0)
 
 
-# The tanh-sinh rule (Takahasi & Mori 1974, Publ. RIMS 9) on [0, 1]: nodes
-# u = 1 / (1 + e^(-pi sinh t)) at t = k h, |t| <= _TS_REACH; its weights fall
-# below 1e-16 at the ends.  For the point-process integrals below it is
-# within 4e-15 relative of 30-digit mpmath (tests/test_special.py asserts
-# 1e-13 over alpha in [0.3, 0.95] and b in [1.05, 1.95]).
+# The point-process integrals take ``special._tanh_sinh`` at this step: within
+# 4e-15 relative of 30-digit mpmath (tests/test_special.py asserts 1e-13 over
+# alpha in [0.3, 0.95] and b in [1.05, 1.95]).
 _TS_STEP = 1.0 / 16.0
-_TS_REACH = 3.2
-
-
-@functools.lru_cache(maxsize=1)
-def _tanh_sinh() -> tuple[tuple, tuple]:
-    """The nodes and weights of the tanh-sinh rule on [0, 1]."""
-    ts = [k * _TS_STEP for k in range(-round(_TS_REACH / _TS_STEP), round(_TS_REACH / _TS_STEP) + 1)]
-    nodes = [1.0 / (1.0 + math.exp(-math.pi * math.sinh(t))) for t in ts]
-    # du/dt = pi cosh(t) u (1 - u), u (1 - u) = 1 / (2 + 2 cosh(pi sinh t))
-    weights = [_TS_STEP * math.pi * math.cosh(t) / (2.0 + 2.0 * math.cosh(math.pi * math.sinh(t))) for t in ts]
-    return tuple(nodes), tuple(weights)  # tuples: the cache is shared
 
 
 def _power_gap(base: np.ndarray, step: np.ndarray, p: float) -> np.ndarray:
@@ -596,7 +586,7 @@ def _pp_mass(alpha: float, c: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarr
     the pole at 0; above it in s = (1-y)^c, which absorbs the singularity at
     1.  Each piece's width comes from ``_power_gap``, so narrow intervals
     keep their digits; pow from the C library, and correctly rounded sums."""
-    u, w = (np.array(v) for v in _tanh_sinh())
+    u, w = (np.array(v) for v in _tanh_sinh(_TS_STEP))
     x0 = np.minimum(x0, x1)
     top = np.minimum(x1, 0.5)  # the lower piece is [x0, top] where x0 < top
     low = x0 < top
@@ -669,7 +659,7 @@ def pp_factorial_moment(alpha: float, b: float, interval, m: int) -> float:
     if hi <= x0:
         return 0.0
     cuts = [x0, 1.0 - x1, hi] if x0 < 1.0 - x1 < hi else [x0, hi]
-    u, w = (np.array(v) for v in _tanh_sinh())
+    u, w = (np.array(v) for v in _tanh_sinh(_TS_STEP))
     parts = []
     for lo, up in zip(cuts, cuts[1:]):
         y1 = lo + (up - lo) * u

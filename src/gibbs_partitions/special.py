@@ -10,7 +10,11 @@ bit for bit.
 * ``chdtrc``: the chi-square survival function, Q(df / 2, x / 2);
 * ``upper_gamma``: the unregularized Gamma(a, x) for every real a, the
   tail integral of the certified series sums.  It is not one of scipy's
-  functions and has no bits to match: it is tested against mpmath.
+  functions and has no bits to match: it is tested against mpmath;
+* ``_tanh_sinh``: the nodes and weights of the tanh-sinh rule on [0, 1]
+  at a given step, the package's one integration rule: the point-process
+  integrals take it at step 1/16, the tail integral of a series with a
+  log factor at step 1/32.
 
 P and Q follow cephes' choice among the power series of P (DLMF 8.11.4),
 the series of Q that avoids cancellation (DLMF 8.7.3) and the continued
@@ -18,7 +22,8 @@ fraction of Q (DLMF 8.9.2); the prefactor x^a e^-x / Gamma(a) takes the
 Lanczos sum near x = a (Gil, Segura & Temme, Numerical Methods for Special
 Functions, SIAM 2007, ch. 6).  Only a > 20 with |x - a| <= 0.4 a is not
 ported: there cephes may sum Temme's uniform expansion (DLMF 8.12.3-4), and
-those points go to scipy, imported for them alone.
+those points go to scipy, imported for them alone: the one scipy import
+left in the package's runtime.
 
 exp, log and pow are the C library's, one value at a time: numpy's vector
 versions round differently on different SIMD levels.  Every other step is
@@ -29,6 +34,7 @@ where the scalar loop would stop.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -48,6 +54,25 @@ def _libm(fn, x) -> np.ndarray:
     """fn of each entry of x, from the C library, in x's shape."""
     x = np.asarray(x, dtype=float)
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+# The tanh-sinh rule (Takahasi & Mori 1974, Publ. RIMS 9) on [0, 1]: nodes
+# u = 1 / (1 + e^(-pi sinh t)) at t = k h, |t| <= _TS_REACH, where the
+# weights fall below 1e-16.  The nodes at step 1/16 are every other node at
+# step 1/32 (both reach t = 3.1875), so a caller can take the rule at both
+# steps from one set of integrand values.
+_TS_REACH = 3.2
+
+
+@functools.lru_cache(maxsize=4)
+def _tanh_sinh(step: float) -> tuple[tuple, tuple]:
+    """The nodes and weights of the tanh-sinh rule of step ``step`` on [0, 1]."""
+    reach = round(_TS_REACH / step)
+    ts = [k * step for k in range(-reach, reach + 1)]
+    nodes = [1.0 / (1.0 + math.exp(-math.pi * math.sinh(t))) for t in ts]
+    # du/dt = pi cosh(t) u (1 - u), u (1 - u) = 1 / (2 + 2 cosh(pi sinh t))
+    weights = [step * math.pi * math.cosh(t) / (2.0 + 2.0 * math.cosh(math.pi * math.sinh(t))) for t in ts]
+    return tuple(nodes), tuple(weights)  # tuples: the cache is shared
 
 
 def _pow(x: np.ndarray, a: float) -> np.ndarray:

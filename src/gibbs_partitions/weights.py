@@ -19,9 +19,12 @@ Weight sequences come in two kinds:
 Series evaluation returns certified partial sums: the reported value differs
 from the infinite sum by at most ``_SERIES_TOL``.  One rule controls the tail
 at every point up to the radius: an Euler-Maclaurin integral comparison on
-the tilted terms.  Divergence (``t > rho``, or ``t = rho`` with tail
-exponent <= 1) is signalled by returning ``+inf``, never by a fabricated
-number; a tail that cannot be certified raises ``TailCertificationError``.
+the tilted terms, whose tail integral is the incomplete gamma function for
+a constant L and a fixed tanh-sinh rule with a stated error for a log
+factor, so no sum calls adaptive quadrature or scipy.  Divergence
+(``t > rho``, or ``t = rho`` with tail exponent <= 1) is signalled by
+returning ``+inf``, never by a fabricated number; a tail that cannot be
+certified raises ``TailCertificationError``.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -33,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .special import upper_gamma
+from .special import _libm, _tanh_sinh, upper_gamma
 
 __all__ = ["SlowVarying", "WeightSequence", "SchemeSpec", "ExtendedSpec", "ProductSpec", "TailCertificationError"]
 
@@ -345,10 +348,12 @@ def _closed_moment_sum(
         |R| <= |g'(N)| / 12.
 
     For constant L the integral is c lambda**(s-1) Gamma(1 - s, N lambda),
-    c N**(1-s) / (s-1) on the radius; otherwise adaptive quadrature, whose
-    error estimate joins the budget.  A sum whose remainder bound is still
-    above tol at the index cap raises ``TailCertificationError`` before it
-    sums a term.
+    c N**(1-s) / (s-1) on the radius; otherwise it is taken once, at the
+    first block end N where |g'(N)|/6 <= tol/2, on a fixed tanh-sinh rule
+    (``_log_factor_tail``) whose stated error joins the budget, and a sum
+    over budget there raises ``TailCertificationError``.  A sum whose
+    remainder bound is still above tol at the index cap raises it before
+    it sums a term.
 
     A point below the radius within tol of it (or within ``_RADIUS_RTOL``
     relative) is summed on it: evaluation points such as W(rho_w) are
@@ -407,29 +412,64 @@ def _closed_moment_sum(
         rem_bound = g_prime_abs(n) / 6.0
         if rem_bound > tol / 2.0:
             continue
-        int_err = 0.0
         if L.log_exp != 0.0:
-            # x = N/u maps the tail onto (0, 1] with an integrable
-            # endpoint singularity u^(s - 2) that quad resolves.
-            # imported here so that importing the package leaves scipy.integrate unloaded
-            from scipy.integrate import quad
-
-            integral, int_err = quad(
-                lambda u: float(g(n / u)) * n / (u * u),
-                0.0,
-                1.0,
-                epsabs=tol / 4.0,
-                epsrel=1e-12,
-                limit=300,
-            )
+            integral, int_err = _log_factor_tail(L, s, -logq, n)
+            if int_err + rem_bound > tol:
+                raise TailCertificationError(
+                    f"the tail integral of sum n^{k - e:g} L(n) (t/rho)^n at 1 - t/rho = {1.0 - q:.3g} "
+                    f"is known to {int_err:.1e}, not within {tol - rem_bound:.1e}")
         else:
             integral = math.inf if at_radius else L.c * (-logq) ** (s - 1.0) * upper_gamma(1.0 - s, -n * logq)
             if not math.isfinite(integral):  # on the radius, or Gamma past the float range
                 integral = L.c * n ** (1.0 - s) / (s - 1.0)  # then within N lambda relative
-        if int_err + rem_bound > tol:
-            continue
         return total + integral + float(g(n)) / 2.0
     raise TailCertificationError("series truncation failed to certify the requested tolerance")
+
+
+def _log_factor_tail(L: SlowVarying, s: float, lam: float, n: int) -> tuple[float, float]:
+    """``int_n^inf L(x) x**(-s) e**(-lam x) dx`` and its stated error, on
+    the tanh-sinh rule at step 1/32.  The error is the rule's difference
+    from itself at step 1/16, which reads every other one of the same
+    nodes, plus its two end terms, about twice the part of the integral
+    past the rule's reach.  Float rounding of the integrand, an ulp or so
+    of each term of its exponent, is not in it, as rounding is in no
+    partial sum either.
+
+    On the radius (lam = 0, s > 1) the rule runs in v = (x/n)**(1-s), under
+    which x**(-s) dx is n**(1-s)/(s-1) dv and the log factor alone is
+    singular, at v = 0.  Below it the range splits at X = max(n, 1/lam):
+    [n, X] takes x = n e**y, and past X, x = X - log(u)/lam turns
+    e**(-lam x) dx into e**(-lam X) du / lam.  Each piece is the exp of a
+    log, every exp and log the C library's."""
+    step = 1.0 / 32.0
+    u, w = (np.array(v) for v in _tanh_sinh(step))
+    w_coarse = np.array(_tanh_sinh(2.0 * step)[1])
+    log_n = math.log(n)
+
+    def log_l(log_x):
+        # log L(x) from log x, with log(2 + x) = log x + log1p(2 / x): finite
+        # where x itself is past the float range
+        return math.log(L.c) + L.log_exp * _libm(math.log, log_x + _libm(math.log1p, 2.0 * _libm(math.exp, -log_x)))
+
+    args = []  # the log of each piece's integrand, Jacobian included
+    if lam == 0.0:
+        log_x = log_n - _libm(math.log, u) / (s - 1.0)
+        args.append((1.0 - s) * log_n - math.log(s - 1.0) + log_l(log_x))
+    else:
+        big_x = max(n, 1.0 / lam)
+        if big_x > n:
+            span = math.log(big_x / n)
+            log_x = log_n + span * u
+            args.append(math.log(span) + log_l(log_x) + (1.0 - s) * log_x - lam * _libm(math.exp, log_x))
+        log_x = _libm(math.log, big_x - _libm(math.log, u) / lam)
+        args.append(-lam * big_x - math.log(lam) + log_l(log_x) - s * log_x)
+    fine = coarse = reach = 0.0  # reach: the end terms
+    for arg in args:
+        f = _libm(math.exp, arg)
+        fine += math.fsum((f * w).tolist())
+        coarse += math.fsum((f[::2] * w_coarse).tolist())
+        reach += w[0] * f[0] + w[-1] * f[-1]
+    return fine, abs(fine - coarse) + reach
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,16 @@ def test_laws_grid(capsys):
     assert float(lines[1].split(",")[1]) == pytest.approx(np.exp(-1.0))
 
 
+@pytest.mark.parametrize("lo, hi", [("-1e2", "0"), ("-1E+2", "-.5e-0"), ("-100", "-0.0")])
+def test_laws_grid_takes_negative_bounds_in_every_float_form(capsys, lo, hi):
+    # argparse read only -100 and -1.5 as numbers: -1e2 was an option, and
+    # the command exited 2 with "expected 3 arguments"
+    code, out = run_cli(["laws", "--law", "gumbel_cdf", "--grid", lo, hi, "3"], capsys)
+    assert code == 0
+    xs = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+    assert xs == np.linspace(float(lo), float(hi), 3).tolist()
+
+
 def test_laws_gumbel_cdf_far_below_zero(capsys):
     # exp(-x) overflows below x = -709.78: the cdf is 0 there, not a traceback
     code, out = run_cli(["laws", "--law", "gumbel_cdf", "--grid", "-800", "0", "2"], capsys)
@@ -646,9 +656,12 @@ def test_laws_grid_num_must_be_a_positive_integer(capsys, num):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("lo, hi", [("inf", "1"), ("0", "inf"), ("0", "1e400"), ("nan", "1"), ("0", "nan")])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [("inf", "1"), ("0", "inf"), ("0", "1e400"), ("nan", "1"), ("0", "nan"), ("-inf", "0"), ("-1e400", "0")],
+)
 def test_laws_grid_bounds_must_be_finite(capsys, lo, hi):
-    # argparse takes "-inf" for an option and exits 2 before the command runs
+    # argparse took "-inf" and "-1e400" for options and exited 2 before the command ran
     with pytest.raises(SystemExit) as err:
         main(["laws", "--law", "stable_density", "--alpha", "1.5", "--grid", lo, hi, "5"])
     msg = str(err.value.code)
@@ -701,3 +714,36 @@ def test_an_uncertified_tail_is_one_error_line(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: series truncation failed to certify the requested tolerance\n"
+
+
+def test_log_factor_schemes_from_a_config_exit_0_within_a_second(tmp_path, capsys):
+    # exact --law Nn --n 300 on the first scheme ran 55 s to an error line
+    # after 15 248 scipy IntegrationWarnings, and classify on the second
+    # took 15 s with 3 014 of them
+    import time
+    import warnings
+
+    from gibbs_partitions import SchemeSpec, WeightSequence
+
+    w1 = WeightSequence.closed_form(c=1.0, e=1.399, rho=1.0, log_exp=0.5)
+    w2 = WeightSequence.closed_form(c=1.0, e=3.051, rho=1.0, log_exp=1.0, start_index=2)
+    schemes = {
+        "log-both": SchemeSpec(
+            v=WeightSequence.closed_form(c=1.0, e=1.066, rho=w1.series_value(1.0), log_exp=0.5), w=w1),
+        "log-inner": SchemeSpec(v=WeightSequence.closed_form(c=1.0, e=1.5, rho=w2.series_value(1.0)), w=w2),
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schemes": {name: s.to_config() for name, s in schemes.items()}}))
+    budget = 1.0
+    for argv in (["exact", "--scheme", "log-both", "--law", "Nn", "--n", "300"],
+                 ["classify", "--scheme", "log-inner"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            start = time.perf_counter()
+            code = main(argv + ["--config", str(cfg)])
+            elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 0 and elapsed < budget, argv
+        assert captured.err == "" and caught == [], argv
+        assert captured.out
+    assert json.loads(captured.out)["phase"] == "dense_critical"

@@ -53,15 +53,35 @@ def test_zeta_scheme_off_the_table_loads_no_scipy():
 
 
 def test_upper_gamma_and_near_radius_sums_load_no_scipy():
-    # the tilted tail of a constant-L sum is c lambda^(s-1) Gamma(1 - s, N lambda)
+    # the tilted tail of a constant-L sum is c lambda^(s-1) Gamma(1 - s, N lambda),
+    # and that of a log-factor sum the tanh-sinh rule's, on the radius and below it
     run = (
         "from gibbs_partitions.special import upper_gamma\n"
         "assert upper_gamma(-3.9, 60.0) > 0.0 and upper_gamma(0.0, 1e-12) > 0.0\n"
         "w = gibbs_partitions.WeightSequence.closed_form(c=1.0, e=1.5, rho=1.0)\n"
-        "assert w.series_value(1.0 - 1e-8) > 0.0 and w.weighted_moment(1.0 - 5e-10, 1) > 0.0"
+        "assert w.series_value(1.0 - 1e-8) > 0.0 and w.weighted_moment(1.0 - 5e-10, 1) > 0.0\n"
+        "w = gibbs_partitions.WeightSequence.closed_form(c=1.0, e=2.5, rho=1.0, log_exp=1.5)\n"
+        "assert w.series_value(1.0) > 0.0 and w.weighted_moment(1.0 - 1e-4, 1) > 0.0"
     )
     loaded = _modules_after_import("gibbs_partitions", run)
     assert sorted(name for name in loaded if name.startswith("scipy")) == []
+
+
+def test_the_one_scipy_import_is_the_temme_band():
+    # read by ast: every import of a scipy module in the package, and the
+    # function it sits in; the log-factor tail once imported scipy.integrate
+    import ast
+
+    found = []
+    for path in sorted(pathlib.Path(gibbs_partitions.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {id(node): top.name for top in ast.walk(tree)
+                  if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            names = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [a.name for a in node.names] if isinstance(node, ast.Import) else [])
+            found += [(path.stem, owners.get(id(node)), name) for name in names if name.split(".")[0] == "scipy"]
+    assert found == [("special", "_temme", "scipy.special")]
 
 
 def test_cli_loads_no_scipy():

@@ -19,6 +19,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammainc, gammaln, zeta
 
 from gibbs_partitions import laws
+from gibbs_partitions.series import dot
 from gibbs_partitions.laws import (
     DiluteParams,
     StableParams,
@@ -728,6 +729,29 @@ def test_dilute_laws_at_non_finite_points(fn):
     assert vec[4] == fn(p, -math.inf) == 0.0
     finite = [1, 3, 5]
     assert vec[finite].tobytes() == np.array([fn(p, float(x)) for x in xs[finite]]).tobytes()
+
+
+def test_dilute_cdf_is_one_where_every_node_is():
+    """Where P(1-q, A t) is 1 at every u node, F is 1.0: it was the u grid's
+    weight total, 0.9999999999999998 for these parameters, at x = 1e6,
+    1e200 and 1e308 (t clamped at 1e300 there).  Points short of that keep
+    their weighted sums, and the cdf stays nondecreasing across the step."""
+    from gibbs_partitions.special import igam
+
+    p = DiluteParams(0.5, 1.5, 1.3)
+    log_a, log_w = (np.array(g) for g in laws._u_grid(p.alpha, p.b))
+    a = laws._exp(np.minimum(log_a, 700.0))
+    assert dot(np.ones(log_w.size), laws._exp(log_w)) < 1.0
+    xs = [1e6, 1e200, 1e308]
+    assert dilute_Z_cdf(p, np.array(xs)).tolist() == [dilute_Z_cdf(p, x) for x in xs] == [1.0, 1.0, 1.0]
+    grid = np.geomspace(laws._SERIES_EDGE / p.lam, 1e3, 400)
+    f = dilute_Z_cdf(p, grid)
+    assert np.all(np.diff(f) >= 0.0) and f[-1] == 1.0
+    q = (p.b - 1.0) * (1.0 - p.alpha)
+    t = [(p.lam * x) ** (1.0 / (1.0 - p.alpha)) for x in grid.tolist()]
+    saturated = np.array([igam(1.0 - q, ti * a).min() == 1.0 for ti in t])
+    assert 0 < saturated.sum() < grid.size
+    assert np.all(f[saturated] == 1.0) and np.all(f[~saturated] < 1.0)
 
 
 def test_exp_underflows_to_zero_below_minus_800():

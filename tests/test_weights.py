@@ -384,6 +384,117 @@ def test_tail_past_the_index_cap_raises_at_once():
     assert time.perf_counter() - start < 0.1
 
 
+def _item30_schemes():
+    """The two log-factor schemes that once spun: w_n = n^-1.399
+    log(2+n)^0.5 against v_n = n^-1.066 log(2+n)^0.5 W(1)^-n, and w_n =
+    n^-3.051 log(2+n) (n >= 2) against v_n = n^-1.5 W(1)^-n."""
+    w1 = WeightSequence.closed_form(c=1.0, e=1.399, rho=1.0, log_exp=0.5)
+    v1 = WeightSequence.closed_form(c=1.0, e=1.066, rho=w1.series_value(1.0), log_exp=0.5)
+    w2 = WeightSequence.closed_form(c=1.0, e=3.051, rho=1.0, log_exp=1.0, start_index=2)
+    v2 = WeightSequence.closed_form(c=1.0, e=1.5, rho=w2.series_value(1.0))
+    return SchemeSpec(v=v1, w=w1), SchemeSpec(v=v2, w=w2)
+
+
+def test_log_factor_schemes_end_within_a_second_without_warnings():
+    """``law_Nn(., 300)`` of the first scheme ran 55 s into a
+    TailCertificationError, and ``classify`` of the second took 15 s, each
+    with thousands of scipy IntegrationWarnings: adaptive quadrature was
+    called again for every block whose error estimate missed the budget.
+    The tail integral is now taken once on a fixed rule."""
+    import time
+    import warnings
+
+    from gibbs_partitions import Phase, classify, exact
+
+    budget = 1.0
+    first, second = _item30_schemes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = time.perf_counter()
+        law = exact.law_Nn(first, 300)
+        assert time.perf_counter() - start < budget
+        assert abs(float(np.sum(law.pmf)) - 1.0) < 1e-12
+        start = time.perf_counter()
+        report = classify(second)
+        assert time.perf_counter() - start < budget
+    assert report.phase == Phase.dense_critical
+
+
+def _tail_oracle(log_exp, s, lam, n):
+    """int_n^inf log(2+x)^log_exp x^-s e^(-lam x) dx by 30-digit mpmath, in
+    x = n e^y on panels scaled to the decay (not the substitutions of the
+    rule under test).  The integrand is divided by its value at x = n:
+    mpmath's rule stops on an absolute error, and a tail of e^-459 would
+    stop it before it resolves anything."""
+    with mpmath.workdps(30):
+        n, lam = mpmath.mpf(n), mpmath.mpf(lam)
+
+        def log_f(y):
+            x = n * mpmath.exp(y)
+            return log_exp * mpmath.log(mpmath.log(2 + x)) + (1 - s) * mpmath.log(x) - lam * x
+
+        head = log_f(0)
+        if lam == 0:
+            cuts = [mpmath.mpf(0)] + [k / (s - 1) for k in (0.5, 2, 8, 32, 128)] + [mpmath.inf]
+        else:
+            big = max(n, 1 / lam)
+            ys = [mpmath.log(x / n) for x in (big, big + 2 / lam, big + 8 / lam, big + 32 / lam, big + 128 / lam)]
+            cuts = sorted({mpmath.mpf(0), ys[0] / 4, ys[0] / 2, *ys})
+        ratio = mpmath.fsum(mpmath.quad(lambda y: mpmath.exp(log_f(y) - head), [a, b]) for a, b in zip(cuts, cuts[1:]))
+        return mpmath.exp(head) * ratio
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    lam=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.3]),
+    s_below=st.floats(min_value=-1.0, max_value=4.0),
+    s_on=st.floats(min_value=1.001, max_value=4.0),
+    log_exp=st.floats(min_value=-2.0, max_value=2.0).filter(lambda v: v != 0.0),
+    n=st.integers(min_value=16, max_value=10**6),
+)
+def test_log_factor_tail_states_a_bound_on_its_error(lam, s_below, s_on, log_exp, n):
+    """The tail integral of a log-factor sum, on the radius for s in (1, 4]
+    and below it for s in [-1, 4], is within its stated error of 30-digit
+    mpmath.  The float rounding of the integrand values is no part of the
+    rule's error and rides on top: each is an exp of a sum of terms up to
+    ``size``, each term rounded to an ulp or so (lam n alone is 459 at
+    e^-459)."""
+    from gibbs_partitions.weights import SlowVarying, _log_factor_tail
+
+    s = s_on if lam == 0.0 else s_below
+    got, err = _log_factor_tail(SlowVarying(1.0, log_exp), s, lam, n)
+    want = float(_tail_oracle(log_exp, s, lam, n))
+    big = max(n, 1.0 / lam) if lam > 0.0 else n
+    size = 1.0 + lam * big + (abs(math.log(lam)) if lam > 0.0 else 0.0) + (abs(s) + abs(log_exp)) * math.log(big)
+    # below the smallest normal float (lam n past 708) a value has fewer bits
+    assert abs(got - want) <= err + 4.0 * size * np.finfo(float).eps * abs(want) + np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("e", [0.5, 1.05, 1.3, 2.0, 3.5])
+def test_every_log_factor_sum_certifies_or_raises_within_its_budget(e):
+    """sum n^k L(n) n^-e q^n with L(n) = log(2+n)^log_exp, at k <= 2, on
+    the radius and below it, each in under 2 s: a certified value (+inf
+    where it diverges), or TailCertificationError.  Points within 1e-7 of
+    the radius with s = e - k < 0.8 are left out: there the sum itself
+    needs 10^7 to 6 10^8 terms, log factor or not."""
+    import time
+
+    from gibbs_partitions import weights
+
+    for log_exp in (-1.5, 0.5, 2.0):
+        w = WeightSequence.closed_form(c=1.0, e=e, rho=1.0, log_exp=log_exp)
+        for gap in (0.0, 1e-12, 1e-6, 1e-3, 0.3):
+            for k in (0, 1, 2):
+                start = time.perf_counter()
+                try:
+                    value = w.weighted_moment(1.0 - gap, k)
+                except weights.TailCertificationError:
+                    value = None
+                assert time.perf_counter() - start < 2.0, (log_exp, gap, k)
+                assert value is None or value > 0.0
+                assert (value == math.inf) == (gap <= 1e-12 and e - k <= 1.0)
+
+
 @pytest.mark.parametrize(
     "start_index, term0, log_exp",
     [(1, 0.0, 0.0), (3, 0.0, 0.0), (4, 0.5, -1.0)],
