@@ -210,11 +210,14 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON config with scheme declarations")
-    common.add_argument("--out-dir", default="out", help="output directory for verify")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed (default: config value or 1)")
+    # the subcommands' copies of the global flags have no default, so that
+    # one given before the subcommand keeps its value
+    common, unset = argparse.ArgumentParser(add_help=False), argparse.ArgumentParser(add_help=False)
+    for parser, none, out in ((common, None, "out"), (unset, argparse.SUPPRESS, argparse.SUPPRESS)):
+        parser.add_argument("--config", default=none, help="JSON config with scheme declarations")
+        parser.add_argument("--out-dir", default=out, help="output directory for verify")
+        parser.add_argument("--seed", type=int, default=none,
+                            help="override the config seed (default: config value or 1)")
     top = argparse.ArgumentParser(
         prog="gibbs-partitions",
         description="Phase diagram, exact laws, samplers and verifiers for "
@@ -224,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+        return sub.add_parser(name, parents=[unset], **kw)
 
     p = add("classify", help="print the phase report of a scheme")
     p.add_argument("--scheme", required=True)

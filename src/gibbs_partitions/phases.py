@@ -208,10 +208,13 @@ def _mu(scheme: SchemeSpec, rho_u: float, W: float) -> float:
     return m1 / W
 
 
-def _v_prime(scheme: SchemeSpec, w_val: float) -> float:
-    """V'(W(rho_w)) = sum_l l v_l W^(l-1); +inf when divergent."""
-    m1 = scheme.v.weighted_moment(w_val, 1)
-    return m1 / w_val if math.isfinite(m1) else math.inf
+def _v_prime(scheme: SchemeSpec, w_val: float, crit: Criticality) -> float:
+    """V'(W(rho_w)) = sum_l l v_l W^(l-1); +inf when divergent.  At
+    criticality it is read at min(W(rho_w), rho_v): the criticality band
+    can put W(rho_w) just past rho_v, where V' diverges."""
+    at = min(w_val, scheme.v.radius()) if crit is Criticality.critical else w_val
+    m1 = scheme.v.weighted_moment(at, 1)
+    return m1 / at if math.isfinite(m1) else math.inf
 
 
 def _heaviest(tails) -> list[int]:
@@ -409,7 +412,7 @@ def classify(scheme: SchemeSpec) -> PhaseReport:
 
     # --- mixture: critical, tied tails with exponents above 2
     if heavier == [0, 1] and a > 2.0:
-        vp = _v_prime(scheme, w_val)
+        vp = _v_prime(scheme, w_val, crit)
         if math.isfinite(vp) and vp > 0:
             report = _dense_report(Phase.mixture, crit, scheme, min(a - 1.0, 2.0), w.radius(), w_val)
             p, p_frac = _mixture_constants(scheme, report.mu, vp)
@@ -417,7 +420,7 @@ def classify(scheme: SchemeSpec) -> PhaseReport:
 
     # --- convergent: finite positive V'(W(rho_w)) plus a sufficient condition
     if math.isfinite(w_val) and w_val > 0:
-        vp = _v_prime(scheme, w_val)
+        vp = _v_prime(scheme, w_val, crit)
         if math.isfinite(vp) and vp > 0:
             cond = _convergent_condition(scheme, crit, heavier)
             if cond is not None:

@@ -69,7 +69,7 @@ import numpy as np
 
 from . import exact, laws, sampling
 from .exact import DiscreteLaw, tv_distance
-from .phases import Phase, PhaseReport, _heaviest, _tie_weights, classify
+from .phases import Phase, PhaseReport, _heaviest, _tie_weights, _v_prime, classify
 from .schemes import bundled_names, bundled_scheme
 from .series import fsum
 from .special import chdtrc
@@ -538,14 +538,12 @@ def _dilute(
     counts_at_kn = np.empty(replicates, dtype=np.int64)
     point_lows = (0.2, 0.4)  # mean point counts on [x, 1]
     point_counts = {x: np.empty(replicates, dtype=np.int64) for x in point_lows}
-    m2_low = 0.4
-    m2_counts = np.empty(replicates, dtype=np.int64)
+    m2_low = 0.4  # one of point_lows: the second factorial moment reads its counts
     draws = smp.sample_many(sampling.make_rngs(seed, replicates))
     for i, s in enumerate(draws):
         counts_at_kn[i] = np.count_nonzero(s.sizes == k_n)
         for x in point_lows:
             point_counts[x][i] = np.count_nonzero(s.sizes >= x * n_fin)
-        m2_counts[i] = np.count_nonzero(s.sizes >= m2_low * n_fin)
 
     # (iii) mixed-Poisson comparison at the realized upsilon
     m_chi = min(count_replicates, replicates)
@@ -583,6 +581,7 @@ def _dilute(
 
     # (v) second factorial moment on [m2_low, 1]
     m2_target = laws.pp_factorial_moment(alpha, rep.b, (m2_low, 1.0), 2)
+    m2_counts = point_counts[m2_low]
     m2_obs = float(np.mean(m2_counts * (m2_counts - 1)))
     m2_err = abs(m2_obs - m2_target) / m2_target
     reports.append(_verdict(
@@ -722,7 +721,7 @@ def _needs_at_alpha_2(scheme, rep, params):
 
 
 def _needs_finite_mean(scheme, rep, params):
-    if not math.isfinite(scheme.v.weighted_moment(rep.w_value, 1)):
+    if not math.isfinite(_v_prime(scheme, rep.w_value, rep.criticality)):
         return "a finite E[N] (the size-biased limit)"
 
 

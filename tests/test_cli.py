@@ -747,3 +747,28 @@ def test_log_factor_schemes_from_a_config_exit_0_within_a_second(tmp_path, capsy
         assert captured.err == "" and caught == [], argv
         assert captured.out
     assert json.loads(captured.out)["phase"] == "dense_critical"
+
+
+def test_global_flags_act_the_same_before_and_after_the_subcommand(tmp_path, capsys, monkeypatch):
+    # each subcommand's copy of --seed, --config and --out-dir once put its
+    # own default over the value given before the subcommand
+    monkeypatch.chdir(tmp_path)  # where the default out/ would land
+    sample = ["--scheme", "dense-gauss", "--n", "30", "--replicates", "2"]
+    before = run_cli(["--seed", "3", "sample"] + sample, capsys)
+    assert before == run_cli(["sample", "--seed", "3"] + sample, capsys)
+    assert before != run_cli(["sample"] + sample, capsys)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 3,
+        "schemes": {"declared": bundled_scheme("dense-gauss").to_config()},
+        "experiments": [{"id": "quick", "verifier": "dense_llt", "scheme": "declared",
+                         "n_ladder": [120, 240], "tol": 0.08}],
+    }))
+    before = run_cli(["--config", str(cfg), "classify", "--scheme", "declared"], capsys)
+    assert before == run_cli(["classify", "--scheme", "declared", "--config", str(cfg)], capsys)
+    assert before[0] == 0 and json.loads(before[1])["phase"] == "dense_critical"
+    outs = tmp_path / "before", tmp_path / "after"
+    assert main(["--config", str(cfg), "--out-dir", str(outs[0]), "verify"]) == 0
+    assert main(["verify", "--config", str(cfg), "--out-dir", str(outs[1])]) == 0
+    assert not (tmp_path / "out").exists()
+    assert (outs[0] / "verdicts.json").read_bytes() == (outs[1] / "verdicts.json").read_bytes()

@@ -6,6 +6,7 @@ Monte Carlo quadrature and scipy adaptive quadrature serve as the
 independent oracles throughout.
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -481,8 +482,7 @@ def test_dilute_cdf_levy_closed_form_on_atom_grid(dilute_params, n):
 @pytest.mark.parametrize("b", [1.1, 1.5, 1.9])
 def test_dilute_density_levy_closed_form(b):
     p = DiluteParams(0.5, b, LAM_DILUTE)
-    # both sides of the series edge lam x = 1, and both tails; below about
-    # 1e-80 z^(-b-1/alpha) overflows and the series is summed in z
+    # both sides of the series edge lam x = 1, and both tails
     xs = np.array([1e-150, 1e-82, 1e-9, 1e-4, 0.01, 0.3, 0.7, 0.737, 0.7371, 1.0, 2.0, 5.0, 10.0])
     got = dilute_Z_density(p, xs)
     want = np.array([_levy_density(p, x) for x in xs])
@@ -494,6 +494,7 @@ def test_dilute_density_levy_closed_form(b):
     [
         (0.05, 1.5), (0.35, 1.05), (0.35, 1.95), (0.5, 1.5), (0.95, 1.05), (0.95, 1.95),
         (0.5, 1.001), (0.5, 1.99), (0.5, 1.999), (0.95, 1.999), (0.99, 1.5),
+        (0.995, 1.5), (0.999, 1.5),
     ],
 )
 def test_dilute_grid_meets_series_at_the_edge(alpha, b):
@@ -580,9 +581,8 @@ def test_dilute_laws_next_to_alpha_one():
     assert dilute_Z_cdf(p, 0.9) == pytest.approx(
         _from_zero(lambda y: _dilute_density_oracle(p, y), 0.9, p.b), rel=1e-8
     )
-    # alpha = 0.993 and 0.995: at lam x = 1 the series cannot be trusted and
-    # the one-sided density g comes from the inversion grid (4 400 and 6 000
-    # nodes), within 4e-15 and 2.6e-14 of 30-digit mpmath
+    # alpha = 0.993 and 0.995: at lam x = 1 the z series takes 700 to 1 100
+    # terms, against the density of 30-digit mpmath's one-sided stable law
     for alpha in (0.993, 0.995):
         p = DiluteParams(alpha, 1.5, 1.0)
         with mp.workdps(40):
@@ -591,16 +591,53 @@ def test_dilute_laws_next_to_alpha_one():
             g = _stable_density_mpmath(StableParams(alpha, gamma, 1.0), 1.0)  # Laplace transform exp(-t^alpha)
             want = float(g * mp.gamma(1 - a * (mp.mpf(p.b) - 1)) / (a * mp.gamma(2 - mp.mpf(p.b))))
         assert dilute_Z_density(p, 1.0) == pytest.approx(want, rel=1e-12)
-    # alpha = 0.999: at lam x = 1 the series has not converged after
-    # _SERIES_MAX_TERMS terms, and the grid cannot stand in: refuse
+    # alpha = 0.999: the series converges at lam x = 1 after about 4 000
+    # terms, where it once raised past 600 (the cdf) and the stable density's
+    # inversion grid ran out of nodes (the density)
     p = DiluteParams(0.999, 1.5, 1.0)
     assert dilute_Z_density(p, 0.5) == pytest.approx(_dilute_density_oracle(p, 0.5), rel=1e-8)
-    with pytest.raises(ValueError, match="does not converge"):
-        dilute_Z_cdf(p, np.array([0.5, 1.0]))
-    with pytest.raises(RuntimeError, match="budget"):  # g would need 28 800 grid nodes
-        dilute_Z_density(p, 1.0)
+    assert dilute_Z_density(p, 1.0) == pytest.approx(_dilute_series_mpmath(p, 1.0)[0], rel=1e-13)
+    want = [_dilute_series_mpmath(p, x)[1] for x in (0.5, 1.0)]
+    assert dilute_Z_cdf(p, np.array([0.5, 1.0])) == pytest.approx(want, rel=1e-13)
     # far above lam x = 1, t = (lam x)^1000 leaves the float range
     assert dilute_Z_cdf(p, 3.0) == 1.0 and dilute_Z_density(p, 3.0) == 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _dilute_series_mpmath(p, z, dps=50):
+    """(f, F) at lam x = z from the z series of ``laws._dilute_series``, at
+    dps digits: f = lam K sum_k c_k z^(k-b), F = K sum_k c_k z^(k+1-b) /
+    (k+1-b), c_k = (-1)^(k+1) Gamma(alpha k + 1) sin(pi alpha k) / k!, up to
+    a term whose magnitude without the sine falls below 1e-25 of F (the
+    magnitudes fall by a ratio below 0.99 there, so the rest is below 1e-23).
+    sin(pi alpha k) comes from the rotation by pi alpha, one step a term."""
+    with mp.workdps(dps + 10):
+        a, b, z = mp.mpf(p.alpha), mp.mpf(p.b), mp.mpf(z)
+        eps, f, F, inv_fact, z_pow = mp.mpf("1e-25"), mp.mpf(0), mp.mpf(0), mp.mpf(1), z ** (1 - b)
+        sin1, cos1 = mp.sinpi(a), mp.cospi(a)
+        sin_k, cos_k, k = sin1, cos1, 1
+        while True:
+            inv_fact /= k
+            mag = mp.gamma(a * k + 1) * inv_fact * z_pow
+            term = mag * sin_k if k % 2 else -mag * sin_k
+            f, F = f + term, F + term * z / (k + 1 - b)
+            if mag < eps * abs(F):
+                break
+            k, z_pow = k + 1, z_pow * z
+            sin_k, cos_k = sin_k * cos1 + cos_k * sin1, cos_k * cos1 - sin_k * sin1
+        scale = mp.gamma(1 - a * (b - 1)) / (a * mp.pi * mp.gamma(2 - b))
+        return float(p.lam * scale * f), float(scale * F)
+
+
+@pytest.mark.parametrize("b", [1.2, 1.5, 1.9])
+@pytest.mark.parametrize("alpha", [0.993, 0.995, 0.998, 0.999])
+def test_dilute_laws_at_lam_x_one_next_to_alpha_one_against_mpmath(alpha, b):
+    # below lam x = 1 the series has no cancellation at any alpha: it runs
+    # to convergence, here in 700 to 4 200 terms
+    p = DiluteParams(alpha, b, 1.0)
+    f, F = _dilute_series_mpmath(p, 1.0)
+    assert dilute_Z_density(p, 1.0) == pytest.approx(f, rel=1e-13)
+    assert dilute_Z_cdf(p, 1.0) == pytest.approx(F, rel=1e-13)
 
 
 def _dilute_density_mpmath(p, x):

@@ -436,6 +436,20 @@ def test_classify_just_inside_the_radius_of_v(offset):
     assert report.v_prime == pytest.approx(-math.log1p(-w1 / rho_v) / w1, rel=1e-12)
 
 
+@pytest.mark.parametrize("offset", [-1.22e-13, -1e-11, -5e-10])
+def test_mixture_with_rho_v_rounded_below_w_at_its_radius(offset):
+    """w_n = n^-3 against v_n = n^-3 rho_v^-n, rho_v = W(1) (1 + offset):
+    inside the criticality band but below W(1), where V' diverges.  classify
+    once summed V' at W(1) and said unclassified; it reads V' at rho_v and
+    finds the mixture of rho_v = W(1)."""
+    w = WeightSequence.closed_form(c=1.0, e=3.0, rho=1.0)
+    w1 = w.series_value(1.0)
+    at_w1 = classify(SchemeSpec(v=WeightSequence.closed_form(c=1.0, e=3.0, rho=w1), w=w))
+    report = classify(SchemeSpec(v=WeightSequence.closed_form(c=1.0, e=3.0, rho=w1 * (1.0 + offset)), w=w))
+    assert at_w1.phase is Phase.mixture and report.phase is Phase.mixture
+    assert report.mixture_p == pytest.approx(at_w1.mixture_p, rel=1e-9, abs=1e-9)
+
+
 @settings(max_examples=40, deadline=None)
 @given(a=st.floats(3.0, 5.0), b=st.floats(2.0, 5.0), offset=st.floats(-1e-6, 1e-6))
 def test_zeta_schemes_around_criticality_classify_and_count(a, b, offset):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from gibbs_partitions import bundled_names, bundled_scheme, exact, verify
+from gibbs_partitions.phases import Phase, classify
 from gibbs_partitions.verify import (
     PhaseMismatchError,
     SuiteConfigError,
@@ -28,7 +29,7 @@ from gibbs_partitions.verify import (
     verify_prefix_independence,
     verify_product,
 )
-from gibbs_partitions.weights import SchemeSpec
+from gibbs_partitions.weights import SchemeSpec, WeightSequence
 
 
 def test_dense_llt_trend(dense_gauss):
@@ -190,6 +191,17 @@ def test_which_bundled_schemes_each_verifier_takes(tmp_path, no_laws, name):
             except PhaseMismatchError:
                 pass
         assert accepted == _ACCEPTED[name], route
+
+
+def test_convergent_gate_reads_v_prime_where_classify_does(no_laws):
+    # rho_v just below W(1), inside the criticality band: classify reads V'
+    # at rho_v and finds the mixture, and the gate's E[N] reads it there too
+    w = WeightSequence.closed_form(c=1.0, e=3.0, rho=1.0)
+    v = WeightSequence.closed_form(c=1.0, e=3.0, rho=w.series_value(1.0) * (1.0 - 5e-10))
+    scheme = SchemeSpec(v=v, w=w)
+    assert classify(scheme).phase is Phase.mixture
+    with pytest.raises(_Reached):
+        verify_convergent(scheme, 40)
 
 
 def test_extended_regimes_and_product():
