@@ -29,7 +29,7 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -612,19 +612,35 @@ def profile_law(scheme: SchemeSpec, n: int) -> dict[tuple[int, ...], float]:
 
 @dataclass
 class PrefixLaw:
-    """Joint law of the first m component sizes (m = 1 or 2).
+    """Joint law of the first m component sizes (m = 1 or 2), held as its
+    factors: ``iid``, the single-component law P(X = .) on 0..n; ``green``,
+    the Green vector G_m on 0..n; and ``denom``, P(S_N = n).
 
-    ``joint`` has shape (n+1,) or (n+1, n+1); its total mass is
-    P(N_n >= m), with the remainder reported as deficit.
-    ``iid`` is the single-component law P(X = .) on 0..n, and
-    ``tv_to_iid`` is the total variation distance to the i.i.d. product of
-    m copies of it.
+    ``joint`` is P(X = k) G_1[n - k] / denom at m = 1, of shape (n+1,), and
+    P(X = k1) P(X = k2) G_2[n - k1 - k2] / denom at m = 2, of shape
+    (n+1, n+1); it is made when first read and kept.  Its total mass
+    ``mass_accounted`` is P(N_n >= m), with the remainder reported as
+    deficit, and ``tv_to_iid`` is the total variation distance to the
+    i.i.d. product of m copies of ``iid``; at m = 2 both are summed from
+    blocks of rows made on the fly, without the table.
     """
 
-    joint: np.ndarray
+    m: int
+    iid: np.ndarray
+    green: np.ndarray
+    denom: float
     mass_accounted: float
     tv_to_iid: float
-    iid: np.ndarray
+
+    @functools.cached_property
+    def joint(self) -> np.ndarray:
+        if self.m == 1:
+            return self.iid * self.green[::-1] / self.denom  # green[n-k]
+        n = self.iid.size - 1
+        table = np.empty((n + 1, n + 1))
+        for _ in _joint_blocks(self.iid, self.green, self.denom, out=table):
+            pass  # each block is made in its rows of the table
+        return table
 
 
 def prefix_law(scheme: SchemeSpec, n: int, m: int, method: str = "auto") -> PrefixLaw:
@@ -651,7 +667,7 @@ def _prefix_laws(scheme: SchemeSpec, n: int, ms, method: str = "auto") -> list[P
     # G[x] = sum_{l >= m} P(N=l) P(S_{l-m} = x): weight row j by P(N = j+m).
     cal = _calibrate(scheme, n)
     _, greens = _harvest(cal.law_x.pmf, n, cal.cap, method, [cal.pmf_n[m:] for m in ms])
-    return [_prefix(cal.law_x, green, _stopped_at_n(cal, green, n, m), n, m) for m, green in zip(ms, greens)]
+    return [_prefix(cal.law_x, green, _stopped_at_n(cal, green, n, m), m) for m, green in zip(ms, greens)]
 
 
 def _stopped_at_n(cal: _Calibration, green: np.ndarray, n: int, m: int) -> float:
@@ -668,7 +684,7 @@ def _stopped_at_n(cal: _Calibration, green: np.ndarray, n: int, m: int) -> float
     return denom
 
 
-def _prefix(law_x: DiscreteLaw, green: np.ndarray, denom: float, n: int, m: int) -> PrefixLaw:
+def _prefix(law_x: DiscreteLaw, green: np.ndarray, denom: float, m: int) -> PrefixLaw:
     """The prefix law of m components from G (``green``) and P(S_N = n).
 
     At m = 2 the joint equals its transpose by value (a row with
@@ -684,48 +700,50 @@ def _prefix(law_x: DiscreteLaw, green: np.ndarray, denom: float, n: int, m: int)
         mass = fsum(joint)
         tv = 0.5 * (fsum(np.abs(joint - px)) + d)
     else:
-        # joint[k1, k2] = P(X=k1) P(X=k2) G[n-k1-k2] / denom, filled and
-        # compared with the product law a block of rows at a time, so no
-        # other (n+1)^2 array exists beside it
-        joint = np.empty((n + 1, n + 1))
-        # hankel[k1, k2] = G[n-k1-k2], and 0 past the antidiagonal k1 + k2 = n
-        padded = np.zeros(2 * n + 1)
-        padded[: n + 1] = green[::-1]
-        hankel = sliding_window_view(padded, n + 1)
-        rows = max(1, _JOINT_BLOCK // (n + 1))
-        blocks = [slice(k, k + rows) for k in range(0, n + 1, rows)]
-        for blk in blocks:
-            out = joint[blk]
-            np.multiply(px[blk, None], px, out=out)
-            out *= hankel[blk]
-            out /= denom
-            out[px[blk] == 0.0] = 0.0  # +0.0 even where G has round-off below 0
-        # each sum: the diagonal plus twice the strict upper half, exactly
-        half = n // 2
-        mass = fsum(lambda: itertools.chain(
-            [joint.diagonal()[: half + 1]],
-            (2.0 * joint[k, k + 1 : n - k + 1] for k in range(half + 1)),  # the rest is +0.0
-        ))
+        mass = fsum(lambda: _half_parts(px, green, denom, gaps=False))
         # the product law misses 1 - (1 - d)^2 = d (2 - d) of its mass
-        diag = np.abs(joint.diagonal() - px * px)
-        tv = 0.5 * (fsum(lambda: itertools.chain([diag], _upper_gaps(joint, px, blocks))) + d * (2.0 - d))
-    return PrefixLaw(joint, mass, tv, px)
+        tv = 0.5 * (fsum(lambda: _half_parts(px, green, denom, gaps=True)) + d * (2.0 - d))
+    return PrefixLaw(m, px, green, denom, mass, tv)
 
 
-def _upper_gaps(joint: np.ndarray, px: np.ndarray, blocks):
-    """Twice |joint - px x px| on k1 < k2, one block of rows at a time:
-    the block's rows from its first row's column on, computed in place in
-    one new array, with the block's own square below and on the diagonal
-    set to +0.0."""
-    lower = np.tri(px[blocks[0]].size, dtype=bool)
-    for blk in blocks:
-        gap = np.multiply(px[blk, None], px[blk.start :])
-        np.subtract(joint[blk, blk.start :], gap, out=gap)
-        np.abs(gap, out=gap)
-        gap *= 2.0
-        k = gap.shape[0]
-        gap[:, :k][lower[:k, :k]] = 0.0
-        yield gap
+def _joint_blocks(px: np.ndarray, green: np.ndarray, denom: float, cols=None, out: np.ndarray | None = None):
+    """The m = 2 joint P(X = k1) P(X = k2) G[n - k1 - k2] / denom, one
+    block of rows at a time, as (first row k, block): whole rows made in
+    the rows of ``out`` where one is given, or the columns ``cols(k)`` of
+    a new array.  Rows with P(X = k1) = 0 are +0.0 even where G has
+    round-off below 0 (0 * negative would be -0.0)."""
+    n = px.size - 1
+    # hankel[k1, k2] = G[n-k1-k2], and 0 past the antidiagonal k1 + k2 = n
+    padded = np.zeros(2 * n + 1)
+    padded[: n + 1] = green[::-1]
+    hankel = sliding_window_view(padded, n + 1)
+    rows = max(1, _JOINT_BLOCK // (n + 1))
+    for k in range(0, n + 1, rows):
+        blk, c = slice(k, k + rows), slice(None) if cols is None else cols(k)
+        block = np.multiply(px[blk, None], px[c], out=None if out is None else out[blk])
+        block *= hankel[blk, c]
+        block /= denom
+        block[px[blk] == 0.0] = 0.0
+        yield k, block
+
+
+def _half_parts(px: np.ndarray, green: np.ndarray, denom: float, gaps: bool):
+    """The entries of the m = 2 mass, or with ``gaps`` of |joint - px x px|,
+    on and above the diagonal, one block of rows at a time from its first
+    row's column k on: the block's diagonal, then twice its entries right
+    of it, with its own square's lower triangle +0.0.  The mass stops at
+    column n - k, past which the block is +0.0."""
+    n = px.size - 1
+    cols = (lambda k: slice(k, None)) if gaps else (lambda k: slice(k, max(n + 1 - k, k)))
+    for k, block in _joint_blocks(px, green, denom, cols):
+        if gaps:
+            block -= np.multiply(px[k : k + block.shape[0], None], px[k:])
+            np.abs(block, out=block)
+        yield block.diagonal().copy()
+        r, c = block.shape[0], min(block.shape)
+        block[:, :c][np.tri(r, c, dtype=bool)] = 0.0
+        block *= 2.0
+        yield block
 
 
 # ---------------------------------------------------------------------------

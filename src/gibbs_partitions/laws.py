@@ -375,17 +375,38 @@ def _dilute_series(p: DiluteParams, z: float, cdf: bool) -> float:
     runs until a term falls below 1e-17 of it: a few dozen terms at small
     alpha, some 4 000 at alpha = 0.999 next to z = 1.  Past _DILUTE_MAX_TERMS
     it raises ValueError.  The u grid is no fallback below z = 1: as
-    alpha -> 1 its integrands turn into steps."""
+    alpha -> 1 its integrands turn into steps.
+
+    Where the first term overflows (z subnormal, b near 2), the sum runs
+    with z^(1-b) (f) or z^(2-b) (F) factored out, and the factor comes back
+    once, in log space: f is +inf only past the float range."""
     a, b = p.alpha, p.b
     scale = math.gamma(1.0 - a * (b - 1.0)) / (a * math.pi * math.gamma(2.0 - b))
+    scale = scale if cdf else p.lam * scale
+    log_z = math.log(z)
+    try:
+        return scale * _dilute_terms(p, z, log_z, cdf, b)
+    except OverflowError:
+        pass
+    log_out = math.log(scale * _dilute_terms(p, z, log_z, cdf, 1.0)) + (2.0 - b if cdf else 1.0 - b) * log_z
+    try:
+        return math.exp(log_out)
+    except OverflowError:
+        return math.inf
+
+
+def _dilute_terms(p: DiluteParams, z: float, log_z: float, cdf: bool, lead: float) -> float:
+    """sum_k c_k z^(k-lead) of ``_dilute_series``, each term times
+    z / (k+1-b) for F at lead = b, and 1 / (k+1-b) at lead = 1."""
+    a, b = p.alpha, p.b
     total = 0.0
     for k in range(1, _DILUTE_MAX_TERMS + 1):
-        mag = math.exp(math.lgamma(a * k + 1.0) - math.lgamma(k + 1.0) + (k - b) * math.log(z))
+        mag = math.exp(math.lgamma(a * k + 1.0) - math.lgamma(k + 1.0) + (k - lead) * log_z)
         if cdf:
-            mag = mag * z / (k + 1.0 - b)
+            mag = mag * (z if lead == b else 1.0) / (k + 1.0 - b)
         total += (-1.0) ** (k + 1) * math.sin(math.pi * a * k) * mag
-        if mag < 1e-17 * abs(total):
-            return scale * total if cdf else p.lam * scale * total
+        if mag < 1e-17 * abs(total) or mag == 0.0:  # the magnitudes fall in k
+            return total
     raise ValueError(f"alpha = {a}: the {'cdf' if cdf else 'density'} series at lam x = {z} does not converge")
 
 

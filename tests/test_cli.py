@@ -233,6 +233,16 @@ def test_laws_gumbel_cdf_far_below_zero(capsys):
     assert out.strip().splitlines() == ["x,value", "-800,0", f"0,{math.exp(-1.0)!r}"]
 
 
+def test_laws_dilute_density_at_the_smallest_subnormal(capsys):
+    # z^(1-b) at x = 5e-324 and b = 1.99 is past the float range: the
+    # density is +inf there, not an OverflowError
+    code, out = run_cli(
+        ["laws", "--law", "dilute_density", "--alpha", "0.5", "--b", "1.99", "--grid", "0", "5e-324", "2"], capsys
+    )
+    assert code == 0
+    assert out.strip().splitlines() == ["x,value", "0,0", "4.9406564584124654e-324,inf"]
+
+
 def test_laws_dilute_density_one_vector_call(capsys, monkeypatch):
     from gibbs_partitions import laws
 

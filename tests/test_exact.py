@@ -35,7 +35,7 @@ from gibbs_partitions import (
     stopped_sum_law,
     tv_distance,
 )
-from gibbs_partitions import exact
+from gibbs_partitions import exact, series
 from gibbs_partitions.exact import (
     _DIRECT_CONV_LIMIT,
     _calibrate,
@@ -673,34 +673,67 @@ def test_prefix_m2_matches_row_formula(dense_gauss, n):
     assert pl.tv_to_iid.hex() == tv.hex()
 
 
+def _harvest_with_negative_green(*args, **kwargs):
+    """``_harvest`` with every third entry of G negated: round-off below
+    zero, exaggerated."""
+    column, (green,) = _harvest(*args, **kwargs)
+    green = green.copy()
+    green[::3] *= -1.0
+    return column, (green,)
+
+
 def test_prefix_m2_rows_without_mass_stay_zero(dense_gauss, monkeypatch):
     """Rows with P(X = k1) = 0 are +0.0, as in the row formula, even where
     G has round-off below zero (0 * negative would be -0.0)."""
-    def harvest(*args, **kwargs):
-        column, (green,) = _harvest(*args, **kwargs)
-        green = green.copy()
-        green[::3] *= -1.0
-        return column, (green,)
-
-    monkeypatch.setattr(exact, "_harvest", harvest)
-    joint, mass, tv = _prefix_m2_oracle(dense_gauss, 60, harvest)
+    monkeypatch.setattr(exact, "_harvest", _harvest_with_negative_green)
+    joint, mass, tv = _prefix_m2_oracle(dense_gauss, 60, _harvest_with_negative_green)
     pl = prefix_law(dense_gauss, 60, 2)
     assert np.signbit(joint[0]).sum() == 0 and np.signbit(joint).any()
     assert pl.joint.tobytes() == joint.tobytes()
     assert (pl.mass_accounted.hex(), pl.tv_to_iid.hex()) == (mass.hex(), tv.hex())
 
 
+@pytest.mark.parametrize("n, negative", [(60, False), (401, False), (60, True)], ids=["60", "401", "negative-G"])
+def test_prefix_m2_sums_blocks_made_a_second_time(dense_gauss, monkeypatch, n, negative):
+    """Where ``fsum``'s lanes certify no sum, it calls the function of the
+    blocks again and sums the fresh blocks by ``math.fsum``: the same mass
+    and TV as the row formula's."""
+    harvest = _harvest_with_negative_green if negative else _harvest
+    joint, mass, tv = _prefix_m2_oracle(dense_gauss, n, harvest)
+    half_parts, calls = exact._half_parts, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["gaps"])
+        return half_parts(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "_harvest", harvest)
+    monkeypatch.setattr(exact, "_half_parts", counted)
+    monkeypatch.setattr(series, "_lane_sum", lambda parts: None)
+    monkeypatch.setattr(series, "_FSUM_BLOCK", 256)  # n = 60 reaches the lanes too
+    pl = prefix_law(dense_gauss, n, 2)
+    assert calls == [False, False, True, True]
+    assert (pl.mass_accounted.hex(), pl.tv_to_iid.hex()) == (mass.hex(), tv.hex())
+
+
 def test_prefix_m2_memory_is_the_joint(dense_gauss):
-    """Beside the joint itself, only blocks of rows: about 4 joints before."""
+    """The law call makes no (n+1)^2 array, only blocks of rows: under
+    4 MiB at n = 1600, where the joint alone is 20.5 MB.  The first read
+    of ``joint`` adds the table and at most one block, and keeps it."""
     n = 1600
     prefix_law(dense_gauss, n, 2)  # calibration cached, as in any repeat call
     tracemalloc.start()
     try:
         pl = prefix_law(dense_gauss, n, 2)
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        joint = pl.joint
+        _, read_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < pl.joint.nbytes + 8 * 2**20
+    assert peak < 4 * 2**20
+    assert read_peak - before <= joint.nbytes + 8 * exact._JOINT_BLOCK
+    assert pl.joint is joint
 
 
 def test_tv_distance_of_unequal_lengths():

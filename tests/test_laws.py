@@ -640,6 +640,32 @@ def test_dilute_laws_at_lam_x_one_next_to_alpha_one_against_mpmath(alpha, b):
     assert dilute_Z_cdf(p, 1.0) == pytest.approx(F, rel=1e-13)
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-313, 1e-312, 4e-312, 1e-311])
+@pytest.mark.parametrize("alpha, b, lam", [(0.5, 1.99, 1.0), (0.9, 1.999, 1.0), (0.1, 1.99, 3.0)])
+def test_dilute_laws_at_subnormal_x_next_to_b_two(alpha, b, lam, x):
+    # below about lam x = 4e-312 (b = 1.99) the first term Gamma(alpha + 1)
+    # z^(1-b) is past the float range; the series then runs with z^(1-b)
+    # or z^(2-b) factored out.  Terms near e^700 carry about 700 eps of
+    # relative error from log z on either side of that switch
+    p = DiluteParams(alpha, b, lam)
+    f, F = _dilute_series_mpmath(p, lam * x)
+    assert dilute_Z_cdf(p, x) == pytest.approx(F, rel=1e-13)
+    if f == math.inf:
+        assert dilute_Z_density(p, x) == math.inf
+    else:
+        assert dilute_Z_density(p, x) == pytest.approx(f, rel=1e-13)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-310])
+def test_dilute_cdf_at_subnormal_x_next_to_b_one(x):
+    # z^(2-b) z^k underflows to 0 from k = 2 on, and so may 1e-17 of the
+    # sum: a zero magnitude ends the series, where it ran out of terms.
+    # F is subnormal: a few of its last places are off
+    p = DiluteParams(0.1, 1.01, 1.0)
+    F = _dilute_series_mpmath(p, x)[1]
+    assert abs(dilute_Z_cdf(p, x) - F) <= 1e-13 * F + 4 * 5e-324
+
+
 def _dilute_density_mpmath(p, x):
     """The dilute density at x from the 30-digit one-sided stable density
     of ``_stable_density_mpmath``, transformed to Z as in
