@@ -1,19 +1,17 @@
 """Closed-form limit laws: stable densities, extreme-value laws, dilute
 limit variables, and the component-size point process.
 
-Stable densities have one route, ``stable_density_series``, which takes
-each point by one of two methods:
+Stable densities have one route per law, ``stable_density_series``:
 
-* convergent power series (exact but numerically unstable in known
-  regimes: large arguments for the 1 < alpha < 2 series, small arguments
-  for the 0 < alpha < 1 series), with a cancellation monitor;
-* Fourier inversion (stable exactly where the series cancels badly).
+* the alpha = 2 Gaussian in closed form;
+* the dense law (1 < alpha < 2) by Fourier inversion on a Gauss-Legendre
+  grid sized by each point's phase (``_inversion_grid``), at every point;
+* the one-sided law (0 < alpha < 1) through the dilute machinery: if Y has
+  Laplace transform exp(-t^alpha), Y^-alpha is the dilute Z at b = 1 and
+  lambda = 1 (Kanter), whose u grid serves y < 1 and whose z series, free
+  of cancellation there, serves y >= 1.
 
-It switches to the inversion when the running maximum term exceeds 1e6
-times the partial sum, and then takes the inversion integral on a
-Gauss-Legendre grid sized by each point's phase (``_inversion_grid``), at
-every alpha.  The tests take the same integral by adaptive quadrature as
-an independent check.
+The tests check both against adaptive quadrature, mpmath and closed forms.
 
 Scale conventions: the spectrally positive normalization used throughout
 has Laplace transform exp(-lambda t^alpha) with lambda = gamma^alpha /
@@ -54,10 +52,6 @@ __all__ = [
     "pp_intensity_integral",
     "pp_factorial_moment",
 ]
-
-_SERIES_MAX_TERMS = 600
-_CANCELLATION_LIMIT = 1e6
-
 
 # exp and cos element by element from the C library: numpy's vector exp and
 # cos round differently on different SIMD levels
@@ -107,77 +101,6 @@ class StableParams:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
 
 
-# ---------------------------------------------------------------------------
-# series representations (standardized scales)
-_SERIES_BLOCK = 32  # terms per block of the vectorized sum
-
-
-@functools.lru_cache(maxsize=16)
-def _series_table(alpha: float, dense: bool) -> tuple[np.ndarray, ...]:
-    """m_k, c_k and s_k without and with the factor (-1)^k of ``_series_std``,
-    for the k with s_k != 0 (the others add nothing, nor count to the stop)."""
-    ks = np.arange(1.0, _SERIES_MAX_TERMS + 1.0)
-    s = [math.sin(-k * math.pi / alpha) if dense else math.sin(-alpha * k * math.pi) for k in range(1, ks.size + 1)]
-    s = np.array(s)
-    c = lgam((ks / alpha if dense else ks * alpha) + 1.0) - lgam(ks + 1.0)
-    keep = s != 0.0
-    table = tuple(v[keep] for v in (ks if dense else alpha * ks, c, s, np.where(ks % 2 == 1, -s, s)))
-    for v in table:
-        v.flags.writeable = False  # the cache is shared
-    return table
-
-
-def _series_std(alpha: float, y: np.ndarray, dense: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Series density at each standardized y, and whether it can be trusted:
-    sum_k exp(c_k + m_k L) s_k / (pi y), up to three terms in a row below 1e-15
-    of the sum.  Dense (1 < alpha < 2, Laplace transform exp(t^alpha)): m_k =
-    k, c_k = lgamma(k/alpha + 1) - lgamma(k + 1), s_k = sin(-k pi/alpha), times
-    (-1)^k for y > 0, L = log|y|.  Positive (0 < alpha < 1, Laplace transform
-    exp(-t^alpha)): m_k = alpha k, c_k = lgamma(alpha k + 1) - lgamma(k + 1),
-    s_k = (-1)^k sin(-alpha k pi), L = -log y.  The flag drops when the largest
-    term passes _CANCELLATION_LIMIT times the sum, a term would pass e^700, or
-    the terms run out.  A row-wise cumsum adds in the order of a loop over k
-    and exp is libm's: every value and flag is that of a scalar loop.  That
-    loop's exp is the variant glibc picks at run time (its FMA one where the
-    CPU has FMA), whose last bits the series can amplify to 5e-11 relative
-    in the bulk of the dense density (ROADMAP item 22)."""
-    val, ok = np.zeros(y.size), np.ones(y.size, dtype=bool)
-    if dense:
-        val[y == 0.0] = math.gamma(1.0 + 1.0 / alpha) * math.sin(math.pi / alpha) / math.pi
-    rows = np.flatnonzero(y != 0.0 if dense else y > 0.0)
-    logs = np.array([math.log(abs(v)) if dense else -math.log(v) for v in y[rows].tolist()])
-    flip = (y[rows] > 0.0) | (not dense)
-    m, c, s, alt = _series_table(alpha, dense)
-    total, top, streak = np.zeros(rows.size), np.zeros(rows.size), np.zeros(rows.size, dtype=int)
-    for k0 in range(0, m.size, _SERIES_BLOCK):
-        k = slice(k0, k0 + _SERIES_BLOCK)
-        log_mag = c[k] + np.multiply.outer(logs, m[k])
-        term = _exp(np.minimum(log_mag, 700.0)) * np.where(flip[:, None], alt[k], s[k])
-        with np.errstate(over="ignore", invalid="ignore"):  # inf past a stop, or as in a scalar sum
-            sums = np.cumsum(np.column_stack([total, term]), axis=1)
-            tops = np.maximum.accumulate(np.column_stack([top, np.abs(term)]), axis=1)
-            small = np.abs(term) < 1e-15 * np.maximum(np.abs(sums[:, 1:]), 1e-300)
-        runs = np.column_stack([streak >= 2, streak >= 1, small])
-        three = runs[:, 2:] & runs[:, 1:-1] & runs[:, :-2]
-        width = term.shape[1]
-        over = np.where((log_mag > 700.0).any(axis=1), np.argmax(log_mag > 700.0, axis=1), width)
-        stop = np.where(three.any(axis=1), np.argmax(three, axis=1), width)
-        overflow, converged = (over < width) & (over <= stop), stop < over
-        at = np.where(overflow, over, np.minimum(stop + 1, width))  # the sum before, or after, that term
-        total, top = sums[np.arange(rows.size), at], tops[np.arange(rows.size), at]
-        streak = np.where(runs[:, -1], np.where(runs[:, -2], 2, 1), 0)
-        value = total / (math.pi * y[rows])
-        with np.errstate(over="ignore"):
-            ok_here = converged & (top <= _CANCELLATION_LIMIT * np.maximum(np.abs(total), 1e-300))
-        done = overflow | converged | (k0 + width == m.size)
-        val[rows[done]] = np.where(~overflow & (value < 0.0), 0.0, value)[done]
-        ok[rows[done]] = ok_here[done]
-        rows, logs, flip, total, top, streak = (v[~done] for v in (rows, logs, flip, total, top, streak))
-        if rows.size == 0:
-            break
-    return val, ok
-
-
 _POINT_BLOCK = 4096  # points per call of the array-valued laws' point-wise work
 
 
@@ -188,14 +111,16 @@ def _in_blocks(fn, flat: np.ndarray) -> np.ndarray:
 
 
 def stable_density_series(p: StableParams, x):
-    """Stable density via the convergent series, inversion as fallback.
+    """Stable density at each x, by the one route of its law.
 
     Supports alpha = 2 (closed form), and beta = +/-1 for alpha in
     (0, 1) or (1, 2); densities vanish on the unsupported side of the
     one-sided laws, and at +/-inf; NaN gives NaN.  Element by element over
     x: a float for a scalar x, and the bytes of scalar calls for an array.
-    The points the series cannot be trusted at go to ``_inversion_grid``,
-    which refuses alpha <= 0.3 and raises RuntimeError past its node budget.
+    The dense law (1 < alpha < 2) takes every finite point on
+    ``_inversion_grid``, which raises RuntimeError past its node budget;
+    the one-sided law (0 < alpha < 1) takes ``_one_sided``.  The name is
+    kept from the power series that once served both laws.
     """
     if p.alpha != 2.0 and (p.alpha == 1.0 or abs(p.beta) != 1.0):
         raise ValueError("series densities implemented for beta = +/-1, alpha != 1")
@@ -208,35 +133,47 @@ def _stable_density_block(p: StableParams, flat: np.ndarray) -> np.ndarray:
     z, a = flat - p.delta, p.alpha
     if a == 2.0:  # S_2(gamma, ., delta) is Gaussian with variance 2 gamma^2
         return _exp(-(z * z) / (4.0 * p.gamma**2)) / (2.0 * p.gamma * math.sqrt(math.pi))
-    dense = 1.0 < a < 2.0
-    if dense:
-        s = (-math.cos(math.pi * a / 2.0)) ** (1.0 / a) / p.gamma
-        arg = s * z if p.beta == -1.0 else -s * z
-    else:  # one-sided
-        s = (p.gamma**a / math.cos(math.pi * a / 2.0)) ** (-1.0 / a)
-        arg = s * z if p.beta == 1.0 else -s * z
     out = np.where(np.isnan(flat), math.nan, 0.0)
-    finite = np.flatnonzero(np.isfinite(flat))
-    val, ok = _series_std(a, arg[finite], dense)
-    out[finite] = s * val
-    bad = finite[~ok]
-    if bad.size:
-        out[bad] = _inversion_grid(p, flat[bad])
+    if a > 1.0:
+        finite = np.isfinite(flat)
+        out[finite] = _inversion_grid(p, flat[finite])
+        return out
+    # y = s (x - delta), or its mirror, has Laplace transform exp(-t^alpha)
+    s = (p.gamma**a / math.cos(math.pi * a / 2.0)) ** (-1.0 / a)
+    y = s * z if p.beta == 1.0 else -s * z
+    pos = (y > 0.0) & (y < math.inf)
+    out[pos] = s * _one_sided(a, y[pos])
+    return out
+
+
+def _one_sided(alpha: float, y: np.ndarray) -> np.ndarray:
+    """The density at each y > 0 of Y with Laplace transform exp(-t^alpha).
+
+    Y = (A(U)/E)^((1-alpha)/alpha) (Kanter, below), so z = y^-alpha is the
+    dilute Z at b = 1 and lam = 1 (q = 0: U uniform, E ~ Exp(1)), and the
+    density is alpha y^(-alpha-1) f_Z(z) = alpha f_Z(z) z / y: the u grid
+    at y < 1, the z series, which has no cancellation at z <= 1, at y >= 1.
+    Where f_Z is 0, z past the float range included, so is the density."""
+    z = np.array([math.pow(v, -alpha) if -alpha * math.log(v) < 709.0 else math.inf for v in y.tolist()])
+    fz = _dilute_eval(alpha, 1.0, 1.0, z, cdf=False)
+    out = np.zeros(y.size)
+    live = fz > 0.0
+    with np.errstate(over="ignore"):  # +inf only past the float range
+        out[live] = alpha * fz[live] * z[live] / y[live]
     return out
 
 
 # The inversion integral
 #   f(x) = (1/pi) Int_0^inf exp(-(gamma t)^alpha)
-#          cos(gamma^alpha beta tan(pi alpha/2) t^alpha + (delta - x) t) dt,
-# cut at t_max, on Gauss-Legendre grids in u:
-# t = u^k on [0, t_max], k = max(2, ceil(2 / alpha)), smooths t^alpha at
-# t = 0.  Each point takes _INVERSION_NODES nodes per _INVERSION_PHASE of
-# its cosine's phase over [0, t_max], |tan term| t_max^alpha + |delta - x|
-# t_max: 400 nodes on a phase of 800 are within 2e-14 of 1600 nodes, and
-# past a phase of 1100 they leave 1e-11 and beyond.  ``_gauss_legendre``
-# costs O(n^2), so no grid passes _INVERSION_MAX_NODES (0.4 s to build):
-# alpha = 1.05 at |x| = 24 and the one-sided alpha = 0.995 at y = 1 fit,
-# alpha = 0.999 there does not.
+#          cos(gamma^alpha beta tan(pi alpha/2) t^alpha + (delta - x) t) dt
+# of the dense law (1 < alpha < 2), cut at t_max, on Gauss-Legendre grids in
+# u: t = u^2 on [0, t_max] smooths t^alpha at t = 0.  Each point takes
+# _INVERSION_NODES nodes per _INVERSION_PHASE of its cosine's phase over
+# [0, t_max], |tan term| t_max^alpha + |delta - x| t_max: 400 nodes on a
+# phase of 800 are within 2e-14 of 1600 nodes, and past a phase of 1100
+# they leave 1e-11 and beyond.  ``_gauss_legendre`` costs O(n^2), so no
+# grid passes _INVERSION_MAX_NODES (0.4 s to build): alpha = 1.05 at
+# |x| = 24 fits, at |x| = 40 it does not.
 _INVERSION_NODES = 400
 _INVERSION_PHASE = 800.0
 _INVERSION_MAX_NODES = 6400
@@ -251,30 +188,25 @@ def _inversion_setup(p: StableParams) -> tuple[float, float]:
 
 
 def _inversion_grid(p: StableParams, x: np.ndarray) -> np.ndarray:
-    """The density at each x by Fourier inversion on the grid its phase
-    sizes; exp, cos and pow from the C library, and one fixed-order dot per
-    x.  Refuses alpha <= 0.3, and raises RuntimeError where a point would
-    need more than _INVERSION_MAX_NODES nodes."""
+    """The dense density at each x by Fourier inversion on the grid its
+    phase sizes; exp, cos and pow from the C library, and one fixed-order
+    dot per x.  Raises RuntimeError where a point would need more than
+    _INVERSION_MAX_NODES nodes."""
     a, g = p.alpha, p.gamma
-    if a <= 0.3:
-        raise ValueError("inversion supported for alpha > 0.3")
     tan_term, t_max = _inversion_setup(p)
     blocks = np.ceil((abs(tan_term) * t_max**a + np.abs(p.delta - x) * t_max) / _INVERSION_PHASE)
     if not np.all(blocks * _INVERSION_NODES <= _INVERSION_MAX_NODES):
         raise RuntimeError(f"alpha = {a}: the inversion grid needs more than its budget of {_INVERSION_MAX_NODES} nodes")
     nodes = _INVERSION_NODES * np.maximum(blocks, 1.0).astype(int)
-    k = max(2, math.ceil(2.0 / a))
-    u_max = math.sqrt(t_max) if k == 2 else t_max ** (1.0 / k)
+    u_max = math.sqrt(t_max)
     out = np.zeros(x.size)
     for n in np.unique(nodes).tolist():
         w, c = (np.array(v) for v in _gauss_legendre(n))
-        u = [u_max * w]  # u, u^2, ..., u^k
-        while len(u) < k:
-            u.append(u[-1] * u[0])
-        t = u[-1]
+        u = u_max * w
+        t = u * u
         phase0 = tan_term * np.array([v**a for v in t.tolist()])
-        # dt = k u^(k-1) du
-        weights = k * u[-2] * (u_max * c) * np.array([math.exp(-((g * v) ** a)) for v in t.tolist()])
+        # dt = 2 u du
+        weights = 2.0 * u * (u_max * c) * np.array([math.exp(-((g * v) ** a)) for v in t.tolist()])
         at = np.flatnonzero(nodes == n)
         for i in range(0, at.size, _INVERSION_ROWS):
             rows = at[i : i + _INVERSION_ROWS]
@@ -366,8 +298,8 @@ def _u_grid(alpha: float, b: float) -> tuple[tuple, tuple]:
     return tuple(log_a), tuple(lw - norm for lw in log_w)  # tuples: the cache is shared
 
 
-def _dilute_series(p: DiluteParams, z: float, cdf: bool) -> float:
-    """F, or f, of Z at x = z / lam <= 1 / lam from one convergent series:
+def _dilute_series(alpha: float, b: float, lam: float, x: float, cdf: bool) -> float:
+    """F, or f, of Z at x <= 1 / lam from one convergent series in z = lam x:
     f = lam K sum_k c_k z^(k-b), F = K sum_k c_k z^(k+1-b) / (k+1-b),
     c_k = (-1)^(k+1) Gamma(alpha k + 1) sin(pi alpha k) / k!,
     K = Gamma(1 - alpha(b-1)) / (alpha pi Gamma(2-b)).  For z <= 1 the
@@ -377,28 +309,31 @@ def _dilute_series(p: DiluteParams, z: float, cdf: bool) -> float:
     it raises ValueError.  The u grid is no fallback below z = 1: as
     alpha -> 1 its integrands turn into steps.
 
-    Where the first term overflows (z subnormal, b near 2), the sum runs
-    with z^(1-b) (f) or z^(2-b) (F) factored out, and the factor comes back
-    once, in log space: f is +inf only past the float range."""
-    a, b = p.alpha, p.b
-    scale = math.gamma(1.0 - a * (b - 1.0)) / (a * math.pi * math.gamma(2.0 - b))
-    scale = scale if cdf else p.lam * scale
-    log_z = math.log(z)
-    try:
-        return scale * _dilute_terms(p, z, log_z, cdf, b)
-    except OverflowError:
-        pass
-    log_out = math.log(scale * _dilute_terms(p, z, log_z, cdf, 1.0)) + (2.0 - b if cdf else 1.0 - b) * log_z
+    Where the first term overflows (z subnormal, b near 2), or z rounds to
+    0 (log z is then log lam + log x), the sum runs with z^(1-b) (f) or
+    z^(2-b) (F) factored out, and the factor comes back once, in log space:
+    f is +inf only past the float range."""
+    scale = math.gamma(1.0 - alpha * (b - 1.0)) / (alpha * math.pi * math.gamma(2.0 - b))
+    scale = scale if cdf else lam * scale
+    z = lam * x
+    if z > 0.0:
+        log_z = math.log(z)
+        try:
+            return scale * _dilute_terms(alpha, b, z, log_z, cdf, b)
+        except OverflowError:
+            pass
+    else:
+        log_z = math.log(lam) + math.log(x)
+    log_out = math.log(scale * _dilute_terms(alpha, b, z, log_z, cdf, 1.0)) + (2.0 - b if cdf else 1.0 - b) * log_z
     try:
         return math.exp(log_out)
     except OverflowError:
         return math.inf
 
 
-def _dilute_terms(p: DiluteParams, z: float, log_z: float, cdf: bool, lead: float) -> float:
+def _dilute_terms(a: float, b: float, z: float, log_z: float, cdf: bool, lead: float) -> float:
     """sum_k c_k z^(k-lead) of ``_dilute_series``, each term times
     z / (k+1-b) for F at lead = b, and 1 / (k+1-b) at lead = 1."""
-    a, b = p.alpha, p.b
     total = 0.0
     for k in range(1, _DILUTE_MAX_TERMS + 1):
         mag = math.exp(math.lgamma(a * k + 1.0) - math.lgamma(k + 1.0) + (k - lead) * log_z)
@@ -410,7 +345,7 @@ def _dilute_terms(p: DiluteParams, z: float, log_z: float, cdf: bool, lead: floa
     raise ValueError(f"alpha = {a}: the {'cdf' if cdf else 'density'} series at lam x = {z} does not converge")
 
 
-def _dilute_eval(p: DiluteParams, x, cdf: bool):
+def _dilute_eval(alpha: float, b: float, lam: float, x, cdf: bool):
     """The series up to lam x = _SERIES_EDGE, the u grid above it, where the
     integrands no longer crowd into u -> pi; every x is computed alone.
     The grid takes its points _INVERSION_ROWS at a time, so its working
@@ -419,15 +354,15 @@ def _dilute_eval(p: DiluteParams, x, cdf: bool):
     NaN gives NaN, and x = +inf the limits F = 1, f = 0."""
     xs = np.asarray(x, dtype=float)
     flat = np.ravel(xs)
-    z = p.lam * flat
+    z = lam * flat
     out = np.where(np.isnan(flat), math.nan, 0.0)
     out[flat == math.inf] = 1.0 if cdf else 0.0
     high = (z > _SERIES_EDGE) & (flat < math.inf)
     low = (flat > 0.0) & (z <= _SERIES_EDGE)
-    out[low] = [_dilute_series(p, zi, cdf) for zi in z[low].tolist()]
+    out[low] = [_dilute_series(alpha, b, lam, xi, cdf) for xi in flat[low].tolist()]
     if high.any():
-        alpha, q = p.alpha, (p.b - 1.0) * (1.0 - p.alpha)
-        log_a, log_w = (np.array(g) for g in _u_grid(alpha, p.b))
+        q = (b - 1.0) * (1.0 - alpha)
+        log_a, log_w = (np.array(g) for g in _u_grid(alpha, b))
         a = _exp(np.minimum(log_a, 700.0))  # past e^700, A t only needs to be huge
         # t is clamped at 1e300 (alpha near 1): A t is then past every float
         # scale, P(1-q, A t) = 1 and e^(-A t) = 0 at every node
@@ -458,12 +393,12 @@ def _dilute_eval(p: DiluteParams, x, cdf: bool):
 def dilute_Z_density(p: DiluteParams, x):
     """Density of the rescaled-count limit Z, element by element over x: a
     float for a scalar x, and the bytes of scalar calls for an array."""
-    return _dilute_eval(p, x, cdf=False)
+    return _dilute_eval(p.alpha, p.b, p.lam, x, cdf=False)
 
 
 def dilute_Z_cdf(p: DiluteParams, x):
     """P(Z <= x), element by element over x, like ``dilute_Z_density``."""
-    return _dilute_eval(p, x, cdf=True)
+    return _dilute_eval(p.alpha, p.b, p.lam, x, cdf=True)
 
 
 def mixed_poisson_pmf(p: DiluteParams, upsilon: float, k_max: int) -> np.ndarray:

@@ -239,8 +239,8 @@ class WeightSequence:
         if self.start_index > 1:
             vals[: min(self.start_index - 1, n_max)] = 0.0
         for k, val in self.overrides:
-            if 1 <= k <= n_max:
-                vals[k - 1] = val * math.exp(k * logx) if val > 0 else 0.0
+            if 1 <= k <= n_max:  # from logs: x^k alone may pass the float range
+                vals[k - 1] = _exp_or_inf(math.log(val) + k * logx) if val > 0 else 0.0
         out[1:] = vals
         return out
 
@@ -266,13 +266,19 @@ class WeightSequence:
         if math.isinf(base):
             return math.inf
         total = base
-        # Override adjustments replace finitely many closed-form terms.
-        for j, val in self.overrides:
-            if j >= max(self.start_index, 1):
-                closed = float(self.L(j)) * j ** (-self.e) * self.rho ** (-j)
-            else:
-                closed = 0.0
-            total += (val - closed) * j**k * t**j
+        # Override adjustments replace finitely many closed-form terms.  Each
+        # term, and the closed-form term it replaces, is formed from logs:
+        # t^j alone may pass the float range where the term does not, and a
+        # term that does pass it reads +inf.
+        if t > 0.0:
+            log_t, log_rho = math.log(t), math.log(self.rho)
+            for j, val in self.overrides:
+                log_tj = k * math.log(j) + j * log_t
+                term = _exp_or_inf(math.log(val) + log_tj) if val > 0 else 0.0
+                if j >= max(self.start_index, 1):
+                    log_closed = float(self.L.log_value(j)) - (self.e - k) * math.log(j) + j * (log_t - log_rho)
+                    term -= _exp_or_inf(log_closed)
+                total += term
         if k == 0:
             total += self.term0
         return max(total, 0.0)
@@ -317,6 +323,14 @@ class WeightSequence:
                 overrides={int(k): float(v) for k, v in cfg.get("overrides", {}).items()},
             )
         raise ValueError(f"unknown weight sequence kind: {kind!r}")
+
+
+def _exp_or_inf(arg: float) -> float:
+    """e^arg from the C library, +inf past the float range."""
+    try:
+        return math.exp(arg)
+    except OverflowError:
+        return math.inf
 
 
 def _known_keys(cfg: dict, keys: tuple, what: str) -> None:

@@ -17,7 +17,14 @@ does not take, kept out of the runtime.
   writer of the harvest's and the samplers' rows, as one table.
 * ``stable_density_inversion``: the stable density by QUADPACK on the
   inversion integral that ``laws._inversion_grid`` takes on a fixed grid.
+* ``one_sided_stable_density``: the density of the one-sided stable law
+  with Laplace transform exp(-t^alpha), from its power series (scipy's
+  gammaln) or Nolan's integral (QUADPACK): no route of ``laws``.
 * ``dilute_Z_moment``: E[Z^r] of the dilute limit variable in closed form.
+* ``crp_count_law``: the block-count law of the Pitman-Yor(alpha, theta)
+  partition of [n] from the Chinese-restaurant chain, in ``np.longdouble``.
+* ``forest_count_law``: the tree-count law of a uniform rooted forest on
+  [n] from Cayley's count, in exact rationals.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -256,3 +264,83 @@ def dilute_Z_moment(p: DiluteParams, r: float) -> float:
         * math.gamma(1.0 - a * (b - 1.0))
         / (math.gamma(2.0 - b) * math.gamma(1.0 - a * (b - r - 1.0)))
     )
+
+
+def one_sided_stable_density(alpha: float, y: float) -> float:
+    """The density at y of Y with Laplace transform exp(-t^alpha), 0 < alpha < 1.
+
+    For y >= 1 the power series (1/(pi y)) sum_k (-1)^(k+1) Gamma(alpha k + 1)
+    / k! sin(pi alpha k) y^(-alpha k), term by term with scipy's gammaln, up
+    to a term below 1e-17 of the sum: at y^-alpha <= 1 the largest term
+    stays within a few times the sum.  For y < 1 Nolan's integral
+    (Commun. Statist. Stochastic Models 13(4), 1997, Theorem 1) in
+    u = theta + pi/2, where c V is Kanter's A(u) y^(-alpha/(1-alpha)) = w:
+    alpha / ((1-alpha) pi y) Int_0^pi w e^-w du, by QUADPACK split at the
+    peak w = 1 (log w rises in u).
+    """
+    from scipy.integrate import IntegrationWarning, quad
+    from scipy.special import gammaln
+
+    if not y > 0.0:
+        return 0.0
+    a = alpha
+    if y >= 1.0:
+        total, log_y = 0.0, math.log(y)
+        for k in range(1, 20_000):
+            mag = math.exp(gammaln(a * k + 1.0) - gammaln(k + 1.0) - a * k * log_y)
+            total += (-1.0) ** (k + 1) * math.sin(math.pi * a * k) * mag
+            if mag < 1e-17 * abs(total):
+                return total / (math.pi * y)
+        raise RuntimeError(f"alpha = {a}: the series at y = {y} does not converge")
+    log_s = -a / (1.0 - a) * math.log(y)
+
+    def log_w(u):
+        return (a / (1.0 - a) * math.log(math.sin(a * u)) + math.log(math.sin((1.0 - a) * u))
+                - math.log(math.sin(u)) / (1.0 - a) + log_s)
+
+    def integrand(u):
+        lw = log_w(u)
+        return math.exp(lw - math.exp(lw)) if lw < 700.0 else 0.0
+
+    cuts = [0.0, math.pi]
+    lo, hi = 1e-300, math.nextafter(math.pi, 0.0)
+    if log_w(lo) < 0.0 < log_w(hi):
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if log_w(mid) < 0.0 else (lo, mid)
+        cuts = [0.0, mid, math.pi]
+    # next to alpha = 1 QUADPACK warns of round-off short of epsrel 1e-13
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        total = math.fsum(
+            quad(integrand, c0, c1, epsabs=0.0, epsrel=1e-13, limit=200)[0] for c0, c1 in zip(cuts, cuts[1:])
+        )
+    return a / ((1.0 - a) * math.pi * y) * total
+
+
+def crp_count_law(n: int, alpha: float, theta: float) -> np.ndarray:
+    """P(K_n = k), k = 0..n, for the number K_n of blocks of the
+    Pitman-Yor(alpha, theta) partition of [n]: the Chinese-restaurant chain
+    K_1 = 1, K_(m+1) = K_m + 1 with probability (theta + alpha K_m) /
+    (m + theta), else K_m (Pitman, Combinatorial Stochastic Processes, LNM
+    1875, 2006, ch. 3), stepped in ``np.longdouble``: O(n^2) operations."""
+    ld = np.longdouble
+    a, t = ld(alpha), ld(theta)
+    k = np.arange(n + 1, dtype=ld)
+    p = np.zeros(n + 1, dtype=ld)
+    p[1] = 1
+    for m in range(1, n):
+        moved = p * (t + a * k) / (m + t)
+        p -= moved
+        p[1:] += moved[:-1]
+    return p
+
+
+def forest_count_law(n: int) -> list[Fraction]:
+    """P(N_n = l), l = 0..n, for the number N_n of trees of a uniform rooted
+    forest on [n]: C(n-1, l-1) n^(n-l) of the (n+1)^(n-1) forests have l
+    trees (Cayley), exactly."""
+    total = (n + 1) ** (n - 1)
+    return [Fraction(0)] + [Fraction(math.comb(n - 1, l - 1) * n ** (n - l), total) for l in range(1, n + 1)]

@@ -243,6 +243,47 @@ def test_laws_dilute_density_at_the_smallest_subnormal(capsys):
     assert out.strip().splitlines() == ["x,value", "0,0", "4.9406564584124654e-324,inf"]
 
 
+def test_laws_dilute_density_where_lam_x_rounds_to_zero(capsys):
+    # lam x = 0.5 * 5e-324 rounds to 0.0: log z is log lam + log x, and the
+    # density is finite (it was "error: math domain error", exit 1)
+    code, out = run_cli(
+        ["laws", "--law", "dilute_density", "--alpha", "0.5", "--b", "1.5", "--lam", "0.5", "--grid", "0", "5e-324", "2"],
+        capsys,
+    )
+    assert code == 0
+    header, zero, last = out.strip().splitlines()
+    assert (header, zero) == ("x,value", "0,0") and 0.0 < float(last.split(",")[1]) < math.inf
+
+
+def _override_config(tmp_path, val):
+    """A config whose scheme is zeta_scheme(1.5, 1.5) with v's index-1200
+    term set to val: t^1200 is past the float range at t = W(1)."""
+    from gibbs_partitions.schemes import zeta_scheme
+
+    cfg = zeta_scheme(1.5, 1.5).to_config()
+    cfg["v"]["overrides"] = {"1200": val}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schemes": {"far-override": cfg}}))
+    return ["exact", "--scheme", "far-override", "--config", str(path), "--n", "300", "--law", "Nn"]
+
+
+def test_exact_count_law_with_an_override_past_t_to_the_j(tmp_path, capsys):
+    # it ended in an OverflowError traceback; the term 1e-300 t^1200 is
+    # finite, and the law at n = 300 is the one without the override
+    code, out = run_cli(_override_config(tmp_path, 1e-300), capsys)
+    assert code == 0
+    vals = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+    from gibbs_partitions.schemes import zeta_scheme
+
+    want = exact.law_Nn(zeta_scheme(1.5, 1.5), 300).pmf
+    assert 0.5 * np.abs(np.array(vals) - want).sum() < 1e-15
+    # a term past the float range: V(W(rho)) = +inf, one error line
+    with pytest.raises(SystemExit) as err:
+        main(_override_config(tmp_path, 1e-100))
+    msg = str(err.value.code)
+    assert msg.startswith("error: V(W(rho)) must be positive and finite") and "\n" not in msg
+
+
 def test_laws_dilute_density_one_vector_call(capsys, monkeypatch):
     from gibbs_partitions import laws
 

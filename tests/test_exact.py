@@ -54,6 +54,8 @@ from oracle import (
     brute_force_partition_law,
     calibration_at,
     convolution_table,
+    crp_count_law,
+    forest_count_law,
     prefix_oracle,
 )
 from test_series import bell_u_n, enumerate_set_partitions
@@ -1271,3 +1273,79 @@ def test_law_nn_on_a_zeta_grid(a, b):
         pytest.skip("no phase on this line of the diagram")
     law = law_Nn(scheme, 300)
     assert abs(fsum(law.pmf) - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# known-answer schemes: exchangeable Gibbs partitions are composition schemes
+# with v_l = (outer weight) / l! and w_j = (block weight) / j!
+
+
+def _pitman_yor(alpha, theta, k_max=4000):
+    """Pitman-Yor(alpha, theta), -alpha < theta < 0, with both radii
+    rescaled to 1: w_j = alpha (1 - alpha)_(j-1) / j! ~ alpha j^(-1-alpha) /
+    Gamma(1 - alpha) and v_l = alpha^-l prod_(0<i<l) (theta + i alpha) / l!
+    ~ l^(theta/alpha - 1) / (alpha Gamma(1 + theta/alpha)): exact up to
+    k_max as overrides, from their ratios in ``np.longdouble``, and the
+    asymptotic form past it.  v's tail takes the radius W(1), 1 - 2.8e-7
+    at k_max = 4000, so that the scheme is critical as summed."""
+    ld, r = np.longdouble, theta / alpha
+    j = np.arange(1, k_max, dtype=ld)
+    w = np.cumprod(np.concatenate(([ld(alpha)], (j - ld(alpha)) / (j + 1))))
+    v = np.cumprod(np.concatenate(([1 / ld(alpha)], (ld(theta) + j * ld(alpha)) / ((j + 1) * ld(alpha)))))
+    w = WeightSequence.closed_form(c=alpha / math.gamma(1.0 - alpha), e=1.0 + alpha, rho=1.0,
+                                   overrides=dict(enumerate(w.astype(float).tolist(), 1)))
+    v = WeightSequence.closed_form(c=1.0 / (alpha * math.gamma(1.0 + r)), e=1.0 - r, rho=w.series_value(1.0),
+                                   overrides=dict(enumerate(v.astype(float).tolist(), 1)))
+    return SchemeSpec(v=v, w=w)
+
+
+@pytest.mark.skipif(not LONGDOUBLE_OK, reason="np.longdouble is no wider than a double here")
+@pytest.mark.parametrize("n", [200, 600])
+@pytest.mark.parametrize("alpha, theta", [(0.5, -0.25), (0.7, -0.35), (0.3, -0.1)])
+def test_pitman_yor_count_law_is_the_chinese_restaurant_chain(alpha, theta, n):
+    """The count law of a dilute scheme against an answer derived outside
+    the package: the block count of the Pitman-Yor partition of [n]."""
+    got = law_Nn(_pitman_yor(alpha, theta), n).pmf
+    want = crp_count_law(n, alpha, theta)
+    assert got.size == n + 1
+    assert np.max(np.abs(got - want.astype(float))) < 1e-14
+
+
+@pytest.mark.skipif(not LONGDOUBLE_OK, reason="np.longdouble is no wider than a double here")
+@settings(max_examples=8, deadline=None)
+@given(alpha=st.floats(0.05, 0.95), share=st.floats(0.05, 0.95))
+def test_pitman_yor_count_law_over_the_dilute_quadrant(alpha, share):
+    # theta = -share alpha covers -alpha < theta < 0; overrides up to n,
+    # since the law reads no weight past it
+    theta, n = -share * alpha, 150
+    got = law_Nn(_pitman_yor(alpha, theta, k_max=n), n).pmf
+    assert np.max(np.abs(got - crp_count_law(n, alpha, theta).astype(float))) < 1e-14
+
+
+def test_pitman_yor_classifies_as_dilute():
+    rep = classify(_pitman_yor(0.5, -0.25))
+    assert rep.phase.name == "dilute"
+    assert rep.alpha == pytest.approx(0.5) and rep.b == pytest.approx(1.5)
+
+
+def _forests(k_max=4000):
+    """Rooted labelled forests: w_k = k^(k-1) e^-k / k! (rooted trees, the
+    radius 1/e rescaled to 1; ~ k^-1.5 / sqrt(2 pi)), exact (from lgamma)
+    up to k_max as overrides, and v_l = 1/l! (V = exp) up to l = 170, past
+    which 1/l! is below the float range's normal numbers."""
+    w = WeightSequence.closed_form(c=1.0 / math.sqrt(2.0 * math.pi), e=1.5, rho=1.0, overrides={
+        k: math.exp((k - 1.0) * math.log(k) - k - math.lgamma(k + 1.0)) for k in range(1, k_max + 1)
+    })
+    v = WeightSequence.explicit([0.0] + [1.0 / math.factorial(l) for l in range(1, 171)])
+    return SchemeSpec(v=v, w=w)
+
+
+@pytest.mark.parametrize("n", [100, 300, 600])
+def test_forest_count_law_is_cayleys(n):
+    """The count law of a convergent scheme against Cayley's count of rooted
+    forests on [n] by their number of trees, exact rationals."""
+    scheme = _forests()
+    assert classify(scheme).phase.name == "convergent"
+    got = law_Nn(scheme, n).pmf
+    want = np.array([float(p) for p in forest_count_law(n)])
+    assert np.max(np.abs(got[: n + 1] - want)) < 1e-13 and np.all(got[n + 1 :] == 0.0)

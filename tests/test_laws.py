@@ -1,8 +1,9 @@
-"""Limit laws: stable densities (series vs inversion dual route), fractional
-moments vs quadrature, the dilute limit variable, extreme-value laws, and
-the point-process intensity and factorial moments.
+"""Limit laws: stable densities (the dense law's inversion grid and the
+one-sided law's Kanter route, each against quadrature, mpmath and closed
+forms), fractional moments vs quadrature, the dilute limit variable,
+extreme-value laws, and the point-process intensity and factorial moments.
 
-Monte Carlo quadrature and scipy adaptive quadrature serve as the
+Monte Carlo quadrature, scipy adaptive quadrature and mpmath serve as the
 independent oracles throughout.
 """
 
@@ -36,7 +37,7 @@ from gibbs_partitions.laws import (
     stable_moment,
 )
 
-from oracle import dilute_Z_moment, stable_density_inversion
+from oracle import dilute_Z_moment, one_sided_stable_density, stable_density_inversion
 
 GAMMA_DENSE_15 = (-math.cos(math.pi * 0.75)) ** (1.0 / 1.5)
 LAM_DILUTE = math.gamma(0.5) / (0.5 * float(zeta(1.5)))  # ~1.356967215141875
@@ -118,53 +119,6 @@ def test_density_scaling_in_gamma():
         )
 
 
-def _series_loop(alpha, y, dense):
-    """The series density at one standardized y and its trust flag, term by
-    term in a Python loop: the reference the vectorized sum must match bit
-    for bit (dense: 1 < alpha < 2; otherwise the positive law, 0 < alpha < 1)."""
-    if dense and y == 0.0:
-        return math.gamma(1.0 + 1.0 / alpha) * math.sin(math.pi / alpha) / math.pi, True
-    if not dense and y <= 0.0:
-        return 0.0, True
-    total, max_abs, small_streak = 0.0, 0.0, 0
-    for k in range(1, laws._SERIES_MAX_TERMS + 1):
-        if dense:
-            s = math.sin(-k * math.pi / alpha) * ((-1.0) ** k if y > 0 else 1.0)
-            log_mag = gammaln(k / alpha + 1.0) - gammaln(k + 1.0) + k * math.log(abs(y))
-        else:
-            s = math.sin(-alpha * k * math.pi) * (-1.0) ** k
-            log_mag = gammaln(k * alpha + 1.0) - gammaln(k + 1.0) - alpha * k * math.log(y)
-        if s == 0.0:
-            continue
-        if log_mag > 700.0:
-            return total / (math.pi * y), False
-        term = math.exp(log_mag) * s
-        total += term
-        max_abs = max(max_abs, abs(term))
-        if abs(term) < 1e-15 * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 3:
-                break
-        else:
-            small_streak = 0
-    ok = max_abs <= laws._CANCELLATION_LIMIT * max(abs(total), 1e-300) and small_streak >= 3
-    return max(total / (math.pi * y), 0.0), ok
-
-
-@pytest.mark.parametrize("alpha", [1.1, 1.3, 1.5, 1.7, 1.9, 0.3, 0.5, 0.7, 0.9, 0.99])
-def test_series_vector_matches_scalar_loop(alpha):
-    # every value and every flag, trusted or not, over x in [-12, 12] (dense)
-    # and from y = 1e-3 to 1e3 (positive); stops by round-off, by overflow
-    # (log term > 700) and by running out of terms all occur
-    dense = alpha > 1.0
-    ys = np.linspace(-12.0, 12.0, 481) if dense else np.concatenate(([-1.0, 0.0], np.geomspace(1e-3, 1e3, 300)))
-    got, ok = laws._series_std(alpha, ys, dense)
-    want = [_series_loop(alpha, y, dense) for y in ys.tolist()]
-    assert got.tobytes() == np.array([w[0] for w in want]).tobytes()
-    assert ok.tolist() == [w[1] for w in want]
-    assert 0 < ok.sum() < ok.size
-
-
 @pytest.mark.parametrize("alpha, beta", [(1.5, -1.0), (1.2, 1.0), (0.6, 1.0), (0.6, -1.0), (2.0, -1.0)])
 def test_stable_density_vector_call_matches_scalar_calls(alpha, beta):
     p = StableParams(alpha, 0.8, beta, 0.3)
@@ -178,8 +132,8 @@ def test_stable_density_vector_call_matches_scalar_calls(alpha, beta):
 
 @pytest.mark.parametrize("alpha, beta", [(1.5, -1.0), (1.2, 1.0), (0.6, 1.0), (0.6, -1.0), (2.0, -1.0)])
 def test_stable_density_at_non_finite_points(alpha, beta):
-    """NaN gives NaN and +/-inf the density's limit 0, without a fallback
-    to the inversion grid (its node budget raised there); the finite points
+    """NaN gives NaN and +/-inf the density's limit 0, without a call of
+    the inversion grid (its node budget raised there); the finite points
     of the same call keep the bytes of scalar calls."""
     p = StableParams(alpha, 0.8, beta, 0.3)
     xs = np.array([math.nan, 2.0, math.inf, -0.5, -math.inf, 9.0])
@@ -193,10 +147,10 @@ def test_stable_density_at_non_finite_points(alpha, beta):
 
 @pytest.mark.parametrize("alpha, beta", [(1.5, -1.0), (0.6, 1.0)])
 def test_stable_density_blocks_keep_the_bytes(alpha, beta):
-    """Points go through the series _POINT_BLOCK at a time; across the
-    block edge, and with inversion points in both blocks, the call gives
-    the bytes of calls on pieces that lie within one block, and of scalar
-    calls at the edge."""
+    """Points go through the density _POINT_BLOCK at a time; across the
+    block edge, with grid points (and z series points, one-sided) in both
+    blocks, the call gives the bytes of calls on pieces that lie within one
+    block, and of scalar calls at the edge."""
     p = StableParams(alpha, 1.0, beta)
     xs = np.linspace(-12.0, 6.0, laws._POINT_BLOCK + 3) if alpha > 1.0 else np.geomspace(0.02, 50.0, laws._POINT_BLOCK + 3)
     vec = stable_density_series(p, xs)
@@ -259,26 +213,36 @@ def test_inversion_grid_at_the_phase_bound(alpha):
 
 @pytest.mark.parametrize("alpha", [1.05, 1.1, 0.35, 0.5, 0.75, 0.9])
 def test_untrusted_series_points_never_reach_the_quadrature(alpha, monkeypatch):
-    # every point the series cannot trust goes to the grid, however large
-    # its phase: past 800 at alpha = 1.05 and 1.1 (up to 5 600 nodes), and
-    # the one-sided laws' small y
+    # one route per law: every finite dense point goes to the grid, however
+    # large its phase (past 800 at alpha = 1.05 and 1.1, up to 5 600 nodes),
+    # and no one-sided point does: those take the dilute Z at b = 1, its u
+    # grid below y = 1 and its z series above
     dense = alpha > 1.0
-    xs = np.linspace(-24.0, 24.0, 97) if dense else np.geomspace(1e-4, 1.0, 60)
+    xs = np.linspace(-24.0, 24.0, 97) if dense else np.geomspace(1e-4, 1e4, 60)
     p = StableParams(alpha, abs(math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha), -1.0 if dense else 1.0)
-    grid, seen = laws._inversion_grid, []
+    grid, seen, dilute, asked = laws._inversion_grid, [], laws._dilute_eval, []
 
     def recorded(p, x):
         seen.extend(x.tolist())
         return grid(p, x)
 
+    def recorded_dilute(alpha, b, lam, x, cdf):
+        asked.append((b, lam, cdf, np.size(x)))
+        return dilute(alpha, b, lam, x, cdf)
+
     # the quadrature is an oracle of the tests, out of the package's reach
     assert not hasattr(laws, "stable_density_inversion")
     monkeypatch.setattr(laws, "_inversion_grid", recorded)
-    got = stable_density_series(p, xs)
-    assert len(seen) >= 4 and np.all(np.isfinite(got)) and np.all(got >= 0.0)
-    tan_term, t_max = laws._inversion_setup(p)
-    phases = abs(tan_term) * t_max**alpha + np.abs(np.array(seen)) * t_max
-    assert (phases.max() > laws._INVERSION_PHASE) == dense
+    monkeypatch.setattr(laws, "_dilute_eval", recorded_dilute)
+    got = stable_density_series(p, np.concatenate((xs, [math.nan, math.inf, -math.inf])))
+    assert np.all(np.isfinite(got[:-3])) and np.all(got[:-3] >= 0.0)
+    assert math.isnan(got[-3]) and got[-2:].tolist() == [0.0, 0.0]
+    if dense:
+        assert seen == xs.tolist() and asked == []
+        tan_term, t_max = laws._inversion_setup(p)
+        assert abs(tan_term) * t_max**alpha + 24.0 * t_max > laws._INVERSION_PHASE
+    else:
+        assert seen == [] and asked == [(1.0, 1.0, False, xs.size)]
 
 
 def _stable_density_mpmath(p, x, dps=30):
@@ -335,6 +299,63 @@ def test_inversion_grid_against_mpmath(alpha, x, beta):
     assert laws._inversion_grid(p, np.array([x]))[0] == pytest.approx(want, abs=1e-13)
 
 
+def test_dense_density_against_mpmath_on_the_llt_window():
+    """llt-stable's law on its window [-8, 8], every point on the inversion
+    grid: within 1e-14 of 20-digit mpmath.  The power series that once took
+    most of these points was 1.4e-10 off at x = -4.3411 (inside its 1e6
+    cancellation allowance), and followed the CPU's libm there."""
+    p = StableParams(1.5, GAMMA_DENSE_15, -1.0)
+    xs = np.concatenate((np.linspace(-8.0, 8.0, 26), [-4.3411, 3.5, 3.75, 5.0]))
+    want = np.array([float(_stable_density_mpmath(p, x, dps=20)) for x in xs.tolist()])
+    assert np.max(np.abs(stable_density_series(p, xs) - want)) < 1e-14
+
+
+def _one_sided(alpha):
+    """The one-sided law with Laplace transform exp(-t^alpha): y = x."""
+    return StableParams(alpha, math.cos(math.pi * alpha / 2.0) ** (1.0 / alpha), 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.9, 0.999])
+def test_one_sided_density_against_the_oracle(alpha):
+    """On y in [1e-3, 1e4], wherever f > 1e-50, the one-sided law is within
+    1e-13 + 8 eps kappa relative of ``one_sided_stable_density``, kappa =
+    |d log f / d log y| the relative change one rounding of y makes.  Up to
+    alpha = 0.5 that is 1e-13 to 2e-13.  In the light tail next to alpha = 1
+    the law is ill conditioned (kappa about 1e3 at alpha = 0.9, 1e6 at
+    0.999), and the u grid's A(u) and the step through z = y^-alpha carry
+    errors of that order: 1.6e-13 and 5e-11 off 50-digit mpmath at worst.
+    At alpha = 0.5 the Levy closed form is a second oracle."""
+    p, h = _one_sided(alpha), 1e-6
+    ys = np.concatenate((np.geomspace(1e-3, 1e4, 41), [np.nextafter(1.0, 0.0), 1.0]))
+    want = np.array([one_sided_stable_density(alpha, y) for y in ys.tolist()])
+    live = want > 1e-50
+    ys, want = ys[live], want[live]
+    assert ys.size >= 15
+    kappa = np.array([
+        abs(math.log(one_sided_stable_density(alpha, y * (1.0 + h)) / one_sided_stable_density(alpha, y * (1.0 - h))))
+        / (2.0 * h)
+        for y in ys.tolist()
+    ])
+    bound = 1e-13 + 8.0 * np.finfo(float).eps * kappa
+    got = stable_density_series(p, ys)
+    assert np.all(np.abs(got / want - 1.0) <= bound)
+    if alpha == 0.5:
+        levy = ys**-1.5 * np.exp(-0.25 / ys) / (2.0 * math.sqrt(math.pi))
+        assert np.all(np.abs(got / levy - 1.0) <= bound)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9, 0.999])
+def test_one_sided_density_at_subnormal_y(alpha):
+    # y^(-alpha-1) is past the float range here (at alpha = 0.5 from
+    # y = 1e-206), and so, at alpha = 0.999, is y^-alpha: the density is 0,
+    # never NaN, on both mirrors
+    ys = np.array([5e-324, 1e-320, 1e-310, 2.2250738585072014e-308])
+    for beta, sign in ((1.0, 1.0), (-1.0, -1.0)):
+        p = StableParams(alpha, _one_sided(alpha).gamma, beta)
+        assert stable_density_series(p, sign * ys).tolist() == [0.0] * ys.size
+        assert [stable_density_series(p, sign * y) for y in ys.tolist()] == [0.0] * ys.size
+
+
 def test_gauss_legendre_integrates_monomials():
     # the counts the inversion grid asks for, up to its budget; summed with
     # fsum, so that the check measures the rule, not a dot's rounding
@@ -350,11 +371,11 @@ def test_inversion_grid_refuses_past_its_budget():
     assert laws._inversion_grid(p, np.array([24.0]))[0] > 0.0
     with pytest.raises(RuntimeError, match=f"budget of {laws._INVERSION_MAX_NODES} nodes"):
         laws._inversion_grid(p, np.array([0.0, 40.0]))
-    # alpha <= 0.3: the series alone where it holds, refused where it does not
-    p = StableParams(0.25, math.cos(math.pi / 8.0) ** 4, 1.0)
-    assert stable_density_series(p, np.array([1e-3, 2.0])).min() > 0.0
-    with pytest.raises(ValueError, match="alpha > 0.3"):
-        stable_density_series(p, 1e-4)
+    # alpha <= 0.3, once refused where a power series could not be trusted
+    # (y = 1e-4 here): the one-sided law takes no grid of this budget
+    p = StableParams(0.25, math.cos(math.pi / 8.0) ** 4, 1.0)  # Laplace transform exp(-t^alpha)
+    for y in (1e-4, 1e-3, 2.0):
+        assert stable_density_series(p, y) == pytest.approx(one_sided_stable_density(0.25, y), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +531,12 @@ def test_dilute_grid_meets_series_at_the_edge(alpha, b):
 
 
 def _dilute_density_oracle(p, x):
-    """The one-sided stable density (series, or inversion where the series
-    cancels) transformed to Z."""
+    """The one-sided stable density of ``one_sided_stable_density`` (no
+    route of ``laws``), scaled to Laplace transform exp(-lam t^alpha) and
+    transformed to Z: g(x^(-1/alpha)) / (alpha E[S^(alpha (b - 1))]
+    x^(b + 1/alpha))."""
     a = p.alpha
-    gamma = (p.lam * math.cos(math.pi * a / 2.0)) ** (1.0 / a)
-    f = stable_density_series(StableParams(a, gamma, 1.0), x ** (-1.0 / a))
+    f = p.lam ** (-1.0 / a) * one_sided_stable_density(a, (p.lam * x) ** (-1.0 / a))
     return f / (a * stable_moment(a, p.lam, a * (p.b - 1.0)) * x ** (p.b + 1.0 / a))
 
 
@@ -654,6 +676,22 @@ def test_dilute_laws_at_subnormal_x_next_to_b_two(alpha, b, lam, x):
         assert dilute_Z_density(p, x) == math.inf
     else:
         assert dilute_Z_density(p, x) == pytest.approx(f, rel=1e-13)
+
+
+@pytest.mark.parametrize("b", [1.01, 1.5, 1.99])
+@pytest.mark.parametrize("lam, x", [(0.5, 5e-324), (0.1, 1e-323), (1e-3, 2e-321)])
+def test_dilute_laws_where_lam_x_rounds_to_zero(lam, x, b):
+    # x > 0 but lam x rounds to 0.0: log z is log lam + log x, and the sum
+    # runs with z^(1-b) or z^(2-b) factored out (``math.log(0.0)`` raised
+    # ValueError here), against the 50-digit sum at the exact z
+    p = DiluteParams(0.5, b, lam)
+    assert lam * x == 0.0
+    with mp.workdps(60):
+        z = mp.mpf(lam) * mp.mpf(x)
+    f, F = _dilute_series_mpmath(p, z)
+    assert dilute_Z_cdf(p, x) == pytest.approx(F, rel=1e-13)
+    assert dilute_Z_density(p, x) == (math.inf if f == math.inf else pytest.approx(f, rel=1e-13))
+    assert dilute_Z_density(p, np.array([0.0, x])).tolist() == [0.0, dilute_Z_density(p, x)]
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-310])

@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 from gibbs_partitions import ExtendedSpec, ProductSpec, SchemeSpec, WeightSequence, bundled_names, bundled_scheme
+from gibbs_partitions.exact import law_Nn
+from gibbs_partitions.phases import Phase, classify
+from gibbs_partitions.schemes import zeta_scheme
 
 
 def test_term_explicit_direct_read():
@@ -184,7 +187,7 @@ def _scalar_terms(seq, x, n_max):
     for k in range(1, n_max + 1):
         if k in overrides:
             val = overrides[k]
-            out.append(val * math.exp(k * logx) if val > 0 else 0.0)
+            out.append(math.exp(math.log(val) + k * logx) if val > 0 else 0.0)
         elif k < seq.start_index:
             out.append(0.0)
         else:
@@ -512,3 +515,43 @@ def test_weighted_moment_override_adjustment(start_index, term0, log_exp, k):
     n = np.arange(401, dtype=float)
     direct = math.fsum((seq.weighted_terms(t, 400) * n**k).tolist())
     assert seq.weighted_moment(t, k) == pytest.approx(direct, rel=1e-12)
+
+
+def _zeta_v_with_override(val):
+    """zeta_scheme(1.5, 1.5) with v's index-1200 term set to val."""
+    base = zeta_scheme(1.5, 1.5)
+    v = base.v
+    return base, SchemeSpec(WeightSequence.closed_form(c=v.L.c, e=v.e, rho=v.rho, overrides={1200: val}), base.w)
+
+
+def test_override_where_t_to_the_j_passes_the_float_range():
+    """At t = W(1) = zeta(1.5) = rho_v, t^1200 is past the float range but
+    1e-300 t^1200 is not: the term, and the closed-form term it replaces,
+    come from logs.  Both sums raised OverflowError from t**j and
+    exp(k log t).  A term past the float range reads +inf, which
+    ``_outer_value`` refuses."""
+    base, scheme = _zeta_v_with_override(1e-300)
+    t = base.w.series_value(1.0)
+    assert 1200 * math.log(t) > 709.8
+    want = math.exp(math.log(1e-300) + 1200 * math.log(t))  # 2.77e200
+    assert scheme.v.weighted_terms(t, 1300)[1200] == pytest.approx(want, rel=1e-15)
+    assert scheme.v.series_value(t) == pytest.approx(want, rel=1e-15)
+    # below the radius, where the moments converge, each order alike
+    s = 0.999 * t
+    want = math.exp(math.log(1e-300) + 1200 * math.log(s))
+    assert 1200 * math.log(s) > 709.8
+    for k in (0, 1, 2):
+        assert scheme.v.weighted_moment(s, k) == pytest.approx(want * 1200**k, rel=1e-12)
+    _, past = _zeta_v_with_override(1e-100)
+    assert past.v.weighted_terms(t, 1300)[1200] == math.inf and past.v.series_value(t) == math.inf
+    with pytest.raises(ValueError, match="V\\(W\\(rho\\)\\) must be positive and finite"):
+        law_Nn(past, 300)
+
+
+def test_override_past_the_float_range_leaves_the_count_law_as_it_was():
+    """The override at index 1200 classifies as dilute, and at n = 300 the
+    count law reads no term past 300: it is the law without the override."""
+    base, scheme = _zeta_v_with_override(1e-300)
+    assert classify(scheme).phase is Phase.dilute
+    got, want = law_Nn(scheme, 300), law_Nn(base, 300)
+    assert 0.5 * np.abs(got.pmf - want.pmf).sum() < 1e-15
