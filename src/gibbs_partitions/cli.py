@@ -101,8 +101,10 @@ def _cmd_exact(args) -> int:
                 header, cols = header + ["limit_pmf"], cols + [limit_d.pmf]
         else:
             sys.exit(f"error: unknown law {law!r}")
-    except (exact.BudgetExceededError, exact.TailCertificationError, ValueError) as err:
-        # a size guard, an uncertifiable tail, or a law undefined at this n or rho
+    except exact.TailCertificationError as err:  # a series tail that cannot be certified
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except (exact.BudgetExceededError, ValueError) as err:  # a size guard, or a law undefined at this n or rho
         sys.exit(f"error: {err}")
     _write_csv(header, np.column_stack([np.arange(cols[0].size)] + cols), args.out)
     return 0
@@ -120,7 +122,7 @@ def _cmd_laws(args) -> int:
             p = limit_laws.StableParams(args.alpha, args.gamma, args.beta, args.delta)
             ys = limit_laws.stable_density_series(p, xs)
         elif args.law == "gumbel_cdf":
-            ys = [limit_laws.gumbel_cdf(x) for x in xs]
+            ys = limit_laws.gumbel_cdf(xs)
         elif args.law == "frechet_cdf":
             law = limit_laws.frechet_law(args.mu, args.alpha, args.rank)
             ys = law.cdf(xs)
@@ -128,7 +130,7 @@ def _cmd_laws(args) -> int:
             p = limit_laws.DiluteParams(args.alpha, args.b, args.lam)
             ys = limit_laws.dilute_Z_density(p, xs)
         elif args.law == "pp_intensity":
-            ys = [limit_laws.pp_intensity(args.alpha, args.b, x) for x in xs]
+            ys = limit_laws.pp_intensity(args.alpha, args.b, xs)
         else:
             sys.exit(f"error: unknown law {args.law!r}")
     except (ValueError, RuntimeError) as err:

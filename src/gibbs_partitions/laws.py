@@ -23,7 +23,8 @@ Gamma(1 - alpha) < 0 for 1 < alpha < 2.
 Log-gamma and the incomplete gamma functions come from ``special`` (scipy's
 floats bit for bit), and the point-process integrals take ``special``'s
 tanh-sinh rule at a fixed step, so importing and running this module
-loads no scipy.
+loads no scipy.  Every point-wise law takes its points through
+``special._pointwise``, and exp, cos and pow through ``special._libm``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import dot, fsum, fsum_rows
-from .special import _libm, _pow, _tanh_sinh, igam, igamc, lgam
+from .special import _POINT_BLOCK, _libm, _or_inf, _pointwise, _tanh_sinh, igam, igamc, lgam
 
 __all__ = [
     "StableParams",
@@ -53,10 +54,9 @@ __all__ = [
     "pp_factorial_moment",
 ]
 
-# exp and cos element by element from the C library: numpy's vector exp and
-# cos round differently on different SIMD levels
-_exp = functools.partial(_libm, math.exp)
-_cos = functools.partial(_libm, math.cos)
+# the C library's exp and pow, +inf past the float range
+_exp_or_inf = functools.partial(_or_inf, math.exp)
+_pow_or_inf = functools.partial(_or_inf, math.pow)
 
 
 @functools.lru_cache(maxsize=32)
@@ -68,7 +68,7 @@ def _gauss_legendre(n: int) -> tuple[tuple, tuple]:
     A node whose step leaves it in place would stay there, so later steps
     take only the nodes still moving (a few dozen after the third).
     """
-    x = np.array([math.cos(math.pi * (i + 0.75) / (n + 0.5)) for i in range(n)])
+    x = _libm(math.cos, math.pi * (np.arange(n) + 0.75) / (n + 0.5))
     dp = np.zeros(n)
     live = np.arange(n)
     for _ in range(8):
@@ -101,15 +101,6 @@ class StableParams:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
 
 
-_POINT_BLOCK = 4096  # points per call of the array-valued laws' point-wise work
-
-
-def _in_blocks(fn, flat: np.ndarray) -> np.ndarray:
-    """fn, which acts point by point, on the 1-d flat _POINT_BLOCK points at
-    a time: the bytes of one call, with working arrays of one block."""
-    return np.concatenate([fn(flat[i : i + _POINT_BLOCK]) for i in range(0, max(flat.size, 1), _POINT_BLOCK)])
-
-
 def stable_density_series(p: StableParams, x):
     """Stable density at each x, by the one route of its law.
 
@@ -124,15 +115,14 @@ def stable_density_series(p: StableParams, x):
     """
     if p.alpha != 2.0 and (p.alpha == 1.0 or abs(p.beta) != 1.0):
         raise ValueError("series densities implemented for beta = +/-1, alpha != 1")
-    xs = np.asarray(x, dtype=float)
-    out = _in_blocks(functools.partial(_stable_density_block, p), np.ravel(xs))
-    return out.reshape(xs.shape) if xs.ndim else float(out[0])
+    return _pointwise(functools.partial(_stable_density_block, p), x, _POINT_BLOCK)
 
 
 def _stable_density_block(p: StableParams, flat: np.ndarray) -> np.ndarray:
     z, a = flat - p.delta, p.alpha
     if a == 2.0:  # S_2(gamma, ., delta) is Gaussian with variance 2 gamma^2
-        return _exp(-(z * z) / (4.0 * p.gamma**2)) / (2.0 * p.gamma * math.sqrt(math.pi))
+        with np.errstate(over="ignore"):  # z^2 past the float range: the density is 0
+            return _libm(math.exp, -(z * z) / (4.0 * p.gamma**2)) / (2.0 * p.gamma * math.sqrt(math.pi))
     out = np.where(np.isnan(flat), math.nan, 0.0)
     if a > 1.0:
         finite = np.isfinite(flat)
@@ -154,7 +144,9 @@ def _one_sided(alpha: float, y: np.ndarray) -> np.ndarray:
     density is alpha y^(-alpha-1) f_Z(z) = alpha f_Z(z) z / y: the u grid
     at y < 1, the z series, which has no cancellation at z <= 1, at y >= 1.
     Where f_Z is 0, z past the float range included, so is the density."""
-    z = np.array([math.pow(v, -alpha) if -alpha * math.log(v) < 709.0 else math.inf for v in y.tolist()])
+    z = np.full(y.size, math.inf)
+    finite = -alpha * _libm(math.log, y) < 709.0
+    z[finite] = _libm(math.pow, y[finite], -alpha)
     fz = _dilute_eval(alpha, 1.0, 1.0, z, cdf=False)
     out = np.zeros(y.size)
     live = fz > 0.0
@@ -204,14 +196,15 @@ def _inversion_grid(p: StableParams, x: np.ndarray) -> np.ndarray:
         w, c = (np.array(v) for v in _gauss_legendre(n))
         u = u_max * w
         t = u * u
-        phase0 = tan_term * np.array([v**a for v in t.tolist()])
+        phase0 = tan_term * _libm(math.pow, t, a)
         # dt = 2 u du
-        weights = 2.0 * u * (u_max * c) * np.array([math.exp(-((g * v) ** a)) for v in t.tolist()])
+        weights = 2.0 * u * (u_max * c) * _libm(math.exp, -_libm(math.pow, g * t, a))
         at = np.flatnonzero(nodes == n)
         for i in range(0, at.size, _INVERSION_ROWS):
             rows = at[i : i + _INVERSION_ROWS]
             shift = p.delta - x[rows]
-            out[rows] = [max(dot(row, weights) / math.pi, 0.0) for row in _cos(phase0 + np.multiply.outer(shift, t))]
+            cosines = _libm(math.cos, phase0 + np.multiply.outer(shift, t))
+            out[rows] = [max(dot(row, weights) / math.pi, 0.0) for row in cosines]
     return out
 
 
@@ -294,7 +287,7 @@ def _u_grid(alpha: float, b: float) -> tuple[tuple, tuple]:
         )
         log_w.append(math.log(c * math.pi * k) + (k - 1.0) * math.log(w) + q * log_a[-1])
     top = max(log_w)
-    norm = top + math.log(fsum(_exp(np.array(log_w) - top)))
+    norm = top + math.log(fsum(_libm(math.exp, np.array(log_w) - top)))
     return tuple(log_a), tuple(lw - norm for lw in log_w)  # tuples: the cache is shared
 
 
@@ -345,35 +338,36 @@ def _dilute_terms(a: float, b: float, z: float, log_z: float, cdf: bool, lead: f
     raise ValueError(f"alpha = {a}: the {'cdf' if cdf else 'density'} series at lam x = {z} does not converge")
 
 
-def _dilute_eval(alpha: float, b: float, lam: float, x, cdf: bool):
+def _dilute_eval(alpha: float, b: float, lam: float, x: np.ndarray, cdf: bool) -> np.ndarray:
     """The series up to lam x = _SERIES_EDGE, the u grid above it, where the
-    integrands no longer crowd into u -> pi; every x is computed alone.
-    The grid takes its points _INVERSION_ROWS at a time, so its working
-    arrays stay a few hundred kB however many points there are; igam, exp
-    and each row's sum act point by point, so the blocks move no byte.
-    NaN gives NaN, and x = +inf the limits F = 1, f = 0."""
-    xs = np.asarray(x, dtype=float)
-    flat = np.ravel(xs)
-    z = lam * flat
-    out = np.where(np.isnan(flat), math.nan, 0.0)
-    out[flat == math.inf] = 1.0 if cdf else 0.0
-    high = (z > _SERIES_EDGE) & (flat < math.inf)
-    low = (flat > 0.0) & (z <= _SERIES_EDGE)
-    out[low] = [_dilute_series(alpha, b, lam, xi, cdf) for xi in flat[low].tolist()]
+    integrands no longer crowd into u -> pi, at each entry of the 1-d x;
+    every x is computed alone.  The grid takes its points _INVERSION_ROWS
+    at a time, so its working arrays stay a few hundred kB however many
+    points there are; igam, exp and each row's sum act point by point, so
+    the blocks move no byte.  NaN gives NaN, and x = +inf the limits F = 1,
+    f = 0."""
+    z = lam * x
+    out = np.where(np.isnan(x), math.nan, 0.0)
+    out[x == math.inf] = 1.0 if cdf else 0.0
+    high = (z > _SERIES_EDGE) & (x < math.inf)
+    low = (x > 0.0) & (z <= _SERIES_EDGE)
+    out[low] = [_dilute_series(alpha, b, lam, xi, cdf) for xi in x[low].tolist()]
     if high.any():
         q = (b - 1.0) * (1.0 - alpha)
         log_a, log_w = (np.array(g) for g in _u_grid(alpha, b))
-        a = _exp(np.minimum(log_a, 700.0))  # past e^700, A t only needs to be huge
+        a = _libm(math.exp, np.minimum(log_a, 700.0))  # past e^700, A t only needs to be huge
         # t is clamped at 1e300 (alpha near 1): A t is then past every float
         # scale, P(1-q, A t) = 1 and e^(-A t) = 0 at every node
-        ts = [zi ** (1.0 / (1.0 - alpha)) if math.log(zi) < 690.0 * (1.0 - alpha) else 1e300 for zi in z[high].tolist()]
+        ts = np.full(np.count_nonzero(high), 1e300)
+        finite = _libm(math.log, z[high]) < 690.0 * (1.0 - alpha)
+        ts[finite] = _libm(math.pow, z[high][finite], 1.0 / (1.0 - alpha))
         # F = sum_i omega_i P(1-q, A_i t), which round-off may put past 1, or an
         # ulp short of it where every P is 1 (the omega's float total): then 1;
         # f = t^(1-q) / ((1-alpha) x Gamma(1-q)) sum_i omega_i A_i^(1-q) e^(-A_i t)
-        omega, m = _exp(log_w), log_w + (1.0 - q) * log_a
+        omega, m = _libm(math.exp, log_w), log_w + (1.0 - q) * log_a
         sums = []
         with np.errstate(over="ignore"):  # A t = inf: P(1-q, A t) = 1, e^(-A t) = 0
-            for i in range(0, len(ts), _INVERSION_ROWS):
+            for i in range(0, ts.size, _INVERSION_ROWS):
                 at = np.multiply.outer(ts[i : i + _INVERSION_ROWS], a)
                 if cdf:
                     sums += [1.0 if row.min() == 1.0 else min(dot(row, omega), 1.0) for row in igam(1.0 - q, at)]
@@ -381,24 +375,22 @@ def _dilute_eval(alpha: float, b: float, lam: float, x, cdf: bool):
                     arg = m - at
                     live = ~(arg < -800.0)  # math.exp is +0.0 below
                     terms = np.zeros(arg.shape)
-                    terms[live] = _exp(arg[live])
+                    terms[live] = _libm(math.exp, arg[live])
                     sums += fsum_rows(terms).tolist()
-        out[high] = sums if cdf else [
-            t ** (1.0 - q) * s / ((1.0 - alpha) * xi * math.gamma(1.0 - q))
-            for t, s, xi in zip(ts, sums, flat[high].tolist())
-        ]
-    return out.reshape(xs.shape) if xs.ndim else float(out[0])
+        out[high] = sums if cdf else (
+            _libm(math.pow, ts, 1.0 - q) * sums / ((1.0 - alpha) * x[high] * math.gamma(1.0 - q)))
+    return out
 
 
 def dilute_Z_density(p: DiluteParams, x):
     """Density of the rescaled-count limit Z, element by element over x: a
     float for a scalar x, and the bytes of scalar calls for an array."""
-    return _dilute_eval(p.alpha, p.b, p.lam, x, cdf=False)
+    return _pointwise(functools.partial(_dilute_eval, p.alpha, p.b, p.lam, cdf=False), x, _POINT_BLOCK)
 
 
 def dilute_Z_cdf(p: DiluteParams, x):
     """P(Z <= x), element by element over x, like ``dilute_Z_density``."""
-    return _dilute_eval(p.alpha, p.b, p.lam, x, cdf=True)
+    return _pointwise(functools.partial(_dilute_eval, p.alpha, p.b, p.lam, cdf=True), x, _POINT_BLOCK)
 
 
 def mixed_poisson_pmf(p: DiluteParams, upsilon: float, k_max: int) -> np.ndarray:
@@ -415,14 +407,14 @@ def mixed_poisson_pmf(p: DiluteParams, upsilon: float, k_max: int) -> np.ndarray
     alpha, q = p.alpha, (p.b - 1.0) * (1.0 - p.alpha)
     log_a, log_w = (np.array(g) for g in _u_grid(alpha, p.b))
     taus = np.arange(-math.log(40.0 / (1.0 - q)), 4.0, _GAMMA_STEP)
-    log_e = taus - _exp(-taus)
-    e_weights = _exp((1.0 - q) * log_e - _exp(log_e)) * (1.0 + _exp(-taus))
-    c = _exp(-(1.0 - alpha) * log_a) * (upsilon / p.lam)
-    z = np.multiply.outer(c, _exp((1.0 - alpha) * log_e)).ravel()
-    weights = np.multiply.outer(_exp(log_w), e_weights / fsum(e_weights)).ravel()
+    log_e = taus - _libm(math.exp, -taus)
+    e_weights = _libm(math.exp, (1.0 - q) * log_e - _libm(math.exp, log_e)) * (1.0 + _libm(math.exp, -taus))
+    c = _libm(math.exp, -(1.0 - alpha) * log_a) * (upsilon / p.lam)
+    z = np.multiply.outer(c, _libm(math.exp, (1.0 - alpha) * log_e)).ravel()
+    weights = np.multiply.outer(_libm(math.exp, log_w), e_weights / fsum(e_weights)).ravel()
     if fsum(weights[z > 708.0]) > 1e-12:  # exp(-z) underflows there
         raise ValueError(f"upsilon = {upsilon} puts upsilon Z past 708: out of range")
-    term = _exp(-z)
+    term = _libm(math.exp, -z)
     out = np.empty(k_max + 1)
     for k in range(k_max + 1):
         out[k] = dot(term, weights)
@@ -453,18 +445,19 @@ class FrechetJLaw:
     def theta(self) -> float:
         return -(self.mu**self.alpha) / math.gamma(1.0 - self.alpha)
 
-    def cdf(self, x) -> np.ndarray:
-        """P(J <= x) at each x, in x's shape: 0 for x <= 0, 1 at +inf, NaN at NaN."""
-        x = np.asarray(x, dtype=float)
-        return _in_blocks(self._cdf_block, np.ravel(x)).reshape(x.shape)
+    def cdf(self, x):
+        """P(J <= x) at each x: a float for a scalar x, else an array of x's
+        shape; 0 for x <= 0, 1 at +inf, NaN at NaN."""
+        return _pointwise(self._cdf_block, x, _POINT_BLOCK)
 
     def _cdf_block(self, x: np.ndarray) -> np.ndarray:
         out = np.where(np.isnan(x), math.nan, 0.0)
         pos = x > 0
-        # the C library's pow, element by element: numpy's vector pow rounds
-        # differently on different SIMD levels, and this cdf feeds a KS verdict
-        powers = [v ** -self.alpha for v in x[pos].tolist()]
-        lam = self.theta * np.array(powers, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = self.theta * _libm(_pow_or_inf, x[pos], -self.alpha)
+            # where x^-alpha passes the float range, Lambda = (mu / x)^alpha / |Gamma(1 - alpha)|
+            far = ~np.isfinite(lam)
+            lam[far] = _libm(_pow_or_inf, self.mu / x[pos][far], self.alpha) / -math.gamma(1.0 - self.alpha)
         out[pos] = igamc(self.j, lam)
         return out
 
@@ -481,13 +474,11 @@ def frechet_law(mu: float, alpha: float, j: int = 1) -> FrechetJLaw:
     return FrechetJLaw(mu, alpha, j)
 
 
-def gumbel_cdf(x: float) -> float:
-    """P(G <= x) = exp(-exp(-x)); 0.0 where exp(-x) overflows (x below about
-    -709.78), the value every x below about -6.6 already rounds to."""
-    try:
-        return math.exp(-math.exp(-x))
-    except OverflowError:
-        return 0.0
+def gumbel_cdf(x):
+    """P(G <= x) = exp(-exp(-x)) at each x, like ``dilute_Z_cdf``: 0.0 where
+    exp(-x) overflows (x below about -709.78), the value every x below about
+    -6.6 already rounds to; NaN at NaN."""
+    return _pointwise(lambda v: _libm(math.exp, -_libm(_exp_or_inf, -v)), x, _POINT_BLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -498,20 +489,26 @@ def _log_beta(a: float, b: float) -> float:
     return lgam(a) + lgam(b) - lgam(a + b)
 
 
-def pp_intensity(alpha: float, b: float, x: float) -> float:
+def pp_intensity(alpha: float, b: float, x):
     """Intensity x^(-alpha-1) (1-x)^(alpha(2-b)-1) / B(1-alpha, alpha(2-b))
-    of the limit point process on (0, 1]."""
+    of the limit point process on (0, 1], at each x, like ``dilute_Z_cdf``:
+    0 past 1, +inf at 1 (an integrable singularity, c < 1), NaN at NaN.
+    Any x <= 0 raises ValueError."""
     if not 0.0 < alpha < 1.0 or not 1.0 < b < 2.0:
         raise ValueError("intensity defined for alpha in (0,1), b in (1,2)")
-    if x <= 0.0:
-        raise ValueError("the point process lives on (0, 1]")
-    if x > 1.0:
-        return 0.0
     c = alpha * (2.0 - b)
-    norm = math.exp(-_log_beta(1.0 - alpha, c))
-    if x == 1.0:
-        return math.inf  # integrable endpoint singularity for c < 1
-    return norm * x ** (-alpha - 1.0) * (1.0 - x) ** (c - 1.0)
+    return _pointwise(functools.partial(_pp_intensity_block, alpha, c), x, _POINT_BLOCK)
+
+
+def _pp_intensity_block(alpha: float, c: float, x: np.ndarray) -> np.ndarray:
+    if (x <= 0.0).any():
+        raise ValueError("the point process lives on (0, 1]")
+    out = np.where(x == 1.0, math.inf, 0.0)
+    inner = ~(x >= 1.0)  # NaN too
+    norm, xs = math.exp(-_log_beta(1.0 - alpha, c)), x[inner]
+    with np.errstate(over="ignore"):  # +inf only past the float range
+        out[inner] = norm * _libm(_pow_or_inf, xs, -alpha - 1.0) * _libm(math.pow, 1.0 - xs, c - 1.0)
+    return out
 
 
 # The point-process integrals take ``special._tanh_sinh`` at this step: within
@@ -523,10 +520,10 @@ _TS_STEP = 1.0 / 16.0
 def _power_gap(base: np.ndarray, step: np.ndarray, p: float) -> np.ndarray:
     """(base + step)^p - base^p at each entry, without the cancellation of
     the plain difference; step may be negative."""
-    return np.array([
-        math.pow(b, p) * math.expm1(p * math.log1p(d / b)) if b > 0.0 else math.pow(d, p)
-        for b, d in zip(base.tolist(), step.tolist())
-    ])
+    pos, out = base > 0.0, np.empty(base.size)
+    out[pos] = _libm(math.pow, base[pos], p) * _libm(math.expm1, p * _libm(math.log1p, step[pos] / base[pos]))
+    out[~pos] = _libm(math.pow, step[~pos], p)
+    return out
 
 
 def _pp_mass(alpha: float, c: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
@@ -540,16 +537,16 @@ def _pp_mass(alpha: float, c: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarr
     x0 = np.minimum(x0, x1)
     top = np.minimum(x1, 0.5)  # the lower piece is [x0, top] where x0 < top
     low = x0 < top
-    t0 = _pow(top[low], -alpha)
+    t0 = _libm(math.pow, top[low], -alpha)
     t_gap = _power_gap(top[low], x0[low] - top[low], -alpha)
     t = (t0[:, None] + t_gap[:, None] * u).ravel()
-    f_low = _pow(1.0 - _pow(t, -1.0 / alpha), c - 1.0).reshape(t_gap.size, u.size)
+    f_low = _libm(math.pow, 1.0 - _libm(math.pow, t, -1.0 / alpha), c - 1.0).reshape(t_gap.size, u.size)
     bottom = np.maximum(x0, 0.5)  # the upper piece is [bottom, x1] where bottom < x1
     high = bottom < x1
-    s0 = _pow(1.0 - x1[high], c)
+    s0 = _libm(math.pow, 1.0 - x1[high], c)
     s_gap = _power_gap(1.0 - x1[high], x1[high] - bottom[high], c)
     s = (s0[:, None] + s_gap[:, None] * u).ravel()
-    f_high = _pow(1.0 - _pow(s, 1.0 / c), -alpha - 1.0).reshape(s_gap.size, u.size)
+    f_high = _libm(math.pow, 1.0 - _libm(math.pow, s, 1.0 / c), -alpha - 1.0).reshape(s_gap.size, u.size)
     sums = fsum_rows(np.vstack((f_low * w, f_high * w)))
     out = np.zeros(x0.size)
     out[low] = c / alpha * t_gap * sums[: t_gap.size]
@@ -615,6 +612,6 @@ def pp_factorial_moment(alpha: float, b: float, interval, m: int) -> float:
         y1 = lo + (up - lo) * u
         rest = 1.0 - y1
         inner = _pp_mass(alpha, c2, x0 / rest, np.minimum(x1, rest) / rest) / c2
-        f = _pow(y1, -alpha - 1.0) * _pow(rest, c2 - alpha - 1.0) * inner
+        f = _libm(math.pow, y1, -alpha - 1.0) * _libm(math.pow, rest, c2 - alpha - 1.0) * inner
         parts.append((up - lo) * fsum(f * w))
     return pref * fsum(parts)

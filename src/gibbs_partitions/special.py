@@ -25,11 +25,11 @@ ported: there cephes may sum Temme's uniform expansion (DLMF 8.12.3-4), and
 those points go to scipy, imported for them alone: the one scipy import
 left in the package's runtime.
 
-exp, log and pow are the C library's, one value at a time: numpy's vector
-versions round differently on different SIMD levels.  Every other step is
-IEEE arithmetic, which numpy rounds exactly as C does.  Loops over the
-terms of a series run on whole arrays and let each point leave at the term
-where the scalar loop would stop.
+exp, log and pow are the C library's, one value at a time through
+``_libm``: numpy's vector versions round differently on different SIMD
+levels.  Every other step is IEEE arithmetic, which numpy rounds exactly as
+C does.  Loops over the terms of a series run on whole arrays and let each
+point leave at the term where the scalar loop would stop.
 """
 
 from __future__ import annotations
@@ -48,12 +48,35 @@ _MAXITER = 2000
 _BIG = 2.0**512  # where ``_q_fraction`` scales its recurrence down, by
 _BIGINV = 2.0**-512
 _TEMME_A = 20.0  # a above which cephes may take the uniform expansion near x = a
+_POINT_BLOCK = 4096  # points per call of the limit laws' point-wise work (``laws``)
 
 
-def _libm(fn, x) -> np.ndarray:
-    """fn of each entry of x, from the C library, in x's shape."""
+def _libm(fn, x, *scalars) -> np.ndarray:
+    """fn(v, *scalars) at each entry v of x, read through a memoryview, in
+    x's shape: the one way the package applies a ``math`` function (the C
+    library's) to an array."""
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    flat = memoryview(x.ravel())
+    return np.fromiter(map(fn, flat, *map(itertools.repeat, scalars)), float, x.size).reshape(x.shape)
+
+
+def _or_inf(fn, *args) -> float:
+    """fn(*args), +inf where the C library's value is past the float range."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
+def _pointwise(fn, x, block: int | None = None):
+    """fn (1-d floats to their values, point by point) at each entry of x: a
+    Python float for a scalar x, else an array of x's shape.  fn sees at most
+    ``block`` points a call (all for None): the blocks move no byte."""
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    step = block or max(flat.size, 1)
+    out = np.concatenate([fn(flat[i : i + step]) for i in range(0, max(flat.size, 1), step)])
+    return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 
 # The tanh-sinh rule (Takahasi & Mori 1974, Publ. RIMS 9) on [0, 1]: nodes
@@ -68,16 +91,12 @@ _TS_REACH = 3.2
 def _tanh_sinh(step: float) -> tuple[tuple, tuple]:
     """The nodes and weights of the tanh-sinh rule of step ``step`` on [0, 1]."""
     reach = round(_TS_REACH / step)
-    ts = [k * step for k in range(-reach, reach + 1)]
-    nodes = [1.0 / (1.0 + math.exp(-math.pi * math.sinh(t))) for t in ts]
+    ts = np.arange(-reach, reach + 1) * step
+    pi_sinh = math.pi * _libm(math.sinh, ts)
+    nodes = 1.0 / (1.0 + _libm(math.exp, -pi_sinh))
     # du/dt = pi cosh(t) u (1 - u), u (1 - u) = 1 / (2 + 2 cosh(pi sinh t))
-    weights = [step * math.pi * math.cosh(t) / (2.0 + 2.0 * math.cosh(math.pi * math.sinh(t))) for t in ts]
-    return tuple(nodes), tuple(weights)  # tuples: the cache is shared
-
-
-def _pow(x: np.ndarray, a: float) -> np.ndarray:
-    """x ** a entry by entry, the C library's pow."""
-    return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(a)), float, x.size)
+    weights = step * math.pi * _libm(math.cosh, ts) / (2.0 + 2.0 * _libm(math.cosh, pi_sinh))
+    return tuple(nodes.tolist()), tuple(weights.tolist())  # tuples: the cache is shared
 
 
 def _polevl(x, coef):
@@ -148,13 +167,15 @@ def lgam(x):
     """log Gamma(x) for x > 0, ``scipy.special.gammaln``'s floats, element
     by element: a float for a scalar x, else an array of x's shape.  From
     13 on, Stirling's series runs on the whole array at once."""
-    xs = np.asarray(x, dtype=float)
-    flat = np.ravel(xs)
+    return _pointwise(_lgam, x)
+
+
+def _lgam(flat: np.ndarray) -> np.ndarray:
     if not (flat > 0.0).all():
         raise ValueError(f"lgam is ported for x > 0, got {flat[~(flat > 0.0)][0]}")
     out = np.empty(flat.size)
     small = flat < 13.0
-    out[small] = [_lgam_below_13(v) for v in flat[small].tolist()]
+    out[small] = _libm(_lgam_below_13, flat[small])
     big = flat[~small]
     with np.errstate(over="ignore", invalid="ignore"):  # x past 1e8: the series is not added
         q = (big - 0.5) * _libm(math.log, big) - big + _LS2PI
@@ -162,7 +183,7 @@ def lgam(x):
         wide = q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333) / big
         series = np.where(big >= 1000.0, wide, q + _polevl(p, _STIRLING) / big)
     out[~small] = np.where(big > _MAXLGM, math.inf, np.where(big > 1.0e8, q, series))
-    return out.reshape(xs.shape) if xs.ndim else float(out[0])
+    return out
 
 
 # scipy.special.zeta(n, 1) for n = 2 .. 41, the Taylor coefficients of
@@ -274,7 +295,7 @@ def _fac(a: float, x: np.ndarray) -> np.ndarray:
     fac = a + _LANCZOS_G - 0.5
     res = math.sqrt(fac / math.e) / _lanczos_sum_expg_scaled(a)
     near = x[~far]
-    out[~far] = res * (_libm(math.exp, a - near) * _pow(near / fac, a))
+    out[~far] = res * (_libm(math.exp, a - near) * _libm(math.pow, near / fac, a))
     return out
 
 
@@ -399,6 +420,9 @@ def _temme(a: float, x: np.ndarray, upper: bool) -> np.ndarray:
 def _pq(a: float, x: np.ndarray, upper: bool) -> np.ndarray:
     """Q(a, x) if ``upper`` else P(a, x) at each entry of the 1-d x, by
     cephes' choice of method (igamc, igam)."""
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"the incomplete gamma functions are ported for 0 < a < inf, got {a}")
+    a = float(a)
     out = np.full(x.size, math.nan)  # x < 0 or NaN
     out[x == 0.0] = 1.0 if upper else 0.0
     out[x == math.inf] = 0.0 if upper else 1.0
@@ -429,29 +453,23 @@ def _pq(a: float, x: np.ndarray, upper: bool) -> np.ndarray:
     return out
 
 
-def _elementwise(a: float, x, upper: bool):
-    if not 0.0 < a < math.inf:
-        raise ValueError(f"the incomplete gamma functions are ported for 0 < a < inf, got {a}")
-    xs = np.asarray(x, dtype=float)
-    out = _pq(float(a), np.ravel(xs), upper)
-    return out.reshape(xs.shape) if xs.ndim else float(out[0])
-
-
 def igam(a: float, x):
     """P(a, x) = gamma(a, x) / Gamma(a), ``scipy.special.gammainc``'s floats;
-    a float for a scalar x, else an array of x's shape."""
-    return _elementwise(a, x, upper=False)
+    a float for a scalar x, else an array of x's shape, in one call: the
+    series and fraction loops pay per numpy call, not per point."""
+    return _pointwise(functools.partial(_pq, a, upper=False), x)
 
 
 def igamc(a: float, x):
     """Q(a, x) = 1 - P(a, x), ``scipy.special.gammaincc``'s floats."""
-    return _elementwise(a, x, upper=True)
+    return _pointwise(functools.partial(_pq, a, upper=True), x)
 
 
 def chdtrc(df: float, x):
     """P(chi-square with df degrees of freedom > x) = Q(df / 2, x / 2),
     ``scipy.special.chdtrc``'s floats (NaN for x < 0, as there)."""
-    return igamc(df / 2.0, np.asarray(x, dtype=float) / 2.0)
+    x = np.asarray(x, dtype=float)
+    return igamc(df / 2.0, np.where(x < 0.0, math.nan, x) / 2.0)
 
 
 def upper_gamma(a: float, x: float) -> float:

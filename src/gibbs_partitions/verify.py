@@ -180,15 +180,21 @@ def _verdict(
 # scipy.stats without loading it.
 
 
+def _ks_distance(f, f_below, g) -> float:
+    """sup |F - G| of a step cdf F against a continuous G, from F, F- (F just
+    below each atom) and G at the atoms: the larger of max(F - G) and
+    max(G - F-), which is the largest |F - G| and |F- - G| as F- <= F."""
+    d_plus = np.max(f - g)
+    d_minus = np.max(g - f_below)
+    return float(d_plus if d_plus > d_minus else d_minus)
+
+
 def _ks_statistic(sample, cdf) -> float:
     """Two-sided one-sample Kolmogorov-Smirnov statistic of ``sample``
     against ``cdf``, which takes the sorted sample as one array."""
     x = np.sort(np.asarray(sample, dtype=float))
     n = x.size
-    cdfvals = cdf(x)
-    d_plus = np.max(np.arange(1.0, n + 1) / n - cdfvals)
-    d_minus = np.max(cdfvals - np.arange(0.0, n) / n)
-    return float(d_plus if d_plus > d_minus else d_minus)
+    return _ks_distance(np.arange(1.0, n + 1) / n, np.arange(0.0, n) / n, cdf(x))
 
 
 def _chisquare_pvalue(observed, expected, ddof: int = 0) -> float:
@@ -523,13 +529,7 @@ def _dilute(
     hi = min(pmf.size - 1, int(12 * na))
     fz = laws.dilute_Z_cdf(dp, np.arange(1, hi + 1) / na)
     right = cdf_exact[1 : hi + 1]
-    left = right - pmf[1 : hi + 1]
-    ks = max(
-        1.0 - cdf_exact[hi],
-        1.0 - fz[-1],
-        float(np.max(np.abs(right - fz))),
-        float(np.max(np.abs(left - fz))),
-    )
+    ks = max(1.0 - cdf_exact[hi], 1.0 - fz[-1], _ks_distance(right, right - pmf[1 : hi + 1], fz))
     reports.append(_verdict("dilute_ks", scheme, [n_fin], "KS", [float(ks)], ks_tol))
 
     # Monte Carlo parts

@@ -31,12 +31,13 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .special import _libm, _tanh_sinh, upper_gamma
+from .special import _libm, _or_inf, _tanh_sinh, upper_gamma
 
 __all__ = ["SlowVarying", "WeightSequence", "SchemeSpec", "ExtendedSpec", "ProductSpec", "TailCertificationError"]
 
@@ -180,14 +181,9 @@ class WeightSequence:
         if self.is_explicit:
             # log-space product: c * t**n can overflow the intermediate
             # power even when the product is representable
-            logt = math.log(t)
-            return WeightSequence.explicit(
-                [
-                    math.exp(math.log(c) + n * logt) if c > 0 else 0.0
-                    for n, c in enumerate(self.coeffs)
-                ]
-            )
-        ov = tuple((k, val * t**k) for k, val in self.overrides)
+            return WeightSequence.explicit(self.weighted_terms(t, len(self.coeffs) - 1))
+        powers = _libm(functools.partial(math.pow, t), [k for k, _ in self.overrides]).tolist()
+        ov = tuple((k, val * power) for (k, val), power in zip(self.overrides, powers))
         return replace(self, rho=self.rho / t, overrides=ov)
 
     # -- series evaluation ---------------------------------------------------
@@ -198,9 +194,9 @@ class WeightSequence:
         This is the backbone for probability vectors: for closed forms with
         x near rho the product ``n**(-e) * (x/rho)**n`` is formed without
         intermediate overflow.  Every log and exp goes through the C
-        library (``math``, mapped over the entries): numpy's vectorized exp
-        and log round differently on different SIMD levels, and these terms
-        feed every exact law.  Only the products and sums of the exponent
+        library (``special._libm``): numpy's vectorized exp and log round
+        differently on different SIMD levels, and these terms feed every
+        exact law.  Only the products and sums of the exponent
         ``log L(k) - e log k + k log(x / rho)`` are numpy's, one correctly
         rounded operation each in that order, so each term has the bits of
         the same expression in Python floats.
@@ -213,11 +209,9 @@ class WeightSequence:
             if x == 0.0:
                 out[0] = self.coeffs[0] if m > 0 else 0.0
                 return out
-            logx = math.log(x)
-            out[:m] = [
-                math.exp(math.log(c) + k * logx) if c > 0 else 0.0
-                for k, c in enumerate(self.coeffs[:m])
-            ]
+            c = np.array(self.coeffs[:m])
+            live = np.flatnonzero(c > 0.0)
+            out[live] = _libm(math.exp, _libm(math.log, c[live]) + live * math.log(x))
             return out
         out[0] = self.term0
         if x == 0.0 or n_max == 0:
@@ -225,22 +219,16 @@ class WeightSequence:
         logc, lam, e = math.log(self.L.c), self.L.log_exp, self.e
         logx = math.log(x)
         step = logx - math.log(self.rho)
-        # libm's log of k and of log(2 + k) from the ints, its exp from a
-        # memoryview: Python floats one at a time, no list of them
-        log_k = np.fromiter(map(math.log, range(1, n_max + 1)), dtype=float, count=n_max)
-        if lam:
-            loglog = map(math.log, map(math.log, range(3, n_max + 3)))
-            log_l = logc + lam * np.fromiter(loglog, dtype=float, count=n_max)
-        else:
-            log_l = logc
-        args = log_l - e * log_k
-        args += np.arange(1.0, n_max + 1.0) * step
-        vals = np.fromiter(map(math.exp, memoryview(args)), dtype=float, count=n_max)
+        ks = np.arange(1.0, n_max + 1.0)
+        log_l = logc + lam * _libm(math.log, _libm(math.log, ks + 2.0)) if lam else logc
+        args = log_l - e * _libm(math.log, ks)
+        args += ks * step
+        vals = _libm(math.exp, args)
         if self.start_index > 1:
             vals[: min(self.start_index - 1, n_max)] = 0.0
         for k, val in self.overrides:
             if 1 <= k <= n_max:  # from logs: x^k alone may pass the float range
-                vals[k - 1] = _exp_or_inf(math.log(val) + k * logx) if val > 0 else 0.0
+                vals[k - 1] = _or_inf(math.exp, math.log(val) + k * logx) if val > 0 else 0.0
         out[1:] = vals
         return out
 
@@ -259,7 +247,8 @@ class WeightSequence:
                 return float(self.coeffs[0]) if k == 0 else 0.0
             try:
                 arr = self.weighted_terms(t, len(self.coeffs) - 1)
-                return math.fsum(c * j**k for j, c in enumerate(arr.tolist()))
+                powers = (np.arange(arr.size, dtype=object) ** k).tolist()  # Python ints: j^k exact
+                return math.fsum(c * power for c, power in zip(arr.tolist(), powers))
             except OverflowError:  # a term, or their sum, past the float range
                 return math.inf
         base = _closed_moment_sum(self.L, self.e, self.rho, max(self.start_index, 1), t, k)
@@ -274,10 +263,10 @@ class WeightSequence:
             log_t, log_rho = math.log(t), math.log(self.rho)
             for j, val in self.overrides:
                 log_tj = k * math.log(j) + j * log_t
-                term = _exp_or_inf(math.log(val) + log_tj) if val > 0 else 0.0
+                term = _or_inf(math.exp, math.log(val) + log_tj) if val > 0 else 0.0
                 if j >= max(self.start_index, 1):
                     log_closed = float(self.L.log_value(j)) - (self.e - k) * math.log(j) + j * (log_t - log_rho)
-                    term -= _exp_or_inf(log_closed)
+                    term -= _or_inf(math.exp, log_closed)
                 total += term
         if k == 0:
             total += self.term0
@@ -323,14 +312,6 @@ class WeightSequence:
                 overrides={int(k): float(v) for k, v in cfg.get("overrides", {}).items()},
             )
         raise ValueError(f"unknown weight sequence kind: {kind!r}")
-
-
-def _exp_or_inf(arg: float) -> float:
-    """e^arg from the C library, +inf past the float range."""
-    try:
-        return math.exp(arg)
-    except OverflowError:
-        return math.inf
 
 
 def _known_keys(cfg: dict, keys: tuple, what: str) -> None:

@@ -750,11 +750,12 @@ def test_entry_point_installed():
 
 @pytest.mark.parametrize(
     "argv",
-    [["classify", "--scheme", "dense-gauss"], ["sample", "--scheme", "dense-gauss", "--n", "50"]],
-    ids=["classify", "sample"],
+    [["classify", "--scheme", "dense-gauss"], ["sample", "--scheme", "dense-gauss", "--n", "50"],
+     ["exact", "--scheme", "dense-gauss", "--law", "Nn", "--n", "50"]],
+    ids=["classify", "sample", "exact"],
 )
 def test_an_uncertified_tail_is_one_error_line(capsys, monkeypatch, argv):
-    # classify and sample once printed a traceback
+    # classify and sample once printed a traceback, and exact exited 1
     from gibbs_partitions import weights
 
     def uncertified(*args, **kwargs):

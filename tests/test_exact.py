@@ -1322,6 +1322,30 @@ def test_pitman_yor_count_law_over_the_dilute_quadrant(alpha, share):
     assert np.max(np.abs(got - crp_count_law(n, alpha, theta).astype(float))) < 1e-14
 
 
+def _pitman_yor_relative_gap(method):
+    """The largest relative gap of law_Nn(Pitman-Yor(0.7, -0.35), 2500) to
+    the Chinese-restaurant chain wherever the chain's pmf is above 1e-12."""
+    scheme, n = _pitman_yor(0.7, -0.35), 2500
+    assert exact._conv_method(_calibrate(scheme, n).law_x.pmf, n, "auto") == "fft"
+    want = crp_count_law(n, 0.7, -0.35).astype(float)
+    got = law_Nn(scheme, n, method=method).pmf
+    seen = want > 1e-12
+    return float(np.max(np.abs(got[seen] - want[seen]) / want[seen]))
+
+
+@pytest.mark.skipif(not LONGDOUBLE_OK, reason="np.longdouble is no wider than a double here")
+def test_pitman_yor_direct_sweep_is_exact_in_the_fft_regime():
+    # ROADMAP item 1's exact answer where the default branch takes FFT: 2.5e-14
+    assert _pitman_yor_relative_gap("direct") <= 1e-12
+
+
+@pytest.mark.skipif(not LONGDOUBLE_OK, reason="np.longdouble is no wider than a double here")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: at the default rho and n = 2500 the FFT law_Nn "
+                   "is 6.8e-10 relative off the Chinese-restaurant chain")
+def test_pitman_yor_fft_sweep_matches_the_chain():
+    assert _pitman_yor_relative_gap("auto") <= 1e-11
+
+
 def test_pitman_yor_classifies_as_dilute():
     rep = classify(_pitman_yor(0.5, -0.25))
     assert rep.phase.name == "dilute"

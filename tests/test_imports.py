@@ -84,6 +84,39 @@ def test_the_one_scipy_import_is_the_temme_band():
     assert found == [("special", "_temme", "scipy.special")]
 
 
+def test_point_work_goes_through_the_one_libm_map():
+    # read by ast: laws, weights, special and exact call no numpy
+    # transcendental, whose bits follow numpy's SIMD level, and apply no math
+    # function or ** per point in a comprehension or map of their own;
+    # special._libm is the one element-wise map of the C library.  The numpy
+    # sites left are the three that ROADMAP item 22 names.
+    import ast
+    import math
+
+    vector = {"exp", "log", "log1p", "expm1", "cos", "sin", "power"}
+    predicates = {"isfinite", "isnan", "isinf"}  # exact: no rounding to follow the CPU
+
+    def module_attr(node, module):
+        return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == module
+
+    numpy_sites, per_point = set(), []
+    for stem in ("laws", "weights", "special", "exact"):
+        tree = ast.parse((pathlib.Path(gibbs_partitions.__file__).parent / f"{stem}.py").read_text())
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if module_attr(node, "np") and node.attr in vector:
+                    numpy_sites.add((stem, owner))
+                if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)) or (
+                        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "map"):
+                    per_point += [(stem, owner, ast.unparse(sub)) for sub in ast.walk(node)
+                                  if (module_attr(sub, "math") and callable(getattr(math, sub.attr))
+                                      and sub.attr not in predicates)
+                                  or (isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow))]
+    assert per_point == []
+    assert numpy_sites == {("weights", "_closed_moment_sum"), ("weights", "SlowVarying"), ("exact", "stopped_sum_law")}
+
+
 def test_cli_loads_no_scipy():
     loaded = _modules_after_import("gibbs_partitions.cli")
     assert "gibbs_partitions.cli" in loaded

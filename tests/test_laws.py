@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammainc, gammaln, zeta
 
-from gibbs_partitions import laws
+from gibbs_partitions import laws, special
 from gibbs_partitions.series import dot
 from gibbs_partitions.laws import (
     DiluteParams,
@@ -151,13 +151,13 @@ def test_stable_density_blocks_keep_the_bytes(alpha, beta):
     block edge, with grid points (and z series points, one-sided) in both
     blocks, the call gives the bytes of calls on pieces that lie within one
     block, and of scalar calls at the edge."""
-    p = StableParams(alpha, 1.0, beta)
-    xs = np.linspace(-12.0, 6.0, laws._POINT_BLOCK + 3) if alpha > 1.0 else np.geomspace(0.02, 50.0, laws._POINT_BLOCK + 3)
+    p, block = StableParams(alpha, 1.0, beta), special._POINT_BLOCK
+    xs = np.linspace(-12.0, 6.0, block + 3) if alpha > 1.0 else np.geomspace(0.02, 50.0, block + 3)
     vec = stable_density_series(p, xs)
     pieces = np.concatenate([stable_density_series(p, xs[:1000]), stable_density_series(p, xs[1000:])])
     assert vec.tobytes() == pieces.tobytes()
-    edge = xs[laws._POINT_BLOCK - 2 : laws._POINT_BLOCK + 2]
-    assert vec[laws._POINT_BLOCK - 2 : laws._POINT_BLOCK + 2].tolist() == [stable_density_series(p, float(x)) for x in edge]
+    edge = xs[block - 2 : block + 2]
+    assert vec[block - 2 : block + 2].tolist() == [stable_density_series(p, float(x)) for x in edge]
 
 
 def _tight_inversion(p, x):
@@ -841,8 +841,8 @@ def test_dilute_cdf_is_one_where_every_node_is():
 
     p = DiluteParams(0.5, 1.5, 1.3)
     log_a, log_w = (np.array(g) for g in laws._u_grid(p.alpha, p.b))
-    a = laws._exp(np.minimum(log_a, 700.0))
-    assert dot(np.ones(log_w.size), laws._exp(log_w)) < 1.0
+    a = special._libm(math.exp, np.minimum(log_a, 700.0))
+    assert dot(np.ones(log_w.size), special._libm(math.exp, log_w)) < 1.0
     xs = [1e6, 1e200, 1e308]
     assert dilute_Z_cdf(p, np.array(xs)).tolist() == [dilute_Z_cdf(p, x) for x in xs] == [1.0, 1.0, 1.0]
     grid = np.geomspace(laws._SERIES_EDGE / p.lam, 1e3, 400)
@@ -929,12 +929,12 @@ def test_frechet_cdf_blocks_keep_the_bytes():
     edge it gives the bytes of calls on pieces within one block, and of
     scalar calls at the edge."""
     law = frechet_law(1.3, 1.5, 2)
-    xs = np.linspace(-1.0, 9.0, laws._POINT_BLOCK + 3)
+    xs = np.linspace(-1.0, 9.0, special._POINT_BLOCK + 3)
     got = law.cdf(xs.reshape(1, -1))
     assert got.shape == (1, xs.size)
     assert got.tobytes() == np.concatenate([law.cdf(xs[:1000]), law.cdf(xs[1000:])]).tobytes()
-    edge = slice(laws._POINT_BLOCK - 2, laws._POINT_BLOCK + 2)
-    assert got[0, edge].tolist() == [float(law.cdf(x)) for x in xs[edge]]
+    edge = slice(special._POINT_BLOCK - 2, special._POINT_BLOCK + 2)
+    assert got[0, edge].tolist() == [law.cdf(x) for x in xs[edge]]
 
 
 def test_frechet_rank_j_cdf_is_a_poisson_count():
@@ -1040,15 +1040,110 @@ def test_all_cdfs_monotone_densities_nonneg():
 
 
 def test_libm_maps_are_math_per_entry():
-    """laws._exp and laws._cos give math.exp / math.cos of each entry, in the
-    input's shape (0-d arrays for scalars), and raise where math does."""
+    """special._libm gives math.exp / math.cos / math.pow of each entry, in
+    the input's shape (0-d arrays for scalars), on strided views too, and
+    raises where math does."""
     rng = np.random.default_rng(2)
-    for x in (rng.standard_normal(400) * 60.0, rng.standard_normal((3, 5, 2)),
+    for x in (rng.standard_normal(400) * 60.0, rng.standard_normal((3, 5, 2)), rng.standard_normal((4, 6))[:, ::2].T,
               np.float64(-0.7), 1.25, [0, 1, 2], np.zeros((0, 4))):
         want = np.asarray(x, dtype=float)
-        for fn, ref in ((laws._exp, math.exp), (laws._cos, math.cos)):
-            got = fn(x)
+        for fn, scalars, ref in ((math.exp, (), math.exp), (math.cos, (), math.cos), (math.pow, (3.0,), lambda v: v**3.0)):
+            got = special._libm(fn, x, *scalars)
             assert got.dtype == float and got.shape == want.shape
             assert got.tobytes() == np.array([ref(v) for v in want.ravel().tolist()]).tobytes()
     with pytest.raises(OverflowError):
-        laws._exp(np.array([1.0, 800.0]))
+        special._libm(math.exp, np.array([1.0, 800.0]))
+
+
+def test_frechet_cdf_and_intensity_where_the_power_passes_the_float_range():
+    # x^-alpha past the float range raised OverflowError (found by the
+    # point-contract fuzzer below): the cdf is 0 and the intensity +inf there,
+    # and Lambda = (mu / x)^alpha / |Gamma(1 - alpha)| where mu is as small
+    law = frechet_law(1.3, 1.5, 2)
+    assert law.cdf(5e-324) == 0.0 and law.cdf(1e-300) == 0.0
+    want = math.exp(-(0.5**1.5) / -math.gamma(-0.5))
+    assert frechet_law(1e-210, 1.5, 1).cdf(2e-210) == pytest.approx(want, rel=1e-14)
+    assert pp_intensity(0.5, 1.5, 5e-324) == math.inf and pp_intensity(0.5, 1.5, 1e-300) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the point contract of every point-wise function of laws and special
+
+_SPECIAL_POINTS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1e300, -1e300,
+                   math.inf, -math.inf, math.nan]
+_DILUTE = DiluteParams(0.5, 1.5, 1.3)
+# name: (function, kind, the exception a point may raise)
+_POINTWISE = {
+    "stable-dense": (functools.partial(stable_density_series, StableParams(1.5, 1.0, -1.0)), "density", RuntimeError),
+    "stable-one-sided": (functools.partial(stable_density_series, StableParams(0.6, 1.0, 1.0)), "density", None),
+    "stable-gauss": (functools.partial(stable_density_series, StableParams(2.0)), "density", None),
+    "dilute-density": (functools.partial(dilute_Z_density, _DILUTE), "density", ValueError),
+    "dilute-cdf": (functools.partial(dilute_Z_cdf, _DILUTE), "cdf", ValueError),
+    "frechet-cdf": (frechet_law(1.3, 1.5, 2).cdf, "cdf", None),
+    "gumbel-cdf": (gumbel_cdf, "cdf", None),
+    "pp-intensity": (functools.partial(pp_intensity, 0.5, 1.5), "density", ValueError),
+    "lgam": (special.lgam, "lgam", ValueError),
+    "igam": (functools.partial(special.igam, 2.5), "gamma-cdf", None),
+    "igamc": (functools.partial(special.igamc, 0.7), "gamma-cdf", None),
+    "chdtrc": (functools.partial(special.chdtrc, 3.0), "gamma-cdf", None),
+}
+
+
+def _assert_point_contract(fn, kind, refusal, x):
+    """fn at the array x against the point contract: a Python float for a
+    float, equal to the 1-element array's entry; x's shape and the bytes of
+    the _POINT_BLOCK pieces for an array, every entry that of the scalar
+    call; densities >= 0, cdfs in [0, 1], NaN exactly at NaN (and, for the
+    incomplete gamma functions, at x < 0, as scipy's); or ``refusal``,
+    raised by the array call exactly when a scalar call raises it."""
+    flat = x.ravel()
+    bits, where = np.unique(flat.view(np.uint64), return_inverse=True)
+    points = bits.view(float).tolist()
+    try:
+        got = fn(x)
+    except Exception as err:
+        assert refusal is not None and isinstance(err, refusal), err
+        refused = []
+        for v in points:
+            try:
+                fn(v)
+            except refusal:
+                refused.append(v)
+        assert refused, f"the array call raised {err!r}, but no scalar call raises"
+        return
+    assert isinstance(got, np.ndarray) and got.dtype == float and got.shape == x.shape
+    block = special._POINT_BLOCK
+    pieces = np.concatenate([fn(flat[i : i + block]) for i in range(0, flat.size, block)])
+    assert got.tobytes() == pieces.tobytes()
+    scalars = [fn(v) for v in points]
+    assert all(type(s) is float for s in scalars)
+    assert all(np.array([s]).tobytes() == fn(np.array([v])).tobytes() for s, v in zip(scalars, points))
+    assert got.ravel().tobytes() == np.array(scalars)[where].tobytes()
+    nan = np.isnan(x) | (x < 0.0) if kind == "gamma-cdf" else np.isnan(x)
+    assert np.array_equal(np.isnan(got), nan)
+    values = got[~nan]
+    if kind == "density":
+        assert np.all(values >= 0.0)
+    elif kind != "lgam":
+        assert np.all((values >= 0.0) & (values <= 1.0))
+
+
+_POINTS = st.one_of(st.sampled_from(_SPECIAL_POINTS), st.floats(-40.0, 40.0), st.floats())
+
+
+@pytest.mark.parametrize("name", list(_POINTWISE))
+@settings(max_examples=25, deadline=None)
+@given(xs=st.lists(_POINTS, min_size=1, max_size=12), layout=st.sampled_from(["flat", "rows", "past-a-block"]))
+@example(xs=_SPECIAL_POINTS, layout="past-a-block")
+@example(xs=[0.3, 0.7, 1.0, 2.5, 7.0], layout="past-a-block")
+def test_pointwise_functions_keep_the_point_contract(name, xs, layout):
+    """Item 30's limit-law slice: every point-wise function of laws and
+    special at arrays that mix +-0, subnormals, 1e+-300, +-inf and NaN,
+    as one row, as rows, and repeated past one _POINT_BLOCK."""
+    fn, kind, refusal = _POINTWISE[name]
+    x = np.array(xs)
+    if layout == "rows":
+        x = x.reshape(-1, 1)
+    elif layout == "past-a-block":
+        x = np.resize(x, special._POINT_BLOCK + len(xs))
+    _assert_point_contract(fn, kind, refusal, x)

@@ -108,6 +108,14 @@ def test_chdtrc_matches_scipy(df):
     assert math.isnan(chdtrc(df, -1.0)) and math.isnan(sc.chdtrc(df, -1.0))
 
 
+def test_chdtrc_is_nan_at_every_negative_x():
+    # -5e-324 / 2 rounds to -0.0, where Q is 1; scipy refuses x < 0 before
+    # halving, and so does chdtrc (found by the point-contract fuzzer)
+    x = np.array([-5e-324, -1e-320, -0.0, 0.0, 5e-324])
+    assert np.array_equal(_bits(chdtrc(3.0, x)), _bits(sc.chdtrc(3.0, x)))
+    assert math.isnan(chdtrc(3.0, -5e-324))
+
+
 def test_zeta_table_is_scipys_hurwitz_zeta():
     assert special._ZETA == tuple(float(sc.zeta(n, 1.0)) for n in range(2, 42))
 
